@@ -18,8 +18,8 @@
 //!    with silent local fallback on any node failure).
 //!
 //! The serving process itself keeps using `dprov-server`'s
-//! `QueryService`/`Frontend` unchanged — a gateway is a `ServiceConfig`
-//! with `dprov_server::ClusterRole::Gateway` plus this wiring.
+//! `QueryService`/`Frontend` unchanged — a gateway is an ordinary service
+//! plus this wiring.
 
 use std::sync::{Arc, Mutex};
 

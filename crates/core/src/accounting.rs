@@ -16,8 +16,6 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
-
 use dprov_dp::budget::Budget;
 
 use crate::analyst::AnalystId;
@@ -25,7 +23,7 @@ use crate::mechanism::MechanismKind;
 use crate::recorder::LedgerEntryState;
 
 /// The per-analyst privacy-loss ledger with per-mechanism attribution.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct MultiAnalystLedger {
     /// One budget bucket per `(analyst, mechanism)` pair.
     per_entry: BTreeMap<(AnalystId, MechanismKind), Budget>,

@@ -1,11 +1,9 @@
 //! Data analysts and privilege levels.
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::{CoreError, Result};
 
 /// Identifier of a registered analyst (dense index into the registry).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct AnalystId(pub usize);
 
 impl std::fmt::Display for AnalystId {
@@ -16,7 +14,7 @@ impl std::fmt::Display for AnalystId {
 
 /// A privacy privilege level, an integer in `1..=10` (RQ3 in §3): a higher
 /// number means a more trusted analyst who may receive more information.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Privilege(u8);
 
 impl Privilege {
@@ -46,7 +44,7 @@ impl Privilege {
 }
 
 /// A registered analyst.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Analyst {
     /// The analyst's identifier.
     pub id: AnalystId,
@@ -57,7 +55,7 @@ pub struct Analyst {
 }
 
 /// The registry of analysts known to the system.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct AnalystRegistry {
     analysts: Vec<Analyst>,
 }

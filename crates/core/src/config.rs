@@ -6,8 +6,6 @@
 //! the per-view constraint specification (Definition 12 or a static split),
 //! the system-wide δ, and the composition method.
 
-use serde::{Deserialize, Serialize};
-
 use dprov_delta::{EpochPolicy, MaintenanceMode};
 use dprov_dp::accountant::CompositionMethod;
 use dprov_dp::budget::{Delta, Epsilon};
@@ -16,7 +14,7 @@ use dprov_dp::translation::DEFAULT_EPSILON_PRECISION;
 use crate::error::{CoreError, Result};
 
 /// How per-analyst (row) constraints ψ_Ai are derived from privileges.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum AnalystConstraintSpec {
     /// Definition 10 ("l_sum"): ψ_Ai = l_i / Σ_j l_j · ψ_P. Requires every
     /// analyst to be registered before setup; tailored to the vanilla
@@ -32,7 +30,7 @@ pub enum AnalystConstraintSpec {
 }
 
 /// How per-view (column) constraints ψ_Vj are derived.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ViewConstraintSpec {
     /// Definition 12 (water-filling): every view constraint equals the table
     /// constraint; budget flows to the views analysts actually query.
@@ -44,7 +42,7 @@ pub enum ViewConstraintSpec {
 }
 
 /// Full system configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SystemConfig {
     /// The table constraint ψ_P — the overall privacy budget.
     pub total_epsilon: Epsilon,

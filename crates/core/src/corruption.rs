@@ -10,13 +10,11 @@
 
 use std::collections::BTreeSet;
 
-use serde::{Deserialize, Serialize};
-
 use crate::analyst::AnalystId;
 use crate::error::{CoreError, Result};
 
 /// An undirected corruption graph over `n` analysts.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CorruptionGraph {
     n: usize,
     edges: BTreeSet<(usize, usize)>,

@@ -11,7 +11,7 @@ use crate::analyst::AnalystId;
 /// breaking change, so downstream matches must carry a wildcard arm. The
 /// stable wire representation lives in `dprov-api`.
 #[non_exhaustive]
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum RejectReason {
     /// Answering would exceed the analyst's (row) constraint ψ_Ai.
     AnalystConstraint {

@@ -7,12 +7,10 @@
 //! * [`ProportionalFairnessAudit`] — checks the proportional-fairness
 //!   condition of Definition 7 on observed per-analyst budget consumption.
 
-use serde::{Deserialize, Serialize};
-
 use crate::analyst::Privilege;
 
 /// Per-analyst outcome used by the fairness metrics.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AnalystOutcome {
     /// The analyst's privilege level.
     pub privilege: u8,
@@ -52,7 +50,7 @@ pub fn ndcfg(outcomes: &[AnalystOutcome]) -> f64 {
 /// The result of auditing proportional fairness (Definition 7) with the
 /// identity function as μ: for every pair with `l_i <= l_j` we require
 /// `consumed_i / l_i <= consumed_j / l_j` (up to `tolerance`).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ProportionalFairnessAudit {
     /// Whether every pair satisfied the condition.
     pub is_fair: bool,

@@ -6,10 +6,8 @@
 //! from a hidden global synopsis). The [`crate::system::DProvDb`]
 //! orchestrator is parameterised by this enum.
 
-use serde::{Deserialize, Serialize};
-
 /// Which provenance-aware mechanism the system runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum MechanismKind {
     /// Algorithm 2: every (analyst, view) release is an independent
     /// analytic-Gaussian synopsis; composition across analysts on a view is

@@ -4,8 +4,6 @@
 //! this trait, so the end-to-end comparisons of Section 6 are apples to
 //! apples: same workloads, same submission modes, same metrics.
 
-use serde::{Deserialize, Serialize};
-
 use dprov_engine::group::GroupByQuery;
 use dprov_engine::query::Query;
 use dprov_engine::value::Value;
@@ -14,7 +12,7 @@ use crate::analyst::AnalystId;
 use crate::error::{RejectReason, Result};
 
 /// The dual query-submission modes (Principle 3, §4.1).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum SubmissionMode {
     /// Accuracy-oriented: the analyst specifies the maximum expected squared
     /// error of the query answer; the system translates it into the minimal
@@ -31,7 +29,7 @@ pub enum SubmissionMode {
 }
 
 /// A query submission.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct QueryRequest {
     /// The query.
     pub query: Query,
@@ -60,7 +58,7 @@ impl QueryRequest {
 }
 
 /// A successfully answered query.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AnsweredQuery {
     /// The noisy answer returned to the analyst.
     pub value: f64,
@@ -93,7 +91,7 @@ pub struct AnsweredQuery {
 /// answering path is bit-identical to submitting those one by one — same
 /// answers, same noise draws, same ledger charges — it just resolves the
 /// view and walks its histogram once instead of per group.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GroupedRequest {
     /// The grouped query.
     pub query: GroupByQuery,
@@ -128,7 +126,7 @@ impl GroupedRequest {
 /// so a grouped answer can be partially rejected (e.g. the budget runs out
 /// halfway through the enumeration) — exactly as the per-group oracle
 /// would be.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GroupedOutcome {
     /// The group keys, in canonical enumeration order.
     pub keys: Vec<Vec<Value>>,
@@ -154,7 +152,7 @@ impl GroupedOutcome {
 }
 
 /// The outcome of a submission.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum QueryOutcome {
     /// The query was answered.
     Answered(AnsweredQuery),

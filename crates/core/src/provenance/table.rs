@@ -18,8 +18,6 @@
 
 use std::collections::HashMap;
 
-use serde::{Deserialize, Serialize};
-
 use crate::analyst::AnalystId;
 use crate::error::RejectReason;
 
@@ -29,7 +27,7 @@ use crate::error::RejectReason;
 const EPS_TOL: f64 = 1e-9;
 
 /// The privacy provenance table.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ProvenanceTable {
     /// View names in column order.
     views: Vec<String>,

@@ -30,8 +30,6 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::RwLock;
 
-use serde::{Deserialize, Serialize};
-
 use dprov_delta::{patch_histogram, EncodedBatch, EpochPolicy};
 use dprov_dp::budget::Delta;
 use dprov_dp::mechanism::analytic_gaussian::analytic_gaussian_sigma;
@@ -57,7 +55,7 @@ pub struct GlobalGrowth {
 
 /// A synopsis together with the nominal budget spent on it and the update
 /// epoch it was released against.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BudgetedSynopsis {
     /// The noisy counts and their actual per-bin variance.
     pub synopsis: Synopsis,

@@ -38,8 +38,6 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, RwLock};
 use std::time::{Duration, Instant};
 
-use serde::{Deserialize, Serialize};
-
 use dprov_delta::{
     build_segments, EncodedBatch, MaintenanceMode, SealedEpoch, UpdateBatch, UpdateLog,
 };
@@ -77,7 +75,7 @@ use crate::recorder::{AccessRecord, CommitRecord, CoreState, ProvenanceEntryStat
 use crate::synopsis_manager::{BudgetedSynopsis, SynopsisManager};
 
 /// Wall-clock statistics for the runtime tables (Tables 1 and 3).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SystemStats {
     /// Time spent materialising views at setup.
     pub setup_time: Duration,
@@ -183,7 +181,7 @@ pub struct CommitFreeze<'a> {
 }
 
 /// What one epoch seal did (see [`DProvDb::seal_epoch`]).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EpochReport {
     /// The sealed epoch's number.
     pub epoch: u64,

@@ -7,8 +7,6 @@
 //! charges budget and never constrains later submissions: it is advisory
 //! input to planning, nothing more.
 
-use serde::{Deserialize, Serialize};
-
 use dprov_engine::group::GroupByQuery;
 use dprov_engine::query::Query;
 
@@ -18,7 +16,7 @@ use dprov_engine::query::Query;
 /// it stands for one admission per group cell (see
 /// [`GroupByQuery::scalar_queries`]), which is exactly how the planner
 /// prices it.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct QueryTemplate {
     /// The template query (scalar when `group_by` is empty).
     pub query: Query,
@@ -44,7 +42,7 @@ impl QueryTemplate {
 }
 
 /// A declared workload: templates plus frequencies.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct DeclaredWorkload {
     /// The templates, in declaration order.
     pub templates: Vec<QueryTemplate>,

@@ -14,8 +14,6 @@
 //! merge the epochs below a retention watermark into one baseline epoch
 //! whose replay is bit-identical to replaying what it replaced.
 
-use serde::{Deserialize, Serialize};
-
 use dprov_engine::database::Database;
 use dprov_engine::table::Table;
 use dprov_engine::value::Value;
@@ -68,7 +66,7 @@ pub type Result<T> = std::result::Result<T, DeltaError>;
 /// One analyst-facing update batch: decoded rows to insert and decoded
 /// rows to delete (multiset semantics — each delete removes one matching
 /// occurrence).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct UpdateBatch {
     /// The updated table.
     pub table: String,
@@ -115,7 +113,7 @@ impl UpdateBatch {
 /// A validated, schema-encoded update batch: the durable/wire form. Every
 /// cell is the domain index of its value (`u32`), exactly as the engine
 /// stores rows.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EncodedBatch {
     /// Monotone batch sequence number (assigned at submission; WAL frames
     /// and snapshots are reconciled through it).
@@ -144,7 +142,7 @@ impl EncodedBatch {
 
 /// One sealed epoch: its number and the batches it applied, in submission
 /// order.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SealedEpoch {
     /// The epoch number (1 = first seal after setup).
     pub epoch: u64,
@@ -173,7 +171,7 @@ fn encode_row(table: &Table, row: &[Value]) -> Result<Vec<u32>> {
 /// The epoch-versioned update log: pending validated batches plus the
 /// sealed epoch history. Plain serialisable data — this type doubles as
 /// the durable snapshot state of the dynamic-data subsystem.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct UpdateLog {
     /// The next batch sequence number to assign.
     pub next_seq: u64,

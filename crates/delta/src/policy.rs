@@ -19,11 +19,9 @@
 //!   seals old, but never spend budget they did not pay). Once the bound
 //!   is exceeded the synopsis is invalidated like under `ReNoise`.
 
-use serde::{Deserialize, Serialize};
-
 /// What happens to noisy synopses of a view whose data changed at an
 /// epoch seal.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum EpochPolicy {
     /// Invalidate at the seal; the next query re-buys the release under
     /// the normal admission charging. Freshest answers, highest budget
@@ -65,7 +63,7 @@ impl EpochPolicy {
 /// be **bit-identical** (the end-to-end epoch-equivalence suite runs the
 /// same workload under both); `Incremental` is the production setting,
 /// `FullRebuild` the oracle it is checked against.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum MaintenanceMode {
     /// Patch each changed view's histogram from the delta rows alone.
     #[default]

@@ -38,7 +38,7 @@ pub trait Accountant: Send {
 }
 
 /// The composition methods available to the system configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CompositionMethod {
     /// Basic sequential composition (Theorem 2.1).
     Sequential,

@@ -5,8 +5,6 @@
 //! per-query translated budgets. Wrapping the raw `f64`s in newtypes keeps
 //! unit confusion (variance vs epsilon vs delta) out of the higher layers.
 
-use serde::{Deserialize, Serialize};
-
 use crate::{DpError, Result};
 
 /// A privacy-loss parameter `epsilon > 0`.
@@ -14,7 +12,7 @@ use crate::{DpError, Result};
 /// `Epsilon::ZERO` is allowed as the additive identity (an analyst that has
 /// not consumed anything yet); every *spent* epsilon must be strictly
 /// positive.
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd)]
 pub struct Epsilon(f64);
 
 impl Epsilon {
@@ -103,7 +101,7 @@ impl std::fmt::Display for Epsilon {
 }
 
 /// A failure-probability parameter `delta` in `[0, 1)`.
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd)]
 pub struct Delta(f64);
 
 impl Delta {
@@ -165,7 +163,7 @@ impl std::fmt::Display for Delta {
 }
 
 /// An `(epsilon, delta)` privacy budget.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Budget {
     /// The epsilon component.
     pub epsilon: Epsilon,

@@ -15,8 +15,6 @@
 //! the data is touched only once, `(max_i ε_i, δ)`-DP overall even if every
 //! analyst colludes.
 
-use serde::{Deserialize, Serialize};
-
 use crate::budget::Budget;
 use crate::mechanism::analytic_gaussian::analytic_gaussian_sigma;
 use crate::rng::DpRng;
@@ -24,7 +22,7 @@ use crate::sensitivity::Sensitivity;
 use crate::{DpError, Result};
 
 /// The per-analyst output of one additive-Gaussian release.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AdditiveRelease {
     /// Index of the recipient in the caller's budget list.
     pub recipient: usize,

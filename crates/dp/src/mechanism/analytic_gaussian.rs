@@ -12,8 +12,6 @@
 //! below δ — found here by expanding an upper bracket and bisecting. This is
 //! exactly the calibration the original DProvDB re-implemented in Scala.
 
-use serde::{Deserialize, Serialize};
-
 use crate::budget::Budget;
 use crate::math::normal::normal_cdf;
 use crate::math::optimize::bisect_decreasing;
@@ -75,7 +73,7 @@ pub fn analytic_gaussian_sigma(epsilon: f64, delta: f64, sensitivity: f64) -> Re
 }
 
 /// A calibrated analytic Gaussian mechanism.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AnalyticGaussian {
     sigma: f64,
     sensitivity: f64,

@@ -9,15 +9,13 @@
 //! the `Chorus` baseline which mirrors the original system's plain Gaussian
 //! mechanism.
 
-use serde::{Deserialize, Serialize};
-
 use crate::budget::Budget;
 use crate::rng::DpRng;
 use crate::sensitivity::Sensitivity;
 use crate::{DpError, Result};
 
 /// The classic Gaussian mechanism.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ClassicGaussian {
     sigma: f64,
 }

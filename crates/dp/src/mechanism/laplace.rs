@@ -5,15 +5,13 @@
 //! addition), but the Laplace mechanism is useful for sanity checks and for
 //! the unit tests that contrast pure and approximate DP calibrations.
 
-use serde::{Deserialize, Serialize};
-
 use crate::budget::Epsilon;
 use crate::rng::DpRng;
 use crate::sensitivity::Sensitivity;
 use crate::{DpError, Result};
 
 /// The Laplace mechanism with scale `b = Δ1 / ε`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LaplaceMechanism {
     scale: f64,
 }

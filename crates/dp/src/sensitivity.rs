@@ -7,12 +7,10 @@
 //! sensitivity `(ub - lb)` (optionally divided by the bin width when the
 //! domain is discretised, see Appendix D).
 
-use serde::{Deserialize, Serialize};
-
 use crate::{DpError, Result};
 
 /// The ℓ2 global sensitivity of a query or view (Definition 2).
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd)]
 pub struct Sensitivity(f64);
 
 impl Sensitivity {

@@ -17,8 +17,6 @@
 //!   `w ∈ [0, 1)` before translating `v_t` into an epsilon, so the least
 //!   possible additional budget is spent.
 
-use serde::{Deserialize, Serialize};
-
 use crate::budget::{Budget, Delta, Epsilon};
 use crate::math::optimize::{golden_section_maximize, monotone_binary_search};
 use crate::mechanism::analytic_gaussian::analytic_gaussian_sigma;
@@ -30,7 +28,7 @@ use crate::{DpError, Result};
 pub const DEFAULT_EPSILON_PRECISION: f64 = 1e-4;
 
 /// The outcome of an accuracy→privacy translation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Translation {
     /// The translated minimal epsilon.
     pub epsilon: Epsilon,

@@ -7,8 +7,6 @@
 //! means fewer noisy cells contribute to the answer, hence lower error for
 //! the same per-bin variance.
 
-use serde::{Deserialize, Serialize};
-
 use crate::database::Database;
 use crate::query::Query;
 use crate::transform::{transform_in, LinearQuery};
@@ -16,7 +14,7 @@ use crate::view::ViewDef;
 use crate::{EngineError, Result};
 
 /// A catalog of registered views.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct ViewCatalog {
     views: Vec<ViewDef>,
 }

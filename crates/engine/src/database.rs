@@ -2,8 +2,6 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
-
 use crate::table::Table;
 use crate::{EngineError, Result};
 
@@ -15,10 +13,9 @@ use crate::{EngineError, Result};
 /// [`Database::table_mut`] / [`crate::table::Table::apply_encoded_updates`]
 /// and advances the epoch once per sealed batch set, so every consumer can
 /// tag the state it answered against.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Database {
     tables: BTreeMap<String, Table>,
-    #[serde(default)]
     epoch: u64,
 }
 

@@ -4,8 +4,6 @@
 //! ground truth for the relative-error experiment (Fig. 9b), and in tests
 //! that validate the view-based answering path against direct evaluation.
 
-use serde::{Deserialize, Serialize};
-
 use crate::database::Database;
 use crate::query::{AggregateKind, Query};
 use crate::table::Table;
@@ -13,7 +11,7 @@ use crate::value::Value;
 use crate::{EngineError, Result};
 
 /// The result of exact query evaluation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct QueryResult {
     /// One entry per output row: the group key (empty for scalar queries)
     /// and the aggregate value.

@@ -12,15 +12,13 @@
 
 use std::collections::BTreeSet;
 
-use serde::{Deserialize, Serialize};
-
 use crate::schema::{Attribute, AttributeType};
 use crate::table::Table;
 use crate::value::Value;
 use crate::Result;
 
 /// A boolean selection predicate over a single relation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Predicate {
     /// Matches every row.
     True,

@@ -16,8 +16,6 @@
 //! histogram reads, grouped gathers over domain maps) must produce answers
 //! bit-identical to running those scalar queries one by one.
 
-use serde::{Deserialize, Serialize};
-
 use crate::expr::Predicate;
 use crate::query::{AggregateKind, Query};
 use crate::schema::Schema;
@@ -31,7 +29,7 @@ use crate::{EngineError, Result};
 /// [`crate::exec`]), a `GroupByQuery` is the admission-facing form: each
 /// group cell is priced and released individually through the normal
 /// budget path, in the canonical order.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GroupByQuery {
     /// The relation being queried.
     pub table: String,

@@ -1,13 +1,11 @@
 //! Exact histogram materialisation.
 
-use serde::{Deserialize, Serialize};
-
 use crate::database::Database;
 use crate::view::{flat_index, ViewDef, ViewKind};
 use crate::Result;
 
 /// The exact (non-private) answer to a histogram view.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Histogram {
     /// Name of the view this histogram materialises.
     pub view: String,

@@ -6,12 +6,10 @@
 //! paper's experiments (randomized range queries and BFS exploration
 //! counts).
 
-use serde::{Deserialize, Serialize};
-
 use crate::expr::Predicate;
 
 /// The aggregate being computed.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum AggregateKind {
     /// `COUNT(*)`.
     Count,
@@ -33,7 +31,7 @@ impl AggregateKind {
 }
 
 /// An aggregate query over one relation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Query {
     /// The relation being queried.
     pub table: String,

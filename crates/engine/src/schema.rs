@@ -6,13 +6,11 @@
 //! histogram views (Definition 16 in the paper's Appendix D) well defined
 //! and are also how the engine avoids the GROUP BY domain-leakage problem.
 
-use serde::{Deserialize, Serialize};
-
 use crate::value::Value;
 use crate::{EngineError, Result};
 
 /// The type (and domain) of an attribute.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum AttributeType {
     /// An integer attribute over the inclusive range `[min, max]`,
     /// discretised into bins of `bin_width` consecutive integers
@@ -86,7 +84,7 @@ impl AttributeType {
 }
 
 /// A named attribute.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Attribute {
     /// The attribute name.
     pub name: String,
@@ -189,7 +187,7 @@ impl Attribute {
 }
 
 /// The schema of a relation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Schema {
     attributes: Vec<Attribute>,
 }

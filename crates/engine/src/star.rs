@@ -20,8 +20,6 @@
 
 use std::collections::HashMap;
 
-use serde::{Deserialize, Serialize};
-
 use crate::database::Database;
 use crate::schema::Schema;
 use crate::table::Table;
@@ -29,7 +27,7 @@ use crate::value::Value;
 use crate::{EngineError, Result};
 
 /// A foreign-key edge from the fact table to one dimension table.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ForeignKey {
     /// The fact-table attribute holding the key.
     pub fact_attribute: String,
@@ -40,7 +38,7 @@ pub struct ForeignKey {
 }
 
 /// A star-schema declaration: one fact table plus its dimension joins.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StarSchema {
     /// Name of the widened output table produced by [`StarSchema::fold`].
     pub name: String,

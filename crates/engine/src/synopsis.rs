@@ -6,12 +6,10 @@
 //! it (see `dprov-core::synopsis_manager`); both are represented by this
 //! type, which only knows its counts and its noise level.
 
-use serde::{Deserialize, Serialize};
-
 use crate::transform::LinearQuery;
 
 /// A noisy answer to a histogram view.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Synopsis {
     /// Name of the view this synopsis answers.
     pub view: String,

@@ -5,14 +5,12 @@
 //! makes histogram materialisation a single pass of index arithmetic and
 //! keeps predicate evaluation branch-light.
 
-use serde::{Deserialize, Serialize};
-
 use crate::schema::Schema;
 use crate::value::Value;
 use crate::{EngineError, Result};
 
 /// A relation with columnar, domain-index-encoded storage.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Table {
     name: String,
     schema: Schema,

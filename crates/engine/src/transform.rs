@@ -13,8 +13,6 @@
 //!   are decomposed by the system layer (AVG = SUM / COUNT), so `transform`
 //!   returns `None` for them.
 
-use serde::{Deserialize, Serialize};
-
 use crate::database::Database;
 use crate::query::{AggregateKind, Query};
 use crate::schema::Schema;
@@ -23,7 +21,7 @@ use crate::Result;
 
 /// A linear query over a view's histogram cells: a sparse coefficient
 /// vector.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LinearQuery {
     /// The view the coefficients are defined over.
     pub view: String,

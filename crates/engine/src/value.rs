@@ -1,14 +1,12 @@
 //! Cell values.
 
-use serde::{Deserialize, Serialize};
-
 /// A single cell value.
 ///
 /// The engine stores every attribute over a *finite* domain (integers within
 /// a declared range, or a declared category list), which is what makes
 /// full-domain histogram views well defined. `Value` is the decoded,
 /// user-facing representation.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Value {
     /// An integer value.
     Int(i64),

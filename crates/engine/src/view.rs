@@ -6,8 +6,6 @@
 //! [`crate::synopsis::Synopsis`]. The provenance table tracks privacy loss
 //! per view, so every view carries a stable name.
 
-use serde::{Deserialize, Serialize};
-
 use dprov_dp::sensitivity::Sensitivity;
 
 use crate::database::Database;
@@ -15,7 +13,7 @@ use crate::schema::Schema;
 use crate::Result;
 
 /// How the view's histogram domain is derived.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum ViewKind {
     /// A full-domain counting histogram over the view's attributes.
     FullDomainHistogram,
@@ -31,7 +29,7 @@ pub enum ViewKind {
 }
 
 /// A view definition.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ViewDef {
     /// Stable view name (the provenance-table column key).
     pub name: String,

@@ -19,8 +19,6 @@
 //! and the encoding choice is *invisible* to query results: kernels
 //! decode to the same `u32` domain indices the row path sees.
 
-use serde::{Deserialize, Serialize};
-
 /// Number of bits needed to represent `max` (0 for `max == 0`).
 #[inline]
 pub fn bits_for(max: u64) -> u32 {
@@ -33,7 +31,7 @@ pub fn bits_for(max: u64) -> u32 {
 /// `64 / width` fields per word, high-order slack bits unused, fields
 /// never straddling a word boundary. Width 0 stores nothing — every
 /// field decodes to 0.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PackedVec {
     width: u32,
     len: usize,
@@ -149,7 +147,7 @@ impl PackedVec {
 }
 
 /// How a column should be encoded at ingest.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ColumnEncoding {
     /// Pick the smallest representation per column (bit-packed vs
     /// dictionary vs plain).
@@ -180,7 +178,7 @@ pub enum EncodingKind {
 /// Whatever the representation, [`EncodedColumn::get`] and
 /// [`EncodedColumn::for_each`] yield exactly the `u32` domain indices
 /// that were ingested — the encoding never changes query results.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum EncodedColumn {
     /// Raw values, one `u32` per row.
     Plain(Vec<u32>),

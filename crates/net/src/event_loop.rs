@@ -20,17 +20,10 @@ use std::time::{Duration, Instant};
 
 use dprov_api::frame::{frame, FrameDecoder};
 use dprov_api::protocol::Response;
-use dprov_api::{codes, ApiError};
-use dprov_core::processor::{GroupedRequest, QueryRequest};
 use dprov_obs::{CounterId, GaugeId, HistId, MetricsRegistry};
 use dprov_server::frontend::accept_error_is_transient;
-use dprov_server::proto::{
-    encode_reply, grouped_response_to_protocol, query_response_to_protocol, ConnProto,
-    PayloadOutcome,
-};
-use dprov_server::{
-    GroupedCallback, QueryCallback, QueryService, SessionId, TrySubmitError, TrySubmitGroupedError,
-};
+use dprov_server::proto::{encode_reply, reply_to_protocol, ConnProto, PayloadOutcome};
+use dprov_server::{Completion, QueryService, ServerError, SessionId, TrySubmitError, Work};
 use epoll::{Event, Interest, Poller, Waker};
 
 use crate::NetConfig;
@@ -229,25 +222,14 @@ struct Inbox {
     queue_space: bool,
 }
 
-/// A submission the queue refused; held until a queue-space wakeup.
+/// A submission on its way into the worker pool; held on the connection
+/// while the full queue refuses it (until a queue-space wakeup).
 struct Parked {
     session: SessionId,
-    work: ParkedWork,
+    work: Work,
+    on_done: Completion,
     request_id: u64,
     scope: Option<u64>,
-}
-
-/// The request + callback pair a full queue handed back — scalar and
-/// grouped submissions park identically.
-enum ParkedWork {
-    Scalar {
-        request: QueryRequest,
-        on_done: QueryCallback,
-    },
-    Grouped {
-        request: GroupedRequest,
-        on_done: GroupedCallback,
-    },
 }
 
 /// One connection's entire state, owned by exactly one loop thread.
@@ -577,17 +559,21 @@ impl LoopCore {
                         }
                         PayloadOutcome::Submit {
                             session,
-                            request,
-                            request_id,
-                            scope,
-                        } => self.dispatch(conn, token, session, request, request_id, scope),
-                        PayloadOutcome::SubmitGrouped {
-                            session,
-                            request,
+                            work,
                             request_id,
                             scope,
                         } => {
-                            self.dispatch_grouped(conn, token, session, request, request_id, scope);
+                            let on_done = self.make_callback(token, conn.lane, request_id, scope);
+                            self.dispatch(
+                                conn,
+                                Parked {
+                                    session,
+                                    work,
+                                    on_done,
+                                    request_id,
+                                    scope,
+                                },
+                            );
                         }
                     }
                 }
@@ -662,107 +648,48 @@ impl LoopCore {
         true
     }
 
-    /// Hands a validated submission to the worker pool without blocking;
-    /// a full queue parks it on the connection (read interest drops via
-    /// `wants_read`) until the queue-space wakeup.
-    fn dispatch(
-        &mut self,
-        conn: &mut Conn,
-        token: u64,
-        session: SessionId,
-        request: QueryRequest,
-        request_id: u64,
-        scope: Option<u64>,
-    ) {
-        let Some(service) = self.frontend.service.upgrade() else {
-            let reply = encode_reply(
-                &self.frontend.metrics,
-                conn.lane,
-                request_id,
-                scope,
-                &Response::Error(ApiError::new(
-                    codes::SHUTTING_DOWN,
-                    "service is shutting down",
-                )),
-            );
-            self.push_out(conn, reply);
-            return;
+    /// Hands a submission (fresh or previously parked) to the worker pool
+    /// without blocking; a full queue parks it on the connection (read
+    /// interest drops via `wants_read`) until the queue-space wakeup.
+    fn dispatch(&mut self, conn: &mut Conn, submission: Parked) {
+        let Parked {
+            session,
+            work,
+            on_done,
+            request_id,
+            scope,
+        } = submission;
+        let rejected = match self.frontend.service.upgrade() {
+            None => ServerError::ShuttingDown,
+            Some(service) => match service.try_submit(session, work, request_id, on_done) {
+                Ok(()) => {
+                    conn.inflight += 1;
+                    return;
+                }
+                Err(TrySubmitError::Full { work, on_done }) => {
+                    conn.parked = Some(Parked {
+                        session,
+                        work,
+                        on_done,
+                        request_id,
+                        scope,
+                    });
+                    return;
+                }
+                Err(TrySubmitError::Rejected(e)) => e,
+            },
         };
-        let on_done = self.make_callback(token, conn.lane, request_id, scope);
-        match service.try_submit_callback(session, request, request_id, on_done) {
-            Ok(()) => conn.inflight += 1,
-            Err(TrySubmitError::Full { request, on_done }) => {
-                conn.parked = Some(Parked {
-                    session,
-                    work: ParkedWork::Scalar { request, on_done },
-                    request_id,
-                    scope,
-                });
-            }
-            Err(TrySubmitError::Rejected(e)) => {
-                let reply = encode_reply(
-                    &self.frontend.metrics,
-                    conn.lane,
-                    request_id,
-                    scope,
-                    &Response::Error(e.into()),
-                );
-                self.push_out(conn, reply);
-            }
-        }
+        let reply = encode_reply(
+            &self.frontend.metrics,
+            conn.lane,
+            request_id,
+            scope,
+            &Response::Error(rejected.into()),
+        );
+        self.push_out(conn, reply);
     }
 
-    /// [`Self::dispatch`] for grouped (GROUP BY) submissions: the same
-    /// non-blocking hand-off and park-on-full backpressure, delivering a
-    /// `Response::GroupedAnswer` through the loop mailbox.
-    fn dispatch_grouped(
-        &mut self,
-        conn: &mut Conn,
-        token: u64,
-        session: SessionId,
-        request: GroupedRequest,
-        request_id: u64,
-        scope: Option<u64>,
-    ) {
-        let Some(service) = self.frontend.service.upgrade() else {
-            let reply = encode_reply(
-                &self.frontend.metrics,
-                conn.lane,
-                request_id,
-                scope,
-                &Response::Error(ApiError::new(
-                    codes::SHUTTING_DOWN,
-                    "service is shutting down",
-                )),
-            );
-            self.push_out(conn, reply);
-            return;
-        };
-        let on_done = self.make_grouped_callback(token, conn.lane, request_id, scope);
-        match service.try_submit_grouped_callback(session, request, request_id, on_done) {
-            Ok(()) => conn.inflight += 1,
-            Err(TrySubmitGroupedError::Full { request, on_done }) => {
-                conn.parked = Some(Parked {
-                    session,
-                    work: ParkedWork::Grouped { request, on_done },
-                    request_id,
-                    scope,
-                });
-            }
-            Err(TrySubmitGroupedError::Rejected(e)) => {
-                let reply = encode_reply(
-                    &self.frontend.metrics,
-                    conn.lane,
-                    request_id,
-                    scope,
-                    &Response::Error(e.into()),
-                );
-                self.push_out(conn, reply);
-            }
-        }
-    }
-
-    /// The completion callback run on the worker thread: encode the reply
+    /// The completion handler run on the worker thread: encode the reply
     /// there (keeping serialisation off the loop threads) and route it
     /// home through the owning loop's mailbox.
     fn make_callback(
@@ -771,7 +698,7 @@ impl LoopCore {
         lane: u64,
         request_id: u64,
         scope: Option<u64>,
-    ) -> QueryCallback {
+    ) -> Completion {
         let inbox = Arc::clone(&self.inbox);
         let waker = Arc::clone(&self.waker);
         let metrics = self.frontend.metrics.clone();
@@ -781,35 +708,7 @@ impl LoopCore {
                 lane,
                 request_id,
                 scope,
-                &query_response_to_protocol(Some(response)),
-            );
-            inbox
-                .lock()
-                .expect("loop inbox poisoned")
-                .completions
-                .push((token, reply));
-            waker.wake();
-        })
-    }
-
-    /// The grouped twin of [`Self::make_callback`].
-    fn make_grouped_callback(
-        &self,
-        token: u64,
-        lane: u64,
-        request_id: u64,
-        scope: Option<u64>,
-    ) -> GroupedCallback {
-        let inbox = Arc::clone(&self.inbox);
-        let waker = Arc::clone(&self.waker);
-        let metrics = self.frontend.metrics.clone();
-        Box::new(move |response| {
-            let reply = encode_reply(
-                &metrics,
-                lane,
-                request_id,
-                scope,
-                &grouped_response_to_protocol(Some(response)),
+                &reply_to_protocol(response),
             );
             inbox
                 .lock()
@@ -845,88 +744,15 @@ impl LoopCore {
             let Some(mut conn) = self.conns.remove(&token) else {
                 continue;
             };
-            let alive = self.retry_parked(&mut conn) && self.pump(&mut conn, token);
+            // Someone else may take the freed slot first, in which case
+            // the submission parks again for the next wakeup; otherwise
+            // the pump resumes the frames buffered behind it.
+            if let Some(parked) = conn.parked.take() {
+                self.dispatch(&mut conn, parked);
+            }
+            let alive = self.pump(&mut conn, token);
             self.finish(token, conn, alive);
         }
-    }
-
-    /// Re-dispatches one parked submission; the caller's `pump` resumes
-    /// the frames buffered behind it once the park clears.
-    fn retry_parked(&mut self, conn: &mut Conn) -> bool {
-        if let Some(parked) = conn.parked.take() {
-            let Parked {
-                session,
-                work,
-                request_id,
-                scope,
-            } = parked;
-            let Some(service) = self.frontend.service.upgrade() else {
-                let reply = encode_reply(
-                    &self.frontend.metrics,
-                    conn.lane,
-                    request_id,
-                    scope,
-                    &Response::Error(ApiError::new(
-                        codes::SHUTTING_DOWN,
-                        "service is shutting down",
-                    )),
-                );
-                self.push_out(conn, reply);
-                return true;
-            };
-            let rejected = match work {
-                ParkedWork::Scalar { request, on_done } => {
-                    match service.try_submit_callback(session, request, request_id, on_done) {
-                        Ok(()) => {
-                            conn.inflight += 1;
-                            None
-                        }
-                        Err(TrySubmitError::Full { request, on_done }) => {
-                            // Someone else took the slot; stay parked for
-                            // the next wakeup.
-                            conn.parked = Some(Parked {
-                                session,
-                                work: ParkedWork::Scalar { request, on_done },
-                                request_id,
-                                scope,
-                            });
-                            return true;
-                        }
-                        Err(TrySubmitError::Rejected(e)) => Some(e),
-                    }
-                }
-                ParkedWork::Grouped { request, on_done } => {
-                    match service.try_submit_grouped_callback(session, request, request_id, on_done)
-                    {
-                        Ok(()) => {
-                            conn.inflight += 1;
-                            None
-                        }
-                        Err(TrySubmitGroupedError::Full { request, on_done }) => {
-                            conn.parked = Some(Parked {
-                                session,
-                                work: ParkedWork::Grouped { request, on_done },
-                                request_id,
-                                scope,
-                            });
-                            return true;
-                        }
-                        Err(TrySubmitGroupedError::Rejected(e)) => Some(e),
-                    }
-                }
-            };
-            if let Some(e) = rejected {
-                let reply = encode_reply(
-                    &self.frontend.metrics,
-                    conn.lane,
-                    request_id,
-                    scope,
-                    &Response::Error(e.into()),
-                );
-                self.push_out(conn, reply);
-            }
-        }
-        true
     }
 
     /// Drops connections with no inbound traffic for the idle horizon.

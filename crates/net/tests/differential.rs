@@ -11,14 +11,15 @@
 use std::net::SocketAddr;
 use std::sync::Arc;
 
-use dprov_api::{DProvClient, MuxConnection};
+use dprov_api::{DProvClient, MuxConnection, RequestId};
 use dprov_core::analyst::AnalystRegistry;
 use dprov_core::config::SystemConfig;
 use dprov_core::mechanism::MechanismKind;
-use dprov_core::processor::{QueryOutcome, QueryRequest};
+use dprov_core::processor::{GroupedOutcome, GroupedRequest, QueryOutcome, QueryRequest};
 use dprov_core::system::DProvDb;
 use dprov_engine::catalog::ViewCatalog;
 use dprov_engine::datagen::adult::adult_database;
+use dprov_engine::group::GroupByQuery;
 use dprov_engine::query::Query;
 use dprov_net::listen;
 use dprov_server::{FrontendMode, QueryService, ServiceConfig};
@@ -31,6 +32,8 @@ fn service(mode: FrontendMode, queue_capacity: usize) -> Arc<QueryService> {
     let mut registry = AnalystRegistry::new();
     registry.register("alice", 2).unwrap();
     registry.register("bob", 4).unwrap();
+    registry.register("carol", 3).unwrap();
+    registry.register("dave", 1).unwrap();
     let config = SystemConfig::new(8.0).unwrap().with_seed(17);
     let system = Arc::new(
         DProvDb::new(
@@ -64,6 +67,10 @@ fn hours_query(lo: i64, hi: i64, variance: f64) -> QueryRequest {
     )
 }
 
+fn count_by(attribute: &str, variance: f64) -> GroupedRequest {
+    GroupedRequest::with_accuracy(GroupByQuery::count("adult", &[attribute]), variance)
+}
+
 /// Renders an outcome with float fields as exact bit patterns.
 fn render(tag: &str, outcome: &QueryOutcome) -> String {
     match outcome {
@@ -78,6 +85,16 @@ fn render(tag: &str, outcome: &QueryOutcome) -> String {
         ),
         QueryOutcome::Rejected { reason } => format!("{tag}: rejected {reason:?}"),
     }
+}
+
+/// Renders every cell of a grouped outcome through [`render`].
+fn render_grouped(tag: &str, grouped: &GroupedOutcome) -> Vec<String> {
+    grouped
+        .keys
+        .iter()
+        .zip(&grouped.outcomes)
+        .map(|(key, outcome)| render(&format!("{tag} {key:?}"), outcome))
+        .collect()
 }
 
 fn render_budget(tag: &str, client: &mut DProvClient) -> String {
@@ -96,43 +113,98 @@ fn render_budget(tag: &str, client: &mut DProvClient) -> String {
     )
 }
 
-/// Two analysts on separate TCP connections, synchronous and pipelined
-/// traffic on disjoint views, closed out with budget reports.
+/// Each analyst's scalar attribute (with the low end of its burst range)
+/// and grouping attribute. Every view belongs to one analyst only, so
+/// additive synopses never grow in cross-session arrival order.
+const ANALYSTS: [(&str, &str, i64, &str); 4] = [
+    ("alice", "age", 20, "sex"),
+    ("bob", "hours_per_week", 20, "race"),
+    ("carol", "education_num", 5, "income"),
+    ("dave", "capital_loss", 0, "relationship"),
+];
+
+/// Loose enough that the extra views the grouped and burst traffic touch
+/// leave the table constraint uncontended (accept-vs-reject decisions near
+/// exhaustion depend on cross-session arrival order).
+const LOOSE_VARIANCE: f64 = 40_000.0;
+
+/// Analysts on separate TCP connections, scalar and GROUP BY traffic
+/// interleaved on each session — synchronous first, then pipelined from
+/// every connection at once — closed out with budget reports.
 fn plain_workload(addr: SocketAddr) -> Vec<String> {
     let mut log = Vec::new();
-    let mut alice = DProvClient::connect_tcp(addr, "alice-conn").unwrap();
-    let a = alice.register("alice").unwrap();
-    log.push(format!(
-        "alice: session={} resumed={}",
-        a.session, a.resumed
-    ));
-    let mut bob = DProvClient::connect_tcp(addr, "bob-conn").unwrap();
-    let b = bob.register("bob").unwrap();
-    log.push(format!("bob: session={} resumed={}", b.session, b.resumed));
+    let mut clients: Vec<DProvClient> = ANALYSTS
+        .iter()
+        .map(|(name, ..)| {
+            let mut client = DProvClient::connect_tcp(addr, &format!("{name}-conn")).unwrap();
+            let info = client.register(name).unwrap();
+            log.push(format!(
+                "{name}: session={} resumed={}",
+                info.session, info.resumed
+            ));
+            client
+        })
+        .collect();
 
+    let [alice, bob, ..] = &mut clients[..] else {
+        unreachable!("four analysts connected");
+    };
     for i in 0..5 {
         let out = alice
             .query(&age_query(20 + i, 60, 400.0 + i as f64))
             .unwrap();
         log.push(render(&format!("alice q{i}"), &out));
+        let out = alice
+            .group_by(&count_by("sex", LOOSE_VARIANCE - i as f64))
+            .unwrap();
+        log.extend(render_grouped(&format!("alice g{i}"), &out));
         let out = bob
             .query(&hours_query(10, 40 + i, 500.0 + i as f64))
             .unwrap();
         log.push(render(&format!("bob q{i}"), &out));
     }
 
-    // A pipelined burst (several frames in flight on one connection).
-    let ids: Vec<_> = (0..6)
-        .map(|i| alice.submit(&age_query(25, 35 + i, 600.0)).unwrap())
-        .collect();
-    for (i, id) in ids.into_iter().enumerate() {
-        log.push(render(&format!("alice burst{i}"), &alice.poll(id).unwrap()));
+    // Two pipelined bursts on every connection at once, alternating scalar
+    // and grouped frames on each session — the first burst opens with a
+    // grouped frame, the second with a scalar one. There are more active
+    // sessions than workers plus queue slots, so with a one-slot queue
+    // some session's head job finds the queue full in each burst.
+    for burst in 0..2 {
+        let mut tickets: Vec<Vec<(bool, RequestId)>> = vec![Vec::new(); clients.len()];
+        for i in 0..4 {
+            let step = 4 * burst + i;
+            for (c, client) in clients.iter_mut().enumerate() {
+                let (_, scalar, lo, grouping) = ANALYSTS[c];
+                let grouped = (burst + i) % 2 == 0;
+                let id = if grouped {
+                    let variance = LOOSE_VARIANCE - 10.0 - step as f64;
+                    client.submit_group_by(&count_by(grouping, variance))
+                } else {
+                    let query = Query::range_count("adult", scalar, lo, lo + 1 + step);
+                    client.submit(&QueryRequest::with_accuracy(query, LOOSE_VARIANCE))
+                };
+                tickets[c].push((grouped, id.unwrap()));
+            }
+        }
+        for (c, client) in clients.iter_mut().enumerate() {
+            let name = ANALYSTS[c].0;
+            for (i, &(grouped, id)) in tickets[c].iter().enumerate() {
+                let tag = format!("{name} burst{burst}.{i}");
+                if grouped {
+                    log.extend(render_grouped(&tag, &client.poll_grouped(id).unwrap()));
+                } else {
+                    log.push(render(&tag, &client.poll(id).unwrap()));
+                }
+            }
+        }
     }
 
-    log.push(render_budget("alice budget", &mut alice));
-    log.push(render_budget("bob budget", &mut bob));
-    alice.close().unwrap();
-    bob.close().unwrap();
+    for (c, client) in clients.iter_mut().enumerate() {
+        log.push(render_budget(&format!("{} budget", ANALYSTS[c].0), client));
+    }
+    for client in clients {
+        client.close().unwrap();
+    }
     log
 }
 

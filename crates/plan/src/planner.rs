@@ -26,8 +26,6 @@
 //! across `k` dedicated views even though each shared answer needs a
 //! slightly larger epsilon.
 
-use serde::{Deserialize, Serialize};
-
 use dprov_core::analyst::AnalystRegistry;
 use dprov_core::config::SystemConfig;
 use dprov_core::mechanism::MechanismKind;
@@ -43,7 +41,7 @@ use crate::cost::CostModel;
 use crate::{PlanError, Result};
 
 /// Planner knobs.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PlannerConfig {
     /// The per-cell accuracy target (expected squared error) used to price
     /// templates. One number for the whole workload keeps the estimates
@@ -79,7 +77,7 @@ pub struct Planner {
 }
 
 /// One template's routing decision inside a plan.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PlanChoice {
     /// Rendering of the template query.
     pub template: String,
@@ -94,7 +92,7 @@ pub struct PlanChoice {
 }
 
 /// One view the plan materialises.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ChosenView {
     /// The view definition to register in the catalog.
     pub view: ViewDef,
@@ -114,7 +112,7 @@ pub struct ChosenView {
 
 /// An explainable plan: the views to materialise, every template's
 /// routing, and the estimated totals.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Plan {
     /// Views to materialise, in the order the cover chose them.
     pub views: Vec<ChosenView>,

@@ -41,19 +41,10 @@ use dprov_api::{codes, ApiError, Connection};
 use dprov_obs::{CounterId, MetricsRegistry};
 
 use crate::proto::{
-    encode_reply, grouped_response_to_protocol, query_response_to_protocol, shutting_down,
-    ConnProto, PayloadOutcome, DEFAULT_MAX_CHANNELS,
+    encode_reply, reply_to_protocol, shutting_down, ConnProto, PayloadOutcome, DEFAULT_MAX_CHANNELS,
 };
-use crate::service::{GroupedResponse, QueryResponse, QueryService, ServerError};
+use crate::service::{Pending, QueryService, ServerError};
 use crate::session::SessionError;
-
-/// A pending answer the forwarder is waiting on: scalar and grouped
-/// submissions travel back over differently-typed channels but share the
-/// forwarder's FIFO drain.
-enum PendingRx {
-    Scalar(mpsc::Receiver<QueryResponse>),
-    Grouped(mpsc::Receiver<GroupedResponse>),
-}
 
 impl From<SessionError> for ApiError {
     fn from(e: SessionError) -> Self {
@@ -213,17 +204,14 @@ impl Frontend {
         // lanes execute a session's queries FIFO, so blocking on the head
         // receiver never delays a later outcome. Each entry carries its
         // mux scope so a channel's answer is wrapped back into it.
-        let (pending_tx, pending_rx) = mpsc::channel::<(u64, Option<u64>, PendingRx)>();
+        let (pending_tx, pending_rx) = mpsc::channel::<(u64, Option<u64>, Pending)>();
         let forward_out = out_tx.clone();
         let forward_metrics = self.metrics.clone();
         let forwarder = std::thread::Builder::new()
             .name("dprov-frontend-forward".to_owned())
             .spawn(move || {
-                while let Ok((request_id, scope, rx)) = pending_rx.recv() {
-                    let response = match rx {
-                        PendingRx::Scalar(rx) => query_response_to_protocol(rx.recv().ok()),
-                        PendingRx::Grouped(rx) => grouped_response_to_protocol(rx.recv().ok()),
-                    };
+                while let Ok((request_id, scope, pending)) = pending_rx.recv() {
+                    let response = reply_to_protocol(pending.wait());
                     let frame = encode_reply(&forward_metrics, lane, request_id, scope, &response);
                     if forward_out.send(frame).is_err() {
                         break;
@@ -253,7 +241,7 @@ impl Frontend {
                 }
                 PayloadOutcome::Submit {
                     session,
-                    request,
+                    work,
                     request_id,
                     scope,
                 } => {
@@ -262,49 +250,16 @@ impl Frontend {
                     // reply stages share a key in the exported trace.
                     let submitted = match self.service.upgrade() {
                         Some(service) => service
-                            .submit_traced(session, request, request_id)
-                            .map(PendingRx::Scalar)
+                            .submit(session, work, Some(request_id))
                             .map_err(ApiError::from),
                         None => Err(shutting_down()),
                     };
                     match submitted {
-                        Ok(rx) => {
+                        Ok(pending) => {
                             // The forwarder answers this id when the
                             // worker pool does; the reader moves straight
                             // on to the next pipelined request.
-                            let _ = pending_tx.send((request_id, scope, rx));
-                        }
-                        Err(e) => {
-                            let frame = encode_reply(
-                                &self.metrics,
-                                lane,
-                                request_id,
-                                scope,
-                                &Response::Error(e),
-                            );
-                            let _ = out_tx.send(frame);
-                        }
-                    }
-                }
-                PayloadOutcome::SubmitGrouped {
-                    session,
-                    request,
-                    request_id,
-                    scope,
-                } => {
-                    // Same pipelined dispatch as `Submit`; only the
-                    // receiver (and the eventual response variant)
-                    // differs.
-                    let submitted = match self.service.upgrade() {
-                        Some(service) => service
-                            .submit_grouped_traced(session, request, request_id)
-                            .map(PendingRx::Grouped)
-                            .map_err(ApiError::from),
-                        None => Err(shutting_down()),
-                    };
-                    match submitted {
-                        Ok(rx) => {
-                            let _ = pending_tx.send((request_id, scope, rx));
+                            let _ = pending_tx.send((request_id, scope, pending));
                         }
                         Err(e) => {
                             let frame = encode_reply(

@@ -16,17 +16,18 @@
 //! * [`service`] — the **worker pool** ([`service::QueryService`]): `N`
 //!   threads drain the queue in **per-view micro-batches** (bounded batch
 //!   size plus an optional linger window, see
-//!   [`service::ServiceConfig::max_batch`]) and execute each job through
-//!   `DProvDb::submit_with_rng`; batching regroups cross-session work so
-//!   same-view jobs run back-to-back on hot admission/synopsis state, and
-//!   responses travel back over `mpsc` channels (an internal detail — see
-//!   [`frontend`]);
+//!   [`service::ServiceConfig::max_batch`]) and execute each job — one
+//!   [`service::Work`] item, scalar or GROUP BY — through
+//!   `DProvDb::submit_with_rng` / `answer_group_by_with_rng`; batching
+//!   regroups cross-session work so same-view jobs run back-to-back on hot
+//!   admission/synopsis state, and each [`service::Reply`] travels back
+//!   through the job's [`service::Completion`];
 //! * [`frontend`] — the **protocol frontend** ([`frontend::Frontend`]):
 //!   serves the versioned `dprov-api` analyst protocol over the worker
 //!   pool — session registration authenticated against the analyst
 //!   roster, per-connection reader/forwarder/writer threads, in-process
-//!   and TCP transports. This is the analyst-facing surface; the raw
-//!   `submit`-returning-`mpsc::Receiver` path is crate-internal.
+//!   and TCP transports. This is the analyst-facing surface; same-process
+//!   embedders call [`service::QueryService::submit`] directly.
 //!
 //! **Budget safety under concurrency** is enforced one layer down, in
 //! `dprov-core`'s admission control: constraint checks and charges commit
@@ -77,9 +78,8 @@ pub mod session;
 pub use frontend::{Frontend, FrontendListener};
 pub use queue::{SpaceListener, TryPushError};
 pub use service::{
-    ClusterRole, DurabilityConfig, DurabilityConfigBuilder, FrontendMode, GroupedCallback,
-    GroupedResponse, PendingQuery, QueryCallback, QueryResponse, QueryService, RecoveryReport,
-    ServerError, ServiceConfig, ServiceConfigBuilder, ServiceStats, TrySubmitError,
-    TrySubmitGroupedError,
+    Completion, DurabilityConfig, DurabilityConfigBuilder, FrontendMode, Pending, QueryService,
+    RecoveryReport, Reply, ServerError, ServiceConfig, ServiceConfigBuilder, ServiceStats,
+    TrySubmitError, Work,
 };
 pub use session::{SessionError, SessionId, SessionInfo, SessionRegistry};

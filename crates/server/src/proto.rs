@@ -39,10 +39,9 @@ use dprov_api::protocol::{
 };
 use dprov_api::{codes, ApiError};
 use dprov_core::analyst::AnalystId;
-use dprov_core::processor::{GroupedRequest, QueryRequest};
 use dprov_obs::{CounterId, HistId, MetricsRegistry, Stage};
 
-use crate::service::{GroupedResponse, QueryResponse, QueryService};
+use crate::service::{QueryService, Reply, ServerError, Work};
 use crate::session::SessionId;
 
 /// Channel cap used by frontends that do not expose their own knob.
@@ -65,18 +64,11 @@ enum ProtoFlow {
     /// Send `response`, then close the channel (for a bare connection:
     /// the connection).
     ReplyClose(Response),
-    /// A well-formed query submission: the frontend dispatches it to the
-    /// worker pool on its own path (blocking channel or callback).
-    Submit {
-        session: SessionId,
-        request: QueryRequest,
-    },
-    /// A well-formed grouped (GROUP BY) submission, dispatched like
-    /// `Submit` but answered with [`Response::GroupedAnswer`].
-    SubmitGrouped {
-        session: SessionId,
-        request: GroupedRequest,
-    },
+    /// A well-formed query submission (scalar or GROUP BY): the frontend
+    /// dispatches it to the worker pool on its own path (blocking
+    /// [`QueryService::submit`] or non-blocking
+    /// [`QueryService::try_submit`]).
+    Submit { session: SessionId, work: Work },
 }
 
 /// What the frontend must do with one received payload.
@@ -85,32 +77,18 @@ pub enum PayloadOutcome {
     Reply(Vec<u8>),
     /// Write this frame, then close the whole connection.
     ReplyClose(Vec<u8>),
-    /// Hand this query to the worker pool; encode its eventual response
-    /// with [`encode_reply`] under the same `(request_id, scope)`.
+    /// Hand this work to the worker pool; its eventual response goes
+    /// through [`reply_to_protocol`] and [`encode_reply`] under the same
+    /// `(request_id, scope)`.
     Submit {
-        /// The session the query runs on.
+        /// The session the work runs on.
         session: SessionId,
-        /// The validated query submission.
-        request: QueryRequest,
+        /// The validated submission (scalar or GROUP BY).
+        work: Work,
         /// The pipelining id the reply must echo (doubles as trace id).
         request_id: u64,
         /// `Some(channel)` when the submission arrived inside a mux
         /// channel; its reply must be wrapped back into that channel.
-        scope: Option<u64>,
-    },
-    /// Hand this grouped (GROUP BY) query to the worker pool; its
-    /// eventual [`GroupedResponse`] goes through
-    /// [`grouped_response_to_protocol`] and [`encode_reply`] under the
-    /// same `(request_id, scope)`.
-    SubmitGrouped {
-        /// The session the query runs on.
-        session: SessionId,
-        /// The validated grouped submission.
-        request: GroupedRequest,
-        /// The pipelining id the reply must echo (doubles as trace id).
-        request_id: u64,
-        /// `Some(channel)` when the submission arrived inside a mux
-        /// channel.
         scope: Option<u64>,
     },
 }
@@ -178,15 +156,9 @@ impl ConnProto {
             ProtoFlow::ReplyClose(r) => {
                 PayloadOutcome::ReplyClose(encode_reply(metrics, lane, request_id, None, &r))
             }
-            ProtoFlow::Submit { session, request } => PayloadOutcome::Submit {
+            ProtoFlow::Submit { session, work } => PayloadOutcome::Submit {
                 session,
-                request,
-                request_id,
-                scope: None,
-            },
-            ProtoFlow::SubmitGrouped { session, request } => PayloadOutcome::SubmitGrouped {
-                session,
-                request,
+                work,
                 request_id,
                 scope: None,
             },
@@ -259,15 +231,9 @@ impl ConnProto {
                 self.channels.remove(&channel);
                 PayloadOutcome::Reply(encode_reply(metrics, lane, inner_id, Some(channel), &r))
             }
-            ProtoFlow::Submit { session, request } => PayloadOutcome::Submit {
+            ProtoFlow::Submit { session, work } => PayloadOutcome::Submit {
                 session,
-                request,
-                request_id: inner_id,
-                scope: Some(channel),
-            },
-            ProtoFlow::SubmitGrouped { session, request } => PayloadOutcome::SubmitGrouped {
-                session,
-                request,
+                work,
                 request_id: inner_id,
                 scope: Some(channel),
             },
@@ -311,33 +277,14 @@ pub fn encode_reply(
     frame
 }
 
-/// Maps a worker-pool response (or a dropped responder, `None`) onto the
-/// wire protocol — the single conversion both frontends use.
+/// Maps a worker-pool response onto the wire protocol — the single
+/// conversion both frontends use.
 #[must_use]
-pub fn query_response_to_protocol(response: Option<QueryResponse>) -> Response {
+pub fn reply_to_protocol(response: Result<Reply, ServerError>) -> Response {
     match response {
-        Some(Ok(outcome)) => Response::QueryAnswer(outcome),
-        Some(Err(server_error)) => Response::Error(server_error.into()),
-        // The worker dropped the responder without answering: the pool is
-        // going away.
-        None => Response::Error(ApiError::new(
-            codes::SHUTTING_DOWN,
-            "service dropped the job during shutdown",
-        )),
-    }
-}
-
-/// The grouped twin of [`query_response_to_protocol`]: maps a worker-pool
-/// grouped response (or a dropped responder) onto the wire protocol.
-#[must_use]
-pub fn grouped_response_to_protocol(response: Option<GroupedResponse>) -> Response {
-    match response {
-        Some(Ok(outcome)) => Response::GroupedAnswer(outcome),
-        Some(Err(server_error)) => Response::Error(server_error.into()),
-        None => Response::Error(ApiError::new(
-            codes::SHUTTING_DOWN,
-            "service dropped the job during shutdown",
-        )),
+        Ok(Reply::Scalar(outcome)) => Response::QueryAnswer(outcome),
+        Ok(Reply::Grouped(outcome)) => Response::GroupedAnswer(outcome),
+        Err(server_error) => Response::Error(server_error.into()),
     }
 }
 
@@ -425,30 +372,8 @@ fn handle_request(
                 Err(e) => ProtoFlow::Reply(Response::Error(e.into())),
             }
         }
-        Request::SubmitQuery(query_request) => {
-            let Some((session_id, _)) = state.session else {
-                return ProtoFlow::Reply(Response::Error(no_session()));
-            };
-            if service.upgrade().is_none() {
-                return ProtoFlow::Reply(Response::Error(shutting_down()));
-            }
-            ProtoFlow::Submit {
-                session: session_id,
-                request: query_request,
-            }
-        }
-        Request::GroupByQuery(grouped_request) => {
-            let Some((session_id, _)) = state.session else {
-                return ProtoFlow::Reply(Response::Error(no_session()));
-            };
-            if service.upgrade().is_none() {
-                return ProtoFlow::Reply(Response::Error(shutting_down()));
-            }
-            ProtoFlow::SubmitGrouped {
-                session: session_id,
-                request: grouped_request,
-            }
-        }
+        Request::SubmitQuery(request) => submit_flow(state, service, Work::Scalar(request)),
+        Request::GroupByQuery(request) => submit_flow(state, service, Work::Grouped(request)),
         Request::DeclareWorkload(workload) => {
             // Planning is a control-plane request: no noise is drawn and
             // no budget is spent, so it is answered inline (overtaking
@@ -579,6 +504,18 @@ fn handle_request(
             format!("request type not supported by this server: {other:?}"),
         ))),
     }
+}
+
+/// Validates a query submission against the channel state and hands it
+/// back for the frontend to dispatch.
+fn submit_flow(state: &ProtoState, service: &Weak<QueryService>, work: Work) -> ProtoFlow {
+    let Some((session, _)) = state.session else {
+        return ProtoFlow::Reply(Response::Error(no_session()));
+    };
+    if service.upgrade().is_none() {
+        return ProtoFlow::Reply(Response::Error(shutting_down()));
+    }
+    ProtoFlow::Submit { session, work }
 }
 
 pub(crate) fn shutting_down() -> ApiError {

@@ -6,9 +6,11 @@
 //! * a bounded MPMC job queue ([`crate::queue::BoundedQueue`]) providing
 //!   backpressure between submitters and the worker pool;
 //! * `N` worker threads, each pulling jobs and executing them through
-//!   [`DProvDb::submit_with_rng`] with the owning session's private noise
-//!   stream — budget safety is enforced by the core's admission control,
-//!   so workers need no coordination beyond the session lanes;
+//!   [`DProvDb::submit_with_rng`] (or, for a GROUP BY,
+//!   [`DProvDb::answer_group_by_with_rng`]) with the owning session's
+//!   private noise stream — budget safety is enforced by the core's
+//!   admission control, so workers need no coordination beyond the
+//!   session lanes;
 //! * per-session FIFO execution via **session lanes**: at most one job per
 //!   session is ever in the runnable queue; further submissions wait in
 //!   the session's pending lane and the finishing worker chains straight
@@ -16,16 +18,16 @@
 //!   turn (no head-of-line blocking), a session occupies at most one
 //!   worker, and each session's noise stream is independent of the worker
 //!   count (see the [`crate`] docs for the exact determinism guarantee);
-//! * asynchronous responses over `std::sync::mpsc` channels — a
-//!   crate-internal detail: same-process embedders block on
-//!   [`QueryService::submit_wait`], and remote/pipelined access goes
-//!   through the versioned analyst protocol served by
-//!   [`crate::frontend::Frontend`].
+//! * one job shape and one way in per calling style: a [`Work`] item is
+//!   answered with a [`Reply`] through the job's [`Completion`];
+//!   [`QueryService::try_submit`] never blocks (the event-loop frontend's
+//!   path) and [`QueryService::submit`] returns a [`Pending`] handle
+//!   (same-process embedders and [`crate::frontend::Frontend`]).
 
 use std::collections::{HashMap, VecDeque};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{mpsc, Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -82,13 +84,6 @@ pub struct ServiceConfig {
     /// knob never perturbs determinism — `tests/determinism.rs` pins a
     /// full service run at 1 vs 8 threads to the same bytes.
     pub scan_threads: usize,
-    /// Role this process plays in a distributed deployment (defaults to
-    /// [`ClusterRole::Standalone`]). The service itself behaves the same
-    /// under every role — the `dprov-cluster` crate attaches the
-    /// replication gate, gateway fan-out or executor endpoint around it —
-    /// but the role is declared here so operators configure one knob and
-    /// introspection (logs, dashboards) can tell the processes apart.
-    pub role: ClusterRole,
     /// Which connection-handling architecture the TCP frontend uses
     /// (defaults to [`FrontendMode::ThreadPerConnection`]). Analyst-visible
     /// behaviour — answers, noise streams, budget charges — is
@@ -96,21 +91,6 @@ pub struct ServiceConfig {
     /// threads for a fixed event-loop pool that scales to tens of
     /// thousands of idle connections.
     pub frontend_mode: FrontendMode,
-}
-
-/// The role a service process plays in a distributed deployment.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ClusterRole {
-    /// A self-contained single-node service (the default).
-    #[default]
-    Standalone,
-    /// The analyst-facing gateway: serves the unchanged analyst protocol,
-    /// replicates budget charges to the replica group and fans same-view
-    /// micro-batches out to shard-owning executor nodes.
-    Gateway,
-    /// A shard-owning executor node: registers with the orchestrator,
-    /// heartbeats, and answers shard-range scans.
-    ExecutorNode,
 }
 
 /// Which connection-handling architecture the TCP frontend uses (see
@@ -141,7 +121,6 @@ impl Default for ServiceConfig {
             max_linger: Duration::ZERO,
             updaters: Vec::new(),
             scan_threads: 1,
-            role: ClusterRole::Standalone,
             frontend_mode: FrontendMode::ThreadPerConnection,
         }
     }
@@ -218,13 +197,6 @@ impl ServiceConfigBuilder {
     #[must_use]
     pub fn scan_threads(mut self, threads: usize) -> Self {
         self.config.scan_threads = threads;
-        self
-    }
-
-    /// Declares the process's role in a distributed deployment.
-    #[must_use]
-    pub fn role(mut self, role: ClusterRole) -> Self {
-        self.config.role = role;
         self
     }
 
@@ -330,24 +302,103 @@ impl From<StorageError> for ServerError {
     }
 }
 
-/// The response to one submission.
-pub type QueryResponse = Result<QueryOutcome, ServerError>;
+/// One unit of work for the pool. Scalar and grouped submissions share the
+/// queue, the session lanes and the per-view micro-batching; only the core
+/// call that executes them differs.
+#[derive(Debug)]
+pub enum Work {
+    /// One scalar query.
+    Scalar(QueryRequest),
+    /// One GROUP BY query: the per-group pipeline applied to each cell of
+    /// one view's histogram, executed as a single job.
+    Grouped(GroupedRequest),
+}
 
-/// Why [`QueryService::try_submit_callback`] could not accept a
-/// submission.
+impl Work {
+    /// The grouping key for per-view micro-batching: table + sorted
+    /// referenced attributes. Queries over the same table and attribute
+    /// set resolve to the same catalog view, so the key clusters
+    /// same-view work without paying a full view-selection pass (which
+    /// iterates every view's domain) before admission. A GROUP BY batches
+    /// with the scalar queries of the view it resolves to.
+    fn view_key(&self) -> String {
+        let (table, mut attrs) = match self {
+            Work::Scalar(request) => (
+                request.query.table.as_str(),
+                request.query.referenced_attributes(),
+            ),
+            Work::Grouped(request) => (
+                request.query.table.as_str(),
+                request.query.referenced_attributes(),
+            ),
+        };
+        attrs.sort();
+        format!("{table}\u{1f}{}", attrs.join(","))
+    }
+}
+
+/// What a finished [`Work`] item produced, variant for variant.
+#[derive(Debug)]
+pub enum Reply {
+    /// The outcome of [`Work::Scalar`].
+    Scalar(QueryOutcome),
+    /// The outcome of [`Work::Grouped`]: one [`QueryOutcome`] per group
+    /// cell in canonical group-enumeration order.
+    Grouped(GroupedOutcome),
+}
+
+impl Reply {
+    /// Whether the submission counts as answered in the session tallies.
+    /// A grouped submission counts once: answered iff every cell released
+    /// (a partial rejection reads as rejected — the analyst did not get
+    /// the histogram they asked for).
+    fn is_answered(&self) -> bool {
+        match self {
+            Reply::Scalar(outcome) => outcome.is_answered(),
+            Reply::Grouped(grouped) => grouped.outcomes.iter().all(QueryOutcome::is_answered),
+        }
+    }
+
+    /// The scalar outcome, if this is the reply to [`Work::Scalar`].
+    #[must_use]
+    pub fn into_scalar(self) -> Option<QueryOutcome> {
+        match self {
+            Reply::Scalar(outcome) => Some(outcome),
+            Reply::Grouped(_) => None,
+        }
+    }
+
+    /// The grouped outcome, if this is the reply to [`Work::Grouped`].
+    #[must_use]
+    pub fn into_grouped(self) -> Option<GroupedOutcome> {
+        match self {
+            Reply::Grouped(outcome) => Some(outcome),
+            Reply::Scalar(_) => None,
+        }
+    }
+}
+
+/// The completion handler of one submission, invoked exactly once with its
+/// response. Runs on the worker thread that executed the job, so it must
+/// be quick and non-blocking — the event-loop frontend uses it to hand the
+/// encoded reply back to the owning loop thread, and
+/// [`QueryService::submit`] uses one that sends on a channel.
+pub type Completion = Box<dyn FnOnce(Result<Reply, ServerError>) + Send>;
+
+/// Why [`QueryService::try_submit`] could not accept a submission.
 pub enum TrySubmitError {
-    /// The runnable queue is full. The request and its callback are
-    /// handed back intact so the caller can park them and retry once a
+    /// The runnable queue is full. The work and its completion are handed
+    /// back intact so the caller can park them and retry once a
     /// queue-space listener fires — this is the backpressure signal the
     /// event-loop frontend turns into "stop reading this connection".
     Full {
-        /// The submitted request, returned unexecuted.
-        request: QueryRequest,
-        /// The completion callback, never invoked.
-        on_done: QueryCallback,
+        /// The submitted work, returned unexecuted.
+        work: Work,
+        /// The completion handler, never invoked.
+        on_done: Completion,
     },
     /// The submission was rejected outright (unknown/expired session or a
-    /// shutting-down service). The callback is dropped without running;
+    /// shutting-down service). The completion is dropped without running;
     /// the caller reports the error itself.
     Rejected(ServerError),
 }
@@ -355,40 +406,11 @@ pub enum TrySubmitError {
 impl std::fmt::Debug for TrySubmitError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            TrySubmitError::Full { request, .. } => f
+            TrySubmitError::Full { work, .. } => f
                 .debug_struct("Full")
-                .field("request", request)
+                .field("work", work)
                 .finish_non_exhaustive(),
             TrySubmitError::Rejected(e) => f.debug_tuple("Rejected").field(e).finish(),
-        }
-    }
-}
-
-/// Why [`QueryService::try_submit_grouped_callback`] could not accept a
-/// grouped submission — the grouped twin of [`TrySubmitError`], with the
-/// same park-and-retry contract.
-pub enum TrySubmitGroupedError {
-    /// The runnable queue is full; the request and its callback are
-    /// handed back intact for the caller to park and retry.
-    Full {
-        /// The submitted grouped request, returned unexecuted.
-        request: GroupedRequest,
-        /// The completion callback, never invoked.
-        on_done: GroupedCallback,
-    },
-    /// The submission was rejected outright; the callback is dropped
-    /// without running.
-    Rejected(ServerError),
-}
-
-impl std::fmt::Debug for TrySubmitGroupedError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            TrySubmitGroupedError::Full { request, .. } => f
-                .debug_struct("Full")
-                .field("request", request)
-                .finish_non_exhaustive(),
-            TrySubmitGroupedError::Rejected(e) => f.debug_tuple("Rejected").field(e).finish(),
         }
     }
 }
@@ -575,132 +597,18 @@ fn system_fingerprint(system: &DProvDb) -> u64 {
     )
 }
 
-/// A completion handler invoked with the response of a non-blocking
-/// submission (see [`QueryService::try_submit_callback`]). Runs on the
-/// worker thread that executed the job, so it must be quick and
-/// non-blocking — the event-loop frontend uses it to hand the encoded
-/// reply back to the owning loop thread.
-pub type QueryCallback = Box<dyn FnOnce(QueryResponse) + Send>;
-
-/// The response to one grouped (GROUP BY) submission: one
-/// [`QueryOutcome`] per group cell in canonical group-enumeration order.
-pub type GroupedResponse = Result<GroupedOutcome, ServerError>;
-
-/// A completion handler for a non-blocking grouped submission (see
-/// [`QueryService::try_submit_grouped_callback`]); same contract as
-/// [`QueryCallback`].
-pub type GroupedCallback = Box<dyn FnOnce(GroupedResponse) + Send>;
-
-/// How a finished job's response travels back to its submitter.
-enum Responder {
-    /// The blocking/pipelined path: the submitter parks on (or polls) the
-    /// receiving end of an `mpsc` channel.
-    Channel(mpsc::Sender<QueryResponse>),
-    /// The event-driven path: a one-shot callback invoked on the worker.
-    Callback(QueryCallback),
-}
-
-impl Responder {
-    /// Delivers the response, consuming the responder. A dropped channel
-    /// receiver is fine — the submitter walked away.
-    fn deliver(self, response: QueryResponse) {
-        match self {
-            Responder::Channel(tx) => {
-                let _ = tx.send(response);
-            }
-            Responder::Callback(on_done) => on_done(response),
-        }
-    }
-}
-
-/// How a finished grouped job's response travels back to its submitter
-/// (the grouped twin of [`Responder`]).
-enum GroupedResponder {
-    Channel(mpsc::Sender<GroupedResponse>),
-    Callback(GroupedCallback),
-}
-
-impl GroupedResponder {
-    fn deliver(self, response: GroupedResponse) {
-        match self {
-            GroupedResponder::Channel(tx) => {
-                let _ = tx.send(response);
-            }
-            GroupedResponder::Callback(on_done) => on_done(response),
-        }
-    }
-}
-
-/// What a job executes, paired with the matching response path. Scalar
-/// and grouped submissions share the queue, the session lanes and the
-/// per-view micro-batching; only the core call and the response type
-/// differ.
-enum JobWork {
-    Scalar {
-        request: QueryRequest,
-        responder: Responder,
-    },
-    Grouped {
-        request: GroupedRequest,
-        responder: GroupedResponder,
-    },
-}
-
-impl JobWork {
-    /// The grouping key for per-view micro-batching: table + sorted
-    /// referenced attributes. Queries over the same table and attribute
-    /// set resolve to the same catalog view, so the key clusters
-    /// same-view work without paying a full view-selection pass (which
-    /// iterates every view's domain) before admission. Grouped work uses
-    /// the same key shape, so a GROUP BY batches with the scalar queries
-    /// of the view it resolves to.
-    fn view_key(&self) -> String {
-        let (table, mut attrs) = match self {
-            JobWork::Scalar { request, .. } => (
-                request.query.table.as_str(),
-                request.query.referenced_attributes(),
-            ),
-            JobWork::Grouped { request, .. } => (
-                request.query.table.as_str(),
-                request.query.referenced_attributes(),
-            ),
-        };
-        attrs.sort();
-        format!("{table}\u{1f}{}", attrs.join(","))
-    }
-
-    /// Fails the job without executing it (shutdown paths), delivering
-    /// the error through whichever response path the job carries.
-    fn fail(self, error: ServerError) {
-        match self {
-            JobWork::Scalar { responder, .. } => responder.deliver(Err(error)),
-            JobWork::Grouped { responder, .. } => responder.deliver(Err(error)),
-        }
-    }
-}
-
-/// One unit of work for the pool.
+/// One queued submission.
 struct Job {
     session: Arc<Session>,
-    work: JobWork,
+    work: Work,
+    on_done: Completion,
     /// Request id keying this job's trace-journal events (the protocol's
-    /// pipelining id when the job came through the frontend, a
+    /// pipelining id when the job came through a frontend, a
     /// service-assigned sequence number for in-process submissions).
     trace_id: u64,
     /// When the job entered the queue (or a session lane); `None` with a
     /// disabled registry so the hot path never pays a clock read.
     enqueued_at: Option<Instant>,
-}
-
-/// Why the shared non-blocking enqueue tail could not accept a job; the
-/// public `TrySubmit*Error` types are carved back out of the returned
-/// [`Job`] by the typed wrappers.
-enum TryEnqueueError {
-    /// The runnable queue is full; the job comes back intact (boxed to
-    /// keep the error variant small).
-    Full(Box<Job>),
-    /// Rejected outright (shutdown).
-    Rejected(ServerError),
 }
 
 /// Per-session dispatch state: `busy` is true iff exactly one of the
@@ -1056,6 +964,7 @@ impl QueryService {
         let Job {
             session,
             work,
+            on_done,
             trace_id,
             enqueued_at,
         } = job;
@@ -1069,66 +978,47 @@ impl QueryService {
             metrics.observe_duration(HistId::QueueWait, waited);
             metrics.trace(trace_id, Stage::QueueWait, worker, enqueued_at, waited);
         }
-        match work {
-            JobWork::Scalar { request, responder } => {
-                let result = {
-                    let mut rng = session.rng.lock().expect("session rng poisoned");
-                    system.submit_with_rng(session.analyst(), &request, &mut rng)
-                };
-                if let Some(t0) = exec_start {
-                    // The Execute latency histogram is recorded inside the
-                    // core (it also covers cache hits served without a
-                    // service); here only the trace stage is added.
-                    metrics.trace(trace_id, Stage::Execute, worker, t0, t0.elapsed());
-                }
-                completed.fetch_add(1, Ordering::Relaxed);
-                let response: QueryResponse = match result {
-                    Ok(outcome) => match Self::checkpoint_session(durable, &session) {
-                        Ok(()) => {
-                            session.record_outcome(outcome.is_answered());
-                            Ok(outcome)
-                        }
-                        Err(e) => Err(e),
-                    },
-                    Err(e) => Err(ServerError::Core(e)),
-                };
-                // The submitter may have dropped its receiver; that is
-                // fine.
-                responder.deliver(response);
-            }
-            JobWork::Grouped { request, responder } => {
-                // The grouped path draws per-cell noise from the same
-                // session stream the scalar path uses, under the same
-                // lock — cell order is the core's canonical group
-                // enumeration, so answers stay deterministic.
-                let result = {
-                    let mut rng = session.rng.lock().expect("session rng poisoned");
-                    system.answer_group_by_with_rng(session.analyst(), &request, &mut rng)
-                };
-                if let Some(t0) = exec_start {
-                    metrics.trace(trace_id, Stage::Execute, worker, t0, t0.elapsed());
-                }
-                completed.fetch_add(1, Ordering::Relaxed);
-                let response: GroupedResponse = match result {
-                    Ok(outcome) => match Self::checkpoint_session(durable, &session) {
-                        Ok(()) => {
-                            // One grouped submission counts once in the
-                            // session tallies: answered iff every cell
-                            // released (a partial rejection reads as
-                            // rejected — the analyst did not get the
-                            // histogram they asked for).
-                            session.record_outcome(
-                                outcome.outcomes.iter().all(QueryOutcome::is_answered),
-                            );
-                            Ok(outcome)
-                        }
-                        Err(e) => Err(e),
-                    },
-                    Err(e) => Err(ServerError::Core(e)),
-                };
-                responder.deliver(response);
-            }
+        // A grouped job draws its per-cell noise from the same session
+        // stream the scalar path uses, under the same lock — cell order is
+        // the core's canonical group enumeration, so answers stay
+        // deterministic.
+        let (result, drew) = {
+            let mut rng = session.rng.lock().expect("session rng poisoned");
+            let before = rng.checkpoint();
+            let result = match &work {
+                Work::Scalar(request) => system
+                    .submit_with_rng(session.analyst(), request, &mut rng)
+                    .map(Reply::Scalar),
+                Work::Grouped(request) => system
+                    .answer_group_by_with_rng(session.analyst(), request, &mut rng)
+                    .map(Reply::Grouped),
+            };
+            (result, rng.checkpoint() != before)
+        };
+        if let Some(t0) = exec_start {
+            // The Execute latency histogram is recorded inside the core (it
+            // also covers cache hits served without a service); here only
+            // the trace stage is added.
+            metrics.trace(trace_id, Stage::Execute, worker, t0, t0.elapsed());
         }
+        completed.fetch_add(1, Ordering::Relaxed);
+        // A failed job still checkpoints the noise it drew: a grouped job
+        // can fail at cell k after cells < k released into the synopsis
+        // cache, and recovering the stream at its old position would
+        // re-release that randomness.
+        let checkpointed = if result.is_ok() || drew {
+            Self::checkpoint_session(durable, &session)
+        } else {
+            Ok(())
+        };
+        on_done(match (result, checkpointed) {
+            (Ok(reply), Ok(())) => {
+                session.record_outcome(reply.is_answered());
+                Ok(reply)
+            }
+            (Ok(_), Err(e)) => Err(e),
+            (Err(e), _) => Err(ServerError::Core(e)),
+        });
 
         // Periodic compaction: fold the ledger into a snapshot once
         // it has grown past the watermark (raised after failures so
@@ -1367,243 +1257,85 @@ impl QueryService {
         })
     }
 
-    /// Submits a query on a session; returns a receiver that will yield the
-    /// outcome once a worker has executed it. Blocks only if the runnable
-    /// queue is full (backpressure; the queue holds at most one job per
-    /// session, so its capacity bounds the number of concurrently active
-    /// sessions, not a session's pipeline depth).
+    /// Submits one unit of work on a session and returns a handle that
+    /// resolves once a worker has executed it — the blocking family's one
+    /// entry point: the thread-per-connection [`crate::frontend::Frontend`]
+    /// feeds it, and a single embedder thread can queue many submissions
+    /// back-to-back and resolve them later with [`Pending::wait`], which
+    /// is what lets the workers' per-view micro-batches fill up when the
+    /// service is driven in-process. Blocks only if the runnable queue is
+    /// full (backpressure; the queue holds at most one job per session, so
+    /// its capacity bounds the number of concurrently active sessions, not
+    /// a session's pipeline depth).
     ///
-    /// Crate-internal: the raw `mpsc::Receiver` surface is an
-    /// implementation detail of the worker pool. Analyst-facing pipelining
-    /// goes through the versioned protocol instead — the
-    /// [`crate::frontend::Frontend`] feeds this method and
-    /// `dprov_api::DProvClient::submit`/`poll` expose it; same-process
-    /// embedders get the blocking [`QueryService::submit_wait`].
-    pub(crate) fn submit(
+    /// `trace_id` keys the job's trace-journal events: a frontend passes
+    /// the protocol pipelining id, so one request's decode, queue-wait,
+    /// execute and reply stages line up in the exported trace; `None`
+    /// draws a service-assigned sequence number.
+    pub fn submit(
         &self,
         id: SessionId,
-        request: QueryRequest,
-    ) -> Result<mpsc::Receiver<QueryResponse>, ServerError> {
-        let trace_id = self.trace_seq.fetch_add(1, Ordering::Relaxed);
-        self.submit_traced(id, request, trace_id)
-    }
-
-    /// [`Self::submit`] with a caller-chosen trace id: the frontend keys a
-    /// job's trace-journal events by its protocol pipelining id, so one
-    /// request's decode, queue-wait, execute and reply stages line up in
-    /// the exported trace.
-    pub(crate) fn submit_traced(
-        &self,
-        id: SessionId,
-        request: QueryRequest,
-        trace_id: u64,
-    ) -> Result<mpsc::Receiver<QueryResponse>, ServerError> {
-        let session = self.sessions.get(id)?;
+        work: Work,
+        trace_id: Option<u64>,
+    ) -> Result<Pending, ServerError> {
+        let trace_id = trace_id.unwrap_or_else(|| self.trace_seq.fetch_add(1, Ordering::Relaxed));
         let (tx, rx) = mpsc::channel();
-        let job = Job {
-            session: Arc::clone(&session),
-            work: JobWork::Scalar {
-                request,
-                responder: Responder::Channel(tx),
-            },
-            trace_id,
-            enqueued_at: self.metrics.start(),
-        };
-        self.enqueue(&session, job)?;
-        Ok(rx)
-    }
-
-    /// Submits a grouped (GROUP BY) query on a session — the grouped twin
-    /// of [`Self::submit_traced`], with identical session-lane, queue and
-    /// micro-batch semantics. The whole grouped answer is one job: its
-    /// per-cell admissions run back-to-back on the executing worker, and
-    /// per-session FIFO ordering against the session's scalar submissions
-    /// is preserved.
-    pub(crate) fn submit_grouped_traced(
-        &self,
-        id: SessionId,
-        request: GroupedRequest,
-        trace_id: u64,
-    ) -> Result<mpsc::Receiver<GroupedResponse>, ServerError> {
-        let session = self.sessions.get(id)?;
-        let (tx, rx) = mpsc::channel();
-        let job = Job {
-            session: Arc::clone(&session),
-            work: JobWork::Grouped {
-                request,
-                responder: GroupedResponder::Channel(tx),
-            },
-            trace_id,
-            enqueued_at: self.metrics.start(),
-        };
-        self.enqueue(&session, job)?;
-        Ok(rx)
-    }
-
-    /// Submits a grouped query and blocks until its outcome (one
-    /// [`QueryOutcome`] per group cell, canonical order) is available —
-    /// the same-process embedder path, like [`Self::submit_wait`].
-    pub fn group_by_wait(&self, id: SessionId, request: GroupedRequest) -> GroupedResponse {
-        let trace_id = self.trace_seq.fetch_add(1, Ordering::Relaxed);
-        match self.submit_grouped_traced(id, request, trace_id) {
-            Ok(rx) => rx.recv().unwrap_or(Err(ServerError::ShuttingDown)),
-            Err(e) => Err(e),
-        }
-    }
-
-    /// Places a job on its session lane or the runnable queue (blocking on
-    /// a full queue) — the shared tail of every blocking submission path.
-    fn enqueue(&self, session: &Arc<Session>, job: Job) -> Result<(), ServerError> {
-        let id = session.id();
-        // If the session already has a runnable job, append to its lane —
-        // the finishing worker will chain into it (accepted work always
-        // completes, even across shutdown). Otherwise this job is the
-        // session's runnable one and goes to the queue.
-        let runnable = {
-            let mut lanes = self.lanes.lock().expect("lane map poisoned");
-            let lane = lanes.entry(id.0).or_default();
-            if lane.busy {
-                lane.pending.push_back(job);
-                None
-            } else {
-                lane.busy = true;
-                Some(job)
-            }
-        };
-        if let Some(job) = runnable {
-            match self.queue.push(job) {
-                Ok(depth) => {
-                    // Exact high-watermark: the producer saw `depth` under
-                    // the queue lock. The plain atomic copy keeps
-                    // [`ServiceStats`] meaningful with a disabled registry.
-                    self.queue_depth_hwm.fetch_max(depth, Ordering::Relaxed);
-                    self.metrics.gauge_max(GaugeId::QueueDepthHwm, depth as f64);
-                }
+        // A dropped receiver is fine — the submitter walked away.
+        let job = self.new_job(id, work, trace_id, Box::new(move |r| drop(tx.send(r))))?;
+        let session = Arc::clone(&job.session);
+        // If the session already has a runnable job, the new one waits in
+        // its lane — the finishing worker will chain into it (accepted
+        // work always completes, even across shutdown). Otherwise this job
+        // is the session's runnable one and goes to the queue; the lane
+        // lock is released first, since the push may block.
+        let runnable = Self::claim_lane(&mut self.lanes.lock().expect("lane map poisoned"), job);
+        let depth = match runnable {
+            None => None,
+            Some(job) => match self.queue.push(job) {
+                Ok(depth) => Some(depth),
                 Err(_) => {
-                    // The queue closed under us. Another submitter may have
-                    // appended to the lane's pending queue while we were
-                    // outside the lock believing a runnable job existed;
-                    // those jobs would never be chained into, so fail them
-                    // here and retire the lane in the same critical section.
-                    let stranded = {
-                        let mut lanes = self.lanes.lock().expect("lane map poisoned");
-                        lanes
-                            .remove(&id.0)
-                            .map_or_else(VecDeque::new, |l| l.pending)
-                    };
-                    for job in stranded {
-                        job.work.fail(ServerError::ShuttingDown);
-                    }
+                    // The queue closed under us. Another submitter may
+                    // have appended to the lane's pending queue while we
+                    // were outside the lock believing a runnable job
+                    // existed.
+                    Self::strand_lane(self.lanes.lock().expect("lane map poisoned"), id);
                     return Err(ServerError::ShuttingDown);
                 }
-            }
-        }
-        session.mark_submitted();
-        self.submitted.fetch_add(1, Ordering::Relaxed);
-        Ok(())
+            },
+        };
+        self.record_accepted(&session, depth);
+        Ok(Pending { rx })
     }
 
-    /// Non-blocking submission with a completion callback — the
-    /// event-loop frontend's path into the worker pool. Unlike
-    /// [`QueryService::submit_wait`], this never parks the calling thread:
-    /// a full runnable queue hands the request and callback back as
-    /// [`TrySubmitError::Full`] instead of blocking, so a loop thread can
-    /// deregister read interest on the submitting connection and retry
-    /// when a queue-space listener (see
+    /// Non-blocking submission with a completion handler — the event-loop
+    /// frontend's path into the worker pool. Unlike [`Self::submit`], this
+    /// never parks the calling thread: a full runnable queue hands the
+    /// work and completion back as [`TrySubmitError::Full`] instead of
+    /// blocking, so a loop thread can deregister read interest on the
+    /// submitting connection and retry when a queue-space listener (see
     /// [`QueryService::add_queue_space_listener`]) fires.
     ///
     /// Session-lane semantics are identical to the blocking path: if the
     /// session already has a runnable job the new one waits in its lane
     /// (always accepted — lanes are unbounded, per-session FIFO), and the
     /// job only contends for queue space when it is the session's runnable
-    /// head. The callback runs on the executing worker thread; keep it
+    /// head. The completion runs on the executing worker thread; keep it
     /// quick and non-blocking.
-    // The Err variant deliberately hands the unexecuted request (and its
-    // callback) back to the caller so a non-blocking frontend can park and
-    // retry it — the size is the payload, not accidental bloat.
+    // The Err variant deliberately hands the unexecuted work (and its
+    // completion) back to the caller so a non-blocking frontend can park
+    // and retry it — the size is the payload, not accidental bloat.
     #[allow(clippy::result_large_err)]
-    pub fn try_submit_callback(
+    pub fn try_submit(
         &self,
         id: SessionId,
-        request: QueryRequest,
+        work: Work,
         trace_id: u64,
-        on_done: QueryCallback,
+        on_done: Completion,
     ) -> Result<(), TrySubmitError> {
-        let session = match self.sessions.get(id) {
-            Ok(s) => s,
-            Err(e) => return Err(TrySubmitError::Rejected(ServerError::Session(e))),
-        };
-        let job = Job {
-            session: Arc::clone(&session),
-            work: JobWork::Scalar {
-                request,
-                responder: Responder::Callback(on_done),
-            },
-            trace_id,
-            enqueued_at: self.metrics.start(),
-        };
-        match self.try_enqueue(&session, job) {
-            Ok(()) => Ok(()),
-            Err(TryEnqueueError::Full(job)) => {
-                let JobWork::Scalar {
-                    request,
-                    responder: Responder::Callback(on_done),
-                } = job.work
-                else {
-                    unreachable!("try_submit_callback builds scalar callback jobs")
-                };
-                Err(TrySubmitError::Full { request, on_done })
-            }
-            Err(TryEnqueueError::Rejected(e)) => Err(TrySubmitError::Rejected(e)),
-        }
-    }
-
-    /// Non-blocking grouped submission with a completion callback — the
-    /// event-loop frontend's path for GROUP BY queries, with the same
-    /// park-and-retry backpressure contract as
-    /// [`Self::try_submit_callback`].
-    #[allow(clippy::result_large_err)]
-    pub fn try_submit_grouped_callback(
-        &self,
-        id: SessionId,
-        request: GroupedRequest,
-        trace_id: u64,
-        on_done: GroupedCallback,
-    ) -> Result<(), TrySubmitGroupedError> {
-        let session = match self.sessions.get(id) {
-            Ok(s) => s,
-            Err(e) => return Err(TrySubmitGroupedError::Rejected(ServerError::Session(e))),
-        };
-        let job = Job {
-            session: Arc::clone(&session),
-            work: JobWork::Grouped {
-                request,
-                responder: GroupedResponder::Callback(on_done),
-            },
-            trace_id,
-            enqueued_at: self.metrics.start(),
-        };
-        match self.try_enqueue(&session, job) {
-            Ok(()) => Ok(()),
-            Err(TryEnqueueError::Full(job)) => {
-                let JobWork::Grouped {
-                    request,
-                    responder: GroupedResponder::Callback(on_done),
-                } = job.work
-                else {
-                    unreachable!("try_submit_grouped_callback builds grouped callback jobs")
-                };
-                Err(TrySubmitGroupedError::Full { request, on_done })
-            }
-            Err(TryEnqueueError::Rejected(e)) => Err(TrySubmitGroupedError::Rejected(e)),
-        }
-    }
-
-    /// The shared tail of the non-blocking submission paths: lane claim
-    /// plus queue reservation, handing the intact job back on a full
-    /// queue.
-    fn try_enqueue(&self, session: &Arc<Session>, job: Job) -> Result<(), TryEnqueueError> {
-        let id = session.id();
+        let job = self
+            .new_job(id, work, trace_id, on_done)
+            .map_err(TrySubmitError::Rejected)?;
+        let session = Arc::clone(&job.session);
         // Hold the lane lock across the (non-blocking) queue reservation
         // so a `Full` verdict can undo the lane claim atomically — no
         // other submitter can slip a job into the lane's pending queue
@@ -1611,48 +1343,85 @@ impl QueryService {
         // nothing takes the lane lock while holding the queue lock, so
         // the lanes→queue nesting cannot deadlock.
         let mut lanes = self.lanes.lock().expect("lane map poisoned");
-        let lane = lanes.entry(id.0).or_default();
+        let depth = match Self::claim_lane(&mut lanes, job) {
+            None => None,
+            Some(job) => match self.queue.try_push(job) {
+                Ok(depth) => Some(depth),
+                Err(TryPushError::Full(job)) => {
+                    // Undo the claim. The lane lock was held throughout,
+                    // so nothing queued behind it and the entry is idle.
+                    lanes.remove(&id.0);
+                    let Job { work, on_done, .. } = job;
+                    return Err(TrySubmitError::Full { work, on_done });
+                }
+                Err(TryPushError::Closed(_)) => {
+                    // This job's completion is dropped unrun — the caller
+                    // owns the error.
+                    Self::strand_lane(lanes, id);
+                    return Err(TrySubmitError::Rejected(ServerError::ShuttingDown));
+                }
+            },
+        };
+        drop(lanes);
+        self.record_accepted(&session, depth);
+        Ok(())
+    }
+
+    /// Builds the job for one submission on a live session.
+    fn new_job(
+        &self,
+        id: SessionId,
+        work: Work,
+        trace_id: u64,
+        on_done: Completion,
+    ) -> Result<Job, ServerError> {
+        Ok(Job {
+            session: self.sessions.get(id)?,
+            work,
+            on_done,
+            trace_id,
+            enqueued_at: self.metrics.start(),
+        })
+    }
+
+    /// The lane claim both submission paths share: queues `job` behind its
+    /// session's runnable job, or — the lane being idle — marks it busy
+    /// and hands the job back as the session's new runnable head.
+    fn claim_lane(lanes: &mut HashMap<u64, SessionLane>, job: Job) -> Option<Job> {
+        let lane = lanes.entry(job.session.id().0).or_default();
         if lane.busy {
             lane.pending.push_back(job);
-            drop(lanes);
+            None
         } else {
-            match self.queue.try_push(job) {
-                Ok(depth) => {
-                    lane.busy = true;
-                    drop(lanes);
-                    self.queue_depth_hwm.fetch_max(depth, Ordering::Relaxed);
-                    self.metrics.gauge_max(GaugeId::QueueDepthHwm, depth as f64);
-                }
-                Err(TryPushError::Full(job)) => {
-                    // Retire the lane entry if this submission created it;
-                    // an accepted job must be able to find its lane, and a
-                    // rejected one must not leak an idle entry.
-                    if lane.pending.is_empty() {
-                        lanes.remove(&id.0);
-                    }
-                    drop(lanes);
-                    return Err(TryEnqueueError::Full(Box::new(job)));
-                }
-                Err(TryPushError::Closed(job)) => {
-                    // Mirror the blocking path's shutdown handling: fail
-                    // any lane-pending jobs that would never be chained
-                    // into, then report the rejection (this job's callback
-                    // is dropped unrun — the caller owns the error).
-                    drop(job);
-                    let stranded = lanes
-                        .remove(&id.0)
-                        .map_or_else(VecDeque::new, |l| l.pending);
-                    drop(lanes);
-                    for job in stranded {
-                        job.work.fail(ServerError::ShuttingDown);
-                    }
-                    return Err(TryEnqueueError::Rejected(ServerError::ShuttingDown));
-                }
-            }
+            lane.busy = true;
+            Some(job)
+        }
+    }
+
+    /// Shutdown handling both submission paths share: the queue refused a
+    /// lane's runnable head, so the jobs pending behind it would never be
+    /// chained into. Retires the lane and fails them, outside the lock.
+    fn strand_lane(mut lanes: MutexGuard<'_, HashMap<u64, SessionLane>>, id: SessionId) {
+        let stranded = lanes
+            .remove(&id.0)
+            .map_or_else(VecDeque::new, |l| l.pending);
+        drop(lanes);
+        for job in stranded {
+            (job.on_done)(Err(ServerError::ShuttingDown));
+        }
+    }
+
+    /// Counts one accepted submission; `depth` is the queue depth its
+    /// producer saw under the queue lock (`None` for a lane-pending job).
+    fn record_accepted(&self, session: &Session, depth: Option<usize>) {
+        if let Some(depth) = depth {
+            // Exact high-watermark. The plain atomic copy keeps
+            // [`ServiceStats`] meaningful with a disabled registry.
+            self.queue_depth_hwm.fetch_max(depth, Ordering::Relaxed);
+            self.metrics.gauge_max(GaugeId::QueueDepthHwm, depth as f64);
         }
         session.mark_submitted();
         self.submitted.fetch_add(1, Ordering::Relaxed);
-        Ok(())
     }
 
     /// Registers a callback fired whenever the runnable queue transitions
@@ -1677,26 +1446,35 @@ impl QueryService {
         self.session_ttl
     }
 
-    /// Submits a query and blocks until its outcome is available.
-    pub fn submit_wait(&self, id: SessionId, request: QueryRequest) -> QueryResponse {
-        self.submit_pipelined(id, request)?.wait()
-    }
-
-    /// Submits a query without blocking for its outcome — the same-process
-    /// pipelined path. A single embedder thread can queue many submissions
-    /// back-to-back (one per session, plus per-session lanes beyond that)
-    /// and resolve them later with [`PendingQuery::wait`]; this is what
-    /// lets the workers' per-view micro-batches actually fill up when the
-    /// service is driven in-process. Remote pipelining goes through the
-    /// protocol [`crate::frontend::Frontend`] instead.
-    pub fn submit_pipelined(
+    /// Submits a query and blocks until its outcome is available — the
+    /// typed same-process wrapper over [`Self::submit`].
+    pub fn submit_wait(
         &self,
         id: SessionId,
         request: QueryRequest,
-    ) -> Result<PendingQuery, ServerError> {
-        Ok(PendingQuery {
-            rx: self.submit(id, request)?,
-        })
+    ) -> Result<QueryOutcome, ServerError> {
+        Ok(self
+            .submit(id, Work::Scalar(request), None)?
+            .wait()?
+            .into_scalar()
+            .expect("scalar work yields a scalar reply"))
+    }
+
+    /// Submits a grouped query and blocks until its outcome (one
+    /// [`QueryOutcome`] per group cell, canonical order) is available —
+    /// the grouped counterpart of [`Self::submit_wait`]. The whole grouped
+    /// answer is one job: its per-cell admissions run back-to-back on the
+    /// executing worker, FIFO with the session's scalar submissions.
+    pub fn group_by_wait(
+        &self,
+        id: SessionId,
+        request: GroupedRequest,
+    ) -> Result<GroupedOutcome, ServerError> {
+        Ok(self
+            .submit(id, Work::Grouped(request), None)?
+            .wait()?
+            .into_grouped()
+            .expect("grouped work yields a grouped reply"))
     }
 
     /// True when `name` is in the configured updater roster.
@@ -1860,18 +1638,17 @@ impl QueryService {
 /// Result alias for [`QueryService::open_session`].
 pub type QuerySessionResult = Result<SessionId, ServerError>;
 
-/// A pending in-process submission returned by
-/// [`QueryService::submit_pipelined`]; the worker pool resolves it
-/// asynchronously.
+/// A pending submission returned by [`QueryService::submit`]; the worker
+/// pool resolves it asynchronously.
 #[derive(Debug)]
-pub struct PendingQuery {
-    rx: mpsc::Receiver<QueryResponse>,
+pub struct Pending {
+    rx: mpsc::Receiver<Result<Reply, ServerError>>,
 }
 
-impl PendingQuery {
-    /// Blocks until the submission's outcome is available. A service torn
+impl Pending {
+    /// Blocks until the submission's reply is available. A service torn
     /// down before answering reports [`ServerError::ShuttingDown`].
-    pub fn wait(self) -> QueryResponse {
+    pub fn wait(self) -> Result<Reply, ServerError> {
         self.rx.recv().map_err(|_| ServerError::ShuttingDown)?
     }
 }
@@ -1923,6 +1700,10 @@ mod tests {
 
     fn request(lo: i64, hi: i64, variance: f64) -> QueryRequest {
         QueryRequest::with_accuracy(Query::range_count("adult", "age", lo, hi), variance)
+    }
+
+    fn work(lo: i64, hi: i64, variance: f64) -> Work {
+        Work::Scalar(request(lo, hi, variance))
     }
 
     fn workers(n: usize) -> ServiceConfig {
@@ -1990,12 +1771,12 @@ mod tests {
         let sessions: Vec<_> = (0..8)
             .map(|a| service.open_session(AnalystId(a)).unwrap())
             .collect();
-        let receivers: Vec<_> = sessions
+        let submissions: Vec<_> = sessions
             .iter()
-            .map(|&s| service.submit(s, request(25, 45, 700.0)).unwrap())
+            .map(|&s| service.submit(s, work(25, 45, 700.0), None).unwrap())
             .collect();
-        for rx in receivers {
-            assert!(rx.recv().unwrap().unwrap().is_answered());
+        for pending in submissions {
+            assert!(pending.wait().unwrap().is_answered());
         }
         let stats = service.shutdown();
         assert_eq!(stats.completed, 8);
@@ -2015,15 +1796,15 @@ mod tests {
             .unwrap();
         let service = QueryService::start(system(MechanismKind::AdditiveGaussian, 8.0, 2), config);
         let session = service.open_session(AnalystId(1)).unwrap();
-        let receivers: Vec<_> = (0..10)
+        let submissions: Vec<_> = (0..10)
             .map(|i| {
                 service
-                    .submit(session, request(20 + i, 40 + i, 400.0 + i as f64))
+                    .submit(session, work(20 + i, 40 + i, 400.0 + i as f64), None)
                     .unwrap()
             })
             .collect();
-        for rx in receivers {
-            assert!(rx.recv().unwrap().unwrap().is_answered());
+        for pending in submissions {
+            assert!(pending.wait().unwrap().is_answered());
         }
         assert_eq!(service.session_info(session).unwrap().answered, 10);
     }
@@ -2077,7 +1858,7 @@ mod tests {
             Err(ServerError::Core(_))
         ));
         assert!(matches!(
-            service.submit(SessionId(99), request(20, 30, 100.0)),
+            service.submit(SessionId(99), work(20, 30, 100.0), None),
             Err(ServerError::Session(SessionError::Unknown(_)))
         ));
     }
@@ -2087,15 +1868,15 @@ mod tests {
         let service =
             QueryService::start(system(MechanismKind::AdditiveGaussian, 8.0, 2), workers(4));
         let session = service.open_session(AnalystId(1)).unwrap();
-        let receivers: Vec<_> = (0..10)
+        let submissions: Vec<_> = (0..10)
             .map(|i| {
                 service
-                    .submit(session, request(20 + i, 40 + i, 400.0 + i as f64))
+                    .submit(session, work(20 + i, 40 + i, 400.0 + i as f64), None)
                     .unwrap()
             })
             .collect();
-        for rx in receivers {
-            assert!(rx.recv().unwrap().unwrap().is_answered());
+        for pending in submissions {
+            assert!(pending.wait().unwrap().is_answered());
         }
         let info = service.session_info(session).unwrap();
         assert_eq!(info.answered, 10);
@@ -2107,8 +1888,10 @@ mod tests {
             QueryService::start(system(MechanismKind::AdditiveGaussian, 8.0, 2), workers(2));
         let session = service.open_session(AnalystId(1)).unwrap();
         for i in 0..4 {
-            let rx = service.submit(session, request(20 + i, 40, 600.0)).unwrap();
-            rx.recv().unwrap().unwrap();
+            let pending = service
+                .submit(session, work(20 + i, 40, 600.0), None)
+                .unwrap();
+            pending.wait().unwrap();
         }
         // The worker removes the lane the moment it goes idle; the removal
         // happens just after the last response is sent, so poll briefly.
@@ -2136,7 +1919,7 @@ mod tests {
         let session = service.open_session(AnalystId(0)).unwrap();
         std::thread::sleep(Duration::from_millis(50));
         assert!(matches!(
-            service.submit(session, request(20, 30, 100.0)),
+            service.submit(session, work(20, 30, 100.0), None),
             Err(ServerError::Session(SessionError::Expired(_)))
         ));
         assert_eq!(service.expire_stale_sessions(), vec![session]);
@@ -2375,17 +2158,17 @@ mod tests {
         let q = Query::range_count("adult", "age", 30, 30);
         let before = service.system().true_answer(&q).unwrap();
         for round in 0u64..3 {
-            let receivers: Vec<_> = sessions
+            let submissions: Vec<_> = sessions
                 .iter()
-                .map(|&s| service.submit(s, request(25, 45, 900.0)).unwrap())
+                .map(|&s| service.submit(s, work(25, 45, 900.0), None).unwrap())
                 .collect();
             let batch = UpdateBatch::insert("adult", vec![adult_row(30), adult_row(30)]);
             service.apply_update(&batch).unwrap();
             let report = service.seal_epoch().unwrap();
             assert_eq!(report.epoch, round + 1);
             assert_eq!(report.rows, 2);
-            for rx in receivers {
-                let outcome = rx.recv().unwrap().unwrap();
+            for pending in submissions {
+                let outcome = pending.wait().unwrap().into_scalar().unwrap();
                 let answered = outcome.answered().expect("answered");
                 // An answer reflects a whole epoch — one at or before the
                 // seal that just ran.
@@ -2454,23 +2237,99 @@ mod tests {
     }
 
     #[test]
+    fn failed_grouped_job_checkpoints_the_noise_its_released_cells_drew() {
+        use dprov_engine::expr::Predicate;
+        use dprov_engine::group::GroupByQuery;
+        use dprov_engine::view::ViewDef;
+        use dprov_storage::{CrashMode, FailpointRecorder};
+
+        // The two group cells cover 2 and 21 age bins, so the second cell's
+        // per-bin target is stricter than the synopsis the first one cached
+        // and it needs a commit of its own.
+        let grouped_system = || {
+            let db = adult_database(1_000, 1);
+            let mut catalog = ViewCatalog::one_per_attribute(&db, "adult").unwrap();
+            catalog.add_view(ViewDef::histogram("sex_age", "adult", &["sex", "age"]));
+            let mut registry = AnalystRegistry::new();
+            registry.register("a0", 4).unwrap();
+            let config = SystemConfig::new(8.0).unwrap().with_seed(11);
+            DProvDb::new(db, catalog, registry, config, MechanismKind::Vanilla).unwrap()
+        };
+        let query = GroupByQuery::count("adult", &["sex"]).filter(Predicate::Or(vec![
+            Predicate::equals("sex", "Female").and(Predicate::range("age", 30, 31)),
+            Predicate::equals("sex", "Male").and(Predicate::range("age", 30, 50)),
+        ]));
+
+        // A durable service whose recorder dies on the third ledger append:
+        // cell 0's commit and access land, cell 1's commit is refused.
+        let dir = dprov_storage::scratch_dir("svc-grouped-partial");
+        let (session, live_position) = {
+            let mut system = grouped_system();
+            let (store, _) =
+                ProvenanceStore::open_with(&dir, StoreOptions { fsync: false }).unwrap();
+            let fingerprint = system_fingerprint(&system);
+            store.bind_fingerprint(fingerprint).unwrap();
+            let store = Arc::new(store);
+            system.set_recorder(Arc::new(FailpointRecorder::new(
+                Arc::clone(&store),
+                2,
+                CrashMode::Clean,
+            )));
+            let sessions = Arc::new(SessionRegistry::new(
+                system.config().seed,
+                Duration::from_secs(60),
+            ));
+            let durable = Arc::new(DurableCtx {
+                store,
+                fingerprint,
+                snapshot_every: 0,
+                delta_retention: 0,
+                next_compaction_at: AtomicU64::new(1),
+                last_compaction_error: Mutex::new(None),
+            });
+            let service =
+                QueryService::start_inner(Arc::new(system), sessions, workers(1), Some(durable));
+            let session = service.open_session(AnalystId(0)).unwrap();
+            assert!(matches!(
+                service.group_by_wait(session, GroupedRequest::with_accuracy(query, 400.0)),
+                Err(ServerError::Core(CoreError::Storage(_)))
+            ));
+            assert!(service.system().provenance().row_total(AnalystId(0)) > 0.0);
+            let position = service.sessions().get(session).unwrap().rng_checkpoint();
+            assert!(position.draws > 0, "cell 0 released before cell 1 failed");
+            (session, position)
+            // Hard drop: no final snapshot.
+        };
+
+        let (service, report) =
+            QueryService::start_durable(grouped_system(), workers(1), durability(&dir, 0)).unwrap();
+        assert_eq!(report.replayed_commits, 1);
+        assert_eq!(
+            service.sessions().get(session).unwrap().rng_checkpoint(),
+            live_position,
+            "the resumed stream must continue after the draws cell 0 consumed"
+        );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     fn shutdown_drains_pending_work() {
         let service =
             QueryService::start(system(MechanismKind::AdditiveGaussian, 8.0, 4), workers(2));
         let sessions: Vec<_> = (0..4)
             .map(|i| service.open_session(AnalystId(i)).unwrap())
             .collect();
-        let receivers: Vec<_> = sessions
+        let submissions: Vec<_> = sessions
             .iter()
             .flat_map(|&s| (0..5).map(move |i| (s, i)))
-            .map(|(s, i)| service.submit(s, request(20 + i, 45, 900.0)).unwrap())
+            .map(|(s, i)| service.submit(s, work(20 + i, 45, 900.0), None).unwrap())
             .collect();
         let stats = service.shutdown();
         assert_eq!(stats.submitted, 20);
         assert_eq!(stats.completed, 20);
-        for rx in receivers {
+        for pending in submissions {
             // Every submitted job got a response before shutdown returned.
-            assert!(rx.try_recv().is_ok());
+            assert!(pending.wait().is_ok());
         }
     }
 }

@@ -2,10 +2,9 @@
 //! snapshot files: little-endian scalar put/take helpers and a CRC-32
 //! (IEEE 802.3) checksum.
 //!
-//! The workspace's `serde` is an offline marker shim, so durable formats
-//! are encoded by hand. Everything is little-endian; floats are stored as
-//! their raw IEEE-754 bits, which makes recovered budget state *bit-exact*
-//! rather than merely approximately equal.
+//! Durable formats are encoded by hand. Everything is little-endian;
+//! floats are stored as their raw IEEE-754 bits, which makes recovered
+//! budget state *bit-exact* rather than merely approximately equal.
 
 /// CRC-32 (IEEE) lookup table, computed at compile time.
 const CRC_TABLE: [u32; 256] = build_crc_table();

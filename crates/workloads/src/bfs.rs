@@ -10,8 +10,6 @@
 
 use std::collections::VecDeque;
 
-use serde::{Deserialize, Serialize};
-
 use dprov_core::processor::QueryRequest;
 use dprov_engine::database::Database;
 use dprov_engine::query::Query;
@@ -19,7 +17,7 @@ use dprov_engine::schema::AttributeType;
 use dprov_engine::Result as EngineResult;
 
 /// Configuration of one analyst's BFS task.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BfsConfig {
     /// The table explored.
     pub table: String,

@@ -2,10 +2,8 @@
 
 use std::time::Duration;
 
-use serde::{Deserialize, Serialize};
-
 /// Everything a single experiment run records.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RunMetrics {
     /// The system under test (e.g. "DProvDB", "Vanilla", "Chorus").
     pub system: String,
@@ -83,7 +81,7 @@ fn mean(values: &[f64]) -> f64 {
 
 /// Aggregates repeated runs (different seeds) of the same configuration:
 /// reports the mean of the headline numbers, as the paper averages 4 runs.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AggregatedMetrics {
     /// The system under test.
     pub system: String,

@@ -9,7 +9,6 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use dprov_core::processor::QueryRequest;
 use dprov_engine::database::Database;
@@ -18,7 +17,7 @@ use dprov_engine::schema::AttributeType;
 use dprov_engine::Result as EngineResult;
 
 /// Configuration of the RRQ workload generator.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RrqConfig {
     /// The table queried.
     pub table: String,
@@ -51,7 +50,7 @@ impl RrqConfig {
 }
 
 /// A generated RRQ workload: one query batch per analyst.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RrqWorkload {
     /// `per_analyst[i]` is the query batch of analyst `i`.
     pub per_analyst: Vec<Vec<QueryRequest>>,

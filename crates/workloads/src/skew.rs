@@ -13,7 +13,6 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use dprov_core::processor::QueryRequest;
 use dprov_delta::UpdateBatch;
@@ -26,7 +25,7 @@ use dprov_engine::Result as EngineResult;
 use crate::rrq::RrqWorkload;
 
 /// Configuration of the skewed-scenario generator.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SkewConfig {
     /// The table queried.
     pub table: String,
@@ -161,7 +160,7 @@ pub enum StreamEvent {
 
 /// Configuration of the streaming scenario generator: interleaved update
 /// batches and Zipf-popular queries with a configurable update rate.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StreamingConfig {
     /// The query mix (table, analysts, Zipfian view popularity, accuracy
     /// range, seed). `queries_per_analyst` bounds the total query events.

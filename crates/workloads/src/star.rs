@@ -18,7 +18,6 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use dprov_core::processor::GroupedRequest;
 use dprov_core::workload::DeclaredWorkload;
@@ -137,7 +136,7 @@ pub fn folded_star_database(fact_rows: usize, seed: u64) -> Database {
 }
 
 /// Configuration of the grouped workload generator.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GroupedConfig {
     /// The (folded) table queried.
     pub table: String,
@@ -186,7 +185,7 @@ impl GroupedConfig {
 
 /// A generated grouped workload: one batch of grouped submissions per
 /// analyst.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GroupedWorkload {
     /// `per_analyst[i]` is analyst `i`'s batch, in submission order.
     pub per_analyst: Vec<Vec<GroupedRequest>>,

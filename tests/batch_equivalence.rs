@@ -40,7 +40,7 @@ use dprovdb::engine::catalog::ViewCatalog;
 use dprovdb::engine::datagen::adult::adult_database;
 use dprovdb::engine::expr::Predicate;
 use dprovdb::engine::query::Query;
-use dprovdb::server::{QueryService, ServiceConfig};
+use dprovdb::server::{QueryService, ServiceConfig, Work};
 
 const ANALYSTS: usize = 6;
 
@@ -128,7 +128,7 @@ fn run(
             if let Some(request) = script[a].get(wave) {
                 pending[a].push(
                     service
-                        .submit_pipelined(sessions[a], request.clone())
+                        .submit(sessions[a], Work::Scalar(request.clone()), None)
                         .unwrap(),
                 );
             }
@@ -139,7 +139,7 @@ fn run(
         .map(|per_session| {
             per_session
                 .into_iter()
-                .map(|p| observe(p.wait().unwrap()))
+                .map(|p| observe(p.wait().unwrap().into_scalar().expect("scalar reply")))
                 .collect()
         })
         .collect();
