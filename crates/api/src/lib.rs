@@ -34,8 +34,9 @@
 //! distributed deployment (consensus, registration, shard fan-out) under
 //! an append-only tag range disjoint from the analyst messages.
 //!
-//! The server side of the contract — the `Frontend` that serves these
-//! messages over the worker pool — lives in `dprov-server`; this crate
+//! The server side of the contract — the protocol state machine that
+//! serves these messages over the worker pool — lives in `dprov-server`
+//! (with the TCP event loop in `dprov-net`); this crate
 //! deliberately has no dependency on it, so clients can be built (and
 //! cross-compiled) without linking the service.
 

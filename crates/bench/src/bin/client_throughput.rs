@@ -31,6 +31,7 @@ use dprov_core::mechanism::MechanismKind;
 use dprov_core::system::DProvDb;
 use dprov_engine::catalog::ViewCatalog;
 use dprov_engine::datagen::adult::adult_database;
+use dprov_net::listen;
 use dprov_server::{Frontend, QueryService, ServiceConfig};
 use dprov_workloads::rrq::{generate, RrqConfig, RrqWorkload};
 
@@ -188,8 +189,7 @@ fn main() {
 
     let (tcp, tcp_lat) = {
         let service = build_service();
-        let frontend = Frontend::new(&service);
-        let listener = frontend.listen("127.0.0.1:0").unwrap();
+        let listener = listen(&service, "127.0.0.1:0").unwrap();
         let addr = listener.local_addr();
         let clients = (0..ANALYSTS)
             .map(|a| {

@@ -1,16 +1,12 @@
 //! C10k frontend throughput: RPC round trips per second as a function of
-//! **concurrent connections × per-connection in-flight depth**, for both
-//! frontends.
+//! **concurrent connections × per-connection in-flight depth**.
 //!
 //! The load generator is itself a single-threaded non-blocking event loop
 //! (the same `epoll` shim the server uses), so thousands of client
 //! connections cost the bench one thread — process thread counts printed
-//! per row therefore isolate the *server's* threading behaviour:
-//!
-//! * **event-loop** rows must show a *flat* thread count as connections
-//!   grow (the C10k invariant; the bench asserts it);
-//! * the **thread-per-conn** oracle rows show the 3-threads-per-connection
-//!   cost of the blocking frontend at small connection counts.
+//! per row therefore isolate the *server's* threading behaviour: every row
+//! must show a *flat* thread count as connections grow (the C10k
+//! invariant; the bench asserts it).
 //!
 //! Two RPC mixes: `heartbeat` (session-scoped, served inline on the loop
 //! threads — prices the transport + protocol path) and `query` (full DP
@@ -44,7 +40,7 @@ use dprov_engine::catalog::ViewCatalog;
 use dprov_engine::datagen::adult::adult_database;
 use dprov_engine::query::Query;
 use dprov_net::listen;
-use dprov_server::{FrontendMode, QueryService, ServiceConfig};
+use dprov_server::{QueryService, ServiceConfig};
 use epoll::{Event, Interest, Poller};
 
 const ANALYSTS: usize = 8;
@@ -91,7 +87,7 @@ fn thread_count() -> usize {
     std::fs::read_dir("/proc/self/task").map_or(0, |d| d.count())
 }
 
-fn build_service(mode: FrontendMode) -> Arc<QueryService> {
+fn build_service() -> Arc<QueryService> {
     let db = adult_database(2_000, 1);
     let catalog = ViewCatalog::one_per_attribute(&db, "adult").unwrap();
     let mut registry = AnalystRegistry::new();
@@ -119,7 +115,6 @@ fn build_service(mode: FrontendMode) -> Arc<QueryService> {
         ServiceConfig::builder()
             .workers(WORKERS)
             .queue_capacity(1024)
-            .frontend_mode(mode)
             .build()
             .unwrap(),
     ))
@@ -352,17 +347,9 @@ fn run_load(
 }
 
 struct Row {
-    mode: FrontendMode,
     rpc: Rpc,
     conns: usize,
     depth: usize,
-}
-
-fn mode_name(mode: FrontendMode) -> &'static str {
-    match mode {
-        FrontendMode::ThreadPerConnection => "thread-per-conn",
-        FrontendMode::EventLoop => "event-loop",
-    }
 }
 
 fn main() {
@@ -382,12 +369,11 @@ fn main() {
     sweep.dedup();
 
     let mut rows = Vec::new();
-    // Event loop: heartbeat sweep over connections × depth, plus one
-    // end-to-end query row at the smallest sweep point.
+    // Heartbeat sweep over connections × depth, plus one end-to-end query
+    // row at the smallest sweep point.
     for &conns in &sweep {
         for depth in [1usize, 8] {
             rows.push(Row {
-                mode: FrontendMode::EventLoop,
                 rpc: Rpc::Heartbeat,
                 conns,
                 depth,
@@ -395,21 +381,6 @@ fn main() {
         }
     }
     rows.push(Row {
-        mode: FrontendMode::EventLoop,
-        rpc: Rpc::Query,
-        conns: sweep[0],
-        depth: 8,
-    });
-    // Thread-per-connection oracle at the smallest sweep point only (it
-    // spends 3 OS threads per connection).
-    rows.push(Row {
-        mode: FrontendMode::ThreadPerConnection,
-        rpc: Rpc::Heartbeat,
-        conns: sweep[0],
-        depth: 8,
-    });
-    rows.push(Row {
-        mode: FrontendMode::ThreadPerConnection,
         rpc: Rpc::Query,
         conns: sweep[0],
         depth: 8,
@@ -445,7 +416,7 @@ fn main() {
             Rpc::Heartbeat => (40_000 / row.conns as u64).clamp(4, 200),
             Rpc::Query => (4_000 / row.conns as u64).clamp(2, 50),
         };
-        let service = build_service(row.mode);
+        let service = build_service();
         let listener = listen(&service, "127.0.0.1:0").unwrap();
         let threads_listen = thread_count();
         let (elapsed, completed, threads_running) = run_load(
@@ -460,17 +431,15 @@ fn main() {
             "fatal listener error"
         );
         let flat = threads_running <= threads_listen;
-        if matches!(row.mode, FrontendMode::EventLoop) {
-            assert!(
-                flat,
-                "event-loop thread count grew with connections: {threads_listen} -> \
-                 {threads_running} at {} connections",
-                row.conns
-            );
-        }
+        assert!(
+            flat,
+            "event-loop thread count grew with connections: {threads_listen} -> \
+             {threads_running} at {} connections",
+            row.conns
+        );
         let rps = completed as f64 / elapsed.max(1e-9);
         report.row(&[
-            cell("frontend", mode_name(row.mode)),
+            cell("frontend", "event-loop"),
             cell("rpc", row.rpc.name()),
             cell("connections", row.conns),
             cell("depth", row.depth),
@@ -484,8 +453,5 @@ fn main() {
         listener.shutdown();
     }
     report.finish();
-    println!(
-        "\nevent-loop rows hold thread count flat as connections grow; thread-per-conn rows \
-         spend 3 threads per connection."
-    );
+    println!("\nevent-loop rows hold thread count flat as connections grow.");
 }

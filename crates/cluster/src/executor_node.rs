@@ -20,8 +20,9 @@
 //! Failure semantics are fail-back, not fail-stop: any missing
 //! endpoint, refused epoch, or wrong-shaped reply makes
 //! [`DistributedScan::scan_batch`] return `None`, and the calling
-//! executor silently runs the scan locally. Distribution is a
-//! throughput optimisation; it is never allowed to change an answer.
+//! executor runs the scan locally and counts the fallback
+//! (`ExecStats::remote_fallbacks`). Distribution is a throughput
+//! optimisation; it is never allowed to change an answer.
 
 use std::fmt;
 use std::sync::{Arc, Mutex};

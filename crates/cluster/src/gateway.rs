@@ -15,11 +15,12 @@
 //!    installed on the system's columnar executor, fanning eligible
 //!    micro-batch scans over shard-owning executor nodes and merging
 //!    per-range partials in shard order (bit-identical to single-node,
-//!    with silent local fallback on any node failure).
+//!    with local fallback on any node failure, counted in
+//!    `ExecStats::remote_fallbacks`).
 //!
 //! The serving process itself keeps using `dprov-server`'s
-//! `QueryService`/`Frontend` unchanged — a gateway is an ordinary service
-//! plus this wiring.
+//! `QueryService` and the `dprov-net` listener unchanged — a gateway is an
+//! ordinary service plus this wiring.
 
 use std::sync::{Arc, Mutex};
 

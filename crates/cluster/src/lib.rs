@@ -29,7 +29,8 @@
 //!   shard-range scans and the gateway-side
 //!   [`executor_node::DistributedScan`] merges per-range partials in
 //!   shard order, **bit-identical** to the single-node scan (with
-//!   silent local fallback on any failure).
+//!   local fallback on any failure, counted in
+//!   `ExecStats::remote_fallbacks`).
 //! * [`gateway`] + [`transport`] — the wiring for one serving process
 //!   (replica group + orchestrator + distributed scan attached to a
 //!   `DProvDb`), and the transports: in-process channels with

@@ -6,7 +6,7 @@
 //! the per-view constraint specification (Definition 12 or a static split),
 //! the system-wide δ, and the composition method.
 
-use dprov_delta::{EpochPolicy, MaintenanceMode};
+use dprov_delta::EpochPolicy;
 use dprov_dp::accountant::CompositionMethod;
 use dprov_dp::budget::{Delta, Epsilon};
 use dprov_dp::translation::DEFAULT_EPSILON_PRECISION;
@@ -66,10 +66,6 @@ pub struct SystemConfig {
     /// What happens to noisy synopses of a view whose data changed at an
     /// epoch seal (the dynamic-data budget policy; see `dprov-delta`).
     pub epoch_policy: EpochPolicy,
-    /// How exact histograms are maintained at a seal: incremental patching
-    /// (production) or full rebuild (the bit-identical oracle the
-    /// equivalence suites compare against).
-    pub maintenance: MaintenanceMode,
 }
 
 impl SystemConfig {
@@ -89,7 +85,6 @@ impl SystemConfig {
             translation_precision: DEFAULT_EPSILON_PRECISION,
             seed: 0,
             epoch_policy: EpochPolicy::default(),
-            maintenance: MaintenanceMode::default(),
         })
     }
 
@@ -97,14 +92,6 @@ impl SystemConfig {
     #[must_use]
     pub fn with_epoch_policy(mut self, policy: EpochPolicy) -> Self {
         self.epoch_policy = policy;
-        self
-    }
-
-    /// Sets the histogram maintenance mode (equivalence testing uses
-    /// [`MaintenanceMode::FullRebuild`] as the oracle).
-    #[must_use]
-    pub fn with_maintenance(mut self, mode: MaintenanceMode) -> Self {
-        self.maintenance = mode;
         self
     }
 

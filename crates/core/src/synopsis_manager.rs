@@ -241,14 +241,6 @@ impl SynopsisManager {
             .map_err(|e| CoreError::InvalidConfig(format!("incremental patch failed: {e}")))
     }
 
-    /// Replaces a view's exact histogram wholesale (the full-rebuild
-    /// maintenance mode the equivalence suites compare against).
-    pub fn set_exact(&self, view: &str, exact: Histogram) -> Result<()> {
-        let shard = self.shard(view)?;
-        shard.state.write().expect("shard poisoned").exact = exact;
-        Ok(())
-    }
-
     /// Applies an epoch seal to the cache: advances the release epoch,
     /// marks the touched views' data epoch, and invalidates every cached
     /// synopsis the policy no longer retains (touched views immediately

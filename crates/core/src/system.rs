@@ -38,9 +38,7 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, RwLock};
 use std::time::{Duration, Instant};
 
-use dprov_delta::{
-    build_segments, EncodedBatch, MaintenanceMode, SealedEpoch, UpdateBatch, UpdateLog,
-};
+use dprov_delta::{build_segments, EncodedBatch, SealedEpoch, UpdateBatch, UpdateLog};
 use dprov_dp::accountant::{make_accountant, Accountant};
 use dprov_dp::budget::{Budget, Epsilon};
 use dprov_dp::mechanism::analytic_gaussian::analytic_gaussian_sigma;
@@ -49,7 +47,6 @@ use dprov_dp::translation::{translate_variance_to_epsilon, FrictionAwareTranslat
 use dprov_dp::DpError;
 use dprov_engine::catalog::ViewCatalog;
 use dprov_engine::database::Database;
-use dprov_engine::exec::execute;
 use dprov_engine::group::GroupByQuery;
 use dprov_engine::query::{AggregateKind, Query};
 use dprov_engine::transform::LinearQuery;
@@ -450,30 +447,18 @@ impl DProvDb {
         *self.stats.lock().expect("stats lock poisoned")
     }
 
-    /// The exact (non-private) answer to a query — only used by the
+    /// The exact (non-private) answer to a scalar query — only used by the
     /// evaluation harness for relative-error measurements, never exposed to
-    /// analysts. Scalar queries run on the columnar executor (vectorised
-    /// kernels, zone-map pruning); GROUP BY queries stay on the engine's
-    /// row-at-a-time path, which reports them as non-scalar.
+    /// analysts. Runs on the columnar executor (vectorised kernels,
+    /// zone-map pruning); a GROUP BY query is refused before anything is
+    /// scanned (use [`Self::true_group_by`]).
     pub fn true_answer(&self, query: &Query) -> Result<f64> {
-        let _epoch_gate = self.epoch_gate.read().expect("epoch gate poisoned");
-        if query.group_by.is_empty() {
-            let (answers, scan_ns) = self
-                .exec
-                .execute_batch_timed(std::slice::from_ref(query))
-                .map_err(CoreError::Engine)?;
-            // One sample per batch, summed over every scan thread — not
-            // one sample per thread, and not wall-clock around the call.
-            self.metrics.observe(HistId::ScanTime, scan_ns);
-            return Ok(answers[0]);
-        }
-        let db = self.db.read().expect("db lock poisoned");
-        let result = execute(&db, query).map_err(CoreError::Engine)?;
-        result.scalar().ok_or_else(|| {
-            CoreError::Engine(EngineError::InvalidQuery(
+        if !query.group_by.is_empty() {
+            return Err(CoreError::Engine(EngineError::InvalidQuery(
                 "true_answer requires a scalar query".to_owned(),
-            ))
-        })
+            )));
+        }
+        Ok(self.true_answers(std::slice::from_ref(query))?[0])
     }
 
     /// Exact answers to a whole batch of scalar queries in a **single
@@ -1409,8 +1394,7 @@ impl DProvDb {
     ///    immutable delta segments to the columnar shard sets (old shards
     ///    are never rewritten), and patches every affected view's exact
     ///    histogram from the delta rows alone (bit-identical to a full
-    ///    rebuild; [`MaintenanceMode::FullRebuild`] runs the rebuild
-    ///    instead, as the equivalence oracle);
+    ///    rebuild);
     /// 4. invalidates cached noisy synopses per the configured
     ///    [`dprov_delta::EpochPolicy`] — the seal itself draws **no**
     ///    randomness and spends **no** budget; re-releases are bought
@@ -1460,34 +1444,8 @@ impl DProvDb {
         for table in &touched_tables {
             let schema = self.exec.schema(table).map_err(CoreError::Engine)?.clone();
             for def in self.synopses.views_over_table(table) {
-                match self.config.maintenance {
-                    MaintenanceMode::Incremental => {
-                        self.synopses
-                            .patch_exact(&def.name, &schema, &sealed.batches)?;
-                    }
-                    MaintenanceMode::FullRebuild => {
-                        let rebuilt = self
-                            .exec
-                            .materialize_histogram(&def)
-                            .map_err(CoreError::Engine)?;
-                        self.synopses.set_exact(&def.name, rebuilt)?;
-                    }
-                }
-                // Runtime patch-vs-rebuild cross-check: any bit divergence
-                // is a maintenance bug, so it panics.
-                #[cfg(feature = "fallback-equivalence")]
-                {
-                    let patched = self.synopses.exact_histogram(&def.name)?;
-                    let rebuilt = self
-                        .exec
-                        .materialize_histogram(&def)
-                        .map_err(CoreError::Engine)?;
-                    assert_eq!(
-                        patched, rebuilt,
-                        "incremental patch diverged from full rebuild for {} at epoch {}",
-                        def.name, sealed.epoch
-                    );
-                }
+                self.synopses
+                    .patch_exact(&def.name, &schema, &sealed.batches)?;
                 views_patched.push(def.name.clone());
             }
         }
@@ -1817,6 +1775,21 @@ mod tests {
         // Setup materialised the whole 13-view catalog in one table pass.
         assert_eq!(system.exec_stats().histogram_scans, 1);
         assert_eq!(system.exec_stats().histograms, 13);
+    }
+
+    #[test]
+    fn true_answer_refuses_a_group_by_query_without_scanning() {
+        let system = build(MechanismKind::Vanilla, 2.0);
+        let before = system.exec_stats();
+        let err = system
+            .true_answer(&Query::count("adult").group_by(&["sex"]))
+            .unwrap_err();
+        assert!(matches!(
+            err,
+            CoreError::Engine(EngineError::InvalidQuery(ref msg))
+                if msg == "true_answer requires a scalar query"
+        ));
+        assert_eq!(system.exec_stats(), before, "nothing was scanned");
     }
 
     #[test]
@@ -2411,54 +2384,31 @@ mod tests {
     }
 
     #[test]
-    fn incremental_and_full_rebuild_maintenance_agree_bit_for_bit() {
-        use dprov_delta::MaintenanceMode;
-        let build_with = |mode| {
-            let db = adult_database(1_500, 3);
-            let catalog = ViewCatalog::one_per_attribute(&db, "adult").unwrap();
-            let mut registry = AnalystRegistry::new();
-            registry.register("external", 1).unwrap();
-            registry.register("internal", 4).unwrap();
-            let config = SystemConfig::new(8.0)
-                .unwrap()
-                .with_seed(11)
-                .with_maintenance(mode);
-            DProvDb::new(
-                db,
-                catalog,
-                registry,
-                config,
-                MechanismKind::AdditiveGaussian,
-            )
-            .unwrap()
-        };
-        let incremental = build_with(MaintenanceMode::Incremental);
-        let rebuild = build_with(MaintenanceMode::FullRebuild);
-        let mut rng_a = DpRng::for_stream(11, 1);
-        let mut rng_b = DpRng::for_stream(11, 1);
+    fn patched_histograms_equal_a_rebuild_after_every_seal() {
+        let system = build(MechanismKind::AdditiveGaussian, 8.0);
         for round in 0..3 {
-            for system in [&incremental, &rebuild] {
+            system
+                .apply_update(&adult_insert(&[20 + round, 30 + round]))
+                .unwrap();
+            if round > 0 {
+                // Delete a row the previous epoch inserted.
                 system
-                    .apply_update(&adult_insert(&[20 + round, 30 + round]))
+                    .apply_update(&UpdateBatch::delete("adult", vec![age_row(19 + round)]))
                     .unwrap();
-                system.seal_epoch().unwrap();
             }
-            let request = range_request(25, 45, 500.0 + round as f64);
-            let a = incremental
-                .submit_with_rng(AnalystId(1), &request, &mut rng_a)
-                .unwrap();
-            let b = rebuild
-                .submit_with_rng(AnalystId(1), &request, &mut rng_b)
-                .unwrap();
-            let (a, b) = (a.answered().unwrap(), b.answered().unwrap());
-            assert_eq!(a.value.to_bits(), b.value.to_bits(), "round {round}");
-            assert_eq!(a.epsilon_charged.to_bits(), b.epsilon_charged.to_bits());
-            assert_eq!(a.epoch, b.epoch);
+            let report = system.seal_epoch().unwrap();
+            let touched = system.synopses.views_over_table("adult");
+            assert_eq!(report.views_patched.len(), touched.len());
+            for def in &touched {
+                assert_eq!(
+                    system.synopses.exact_histogram(&def.name).unwrap(),
+                    system.exec.materialize_histogram(def).unwrap(),
+                    "{} at epoch {}",
+                    def.name,
+                    report.epoch
+                );
+            }
         }
-        assert_eq!(
-            incremental.cumulative_epsilon().to_bits(),
-            rebuild.cumulative_epsilon().to_bits()
-        );
     }
 
     #[test]

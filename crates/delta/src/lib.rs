@@ -39,4 +39,4 @@ pub mod policy;
 
 pub use log::{build_segments, DeltaError, EncodedBatch, SealedEpoch, UpdateBatch, UpdateLog};
 pub use maintain::patch_histogram;
-pub use policy::{EpochPolicy, MaintenanceMode};
+pub use policy::EpochPolicy;

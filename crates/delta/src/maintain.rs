@@ -7,8 +7,7 @@
 //! yields the same integers a full rebuild over the updated table would
 //! produce, and integers up to 2⁵³ are exact in `f64`, so the patched
 //! histogram is **bit-identical** to the rebuilt one (the
-//! `incremental` proptest suite and `dprov-core`'s `fallback-equivalence`
-//! runtime check both enforce this).
+//! `incremental` proptest suite enforces this).
 
 use dprov_engine::histogram::Histogram;
 use dprov_engine::schema::Schema;

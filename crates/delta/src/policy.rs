@@ -1,5 +1,4 @@
-//! Per-epoch budget policy for noisy synopses, and the maintenance-mode
-//! switch the equivalence suites compare.
+//! Per-epoch budget policy for noisy synopses.
 //!
 //! Sealing an epoch changes the data under every view over an updated
 //! table. The noisy synopses released against the old data are now
@@ -57,19 +56,6 @@ impl EpochPolicy {
             }
         }
     }
-}
-
-/// How the exact histograms are maintained at a seal. The two modes must
-/// be **bit-identical** (the end-to-end epoch-equivalence suite runs the
-/// same workload under both); `Incremental` is the production setting,
-/// `FullRebuild` the oracle it is checked against.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum MaintenanceMode {
-    /// Patch each changed view's histogram from the delta rows alone.
-    #[default]
-    Incremental,
-    /// Re-materialise each changed view from the updated shard set.
-    FullRebuild,
 }
 
 #[cfg(test)]

@@ -101,6 +101,11 @@ pub struct ExecStats {
     pub shards_pruned: u64,
     /// Delta segments appended (one per (epoch, updated table) pair).
     pub segments_appended: u64,
+    /// Same-table groups offered to the installed [`RemoteScan`] provider
+    /// that it declined (or answered with the wrong arity) and the local
+    /// pass scanned instead. Zero on a healthy cluster and without a
+    /// provider.
+    pub remote_fallbacks: u64,
 }
 
 impl ExecStats {
@@ -278,6 +283,7 @@ struct StatsCells {
     shards_visited: AtomicU64,
     shards_pruned: AtomicU64,
     segments_appended: AtomicU64,
+    remote_fallbacks: AtomicU64,
 }
 
 /// The columnar execution engine over one ingested database.
@@ -297,10 +303,6 @@ pub struct ColumnarExecutor {
     /// means every pass scans locally.
     remote: RwLock<Option<Arc<dyn RemoteScan>>>,
     stats: StatsCells,
-    /// Retained row-store copy for the `fallback-equivalence` cross-check,
-    /// kept in step with sealed epochs.
-    #[cfg(feature = "fallback-equivalence")]
-    fallback_db: RwLock<Database>,
 }
 
 impl ColumnarExecutor {
@@ -329,8 +331,6 @@ impl ColumnarExecutor {
             scan_threads: AtomicUsize::new(config.scan_threads.max(1)),
             remote: RwLock::new(None),
             stats: StatsCells::default(),
-            #[cfg(feature = "fallback-equivalence")]
-            fallback_db: RwLock::new(db.clone()),
         }
     }
 
@@ -437,23 +437,6 @@ impl ColumnarExecutor {
             table.append_delta_segment(&segment.columns, &segment.weights, epoch);
             self.stats.segments_appended.fetch_add(1, Ordering::Relaxed);
         }
-        #[cfg(feature = "fallback-equivalence")]
-        {
-            let mut db = self.fallback_db.write().expect("fallback db poisoned");
-            for segment in segments {
-                let table = db.table_mut(&segment.table)?;
-                let rows = segment.weights.len();
-                for row in 0..rows {
-                    let encoded: Vec<u32> = segment.columns.iter().map(|col| col[row]).collect();
-                    if segment.weights[row] >= 0.0 {
-                        table.insert_encoded_row(&encoded)?;
-                    } else {
-                        table.delete_encoded_row(&encoded)?;
-                    }
-                }
-            }
-            db.set_epoch(epoch);
-        }
         self.epoch.fetch_max(epoch, Ordering::SeqCst);
         Ok(())
     }
@@ -485,10 +468,7 @@ impl ColumnarExecutor {
             .iter()
             .map(|q| self.compile(q))
             .collect::<Result<Vec<_>>>()?;
-        let timed = self.execute_compiled_timed(&compiled)?;
-        #[cfg(feature = "fallback-equivalence")]
-        self.cross_check(queries, &timed.0);
-        Ok(timed)
+        self.execute_compiled_timed(&compiled)
     }
 
     /// Executes pre-compiled queries (the recompilation-free path for
@@ -665,21 +645,6 @@ impl ColumnarExecutor {
             .shards_visited
             .fetch_add(shard_count, Ordering::Relaxed);
 
-        #[cfg(feature = "fallback-equivalence")]
-        {
-            let db = self.fallback_db.read().expect("fallback db poisoned");
-            let reference = dprov_engine::exec::execute(&db, &query.as_grouped_query())
-                .expect("fallback evaluation of a gathered group-by cannot fail");
-            assert_eq!(reference.rows.len(), answers.len());
-            for (row, &got) in reference.rows.iter().zip(&answers) {
-                assert!(
-                    got.to_bits() == row.1.to_bits(),
-                    "grouped gather {got} diverges from row-at-a-time {} for {}",
-                    row.1,
-                    query.describe()
-                );
-            }
-        }
         Ok(Some((answers, busy_ns)))
     }
 
@@ -687,7 +652,8 @@ impl ColumnarExecutor {
     /// provider. Returns `Ok(None)` when no provider is installed, when
     /// any member is outside the reassociation envelope (remote
     /// range-merge would not be provably bit-identical), or when the
-    /// provider declines — all of which fall back to the local pass.
+    /// provider declines — all of which fall back to the local pass; only
+    /// the last is counted in [`ExecStats::remote_fallbacks`].
     fn try_remote_scan(
         &self,
         table: &str,
@@ -711,7 +677,10 @@ impl ColumnarExecutor {
             .collect();
         match remote.scan_batch(table, self.sealed_epoch(), shard_count, &queries) {
             Some(parts) if parts.len() == queries.len() => Ok(Some(parts)),
-            _ => Ok(None),
+            _ => {
+                self.stats.remote_fallbacks.fetch_add(1, Ordering::Relaxed);
+                Ok(None)
+            }
         }
     }
 
@@ -895,6 +864,7 @@ impl ColumnarExecutor {
             shards_visited: self.stats.shards_visited.load(Ordering::Relaxed),
             shards_pruned: self.stats.shards_pruned.load(Ordering::Relaxed),
             segments_appended: self.stats.segments_appended.load(Ordering::Relaxed),
+            remote_fallbacks: self.stats.remote_fallbacks.load(Ordering::Relaxed),
         }
     }
 
@@ -908,26 +878,7 @@ impl ColumnarExecutor {
         self.stats.shards_visited.store(0, Ordering::Relaxed);
         self.stats.shards_pruned.store(0, Ordering::Relaxed);
         self.stats.segments_appended.store(0, Ordering::Relaxed);
-    }
-
-    /// Cross-checks columnar results against the engine's row-at-a-time
-    /// evaluator over the epoch-synchronised fallback database; any
-    /// divergence is a bug in the kernels (or the delta fold), so it
-    /// panics.
-    #[cfg(feature = "fallback-equivalence")]
-    fn cross_check(&self, queries: &[Query], results: &[f64]) {
-        let db = self.fallback_db.read().expect("fallback db poisoned");
-        for (query, &got) in queries.iter().zip(results) {
-            let reference = dprov_engine::exec::execute(&db, query)
-                .expect("fallback evaluation of a compiled query cannot fail")
-                .scalar()
-                .expect("compiled queries are scalar");
-            assert!(
-                got.to_bits() == reference.to_bits(),
-                "columnar result {got} diverges from row-at-a-time {reference} for {}",
-                query.describe()
-            );
-        }
+        self.stats.remote_fallbacks.store(0, Ordering::Relaxed);
     }
 }
 

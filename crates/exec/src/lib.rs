@@ -45,9 +45,7 @@
 //! are gated by [`kernel::CompiledQuery::reassociation_exact`]: all terms
 //! are exact `f64` integers and all partials stay below 2⁵³, where
 //! integer addition is exact and associative, so the regrouped result is
-//! the same bit pattern. The `fallback-equivalence` cargo feature makes
-//! every batch re-verify all of this against the row path at runtime
-//! (tests/CI only); the crate's `equivalence` proptest suite checks
+//! the same bit pattern. The crate's `equivalence` proptest suite checks
 //! random tables × predicate trees × encodings × thread counts × shard
 //! partitions, and `tests/encode.rs` batters the codec across every
 //! field width.

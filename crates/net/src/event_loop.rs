@@ -21,7 +21,6 @@ use std::time::{Duration, Instant};
 use dprov_api::frame::{frame, FrameDecoder};
 use dprov_api::protocol::Response;
 use dprov_obs::{CounterId, GaugeId, HistId, MetricsRegistry};
-use dprov_server::frontend::accept_error_is_transient;
 use dprov_server::proto::{encode_reply, reply_to_protocol, ConnProto, PayloadOutcome};
 use dprov_server::{Completion, QueryService, ServerError, SessionId, TrySubmitError, Work};
 use epoll::{Event, Interest, Poller, Waker};
@@ -35,8 +34,26 @@ const LISTENER_TOKEN: u64 = 1;
 /// First token handed to a connection; tokens below this are reserved.
 const FIRST_CONN_TOKEN: u64 = 16;
 /// Trace lanes: workers occupy lanes `0..N`; connections start here (the
-/// same convention as the thread-per-connection frontend).
+/// same convention as the in-process [`dprov_server::Frontend`]).
 const LANE_BASE: u64 = 1_000;
+
+/// Classifies an `accept(2)` failure: transient errors (descriptor
+/// exhaustion, an aborted in-flight handshake, interrupted syscalls,
+/// transient kernel memory pressure) clear on their own and merit a
+/// paused retry; anything else means the listening socket itself is
+/// broken and retrying can only spin.
+fn accept_error_is_transient(e: &io::Error) -> bool {
+    // Raw codes (Linux values) because `io::ErrorKind` has no stable
+    // mapping for several of these: EINTR(4), EAGAIN(11), ENOMEM(12),
+    // ENFILE(23), EMFILE(24), EPROTO(71), ECONNABORTED(103), ENOBUFS(105).
+    matches!(
+        e.raw_os_error(),
+        Some(4 | 11 | 12 | 23 | 24 | 71 | 103 | 105)
+    ) || matches!(
+        e.kind(),
+        io::ErrorKind::WouldBlock | io::ErrorKind::Interrupted | io::ErrorKind::ConnectionAborted
+    )
+}
 
 /// The readiness-driven analyst-protocol server over a
 /// [`QueryService`] (see the crate docs for the architecture).
@@ -392,10 +409,9 @@ impl LoopCore {
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
                 // Transient (EMFILE-style) failures: pause the accept
-                // path until the next tick. Sleeping here — what the
-                // thread-per-connection loop does — would stall every
-                // live connection on this loop, so interest is dropped
-                // instead and re-armed by the tick.
+                // path until the next tick. Sleeping here would stall
+                // every live connection on this loop, so interest is
+                // dropped instead and re-armed by the tick.
                 Err(e) if accept_error_is_transient(&e) => {
                     self.frontend.metrics.incr(CounterId::AcceptTransientErrors);
                     let fd = listener.as_raw_fd();
@@ -501,7 +517,7 @@ impl LoopCore {
 
     /// Deregisters and drops a connection. Sessions are NOT closed here —
     /// a reconnecting client resumes by id; abandonment is the TTL's job
-    /// (the same contract as the thread-per-connection frontend).
+    /// (the same contract as the in-process frontend).
     fn teardown(&mut self, conn: Conn) {
         let _ = self.poller.deregister(conn.stream.as_raw_fd());
         let live = self.registered.fetch_sub(1, Ordering::Relaxed) - 1;

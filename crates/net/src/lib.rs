@@ -1,10 +1,7 @@
 //! # `dprov-net` — the C10k event-loop frontend
 //!
-//! The thread-per-connection [`dprov_server::Frontend`] spends three OS
-//! threads per analyst connection, which caps a deployment at a few
-//! hundred concurrent analysts long before the query engine is the
-//! bottleneck. This crate serves the **same versioned analyst protocol**
-//! from a *fixed* pool of readiness-driven loop threads
+//! The TCP frontend of the service. It serves the versioned analyst
+//! protocol from a *fixed* pool of readiness-driven loop threads
 //! ([`EventLoopFrontend`]): every connection is a non-blocking socket
 //! registered with a level-triggered poller (the workspace `epoll` shim —
 //! raw `epoll(7)` on Linux, `poll(2)` elsewhere), frames are decoded
@@ -14,15 +11,15 @@
 //!
 //! **Equivalence, not reimplementation.** Protocol semantics live in
 //! [`dprov_server::proto`] and are shared byte-for-byte with the
-//! thread-per-connection frontend; this crate only contributes transport
-//! plumbing. The two frontends are config-selectable
-//! ([`dprov_server::FrontendMode`], dispatched by [`listen`]) and the
-//! differential test suite drives identical workloads through both,
-//! asserting bit-identical answers, noise streams and budget charges.
+//! in-process [`dprov_server::Frontend`]; this crate only contributes
+//! transport plumbing. The differential test suite drives identical
+//! workloads over TCP through the event loop and through the in-process
+//! transport, asserting bit-identical answers, noise streams and budget
+//! charges.
 //!
-//! **Backpressure end to end.** The worker pool's bounded queue already
-//! blocks thread-per-connection readers. Here nothing may block, so the
-//! loop converts queue pressure into socket pressure instead:
+//! **Backpressure end to end.** The worker pool's bounded queue blocks a
+//! blocking submitter. Here nothing may block, so the loop converts queue
+//! pressure into socket pressure instead:
 //!
 //! * a submission hitting a full queue is **parked** on its connection
 //!   and the connection's read interest is dropped — TCP flow control
@@ -39,7 +36,7 @@
 //!
 //! **Multiplexing.** Protocol v3 `Mux` frames are handled by the shared
 //! state machine, so one socket carries many independent sessions
-//! (`dprov_api::MuxConnection`) on either frontend.
+//! (`dprov_api::MuxConnection`).
 
 #![deny(missing_docs)]
 #![warn(clippy::all)]
@@ -48,7 +45,7 @@ use std::io;
 use std::net::ToSocketAddrs;
 use std::sync::Arc;
 
-use dprov_server::{FrontendMode, QueryService};
+use dprov_server::QueryService;
 
 mod event_loop;
 
@@ -96,58 +93,16 @@ impl Default for NetConfig {
     }
 }
 
-/// A running TCP listener for either frontend mode (see [`listen`]).
-pub enum ServiceListener {
-    /// The thread-per-connection frontend is serving.
-    ThreadPerConnection(dprov_server::FrontendListener),
-    /// The event-loop frontend is serving.
-    EventLoop(EventLoopListener),
-}
+/// A running TCP listener (see [`listen`]).
+pub type ServiceListener = EventLoopListener;
 
-impl ServiceListener {
-    /// The bound address (useful after binding port 0).
-    #[must_use]
-    pub fn local_addr(&self) -> std::net::SocketAddr {
-        match self {
-            ServiceListener::ThreadPerConnection(l) => l.local_addr(),
-            ServiceListener::EventLoop(l) => l.local_addr(),
-        }
-    }
-
-    /// Stops accepting and (for the event loop) tears the loops down.
-    pub fn shutdown(self) {
-        match self {
-            ServiceListener::ThreadPerConnection(l) => l.shutdown(),
-            ServiceListener::EventLoop(l) => l.shutdown(),
-        }
-    }
-
-    /// Takes the fatal accept-loop error, if one stopped the listener.
-    #[must_use]
-    pub fn take_fatal_error(&self) -> Option<io::Error> {
-        match self {
-            ServiceListener::ThreadPerConnection(l) => l.take_fatal_error(),
-            ServiceListener::EventLoop(l) => l.take_fatal_error(),
-        }
-    }
-}
-
-/// Binds a TCP listener and serves the analyst protocol with whichever
-/// frontend the service was configured for
-/// ([`dprov_server::ServiceConfig::frontend_mode`]). Both modes speak the
-/// same protocol and produce bit-identical analyst-visible results.
+/// Binds a TCP listener and serves the analyst protocol from the event
+/// loop with the default [`NetConfig`].
 pub fn listen(
     service: &Arc<QueryService>,
     addr: impl ToSocketAddrs,
 ) -> io::Result<ServiceListener> {
-    match service.frontend_mode() {
-        FrontendMode::ThreadPerConnection => dprov_server::Frontend::new(service)
-            .listen(addr)
-            .map(ServiceListener::ThreadPerConnection),
-        FrontendMode::EventLoop => EventLoopFrontend::new(service, NetConfig::default())
-            .listen(addr)
-            .map(ServiceListener::EventLoop),
-    }
+    EventLoopFrontend::new(service, NetConfig::default()).listen(addr)
 }
 
 #[cfg(test)]
@@ -160,11 +115,11 @@ mod tests {
     use dprov_core::system::DProvDb;
     use dprov_engine::catalog::ViewCatalog;
     use dprov_engine::datagen::adult::adult_database;
-    use dprov_server::{FrontendMode, QueryService, ServiceConfig};
+    use dprov_server::{QueryService, ServiceConfig};
 
     use super::*;
 
-    fn service(mode: FrontendMode) -> Arc<QueryService> {
+    fn service() -> Arc<QueryService> {
         let db = adult_database(100, 1);
         let catalog = ViewCatalog::one_per_attribute(&db, "adult").unwrap();
         let mut registry = AnalystRegistry::new();
@@ -174,11 +129,7 @@ mod tests {
             Arc::new(DProvDb::new(db, catalog, registry, config, MechanismKind::Vanilla).unwrap());
         Arc::new(QueryService::start(
             system,
-            ServiceConfig::builder()
-                .workers(1)
-                .frontend_mode(mode)
-                .build()
-                .unwrap(),
+            ServiceConfig::builder().workers(1).build().unwrap(),
         ))
     }
 
@@ -191,23 +142,17 @@ mod tests {
     }
 
     #[test]
-    fn listen_dispatches_on_the_service_frontend_mode() {
-        for (mode, want_event_loop) in [
-            (FrontendMode::ThreadPerConnection, false),
-            (FrontendMode::EventLoop, true),
-        ] {
-            let service = service(mode);
-            let listener = listen(&service, "127.0.0.1:0").unwrap();
-            assert_ne!(listener.local_addr().port(), 0, "bound a real port");
-            match (&listener, want_event_loop) {
-                (ServiceListener::ThreadPerConnection(_), false) => {}
-                (ServiceListener::EventLoop(l), true) => {
-                    assert_eq!(l.loop_threads(), NetConfig::default().loop_threads);
-                }
-                _ => panic!("listen() picked the wrong frontend for {mode:?}"),
-            }
-            assert!(listener.take_fatal_error().is_none());
-            listener.shutdown();
-        }
+    fn listen_starts_the_event_loop_with_the_default_config() {
+        let service = service();
+        let listener = listen(&service, "127.0.0.1:0").unwrap();
+        let addr = listener.local_addr();
+        assert_ne!(addr.port(), 0, "bound a real port");
+        assert_eq!(listener.loop_threads(), NetConfig::default().loop_threads);
+        assert!(listener.take_fatal_error().is_none());
+        listener.shutdown();
+        assert!(
+            std::net::TcpStream::connect(addr).is_err(),
+            "a shut-down listener refuses new connections"
+        );
     }
 }

@@ -1,17 +1,16 @@
-//! Differential oracle: the event-loop frontend vs. the
-//! thread-per-connection frontend.
+//! Differential oracle: the event-loop frontend over real TCP sockets vs.
+//! the in-process `Frontend::connect` transport.
 //!
 //! Each test runs the *same* deterministic workload (same system seed, same
 //! session registration order, same per-session submission order) through
-//! both frontends over real TCP sockets and asserts the analyst-visible
-//! transcripts — answers, noise values, epsilon charges, budget reports —
-//! are **bit-identical**. Float fields are compared through their IEEE bit
-//! patterns (`f64::to_bits`), so "identical" means identical, not "close".
+//! both transports and asserts the analyst-visible transcripts — answers,
+//! noise values, epsilon charges, budget reports — are **bit-identical**.
+//! Float fields are compared through their IEEE bit patterns
+//! (`f64::to_bits`), so "identical" means identical, not "close".
 
-use std::net::SocketAddr;
 use std::sync::Arc;
 
-use dprov_api::{DProvClient, MuxConnection, RequestId};
+use dprov_api::{Connection, DProvClient, MuxConnection, RequestId};
 use dprov_core::analyst::AnalystRegistry;
 use dprov_core::config::SystemConfig;
 use dprov_core::mechanism::MechanismKind;
@@ -22,11 +21,12 @@ use dprov_engine::datagen::adult::adult_database;
 use dprov_engine::group::GroupByQuery;
 use dprov_engine::query::Query;
 use dprov_net::listen;
-use dprov_server::{FrontendMode, QueryService, ServiceConfig};
+use dprov_server::{Frontend, QueryService, ServiceConfig};
 
-const MODES: [FrontendMode; 2] = [FrontendMode::ThreadPerConnection, FrontendMode::EventLoop];
+/// Opens one more connection to the service under test.
+type Dial<'a> = &'a dyn Fn() -> Connection;
 
-fn service(mode: FrontendMode, queue_capacity: usize) -> Arc<QueryService> {
+fn service(queue_capacity: usize) -> Arc<QueryService> {
     let db = adult_database(600, 1);
     let catalog = ViewCatalog::one_per_attribute(&db, "adult").unwrap();
     let mut registry = AnalystRegistry::new();
@@ -50,7 +50,6 @@ fn service(mode: FrontendMode, queue_capacity: usize) -> Arc<QueryService> {
         ServiceConfig::builder()
             .workers(2)
             .queue_capacity(queue_capacity)
-            .frontend_mode(mode)
             .build()
             .unwrap(),
     ))
@@ -128,15 +127,15 @@ const ANALYSTS: [(&str, &str, i64, &str); 4] = [
 /// exhaustion depend on cross-session arrival order).
 const LOOSE_VARIANCE: f64 = 40_000.0;
 
-/// Analysts on separate TCP connections, scalar and GROUP BY traffic
+/// Analysts on separate connections, scalar and GROUP BY traffic
 /// interleaved on each session — synchronous first, then pipelined from
 /// every connection at once — closed out with budget reports.
-fn plain_workload(addr: SocketAddr) -> Vec<String> {
+fn plain_workload(dial: Dial) -> Vec<String> {
     let mut log = Vec::new();
     let mut clients: Vec<DProvClient> = ANALYSTS
         .iter()
         .map(|(name, ..)| {
-            let mut client = DProvClient::connect_tcp(addr, &format!("{name}-conn")).unwrap();
+            let mut client = DProvClient::connect(dial(), &format!("{name}-conn")).unwrap();
             let info = client.register(name).unwrap();
             log.push(format!(
                 "{name}: session={} resumed={}",
@@ -208,14 +207,12 @@ fn plain_workload(addr: SocketAddr) -> Vec<String> {
     log
 }
 
-fn transcript(
-    mode: FrontendMode,
-    queue_capacity: usize,
-    workload: fn(SocketAddr) -> Vec<String>,
-) -> Vec<String> {
-    let service = service(mode, queue_capacity);
+/// The workload's transcript through the event loop over loopback TCP.
+fn event_loop_transcript(queue_capacity: usize, workload: fn(Dial) -> Vec<String>) -> Vec<String> {
+    let service = service(queue_capacity);
     let listener = listen(&service, "127.0.0.1:0").unwrap();
-    let log = workload(listener.local_addr());
+    let addr = listener.local_addr();
+    let log = workload(&|| Connection::connect_tcp(addr).unwrap());
     assert!(
         listener.take_fatal_error().is_none(),
         "no fatal listener error during the workload"
@@ -224,41 +221,44 @@ fn transcript(
     log
 }
 
+/// The reference transcript: the same workload on a fresh service through
+/// the in-process transport (no socket, no event loop).
+fn in_process_transcript(queue_capacity: usize, workload: fn(Dial) -> Vec<String>) -> Vec<String> {
+    let service = service(queue_capacity);
+    let frontend = Frontend::new(&service);
+    workload(&|| frontend.connect())
+}
+
 #[test]
-fn frontends_produce_bit_identical_transcripts() {
-    let logs: Vec<Vec<String>> = MODES
-        .iter()
-        .map(|&mode| transcript(mode, 256, plain_workload))
-        .collect();
-    assert!(!logs[0].is_empty());
+fn event_loop_matches_the_in_process_transcript() {
+    let reference = in_process_transcript(256, plain_workload);
+    assert!(!reference.is_empty());
     assert_eq!(
-        logs[0], logs[1],
-        "thread-per-connection and event-loop transcripts diverged"
+        event_loop_transcript(256, plain_workload),
+        reference,
+        "event-loop and in-process transcripts diverged"
     );
 }
 
 /// The same differential check with a tiny submission queue: the
 /// event-loop arm is forced through its park/retry backpressure path and
-/// the thread-per-connection arm through its blocking push, and the
-/// analyst-visible results still match bit for bit.
+/// the in-process arm through its blocking push, and the analyst-visible
+/// results still match bit for bit.
 #[test]
 fn backpressure_path_is_result_transparent() {
-    let logs: Vec<Vec<String>> = MODES
-        .iter()
-        .map(|&mode| transcript(mode, 1, plain_workload))
-        .collect();
     assert_eq!(
-        logs[0], logs[1],
+        event_loop_transcript(1, plain_workload),
+        in_process_transcript(1, plain_workload),
         "queue-full handling changed analyst-visible results"
     );
 }
 
-/// One shared socket carrying two independent sessions over mux channels,
-/// then a reconnect onto a *new* shared socket with a per-session
-/// `resume()` — the satellite-2 client pattern — checked differentially.
-fn mux_workload(addr: SocketAddr) -> Vec<String> {
+/// One shared connection carrying two independent sessions over mux
+/// channels, then a reconnect onto a *new* shared connection with a
+/// per-session `resume()` — the satellite-2 client pattern — checked differentially.
+fn mux_workload(dial: Dial) -> Vec<String> {
     let mut log = Vec::new();
-    let mux = MuxConnection::connect_tcp(addr, "shared-conn").unwrap();
+    let mux = MuxConnection::establish(dial(), "shared-conn").unwrap();
     let mut alice = DProvClient::connect(mux.channel(1).unwrap(), "alice-ch").unwrap();
     let mut bob = DProvClient::connect(mux.channel(2).unwrap(), "bob-ch").unwrap();
     let a = alice.register("alice").unwrap();
@@ -272,13 +272,13 @@ fn mux_workload(addr: SocketAddr) -> Vec<String> {
         log.push(render(&format!("bob q{i}"), &out));
     }
 
-    // Drop the whole shared socket with both sessions still open.
+    // Drop the whole shared connection with both sessions still open.
     drop(alice);
     drop(bob);
     drop(mux);
 
-    // Reconnect: one new socket, both sessions resumed on fresh channels.
-    let mux = MuxConnection::connect_tcp(addr, "shared-conn-2").unwrap();
+    // Reconnect: one new connection, both sessions resumed on fresh channels.
+    let mux = MuxConnection::establish(dial(), "shared-conn-2").unwrap();
     let mut alice = DProvClient::connect(mux.channel(7).unwrap(), "alice-ch2").unwrap();
     let mut bob = DProvClient::connect(mux.channel(9).unwrap(), "bob-ch2").unwrap();
     let ra = alice.resume("alice", a.session).unwrap();
@@ -286,7 +286,7 @@ fn mux_workload(addr: SocketAddr) -> Vec<String> {
     assert!(ra.resumed && rb.resumed, "both sessions resumed");
     log.push(format!("resumed: alice={} bob={}", ra.session, rb.session));
 
-    // Noise streams continue where they left off, on both frontends.
+    // Noise streams continue where they left off, on both transports.
     for i in 0..3 {
         let out = alice.query(&age_query(30, 53 + i, 450.0)).unwrap();
         log.push(render(&format!("alice r{i}"), &out));
@@ -303,14 +303,12 @@ fn mux_workload(addr: SocketAddr) -> Vec<String> {
 
 #[test]
 fn multiplexed_sessions_with_resume_are_bit_identical() {
-    let logs: Vec<Vec<String>> = MODES
-        .iter()
-        .map(|&mode| transcript(mode, 256, mux_workload))
-        .collect();
-    assert!(!logs[0].is_empty());
+    let reference = in_process_transcript(256, mux_workload);
+    assert!(!reference.is_empty());
     assert_eq!(
-        logs[0], logs[1],
-        "multiplexed transcripts diverged between frontends"
+        event_loop_transcript(256, mux_workload),
+        reference,
+        "multiplexed transcripts diverged between transports"
     );
 }
 
@@ -318,7 +316,7 @@ fn multiplexed_sessions_with_resume_are_bit_identical() {
 /// loop/worker scheduling does not leak into analyst-visible results.
 #[test]
 fn event_loop_runs_are_reproducible() {
-    let first = transcript(FrontendMode::EventLoop, 256, plain_workload);
-    let second = transcript(FrontendMode::EventLoop, 256, plain_workload);
+    let first = event_loop_transcript(256, plain_workload);
+    let second = event_loop_transcript(256, plain_workload);
     assert_eq!(first, second);
 }

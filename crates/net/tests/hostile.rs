@@ -1,4 +1,4 @@
-//! Hostile-network tests, run against BOTH frontends: dribbled bytes,
+//! Hostile-network tests against the event-loop frontend: dribbled bytes,
 //! slow-loris writers, mid-frame disconnects and oversized frames must
 //! never panic a loop or worker thread, never leak threads or file
 //! descriptors, and surface only typed protocol errors.
@@ -20,11 +20,9 @@ use dprov_engine::catalog::ViewCatalog;
 use dprov_engine::datagen::adult::adult_database;
 use dprov_engine::query::Query;
 use dprov_net::{listen, EventLoopFrontend, NetConfig};
-use dprov_server::{FrontendMode, QueryService, ServiceConfig};
+use dprov_server::{QueryService, ServiceConfig};
 
-const MODES: [FrontendMode; 2] = [FrontendMode::ThreadPerConnection, FrontendMode::EventLoop];
-
-fn service(mode: FrontendMode) -> Arc<QueryService> {
+fn service() -> Arc<QueryService> {
     let db = adult_database(300, 1);
     let catalog = ViewCatalog::one_per_attribute(&db, "adult").unwrap();
     let mut registry = AnalystRegistry::new();
@@ -42,11 +40,7 @@ fn service(mode: FrontendMode) -> Arc<QueryService> {
     );
     Arc::new(QueryService::start(
         system,
-        ServiceConfig::builder()
-            .workers(2)
-            .frontend_mode(mode)
-            .build()
-            .unwrap(),
+        ServiceConfig::builder().workers(2).build().unwrap(),
     ))
 }
 
@@ -106,153 +100,144 @@ fn recv_response(stream: &mut TcpStream) -> Response {
 
 #[test]
 fn byte_at_a_time_delivery_is_reassembled() {
-    for mode in MODES {
-        let service = service(mode);
-        let listener = listen(&service, "127.0.0.1:0").unwrap();
-        let mut stream = TcpStream::connect(listener.local_addr()).unwrap();
+    let service = service();
+    let listener = listen(&service, "127.0.0.1:0").unwrap();
+    let mut stream = TcpStream::connect(listener.local_addr()).unwrap();
 
-        dribble(&mut stream, &hello_frame());
-        match recv_response(&mut stream) {
-            Response::HelloAck { version, .. } => assert_eq!(version, PROTOCOL_VERSION),
-            other => panic!("[{mode:?}] expected HelloAck, got {other:?}"),
-        }
-
-        // A session-scoped request without a session: a *typed* error on a
-        // connection that stays alive.
-        dribble(&mut stream, &frame(&encode_request(1, &Request::Heartbeat)));
-        match recv_response(&mut stream) {
-            Response::Error(e) => assert_eq!(e.code, codes::NO_SESSION, "[{mode:?}]"),
-            other => panic!("[{mode:?}] expected a typed error, got {other:?}"),
-        }
-
-        // The connection survived the error: a real request still works.
-        dribble(
-            &mut stream,
-            &frame(&encode_request(
-                2,
-                &Request::RegisterSession {
-                    analyst_name: "alice".to_owned(),
-                    resume: None,
-                },
-            )),
-        );
-        match recv_response(&mut stream) {
-            Response::SessionRegistered { .. } => {}
-            other => panic!("[{mode:?}] expected SessionRegistered, got {other:?}"),
-        }
-        listener.shutdown();
+    dribble(&mut stream, &hello_frame());
+    match recv_response(&mut stream) {
+        Response::HelloAck { version, .. } => assert_eq!(version, PROTOCOL_VERSION),
+        other => panic!("expected HelloAck, got {other:?}"),
     }
+
+    // A session-scoped request without a session: a *typed* error on a
+    // connection that stays alive.
+    dribble(&mut stream, &frame(&encode_request(1, &Request::Heartbeat)));
+    match recv_response(&mut stream) {
+        Response::Error(e) => assert_eq!(e.code, codes::NO_SESSION),
+        other => panic!("expected a typed error, got {other:?}"),
+    }
+
+    // The connection survived the error: a real request still works.
+    dribble(
+        &mut stream,
+        &frame(&encode_request(
+            2,
+            &Request::RegisterSession {
+                analyst_name: "alice".to_owned(),
+                resume: None,
+            },
+        )),
+    );
+    match recv_response(&mut stream) {
+        Response::SessionRegistered { .. } => {}
+        other => panic!("expected SessionRegistered, got {other:?}"),
+    }
+    listener.shutdown();
 }
 
 #[test]
 fn oversized_frame_closes_the_connection_without_harm() {
-    for mode in MODES {
-        let service = service(mode);
-        let listener = listen(&service, "127.0.0.1:0").unwrap();
-        let mut stream = TcpStream::connect(listener.local_addr()).unwrap();
-        stream.write_all(&hello_frame()).unwrap();
-        assert!(matches!(
-            recv_response(&mut stream),
-            Response::HelloAck { .. }
-        ));
+    let service = service();
+    let listener = listen(&service, "127.0.0.1:0").unwrap();
+    let mut stream = TcpStream::connect(listener.local_addr()).unwrap();
+    stream.write_all(&hello_frame()).unwrap();
+    assert!(matches!(
+        recv_response(&mut stream),
+        Response::HelloAck { .. }
+    ));
 
-        // A header declaring a body over the frame cap: the stream offset
-        // can no longer be trusted, so the server drops the connection.
-        let mut header = Vec::new();
-        header.extend_from_slice(&((MAX_FRAME_LEN as u32) + 1).to_le_bytes());
-        header.extend_from_slice(&0xdead_beefu32.to_le_bytes());
-        stream.write_all(&header).unwrap();
+    // A header declaring a body over the frame cap: the stream offset
+    // can no longer be trusted, so the server drops the connection.
+    let mut header = Vec::new();
+    header.extend_from_slice(&((MAX_FRAME_LEN as u32) + 1).to_le_bytes());
+    header.extend_from_slice(&0xdead_beefu32.to_le_bytes());
+    stream.write_all(&header).unwrap();
 
-        stream
-            .set_read_timeout(Some(Duration::from_secs(10)))
-            .unwrap();
-        let mut rest = Vec::new();
-        match stream.read_to_end(&mut rest) {
-            Ok(_) => {} // clean close
-            Err(e) => assert_ne!(e.kind(), std::io::ErrorKind::WouldBlock, "[{mode:?}] hang"),
-        }
-        assert!(rest.is_empty(), "[{mode:?}] no reply to a corrupt frame");
-
-        // The server is unharmed: a fresh client round-trips a query.
-        let mut client = DProvClient::connect_tcp(listener.local_addr(), "after").unwrap();
-        client.register("alice").unwrap();
-        assert!(client.query(&age_query(20, 60)).unwrap().is_answered());
-        client.close().unwrap();
-        assert!(listener.take_fatal_error().is_none());
-        listener.shutdown();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let mut rest = Vec::new();
+    match stream.read_to_end(&mut rest) {
+        Ok(_) => {} // clean close
+        Err(e) => assert_ne!(e.kind(), std::io::ErrorKind::WouldBlock, "hang"),
     }
+    assert!(rest.is_empty(), "no reply to a corrupt frame");
+
+    // The server is unharmed: a fresh client round-trips a query.
+    let mut client = DProvClient::connect_tcp(listener.local_addr(), "after").unwrap();
+    client.register("alice").unwrap();
+    assert!(client.query(&age_query(20, 60)).unwrap().is_answered());
+    client.close().unwrap();
+    assert!(listener.take_fatal_error().is_none());
+    listener.shutdown();
 }
 
 #[test]
 fn mid_frame_disconnects_leak_no_threads_or_fds() {
-    for mode in MODES {
-        let service = service(mode);
-        let listener = listen(&service, "127.0.0.1:0").unwrap();
-        // Warm the accept path once so lazily-created fds are in the
-        // baseline.
-        drop(TcpStream::connect(listener.local_addr()).unwrap());
-        std::thread::sleep(Duration::from_millis(100));
-        let base_threads = thread_count();
-        let base_fds = fd_count();
+    let service = service();
+    let listener = listen(&service, "127.0.0.1:0").unwrap();
+    // Warm the accept path once so lazily-created fds are in the
+    // baseline.
+    drop(TcpStream::connect(listener.local_addr()).unwrap());
+    std::thread::sleep(Duration::from_millis(100));
+    let base_threads = thread_count();
+    let base_fds = fd_count();
 
-        for i in 0..25 {
-            let mut stream = TcpStream::connect(listener.local_addr()).unwrap();
-            let hello = hello_frame();
-            if i % 2 == 0 {
-                // FIN halfway through a frame.
-                stream.write_all(&hello[..hello.len() / 2]).unwrap();
-            } else {
-                // Full handshake, then die mid-way through the next frame.
-                stream.write_all(&hello).unwrap();
-                let _ = recv_response(&mut stream);
-                let beat = frame(&encode_request(1, &Request::Heartbeat));
-                stream.write_all(&beat[..5]).unwrap();
-            }
-            drop(stream);
+    for i in 0..25 {
+        let mut stream = TcpStream::connect(listener.local_addr()).unwrap();
+        let hello = hello_frame();
+        if i % 2 == 0 {
+            // FIN halfway through a frame.
+            stream.write_all(&hello[..hello.len() / 2]).unwrap();
+        } else {
+            // Full handshake, then die mid-way through the next frame.
+            stream.write_all(&hello).unwrap();
+            let _ = recv_response(&mut stream);
+            let beat = frame(&encode_request(1, &Request::Heartbeat));
+            stream.write_all(&beat[..5]).unwrap();
         }
-
-        settles_to(base_threads, &format!("[{mode:?}] threads"), thread_count);
-        settles_to(base_fds, &format!("[{mode:?}] fds"), fd_count);
-        assert!(listener.take_fatal_error().is_none());
-        listener.shutdown();
+        drop(stream);
     }
+
+    settles_to(base_threads, "threads", thread_count);
+    settles_to(base_fds, "fds", fd_count);
+    assert!(listener.take_fatal_error().is_none());
+    listener.shutdown();
 }
 
 #[test]
 fn slow_loris_writers_do_not_starve_other_clients() {
-    for mode in MODES {
-        let service = service(mode);
-        let listener = listen(&service, "127.0.0.1:0").unwrap();
+    let service = service();
+    let listener = listen(&service, "127.0.0.1:0").unwrap();
 
-        // Eight connections that send half a frame and then just... stop.
-        let mut loris = Vec::new();
-        for _ in 0..8 {
-            let mut stream = TcpStream::connect(listener.local_addr()).unwrap();
-            let hello = hello_frame();
-            stream.write_all(&hello[..hello.len() - 3]).unwrap();
-            loris.push(stream);
-        }
-
-        // A well-behaved client is completely unaffected.
-        let mut client = DProvClient::connect_tcp(listener.local_addr(), "victim").unwrap();
-        client.register("alice").unwrap();
-        for i in 0..5 {
-            assert!(
-                client.query(&age_query(20, 40 + i)).unwrap().is_answered(),
-                "[{mode:?}] query {i} starved by stalled writers"
-            );
-        }
-        client.close().unwrap();
-        drop(loris);
-        listener.shutdown();
+    // Eight connections that send half a frame and then just... stop.
+    let mut loris = Vec::new();
+    for _ in 0..8 {
+        let mut stream = TcpStream::connect(listener.local_addr()).unwrap();
+        let hello = hello_frame();
+        stream.write_all(&hello[..hello.len() - 3]).unwrap();
+        loris.push(stream);
     }
+
+    // A well-behaved client is completely unaffected.
+    let mut client = DProvClient::connect_tcp(listener.local_addr(), "victim").unwrap();
+    client.register("alice").unwrap();
+    for i in 0..5 {
+        assert!(
+            client.query(&age_query(20, 40 + i)).unwrap().is_answered(),
+            "query {i} starved by stalled writers"
+        );
+    }
+    client.close().unwrap();
+    drop(loris);
+    listener.shutdown();
 }
 
-/// Event-loop specific: thread count is flat in connection count (the
-/// C10k invariant), and dropping the connections releases their fds.
+/// Thread count is flat in connection count (the C10k invariant), and dropping the connections releases their fds.
 #[test]
 fn event_loop_thread_count_is_flat_in_connections() {
-    let service = service(FrontendMode::EventLoop);
+    let service = service();
     let listener = listen(&service, "127.0.0.1:0").unwrap();
     drop(TcpStream::connect(listener.local_addr()).unwrap());
     std::thread::sleep(Duration::from_millis(100));
@@ -287,7 +272,7 @@ fn event_loop_thread_count_is_flat_in_connections() {
 /// bounded); once it finally drains the socket it gets every reply intact.
 #[test]
 fn stalled_reader_hits_the_hwm_and_loses_nothing() {
-    let service = service(FrontendMode::EventLoop);
+    let service = service();
     let frontend = EventLoopFrontend::new(
         &service,
         NetConfig {
@@ -379,7 +364,7 @@ fn stalled_reader_hits_the_hwm_and_loses_nothing() {
 /// timeout are reaped and counted.
 #[test]
 fn idle_connections_are_reaped() {
-    let service = service(FrontendMode::EventLoop);
+    let service = service();
     let frontend = EventLoopFrontend::new(
         &service,
         NetConfig {
@@ -411,28 +396,26 @@ fn idle_connections_are_reaped() {
     listener.shutdown();
 }
 
-/// Both frontends: after a server-side close the client library surfaces a
-/// typed `ApiError`, never a panic.
+/// After a server-side close the client library surfaces a typed
+/// `ApiError`, never a panic.
 #[test]
 fn client_errors_are_typed_after_server_close() {
-    for mode in MODES {
-        let service = service(mode);
-        let listener = listen(&service, "127.0.0.1:0").unwrap();
-        let mut client = DProvClient::connect_tcp(listener.local_addr(), "typed").unwrap();
-        client.register("alice").unwrap();
-        // Tear the service down under the live connection.
-        drop(service);
-        listener.shutdown();
-        // The transport is gone; every call fails with a typed error.
-        let err = client.query(&age_query(20, 30)).unwrap_err();
-        assert!(
-            matches!(
-                err.code,
-                codes::CONNECTION_CLOSED | codes::TRANSPORT_IO | codes::SHUTTING_DOWN
-            ),
-            "[{mode:?}] unexpected error code {} ({})",
+    let service = service();
+    let listener = listen(&service, "127.0.0.1:0").unwrap();
+    let mut client = DProvClient::connect_tcp(listener.local_addr(), "typed").unwrap();
+    client.register("alice").unwrap();
+    // Tear the service down under the live connection.
+    drop(service);
+    listener.shutdown();
+    // The transport is gone; every call fails with a typed error.
+    let err = client.query(&age_query(20, 30)).unwrap_err();
+    assert!(
+        matches!(
             err.code,
-            err.message
-        );
-    }
+            codes::CONNECTION_CLOSED | codes::TRANSPORT_IO | codes::SHUTTING_DOWN
+        ),
+        "unexpected error code {} ({})",
+        err.code,
+        err.message
+    );
 }

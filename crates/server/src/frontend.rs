@@ -1,9 +1,12 @@
-//! The protocol frontend: serves the versioned analyst protocol
-//! (`dprov-api`) over the worker pool.
+//! The in-process protocol frontend: serves the versioned analyst
+//! protocol (`dprov-api`) over the worker pool without a socket. TCP is
+//! served by the `dprov-net` event loop; this transport is what embedders
+//! and tests connect through, and the transport-independent reference the
+//! event loop's differential suite compares against.
 //!
-//! A [`Frontend`] accepts [`Connection`]s — in-process channel pairs via
-//! [`Frontend::connect`] or TCP sockets via [`Frontend::listen`] — and
-//! runs each through three threads:
+//! A [`Frontend`] hands out [`Connection`]s — in-process channel pairs via
+//! [`Frontend::connect`], or any established transport via
+//! [`Frontend::serve`] — and runs each through three threads:
 //!
 //! * a **reader** decoding request frames, enforcing the connection state
 //!   machine (`Hello` → `RegisterSession` → everything else) and
@@ -29,12 +32,9 @@
 //! get retryable `SHUTTING_DOWN` errors instead of hangs, and the
 //! service's worker threads are never kept alive by idle connections.
 
-use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex, Weak};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{mpsc, Arc, Weak};
 use std::thread::JoinHandle;
-use std::time::Duration;
 
 use dprov_api::protocol::Response;
 use dprov_api::{codes, ApiError, Connection};
@@ -121,63 +121,6 @@ impl Frontend {
             .name("dprov-frontend-conn".to_owned())
             .spawn(move || frontend.serve_connection(conn))
             .expect("failed to spawn frontend connection thread")
-    }
-
-    /// Binds a TCP listener and serves every accepted connection — one
-    /// socket per analyst session. Returns a handle carrying the bound
-    /// address (bind port 0 to let the OS pick) and the shutdown control.
-    pub fn listen(self: &Arc<Self>, addr: impl ToSocketAddrs) -> std::io::Result<FrontendListener> {
-        let listener = TcpListener::bind(addr)?;
-        let local_addr = listener.local_addr()?;
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let fatal: Arc<Mutex<Option<io::Error>>> = Arc::new(Mutex::new(None));
-        let flag = Arc::clone(&shutdown);
-        let fatal_slot = Arc::clone(&fatal);
-        let frontend = Arc::clone(self);
-        let accept_thread = std::thread::Builder::new()
-            .name("dprov-frontend-accept".to_owned())
-            .spawn(move || {
-                let mut backoff = ACCEPT_BACKOFF_FLOOR;
-                for stream in listener.incoming() {
-                    if flag.load(Ordering::SeqCst) {
-                        break;
-                    }
-                    match stream {
-                        Ok(stream) => {
-                            backoff = ACCEPT_BACKOFF_FLOOR;
-                            if let Ok(conn) = Connection::from_tcp(stream) {
-                                frontend.serve(conn);
-                            }
-                        }
-                        // Transient failures (descriptor exhaustion, an
-                        // aborted handshake) clear on their own; backing
-                        // off exponentially keeps the thread from
-                        // busy-spinning at 100% CPU while they last, and
-                        // the counter makes a persistent EMFILE plateau
-                        // visible on a dashboard.
-                        Err(e) if accept_error_is_transient(&e) => {
-                            frontend.metrics.incr(CounterId::AcceptTransientErrors);
-                            std::thread::sleep(backoff);
-                            backoff = (backoff * 2).min(ACCEPT_BACKOFF_CEIL);
-                        }
-                        // Anything else means the listener itself is gone
-                        // (bad descriptor, socket torn down). Retrying
-                        // cannot help; park the error where operators can
-                        // read it and stop accepting.
-                        Err(e) => {
-                            frontend.metrics.incr(CounterId::AcceptFatalErrors);
-                            *fatal_slot.lock().expect("fatal slot poisoned") = Some(e);
-                            break;
-                        }
-                    }
-                }
-            })?;
-        Ok(FrontendListener {
-            local_addr,
-            shutdown,
-            accept_thread: Some(accept_thread),
-            fatal,
-        })
     }
 
     /// The full lifecycle of one connection (runs on the reader thread).
@@ -282,80 +225,6 @@ impl Frontend {
         drop(out_tx);
         let _ = forwarder.join();
         let _ = writer.join();
-    }
-}
-
-/// Accept-loop backoff bounds for transient failures.
-const ACCEPT_BACKOFF_FLOOR: Duration = Duration::from_millis(1);
-const ACCEPT_BACKOFF_CEIL: Duration = Duration::from_millis(100);
-
-/// Classifies an `accept(2)` failure: transient errors (descriptor
-/// exhaustion, an aborted in-flight handshake, interrupted syscalls,
-/// transient kernel memory pressure) clear on their own and merit a
-/// backed-off retry; anything else means the listening socket itself is
-/// broken and retrying can only spin. Shared by both frontends so they
-/// cannot drift in what they survive.
-#[must_use]
-pub fn accept_error_is_transient(e: &io::Error) -> bool {
-    // Raw codes (Linux values) because `io::ErrorKind` has no stable
-    // mapping for several of these: EINTR(4), EAGAIN(11), ENOMEM(12),
-    // ENFILE(23), EMFILE(24), EPROTO(71), ECONNABORTED(103), ENOBUFS(105).
-    matches!(
-        e.raw_os_error(),
-        Some(4 | 11 | 12 | 23 | 24 | 71 | 103 | 105)
-    ) || matches!(
-        e.kind(),
-        io::ErrorKind::WouldBlock | io::ErrorKind::Interrupted | io::ErrorKind::ConnectionAborted
-    )
-}
-
-/// Handle to a TCP-serving frontend (see [`Frontend::listen`]).
-pub struct FrontendListener {
-    local_addr: SocketAddr,
-    shutdown: Arc<AtomicBool>,
-    accept_thread: Option<JoinHandle<()>>,
-    fatal: Arc<Mutex<Option<io::Error>>>,
-}
-
-impl FrontendListener {
-    /// The bound address (useful after binding port 0).
-    #[must_use]
-    pub fn local_addr(&self) -> SocketAddr {
-        self.local_addr
-    }
-
-    /// Takes the fatal accept-loop error, if one stopped the listener.
-    /// Transient failures (EMFILE and friends) are retried with backoff
-    /// and surface only as the `frontend.accept_transient_errors`
-    /// counter; a fatal error ends the accept loop and is parked here.
-    #[must_use]
-    pub fn take_fatal_error(&self) -> Option<io::Error> {
-        self.fatal.lock().expect("fatal slot poisoned").take()
-    }
-
-    /// Stops accepting new connections and joins the accept thread.
-    /// Connections already established keep running until their clients
-    /// disconnect (or until the service itself goes away, at which point
-    /// they receive retryable `SHUTTING_DOWN` errors).
-    pub fn shutdown(mut self) {
-        self.shutdown_inner();
-    }
-
-    fn shutdown_inner(&mut self) {
-        let Some(handle) = self.accept_thread.take() else {
-            return;
-        };
-        self.shutdown.store(true, Ordering::SeqCst);
-        // Wake the accept loop with a throwaway connection so it observes
-        // the flag; failure means the listener is already dead.
-        let _ = TcpStream::connect(self.local_addr);
-        let _ = handle.join();
-    }
-}
-
-impl Drop for FrontendListener {
-    fn drop(&mut self) {
-        self.shutdown_inner();
     }
 }
 
@@ -641,20 +510,5 @@ mod tests {
         // Analyst answers now carry the new epoch.
         let outcome = analyst.query(&request(25, 45, 700.0)).unwrap();
         assert_eq!(outcome.answered().unwrap().epoch, 1);
-    }
-
-    #[test]
-    fn tcp_listener_serves_and_shuts_down() {
-        let service = service();
-        let frontend = Frontend::new(&service);
-        let listener = frontend.listen("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr();
-        let mut client = DProvClient::connect_tcp(addr, "tcp-client").unwrap();
-        client.register("bob").unwrap();
-        assert!(client.query(&request(30, 50, 800.0)).unwrap().is_answered());
-        client.close().unwrap();
-        listener.shutdown();
-        // New connections are refused or reset once the listener is gone.
-        assert!(DProvClient::connect_tcp(addr, "late").is_err());
     }
 }

@@ -22,12 +22,13 @@
 //!   regroups cross-session work so same-view jobs run back-to-back on hot
 //!   admission/synopsis state, and each [`service::Reply`] travels back
 //!   through the job's [`service::Completion`];
-//! * [`frontend`] — the **protocol frontend** ([`frontend::Frontend`]):
-//!   serves the versioned `dprov-api` analyst protocol over the worker
-//!   pool — session registration authenticated against the analyst
-//!   roster, per-connection reader/forwarder/writer threads, in-process
-//!   and TCP transports. This is the analyst-facing surface; same-process
-//!   embedders call [`service::QueryService::submit`] directly.
+//! * [`frontend`] — the **in-process protocol frontend**
+//!   ([`frontend::Frontend`]): serves the versioned `dprov-api` analyst
+//!   protocol over the worker pool — session registration authenticated
+//!   against the analyst roster, per-connection reader/forwarder/writer
+//!   threads — through a channel-pair transport (TCP is `dprov-net`'s
+//!   event loop, which shares [`proto`]). Same-process embedders can also
+//!   call [`service::QueryService::submit`] directly.
 //!
 //! **Budget safety under concurrency** is enforced one layer down, in
 //! `dprov-core`'s admission control: constraint checks and charges commit
@@ -75,7 +76,7 @@ pub mod queue;
 pub mod service;
 pub mod session;
 
-pub use frontend::{Frontend, FrontendListener};
+pub use frontend::Frontend;
 pub use queue::{SpaceListener, TryPushError};
 pub use service::{
     Completion, DurabilityConfig, DurabilityConfigBuilder, FrontendMode, Pending, QueryService,

@@ -1,8 +1,8 @@
 //! The transport-independent protocol state machine shared by every
 //! frontend.
 //!
-//! Both the thread-per-connection [`crate::frontend::Frontend`] and the
-//! event-loop frontend (the `dprov-net` crate) feed raw request payloads
+//! Both the in-process [`crate::frontend::Frontend`] and the event-loop
+//! TCP frontend (the `dprov-net` crate) feed raw request payloads
 //! through [`ConnProto::handle_payload`] and obey the returned
 //! [`PayloadOutcome`]; eventual query answers are framed by
 //! [`encode_reply`] under the same `(request id, mux scope)` the

@@ -84,30 +84,16 @@ pub struct ServiceConfig {
     /// knob never perturbs determinism — `tests/determinism.rs` pins a
     /// full service run at 1 vs 8 threads to the same bytes.
     pub scan_threads: usize,
-    /// Which connection-handling architecture the TCP frontend uses
-    /// (defaults to [`FrontendMode::ThreadPerConnection`]). Analyst-visible
-    /// behaviour — answers, noise streams, budget charges — is
-    /// bit-identical under both modes; the knob trades per-connection
-    /// threads for a fixed event-loop pool that scales to tens of
-    /// thousands of idle connections.
-    pub frontend_mode: FrontendMode,
 }
 
-/// Which connection-handling architecture the TCP frontend uses (see
-/// [`ServiceConfig::frontend_mode`]). The two modes serve the same
-/// versioned protocol and produce bit-identical analyst-visible results;
-/// they differ only in how many OS threads a connection costs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+// `dprovbench/src/surface.rs` calls
+// `.frontend_mode(FrontendMode::EventLoop)` and may not be edited outside
+// a `benchmark` PR, so this one-variant enum and the builder method that
+// ignores it stay until that call is dropped (see ROADMAP 2(b)). Nothing
+// in the workspace reads either.
+#[doc(hidden)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FrontendMode {
-    /// One reader thread (plus a writer) per accepted connection — the
-    /// original [`crate::frontend::Frontend`]. Simple, and fine up to a
-    /// few hundred concurrent analysts.
-    #[default]
-    ThreadPerConnection,
-    /// A fixed pool of readiness-driven event-loop threads multiplexing
-    /// every connection (the `dprov-net` crate). Thread count is
-    /// independent of connection count, so tens of thousands of mostly
-    /// idle connections cost no extra threads.
     EventLoop,
 }
 
@@ -121,7 +107,6 @@ impl Default for ServiceConfig {
             max_linger: Duration::ZERO,
             updaters: Vec::new(),
             scan_threads: 1,
-            frontend_mode: FrontendMode::ThreadPerConnection,
         }
     }
 }
@@ -200,10 +185,10 @@ impl ServiceConfigBuilder {
         self
     }
 
-    /// Selects the TCP frontend's connection-handling architecture.
+    // Stores nothing: see the note on [`FrontendMode`].
+    #[doc(hidden)]
     #[must_use]
-    pub fn frontend_mode(mut self, mode: FrontendMode) -> Self {
-        self.config.frontend_mode = mode;
+    pub fn frontend_mode(self, _mode: FrontendMode) -> Self {
         self
     }
 
@@ -684,9 +669,6 @@ pub struct QueryService {
     /// Trace-id sequence for in-process submissions (protocol submissions
     /// carry their own pipelining id).
     trace_seq: AtomicU64,
-    /// The configured frontend architecture ([`ServiceConfig::frontend_mode`]);
-    /// `listen` dispatches on it.
-    frontend_mode: FrontendMode,
     /// The configured session TTL, exposed so the event-loop frontend can
     /// derive its idle-connection reaping horizon from the same knob.
     session_ttl: Duration,
@@ -891,7 +873,6 @@ impl QueryService {
             queue_depth_hwm: AtomicUsize::new(0),
             batch_sizes,
             trace_seq: AtomicU64::new(1),
-            frontend_mode: config.frontend_mode,
             session_ttl: config.session_ttl,
         }
     }
@@ -1259,8 +1240,8 @@ impl QueryService {
 
     /// Submits one unit of work on a session and returns a handle that
     /// resolves once a worker has executed it — the blocking family's one
-    /// entry point: the thread-per-connection [`crate::frontend::Frontend`]
-    /// feeds it, and a single embedder thread can queue many submissions
+    /// entry point: the in-process [`crate::frontend::Frontend`] feeds it,
+    /// and a single embedder thread can queue many submissions
     /// back-to-back and resolve them later with [`Pending::wait`], which
     /// is what lets the workers' per-view micro-batches fill up when the
     /// service is driven in-process. Blocks only if the runnable queue is
@@ -1434,12 +1415,6 @@ impl QueryService {
         self.queue.add_space_listener(listener);
     }
 
-    /// The configured frontend architecture.
-    #[must_use]
-    pub fn frontend_mode(&self) -> FrontendMode {
-        self.frontend_mode
-    }
-
     /// The configured session time-to-live ([`ServiceConfig::session_ttl`]).
     #[must_use]
     pub fn session_ttl(&self) -> Duration {
@@ -1588,7 +1563,7 @@ impl QueryService {
         }
         snap.gauges
             .push(("queue.depth".to_owned(), stats.queued as f64));
-        let pulled: [(&str, u64); 14] = [
+        let pulled: [(&str, u64); 15] = [
             ("service.submitted", stats.submitted as u64),
             ("service.completed", stats.completed as u64),
             ("service.batches", stats.batches as u64),
@@ -1603,6 +1578,7 @@ impl QueryService {
             ("exec.shards_visited", exec.shards_visited),
             ("exec.shards_pruned", exec.shards_pruned),
             ("exec.segments_appended", exec.segments_appended),
+            ("exec.remote_fallbacks", exec.remote_fallbacks),
         ];
         snap.counters
             .extend(pulled.iter().map(|&(name, v)| (name.to_owned(), v)));

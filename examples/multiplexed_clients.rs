@@ -31,7 +31,7 @@ use dprovdb::engine::catalog::ViewCatalog;
 use dprovdb::engine::datagen::adult::adult_database;
 use dprovdb::engine::query::Query;
 use dprovdb::net::listen;
-use dprovdb::server::{FrontendMode, QueryService, ServiceConfig};
+use dprovdb::server::{QueryService, ServiceConfig};
 
 fn build_service() -> Arc<QueryService> {
     let db = adult_database(2_000, 1);
@@ -52,11 +52,7 @@ fn build_service() -> Arc<QueryService> {
     );
     Arc::new(QueryService::start(
         system,
-        ServiceConfig::builder()
-            .workers(2)
-            .frontend_mode(FrontendMode::EventLoop)
-            .build()
-            .unwrap(),
+        ServiceConfig::builder().workers(2).build().unwrap(),
     ))
 }
 
@@ -84,10 +80,7 @@ fn main() {
     let addr = listener.local_addr();
     println!(
         "event-loop frontend on {addr} ({} loop threads)\n",
-        match &listener {
-            dprovdb::net::ServiceListener::EventLoop(l) => l.loop_threads(),
-            _ => unreachable!("service was built with FrontendMode::EventLoop"),
-        }
+        listener.loop_threads()
     );
 
     // Act 1: one shared socket, two independent sessions on mux channels.

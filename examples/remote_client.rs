@@ -32,6 +32,7 @@ use dprovdb::core::system::DProvDb;
 use dprovdb::engine::catalog::ViewCatalog;
 use dprovdb::engine::datagen::adult::adult_database;
 use dprovdb::engine::query::Query;
+use dprovdb::net::listen;
 use dprovdb::server::{DurabilityConfig, Frontend, QueryService, ServiceConfig};
 
 const ANALYSTS: usize = 3;
@@ -122,8 +123,7 @@ fn main() {
         Arc::new(build_system()),
         ServiceConfig::builder().workers(4).build().unwrap(),
     ));
-    let frontend_tcp = Frontend::new(&service_tcp);
-    let listener = frontend_tcp.listen("127.0.0.1:0").unwrap();
+    let listener = listen(&service_tcp, "127.0.0.1:0").unwrap();
     let addr = listener.local_addr();
     println!("  TCP frontend listening on {addr}");
     let tcp_clients: Vec<DProvClient> = (0..ANALYSTS)
@@ -162,8 +162,7 @@ fn main() {
         )
         .unwrap();
         let service = Arc::new(service);
-        let frontend = Frontend::new(&service);
-        let listener = frontend.listen("127.0.0.1:0").unwrap();
+        let listener = listen(&service, "127.0.0.1:0").unwrap();
         let mut client = DProvClient::connect_tcp(listener.local_addr(), "durable").unwrap();
         let descriptor = client.register("analyst-1").unwrap();
         for i in 0..5 {
@@ -188,7 +187,6 @@ fn main() {
         println!("\nact 3: service restart + client reconnect\n");
         drop(client);
         listener.shutdown();
-        drop(frontend);
         // Checkpoint so the snapshot carries the synopsis cache, then drop
         // WITHOUT shutdown(): towards the client this is a crash.
         service.checkpoint().unwrap();
@@ -207,8 +205,7 @@ fn main() {
         "  recovered: snapshot={}, replayed commits={}, restored sessions={}",
         report.snapshot_restored, report.replayed_commits, report.restored_sessions
     );
-    let frontend = Frontend::new(&service);
-    let listener = frontend.listen("127.0.0.1:0").unwrap();
+    let listener = listen(&service, "127.0.0.1:0").unwrap();
     let mut client = DProvClient::connect_tcp(listener.local_addr(), "durable-back").unwrap();
     let descriptor = client.resume("analyst-1", session_id).unwrap();
     assert!(descriptor.resumed);

@@ -26,19 +26,19 @@
 //!   `DProvClient`.
 //! * [`server`] — the concurrent multi-analyst query service: analyst
 //!   sessions, a bounded job queue, a worker pool over the shared,
-//!   thread-safe `DProvDb`, and the protocol `Frontend` serving `api`.
+//!   thread-safe `DProvDb`, and the in-process `Frontend` serving `api`.
 //! * [`storage`] — the durable provenance ledger: checksummed write-ahead
 //!   log, versioned snapshots, crash-safe recovery and the crash-injection
 //!   test harness.
 //! * [`obs`] — observability: lock-free counters/gauges/histograms, the
 //!   per-request trace journal with chrome-trace export, and the typed
 //!   `MetricsSnapshot` served over the wire protocol.
-//! * [`net`] — the C10k event-loop frontend: a fixed pool of readiness-
-//!   driven loop threads (over the hand-rolled epoll shim) serving
-//!   thousands of multiplexed, non-blocking connections with incremental
-//!   frame decode, queue-coupled backpressure and idle-connection
-//!   reaping — selectable against the thread-per-connection `Frontend`
-//!   and proven bit-identical to it.
+//! * [`net`] — the TCP frontend, a C10k event loop: a fixed pool of
+//!   readiness-driven loop threads (over the hand-rolled epoll shim)
+//!   serving thousands of multiplexed, non-blocking connections with
+//!   incremental frame decode, queue-coupled backpressure and
+//!   idle-connection reaping — proven bit-identical to the in-process
+//!   `Frontend` transport.
 //! * [`plan`] — the workload-aware view/synopsis planner: declared
 //!   workload templates with weights, a cost model over scan cost,
 //!   budget price and granularity, and a greedy set-cover view chooser
@@ -79,13 +79,13 @@ pub mod prelude {
     pub use dprov_core::mechanism::MechanismKind;
     pub use dprov_core::processor::{QueryOutcome, QueryProcessor, QueryRequest};
     pub use dprov_core::system::{DProvDb, EpochReport};
-    pub use dprov_delta::{EpochPolicy, MaintenanceMode, UpdateBatch};
+    pub use dprov_delta::{EpochPolicy, UpdateBatch};
     pub use dprov_dp::budget::{Budget, Delta, Epsilon};
     pub use dprov_engine::database::Database;
     pub use dprov_engine::query::{AggregateKind, Query};
     pub use dprov_exec::{ColumnarExecutor, ExecConfig};
     pub use dprov_net::{NetConfig, ServiceListener};
     pub use dprov_obs::{MetricsRegistry, MetricsSnapshot};
-    pub use dprov_server::{Frontend, FrontendMode, QueryService, ServiceConfig, SessionId};
+    pub use dprov_server::{Frontend, QueryService, ServiceConfig, SessionId};
     pub use dprov_workloads::runner::ExperimentRunner;
 }

@@ -16,6 +16,7 @@ use dprovdb::core::system::DProvDb;
 use dprovdb::engine::catalog::ViewCatalog;
 use dprovdb::engine::datagen::adult::adult_database;
 use dprovdb::engine::query::Query;
+use dprovdb::net::listen;
 use dprovdb::server::{DurabilityConfig, Frontend, QueryService, ServiceConfig};
 
 const ANALYSTS: usize = 3;
@@ -105,8 +106,7 @@ fn tcp_loopback_answers_are_bit_identical_to_in_process() {
         Arc::new(build_system(23)),
         ServiceConfig::builder().workers(4).build().unwrap(),
     ));
-    let frontend = Frontend::new(&service);
-    let listener = frontend.listen("127.0.0.1:0").unwrap();
+    let listener = listen(&service, "127.0.0.1:0").unwrap();
     let addr = listener.local_addr();
     let mut clients = Vec::new();
     for a in 0..ANALYSTS {
@@ -142,8 +142,7 @@ fn client_reconnects_across_a_durable_restart_with_budgets_intact() {
         )
         .unwrap();
         let service = Arc::new(service);
-        let frontend = Frontend::new(&service);
-        let listener = frontend.listen("127.0.0.1:0").unwrap();
+        let listener = listen(&service, "127.0.0.1:0").unwrap();
         let mut client = DProvClient::connect_tcp(listener.local_addr(), "c1").unwrap();
         let descriptor = client.register("analyst-1").unwrap();
         let answers: Vec<f64> = (0..4)
@@ -164,7 +163,6 @@ fn client_reconnects_across_a_durable_restart_with_budgets_intact() {
         assert!(budget.budget_consumed > 0.0);
         drop(client);
         listener.shutdown();
-        drop(frontend);
         // Checkpoint so the snapshot carries the synopsis cache — budget
         // state is WAL-exact without it, but the bit-exact noise-stream
         // continuation asserted below needs the cached synopses too (same
@@ -184,8 +182,7 @@ fn client_reconnects_across_a_durable_restart_with_budgets_intact() {
     .unwrap();
     assert_eq!(report.restored_sessions, 1);
     let service = Arc::new(service);
-    let frontend = Frontend::new(&service);
-    let listener = frontend.listen("127.0.0.1:0").unwrap();
+    let listener = listen(&service, "127.0.0.1:0").unwrap();
     let mut client = DProvClient::connect_tcp(listener.local_addr(), "c1-back").unwrap();
 
     // The wrong analyst cannot take the session over TCP either.
@@ -218,7 +215,6 @@ fn client_reconnects_across_a_durable_restart_with_budgets_intact() {
     listener.shutdown();
     drop(client);
     drop(thief);
-    drop(frontend);
     drop(service);
 
     // Twin run without the crash.
@@ -274,8 +270,7 @@ fn pipelined_queries_and_control_traffic_share_one_tcp_connection() {
         Arc::new(build_system(9)),
         ServiceConfig::builder().workers(2).build().unwrap(),
     ));
-    let frontend = Frontend::new(&service);
-    let listener = frontend.listen("127.0.0.1:0").unwrap();
+    let listener = listen(&service, "127.0.0.1:0").unwrap();
     let mut client = DProvClient::connect_tcp(listener.local_addr(), "pipeline").unwrap();
     client.register("analyst-2").unwrap();
 

@@ -1,21 +1,17 @@
 //! End-to-end epoch equivalence (the dynamic-data acceptance suite): a
 //! workload of interleaved update batches, epoch seals and multi-analyst
 //! queries must produce **bit-identical** answers, noise streams and
-//! budget charges
-//!
-//! * whether synopses are incrementally patched or fully rebuilt at each
-//!   epoch ([`MaintenanceMode::Incremental`] vs
-//!   [`MaintenanceMode::FullRebuild`]), and
-//! * whether or not the service crashes and recovers mid-workload —
-//!   including a crash landing *between* update WAL frames and their
-//!   epoch seal, which must recover to the exact pre-crash sealed state
-//!   with the unsealed updates pending.
+//! budget charges whether or not the service crashes and recovers
+//! mid-workload — including a crash landing *between* update WAL frames
+//! and their epoch seal, which must recover to the exact pre-crash sealed
+//! state with the unsealed updates pending. (Incremental patching ==
+//! full rebuild is pinned one layer down: `dprov-delta`'s `incremental`
+//! proptests and `dprov-core`'s per-seal histogram check.)
 
 use dprov_core::analyst::{AnalystId, AnalystRegistry};
 use dprov_core::config::SystemConfig;
 use dprov_core::mechanism::MechanismKind;
 use dprov_core::system::DProvDb;
-use dprov_delta::MaintenanceMode;
 use dprov_engine::catalog::ViewCatalog;
 use dprov_engine::datagen::adult::adult_database;
 use dprov_engine::query::Query;
@@ -25,16 +21,13 @@ use dprov_workloads::skew::{generate_stream, StreamEvent, StreamingConfig};
 const SEED: u64 = 33;
 const ANALYSTS: usize = 2;
 
-fn build_system(mechanism: MechanismKind, mode: MaintenanceMode) -> DProvDb {
+fn build_system(mechanism: MechanismKind) -> DProvDb {
     let db = adult_database(600, 1);
     let catalog = ViewCatalog::one_per_attribute(&db, "adult").unwrap();
     let mut registry = AnalystRegistry::new();
     registry.register("external", 2).unwrap();
     registry.register("internal", 4).unwrap();
-    let config = SystemConfig::new(10.0)
-        .unwrap()
-        .with_seed(SEED)
-        .with_maintenance(mode);
+    let config = SystemConfig::new(10.0).unwrap().with_seed(SEED);
     DProvDb::new(db, catalog, registry, config, mechanism).unwrap()
 }
 
@@ -162,10 +155,10 @@ fn open_sessions(service: &QueryService) -> Vec<SessionId> {
 }
 
 /// One uninterrupted volatile run.
-fn uninterrupted(mechanism: MechanismKind, mode: MaintenanceMode) -> RunTrace {
+fn uninterrupted(mechanism: MechanismKind) -> RunTrace {
     let events = stream();
     let service = QueryService::start(
-        std::sync::Arc::new(build_system(mechanism, mode)),
+        std::sync::Arc::new(build_system(mechanism)),
         service_config(),
     );
     let driver = Driver {
@@ -178,12 +171,12 @@ fn uninterrupted(mechanism: MechanismKind, mode: MaintenanceMode) -> RunTrace {
 }
 
 /// The same workload with a hard drop + recovery at `crash_at` events.
-fn interrupted(mechanism: MechanismKind, mode: MaintenanceMode, crash_at: usize) -> RunTrace {
+fn interrupted(mechanism: MechanismKind, crash_at: usize) -> RunTrace {
     let events = stream();
-    let dir = dprov_storage::scratch_dir(&format!("epoch-eq-{mechanism}-{mode:?}-{crash_at}"));
+    let dir = dprov_storage::scratch_dir(&format!("epoch-eq-{mechanism}-{crash_at}"));
     let (mut answers, mut seals, sessions) = {
         let (service, _) = QueryService::start_durable(
-            build_system(mechanism, mode),
+            build_system(mechanism),
             service_config(),
             durability(&dir),
         )
@@ -203,7 +196,7 @@ fn interrupted(mechanism: MechanismKind, mode: MaintenanceMode, crash_at: usize)
     };
     let trace = {
         let (service, report) = QueryService::start_durable(
-            build_system(mechanism, mode),
+            build_system(mechanism),
             service_config(),
             durability(&dir),
         )
@@ -243,37 +236,24 @@ fn run_matrix(mechanism: MechanismKind) {
         "the stream must seal several epochs"
     );
 
-    let incremental = uninterrupted(mechanism, MaintenanceMode::Incremental);
-    assert!(incremental.final_epoch >= 2);
-    assert!(incremental.answers.iter().any(|a| a.0), "answers expected");
+    let reference = uninterrupted(mechanism);
+    assert!(reference.final_epoch >= 2);
+    assert!(reference.answers.iter().any(|a| a.0), "answers expected");
 
-    // Incremental == full rebuild, bit for bit.
-    let rebuilt = uninterrupted(mechanism, MaintenanceMode::FullRebuild);
+    // A mid-workload crash + recovery is invisible, including when the
+    // crash lands between update frames and their seal.
+    let crashed = interrupted(mechanism, events.len() / 2);
     assert_eq!(
-        incremental, rebuilt,
-        "{mechanism}: incremental maintenance must be bit-identical to full rebuild"
-    );
-
-    // A mid-workload crash + recovery is invisible (incremental mode),
-    // including when the crash lands between update frames and their seal.
-    let mid = events.len() / 2;
-    let crashed = interrupted(mechanism, MaintenanceMode::Incremental, mid);
-    assert_eq!(
-        incremental, crashed,
+        reference, crashed,
         "{mechanism}: a mid-workload restart must be invisible"
     );
     let window = crash_between_update_and_seal(&events);
-    let crashed_in_window = interrupted(mechanism, MaintenanceMode::Incremental, window);
+    let crashed_in_window = interrupted(mechanism, window);
     assert_eq!(
-        incremental, crashed_in_window,
+        reference, crashed_in_window,
         "{mechanism}: a crash between update WAL frames and the epoch seal must recover \
          to the exact pre-crash sealed state and continue bit-identically"
     );
-
-    // And the crashed run under full rebuild agrees too (closing the
-    // square: both axes compose).
-    let crashed_rebuilt = interrupted(mechanism, MaintenanceMode::FullRebuild, mid);
-    assert_eq!(incremental, crashed_rebuilt);
 }
 
 #[test]

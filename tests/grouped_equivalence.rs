@@ -34,6 +34,7 @@ use dprovdb::engine::datagen::adult::adult_database;
 use dprovdb::engine::group::GroupByQuery;
 use dprovdb::engine::schema::Schema;
 use dprovdb::engine::view::ViewDef;
+use dprovdb::net::listen;
 use dprovdb::plan::cost::CostModel;
 use dprovdb::plan::planner::Planner;
 use dprovdb::server::{Frontend, QueryService, ServiceConfig};
@@ -288,8 +289,7 @@ fn grouped_over_the_wire_matches_in_process_service() {
         &adult_system(MechanismKind::AdditiveGaussian, 57),
         1,
     ));
-    let frontend = Frontend::new(&service);
-    let listener = frontend.listen("127.0.0.1:0").unwrap();
+    let listener = listen(&service, "127.0.0.1:0").unwrap();
     let mut client = DProvClient::connect_tcp(listener.local_addr(), "tcp").unwrap();
     client.register("analyst-0").unwrap();
     let tcp = client.group_by(&request).unwrap();
