@@ -37,22 +37,22 @@ fn bench_synopsis_management(c: &mut Criterion) {
         let mut rng = DpRng::seed_from_u64(1);
         b.iter(|| {
             manager
-                .fresh_synopsis("adult.age", black_box(1.0), &mut rng)
+                .fresh_synopsis("adult.age", black_box(1.0), None, &mut rng)
                 .unwrap()
         })
     });
 
-    group.bench_function("ensure_global_growth", |b| {
+    group.bench_function("grow_global_growth", |b| {
         b.iter_batched(
             || {
                 let mut m = SynopsisManager::new(Delta::new(1e-9).unwrap());
                 m.register_view(&db, &view).unwrap();
                 let mut rng = DpRng::seed_from_u64(2);
-                m.ensure_global("adult.age", 0.5, &mut rng).unwrap();
+                m.grow_global("adult.age", 0.5, None, &mut rng).unwrap();
                 (m, rng)
             },
             |(m, mut rng)| {
-                m.ensure_global("adult.age", black_box(0.7), &mut rng)
+                m.grow_global("adult.age", black_box(0.7), None, &mut rng)
                     .unwrap()
             },
             BatchSize::SmallInput,
@@ -63,9 +63,9 @@ fn bench_synopsis_management(c: &mut Criterion) {
         let mut m = SynopsisManager::new(Delta::new(1e-9).unwrap());
         m.register_view(&db, &view).unwrap();
         let mut rng = DpRng::seed_from_u64(3);
-        m.ensure_global("adult.age", 2.0, &mut rng).unwrap();
+        m.grow_global("adult.age", 2.0, None, &mut rng).unwrap();
         b.iter(|| {
-            m.derive_local(0, "adult.age", black_box(0.5), &mut rng)
+            m.derive_local(0, "adult.age", black_box(0.5), None, &mut rng)
                 .unwrap()
         })
     });

@@ -7,7 +7,9 @@ use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
 use dprov_dp::budget::{Delta, Epsilon};
 use dprov_dp::sensitivity::Sensitivity;
-use dprov_dp::translation::{translate_variance_to_epsilon, FrictionAwareTranslation};
+use dprov_dp::translation::{
+    translate_variance_to_epsilon, FrictionAwareTranslation, DEFAULT_EPSILON_PRECISION,
+};
 
 fn bench_vanilla_translation(c: &mut Criterion) {
     let mut group = c.benchmark_group("translation_vanilla");
@@ -32,8 +34,11 @@ fn bench_vanilla_translation(c: &mut Criterion) {
 
 fn bench_friction_translation(c: &mut Criterion) {
     let mut group = c.benchmark_group("translation_friction_aware");
-    let translator =
-        FrictionAwareTranslation::new(Delta::new(1e-9).unwrap(), Sensitivity::histogram_bounded());
+    let translator = FrictionAwareTranslation::new(
+        Delta::new(1e-9).unwrap(),
+        Sensitivity::histogram_bounded(),
+        DEFAULT_EPSILON_PRECISION,
+    );
     let max_eps = Epsilon::new(10.0).unwrap();
     group.bench_function("existing_synopsis", |b| {
         b.iter(|| {

@@ -59,7 +59,7 @@ impl SPrivateSqlBaseline {
         let mut synopses = HashMap::new();
         for view in catalog.views() {
             manager.register_view(&db, view)?;
-            let synopsis = manager.fresh_synopsis(&view.name, per_view_epsilon, &mut rng)?;
+            let synopsis = manager.fresh_synopsis(&view.name, per_view_epsilon, None, &mut rng)?;
             synopses.insert(view.name.clone(), synopsis);
         }
 

@@ -141,8 +141,15 @@ impl SystemConfig {
     }
 
     /// Validates the configuration against a dataset size: the paper caps δ
-    /// at the inverse of the dataset size.
+    /// at the inverse of the dataset size. Also rejects a translation
+    /// precision the ε search cannot run at (the field is public).
     pub fn validate_for_dataset(&self, rows: usize) -> Result<()> {
+        if !(self.translation_precision.is_finite() && self.translation_precision > 0.0) {
+            return Err(CoreError::InvalidConfig(format!(
+                "translation precision must be positive and finite, got {}",
+                self.translation_precision
+            )));
+        }
         if rows > 0 && self.delta.value() > 1.0 / rows as f64 {
             return Err(CoreError::InvalidConfig(format!(
                 "delta {} exceeds 1/|D| = {}",
@@ -187,5 +194,20 @@ mod tests {
         assert!(c.validate_for_dataset(100).is_ok());
         assert!(c.validate_for_dataset(10_000).is_err());
         assert!(c.validate_for_dataset(0).is_ok());
+    }
+
+    #[test]
+    fn unusable_translation_precision_is_rejected() {
+        for precision in [0.0, -1e-4, f64::NAN, f64::INFINITY] {
+            let mut c = SystemConfig::new(1.0).unwrap();
+            c.translation_precision = precision;
+            assert!(
+                matches!(
+                    c.validate_for_dataset(100),
+                    Err(CoreError::InvalidConfig(_))
+                ),
+                "precision {precision} must not validate"
+            );
+        }
     }
 }

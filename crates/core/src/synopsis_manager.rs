@@ -31,14 +31,15 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::RwLock;
 
 use dprov_delta::{patch_histogram, EncodedBatch, EpochPolicy};
-use dprov_dp::budget::Delta;
-use dprov_dp::mechanism::analytic_gaussian::analytic_gaussian_sigma;
+use dprov_dp::budget::{Budget, Delta, Epsilon};
+use dprov_dp::mechanism::analytic_gaussian::AnalyticGaussian;
 use dprov_dp::rng::DpRng;
 use dprov_dp::sensitivity::Sensitivity;
 use dprov_engine::database::Database;
 use dprov_engine::histogram::Histogram;
 use dprov_engine::synopsis::Synopsis;
 use dprov_engine::view::ViewDef;
+use dprov_obs::{CounterId, MetricsRegistry};
 
 use crate::error::{CoreError, Result, StorageError};
 use crate::recorder::{GlobalSynopsisState, LocalSynopsisState, ViewCacheState};
@@ -99,6 +100,9 @@ pub struct SynopsisManager {
     shards: HashMap<String, ViewShard>,
     /// The last sealed update epoch; new releases are stamped with it.
     epoch: AtomicU64,
+    /// Counts the calibrations this manager runs (`dp.calibrations`);
+    /// disabled until the owning system installs its registry.
+    metrics: MetricsRegistry,
 }
 
 impl Clone for SynopsisManager {
@@ -119,6 +123,7 @@ impl Clone for SynopsisManager {
                 })
                 .collect(),
             epoch: AtomicU64::new(self.epoch.load(Ordering::SeqCst)),
+            metrics: self.metrics.clone(),
         }
     }
 }
@@ -131,7 +136,13 @@ impl SynopsisManager {
             delta,
             shards: HashMap::new(),
             epoch: AtomicU64::new(0),
+            metrics: MetricsRegistry::disabled(),
         }
+    }
+
+    /// Installs the registry the manager's calibrations are counted in.
+    pub fn set_metrics(&mut self, metrics: MetricsRegistry) {
+        self.metrics = metrics;
     }
 
     /// The last sealed update epoch new releases are stamped with.
@@ -409,22 +420,61 @@ impl SynopsisManager {
         Ok(())
     }
 
+    /// Calibrates the analytic Gaussian mechanism for `epsilon` on `view`
+    /// under the system δ. Every calibration the serving path runs outside
+    /// a translation goes through here and is counted (`dp.calibrations`).
+    pub fn calibrate(&self, view: &str, epsilon: f64) -> Result<AnalyticGaussian> {
+        self.calibrate_on(self.shard(view)?, epsilon)
+    }
+
+    fn calibrate_on(&self, shard: &ViewShard, epsilon: f64) -> Result<AnalyticGaussian> {
+        self.metrics.incr(CounterId::Calibrations);
+        let budget = Budget::from_parts(Epsilon::new(epsilon)?, self.delta);
+        Ok(AnalyticGaussian::calibrate(
+            budget,
+            shard.def.sensitivity(),
+        )?)
+    }
+
+    /// The mechanism for a release at `epsilon`: `known` itself when the
+    /// caller's request already calibrated exactly this (ε, δ, Δ) — an ε
+    /// travels with its σ — and one calibration otherwise.
+    fn mechanism_for(
+        &self,
+        shard: &ViewShard,
+        epsilon: f64,
+        known: Option<AnalyticGaussian>,
+    ) -> Result<AnalyticGaussian> {
+        match known {
+            Some(m)
+                if m.budget().epsilon.value().to_bits() == epsilon.to_bits()
+                    && m.budget().delta == self.delta
+                    && m.sensitivity() == shard.def.sensitivity().value() =>
+            {
+                Ok(m)
+            }
+            _ => self.calibrate_on(shard, epsilon),
+        }
+    }
+
     /// Generates a *fresh, independent* synopsis of the view at the given
     /// budget — the vanilla mechanism's release, also used for the static
     /// sPrivateSQL synopses. Reads the exact histogram under the shard's
     /// read guard, so it observes a whole number of sealed epochs.
-    pub fn fresh_synopsis(&self, view: &str, epsilon: f64, rng: &mut DpRng) -> Result<Synopsis> {
+    /// `known` is the mechanism the request already calibrated, if any; it
+    /// is used only when it was calibrated for exactly this release.
+    pub fn fresh_synopsis(
+        &self,
+        view: &str,
+        epsilon: f64,
+        known: Option<AnalyticGaussian>,
+        rng: &mut DpRng,
+    ) -> Result<Synopsis> {
         let shard = self.shard(view)?;
-        let sigma =
-            analytic_gaussian_sigma(epsilon, self.delta.value(), shard.def.sensitivity().value())?;
+        let mechanism = self.mechanism_for(shard, epsilon, known)?;
         let state = shard.state.read().expect("shard poisoned");
-        let counts: Vec<f64> = state
-            .exact
-            .counts
-            .iter()
-            .map(|&c| c + rng.gaussian(sigma))
-            .collect();
-        Ok(Synopsis::new(view, counts, sigma * sigma))
+        let counts = mechanism.release_vector(&state.exact.counts, rng);
+        Ok(Synopsis::new(view, counts, mechanism.variance()))
     }
 
     /// Stores a per-(analyst, view) synopsis (vanilla cache or additive
@@ -438,16 +488,6 @@ impl SynopsisManager {
                 .locals
                 .insert(analyst, synopsis);
         }
-    }
-
-    /// Ensures the global synopsis of `view` has nominal budget at least
-    /// `target_epsilon`. Returns the epsilon actually added (`Δε`, zero if
-    /// the existing synopsis was already sufficient). Thin wrapper around
-    /// [`Self::grow_global`] for callers that only need the spend.
-    pub fn ensure_global(&self, view: &str, target_epsilon: f64, rng: &mut DpRng) -> Result<f64> {
-        Ok(self
-            .grow_global(view, target_epsilon, rng)?
-            .map_or(0.0, |g| g.spent_epsilon))
     }
 
     /// Grows the global synopsis of `view` to nominal budget at least
@@ -464,49 +504,41 @@ impl SynopsisManager {
     ///
     /// Growth is atomic under the shard's write lock, so concurrent callers
     /// can never interleave a partial grow (monotone epsilon is preserved).
+    /// `known` is the mechanism the request already calibrated, if any:
+    /// it serves the release whose epsilon it matches (the whole target
+    /// when no synopsis exists yet).
     pub fn grow_global(
         &self,
         view: &str,
         target_epsilon: f64,
+        known: Option<AnalyticGaussian>,
         rng: &mut DpRng,
     ) -> Result<Option<GlobalGrowth>> {
-        let delta = self.delta.value();
         let shard = self.shard(view)?;
-        let sens = shard.def.sensitivity().value();
         let release_epoch = self.current_epoch();
         let mut guard = shard.state.write().expect("shard poisoned");
         let state = &mut *guard;
 
         match &mut state.global {
             None => {
-                let sigma = analytic_gaussian_sigma(target_epsilon, delta, sens)?;
-                let counts: Vec<f64> = state
-                    .exact
-                    .counts
-                    .iter()
-                    .map(|&c| c + rng.gaussian(sigma))
-                    .collect();
+                let mechanism = self.mechanism_for(shard, target_epsilon, known)?;
+                let counts = mechanism.release_vector(&state.exact.counts, rng);
                 state.global = Some(BudgetedSynopsis {
-                    synopsis: Synopsis::new(view, counts, sigma * sigma),
+                    synopsis: Synopsis::new(view, counts, mechanism.variance()),
                     epsilon: target_epsilon,
                     epoch: release_epoch,
                 });
                 Ok(Some(GlobalGrowth {
                     spent_epsilon: target_epsilon,
-                    release_sigma: sigma,
+                    release_sigma: mechanism.sigma(),
                 }))
             }
             Some(global) if global.epsilon + 1e-12 >= target_epsilon => Ok(None),
             Some(global) => {
                 let delta_eps = target_epsilon - global.epsilon;
-                let sigma_delta = analytic_gaussian_sigma(delta_eps, delta, sens)?;
-                let fresh_counts: Vec<f64> = state
-                    .exact
-                    .counts
-                    .iter()
-                    .map(|&c| c + rng.gaussian(sigma_delta))
-                    .collect();
-                let fresh = Synopsis::new(view, fresh_counts, sigma_delta * sigma_delta);
+                let mechanism = self.mechanism_for(shard, delta_eps, known)?;
+                let fresh_counts = mechanism.release_vector(&state.exact.counts, rng);
+                let fresh = Synopsis::new(view, fresh_counts, mechanism.variance());
                 // Eq. (2): weight on the fresh synopsis minimising the
                 // combined variance.
                 let w = global
@@ -523,7 +555,7 @@ impl SynopsisManager {
                 global.epoch = global.epoch.min(release_epoch);
                 Ok(Some(GlobalGrowth {
                     spent_epsilon: delta_eps,
-                    release_sigma: sigma_delta,
+                    release_sigma: mechanism.sigma(),
                 }))
             }
         }
@@ -557,7 +589,7 @@ impl SynopsisManager {
         let global_variance = self
             .global_variance(view)?
             .ok_or_else(|| CoreError::InvalidConfig(format!("no global synopsis for {view}")))?;
-        let fresh = self.derive_local(analyst, view, local_epsilon, rng)?;
+        let fresh = self.derive_local(analyst, view, local_epsilon, None, rng)?;
         let Some(existing) = existing else {
             return Ok(fresh);
         };
@@ -598,17 +630,17 @@ impl SynopsisManager {
     /// synopsis's total per-bin variance is `max(σ(ε_loc)², v_global)`.
     ///
     /// The global synopsis must already exist with a nominal budget at least
-    /// `local_epsilon` (callers go through [`Self::ensure_global`] first).
+    /// `local_epsilon` (callers go through [`Self::grow_global`] first).
+    /// `known` is the mechanism the request already calibrated, if any.
     pub fn derive_local(
         &self,
         analyst: usize,
         view: &str,
         local_epsilon: f64,
+        known: Option<AnalyticGaussian>,
         rng: &mut DpRng,
     ) -> Result<BudgetedSynopsis> {
-        let delta = self.delta.value();
         let shard = self.shard(view)?;
-        let sens = shard.def.sensitivity().value();
         let (global_counts, global_variance, global_epoch) = {
             let state = shard.state.read().expect("shard poisoned");
             let global = state.global.as_ref().ok_or_else(|| {
@@ -624,8 +656,8 @@ impl SynopsisManager {
             )
         };
 
-        let sigma_local = analytic_gaussian_sigma(local_epsilon, delta, sens)?;
-        let target_variance = (sigma_local * sigma_local).max(global_variance);
+        let local_variance = self.mechanism_for(shard, local_epsilon, known)?.variance();
+        let target_variance = local_variance.max(global_variance);
         let extra_variance = (target_variance - global_variance).max(0.0);
         let extra_sigma = extra_variance.sqrt();
         let counts: Vec<f64> = global_counts
@@ -645,6 +677,7 @@ impl SynopsisManager {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dprov_dp::mechanism::analytic_gaussian::analytic_gaussian_sigma;
     use dprov_engine::datagen::adult::adult_database;
     use dprov_engine::view::ViewDef;
 
@@ -698,35 +731,46 @@ mod tests {
     #[test]
     fn fresh_synopsis_has_the_calibrated_variance() {
         let (mgr, mut rng) = setup();
-        let s = mgr.fresh_synopsis("adult.age", 1.0, &mut rng).unwrap();
+        let s = mgr
+            .fresh_synopsis("adult.age", 1.0, None, &mut rng)
+            .unwrap();
         let sigma = analytic_gaussian_sigma(1.0, 1e-9, std::f64::consts::SQRT_2).unwrap();
         assert!((s.per_bin_variance - sigma * sigma).abs() < 1e-9);
         assert_eq!(s.counts.len(), 74);
     }
 
     #[test]
-    fn ensure_global_creates_then_grows() {
+    fn grow_global_creates_then_grows() {
         let (mgr, mut rng) = setup();
-        let spent = mgr.ensure_global("adult.age", 0.5, &mut rng).unwrap();
-        assert!((spent - 0.5).abs() < 1e-12);
+        let sigma_at = |eps| analytic_gaussian_sigma(eps, 1e-9, std::f64::consts::SQRT_2).unwrap();
+        let created = mgr
+            .grow_global("adult.age", 0.5, None, &mut rng)
+            .unwrap()
+            .unwrap();
+        assert!((created.spent_epsilon - 0.5).abs() < 1e-12);
+        assert_eq!(created.release_sigma, sigma_at(0.5));
         assert_eq!(mgr.global_epsilon("adult.age").unwrap(), Some(0.5));
         let v_first = mgr.global_variance("adult.age").unwrap().unwrap();
 
         // Asking for less is free.
-        let spent = mgr.ensure_global("adult.age", 0.3, &mut rng).unwrap();
-        assert_eq!(spent, 0.0);
+        let unchanged = mgr.grow_global("adult.age", 0.3, None, &mut rng).unwrap();
+        assert_eq!(unchanged, None);
         assert_eq!(mgr.global_epsilon("adult.age").unwrap(), Some(0.5));
 
-        // Growing to 0.7 spends the difference and reduces the variance.
-        let spent = mgr.ensure_global("adult.age", 0.7, &mut rng).unwrap();
-        assert!((spent - 0.2).abs() < 1e-12);
+        // Growing to 0.7 spends the difference — the delta synopsis is the
+        // release that touches the data — and reduces the variance.
+        let grown = mgr
+            .grow_global("adult.age", 0.7, None, &mut rng)
+            .unwrap()
+            .unwrap();
+        assert!((grown.spent_epsilon - 0.2).abs() < 1e-12);
+        assert_eq!(grown.release_sigma, sigma_at(grown.spent_epsilon));
         assert_eq!(mgr.global_epsilon("adult.age").unwrap(), Some(0.7));
         let v_combined = mgr.global_variance("adult.age").unwrap().unwrap();
         assert!(v_combined < v_first);
 
         // Friction: the combined synopsis is noisier than a one-shot 0.7.
-        let sigma_one_shot = analytic_gaussian_sigma(0.7, 1e-9, std::f64::consts::SQRT_2).unwrap();
-        assert!(v_combined > sigma_one_shot * sigma_one_shot);
+        assert!(v_combined > sigma_at(0.7) * sigma_at(0.7));
 
         // The consistent snapshot agrees with the two individual getters.
         let (eps, var) = mgr.global_state("adult.age").unwrap().unwrap();
@@ -735,13 +779,38 @@ mod tests {
     }
 
     #[test]
+    fn a_known_mechanism_is_reused_only_for_its_own_epsilon() {
+        // Same seed, with and without the travelling mechanism: identical
+        // releases; a mechanism for another epsilon is ignored.
+        let release = |known_eps: Option<f64>| {
+            let (mgr, mut rng) = setup();
+            let known = known_eps.map(|e| mgr.calibrate("adult.age", e).unwrap());
+            mgr.grow_global("adult.age", 0.8, known, &mut rng).unwrap();
+            let local = mgr
+                .derive_local(0, "adult.age", 0.8, known, &mut rng)
+                .unwrap();
+            let fresh = mgr
+                .fresh_synopsis("adult.age", 0.8, known, &mut rng)
+                .unwrap();
+            (mgr.global_synopsis("adult.age").unwrap(), local, fresh)
+        };
+        let plain = release(None);
+        assert_eq!(release(Some(0.8)), plain);
+        assert_eq!(release(Some(0.4)), plain);
+    }
+
+    #[test]
     fn derive_local_adds_noise_and_respects_budget_ordering() {
         let (mgr, mut rng) = setup();
-        mgr.ensure_global("adult.age", 1.0, &mut rng).unwrap();
+        mgr.grow_global("adult.age", 1.0, None, &mut rng).unwrap();
         let global_var = mgr.global_variance("adult.age").unwrap().unwrap();
 
-        let local_small = mgr.derive_local(0, "adult.age", 0.2, &mut rng).unwrap();
-        let local_big = mgr.derive_local(1, "adult.age", 0.9, &mut rng).unwrap();
+        let local_small = mgr
+            .derive_local(0, "adult.age", 0.2, None, &mut rng)
+            .unwrap();
+        let local_big = mgr
+            .derive_local(1, "adult.age", 0.9, None, &mut rng)
+            .unwrap();
         // A smaller local budget means a noisier local synopsis.
         assert!(local_small.synopsis.per_bin_variance > local_big.synopsis.per_bin_variance);
         // Local variance can never be below the global variance.
@@ -756,8 +825,10 @@ mod tests {
     #[test]
     fn derive_local_matches_the_analytic_calibration() {
         let (mgr, mut rng) = setup();
-        mgr.ensure_global("adult.age", 1.0, &mut rng).unwrap();
-        let local = mgr.derive_local(0, "adult.age", 0.4, &mut rng).unwrap();
+        mgr.grow_global("adult.age", 1.0, None, &mut rng).unwrap();
+        let local = mgr
+            .derive_local(0, "adult.age", 0.4, None, &mut rng)
+            .unwrap();
         let sigma = analytic_gaussian_sigma(0.4, 1e-9, std::f64::consts::SQRT_2).unwrap();
         assert!((local.synopsis.per_bin_variance - sigma * sigma).abs() < 1e-9);
     }
@@ -765,8 +836,10 @@ mod tests {
     #[test]
     fn refine_local_combines_and_reduces_variance() {
         let (mgr, mut rng) = setup();
-        mgr.ensure_global("adult.age", 2.0, &mut rng).unwrap();
-        let first = mgr.derive_local(0, "adult.age", 0.3, &mut rng).unwrap();
+        mgr.grow_global("adult.age", 2.0, None, &mut rng).unwrap();
+        let first = mgr
+            .derive_local(0, "adult.age", 0.3, None, &mut rng)
+            .unwrap();
         let refined = mgr.refine_local(0, "adult.age", 0.3, &mut rng).unwrap();
         // Combining two releases at the same budget roughly halves the
         // extra-noise variance, so the refined synopsis is strictly better
@@ -786,7 +859,7 @@ mod tests {
     #[test]
     fn refine_local_without_existing_local_equals_derive_local() {
         let (mgr, mut rng) = setup();
-        mgr.ensure_global("adult.age", 1.0, &mut rng).unwrap();
+        mgr.grow_global("adult.age", 1.0, None, &mut rng).unwrap();
         let refined = mgr.refine_local(3, "adult.age", 0.4, &mut rng).unwrap();
         let sigma = analytic_gaussian_sigma(0.4, 1e-9, std::f64::consts::SQRT_2).unwrap();
         assert!((refined.synopsis.per_bin_variance - sigma * sigma).abs() < 1e-9);
@@ -798,8 +871,9 @@ mod tests {
         // The combined counts remain centred on the truth: compare against
         // the exact histogram across many bins.
         let (mgr, mut rng) = setup();
-        mgr.ensure_global("adult.age", 4.0, &mut rng).unwrap();
-        mgr.derive_local(0, "adult.age", 1.0, &mut rng).unwrap();
+        mgr.grow_global("adult.age", 4.0, None, &mut rng).unwrap();
+        mgr.derive_local(0, "adult.age", 1.0, None, &mut rng)
+            .unwrap();
         let refined = mgr.refine_local(0, "adult.age", 1.0, &mut rng).unwrap();
         let exact = mgr.exact_histogram("adult.age").unwrap().counts.clone();
         let mean_error: f64 = refined
@@ -820,7 +894,9 @@ mod tests {
     #[test]
     fn derive_local_without_global_is_an_error() {
         let (mgr, mut rng) = setup();
-        assert!(mgr.derive_local(0, "adult.age", 0.4, &mut rng).is_err());
+        assert!(mgr
+            .derive_local(0, "adult.age", 0.4, None, &mut rng)
+            .is_err());
     }
 
     #[test]
@@ -829,14 +905,16 @@ mod tests {
         // counts, not of the exact histogram: check the local counts differ
         // from the global ones (extra noise was added) with equal length.
         let (mgr, mut rng) = setup();
-        mgr.ensure_global("adult.sex", 2.0, &mut rng).unwrap();
+        mgr.grow_global("adult.sex", 2.0, None, &mut rng).unwrap();
         let global_counts = mgr
             .global_synopsis("adult.sex")
             .unwrap()
             .unwrap()
             .synopsis
             .counts;
-        let local = mgr.derive_local(0, "adult.sex", 0.1, &mut rng).unwrap();
+        let local = mgr
+            .derive_local(0, "adult.sex", 0.1, None, &mut rng)
+            .unwrap();
         assert_eq!(local.synopsis.counts.len(), global_counts.len());
         assert_ne!(local.synopsis.counts, global_counts);
     }
@@ -844,9 +922,11 @@ mod tests {
     #[test]
     fn export_import_round_trips_the_cache() {
         let (mgr, mut rng) = setup();
-        mgr.ensure_global("adult.age", 1.0, &mut rng).unwrap();
-        mgr.derive_local(0, "adult.age", 0.5, &mut rng).unwrap();
-        mgr.derive_local(2, "adult.age", 0.3, &mut rng).unwrap();
+        mgr.grow_global("adult.age", 1.0, None, &mut rng).unwrap();
+        mgr.derive_local(0, "adult.age", 0.5, None, &mut rng)
+            .unwrap();
+        mgr.derive_local(2, "adult.age", 0.3, None, &mut rng)
+            .unwrap();
         let exported = mgr.export_cache();
         // Only the touched view is exported.
         assert_eq!(exported.len(), 1);
@@ -886,13 +966,14 @@ mod tests {
     #[test]
     fn clone_snapshots_the_cache_state() {
         let (mgr, mut rng) = setup();
-        mgr.ensure_global("adult.age", 1.0, &mut rng).unwrap();
-        mgr.derive_local(0, "adult.age", 0.5, &mut rng).unwrap();
+        mgr.grow_global("adult.age", 1.0, None, &mut rng).unwrap();
+        mgr.derive_local(0, "adult.age", 0.5, None, &mut rng)
+            .unwrap();
         let snapshot = mgr.clone();
         assert_eq!(snapshot.global_epsilon("adult.age").unwrap(), Some(1.0));
         assert_eq!(snapshot.local(0, "adult.age").unwrap().epsilon, 0.5);
         // Mutating the original does not leak into the snapshot.
-        mgr.ensure_global("adult.age", 2.0, &mut rng).unwrap();
+        mgr.grow_global("adult.age", 2.0, None, &mut rng).unwrap();
         assert_eq!(snapshot.global_epsilon("adult.age").unwrap(), Some(1.0));
     }
 
@@ -913,13 +994,14 @@ mod tests {
                 let mut last_var = f64::INFINITY;
                 for step in 1..=20u64 {
                     let target = (t * 20 + step) as f64 * 0.01;
-                    mgr.ensure_global("adult.age", target, &mut rng).unwrap();
+                    mgr.grow_global("adult.age", target, None, &mut rng)
+                        .unwrap();
                     let (eps, var) = mgr.global_state("adult.age").unwrap().unwrap();
                     assert!(eps >= last_eps, "epsilon regressed: {eps} < {last_eps}");
                     assert!(var <= last_var + 1e-12, "variance grew: {var} > {last_var}");
                     last_eps = eps;
                     last_var = var;
-                    mgr.derive_local(t as usize, "adult.age", eps * 0.5, &mut rng)
+                    mgr.derive_local(t as usize, "adult.age", eps * 0.5, None, &mut rng)
                         .unwrap();
                     assert!(mgr.local(t as usize, "adult.age").is_some());
                 }

@@ -40,11 +40,14 @@ use std::time::{Duration, Instant};
 
 use dprov_delta::{build_segments, EncodedBatch, SealedEpoch, UpdateBatch, UpdateLog};
 use dprov_dp::accountant::{make_accountant, Accountant};
-use dprov_dp::budget::{Budget, Epsilon};
-use dprov_dp::mechanism::analytic_gaussian::analytic_gaussian_sigma;
+use dprov_dp::budget::{Budget, Delta, Epsilon};
+use dprov_dp::mechanism::analytic_gaussian::AnalyticGaussian;
 use dprov_dp::rng::DpRng;
-use dprov_dp::translation::{translate_variance_to_epsilon, FrictionAwareTranslation};
-use dprov_dp::DpError;
+use dprov_dp::sensitivity::Sensitivity;
+use dprov_dp::translation::{
+    translate_variance_to_epsilon, translate_variance_to_epsilon_nested, FrictionAwareTranslation,
+    Translation,
+};
 use dprov_engine::catalog::ViewCatalog;
 use dprov_engine::database::Database;
 use dprov_engine::group::GroupByQuery;
@@ -198,9 +201,19 @@ struct ResolvedRequest {
     linear: LinearQuery,
     /// The per-bin variance the answer's synopsis must reach.
     per_bin_target: f64,
-    /// The explicit epsilon of a privacy-oriented request, if any.
-    requested_epsilon: Option<f64>,
+    /// The mechanism calibrated at the explicit epsilon of a
+    /// privacy-oriented request, if any: the epsilon travels with the σ
+    /// resolution calibrated for it, so the release does not calibrate
+    /// it again.
+    requested: Option<AnalyticGaussian>,
 }
+
+/// The vanilla translation a request searches with:
+/// [`translate_variance_to_epsilon`] for a scalar request,
+/// [`translate_variance_to_epsilon_nested`] for the cells of a grouped one.
+/// The two return the same bits; the grouped path follows once
+/// `dprovbench`'s `grouped` workload can measure it (ROADMAP item 1).
+type VanillaSearch = fn(f64, Delta, Sensitivity, Epsilon, f64) -> dprov_dp::Result<Translation>;
 
 impl DProvDb {
     /// Builds the system: computes constraints from the configuration,
@@ -237,7 +250,9 @@ impl DProvDb {
         // materialise the whole view catalog through it: every view over
         // one base table shares a single pass over its shards.
         let exec = ColumnarExecutor::ingest(&db, &ExecConfig::default());
+        let metrics = MetricsRegistry::new();
         let mut synopses = SynopsisManager::new(config.delta);
+        synopses.set_metrics(metrics.clone());
         synopses.register_views(&exec, catalog.views())?;
 
         let view_names: Vec<String> = catalog.views().iter().map(|v| v.name.clone()).collect();
@@ -281,7 +296,7 @@ impl DProvDb {
             access_history: Mutex::new(Vec::new()),
             delta_log: Mutex::new(UpdateLog::new()),
             epoch_gate: RwLock::new(()),
-            metrics: MetricsRegistry::new(),
+            metrics,
             view_index,
         };
         system.publish_budget_matrix();
@@ -294,6 +309,7 @@ impl DProvDb {
     /// [`Self::set_recorder`]. The budget-gauge matrix is re-registered
     /// and re-published from the current provenance state.
     pub fn set_metrics(&mut self, metrics: MetricsRegistry) {
+        self.synopses.set_metrics(metrics.clone());
         self.metrics = metrics;
         self.publish_budget_matrix();
     }
@@ -663,10 +679,10 @@ impl DProvDb {
                 view,
                 linear,
                 per_bin_target: f64::INFINITY,
-                requested_epsilon: None,
+                requested: None,
             });
         }
-        let (per_bin_target, requested_epsilon) = match request.mode {
+        let (per_bin_target, requested) = match request.mode {
             SubmissionMode::Accuracy { variance } => {
                 if !(variance.is_finite() && variance > 0.0) {
                     return Err(RejectReason::AccuracyUnreachable);
@@ -674,22 +690,17 @@ impl DProvDb {
                 (variance / coeff_sq, None)
             }
             SubmissionMode::Privacy { epsilon } => {
-                let sigma = match analytic_gaussian_sigma(
-                    epsilon,
-                    self.config.delta.value(),
-                    view.sensitivity().value(),
-                ) {
-                    Ok(s) => s,
+                match self.synopses.calibrate(&view.name, epsilon) {
+                    Ok(mechanism) => (mechanism.variance(), Some(mechanism)),
                     Err(_) => return Err(RejectReason::AccuracyUnreachable),
-                };
-                (sigma * sigma, Some(epsilon))
+                }
             }
         };
         Ok(ResolvedRequest {
             view,
             linear,
             per_bin_target,
-            requested_epsilon,
+            requested,
         })
     }
 
@@ -721,23 +732,24 @@ impl DProvDb {
     }
 
     /// Translates a per-bin variance target into the minimal epsilon, using
-    /// the table constraint as the search range (Definition 9).
+    /// the table constraint as the search range (Definition 9), and returns
+    /// the mechanism the search calibrated there.
     fn translate_vanilla(
         &self,
         per_bin_target: f64,
-        sensitivity: dprov_dp::sensitivity::Sensitivity,
-    ) -> std::result::Result<f64, RejectReason> {
-        match translate_variance_to_epsilon(
+        sensitivity: Sensitivity,
+        search: VanillaSearch,
+    ) -> std::result::Result<AnalyticGaussian, RejectReason> {
+        self.metrics.incr(CounterId::Translations);
+        search(
             per_bin_target,
             self.config.delta,
             sensitivity,
             self.config.total_epsilon,
             self.config.translation_precision,
-        ) {
-            Ok(t) => Ok(t.epsilon.value()),
-            Err(DpError::TranslationOutOfRange { .. }) => Err(RejectReason::AccuracyUnreachable),
-            Err(_) => Err(RejectReason::AccuracyUnreachable),
-        }
+        )
+        .map(|t| t.mechanism)
+        .map_err(|_| RejectReason::AccuracyUnreachable)
     }
 
     /// Records one data access in the tight accountant, journalling it to
@@ -822,7 +834,7 @@ impl DProvDb {
             Ok(r) => r,
             Err(reason) => return Ok(QueryOutcome::Rejected { reason }),
         };
-        self.admit_vanilla(analyst, resolved, rng)
+        self.admit_vanilla(analyst, resolved, translate_variance_to_epsilon, rng)
     }
 
     /// The post-resolve tail of Algorithm 2: cache probe, translation,
@@ -834,6 +846,7 @@ impl DProvDb {
         &self,
         analyst: AnalystId,
         resolved: ResolvedRequest,
+        search: VanillaSearch,
         rng: &mut DpRng,
     ) -> Result<QueryOutcome> {
         // Serialise competing submissions for this provenance entry: the
@@ -846,13 +859,14 @@ impl DProvDb {
         }
 
         let sensitivity = resolved.view.sensitivity();
-        let epsilon = match resolved.requested_epsilon {
-            Some(e) => e,
-            None => match self.translate_vanilla(resolved.per_bin_target, sensitivity) {
-                Ok(e) => e,
+        let release = match resolved.requested {
+            Some(requested) => requested,
+            None => match self.translate_vanilla(resolved.per_bin_target, sensitivity, search) {
+                Ok(translated) => translated,
                 Err(reason) => return Ok(QueryOutcome::Rejected { reason }),
             },
         };
+        let epsilon = release.budget().epsilon.value();
 
         // Hold the commit gate across append → apply → ledger so durable
         // snapshots (which take the write side) never observe a commit that
@@ -884,9 +898,10 @@ impl DProvDb {
 
         // Run: an independent synopsis per (analyst, view) release; noise
         // generation happens outside the provenance lock.
+        let view_name = &resolved.view.name;
         let synopsis = match self
             .synopses
-            .fresh_synopsis(&resolved.view.name, epsilon, rng)
+            .fresh_synopsis(view_name, epsilon, Some(release), rng)
         {
             Ok(s) => s,
             Err(e) => {
@@ -894,8 +909,8 @@ impl DProvDb {
                 // and void the write-ahead record with a tombstone.
                 {
                     let mut provenance = self.lock_provenance();
-                    provenance.charge(analyst, &resolved.view.name, -epsilon);
-                    self.observe_budget(&provenance, analyst, &resolved.view.name);
+                    provenance.charge(analyst, view_name, -epsilon);
+                    self.observe_budget(&provenance, analyst, view_name);
                 }
                 self.record_rollback(seq);
                 return Err(e);
@@ -946,7 +961,7 @@ impl DProvDb {
             Ok(r) => r,
             Err(reason) => return Ok(QueryOutcome::Rejected { reason }),
         };
-        self.admit_additive(analyst, resolved, rng)
+        self.admit_additive(analyst, resolved, translate_variance_to_epsilon, rng)
     }
 
     /// The post-resolve tail of Algorithm 4 (see [`Self::admit_vanilla`]
@@ -955,6 +970,7 @@ impl DProvDb {
         &self,
         analyst: AnalystId,
         resolved: ResolvedRequest,
+        search: VanillaSearch,
         rng: &mut DpRng,
     ) -> Result<QueryOutcome> {
         let _entry = self.admission.lock_entry(analyst.0, &resolved.view.name);
@@ -977,19 +993,24 @@ impl DProvDb {
         let current_global_var = global_state.map(|(_, var)| var);
 
         // Translation (Algorithm 4, privacyTranslate): figure out the
-        // global target budget and the analyst's local budget.
-        let (global_target, local_epsilon) = match resolved.requested_epsilon {
-            Some(eps_req) => {
+        // global target budget and the analyst's local budget. `known` is
+        // the mechanism the request has calibrated by then — at the
+        // requested epsilon, or at the nominal epsilon by the translation —
+        // which the releases below reuse wherever they need that epsilon.
+        let (global_target, local_epsilon, known) = match resolved.requested {
+            Some(requested) => {
                 // Privacy-oriented mode follows Algorithm 4 literally.
+                let eps_req = requested.budget().epsilon.value();
                 let global_target = current_global_eps.unwrap_or(0.0).max(eps_req);
-                (global_target, eps_req)
+                (global_target, eps_req, requested)
             }
             None => {
-                let local_nominal =
-                    match self.translate_vanilla(resolved.per_bin_target, sensitivity) {
-                        Ok(e) => e,
+                let nominal =
+                    match self.translate_vanilla(resolved.per_bin_target, sensitivity, search) {
+                        Ok(translated) => translated,
                         Err(reason) => return Ok(QueryOutcome::Rejected { reason }),
                     };
+                let local_nominal = nominal.budget().epsilon.value();
                 let global_target = match (current_global_eps, current_global_var) {
                     (None, _) => local_nominal,
                     (Some(eps_g), Some(v_g)) if v_g <= resolved.per_bin_target => eps_g,
@@ -997,8 +1018,12 @@ impl DProvDb {
                         // Friction-aware translation (Eq. 3): the delta
                         // synopsis may be noisier than the request because
                         // it will be combined with the existing one.
-                        let translator =
-                            FrictionAwareTranslation::new(self.config.delta, sensitivity);
+                        self.metrics.incr(CounterId::Translations);
+                        let translator = FrictionAwareTranslation::new(
+                            self.config.delta,
+                            sensitivity,
+                            self.config.translation_precision,
+                        );
                         match translator.translate(
                             resolved.per_bin_target,
                             Some(v_g),
@@ -1014,7 +1039,7 @@ impl DProvDb {
                     }
                     (Some(eps_g), None) => eps_g.max(local_nominal),
                 };
-                (global_target, local_nominal.min(global_target))
+                (global_target, local_nominal.min(global_target), nominal)
             }
         };
 
@@ -1060,7 +1085,10 @@ impl DProvDb {
             self.record_rollback(seq);
             Err(e)
         };
-        let growth = match self.synopses.grow_global(&view_name, global_target, rng) {
+        let growth = match self
+            .synopses
+            .grow_global(&view_name, global_target, Some(known), rng)
+        {
             Ok(g) => g,
             Err(e) => return rollback(e),
         };
@@ -1076,6 +1104,7 @@ impl DProvDb {
             analyst.0,
             &view_name,
             local_epsilon.min(global_target),
+            Some(known),
             rng,
         ) {
             Ok(l) => l,
@@ -1147,8 +1176,18 @@ impl DProvDb {
             let outcome = match cell {
                 Err(reason) => Ok(QueryOutcome::Rejected { reason }),
                 Ok(resolved) => match self.mechanism {
-                    MechanismKind::Vanilla => self.admit_vanilla(analyst, resolved, rng),
-                    MechanismKind::AdditiveGaussian => self.admit_additive(analyst, resolved, rng),
+                    MechanismKind::Vanilla => self.admit_vanilla(
+                        analyst,
+                        resolved,
+                        translate_variance_to_epsilon_nested,
+                        rng,
+                    ),
+                    MechanismKind::AdditiveGaussian => self.admit_additive(
+                        analyst,
+                        resolved,
+                        translate_variance_to_epsilon_nested,
+                        rng,
+                    ),
                 },
             };
             self.observe_outcome(analyst, &outcome, start.elapsed());
@@ -1270,8 +1309,14 @@ impl DProvDb {
         drop(db);
 
         // Per-group tail of `resolve`, with the shared pieces hoisted: the
-        // privacy-mode sigma and the accuracy-mode validity depend only on
-        // the request and the view, so hoisting is bit-identical.
+        // privacy-mode calibration and the accuracy-mode validity depend
+        // only on the request and the view, so hoisting is bit-identical.
+        let requested = match request.mode {
+            SubmissionMode::Privacy { epsilon } => {
+                self.synopses.calibrate(&view.name, epsilon).ok()
+            }
+            SubmissionMode::Accuracy { .. } => None,
+        };
         let mut cells = Vec::with_capacity(num_groups);
         for coeffs in coefficients {
             let linear = LinearQuery {
@@ -1287,7 +1332,7 @@ impl DProvDb {
                     view: view.clone(),
                     linear,
                     per_bin_target: f64::INFINITY,
-                    requested_epsilon: None,
+                    requested: None,
                 }));
                 continue;
             }
@@ -1298,27 +1343,21 @@ impl DProvDb {
                             view: view.clone(),
                             linear,
                             per_bin_target: variance / coeff_sq,
-                            requested_epsilon: None,
+                            requested: None,
                         })
                     } else {
                         Err(RejectReason::AccuracyUnreachable)
                     }
                 }
-                SubmissionMode::Privacy { epsilon } => {
-                    match analytic_gaussian_sigma(
-                        epsilon,
-                        self.config.delta.value(),
-                        view.sensitivity().value(),
-                    ) {
-                        Ok(sigma) => Ok(ResolvedRequest {
-                            view: view.clone(),
-                            linear,
-                            per_bin_target: sigma * sigma,
-                            requested_epsilon: Some(epsilon),
-                        }),
-                        Err(_) => Err(RejectReason::AccuracyUnreachable),
-                    }
-                }
+                SubmissionMode::Privacy { .. } => match requested {
+                    Some(mechanism) => Ok(ResolvedRequest {
+                        view: view.clone(),
+                        linear,
+                        per_bin_target: mechanism.variance(),
+                        requested,
+                    }),
+                    None => Err(RejectReason::AccuracyUnreachable),
+                },
             });
         }
         Ok((keys, cells))

@@ -47,6 +47,8 @@ pub enum DpError {
     InvalidSensitivity(f64),
     /// A variance / accuracy bound was not strictly positive and finite.
     InvalidVariance(f64),
+    /// A translation search precision was not strictly positive and finite.
+    InvalidPrecision(f64),
     /// The requested accuracy cannot be met within the allowed budget range.
     TranslationOutOfRange {
         /// The accuracy (expected squared error) that was requested.
@@ -67,6 +69,7 @@ impl std::fmt::Display for DpError {
             DpError::InvalidDelta(v) => write!(f, "invalid delta: {v}"),
             DpError::InvalidSensitivity(v) => write!(f, "invalid sensitivity: {v}"),
             DpError::InvalidVariance(v) => write!(f, "invalid variance: {v}"),
+            DpError::InvalidPrecision(v) => write!(f, "invalid search precision: {v}"),
             DpError::TranslationOutOfRange {
                 requested_variance,
                 max_epsilon,

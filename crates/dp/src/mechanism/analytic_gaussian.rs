@@ -19,15 +19,23 @@ use crate::rng::DpRng;
 use crate::sensitivity::Sensitivity;
 use crate::{DpError, Result};
 
+/// The two terms of the privacy profile, `Phi(a − b)` and
+/// `e^ε · Phi(−a − b)`. The profile is their difference; the first term
+/// also bounds the rounding error of that difference, which is what the
+/// translation's guard band scales with.
+pub(crate) fn profile_terms(sigma: f64, sensitivity: f64, epsilon: f64) -> (f64, f64) {
+    debug_assert!(sigma > 0.0 && sensitivity > 0.0 && epsilon >= 0.0);
+    let a = sensitivity / (2.0 * sigma);
+    let b = epsilon * sigma / sensitivity;
+    (normal_cdf(a - b), epsilon.exp() * normal_cdf(-a - b))
+}
+
 /// Evaluates the privacy profile: the smallest `delta` for which noise scale
 /// `sigma` on sensitivity `delta_q` is `(epsilon, delta)`-DP.
 #[must_use]
 pub fn analytic_gaussian_delta(sigma: f64, sensitivity: f64, epsilon: f64) -> f64 {
-    debug_assert!(sigma > 0.0 && sensitivity > 0.0 && epsilon >= 0.0);
-    let a = sensitivity / (2.0 * sigma);
-    let b = epsilon * sigma / sensitivity;
-    let delta = normal_cdf(a - b) - epsilon.exp() * normal_cdf(-a - b);
-    delta.max(0.0)
+    let (head, tail) = profile_terms(sigma, sensitivity, epsilon);
+    (head - tail).max(0.0)
 }
 
 /// Computes the minimal noise scale `sigma` such that the Gaussian mechanism

@@ -96,11 +96,17 @@ pub enum CounterId {
     GroupCellsReleased,
     /// Workload plans computed by the planner.
     PlansComputed,
+    /// Accuracy→epsilon translations the core ran (vanilla and
+    /// friction-aware searches alike; a cache hit runs none).
+    Translations,
+    /// Noise-scale calibrations the core ran outside a translation (a
+    /// request calibrates each distinct epsilon once).
+    Calibrations,
 }
 
 impl CounterId {
     /// Every counter, in catalog order.
-    pub const ALL: [CounterId; 20] = [
+    pub const ALL: [CounterId; 22] = [
         CounterId::FrontendConnections,
         CounterId::FrontendRequests,
         CounterId::QueriesAnswered,
@@ -121,6 +127,8 @@ impl CounterId {
         CounterId::GroupQueries,
         CounterId::GroupCellsReleased,
         CounterId::PlansComputed,
+        CounterId::Translations,
+        CounterId::Calibrations,
     ];
 
     /// Stable snapshot name of the counter.
@@ -147,6 +155,8 @@ impl CounterId {
             CounterId::GroupQueries => "group.queries",
             CounterId::GroupCellsReleased => "group.cells_released",
             CounterId::PlansComputed => "plan.computed",
+            CounterId::Translations => "dp.translations",
+            CounterId::Calibrations => "dp.calibrations",
         }
     }
 

@@ -1,0 +1,285 @@
+//! How much DP arithmetic one request may cost, counted by the service
+//! itself (`dp.translations` / `dp.calibrations` in the core's metrics
+//! registry):
+//!
+//! * a cache hit runs neither a translation nor a calibration;
+//! * an accuracy-mode request runs one vanilla translation (two with the
+//!   friction-aware search on a miss against an existing global synopsis)
+//!   and releases with the mechanism that translation calibrated;
+//! * a privacy-mode request calibrates its epsilon once, in resolution,
+//!   and that mechanism travels into the release — the additive mechanism
+//!   calibrates again only for the *different* epsilon of a global growth;
+//! * the cells of a privacy-mode grouped request share the resolution's
+//!   calibration; an accuracy-mode cell still translates by itself.
+//!
+//! Also here: the configured translation precision reaches both searches,
+//! and the two configurations that used to panic the first accuracy-mode
+//! query are refused instead.
+
+use dprovdb::core::analyst::{AnalystId, AnalystRegistry};
+use dprovdb::core::config::SystemConfig;
+use dprovdb::core::error::{CoreError, RejectReason};
+use dprovdb::core::mechanism::MechanismKind;
+use dprovdb::core::processor::{GroupedRequest, QueryOutcome, QueryRequest};
+use dprovdb::core::system::DProvDb;
+use dprovdb::dp::rng::DpRng;
+use dprovdb::dp::sensitivity::Sensitivity;
+use dprovdb::dp::translation::{translate_variance_to_epsilon, FrictionAwareTranslation};
+use dprovdb::engine::catalog::ViewCatalog;
+use dprovdb::engine::datagen::adult::adult_database;
+use dprovdb::engine::group::GroupByQuery;
+use dprovdb::engine::query::Query;
+
+/// Analyst 0 may spend a quarter of the table budget, analyst 1 all of it.
+const EXTERNAL: AnalystId = AnalystId(0);
+const INTERNAL: AnalystId = AnalystId(1);
+const BOTH: [MechanismKind; 2] = [MechanismKind::Vanilla, MechanismKind::AdditiveGaussian];
+
+fn build_with(config: SystemConfig, mechanism: MechanismKind) -> Result<DProvDb, CoreError> {
+    let db = adult_database(2_000, 1);
+    let catalog = ViewCatalog::one_per_attribute(&db, "adult").unwrap();
+    let mut registry = AnalystRegistry::new();
+    registry.register("external", 1).unwrap();
+    registry.register("internal", 4).unwrap();
+    DProvDb::new(db, catalog, registry, config.with_seed(7), mechanism)
+}
+
+fn build(mechanism: MechanismKind, total_epsilon: f64) -> DProvDb {
+    build_with(SystemConfig::new(total_epsilon).unwrap(), mechanism).unwrap()
+}
+
+/// A 21-bin range count over `adult.age`.
+fn age_range() -> Query {
+    Query::range_count("adult", "age", 20, 40)
+}
+
+fn accuracy(variance: f64) -> QueryRequest {
+    QueryRequest::with_accuracy(age_range(), variance)
+}
+
+fn privacy(epsilon: f64) -> QueryRequest {
+    QueryRequest::with_privacy(age_range(), epsilon)
+}
+
+/// Runs `f` and returns its result with the translations and calibrations
+/// the core counted while it ran.
+fn counted<R>(system: &DProvDb, f: impl FnOnce() -> R) -> (R, u64, u64) {
+    let read = || {
+        let snapshot = system.metrics().snapshot();
+        (
+            snapshot.counter("dp.translations").unwrap(),
+            snapshot.counter("dp.calibrations").unwrap(),
+        )
+    };
+    let (translations, calibrations) = read();
+    let result = f();
+    let (translations_after, calibrations_after) = read();
+    (
+        result,
+        translations_after - translations,
+        calibrations_after - calibrations,
+    )
+}
+
+fn submit(
+    system: &DProvDb,
+    analyst: AnalystId,
+    request: &QueryRequest,
+) -> (QueryOutcome, u64, u64) {
+    counted(system, || system.submit_shared(analyst, request).unwrap())
+}
+
+fn charged(outcome: &QueryOutcome) -> f64 {
+    match outcome {
+        QueryOutcome::Answered(a) => a.epsilon_charged,
+        QueryOutcome::Rejected { reason } => panic!("unexpected rejection: {reason}"),
+    }
+}
+
+#[test]
+fn a_cache_hit_runs_no_dp_arithmetic() {
+    for mechanism in BOTH {
+        let system = build(mechanism, 8.0);
+        let (first, translations, calibrations) = submit(&system, INTERNAL, &accuracy(700.0));
+        assert!(charged(&first) > 0.0);
+        // The release reuses the translation's own calibration.
+        assert_eq!((translations, calibrations), (1, 0), "{mechanism}: miss");
+
+        let (hit, translations, calibrations) = submit(&system, INTERNAL, &accuracy(5_000.0));
+        assert_eq!(charged(&hit), 0.0);
+        assert_eq!((translations, calibrations), (0, 0), "{mechanism}: hit");
+    }
+}
+
+#[test]
+fn a_request_refused_after_translation_pays_for_the_translation_only() {
+    for mechanism in BOTH {
+        let system = build(mechanism, 2.0);
+        // Needs epsilon ~ 1; the external analyst's row constraint is 0.5.
+        let (outcome, translations, calibrations) = submit(&system, EXTERNAL, &accuracy(700.0));
+        assert!(
+            matches!(
+                outcome,
+                QueryOutcome::Rejected {
+                    reason: RejectReason::AnalystConstraint { .. }
+                }
+            ),
+            "{mechanism}: {outcome:?}"
+        );
+        assert_eq!((translations, calibrations), (1, 0), "{mechanism}");
+    }
+}
+
+#[test]
+fn a_privacy_mode_release_calibrates_each_distinct_epsilon_once() {
+    // Vanilla: the resolution's calibration is the release's.
+    let system = build(MechanismKind::Vanilla, 8.0);
+    let (outcome, translations, calibrations) = submit(&system, INTERNAL, &privacy(0.5));
+    assert_eq!(charged(&outcome), 0.5);
+    assert_eq!((translations, calibrations), (0, 1));
+
+    // Additive: creating the global and deriving the local both release at
+    // the requested epsilon ...
+    let system = build(MechanismKind::AdditiveGaussian, 8.0);
+    let (outcome, translations, calibrations) = submit(&system, INTERNAL, &privacy(0.5));
+    assert_eq!(charged(&outcome), 0.5);
+    assert_eq!((translations, calibrations), (0, 1), "creates the global");
+    // ... a later, larger request grows the global by a different epsilon
+    // (0.9 − 0.5), which is the one extra calibration ...
+    let (outcome, _, calibrations) = submit(&system, INTERNAL, &privacy(0.9));
+    assert!(charged(&outcome) > 0.0);
+    assert_eq!(calibrations, 2, "grows the global");
+    // ... and a smaller one by another analyst needs no growth at all.
+    let (outcome, _, calibrations) = submit(&system, EXTERNAL, &privacy(0.3));
+    assert_eq!(charged(&outcome), 0.3);
+    assert_eq!(calibrations, 1, "global already sufficient");
+}
+
+#[test]
+fn a_friction_aware_miss_translates_twice_and_calibrates_the_growth_only() {
+    let system = build(MechanismKind::AdditiveGaussian, 8.0);
+    submit(&system, INTERNAL, &accuracy(2_000.0));
+    let (outcome, translations, calibrations) = submit(&system, INTERNAL, &accuracy(500.0));
+    assert!(charged(&outcome) > 0.0);
+    assert_eq!(translations, 2, "vanilla + friction-aware search");
+    assert!(
+        calibrations <= 1,
+        "only the growth's own epsilon: {calibrations}"
+    );
+}
+
+#[test]
+fn grouped_cells_share_the_calibration() {
+    let query = GroupByQuery::count("adult", &["education_num"]);
+    for mechanism in BOTH {
+        // Privacy mode: one calibration in resolution serves every cell.
+        let system = build(mechanism, 80.0);
+        let mut rng = DpRng::seed_from_u64(3);
+        let request = GroupedRequest::with_privacy(query.clone(), 0.4);
+        let (grouped, translations, calibrations) = counted(&system, || {
+            system
+                .answer_group_by_with_rng(INTERNAL, &request, &mut rng)
+                .unwrap()
+        });
+        assert!(grouped.outcomes.len() > 1);
+        assert!(grouped.outcomes.iter().all(QueryOutcome::is_answered));
+        assert_eq!((translations, calibrations), (0, 1), "{mechanism}: privacy");
+
+        // Accuracy mode, every cell refused on the analyst's constraint:
+        // one translation per cell and nothing else.
+        let system = build(mechanism, 2.0);
+        let request = GroupedRequest::with_accuracy(query.clone(), 30.0);
+        let (grouped, translations, calibrations) = counted(&system, || {
+            system
+                .answer_group_by_with_rng(EXTERNAL, &request, &mut rng)
+                .unwrap()
+        });
+        assert!(grouped.outcomes.iter().all(|o| matches!(
+            o,
+            QueryOutcome::Rejected {
+                reason: RejectReason::AnalystConstraint { .. }
+            }
+        )));
+        let cells = grouped.outcomes.len() as u64;
+        assert_eq!(
+            (translations, calibrations),
+            (cells, 0),
+            "{mechanism}: refused"
+        );
+    }
+}
+
+#[test]
+fn both_searches_honour_the_configured_precision() {
+    const COARSE: f64 = 1e-2;
+    let mut config = SystemConfig::new(8.0).unwrap();
+    config.translation_precision = COARSE;
+    let (delta, max_epsilon) = (config.delta, config.total_epsilon);
+    let system = build_with(config, MechanismKind::AdditiveGaussian).unwrap();
+    let sensitivity = Sensitivity::histogram_bounded();
+    let vanilla = |per_bin: f64, precision: f64| {
+        translate_variance_to_epsilon(per_bin, delta, sensitivity, max_epsilon, precision).unwrap()
+    };
+
+    // First release: the vanilla search alone prices it.
+    let (first, ..) = submit(&system, INTERNAL, &accuracy(2_000.0));
+    let first_translation = vanilla(2_000.0 / 21.0, COARSE);
+    let global_epsilon = first_translation.epsilon.value();
+    assert_eq!(charged(&first).to_bits(), global_epsilon.to_bits());
+    assert_ne!(
+        global_epsilon,
+        vanilla(2_000.0 / 21.0, 1e-4).epsilon.value(),
+        "the coarse grid must be distinguishable from the default one"
+    );
+
+    // Second, tighter request by the same analyst: the friction-aware
+    // search prices the growth, and the charge is exactly that growth.
+    let (second, ..) = submit(&system, INTERNAL, &accuracy(500.0));
+    let friction = |precision: f64| {
+        FrictionAwareTranslation::new(delta, sensitivity, precision)
+            .translate(
+                500.0 / 21.0,
+                Some(first_translation.achieved_variance),
+                max_epsilon,
+            )
+            .unwrap()
+            .epsilon
+            .value()
+    };
+    let expected = (global_epsilon + friction(COARSE)) - global_epsilon;
+    assert_eq!(charged(&second).to_bits(), expected.to_bits());
+    assert_ne!(friction(COARSE), friction(1e-4));
+}
+
+#[test]
+fn a_budget_below_the_search_floor_refuses_instead_of_panicking() {
+    for mechanism in BOTH {
+        let system = build(mechanism, 5e-7);
+        let (outcome, translations, _) = submit(&system, INTERNAL, &accuracy(700.0));
+        assert!(
+            matches!(
+                outcome,
+                QueryOutcome::Rejected {
+                    reason: RejectReason::AccuracyUnreachable
+                }
+            ),
+            "{mechanism}: {outcome:?}"
+        );
+        assert_eq!(translations, 1);
+    }
+}
+
+#[test]
+fn an_unusable_translation_precision_is_refused_at_setup() {
+    for precision in [0.0, -1e-4, f64::NAN] {
+        let mut config = SystemConfig::new(2.0).unwrap();
+        config.translation_precision = precision;
+        assert!(
+            matches!(
+                build_with(config, MechanismKind::Vanilla),
+                Err(CoreError::InvalidConfig(_))
+            ),
+            "precision {precision} must not build a system"
+        );
+    }
+}

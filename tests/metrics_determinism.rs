@@ -118,12 +118,17 @@ fn run(mechanism: MechanismKind, seed: u64, metrics: MetricsRegistry) -> Vec<Vec
 #[test]
 fn enabled_and_noop_registries_deliver_bit_identical_results() {
     for mechanism in [MechanismKind::Vanilla, MechanismKind::AdditiveGaussian] {
-        let enabled = run(mechanism, 29, MetricsRegistry::new());
+        let metrics = MetricsRegistry::new();
+        let enabled = run(mechanism, 29, metrics.clone());
         let noop = run(mechanism, 29, MetricsRegistry::disabled());
         assert_eq!(
             enabled, noop,
             "{mechanism}: instrumentation changed an analyst-visible bit"
         );
+        // The comparison covers the DP-arithmetic counters' bump sites:
+        // every analyst's first query, at least, missed and translated.
+        let translations = metrics.snapshot().counter("dp.translations");
+        assert!(translations.unwrap() >= ANALYSTS as u64);
         // Sanity: the runs did real work (answers, charges, a cache hit).
         assert!(enabled.iter().all(|a| a.len() == 11));
         assert!(
@@ -163,6 +168,14 @@ fn snapshot_agrees_with_service_stats_end_to_end() {
         );
         assert!(snap.counter("synopsis.cache_hits").unwrap() >= 1);
         assert!(snap.counter("frontend.requests").unwrap() >= 11);
+        // DP arithmetic per non-hit operation, from the service itself: a
+        // miss runs the vanilla translation once, plus the friction-aware
+        // search when it grows an existing global synopsis, and at most
+        // one calibration (the growth's own epsilon); a hit runs neither.
+        let misses = snap.counter("synopsis.cache_misses").unwrap();
+        let translations = snap.counter("dp.translations").unwrap();
+        assert!((misses..=2 * misses).contains(&translations));
+        assert!(snap.counter("dp.calibrations").unwrap() <= misses);
         // The queue-depth high-watermark gauge mirrors the always-on
         // ServiceStats field, and every executed batch is size-accounted.
         assert_eq!(
@@ -208,6 +221,8 @@ fn noop_registry_snapshot_still_serves_always_on_stats() {
         0
     );
     assert!(snap.counter("query.answered").is_none());
+    assert!(snap.counter("dp.translations").is_none());
+    assert!(snap.counter("dp.calibrations").is_none());
     assert!(snap.budgets.is_empty());
     // ...but the registry-free ServiceStats surface is still live.
     assert!(stats.queue_depth_hwm >= 1);

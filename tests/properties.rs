@@ -13,7 +13,9 @@ use dprovdb::dp::mechanism::{
 };
 use dprovdb::dp::rng::DpRng;
 use dprovdb::dp::sensitivity::Sensitivity;
-use dprovdb::dp::translation::{translate_variance_to_epsilon, FrictionAwareTranslation};
+use dprovdb::dp::translation::{
+    translate_variance_to_epsilon, FrictionAwareTranslation, DEFAULT_EPSILON_PRECISION,
+};
 use dprovdb::engine::schema::{Attribute, AttributeType, Schema};
 use dprovdb::engine::table::Table;
 use dprovdb::engine::value::Value;
@@ -79,7 +81,11 @@ proptest! {
         let delta = Delta::new(1e-9).unwrap();
         let max_eps = Epsilon::new(50.0).unwrap();
         let existing = target * existing_factor;
-        let translator = FrictionAwareTranslation::new(delta, Sensitivity::histogram_bounded());
+        let translator = FrictionAwareTranslation::new(
+            delta,
+            Sensitivity::histogram_bounded(),
+            DEFAULT_EPSILON_PRECISION,
+        );
         let friction = translator.translate(target, Some(existing), max_eps).unwrap();
         let vanilla = translator.translate(target, None, max_eps).unwrap();
         prop_assert!(friction.epsilon.value() <= vanilla.epsilon.value() + 1e-6);
@@ -184,13 +190,13 @@ proptest! {
     // Each case materialises a small database, so keep the count modest.
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// The SynopsisManager's global-synopsis growth (`ensure_global`) obeys
+    /// The SynopsisManager's global-synopsis growth (`grow_global`) obeys
     /// the UMVUE-merge invariants across an arbitrary growth schedule:
     /// the nominal epsilon is monotone non-decreasing, and every merge
     /// leaves the per-bin variance no larger than the *minimum* of its two
     /// inputs (the previous global synopsis and the fresh delta synopsis).
     #[test]
-    fn ensure_global_merge_is_monotone_and_umvue_accurate(
+    fn grow_global_merge_is_monotone_and_umvue_accurate(
         eps_first in 0.1f64..1.5,
         growths in proptest::collection::vec(0.05f64..0.8, 1..5),
         seed in 0u64..1_000,
@@ -206,15 +212,15 @@ proptest! {
         let mut rng = DpRng::seed_from_u64(seed);
         let sens = mgr.sensitivity("adult.age").unwrap().value();
 
-        mgr.ensure_global("adult.age", eps_first, &mut rng).unwrap();
+        mgr.grow_global("adult.age", eps_first, None, &mut rng).unwrap();
         let (mut prev_eps, mut prev_var) =
             mgr.global_state("adult.age").unwrap().unwrap();
         prop_assert_eq!(prev_eps, eps_first);
 
         for growth in growths {
             let target = prev_eps + growth;
-            let spent = mgr.ensure_global("adult.age", target, &mut rng).unwrap();
-            prop_assert!((spent - growth).abs() < 1e-9);
+            let grown = mgr.grow_global("adult.age", target, None, &mut rng).unwrap();
+            prop_assert!((grown.unwrap().spent_epsilon - growth).abs() < 1e-9);
             let (eps, var) = mgr.global_state("adult.age").unwrap().unwrap();
             // Epsilon is monotone non-decreasing (exactly the target here).
             prop_assert!(eps >= prev_eps);
@@ -231,8 +237,8 @@ proptest! {
         }
 
         // Shrinking the target is free and changes nothing.
-        let spent = mgr.ensure_global("adult.age", prev_eps * 0.5, &mut rng).unwrap();
-        prop_assert_eq!(spent, 0.0);
+        let grown = mgr.grow_global("adult.age", prev_eps * 0.5, None, &mut rng).unwrap();
+        prop_assert_eq!(grown, None);
         let (eps, var) = mgr.global_state("adult.age").unwrap().unwrap();
         prop_assert_eq!(eps, prev_eps);
         prop_assert_eq!(var, prev_var);
