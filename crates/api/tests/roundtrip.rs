@@ -385,6 +385,33 @@ fn protocol_floor_is_unchanged_by_the_grouped_extension() {
     }
 }
 
+/// `MAX_GROUP_CELLS` is the largest grouping whose answer can fit one
+/// frame: at the cap, every cell in its smallest encoding inside the
+/// largest envelope (a mux reply) fits `MAX_FRAME_LEN`; one cell more
+/// cannot.
+#[test]
+fn the_group_cell_cap_is_the_largest_answer_one_frame_carries() {
+    use dprov_engine::group::MAX_GROUP_CELLS;
+    let smallest_reply = |cells: usize| {
+        let grouped = GroupedOutcome {
+            keys: vec![vec![Value::text("")]; cells],
+            outcomes: vec![
+                QueryOutcome::Rejected {
+                    reason: RejectReason::TableConstraint
+                };
+                cells
+            ],
+        };
+        let payload = encode_response(u64::MAX, &Response::GroupedAnswer(grouped));
+        let channel = u64::MAX;
+        encode_response(u64::MAX, &Response::MuxReply { channel, payload }).len()
+    };
+    let (envelope, per_cell) = (smallest_reply(0), smallest_reply(1) - smallest_reply(0));
+    assert_eq!((envelope, per_cell), (40, 11), "update MAX_GROUP_CELLS");
+    assert!(envelope + MAX_GROUP_CELLS * per_cell <= frame::MAX_FRAME_LEN);
+    assert!(envelope + (MAX_GROUP_CELLS + 1) * per_cell > frame::MAX_FRAME_LEN);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 

@@ -1,4 +1,5 @@
-//! Ablation — design choices called out in DESIGN.md:
+//! Ablation — the design choices behind the README's "Reproducing the
+//! paper" ablation row:
 //!
 //! 1. **View-combination friction** (§5.2.2, Theorem 5.4): growing a global
 //!    synopsis incrementally (ε₁ then Δε) and combining with the UMVUE

@@ -1,26 +1,6 @@
-//! Fixed-width table printing and machine-readable JSON output for
-//! experiment binaries.
-//!
-//! Every bench bin prints its human-readable tables to stdout **and**
-//! writes a `BENCH_<name>.json` file (schema documented in `BENCH.md`):
-//!
-//! ```json
-//! {
-//!   "bench": "<name>",
-//!   "args": { "<knob>": <value>, ... },
-//!   "rows": [ { "<column>": <value>, ... }, ... ]
-//! }
-//! ```
-//!
-//! Values are JSON numbers, strings or booleans; non-finite floats render
-//! as `null`. The file lands in the current working directory unless
-//! `BENCH_JSON_DIR` points elsewhere — CI's bench smoke step greps these
-//! files for sanity.
+//! Fixed-width table printing for the experiment binaries.
 
 use std::fmt::Write as _;
-use std::path::PathBuf;
-use std::sync::Mutex;
-use std::time::{Duration, Instant};
 
 /// A simple fixed-width text table.
 #[derive(Debug, Clone, Default)]
@@ -79,367 +59,6 @@ impl Table {
     }
 }
 
-/// One JSON scalar in a bench report.
-#[derive(Debug, Clone, PartialEq)]
-pub enum JsonValue {
-    /// A JSON number from a float (non-finite renders as `null`).
-    Num(f64),
-    /// A JSON integer.
-    Int(i64),
-    /// A JSON string.
-    Str(String),
-    /// A JSON boolean.
-    Bool(bool),
-}
-
-impl From<f64> for JsonValue {
-    fn from(v: f64) -> Self {
-        JsonValue::Num(v)
-    }
-}
-impl From<i64> for JsonValue {
-    fn from(v: i64) -> Self {
-        JsonValue::Int(v)
-    }
-}
-impl From<u64> for JsonValue {
-    fn from(v: u64) -> Self {
-        JsonValue::Int(v as i64)
-    }
-}
-impl From<usize> for JsonValue {
-    fn from(v: usize) -> Self {
-        JsonValue::Int(v as i64)
-    }
-}
-impl From<&str> for JsonValue {
-    fn from(v: &str) -> Self {
-        JsonValue::Str(v.to_owned())
-    }
-}
-impl From<String> for JsonValue {
-    fn from(v: String) -> Self {
-        JsonValue::Str(v)
-    }
-}
-impl From<bool> for JsonValue {
-    fn from(v: bool) -> Self {
-        JsonValue::Bool(v)
-    }
-}
-
-fn escape_json(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-fn render_value(value: &JsonValue, out: &mut String) {
-    match value {
-        JsonValue::Num(v) if v.is_finite() => {
-            let _ = write!(out, "{v}");
-        }
-        JsonValue::Num(_) => out.push_str("null"),
-        JsonValue::Int(v) => {
-            let _ = write!(out, "{v}");
-        }
-        JsonValue::Str(s) => escape_json(s, out),
-        JsonValue::Bool(b) => {
-            let _ = write!(out, "{b}");
-        }
-    }
-}
-
-fn render_object(fields: &[(String, JsonValue)], out: &mut String) {
-    out.push('{');
-    for (i, (key, value)) in fields.iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        escape_json(key, out);
-        out.push_str(": ");
-        render_value(value, out);
-    }
-    out.push('}');
-}
-
-/// A machine-readable bench report, written alongside the stdout tables
-/// as `BENCH_<name>.json` (see the module docs for the schema).
-#[derive(Debug, Clone, Default)]
-pub struct BenchJson {
-    bench: String,
-    args: Vec<(String, JsonValue)>,
-    rows: Vec<Vec<(String, JsonValue)>>,
-}
-
-impl BenchJson {
-    /// A report for the named bench bin.
-    #[must_use]
-    pub fn new(bench: &str) -> Self {
-        BenchJson {
-            bench: bench.to_owned(),
-            args: Vec::new(),
-            rows: Vec::new(),
-        }
-    }
-
-    /// Records one invocation knob (dataset size, query count, ...).
-    pub fn arg(&mut self, key: &str, value: impl Into<JsonValue>) -> &mut Self {
-        self.args.push((key.to_owned(), value.into()));
-        self
-    }
-
-    /// Appends one result row of `(column, value)` pairs.
-    pub fn row(&mut self, fields: &[(&str, JsonValue)]) -> &mut Self {
-        self.rows.push(
-            fields
-                .iter()
-                .map(|(k, v)| ((*k).to_owned(), v.clone()))
-                .collect(),
-        );
-        self
-    }
-
-    /// Renders the whole report as a JSON document.
-    #[must_use]
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        out.push_str("{\"bench\": ");
-        escape_json(&self.bench, &mut out);
-        out.push_str(", \"args\": ");
-        render_object(&self.args, &mut out);
-        out.push_str(", \"rows\": [");
-        for (i, row) in self.rows.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            out.push_str("\n  ");
-            render_object(row, &mut out);
-        }
-        out.push_str("\n]}\n");
-        out
-    }
-
-    /// Writes `BENCH_<name>.json` into `BENCH_JSON_DIR` (or the current
-    /// directory) and returns the path.
-    pub fn write(&self) -> std::io::Result<PathBuf> {
-        let dir = std::env::var_os("BENCH_JSON_DIR").map_or_else(PathBuf::new, PathBuf::from);
-        let path = dir.join(format!("BENCH_{}.json", self.bench));
-        std::fs::write(&path, self.render())?;
-        Ok(path)
-    }
-
-    /// Writes the report, printing where it landed (or the error — a
-    /// bench never fails its run because the report could not be saved).
-    pub fn emit(&self) {
-        match self.write() {
-            Ok(path) => println!("\nmachine-readable report: {}", path.display()),
-            Err(e) => eprintln!("\nWARNING: could not write bench JSON: {e}"),
-        }
-    }
-}
-
-/// One report cell: the JSON key and value, plus how the value renders
-/// in the stdout table. Built with [`cell`] (derived rendering) or
-/// [`cell_fmt`] (explicit rendering, e.g. `"1.25x"`).
-#[derive(Debug, Clone)]
-pub struct Cell {
-    key: String,
-    value: JsonValue,
-    display: String,
-}
-
-/// A cell whose table rendering is derived from its JSON value (floats
-/// with three decimals, everything else verbatim).
-pub fn cell(key: &str, value: impl Into<JsonValue>) -> Cell {
-    let value = value.into();
-    let display = match &value {
-        JsonValue::Num(v) => fmt_f64(*v, 3),
-        JsonValue::Int(v) => v.to_string(),
-        JsonValue::Str(s) => s.clone(),
-        JsonValue::Bool(b) => b.to_string(),
-    };
-    Cell {
-        key: key.to_owned(),
-        value,
-        display,
-    }
-}
-
-/// A cell with an explicit table rendering decoupled from its raw JSON
-/// value (`cell_fmt("speedup", 1.2534, "1.25x")`).
-pub fn cell_fmt(key: &str, value: impl Into<JsonValue>, display: impl Into<String>) -> Cell {
-    Cell {
-        key: key.to_owned(),
-        value: value.into(),
-        display: display.into(),
-    }
-}
-
-/// The combined stdout-table + `BENCH_<name>.json` emitter shared by the
-/// throughput bins: one [`BenchReport::row`] call feeds both outputs, so
-/// the table and the machine-readable report cannot drift apart (they
-/// used to be maintained as copy-pasted parallel literals in every bin).
-///
-/// A report is a sequence of [`BenchReport::section`]s — each prints a
-/// banner and renders its own table — over one shared JSON document;
-/// multi-section bins keep their rows distinguishable with a
-/// discriminator cell (`mechanism`, `phase`, ...).
-#[derive(Debug)]
-pub struct BenchReport {
-    json: BenchJson,
-    table: Option<Table>,
-}
-
-impl BenchReport {
-    /// A report for the named bench bin.
-    #[must_use]
-    pub fn new(bench: &str) -> Self {
-        BenchReport {
-            json: BenchJson::new(bench),
-            table: None,
-        }
-    }
-
-    /// Records one invocation knob (forwarded to the JSON `args` object).
-    pub fn arg(&mut self, key: &str, value: impl Into<JsonValue>) -> &mut Self {
-        self.json.arg(key, value);
-        self
-    }
-
-    /// Flushes the previous section's table (if any), prints a banner and
-    /// starts a new table whose header is `columns`. Rows added next must
-    /// match that arity.
-    pub fn section<S: AsRef<str>>(&mut self, title: &str, columns: &[S]) {
-        self.flush_table();
-        banner(title);
-        self.table = Some(Table::new(columns));
-    }
-
-    /// Appends one row to both the current section's table (display
-    /// strings, arity-checked against the section header) and the JSON
-    /// report (keys + raw values).
-    pub fn row(&mut self, cells: &[Cell]) {
-        let table = self
-            .table
-            .as_mut()
-            .expect("BenchReport::row called before BenchReport::section");
-        let display: Vec<&str> = cells.iter().map(|c| c.display.as_str()).collect();
-        table.add_row(&display);
-        let fields: Vec<(&str, JsonValue)> = cells
-            .iter()
-            .map(|c| (c.key.as_str(), c.value.clone()))
-            .collect();
-        self.json.row(&fields);
-    }
-
-    /// Flushes the last table and writes `BENCH_<name>.json` (see
-    /// [`BenchJson::emit`]).
-    pub fn finish(&mut self) {
-        self.flush_table();
-        self.json.emit();
-    }
-
-    fn flush_table(&mut self) {
-        if let Some(table) = self.table.take() {
-            table.print();
-        }
-    }
-}
-
-/// A shared per-event latency collector for bench submitter threads:
-/// records exact nanosecond samples (a `Mutex<Vec>` — one short lock per
-/// event is noise at bench rates) and summarises them as exact
-/// nearest-rank percentiles, unlike the service's log-bucketed runtime
-/// histograms which trade resolution for lock-freedom.
-#[derive(Debug, Default)]
-pub struct Latencies {
-    samples: Mutex<Vec<u64>>,
-}
-
-impl Latencies {
-    /// An empty collector.
-    #[must_use]
-    pub fn new() -> Self {
-        Latencies::default()
-    }
-
-    /// Records one latency sample.
-    pub fn record(&self, dur: Duration) {
-        let nanos = dur.as_nanos().min(u128::from(u64::MAX)) as u64;
-        self.samples.lock().expect("latencies poisoned").push(nanos);
-    }
-
-    /// Times a closure and records its duration, passing the result
-    /// through.
-    pub fn time<T>(&self, f: impl FnOnce() -> T) -> T {
-        let start = Instant::now();
-        let out = f();
-        self.record(start.elapsed());
-        out
-    }
-
-    /// Samples recorded so far.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.samples.lock().expect("latencies poisoned").len()
-    }
-
-    /// True when nothing has been recorded.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Sum of every recorded sample, in seconds (total time spent in the
-    /// timed operation).
-    #[must_use]
-    pub fn total_seconds(&self) -> f64 {
-        let samples = self.samples.lock().expect("latencies poisoned");
-        samples.iter().map(|&nanos| nanos as f64).sum::<f64>() / 1e9
-    }
-
-    /// The standard latency columns every throughput bin emits —
-    /// `p50_us`/`p95_us`/`p99_us`/`max_us`, exact nearest-rank
-    /// percentiles in microseconds (documented in `BENCH.md`). All zero
-    /// when nothing was recorded.
-    #[must_use]
-    pub fn percentile_cells(&self) -> Vec<Cell> {
-        let mut samples = self.samples.lock().expect("latencies poisoned").clone();
-        samples.sort_unstable();
-        let us = |nanos: u64| nanos as f64 / 1_000.0;
-        let pct = |q: f64| -> f64 {
-            if samples.is_empty() {
-                return 0.0;
-            }
-            let rank = ((q * samples.len() as f64).ceil() as usize).clamp(1, samples.len());
-            us(samples[rank - 1])
-        };
-        vec![
-            cell_fmt("p50_us", pct(0.50), fmt_f64(pct(0.50), 1)),
-            cell_fmt("p95_us", pct(0.95), fmt_f64(pct(0.95), 1)),
-            cell_fmt("p99_us", pct(0.99), fmt_f64(pct(0.99), 1)),
-            cell_fmt(
-                "max_us",
-                us(samples.last().copied().unwrap_or(0)),
-                fmt_f64(us(samples.last().copied().unwrap_or(0)), 1),
-            ),
-        ]
-    }
-}
-
 /// Formats a float with a fixed number of decimals (helper for table
 /// cells).
 #[must_use]
@@ -483,99 +102,5 @@ mod tests {
     fn float_formatting() {
         assert_eq!(fmt_f64(1.23456, 2), "1.23");
         assert_eq!(fmt_f64(2.0, 0), "2");
-    }
-
-    #[test]
-    fn bench_json_renders_the_documented_schema() {
-        let mut report = BenchJson::new("exec_throughput");
-        report.arg("queries", 2_000usize).arg("rows", 50_000usize);
-        report.row(&[
-            ("mode", "row-at-a-time".into()),
-            ("qps", 1671.5.into()),
-            ("ok", true.into()),
-        ]);
-        report.row(&[("mode", "columnar".into()), ("nan", f64::NAN.into())]);
-        let out = report.render();
-        assert!(out.contains("\"bench\": \"exec_throughput\""));
-        assert!(out.contains("\"args\": {\"queries\": 2000, \"rows\": 50000}"));
-        assert!(out.contains("{\"mode\": \"row-at-a-time\", \"qps\": 1671.5, \"ok\": true}"));
-        assert!(out.contains("\"nan\": null"), "{out}");
-        // Strings escape cleanly.
-        let mut tricky = BenchJson::new("x");
-        tricky.row(&[("s", "a\"b\\c\nd".into())]);
-        assert!(tricky.render().contains(r#""s": "a\"b\\c\nd""#));
-    }
-
-    #[test]
-    fn cells_derive_or_override_their_display() {
-        let c = cell("qps", 1234.5678);
-        assert_eq!(c.display, "1234.568");
-        assert_eq!(cell("workers", 4usize).display, "4");
-        assert_eq!(cell("mode", "columnar").display, "columnar");
-        let c = cell_fmt("speedup", 1.2534, "1.25x");
-        assert_eq!(c.display, "1.25x");
-        match c.value {
-            JsonValue::Num(v) => assert!((v - 1.2534).abs() < 1e-12),
-            other => panic!("unexpected value {other:?}"),
-        }
-    }
-
-    #[test]
-    fn bench_report_feeds_table_and_json_from_one_row() {
-        let mut report = BenchReport::new("unit_test_report");
-        report.arg("rows", 10usize);
-        report.section("first", &["mode", "qps"]);
-        report.row(&[cell("mode", "a"), cell("qps", 10.0)]);
-        // A new section may change arity without disturbing the JSON rows.
-        report.section("second", &["phase", "n", "ok"]);
-        report.row(&[cell("phase", "b"), cell("n", 3usize), cell("ok", true)]);
-        let out = report.json.render();
-        assert!(out.contains("\"bench\": \"unit_test_report\""));
-        assert!(out.contains("\"args\": {\"rows\": 10}"));
-        assert!(out.contains("{\"mode\": \"a\", \"qps\": 10}"));
-        assert!(out.contains("{\"phase\": \"b\", \"n\": 3, \"ok\": true}"));
-    }
-
-    #[test]
-    #[should_panic(expected = "before BenchReport::section")]
-    fn bench_report_row_requires_a_section() {
-        BenchReport::new("x").row(&[cell("a", 1usize)]);
-    }
-
-    #[test]
-    fn latencies_report_exact_nearest_rank_percentiles() {
-        let lat = Latencies::new();
-        assert!(lat.is_empty());
-        // 1..=100 microseconds.
-        for us in 1..=100u64 {
-            lat.record(Duration::from_micros(us));
-        }
-        assert_eq!(lat.len(), 100);
-        let cells = lat.percentile_cells();
-        let by_key: Vec<(&str, f64)> = cells
-            .iter()
-            .map(|c| match c.value {
-                JsonValue::Num(v) => (c.key.as_str(), v),
-                _ => panic!("percentiles must be numeric"),
-            })
-            .collect();
-        assert_eq!(
-            by_key,
-            vec![
-                ("p50_us", 50.0),
-                ("p95_us", 95.0),
-                ("p99_us", 99.0),
-                ("max_us", 100.0),
-            ]
-        );
-        // Empty collector yields zeros, not a panic.
-        let empty = Latencies::new().percentile_cells();
-        for c in empty {
-            assert!(matches!(c.value, JsonValue::Num(v) if v == 0.0));
-        }
-        // `time` passes the closure result through and records a sample.
-        let lat = Latencies::new();
-        assert_eq!(lat.time(|| 7), 7);
-        assert_eq!(lat.len(), 1);
     }
 }

@@ -178,15 +178,6 @@ pub fn env_usize(name: &str, default: usize) -> usize {
         .unwrap_or(default)
 }
 
-/// Reads an environment variable as an f64 with a default.
-#[must_use]
-pub fn env_f64(name: &str, default: f64) -> f64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -221,6 +212,5 @@ mod tests {
     #[test]
     fn env_parsing_falls_back_to_defaults() {
         assert_eq!(env_usize("DPROV_DOES_NOT_EXIST", 7), 7);
-        assert_eq!(env_f64("DPROV_DOES_NOT_EXIST", 1.5), 1.5);
     }
 }

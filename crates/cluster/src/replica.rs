@@ -18,7 +18,8 @@
 //! protocol built on [`dprov_cluster::raft::RaftCore::truncations`])
 //! rewrites the whole file via [`ReplicaLog::rewrite`]. Every frame is
 //! CRC-guarded; a torn tail frame is dropped on load, matching the WAL's
-//! crash semantics.
+//! crash semantics, while a declared length no writer produces is refused
+//! as corruption without touching the file.
 //!
 //! [`dprov_cluster::raft::RaftCore::truncations`]: crate::raft::RaftCore::truncations
 
@@ -28,7 +29,7 @@ use std::path::{Path, PathBuf};
 
 use dprov_core::error::StorageError;
 use dprov_storage::codec::{crc32, Decoder, Encoder};
-use dprov_storage::wal::WalRecord;
+use dprov_storage::wal::{WalRecord, MAX_PAYLOAD};
 
 use crate::raft::{NodeId, PersistentState};
 use dprov_api::cluster::LogEntry;
@@ -36,6 +37,10 @@ use dprov_api::cluster::LogEntry;
 const MAGIC: &[u8; 8] = b"DPRAFT01";
 const TAG_ENTRY: u8 = 1;
 const TAG_META: u8 = 2;
+/// Largest frame payload a writer produces: a term, a length prefix and
+/// one WAL record. A longer declared length is a corrupt prefix, not a
+/// torn tail.
+const MAX_FRAME_PAYLOAD: usize = 8 + 4 + MAX_PAYLOAD as usize;
 
 /// A file-backed store for one replica's [`PersistentState`].
 #[derive(Debug)]
@@ -110,6 +115,13 @@ impl ReplicaLog {
             }
             let tag = rest[0];
             let len = u32::from_le_bytes([rest[1], rest[2], rest[3], rest[4]]) as usize;
+            if len > MAX_FRAME_PAYLOAD {
+                return Err(StorageError::Corrupt {
+                    file: path.display().to_string(),
+                    offset: offset as u64,
+                    reason: format!("replica log frame length {len} exceeds maximum"),
+                });
+            }
             let frame_end = 5usize.saturating_add(len).saturating_add(4);
             if rest.len() < frame_end {
                 break; // torn payload/crc
@@ -375,6 +387,30 @@ mod tests {
         // And the file was healed: reopening again is clean.
         let (_, recovered2) = ReplicaLog::open(&path).unwrap();
         assert_eq!(recovered2.entries, vec![entry(1, 1)]);
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn a_corrupt_length_prefix_is_refused_not_truncated_as_a_torn_tail() {
+        let path = temp_path("corruptlen");
+        let (mut log, _) = ReplicaLog::open(&path).unwrap();
+        let state = PersistentState {
+            term: 5,
+            voted_for: Some(2),
+            entries: vec![entry(5, 1), entry(5, 2), entry(5, 3)],
+        };
+        log.append(&state, true).unwrap();
+        drop(log);
+        let mut bytes = std::fs::read(&path).unwrap();
+        // Bit 6 of byte 12: the high byte of the first frame's length.
+        bytes[12] ^= 0x40;
+        std::fs::write(&path, &bytes).unwrap();
+        let err = ReplicaLog::open(&path).unwrap_err();
+        assert!(
+            matches!(err, StorageError::Corrupt { offset: 8, .. }),
+            "{err}"
+        );
+        assert_eq!(std::fs::read(&path).unwrap(), bytes, "file left untouched");
         std::fs::remove_file(&path).ok();
     }
 

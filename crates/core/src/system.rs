@@ -1236,8 +1236,9 @@ impl DProvDb {
             .iter()
             .map(|&p| schema.attributes()[p].domain_size())
             .collect();
+        // Refuses an over-wide grouping before enumerating a key.
         let keys = query.group_keys(schema).map_err(CoreError::Engine)?;
-        let num_groups: usize = group_sizes.iter().product();
+        let num_groups = keys.len();
 
         // Select the view once, against the representative (all-zero) group
         // cell's scalar query; answerability never depends on the key.
@@ -1829,6 +1830,28 @@ mod tests {
                 if msg == "true_answer requires a scalar query"
         ));
         assert_eq!(system.exec_stats(), before, "nothing was scanned");
+    }
+
+    #[test]
+    fn a_group_by_past_the_cell_cap_is_refused_before_enumerating() {
+        let system = build(MechanismKind::AdditiveGaussian, 8.0);
+        // 74 · 99 · 45 · 5 = 1 648 350 cells, just past MAX_GROUP_CELLS.
+        let cols = ["age", "hours_per_week", "capital_loss", "race"];
+        let wide = GroupedRequest::with_accuracy(GroupByQuery::count("adult", &cols), 500.0);
+        let err = system.answer_group_by(AnalystId(1), &wide).unwrap_err();
+        assert!(
+            matches!(err, CoreError::Engine(EngineError::InvalidQuery(ref msg))
+                if msg.contains("group cells")),
+            "{err}"
+        );
+        assert_eq!(system.cumulative_epsilon(), 0.0, "nothing was charged");
+        // The same analyst is then answered normally.
+        let narrow = GroupByQuery::count("adult", &["sex"]);
+        let outcome = system
+            .answer_group_by(AnalystId(1), &GroupedRequest::with_accuracy(narrow, 500.0))
+            .unwrap();
+        assert_eq!(outcome.keys.len(), 2);
+        assert!(outcome.outcomes.iter().all(QueryOutcome::is_answered));
     }
 
     #[test]
@@ -2426,6 +2449,7 @@ mod tests {
     fn patched_histograms_equal_a_rebuild_after_every_seal() {
         let system = build(MechanismKind::AdditiveGaussian, 8.0);
         for round in 0..3 {
+            let before = system.exec_stats();
             system
                 .apply_update(&adult_insert(&[20 + round, 30 + round]))
                 .unwrap();
@@ -2436,6 +2460,12 @@ mod tests {
                     .unwrap();
             }
             let report = system.seal_epoch().unwrap();
+            // Seal cost tracks the delta: the views are patched from the
+            // one new segment of the one touched table, never rescanned.
+            let after = system.exec_stats();
+            assert_eq!(after.histogram_scans, before.histogram_scans);
+            assert_eq!(after.scans, before.scans);
+            assert_eq!(after.segments_appended, before.segments_appended + 1);
             let touched = system.synopses.views_over_table("adult");
             assert_eq!(report.views_patched.len(), touched.len());
             for def in &touched {

@@ -1,12 +1,13 @@
 //! Synthetic dataset generators.
 //!
 //! The paper evaluates on the UCI Adult census dataset and TPC-H SF-1. Both
-//! are replaced here by schema-faithful synthetic generators (see DESIGN.md
-//! §1 for the substitution argument): every mechanism in DProvDB is
-//! data-independent Gaussian noise over histogram counts, so what matters
-//! for reproducing the evaluation is the *schema* (attribute domains and
-//! their sizes) and the dataset cardinality, both of which the generators
-//! match; the concrete joint distribution only shifts the true counts.
+//! are replaced here by schema-faithful synthetic generators (see the
+//! README's "Reproducing the paper" section): every mechanism in DProvDB
+//! is data-independent Gaussian noise over histogram counts, so what
+//! matters for reproducing the evaluation is the *schema* (attribute
+//! domains and their sizes) and the dataset cardinality, both of which
+//! the generators match; the concrete joint distribution only shifts the
+//! true counts.
 
 pub mod adult;
 pub mod tpch;

@@ -23,6 +23,15 @@ use crate::value::Value;
 use crate::view::MultiIndexIter;
 use crate::{EngineError, Result};
 
+/// The most group cells one GROUP BY may ask for: the largest count whose
+/// reply fits one wire frame (`dprov_api::frame::MAX_FRAME_LEN`, 16 MiB)
+/// even with every cell in its smallest encoding (an empty one-value key
+/// plus a payload-free rejection, 11 B) inside the largest reply envelope
+/// (a multiplexed grouped answer, 40 B). `dprov-api` pins the arithmetic.
+/// [`GroupByQuery::num_groups`] refuses anything larger before a single
+/// key is enumerated.
+pub const MAX_GROUP_CELLS: usize = ((1 << 24) - 40) / 11;
+
 /// An aggregate query grouped by one or more finite-domain attributes.
 ///
 /// Unlike [`Query`]'s `group_by` field (used only for exact evaluation in
@@ -102,14 +111,25 @@ impl GroupByQuery {
             .collect())
     }
 
-    /// Number of group cells (product of the grouping domains).
+    /// Number of group cells (product of the grouping domains); a product
+    /// above [`MAX_GROUP_CELLS`] (or past `usize`) is an invalid query.
     pub fn num_groups(&self, schema: &Schema) -> Result<usize> {
-        Ok(self.group_sizes(schema)?.iter().product())
+        self.group_sizes(schema)?
+            .iter()
+            .try_fold(1usize, |n, &size| n.checked_mul(size))
+            .filter(|&n| n <= MAX_GROUP_CELLS)
+            .ok_or_else(|| {
+                EngineError::InvalidQuery(format!(
+                    "GROUP BY {} asks for more than {MAX_GROUP_CELLS} group cells",
+                    self.group_cols.join(", ")
+                ))
+            })
     }
 
     /// Group keys in canonical enumeration order (row-major over the
     /// grouping domains, last attribute fastest).
     pub fn group_keys(&self, schema: &Schema) -> Result<Vec<Vec<Value>>> {
+        self.num_groups(schema)?;
         let positions = self.group_positions(schema)?;
         let sizes: Vec<usize> = positions
             .iter()
@@ -161,6 +181,7 @@ impl GroupByQuery {
 
     /// All per-group scalar queries in canonical enumeration order.
     pub fn scalar_queries(&self, schema: &Schema) -> Result<Vec<Query>> {
+        self.num_groups(schema)?;
         let sizes = self.group_sizes(schema)?;
         MultiIndexIter::new(&sizes)
             .map(|cell| self.group_query(schema, &cell))
@@ -276,6 +297,36 @@ mod tests {
             GroupByQuery::count("adult", &["salary"]).group_positions(&s),
             Err(EngineError::UnknownAttribute(_))
         ));
+    }
+
+    #[test]
+    fn oversized_groupings_are_refused_before_enumeration() {
+        let max = MAX_GROUP_CELLS as i64;
+        let wide = Schema::new(vec![
+            Attribute::new("at_cap", AttributeType::integer(1, max)),
+            Attribute::new("past_cap", AttributeType::integer(0, max)),
+            Attribute::new("huge", AttributeType::integer(0, 1 << 40)),
+            Attribute::new("huge2", AttributeType::integer(0, 1 << 40)),
+        ]);
+        let at_cap = GroupByQuery::count("t", &["at_cap"]);
+        assert_eq!(at_cap.num_groups(&wide).unwrap(), MAX_GROUP_CELLS);
+        // One cell past the cap, and a product past `usize`: refused by
+        // every enumerator, without allocating a key.
+        for cols in [&["past_cap"][..], &["huge", "huge2", "at_cap"]] {
+            let q = GroupByQuery::count("t", cols);
+            assert!(matches!(
+                q.num_groups(&wide),
+                Err(EngineError::InvalidQuery(_))
+            ));
+            assert!(matches!(
+                q.group_keys(&wide),
+                Err(EngineError::InvalidQuery(_))
+            ));
+            assert!(matches!(
+                q.scalar_queries(&wide),
+                Err(EngineError::InvalidQuery(_))
+            ));
+        }
     }
 
     #[test]

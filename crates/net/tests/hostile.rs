@@ -14,10 +14,11 @@ use dprov_api::{codes, DProvClient};
 use dprov_core::analyst::AnalystRegistry;
 use dprov_core::config::SystemConfig;
 use dprov_core::mechanism::MechanismKind;
-use dprov_core::processor::QueryRequest;
+use dprov_core::processor::{GroupedRequest, QueryRequest};
 use dprov_core::system::DProvDb;
 use dprov_engine::catalog::ViewCatalog;
 use dprov_engine::datagen::adult::adult_database;
+use dprov_engine::group::GroupByQuery;
 use dprov_engine::query::Query;
 use dprov_net::{listen, EventLoopFrontend, NetConfig};
 use dprov_server::{QueryService, ServiceConfig};
@@ -231,6 +232,36 @@ fn slow_loris_writers_do_not_starve_other_clients() {
     }
     client.close().unwrap();
     drop(loris);
+    listener.shutdown();
+}
+
+/// A small GROUP BY frame asking for more cells than one reply frame can
+/// carry is refused with a typed error before the server enumerates a
+/// key, and the same session is answered normally afterwards.
+#[test]
+fn an_over_wide_group_by_is_refused_promptly_and_the_session_survives() {
+    let service = service();
+    let listener = listen(&service, "127.0.0.1:0").unwrap();
+    let mut client = DProvClient::connect_tcp(listener.local_addr(), "wide").unwrap();
+    client.register("alice").unwrap();
+
+    // 74 · 99 · 45 · 5 = 1 648 350 cells, just past MAX_GROUP_CELLS.
+    let cols = ["age", "hours_per_week", "capital_loss", "race"];
+    let wide = GroupedRequest::with_accuracy(GroupByQuery::count("adult", &cols), 500.0);
+    let start = Instant::now();
+    let err = client.group_by(&wide).unwrap_err();
+    assert!(err.message.contains("group cells"), "{err:?}");
+    assert!(
+        start.elapsed() < Duration::from_secs(5),
+        "refusal was not prompt"
+    );
+
+    let narrow = GroupedRequest::with_accuracy(GroupByQuery::count("adult", &["sex"]), 500.0);
+    let outcome = client.group_by(&narrow).unwrap();
+    assert!(outcome.outcomes.iter().all(|o| o.is_answered()));
+    assert!(client.query(&age_query(20, 60)).unwrap().is_answered());
+    client.close().unwrap();
+    assert!(listener.take_fatal_error().is_none());
     listener.shutdown();
 }
 

@@ -28,8 +28,8 @@ use crate::wal::{scan, SessionCheckpoint, WalRecord, WalWriter};
 #[derive(Debug, Clone)]
 pub struct StoreOptions {
     /// `sync_data` after every ledger append (durable commits). Turning
-    /// this off trades crash durability for throughput — the
-    /// `recovery_throughput` bench quantifies the gap.
+    /// this off trades crash durability for throughput (`dprovbench`'s
+    /// `commit-wal` workload runs with it off).
     pub fsync: bool,
 }
 

@@ -38,7 +38,7 @@ use crate::codec::{crc32, Decoder, Encoder};
 pub const WAL_MAGIC: &[u8; 8] = b"DPWAL001";
 
 /// Upper bound on one frame's payload; anything larger is corruption.
-const MAX_PAYLOAD: u32 = 64 << 20;
+pub const MAX_PAYLOAD: u32 = 64 << 20;
 
 const TAG_COMMIT: u8 = 1;
 const TAG_ACCESS: u8 = 2;

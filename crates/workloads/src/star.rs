@@ -7,7 +7,8 @@
 //! carries the dimension attributes (`store.region`, `item.category`, …)
 //! that the grouped workloads and the planner benchmarks query.
 //!
-//! Two presets drive the `plan_throughput` bench and the equivalence tests:
+//! Two presets drive `dprovbench`'s `grouped` workload, the planner tests
+//! and the equivalence tests:
 //!
 //! * [`GroupedConfig::grouped_heavy`] — per-analyst batches dominated by a
 //!   few popular groupings (batch-friendly: grouped cells of one view fill
@@ -276,8 +277,8 @@ pub fn generate_grouped(db: &Database, config: &GroupedConfig) -> EngineResult<G
 /// The planner-probe declared workload over the folded star: a few popular
 /// grouped templates, a rare wide grouping, and scalar drill-downs, with
 /// frequencies skewed enough that buying every possible view is visibly
-/// wasteful. This is the input the `plan_throughput` bench hands to the
-/// planner and, scaled down, what the planner tests assert against.
+/// wasteful. This is the input the planner tests (`planner_probe.rs`)
+/// plan, serve and assert against.
 #[must_use]
 pub fn planner_probe() -> DeclaredWorkload {
     DeclaredWorkload::new()
