@@ -129,7 +129,7 @@ pub struct RaftCore {
     /// Elections this node has won (for the observability counter).
     elections_won: u64,
     /// Bumped every time the log loses a suffix, so persistence layers
-    /// know an append-only sync is not enough.
+    /// know an append-only sync is not enough. Not persisted.
     truncations: u64,
 }
 
@@ -229,15 +229,25 @@ impl RaftCore {
         self.elections_won
     }
 
-    /// Times the log lost a suffix (persistence layers rewrite on change).
+    /// Who this node voted for in the current term, if anyone.
+    #[must_use]
+    pub fn voted_for(&self) -> Option<NodeId> {
+        self.voted_for
+    }
+
+    /// Times the log lost a suffix since this core was built (persistence
+    /// layers rewrite on change; [`RaftCore::restore`] starts it at 0).
     #[must_use]
     pub fn truncations(&self) -> u64 {
         self.truncations
     }
 
-    /// The state a crash must not lose.
+    /// The state a crash must not lose, as one full copy of the log. The
+    /// test oracle of the incremental persistence in
+    /// `crate::sim::SimCluster`, which copies only the new suffix.
+    #[cfg(test)]
     #[must_use]
-    pub fn persistent(&self) -> PersistentState {
+    pub(crate) fn persistent(&self) -> PersistentState {
         PersistentState {
             term: self.term,
             voted_for: self.voted_for,

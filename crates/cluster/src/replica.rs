@@ -14,14 +14,17 @@
 //! Entries are appended in log order; a meta frame is appended whenever
 //! the term or vote changes, and the **last** meta frame wins on load.
 //! When Raft truncates a conflicting suffix the append-only discipline
-//! breaks, so the caller (see [`crate::sim::SimCluster`]'s persistence
-//! protocol built on [`dprov_cluster::raft::RaftCore::truncations`])
-//! rewrites the whole file via [`ReplicaLog::rewrite`]. Every frame is
-//! CRC-guarded; a torn tail frame is dropped on load, matching the WAL's
-//! crash semantics, while a declared length no writer produces is refused
-//! as corruption without touching the file.
+//! breaks, so the caller rewrites the whole file via
+//! [`ReplicaLog::rewrite`]; it knows to because
+//! [`RaftCore::truncations`] has moved since its last sync.
+//! [`crate::sim::SimCluster`]'s persistence protocol is this one, in
+//! memory: after every step of a node it appends the new log suffix and
+//! copies the term and vote, and it rebuilds the persisted log only after
+//! a truncation. Every frame is CRC-guarded; a torn tail frame is dropped
+//! on load, matching the WAL's crash semantics, while a declared length
+//! no writer produces is refused as corruption without touching the file.
 //!
-//! [`dprov_cluster::raft::RaftCore::truncations`]: crate::raft::RaftCore::truncations
+//! [`RaftCore::truncations`]: crate::raft::RaftCore::truncations
 
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};

@@ -20,6 +20,19 @@
 //! * [`SimCluster::set_drop_one_in`] / [`SimCluster::set_delay_one_in`]
 //!   inject seeded random message loss and reordering.
 //!
+//! A node persists before it speaks: after every tick, handled message
+//! and proposal, and before the resulting messages leave, the simulation
+//! syncs that node's durable state with the protocol
+//! [`crate::replica::ReplicaLog`] defines. It copies the term and vote,
+//! appends the log entries past the persisted prefix (as
+//! [`ReplicaLog::append`](crate::replica::ReplicaLog::append) does), and
+//! rebuilds the persisted log from scratch only when
+//! [`RaftCore::truncations`] has moved since that node's last sync (as
+//! [`ReplicaLog::rewrite`](crate::replica::ReplicaLog::rewrite) does after
+//! a follower drops a conflicting suffix). A sync therefore costs the new
+//! entries, not the log length, and a quorum-gated commit costs the same
+//! at any log length.
+//!
 //! [`SimCluster::propose_committed`] is the replication gate the
 //! [`crate::recorder::ReplicatedRecorder`] builds on: it appends a WAL
 //! record through the current leader and pumps until the entry is
@@ -64,10 +77,29 @@ struct SimNode {
     config: RaftConfig,
     /// `None` while crashed.
     core: Option<RaftCore>,
-    /// What this node's disk would hold (kept across crashes).
+    /// What this node's disk would hold (kept across crashes), equal to
+    /// the core's term, vote and log after every sync. Grown by suffix
+    /// appends; rebuilt only after the core truncated its log.
     persisted: PersistentState,
+    /// The core's [`RaftCore::truncations`] at the last sync (0 again at
+    /// restart, where the restored core's count starts).
+    synced_truncations: u64,
+    /// The core's [`RaftCore::elections_won`] already added to the
+    /// election counter (0 again at restart, like the core's count).
+    elections_reported: u64,
     /// Partition group; nodes in different groups cannot talk.
     group: u64,
+}
+
+/// Log entries the syncs wrote to persisted state, for the tests that pin
+/// the cost of persistence by a count.
+#[cfg(test)]
+#[derive(Debug, Default)]
+struct SyncTally {
+    /// Every entry written, appended or rebuilt.
+    written: u64,
+    /// The entries written by rebuilds after a truncation.
+    rebuilt: u64,
 }
 
 /// The deterministic replica-group simulation (see the module docs).
@@ -81,7 +113,8 @@ pub struct SimCluster {
     delay_one_in: u64,
     fault_rng: StdRng,
     metrics: MetricsRegistry,
-    elections_reported: u64,
+    #[cfg(test)]
+    tally: SyncTally,
 }
 
 impl SimCluster {
@@ -102,6 +135,8 @@ impl SimCluster {
                     core: Some(RaftCore::new(config.clone())),
                     config,
                     persisted: PersistentState::default(),
+                    synced_truncations: 0,
+                    elections_reported: 0,
                     group: 0,
                 }
             })
@@ -114,7 +149,8 @@ impl SimCluster {
             delay_one_in: 0,
             fault_rng: StdRng::seed_from_u64(seed ^ 0xFA17),
             metrics,
-            elections_reported: 0,
+            #[cfg(test)]
+            tally: SyncTally::default(),
         }
     }
 
@@ -187,6 +223,8 @@ impl SimCluster {
         let n = &mut self.nodes[node as usize];
         if n.core.is_none() {
             n.core = Some(RaftCore::restore(n.config.clone(), n.persisted.clone()));
+            n.synced_truncations = 0;
+            n.elections_reported = 0;
         }
     }
 
@@ -237,24 +275,45 @@ impl SimCluster {
 
     /// Persists node `i`'s durable state (what a `ReplicaLog` fsync
     /// would do). Called before that node's messages leave, so an acked
-    /// entry is always on "disk" first.
+    /// entry is always on "disk" first. Copies the term and vote, then
+    /// appends the log past the persisted prefix; the persisted log is
+    /// rebuilt from scratch only when the core truncated its log since
+    /// the last sync (see the module docs).
     fn sync_node(&mut self, i: usize) {
-        if let Some(core) = &self.nodes[i].core {
-            self.nodes[i].persisted = core.persistent();
+        let node = &mut self.nodes[i];
+        let Some(core) = &node.core else { return };
+        let persisted = &mut node.persisted;
+        persisted.term = core.term();
+        persisted.voted_for = core.voted_for();
+        let rebuild = core.truncations() != node.synced_truncations;
+        if rebuild {
+            node.synced_truncations = core.truncations();
+            persisted.entries.clear();
+        }
+        let suffix = &core.log()[persisted.entries.len()..];
+        persisted.entries.extend_from_slice(suffix);
+        #[cfg(test)]
+        {
+            let written = suffix.len() as u64;
+            self.tally.written += written;
+            if rebuild {
+                self.tally.rebuilt += written;
+            }
         }
     }
 
     fn report_metrics(&mut self) {
-        let total: u64 = self
-            .nodes
-            .iter()
-            .filter_map(|n| n.core.as_ref())
-            .map(RaftCore::elections_won)
-            .sum();
-        if total > self.elections_reported {
-            self.metrics
-                .add(CounterId::LeaderElections, total - self.elections_reported);
-            self.elections_reported = total;
+        // Per node against its own last-seen count: a crashed node's
+        // wins stay counted, and a restarted core counts from 0 again.
+        let mut won = 0;
+        for n in &mut self.nodes {
+            if let Some(core) = &n.core {
+                won += core.elections_won() - n.elections_reported;
+                n.elections_reported = core.elections_won();
+            }
+        }
+        if won > 0 {
+            self.metrics.add(CounterId::LeaderElections, won);
         }
         if let Some(l) = self.leader() {
             let lag = self.nodes[l as usize]
@@ -500,5 +559,170 @@ mod tests {
         let snap = metrics.snapshot();
         let elections = snap.counter("cluster.leader_elections").unwrap_or(0);
         assert!(elections >= 1);
+    }
+
+    /// Elections won by the live cores.
+    fn live_wins(sim: &SimCluster) -> u64 {
+        sim.nodes
+            .iter()
+            .filter_map(|n| n.core.as_ref())
+            .map(RaftCore::elections_won)
+            .sum()
+    }
+
+    #[test]
+    fn election_counter_keeps_the_wins_of_crashed_and_restarted_leaders() {
+        let metrics = MetricsRegistry::new();
+        let mut sim = SimCluster::with_metrics(3, 2, metrics.clone());
+        let counter = || metrics.snapshot().counter("cluster.leader_elections");
+        let wins_of = |sim: &SimCluster, node: NodeId| {
+            sim.nodes[node as usize]
+                .core
+                .as_ref()
+                .map_or(0, RaftCore::elections_won)
+        };
+        sim.propose_committed(rollback(0), 100).unwrap();
+        let first = sim.leader().unwrap();
+        // Wins of the cores the crashes dropped.
+        let mut lost = wins_of(&sim, first);
+        sim.crash(first);
+        sim.propose_committed(rollback(1), 200).unwrap();
+        let second = sim.leader().unwrap();
+        assert_ne!(second, first);
+        assert_eq!(counter(), Some(lost + live_wins(&sim)));
+        // The first leader comes back with a fresh count and the second
+        // goes down: the next wins are counted too.
+        sim.restart(first);
+        lost += wins_of(&sim, second);
+        sim.crash(second);
+        sim.propose_committed(rollback(2), 200).unwrap();
+        sim.restart(second);
+        for _ in 0..20 {
+            sim.step();
+        }
+        assert!(lost + live_wins(&sim) >= 3);
+        assert_eq!(counter(), Some(lost + live_wins(&sim)));
+    }
+
+    /// Every live node's persisted state equals the full-clone oracle.
+    fn assert_persisted_is_the_oracle(sim: &SimCluster) {
+        for (i, n) in sim.nodes.iter().enumerate() {
+            if let Some(core) = &n.core {
+                assert_eq!(n.persisted, core.persistent(), "node {i}");
+            }
+        }
+    }
+
+    #[test]
+    fn incremental_persistence_equals_the_full_clone_oracle() {
+        let mut sim = SimCluster::new(3, 8);
+        // Among other things this schedule restarts a node that had
+        // truncated its log straight into an append that truncates it
+        // again before its first tick: the case `restart` resets the
+        // node's last-seen truncation count for.
+        let mut nemesis = StdRng::seed_from_u64(11);
+        for seq in 0..2_000 {
+            match nemesis.gen_range(0..40u32) {
+                0 => sim.crash(nemesis.gen_range(0..3)),
+                1 => (0..3).for_each(|n| sim.restart(n)),
+                2 => sim.isolate(&[nemesis.gen_range(0..3)]),
+                3 => sim.heal(),
+                4 => sim.set_drop_one_in(nemesis.gen_range(3..9)),
+                5 => sim.set_delay_one_in(nemesis.gen_range(2..6)),
+                6 => {
+                    sim.set_drop_one_in(0);
+                    sim.set_delay_one_in(0);
+                }
+                _ => {}
+            }
+            let _ = sim.propose_committed(rollback(seq), 40);
+            assert_persisted_is_the_oracle(&sim);
+            sim.step();
+            assert_persisted_is_the_oracle(&sim);
+        }
+
+        // A deposed leader with an uncommitted entry rejoins: it must
+        // drop that suffix, and its persisted log must follow.
+        sim.heal();
+        sim.set_drop_one_in(0);
+        sim.set_delay_one_in(0);
+        (0..3).for_each(|n| sim.restart(n));
+        // A node that campaigned alone rejoins with a higher term and
+        // deposes the leader it finds; retry until the group is settled.
+        (0..5)
+            .find(|_| sim.propose_committed(rollback(10_000), 400).is_ok())
+            .expect("the healed group commits");
+        let deposed = sim.leader().unwrap();
+        let truncations = |sim: &SimCluster| {
+            sim.nodes[deposed as usize]
+                .core
+                .as_ref()
+                .map_or(0, RaftCore::truncations)
+        };
+        let before = truncations(&sim);
+        sim.isolate(&[deposed]);
+        assert_eq!(
+            sim.propose_committed(rollback(10_001), 30),
+            Err(ClusterError::NoQuorum)
+        );
+        assert_persisted_is_the_oracle(&sim);
+        // Until the majority elects, the isolated node is the only leader.
+        for _ in 0..200 {
+            if sim.leader().is_some_and(|l| l != deposed) {
+                break;
+            }
+            sim.step();
+        }
+        (0..5)
+            .find(|_| sim.propose_committed(rollback(10_002), 400).is_ok())
+            .expect("the majority commits without the deposed leader");
+        let leader = sim.leader().unwrap();
+        assert_ne!(leader, deposed);
+        sim.heal();
+        for _ in 0..50 {
+            sim.step();
+            assert_persisted_is_the_oracle(&sim);
+            if truncations(&sim) > before {
+                break;
+            }
+        }
+        assert!(truncations(&sim) > before, "the rejoining leader truncated");
+        // Crash it right after the truncation: its disk holds the
+        // rebuilt log, and it recovers the leader's committed prefix.
+        sim.crash(deposed);
+        assert!(!sim
+            .persisted(deposed)
+            .entries
+            .iter()
+            .any(|e| e.record == rollback(10_001)));
+        sim.restart(deposed);
+        for _ in 0..20 {
+            sim.step();
+            assert_persisted_is_the_oracle(&sim);
+        }
+        let committed = sim.committed_records(leader);
+        assert!(committed.ends_with(&[rollback(10_000), rollback(10_002)]));
+        assert_eq!(sim.committed_records(deposed), committed);
+    }
+
+    #[test]
+    fn persisted_writes_are_linear_in_the_log_length() {
+        const N: u64 = 5_000;
+        let mut sim = SimCluster::new(3, 9);
+        for seq in 0..N {
+            sim.propose_committed(rollback(seq), 100).unwrap();
+        }
+        let leader = sim.leader().unwrap() as usize;
+        let log_len = sim.nodes[leader].core.as_ref().unwrap().log().len() as u64;
+        assert!(log_len > N);
+        // Each node writes each entry once; only a rebuild after a
+        // truncation writes an entry again. A full copy per sync would
+        // write on the order of N² / 2 per node.
+        assert!(
+            sim.tally.written <= 3 * log_len + sim.tally.rebuilt,
+            "{} entries written for a log of {log_len} ({} rebuilt)",
+            sim.tally.written,
+            sim.tally.rebuilt
+        );
     }
 }
