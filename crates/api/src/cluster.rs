@@ -19,7 +19,7 @@ use dprov_storage::codec::{Decoder, Encoder};
 use dprov_storage::wal::WalRecord;
 
 use crate::error::ApiError;
-use crate::protocol::PROTOCOL_VERSION;
+use crate::protocol::{header, take_header, PROTOCOL_VERSION};
 use crate::wire;
 
 /// One replicated-log entry: the Raft term it was appended under plus the
@@ -152,12 +152,6 @@ const TAG_HEARTBEAT_ACK: u8 = 71;
 const TAG_SHARD_SCAN: u8 = 72;
 const TAG_SHARD_PARTIALS: u8 = 73;
 
-fn header(enc: &mut Encoder, tag: u8, request_id: u64) {
-    enc.put_u8(PROTOCOL_VERSION);
-    enc.put_u8(tag);
-    enc.put_u64(request_id);
-}
-
 /// Encodes a cluster message into a payload (to be framed by the
 /// transport).
 #[must_use]
@@ -275,22 +269,12 @@ pub fn encode_cluster(request_id: u64, msg: &ClusterMsg) -> Vec<u8> {
 }
 
 /// Decodes a cluster payload into `(request_id, message)`. Rejects analyst
-/// request/response tags (disjoint ranges), unknown tags, version
-/// mismatches and trailing garbage — the same discipline as
-/// [`crate::protocol::decode_request`].
+/// request/response tags (disjoint ranges), unknown tags, any version but
+/// [`PROTOCOL_VERSION`] (cluster peers run one build) and trailing
+/// garbage — the same discipline as [`crate::protocol::decode_request`].
 pub fn decode_cluster(payload: &[u8]) -> Result<(u64, ClusterMsg), ApiError> {
     let mut dec = Decoder::new(payload);
-    let version = dec.take_u8().map_err(wire::malformed)?;
-    if version != PROTOCOL_VERSION {
-        return Err(ApiError::new(
-            crate::error::codes::UNSUPPORTED_VERSION,
-            format!(
-                "protocol version {version} not supported (this build speaks {PROTOCOL_VERSION})"
-            ),
-        ));
-    }
-    let tag = dec.take_u8().map_err(wire::malformed)?;
-    let request_id = dec.take_u64().map_err(wire::malformed)?;
+    let (tag, request_id) = take_header(&mut dec, PROTOCOL_VERSION)?;
     let msg = match tag {
         TAG_REQUEST_VOTE => ClusterMsg::RequestVote {
             term: dec.take_u64().map_err(wire::malformed)?,
@@ -309,14 +293,8 @@ pub fn decode_cluster(payload: &[u8]) -> Result<(u64, ClusterMsg), ApiError> {
             let prev_index = dec.take_u64().map_err(wire::malformed)?;
             let prev_term = dec.take_u64().map_err(wire::malformed)?;
             let commit = dec.take_u64().map_err(wire::malformed)?;
-            let count = dec.take_u32().map_err(wire::malformed)? as usize;
-            // Every entry costs at least 12 bytes (term + length prefix),
-            // bounding the allocation against hostile counts.
-            if count.saturating_mul(12) > dec.remaining() {
-                return Err(wire::malformed(format!(
-                    "entry count {count} exceeds the payload"
-                )));
-            }
+            // Every entry costs at least 12 bytes (term + length prefix).
+            let count = dec.take_count(12).map_err(wire::malformed)?;
             let mut entries = Vec::with_capacity(count);
             for _ in 0..count {
                 let entry_term = dec.take_u64().map_err(wire::malformed)?;
@@ -364,12 +342,7 @@ pub fn decode_cluster(payload: &[u8]) -> Result<(u64, ClusterMsg), ApiError> {
             let table = dec.take_str().map_err(wire::malformed)?;
             let shard_lo = dec.take_u64().map_err(wire::malformed)?;
             let shard_hi = dec.take_u64().map_err(wire::malformed)?;
-            let count = dec.take_u32().map_err(wire::malformed)? as usize;
-            if count.saturating_mul(6) > dec.remaining() {
-                return Err(wire::malformed(format!(
-                    "query count {count} exceeds the payload"
-                )));
-            }
+            let count = dec.take_count(6).map_err(wire::malformed)?;
             let queries = (0..count)
                 .map(|_| wire::take_query(&mut dec))
                 .collect::<Result<Vec<Query>, _>>()
@@ -384,12 +357,7 @@ pub fn decode_cluster(payload: &[u8]) -> Result<(u64, ClusterMsg), ApiError> {
         }
         TAG_SHARD_PARTIALS => {
             let epoch = dec.take_u64().map_err(wire::malformed)?;
-            let count = dec.take_u32().map_err(wire::malformed)? as usize;
-            if count.saturating_mul(16) > dec.remaining() {
-                return Err(wire::malformed(format!(
-                    "partial count {count} exceeds the payload"
-                )));
-            }
+            let count = dec.take_count(16).map_err(wire::malformed)?;
             let partials = (0..count)
                 .map(|_| {
                     Ok((
@@ -404,11 +372,6 @@ pub fn decode_cluster(payload: &[u8]) -> Result<(u64, ClusterMsg), ApiError> {
             return Err(wire::malformed(format!("unknown cluster tag {t}")));
         }
     };
-    if !dec.is_empty() {
-        return Err(wire::malformed(format!(
-            "{} trailing bytes after the message body",
-            dec.remaining()
-        )));
-    }
+    dec.finish().map_err(wire::malformed)?;
     Ok((request_id, msg))
 }

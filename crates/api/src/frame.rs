@@ -1,8 +1,8 @@
 //! Length-prefixed, CRC-checked framing for byte-stream transports.
 //!
 //! Message payloads travelling over an octet stream (TCP) are wrapped in
-//! frames following the same discipline as `dprov-storage`'s write-ahead
-//! ledger:
+//! `dprov_storage::codec`'s frames — the layout the write-ahead ledger and
+//! the replica log use on disk — capped at [`MAX_FRAME_LEN`]:
 //!
 //! | field | size | meaning                        |
 //! |-------|------|--------------------------------|
@@ -10,15 +10,17 @@
 //! | `crc` | 4 B  | CRC-32 (IEEE) of the payload   |
 //! | body  | len  | the message payload            |
 //!
-//! A reader that observes a bad length or checksum gets a typed
-//! [`ApiError`] and must drop the connection — after a framing error the
-//! stream offset can no longer be trusted. The in-process channel
-//! transport skips this layer entirely: payloads move as owned buffers, so
-//! there is nothing to tear.
+//! This module keeps only the stream I/O and the error mapping: a length
+//! over the cap is [`codes::FRAME_TOO_LARGE`], a checksum failure
+//! [`codes::CHECKSUM_MISMATCH`], and end-of-stream inside a frame
+//! [`codes::CONNECTION_CLOSED`]. After a framing error the stream offset
+//! can no longer be trusted, so the reader must drop the connection. The
+//! in-process channel transport skips this layer entirely: payloads move
+//! as owned buffers, so there is nothing to tear.
 
 use std::io::{ErrorKind as IoErrorKind, Read, Write};
 
-use dprov_storage::codec::crc32;
+use dprov_storage::codec::{self, split_frame, FrameError, Split, FRAME_HEADER};
 
 use crate::error::{codes, ApiError};
 
@@ -27,25 +29,26 @@ use crate::error::{codes, ApiError};
 /// prefix cannot drive an unbounded allocation.
 pub const MAX_FRAME_LEN: usize = 1 << 24;
 
-/// Wraps a payload into a complete frame (header + body).
+/// Wraps a payload into a complete frame (header + body). Only the `u32`
+/// length field bounds it; [`write_frame`] and every reader enforce
+/// [`MAX_FRAME_LEN`].
 #[must_use]
 pub fn frame(payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(8 + payload.len());
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&crc32(payload).to_le_bytes());
-    out.extend_from_slice(payload);
-    out
+    codec::frame(payload, u32::MAX as usize).expect("a wire payload under 4 GiB")
 }
 
 /// Writes one frame to `w` (no flush; the caller owns buffering policy).
 pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> Result<(), ApiError> {
-    if payload.len() > MAX_FRAME_LEN {
-        return Err(ApiError::new(
-            codes::FRAME_TOO_LARGE,
-            format!("refusing to send a {}-byte frame", payload.len()),
-        ));
-    }
-    w.write_all(&frame(payload)).map_err(io_error)
+    let framed = codec::frame(payload, MAX_FRAME_LEN).map_err(frame_error)?;
+    w.write_all(&framed).map_err(io_error)
+}
+
+fn frame_error(e: FrameError) -> ApiError {
+    let code = match e {
+        FrameError::TooLong { .. } => codes::FRAME_TOO_LARGE,
+        FrameError::Checksum { .. } => codes::CHECKSUM_MISMATCH,
+    };
+    ApiError::new(code, e.to_string())
 }
 
 /// Reads one frame from `r`, verifying length and checksum.
@@ -54,7 +57,7 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> Result<(), ApiError> {
 /// boundary); EOF anywhere *inside* a frame is a truncation and surfaces
 /// as [`codes::CONNECTION_CLOSED`].
 pub fn read_frame(r: &mut impl Read) -> Result<Option<Vec<u8>>, ApiError> {
-    let mut header = [0u8; 8];
+    let mut header = [0u8; FRAME_HEADER];
     match read_exact_or_eof(r, &mut header)? {
         ReadOutcome::Eof => return Ok(None),
         ReadOutcome::Partial(read) => {
@@ -65,44 +68,31 @@ pub fn read_frame(r: &mut impl Read) -> Result<Option<Vec<u8>>, ApiError> {
         }
         ReadOutcome::Full => {}
     }
-    let len = u32::from_le_bytes(header[0..4].try_into().expect("4-byte slice")) as usize;
-    let expected_crc = u32::from_le_bytes(header[4..8].try_into().expect("4-byte slice"));
-    if len > MAX_FRAME_LEN {
-        return Err(ApiError::new(
-            codes::FRAME_TOO_LARGE,
-            format!("frame header declares {len} bytes (limit {MAX_FRAME_LEN})"),
-        ));
-    }
-    let mut payload = vec![0u8; len];
-    match read_exact_or_eof(r, &mut payload)? {
-        ReadOutcome::Full => {}
-        ReadOutcome::Eof | ReadOutcome::Partial(_) => {
-            return Err(ApiError::new(
-                codes::CONNECTION_CLOSED,
-                format!("stream ended inside a {len}-byte frame body"),
-            ));
-        }
-    }
-    let actual_crc = crc32(&payload);
-    if actual_crc != expected_crc {
-        return Err(ApiError::new(
-            codes::CHECKSUM_MISMATCH,
-            format!("frame checksum mismatch: header says {expected_crc:#010x}, body hashes to {actual_crc:#010x}"),
-        ));
-    }
-    Ok(Some(payload))
+    // The header alone refuses an over-cap length, before any allocation.
+    let Split::Need(total) = split_frame(&header, MAX_FRAME_LEN).map_err(frame_error)? else {
+        return Ok(Some(Vec::new())); // an empty payload: the header is the frame
+    };
+    let mut buf = vec![0u8; total];
+    buf[..FRAME_HEADER].copy_from_slice(&header);
+    let len = total - FRAME_HEADER;
+    let ReadOutcome::Full = read_exact_or_eof(r, &mut buf[FRAME_HEADER..])? else {
+        let message = format!("stream ended inside a {len}-byte frame body");
+        return Err(ApiError::new(codes::CONNECTION_CLOSED, message));
+    };
+    split_frame(&buf, MAX_FRAME_LEN).map_err(frame_error)?;
+    buf.drain(..FRAME_HEADER);
+    Ok(Some(buf))
 }
 
 /// Incremental frame decoder for readiness-based (non-blocking) readers.
 ///
 /// Where [`read_frame`] owns the stream and blocks, `FrameDecoder` is fed
 /// whatever bytes the socket had (`feed`) and hands back complete payloads
-/// as they materialise (`next_frame`). Validation matches `read_frame`
-/// exactly: a declared length above [`MAX_FRAME_LEN`] or a CRC mismatch is
-/// a typed error, after which the stream offset is untrustworthy and the
-/// connection must be dropped. The oversize check fires as soon as the
-/// 8-byte header is visible — a hostile length prefix never drives an
-/// allocation.
+/// as they materialise (`next_frame`). Both run the same
+/// `codec::split_frame`, so validation matches exactly: a declared length
+/// above [`MAX_FRAME_LEN`] (refused as soon as the header is visible) or a
+/// CRC mismatch is a typed error, after which the connection must be
+/// dropped.
 #[derive(Default)]
 pub struct FrameDecoder {
     buf: Vec<u8>,
@@ -135,32 +125,13 @@ impl FrameDecoder {
 
     /// Pops the next complete payload, `Ok(None)` if more bytes are needed.
     pub fn next_frame(&mut self) -> Result<Option<Vec<u8>>, ApiError> {
-        let avail = self.buf.len() - self.pos;
-        if avail < 8 {
-            return Ok(None);
+        match split_frame(&self.buf[self.pos..], MAX_FRAME_LEN).map_err(frame_error)? {
+            Split::Need(_) => Ok(None),
+            Split::Frame(payload, consumed) => {
+                self.pos += consumed;
+                Ok(Some(payload.to_vec()))
+            }
         }
-        let header = &self.buf[self.pos..self.pos + 8];
-        let len = u32::from_le_bytes(header[0..4].try_into().expect("4-byte slice")) as usize;
-        let expected_crc = u32::from_le_bytes(header[4..8].try_into().expect("4-byte slice"));
-        if len > MAX_FRAME_LEN {
-            return Err(ApiError::new(
-                codes::FRAME_TOO_LARGE,
-                format!("frame header declares {len} bytes (limit {MAX_FRAME_LEN})"),
-            ));
-        }
-        if avail < 8 + len {
-            return Ok(None);
-        }
-        let payload = self.buf[self.pos + 8..self.pos + 8 + len].to_vec();
-        let actual_crc = crc32(&payload);
-        if actual_crc != expected_crc {
-            return Err(ApiError::new(
-                codes::CHECKSUM_MISMATCH,
-                format!("frame checksum mismatch: header says {expected_crc:#010x}, body hashes to {actual_crc:#010x}"),
-            ));
-        }
-        self.pos += 8 + len;
-        Ok(Some(payload))
     }
 
     /// Bytes buffered but not yet consumed by a complete frame.
@@ -220,6 +191,44 @@ mod tests {
         let mut stream = Cursor::new(frame(&payload));
         assert_eq!(read_frame(&mut stream).unwrap(), Some(payload));
         assert_eq!(read_frame(&mut stream).unwrap(), None);
+        let mut empty = Cursor::new(frame(&[]));
+        assert_eq!(read_frame(&mut empty).unwrap(), Some(Vec::new()));
+    }
+
+    /// Pinned bytes of one write-ahead ledger frame and one protocol
+    /// request frame: a change here changes the ledger on disk or the wire.
+    #[test]
+    fn frame_bytes_are_pinned() {
+        use crate::protocol::{encode_request, Request};
+        use dprov_core::analyst::AnalystId;
+        use dprov_core::mechanism::MechanismKind;
+        use dprov_core::processor::QueryRequest;
+        use dprov_core::recorder::CommitRecord;
+        use dprov_engine::query::Query;
+        use dprov_storage::wal::WalRecord;
+
+        let hex = |bytes: &[u8]| bytes.iter().map(|b| format!("{b:02x}")).collect::<String>();
+        let wal = WalRecord::Commit(CommitRecord {
+            seq: 7,
+            analyst: AnalystId(2),
+            view: "adult.age".to_owned(),
+            mechanism: MechanismKind::AdditiveGaussian,
+            prev_entry: 0.25,
+            new_entry: 0.5,
+            charged: 0.25,
+        });
+        assert_eq!(
+            hex(&wal.encode_frame().unwrap()),
+            "37000000886325da0107000000000000000200000000000000090000006164756c742e61676502\
+             000000000000d03f000000000000e03f000000000000d03f"
+        );
+        let query = Query::range_count("adult", "age", 20, 39);
+        let request = Request::SubmitQuery(QueryRequest::with_accuracy(query, 450.0));
+        assert_eq!(
+            hex(&frame(&encode_request(7, &request))),
+            "390000003bea796504030700000000000000050000006164756c74000103000000616765140000\
+             0000000000270000000000000000000000000000000000207c40"
+        );
     }
 
     #[test]
@@ -253,7 +262,7 @@ mod tests {
     #[test]
     fn oversized_length_prefix_is_refused_without_allocating() {
         let mut bytes = frame(b"x");
-        bytes[0..4].copy_from_slice(&u32::MAX.to_le_bytes());
+        bytes[..4].fill(0xFF); // a declared length of u32::MAX
         let mut stream = Cursor::new(bytes);
         let err = read_frame(&mut stream).unwrap_err();
         assert_eq!(err.code, codes::FRAME_TOO_LARGE);
@@ -279,23 +288,10 @@ mod tests {
     }
 
     #[test]
-    fn decoder_pops_multiple_frames_from_one_feed() {
-        let mut wire = frame(b"a");
-        wire.extend_from_slice(&frame(b"bb"));
-        let mut dec = FrameDecoder::new();
-        dec.feed(&wire);
-        assert_eq!(dec.next_frame().unwrap(), Some(b"a".to_vec()));
-        assert_eq!(dec.next_frame().unwrap(), Some(b"bb".to_vec()));
-        assert_eq!(dec.next_frame().unwrap(), None);
-    }
-
-    #[test]
     fn decoder_rejects_oversized_header_before_body_arrives() {
         let mut dec = FrameDecoder::new();
-        let mut header = Vec::new();
-        header.extend_from_slice(&u32::MAX.to_le_bytes());
-        header.extend_from_slice(&0u32.to_le_bytes());
-        dec.feed(&header);
+        // A declared length of u32::MAX, checksum 0, and no body.
+        dec.feed(&[0xFF, 0xFF, 0xFF, 0xFF, 0, 0, 0, 0]);
         let err = dec.next_frame().unwrap_err();
         assert_eq!(err.code, codes::FRAME_TOO_LARGE);
     }
@@ -330,7 +326,7 @@ mod tests {
         let mut wire = Vec::new();
         let mut expected = Vec::new();
         for i in 0..5000u32 {
-            let p = i.to_le_bytes().repeat((i % 7 + 1) as usize);
+            let p = i.to_string().repeat((i % 7 + 1) as usize).into_bytes();
             wire.extend_from_slice(&frame(&p));
             expected.push(p);
         }

@@ -280,7 +280,8 @@ const TAG_GROUPED_ANSWER: u8 = 140;
 const TAG_WORKLOAD_PLAN: u8 = 141;
 const TAG_ERROR: u8 = 255;
 
-fn header(enc: &mut Encoder, tag: u8, request_id: u64) {
+/// Writes the message header: version, tag, request id.
+pub(crate) fn header(enc: &mut Encoder, tag: u8, request_id: u64) {
     enc.put_u8(PROTOCOL_VERSION);
     enc.put_u8(tag);
     enc.put_u64(request_id);
@@ -447,15 +448,16 @@ pub fn encode_response(request_id: u64, response: &Response) -> Vec<u8> {
     enc.into_bytes()
 }
 
-/// Reads and validates the message header, returning `(tag, request_id)`.
-fn take_header(dec: &mut Decoder<'_>) -> Result<(u8, u64), ApiError> {
+/// Reads and validates the message header — a version in
+/// `floor..=PROTOCOL_VERSION` — returning `(tag, request_id)`.
+pub(crate) fn take_header(dec: &mut Decoder<'_>, floor: u8) -> Result<(u8, u64), ApiError> {
     let version = dec.take_u8().map_err(wire::malformed)?;
-    if !(MIN_SUPPORTED_VERSION..=PROTOCOL_VERSION).contains(&version) {
+    if !(floor..=PROTOCOL_VERSION).contains(&version) {
         return Err(ApiError::new(
             codes::UNSUPPORTED_VERSION,
             format!(
                 "protocol version {version} not supported (this build speaks \
-                 {MIN_SUPPORTED_VERSION}..={PROTOCOL_VERSION})"
+                 {floor}..={PROTOCOL_VERSION})"
             ),
         ));
     }
@@ -467,7 +469,7 @@ fn take_header(dec: &mut Decoder<'_>) -> Result<(u8, u64), ApiError> {
 /// Decodes a request payload into `(request_id, request)`.
 pub fn decode_request(payload: &[u8]) -> Result<(u64, Request), ApiError> {
     let mut dec = Decoder::new(payload);
-    let (tag, request_id) = take_header(&mut dec)?;
+    let (tag, request_id) = take_header(&mut dec, MIN_SUPPORTED_VERSION)?;
     let request = match tag {
         TAG_HELLO => Request::Hello {
             max_version: dec.take_u8().map_err(wire::malformed)?,
@@ -513,14 +515,14 @@ pub fn decode_request(payload: &[u8]) -> Result<(u64, Request), ApiError> {
             return Err(wire::malformed(format!("unknown request tag {t}")));
         }
     };
-    expect_consumed(&dec)?;
+    dec.finish().map_err(wire::malformed)?;
     Ok((request_id, request))
 }
 
 /// Decodes a response payload into `(request_id, response)`.
 pub fn decode_response(payload: &[u8]) -> Result<(u64, Response), ApiError> {
     let mut dec = Decoder::new(payload);
-    let (tag, request_id) = take_header(&mut dec)?;
+    let (tag, request_id) = take_header(&mut dec, MIN_SUPPORTED_VERSION)?;
     let response = match tag {
         TAG_HELLO_ACK => Response::HelloAck {
             version: dec.take_u8().map_err(wire::malformed)?,
@@ -594,20 +596,6 @@ pub fn decode_response(payload: &[u8]) -> Result<(u64, Response), ApiError> {
             return Err(wire::malformed(format!("unknown response tag {t}")));
         }
     };
-    expect_consumed(&dec)?;
+    dec.finish().map_err(wire::malformed)?;
     Ok((request_id, response))
-}
-
-/// Rejects payloads with trailing garbage — a message must consume its
-/// whole frame, otherwise a desynchronised or tampered stream could smuggle
-/// bytes past the CRC of a *later* frame boundary.
-fn expect_consumed(dec: &Decoder<'_>) -> Result<(), ApiError> {
-    if dec.is_empty() {
-        Ok(())
-    } else {
-        Err(wire::malformed(format!(
-            "{} trailing bytes after the message body",
-            dec.remaining()
-        )))
-    }
 }

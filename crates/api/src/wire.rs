@@ -9,7 +9,8 @@
 //! to a guess.
 //!
 //! Predicates are recursive, so decoding enforces [`MAX_PREDICATE_DEPTH`]
-//! and bounds every collection length by the remaining payload — corrupt
+//! and bounds every collection length by the remaining payload
+//! ([`Decoder::take_count`], at each item's smallest encoding) — corrupt
 //! or adversarial length prefixes cannot trigger unbounded allocation or
 //! stack exhaustion.
 
@@ -116,7 +117,7 @@ pub(crate) fn take_predicate(dec: &mut Decoder<'_>, depth: usize) -> DecodeResul
         }),
         3 => {
             let attribute = dec.take_str()?;
-            let len = bounded_len(dec, 1, "value set")?;
+            let len = dec.take_count(1)?;
             let values = (0..len)
                 .map(|_| take_value(dec))
                 .collect::<DecodeResult<Vec<Value>>>()?;
@@ -130,19 +131,8 @@ pub(crate) fn take_predicate(dec: &mut Decoder<'_>, depth: usize) -> DecodeResul
 }
 
 fn take_children(dec: &mut Decoder<'_>, depth: usize) -> DecodeResult<Vec<Predicate>> {
-    let len = bounded_len(dec, 1, "predicate children")?;
+    let len = dec.take_count(1)?;
     (0..len).map(|_| take_predicate(dec, depth + 1)).collect()
-}
-
-/// Reads a `u32` collection length and rejects any count whose minimal
-/// encoding (`min_item_bytes` per item) could not fit in the remaining
-/// payload — a corrupt length prefix must not drive a giant allocation.
-fn bounded_len(dec: &mut Decoder<'_>, min_item_bytes: usize, what: &str) -> DecodeResult<usize> {
-    let len = dec.take_u32()? as usize;
-    if len.saturating_mul(min_item_bytes) > dec.remaining() {
-        return Err(format!("{what} count {len} exceeds the payload"));
-    }
-    Ok(len)
 }
 
 pub(crate) fn put_query(enc: &mut Encoder, query: &Query) {
@@ -174,7 +164,7 @@ pub(crate) fn take_query(dec: &mut Decoder<'_>) -> DecodeResult<Query> {
         t => return Err(format!("unknown aggregate tag {t}")),
     };
     let predicate = take_predicate(dec, 0)?;
-    let len = bounded_len(dec, 4, "group-by list")?;
+    let len = dec.take_count(4)?;
     let group_by = (0..len)
         .map(|_| dec.take_str())
         .collect::<DecodeResult<Vec<String>>>()?;
@@ -235,7 +225,7 @@ pub(crate) fn put_grouped_request(enc: &mut Encoder, request: &GroupedRequest) {
 
 pub(crate) fn take_grouped_request(dec: &mut Decoder<'_>) -> DecodeResult<GroupedRequest> {
     let table = dec.take_str()?;
-    let len = bounded_len(dec, 4, "group-by columns")?;
+    let len = dec.take_count(4)?;
     let group_cols = (0..len)
         .map(|_| dec.take_str())
         .collect::<DecodeResult<Vec<String>>>()?;
@@ -273,17 +263,17 @@ pub(crate) fn put_grouped_outcome(enc: &mut Encoder, outcome: &GroupedOutcome) {
 }
 
 pub(crate) fn take_grouped_outcome(dec: &mut Decoder<'_>) -> DecodeResult<GroupedOutcome> {
-    let n = bounded_len(dec, 4, "group keys")?;
+    let n = dec.take_count(4)?;
     let mut keys = Vec::with_capacity(n);
     for _ in 0..n {
-        let len = bounded_len(dec, 2, "group key values")?;
+        let len = dec.take_count(2)?;
         let mut key = Vec::with_capacity(len);
         for _ in 0..len {
             key.push(take_value(dec)?);
         }
         keys.push(key);
     }
-    let n = bounded_len(dec, 1, "group outcomes")?;
+    let n = dec.take_count(1)?;
     let outcomes = (0..n)
         .map(|_| take_outcome(dec))
         .collect::<DecodeResult<Vec<QueryOutcome>>>()?;
@@ -299,7 +289,7 @@ pub(crate) fn put_workload(enc: &mut Encoder, workload: &DeclaredWorkload) {
 }
 
 pub(crate) fn take_workload(dec: &mut Decoder<'_>) -> DecodeResult<DeclaredWorkload> {
-    let n = bounded_len(dec, 6, "workload templates")?;
+    let n = dec.take_count(6)?;
     let templates = (0..n)
         .map(|_| {
             Ok(QueryTemplate {
@@ -442,10 +432,10 @@ fn put_value_rows(enc: &mut Encoder, rows: &[Vec<Value>]) {
 }
 
 fn take_value_rows(dec: &mut Decoder<'_>) -> DecodeResult<Vec<Vec<Value>>> {
-    let n = bounded_len(dec, 4, "update rows")?;
+    let n = dec.take_count(4)?;
     let mut rows = Vec::with_capacity(n);
     for _ in 0..n {
-        let len = bounded_len(dec, 2, "update row cells")?;
+        let len = dec.take_count(2)?;
         let mut row = Vec::with_capacity(len);
         for _ in 0..len {
             row.push(take_value(dec)?);
@@ -490,15 +480,15 @@ pub(crate) fn take_metrics_snapshot(
 ) -> DecodeResult<dprov_obs::MetricsSnapshot> {
     // Every entry starts with a length-prefixed name, so 4 bytes is a
     // safe lower bound for the payload-bounded length checks.
-    let n = bounded_len(dec, 4, "metric counters")?;
+    let n = dec.take_count(4)?;
     let counters = (0..n)
         .map(|_| Ok((dec.take_str()?, dec.take_u64()?)))
         .collect::<DecodeResult<Vec<_>>>()?;
-    let n = bounded_len(dec, 4, "metric gauges")?;
+    let n = dec.take_count(4)?;
     let gauges = (0..n)
         .map(|_| Ok((dec.take_str()?, dec.take_f64()?)))
         .collect::<DecodeResult<Vec<_>>>()?;
-    let n = bounded_len(dec, 4, "metric histograms")?;
+    let n = dec.take_count(4)?;
     let histograms = (0..n)
         .map(|_| {
             Ok((
@@ -514,7 +504,7 @@ pub(crate) fn take_metrics_snapshot(
             ))
         })
         .collect::<DecodeResult<Vec<_>>>()?;
-    let n = bounded_len(dec, 4, "budget gauges")?;
+    let n = dec.take_count(4)?;
     let budgets = (0..n)
         .map(|_| {
             Ok(dprov_obs::BudgetGauge {

@@ -2,6 +2,9 @@
 //! `crates/storage/tests/corruption.rs`: damage frames and payloads every
 //! way a hostile network or torn stream can, and assert the decoders
 //! surface **typed errors** — never a panic, never silent acceptance.
+//! The frame layout itself (every cut, every bit flip, the length cap) is
+//! proven once, by the frame battery in `dprov_storage::codec`; here the
+//! frame checks are the wire's error codes.
 
 use std::io::Cursor;
 
@@ -75,36 +78,6 @@ fn trailing_garbage_is_refused() {
     payload.push(0xAB);
     let err = decode_request(&payload).unwrap_err();
     assert_eq!(err.code, codes::MALFORMED_FRAME);
-}
-
-#[test]
-fn framed_stream_survives_no_single_bit_flip() {
-    let framed = frame::frame(&sample_request_payload());
-    // Flip every bit of the body and a sample of header bits: the CRC (or
-    // the length/structure checks for header damage) must catch each one.
-    for byte in 0..framed.len() {
-        for bit in 0..8 {
-            let mut damaged = framed.clone();
-            damaged[byte] ^= 1 << bit;
-            let mut stream = Cursor::new(damaged);
-            match frame::read_frame(&mut stream) {
-                Err(_) => {} // typed refusal: good
-                Ok(Some(payload)) => {
-                    // A flip inside the length prefix can shorten the
-                    // frame to a prefix whose CRC happens to be read from
-                    // the old body — the payload then differs and the
-                    // *message* decoder must catch it. What must never
-                    // happen is decoding to the original bytes.
-                    assert_ne!(
-                        payload,
-                        frame::frame(&sample_request_payload())[8..].to_vec(),
-                        "flip at byte {byte} bit {bit} went unnoticed"
-                    );
-                }
-                Ok(None) => panic!("flip at byte {byte} bit {bit} looked like clean EOF"),
-            }
-        }
-    }
 }
 
 #[test]
@@ -190,29 +163,6 @@ fn every_truncation_of_a_workload_declaration_is_a_typed_error() {
             "cut at {cut}: unexpected code {}",
             err.code
         );
-    }
-}
-
-#[test]
-fn framed_grouped_stream_survives_no_single_bit_flip() {
-    let framed = frame::frame(&sample_grouped_payload());
-    for byte in 0..framed.len() {
-        for bit in 0..8 {
-            let mut damaged = framed.clone();
-            damaged[byte] ^= 1 << bit;
-            let mut stream = Cursor::new(damaged);
-            match frame::read_frame(&mut stream) {
-                Err(_) => {}
-                Ok(Some(payload)) => {
-                    assert_ne!(
-                        payload,
-                        frame::frame(&sample_grouped_payload())[8..].to_vec(),
-                        "flip at byte {byte} bit {bit} went unnoticed"
-                    );
-                }
-                Ok(None) => panic!("flip at byte {byte} bit {bit} looked like clean EOF"),
-            }
-        }
     }
 }
 
@@ -431,29 +381,6 @@ fn cluster_trailing_garbage_is_refused() {
     payload.push(0xCD);
     let err = dprov_api::cluster::decode_cluster(&payload).unwrap_err();
     assert_eq!(err.code, codes::MALFORMED_FRAME);
-}
-
-#[test]
-fn framed_cluster_stream_survives_no_single_bit_flip() {
-    let framed = frame::frame(&sample_cluster_payload());
-    for byte in 0..framed.len() {
-        for bit in 0..8 {
-            let mut damaged = framed.clone();
-            damaged[byte] ^= 1 << bit;
-            let mut stream = Cursor::new(damaged);
-            match frame::read_frame(&mut stream) {
-                Err(_) => {}
-                Ok(Some(payload)) => {
-                    assert_ne!(
-                        payload,
-                        frame::frame(&sample_cluster_payload())[8..].to_vec(),
-                        "flip at byte {byte} bit {bit} went unnoticed"
-                    );
-                }
-                Ok(None) => panic!("flip at byte {byte} bit {bit} looked like clean EOF"),
-            }
-        }
-    }
 }
 
 #[test]

@@ -5,11 +5,19 @@
 //! entries — in a single append-mostly file:
 //!
 //! ```text
-//! magic "DPRAFT01"
-//! frame*          frame = tag(1) | len(u32 LE) | payload | crc32(u32 LE)
+//! magic "DPRAFT02"
+//! frame*          frame = len: u32 | crc32(payload): u32 | payload
+//!   payload = tag(1) | body
 //!   tag 1 = entry:   term(u64) | record_len(u32) | WalRecord bytes
 //!   tag 2 = meta:    term(u64) | has_vote(u8) | voted_for(u64)
 //! ```
+//!
+//! The frames are `dprov_storage::codec`'s — the write-ahead ledger's
+//! layout, tag first like a WAL record — and loading applies the codec's
+//! damage rule: a torn magic is a fresh log, a torn tail frame is dropped
+//! (matching the WAL's crash semantics), and mid-file damage or a declared
+//! length no writer produces is refused as corruption without touching
+//! the file.
 //!
 //! Entries are appended in log order; a meta frame is appended whenever
 //! the term or vote changes, and the **last** meta frame wins on load.
@@ -20,30 +28,32 @@
 //! [`crate::sim::SimCluster`]'s persistence protocol is this one, in
 //! memory: after every step of a node it appends the new log suffix and
 //! copies the term and vote, and it rebuilds the persisted log only after
-//! a truncation. Every frame is CRC-guarded; a torn tail frame is dropped
-//! on load, matching the WAL's crash semantics, while a declared length
-//! no writer produces is refused as corruption without touching the file.
+//! a truncation.
 //!
 //! [`RaftCore::truncations`]: crate::raft::RaftCore::truncations
 
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
 
 use dprov_core::error::StorageError;
-use dprov_storage::codec::{crc32, Decoder, Encoder};
+use dprov_storage::codec::{put_frame, scan_frames, Decoder, Encoder};
 use dprov_storage::wal::{WalRecord, MAX_PAYLOAD};
 
 use crate::raft::{NodeId, PersistentState};
 use dprov_api::cluster::LogEntry;
 
-const MAGIC: &[u8; 8] = b"DPRAFT01";
+const MAGIC: &[u8; 8] = b"DPRAFT02";
 const TAG_ENTRY: u8 = 1;
 const TAG_META: u8 = 2;
-/// Largest frame payload a writer produces: a term, a length prefix and
-/// one WAL record. A longer declared length is a corrupt prefix, not a
-/// torn tail.
-const MAX_FRAME_PAYLOAD: usize = 8 + 4 + MAX_PAYLOAD as usize;
+/// Largest frame payload a writer produces: a tag, a term, a length
+/// prefix and one WAL record. A longer declared length is a corrupt
+/// prefix, not a torn tail.
+const MAX_FRAME_PAYLOAD: usize = 1 + 8 + 4 + MAX_PAYLOAD;
+
+fn io_err(what: &str, path: &Path, e: &std::io::Error) -> StorageError {
+    StorageError::Io(format!("{what} {}: {e}", path.display()))
+}
 
 /// A file-backed store for one replica's [`PersistentState`].
 #[derive(Debug)]
@@ -64,36 +74,22 @@ impl ReplicaLog {
             .append(true)
             .create(true)
             .open(&path)
-            .map_err(|e| StorageError::Io(format!("open {}: {e}", path.display())))?;
+            .map_err(|e| io_err("open", &path, &e))?;
         let mut bytes = Vec::new();
         file.read_to_end(&mut bytes)
-            .map_err(|e| StorageError::Io(format!("read {}: {e}", path.display())))?;
-        if bytes.is_empty() {
-            file.write_all(MAGIC)
-                .map_err(|e| StorageError::Io(format!("write magic: {e}")))?;
-            file.sync_data()
-                .map_err(|e| StorageError::Io(format!("sync {}: {e}", path.display())))?;
-            let log = ReplicaLog {
-                path,
-                file,
-                persisted_entries: 0,
-            };
-            return Ok((log, PersistentState::default()));
-        }
-        if bytes.len() < MAGIC.len() || &bytes[..MAGIC.len()] != MAGIC {
-            return Err(StorageError::Corrupt {
-                file: path.display().to_string(),
-                offset: 0,
-                reason: "bad replica log magic".into(),
-            });
-        }
+            .map_err(|e| io_err("read", &path, &e))?;
         let (state, valid_len) = Self::decode_frames(&bytes, &path)?;
-        if valid_len < bytes.len() {
+        // Append mode writes at the end: truncating is all positioning needs.
+        if valid_len == 0 {
+            // A fresh file, or a first-open crash tore the magic write.
+            file.set_len(0)
+                .and_then(|()| file.write_all(MAGIC))
+                .and_then(|()| file.sync_data())
+                .map_err(|e| io_err("initialise", &path, &e))?;
+        } else if valid_len < bytes.len() {
             // Torn tail from a crash mid-append: drop it.
             file.set_len(valid_len as u64)
-                .map_err(|e| StorageError::Io(format!("truncate torn tail: {e}")))?;
-            file.seek(SeekFrom::End(0))
-                .map_err(|e| StorageError::Io(format!("seek: {e}")))?;
+                .map_err(|e| io_err("truncate the torn tail of", &path, &e))?;
         }
         let persisted_entries = state.entries.len();
         Ok((
@@ -106,116 +102,65 @@ impl ReplicaLog {
         ))
     }
 
-    /// Decodes frames, returning the recovered state and the byte length
-    /// of the valid prefix (a torn or corrupt tail frame ends the scan).
+    /// Decodes the file under the codec's damage rule, returning the
+    /// recovered state and the byte length of the intact prefix: 0 for a
+    /// fresh file, and short of the end when a torn tail frame follows.
     fn decode_frames(bytes: &[u8], path: &Path) -> Result<(PersistentState, usize), StorageError> {
+        let corrupt = |offset, reason| StorageError::Corrupt {
+            file: path.display().to_string(),
+            offset,
+            reason,
+        };
+        let scan = scan_frames(bytes, MAGIC, MAX_FRAME_PAYLOAD)
+            .map_err(|damage| corrupt(damage.offset, damage.reason))?;
         let mut state = PersistentState::default();
-        let mut offset = MAGIC.len();
-        while offset < bytes.len() {
-            let rest = &bytes[offset..];
-            if rest.len() < 5 {
-                break; // torn header
-            }
-            let tag = rest[0];
-            let len = u32::from_le_bytes([rest[1], rest[2], rest[3], rest[4]]) as usize;
-            if len > MAX_FRAME_PAYLOAD {
-                return Err(StorageError::Corrupt {
-                    file: path.display().to_string(),
-                    offset: offset as u64,
-                    reason: format!("replica log frame length {len} exceeds maximum"),
-                });
-            }
-            let frame_end = 5usize.saturating_add(len).saturating_add(4);
-            if rest.len() < frame_end {
-                break; // torn payload/crc
-            }
-            let payload = &rest[5..5 + len];
-            let stored = u32::from_le_bytes([
-                rest[5 + len],
-                rest[5 + len + 1],
-                rest[5 + len + 2],
-                rest[5 + len + 3],
-            ]);
-            if crc32(payload) != stored {
-                // A corrupt *tail* frame is a torn write; corruption
-                // followed by more valid data is real damage.
-                if offset + frame_end < bytes.len() {
-                    return Err(StorageError::Corrupt {
-                        file: path.display().to_string(),
-                        offset: offset as u64,
-                        reason: "replica log frame checksum mismatch".into(),
-                    });
-                }
-                break;
-            }
-            match tag {
-                TAG_ENTRY => {
-                    let mut dec = Decoder::new(payload);
-                    let term = dec.take_u64().map_err(|_| StorageError::Corrupt {
-                        file: path.display().to_string(),
-                        offset: offset as u64,
-                        reason: "entry frame missing term".into(),
-                    })?;
-                    let rec = dec.take_bytes().map_err(|_| StorageError::Corrupt {
-                        file: path.display().to_string(),
-                        offset: offset as u64,
-                        reason: "entry frame missing record".into(),
-                    })?;
-                    let record =
-                        WalRecord::decode(&rec).map_err(|reason| StorageError::Corrupt {
-                            file: path.display().to_string(),
-                            offset: offset as u64,
-                            reason,
-                        })?;
-                    state.entries.push(LogEntry { term, record });
-                }
-                TAG_META => {
-                    let mut dec = Decoder::new(payload);
-                    let term = dec.take_u64().map_err(|_| StorageError::Corrupt {
-                        file: path.display().to_string(),
-                        offset: offset as u64,
-                        reason: "meta frame missing term".into(),
-                    })?;
-                    let has_vote = dec.take_u8().unwrap_or(0);
-                    let voted_for = dec.take_u64().unwrap_or(0);
-                    state.term = term;
-                    state.voted_for = (has_vote == 1).then_some(voted_for as NodeId);
-                }
-                other => {
-                    return Err(StorageError::Corrupt {
-                        file: path.display().to_string(),
-                        offset: offset as u64,
-                        reason: format!("unknown replica log frame tag {other}"),
-                    });
-                }
-            }
-            offset += frame_end;
+        for (offset, payload) in scan.frames {
+            Self::apply_frame(&mut state, payload).map_err(|reason| corrupt(offset, reason))?;
         }
-        Ok((state, offset))
+        Ok((state, scan.valid_len as usize))
     }
 
-    fn frame(tag: u8, payload: &[u8]) -> Vec<u8> {
-        let mut out = Vec::with_capacity(payload.len() + 9);
-        out.push(tag);
-        out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        out.extend_from_slice(payload);
-        out.extend_from_slice(&crc32(payload).to_le_bytes());
-        out
+    /// Applies one frame's payload (tag first) to the recovered state.
+    fn apply_frame(state: &mut PersistentState, payload: &[u8]) -> Result<(), String> {
+        let mut dec = Decoder::new(payload);
+        match dec.take_u8()? {
+            TAG_ENTRY => {
+                let term = dec.take_u64()?;
+                let record = WalRecord::decode(&dec.take_bytes()?)?;
+                state.entries.push(LogEntry { term, record });
+            }
+            TAG_META => {
+                state.term = dec.take_u64()?;
+                let has_vote = dec.take_bool()?;
+                let voted_for: NodeId = dec.take_u64()?;
+                state.voted_for = has_vote.then_some(voted_for);
+            }
+            other => return Err(format!("unknown replica log frame tag {other}")),
+        }
+        dec.finish()
     }
 
-    fn entry_frame(entry: &LogEntry) -> Vec<u8> {
+    /// Appends one frame carrying the encoded payload (tag first) to `out`.
+    fn frame(out: &mut Vec<u8>, payload: Encoder) -> Result<(), StorageError> {
+        put_frame(out, &payload.into_bytes(), MAX_FRAME_PAYLOAD)
+            .map_err(|e| StorageError::IncompatibleState(format!("replica log frame refused: {e}")))
+    }
+
+    fn entry_frame(out: &mut Vec<u8>, entry: &LogEntry) -> Result<(), StorageError> {
         let mut enc = Encoder::new();
+        enc.put_u8(TAG_ENTRY);
         enc.put_u64(entry.term);
         enc.put_bytes(&entry.record.encode());
-        Self::frame(TAG_ENTRY, &enc.into_bytes())
+        Self::frame(out, enc)
     }
 
-    fn meta_frame(term: u64, voted_for: Option<NodeId>) -> Vec<u8> {
+    fn meta_frame(out: &mut Vec<u8>, state: &PersistentState) -> Result<(), StorageError> {
         let mut enc = Encoder::new();
-        enc.put_u64(term);
-        enc.put_u8(u8::from(voted_for.is_some()));
-        enc.put_u64(voted_for.unwrap_or(0));
-        Self::frame(TAG_META, &enc.into_bytes())
+        enc.put_u8(TAG_META);
+        enc.put_u64(state.term);
+        enc.put_bool(state.voted_for.is_some());
+        enc.put_u64(state.voted_for.unwrap_or(0));
+        Self::frame(out, enc)
     }
 
     /// Number of log entries currently persisted.
@@ -237,20 +182,18 @@ impl ReplicaLog {
         // Meta first: if the tail tears mid-batch we lose the newest
         // entries (un-acked, safe) rather than a term/vote update.
         if meta_changed {
-            buf.extend_from_slice(&Self::meta_frame(state.term, state.voted_for));
+            Self::meta_frame(&mut buf, state)?;
         }
         for entry in &state.entries[self.persisted_entries..] {
-            buf.extend_from_slice(&Self::entry_frame(entry));
+            Self::entry_frame(&mut buf, entry)?;
         }
         if buf.is_empty() {
             return Ok(());
         }
         self.file
             .write_all(&buf)
-            .map_err(|e| StorageError::Io(format!("append {}: {e}", self.path.display())))?;
-        self.file
-            .sync_data()
-            .map_err(|e| StorageError::Io(format!("sync {}: {e}", self.path.display())))?;
+            .and_then(|()| self.file.sync_data())
+            .map_err(|e| io_err("append to", &self.path, &e))?;
         self.persisted_entries = state.entries.len();
         Ok(())
     }
@@ -262,25 +205,22 @@ impl ReplicaLog {
     pub fn rewrite(&mut self, state: &PersistentState) -> Result<(), StorageError> {
         let tmp = self.path.with_extension("tmp");
         let mut buf = Vec::from(&MAGIC[..]);
-        buf.extend_from_slice(&Self::meta_frame(state.term, state.voted_for));
+        Self::meta_frame(&mut buf, state)?;
         for entry in &state.entries {
-            buf.extend_from_slice(&Self::entry_frame(entry));
+            Self::entry_frame(&mut buf, entry)?;
         }
         {
-            let mut f = File::create(&tmp)
-                .map_err(|e| StorageError::Io(format!("create {}: {e}", tmp.display())))?;
+            let mut f = File::create(&tmp).map_err(|e| io_err("create", &tmp, &e))?;
             f.write_all(&buf)
-                .map_err(|e| StorageError::Io(format!("write {}: {e}", tmp.display())))?;
-            f.sync_data()
-                .map_err(|e| StorageError::Io(format!("sync {}: {e}", tmp.display())))?;
+                .and_then(|()| f.sync_data())
+                .map_err(|e| io_err("write", &tmp, &e))?;
         }
-        std::fs::rename(&tmp, &self.path)
-            .map_err(|e| StorageError::Io(format!("rename {}: {e}", tmp.display())))?;
+        std::fs::rename(&tmp, &self.path).map_err(|e| io_err("rename", &tmp, &e))?;
         self.file = OpenOptions::new()
             .read(true)
             .append(true)
             .open(&self.path)
-            .map_err(|e| StorageError::Io(format!("reopen {}: {e}", self.path.display())))?;
+            .map_err(|e| io_err("reopen", &self.path, &e))?;
         self.persisted_entries = state.entries.len();
         Ok(())
     }
@@ -405,8 +345,8 @@ mod tests {
         log.append(&state, true).unwrap();
         drop(log);
         let mut bytes = std::fs::read(&path).unwrap();
-        // Bit 6 of byte 12: the high byte of the first frame's length.
-        bytes[12] ^= 0x40;
+        // Bit 6 of byte 11: the high byte of the first frame's length.
+        bytes[11] ^= 0x40;
         std::fs::write(&path, &bytes).unwrap();
         let err = ReplicaLog::open(&path).unwrap_err();
         assert!(
@@ -418,23 +358,23 @@ mod tests {
     }
 
     #[test]
-    fn mid_file_corruption_is_reported_not_ignored() {
-        let path = temp_path("midcorrupt");
-        let (mut log, _) = ReplicaLog::open(&path).unwrap();
+    fn torn_magic_from_a_first_open_crash_reinitialises() {
+        let path = temp_path("tornmagic");
+        // A crash mid-way through the very first magic write.
+        std::fs::write(&path, &MAGIC[..3]).unwrap();
+        let (mut log, state) = ReplicaLog::open(&path).unwrap();
+        assert_eq!(state, PersistentState::default());
+        assert_eq!(std::fs::read(&path).unwrap(), MAGIC, "header rewritten");
+        // The log works normally from there.
         let state = PersistentState {
-            term: 1,
-            voted_for: None,
-            entries: vec![entry(1, 1), entry(1, 2), entry(1, 3)],
+            term: 2,
+            voted_for: Some(1),
+            entries: vec![entry(2, 1)],
         };
         log.append(&state, true).unwrap();
         drop(log);
-        let mut bytes = std::fs::read(&path).unwrap();
-        // Flip a bit in the middle of the file (not the final frame).
-        let mid = bytes.len() / 2;
-        bytes[mid] ^= 0x40;
-        std::fs::write(&path, &bytes).unwrap();
-        let err = ReplicaLog::open(&path);
-        assert!(err.is_err(), "mid-file corruption must surface");
+        let (_, recovered) = ReplicaLog::open(&path).unwrap();
+        assert_eq!(recovered, state);
         std::fs::remove_file(&path).ok();
     }
 }

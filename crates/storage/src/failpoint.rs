@@ -88,7 +88,7 @@ impl FailpointRecorder {
             if self.mode == CrashMode::Torn {
                 // Tear the frame roughly in half — enough bytes for the
                 // scanner to see a frame header with a bad body.
-                let frame_len = record.encode_frame().len();
+                let frame_len = record.encode_frame().map_or(0, |f| f.len());
                 let _ = self.store.append_torn(record, frame_len / 2);
             }
             return Err(StorageError::Unavailable(format!(

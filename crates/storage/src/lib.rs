@@ -11,8 +11,9 @@
 //!
 //! 1. **Prefix durability** — recovery rebuilds a state equal to a prefix
 //!    of the committed history: each commit is either wholly present or
-//!    wholly absent (frames are atomic under their CRC; torn tails are
-//!    detected and discarded).
+//!    wholly absent (frames are atomic under their CRC; a torn tail is
+//!    discarded, and damage anywhere before it refuses to open rather
+//!    than drop the acknowledged charges after it).
 //! 2. **No undercount** — the write-ahead append happens *before* the
 //!    in-memory charge becomes visible ([`dprov_core::recorder`]), so every
 //!    spend an analyst ever saw acknowledged is on disk: recovered spend ≥
@@ -21,7 +22,9 @@
 //!
 //! Modules:
 //!
-//! * [`codec`] — little-endian encoding helpers and CRC-32;
+//! * [`codec`] — little-endian encoding helpers, CRC-32, and the one
+//!   `len | crc | payload` frame layout and damage rule shared by the
+//!   ledger, the replica log and the wire;
 //! * [`wal`] — the write-ahead ledger format, scan and torn-tail handling;
 //! * [`snapshot`] — versioned, atomically-replaced snapshot files;
 //! * [`store`] — the [`store::ProvenanceStore`] directory lifecycle

@@ -158,9 +158,11 @@ fn put_batches(enc: &mut Encoder, batches: &[EncodedBatch]) {
     }
 }
 
+// Every list count is bounded by the body left, at each item's smallest
+// encoding (seq + table + two row counts here).
 fn take_batches(dec: &mut Decoder<'_>) -> Result<Vec<EncodedBatch>, String> {
-    let n = dec.take_u32()? as usize;
-    let mut batches = Vec::with_capacity(n.min(1 << 16));
+    let n = dec.take_count(8 + 4 + 4 + 4)?;
+    let mut batches = Vec::with_capacity(n);
     for _ in 0..n {
         batches.push(EncodedBatch {
             seq: dec.take_u64()?,
@@ -177,8 +179,8 @@ fn decode_body(body: &[u8], version: u32) -> Result<SnapshotState, String> {
     let fingerprint = dec.take_u64()?;
     let next_seq = dec.take_u64()?;
 
-    let n = dec.take_u32()? as usize;
-    let mut provenance = Vec::with_capacity(n.min(1 << 16));
+    let n = dec.take_count(8 + 4 + 8)?;
+    let mut provenance = Vec::with_capacity(n);
     for _ in 0..n {
         provenance.push(ProvenanceEntryState {
             analyst: AnalystId(dec.take_u64()? as usize),
@@ -187,8 +189,8 @@ fn decode_body(body: &[u8], version: u32) -> Result<SnapshotState, String> {
         });
     }
 
-    let n = dec.take_u32()? as usize;
-    let mut ledger = Vec::with_capacity(n.min(1 << 16));
+    let n = dec.take_count(8 + 1 + 8 + 8)?;
+    let mut ledger = Vec::with_capacity(n);
     for _ in 0..n {
         ledger.push(LedgerEntryState {
             analyst: AnalystId(dec.take_u64()? as usize),
@@ -203,8 +205,8 @@ fn decode_body(body: &[u8], version: u32) -> Result<SnapshotState, String> {
     }
     let ledger_releases = dec.take_u64()?;
 
-    let n = dec.take_u32()? as usize;
-    let mut accesses = Vec::with_capacity(n.min(1 << 16));
+    let n = dec.take_count(8 * 4)?;
+    let mut accesses = Vec::with_capacity(n);
     for _ in 0..n {
         accesses.push(AccessRecord {
             seq: dec.take_u64()?,
@@ -214,8 +216,8 @@ fn decode_body(body: &[u8], version: u32) -> Result<SnapshotState, String> {
         });
     }
 
-    let n = dec.take_u32()? as usize;
-    let mut synopses = Vec::with_capacity(n.min(1 << 16));
+    let n = dec.take_count(4 + 1 + 4)?;
+    let mut synopses = Vec::with_capacity(n);
     for _ in 0..n {
         let view = dec.take_str()?;
         let global = match dec.take_u8()? {
@@ -228,8 +230,8 @@ fn decode_body(body: &[u8], version: u32) -> Result<SnapshotState, String> {
             }),
             t => return Err(format!("invalid global-synopsis tag {t}")),
         };
-        let m = dec.take_u32()? as usize;
-        let mut locals = Vec::with_capacity(m.min(1 << 16));
+        let m = dec.take_count(8 * 3 + 4)?;
+        let mut locals = Vec::with_capacity(m);
         for _ in 0..m {
             locals.push(LocalSynopsisState {
                 analyst: dec.take_u64()? as usize,
@@ -246,8 +248,8 @@ fn decode_body(body: &[u8], version: u32) -> Result<SnapshotState, String> {
         });
     }
 
-    let n = dec.take_u32()? as usize;
-    let mut sessions = Vec::with_capacity(n.min(1 << 16));
+    let n = dec.take_count(8 * 3 + 1)?;
+    let mut sessions = Vec::with_capacity(n);
     for _ in 0..n {
         sessions.push(SessionCheckpoint {
             session: dec.take_u64()?,
@@ -264,8 +266,8 @@ fn decode_body(body: &[u8], version: u32) -> Result<SnapshotState, String> {
         let next_seq = dec.take_u64()?;
         let current_epoch = dec.take_u64()?;
         let pending = take_batches(&mut dec)?;
-        let n = dec.take_u32()? as usize;
-        let mut sealed = Vec::with_capacity(n.min(1 << 16));
+        let n = dec.take_count(8 + 8 + 4)?;
+        let mut sealed = Vec::with_capacity(n);
         for _ in 0..n {
             sealed.push(SealedEpoch {
                 epoch: dec.take_u64()?,
@@ -283,12 +285,7 @@ fn decode_body(body: &[u8], version: u32) -> Result<SnapshotState, String> {
         UpdateLog::default()
     };
 
-    if !dec.is_empty() {
-        return Err(format!(
-            "{} trailing bytes after snapshot body",
-            dec.remaining()
-        ));
-    }
+    dec.finish()?;
     Ok(SnapshotState {
         fingerprint,
         core: CoreState {

@@ -4,22 +4,26 @@
 //!
 //! ```text
 //! magic "DPWAL001" (8 bytes)
-//! frame*            where frame = [len: u32][crc32(payload): u32][payload]
+//! frame*            frame = len: u32 | crc32(payload): u32 | payload
 //! ```
 //!
-//! Each payload is one [`WalRecord`], tag byte first. Appends write the
-//! whole frame in one `write_all` and (in fsync mode) `sync_data` before
+//! The frames are [`crate::codec`]'s, capped at [`MAX_PAYLOAD`]; each
+//! payload is one [`WalRecord`], tag byte first. An append refuses a
+//! record over the cap before writing anything, then writes the whole
+//! frame in one `write_all` and (in fsync mode) `sync_data` before
 //! returning, which is what lets the admission path treat a returned
 //! append as *durable*.
 //!
-//! # Torn tails
+//! # Damage
 //!
-//! A crash mid-append leaves a partial frame at the tail. [`scan`] stops at
-//! the first frame whose length, checksum or payload fails verification,
-//! returns every record before it plus the byte offset of the damage, and
-//! the writer truncates the file back to that offset before appending
-//! again. A record is therefore either wholly in the recovered history or
-//! wholly absent — never half-applied.
+//! [`scan`] applies the codec's damage rule. A crash mid-append leaves a
+//! **torn tail** — a bad last frame whose declared end reaches end-of-file;
+//! it is reported in [`WalScan::corruption`] and the writer truncates it
+//! before appending again, so a record is either wholly in the recovered
+//! history or wholly absent. Damage *before* the last frame (or a frame
+//! that verifies but does not decode) cannot come from a crash: the scan
+//! refuses the ledger with a typed error and leaves the file as it is,
+//! instead of discarding the acknowledged charges after it.
 
 use std::fs::{File, OpenOptions};
 use std::io::{Seek, SeekFrom, Write};
@@ -32,13 +36,14 @@ use dprov_core::StorageError;
 use dprov_delta::EncodedBatch;
 use dprov_dp::rng::RngCheckpoint;
 
-use crate::codec::{crc32, Decoder, Encoder};
+use crate::codec::{frame, scan_frames, Decoder, Encoder};
 
 /// Magic bytes opening every write-ahead ledger file.
 pub const WAL_MAGIC: &[u8; 8] = b"DPWAL001";
 
-/// Upper bound on one frame's payload; anything larger is corruption.
-pub const MAX_PAYLOAD: u32 = 64 << 20;
+/// Upper bound on one frame's payload: appends refuse a longer record and
+/// a scan treats a longer declared length as corruption.
+pub const MAX_PAYLOAD: usize = 64 << 20;
 
 const TAG_COMMIT: u8 = 1;
 const TAG_ACCESS: u8 = 2;
@@ -217,21 +222,15 @@ impl WalRecord {
             },
             tag => return Err(format!("unknown record tag {tag}")),
         };
-        if !dec.is_empty() {
-            return Err(format!("{} trailing bytes after record", dec.remaining()));
-        }
+        dec.finish()?;
         Ok(record)
     }
 
-    /// Encodes the record as a complete frame (`len + crc + payload`).
-    #[must_use]
-    pub fn encode_frame(&self) -> Vec<u8> {
-        let payload = self.encode();
-        let mut frame = Vec::with_capacity(8 + payload.len());
-        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        frame.extend_from_slice(&crc32(&payload).to_le_bytes());
-        frame.extend_from_slice(&payload);
-        frame
+    /// Encodes the record as a complete frame, refusing a payload over
+    /// [`MAX_PAYLOAD`] — a frame the ledger's own scan would reject.
+    pub fn encode_frame(&self) -> Result<Vec<u8>, StorageError> {
+        frame(&self.encode(), MAX_PAYLOAD)
+            .map_err(|e| StorageError::IncompatibleState(format!("ledger record refused: {e}")))
     }
 }
 
@@ -240,11 +239,12 @@ impl WalRecord {
 /// verification — the typed error describing the damage.
 #[derive(Debug)]
 pub struct WalScan {
-    /// Records in append order, up to the first damaged frame.
+    /// Records in append order, up to the torn tail if there is one.
     pub records: Vec<WalRecord>,
-    /// Byte offset of the end of the last intact frame.
+    /// Byte offset of the end of the last intact frame (0 for a fresh
+    /// ledger).
     pub valid_len: u64,
-    /// The damage that ended the scan, if any (torn tail or bit-flip).
+    /// The torn tail that ended the scan, if any.
     pub corruption: Option<StorageError>,
 }
 
@@ -260,87 +260,31 @@ fn corrupt(offset: u64, reason: impl Into<String>) -> StorageError {
     }
 }
 
-/// Scans a ledger file. A missing file yields an empty scan; a damaged
-/// *header* (magic) is a hard error — nothing after it can be trusted —
-/// while damage *after* any number of intact frames ends the scan there
-/// and is reported in [`WalScan::corruption`] (the standard torn-tail
-/// outcome recovery discards).
+/// Scans a ledger file under the codec's damage rule. A missing file, an
+/// empty one or a torn magic (a first-open crash) is a fresh ledger; a
+/// torn tail ends the scan and is reported in [`WalScan::corruption`] for
+/// the writer to truncate; a bad magic, mid-file damage or an undecodable
+/// record is a typed [`StorageError::Corrupt`], with the file untouched.
 pub fn scan(path: &Path) -> Result<WalScan, StorageError> {
     let bytes = match std::fs::read(path) {
         Ok(b) => b,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-            return Ok(WalScan {
-                records: Vec::new(),
-                valid_len: 0,
-                corruption: None,
-            })
-        }
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
         Err(e) => return Err(io_err(&e)),
     };
-    if bytes.is_empty() {
-        return Ok(WalScan {
-            records: Vec::new(),
-            valid_len: 0,
-            corruption: None,
-        });
-    }
-    if bytes.len() < WAL_MAGIC.len() {
-        // A first-open crash can tear the magic write itself. A short
-        // prefix of the magic provably holds no records, so treat it as a
-        // fresh ledger (the writer reinitialises it) instead of bricking
-        // the store; any other short content is unidentifiable damage.
-        if WAL_MAGIC.starts_with(&bytes) {
-            return Ok(WalScan {
-                records: Vec::new(),
-                valid_len: 0,
-                corruption: None,
-            });
-        }
-        return Err(corrupt(0, "bad or truncated ledger magic"));
-    }
-    if &bytes[..WAL_MAGIC.len()] != WAL_MAGIC {
-        return Err(corrupt(0, "bad or truncated ledger magic"));
-    }
-
-    let mut records = Vec::new();
-    let mut offset = WAL_MAGIC.len();
-    let mut corruption = None;
-    while offset < bytes.len() {
-        let at = offset as u64;
-        if bytes.len() - offset < 8 {
-            corruption = Some(corrupt(at, "torn frame header"));
-            break;
-        }
-        let len = u32::from_le_bytes(bytes[offset..offset + 4].try_into().unwrap());
-        let crc = u32::from_le_bytes(bytes[offset + 4..offset + 8].try_into().unwrap());
-        if len > MAX_PAYLOAD {
-            corruption = Some(corrupt(at, format!("frame length {len} exceeds maximum")));
-            break;
-        }
-        let body_start = offset + 8;
-        let body_end = body_start + len as usize;
-        if body_end > bytes.len() {
-            corruption = Some(corrupt(at, "torn frame payload"));
-            break;
-        }
-        let payload = &bytes[body_start..body_end];
-        if crc32(payload) != crc {
-            corruption = Some(corrupt(at, "frame checksum mismatch"));
-            break;
-        }
-        match WalRecord::decode(payload) {
-            Ok(record) => records.push(record),
-            Err(reason) => {
-                corruption = Some(corrupt(at, format!("undecodable record: {reason}")));
-                break;
-            }
-        }
-        offset = body_end;
-    }
+    let scan =
+        scan_frames(&bytes, WAL_MAGIC, MAX_PAYLOAD).map_err(|d| corrupt(d.offset, d.reason))?;
+    let records = scan
+        .frames
+        .iter()
+        .map(|&(offset, payload)| {
+            WalRecord::decode(payload)
+                .map_err(|reason| corrupt(offset, format!("undecodable record: {reason}")))
+        })
+        .collect::<Result<_, _>>()?;
     Ok(WalScan {
         records,
-        valid_len: offset as u64,
-        corruption,
+        valid_len: scan.valid_len,
+        corruption: scan.torn.map(|d| corrupt(d.offset, d.reason)),
     })
 }
 
@@ -358,9 +302,8 @@ pub struct WalWriter {
 }
 
 impl WalWriter {
-    /// Opens (creating if absent) a ledger for appending, first truncating
-    /// any torn tail found by a scan. Returns the writer positioned at the
-    /// end of the intact prefix.
+    /// Opens (creating if absent) a ledger for appending at the end of the
+    /// intact prefix a [`scan`] found (`valid_len`, 0 for a fresh ledger).
     pub fn open(path: &Path, fsync: bool, valid_len: u64) -> Result<Self, StorageError> {
         let mut file = OpenOptions::new()
             .create(true)
@@ -370,20 +313,15 @@ impl WalWriter {
             .open(path)
             .map_err(|e| io_err(&e))?;
         let disk_len = file.metadata().map_err(|e| io_err(&e))?.len();
-        let mut len = valid_len;
-        if len < WAL_MAGIC.len() as u64 {
-            // Fresh file, or a first-open crash tore the magic write:
-            // reinitialise the header (there are provably no records).
-            file.set_len(0).map_err(|e| io_err(&e))?;
-            file.seek(SeekFrom::Start(0)).map_err(|e| io_err(&e))?;
-            file.write_all(WAL_MAGIC).map_err(|e| io_err(&e))?;
-            if fsync {
-                file.sync_data().map_err(|e| io_err(&e))?;
-            }
-            len = WAL_MAGIC.len() as u64;
-        } else if disk_len > valid_len {
-            // Discard the torn suffix so new frames never follow damage.
+        let len = valid_len.max(WAL_MAGIC.len() as u64);
+        if disk_len != len {
+            // A fresh ledger gets its header (it provably holds no records,
+            // even if a first-open crash tore the magic); a torn tail is cut
+            // off so new frames never follow damage.
             file.set_len(valid_len).map_err(|e| io_err(&e))?;
+            if valid_len == 0 {
+                file.write_all(WAL_MAGIC).map_err(|e| io_err(&e))?;
+            }
             if fsync {
                 file.sync_data().map_err(|e| io_err(&e))?;
             }
@@ -404,10 +342,11 @@ impl WalWriter {
         self.metrics = metrics;
     }
 
-    /// Appends one record; durable on return when fsync mode is on.
+    /// Appends one record; durable on return when fsync mode is on. A
+    /// record over [`MAX_PAYLOAD`] is refused before anything is written.
     pub fn append(&mut self, record: &WalRecord) -> Result<(), StorageError> {
         use dprov_obs::{CounterId, HistId};
-        let frame = record.encode_frame();
+        let frame = record.encode_frame()?;
         let append_start = self.metrics.start();
         self.file.write_all(&frame).map_err(|e| io_err(&e))?;
         if let Some(t0) = append_start {
@@ -459,7 +398,7 @@ impl WalWriter {
     /// sync — simulating a crash in the middle of an append. Crash-testing
     /// support for the failpoint harness; a real writer never calls this.
     pub fn append_torn(&mut self, record: &WalRecord, keep: usize) -> Result<(), StorageError> {
-        let frame = record.encode_frame();
+        let frame = record.encode_frame()?;
         let keep = keep.min(frame.len().saturating_sub(1)).max(1);
         self.file
             .write_all(&frame[..keep])
@@ -597,6 +536,36 @@ mod tests {
             scan(&path),
             Err(StorageError::Corrupt { offset: 0, .. })
         ));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn an_oversized_record_is_refused_before_anything_is_written() {
+        let dir = scratch_dir("wal-oversized");
+        let path = dir.join("wal.log");
+        let mut writer = WalWriter::open(&path, false, 0).unwrap();
+        writer.append(&commit(0)).unwrap();
+        let before = std::fs::read(&path).unwrap();
+        // One row of MAX_PAYLOAD/4 + 16 cells: a payload over the cap,
+        // which the scan would refuse (and lose every later frame with).
+        let huge = WalRecord::Update(EncodedBatch {
+            seq: 0,
+            table: "adult".to_owned(),
+            inserts: vec![vec![0; MAX_PAYLOAD / 4 + 16]],
+            deletes: Vec::new(),
+        });
+        assert!(matches!(
+            writer.append(&huge),
+            Err(StorageError::IncompatibleState(_))
+        ));
+        assert_eq!(std::fs::read(&path).unwrap(), before, "nothing written");
+        assert_eq!(writer.len(), before.len() as u64);
+        // The commit appended after the refusal recovers.
+        writer.append(&commit(1)).unwrap();
+        drop(writer);
+        let scanned = scan(&path).unwrap();
+        assert_eq!(scanned.records, vec![commit(0), commit(1)]);
+        assert!(scanned.corruption.is_none());
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -1,8 +1,9 @@
 //! Torn-write and bit-flip corruption suite: damage the write-ahead
-//! ledger's tail and the snapshot header/body, and verify recovery
-//! detects it via checksum, discards exactly the torn suffix, and
-//! surfaces a typed [`StorageError`] — never a panic, never silent
-//! acceptance of damaged accounting.
+//! ledger (its tail, its middle, its magic) and the snapshot header/body,
+//! and verify recovery detects it via checksum, discards exactly a torn
+//! suffix, refuses mid-file damage without touching the file, and surfaces
+//! a typed [`StorageError`] — never a panic, never silent acceptance or
+//! silent loss of damaged accounting.
 
 use std::sync::Arc;
 
@@ -118,6 +119,41 @@ fn bit_flipped_wal_tail_is_detected_and_discarded() {
         "damage already truncated"
     );
     store.record_session_closed(0).unwrap();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn mid_wal_damage_refuses_to_open_and_leaves_the_ledger_untouched() {
+    let dir = scratch_dir("corrupt-wal-mid");
+    let queries = populate(&dir, 6);
+    let wal = ProvenanceStore::wal_path(&dir);
+    let mut bytes = std::fs::read(&wal).unwrap();
+    // One bit in the first frame's payload (magic 8 + header 8 + 1): the
+    // frame fails its checksum with more frames after it, so this is no
+    // torn tail, and discarding from here would drop acknowledged charges.
+    let at = 8 + 8 + 1;
+    bytes[at] ^= 0x01;
+    std::fs::write(&wal, &bytes).unwrap();
+    let err = ProvenanceStore::open(&dir)
+        .map(|(_, recovered)| recovered.commits.len())
+        .expect_err("mid-ledger damage must refuse to open");
+    match err {
+        StorageError::Corrupt {
+            file,
+            offset,
+            reason,
+        } => {
+            assert_eq!((file.as_str(), offset), ("wal", 8));
+            assert!(reason.contains("checksum"), "{reason}");
+        }
+        other => panic!("expected ledger corruption, got {other:?}"),
+    }
+    assert_eq!(std::fs::read(&wal).unwrap(), bytes, "ledger left as it was");
+    // Undo the flip: every charge is still there.
+    bytes[at] ^= 0x01;
+    std::fs::write(&wal, &bytes).unwrap();
+    let (_, recovered) = ProvenanceStore::open(&dir).unwrap();
+    assert_eq!(recovered.commits.len(), queries);
     std::fs::remove_dir_all(&dir).ok();
 }
 
