@@ -1,8 +1,8 @@
 //! Length-prefixed, CRC-checked framing for byte-stream transports.
 //!
 //! Message payloads travelling over an octet stream (TCP) are wrapped in
-//! `dprov_storage::codec`'s frames — the layout the write-ahead ledger and
-//! the replica log use on disk — capped at [`MAX_FRAME_LEN`]:
+//! `dprov_storage::codec`'s frames — the layout the write-ahead ledger
+//! uses on disk — capped at [`MAX_FRAME_LEN`]:
 //!
 //! | field | size | meaning                        |
 //! |-------|------|--------------------------------|

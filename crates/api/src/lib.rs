@@ -30,10 +30,6 @@
 //!   introspection via [`DProvClient::budget`], and the service-wide
 //!   observability snapshot via [`DProvClient::metrics`].
 //!
-//! The [`cluster`] module adds the node-to-node control messages of the
-//! distributed deployment (consensus, registration, shard fan-out) under
-//! an append-only tag range disjoint from the analyst messages.
-//!
 //! The server side of the contract — the protocol state machine that
 //! serves these messages over the worker pool — lives in `dprov-server`
 //! (with the TCP event loop in `dprov-net`); this crate
@@ -44,7 +40,6 @@
 #![warn(clippy::all)]
 
 pub mod client;
-pub mod cluster;
 pub mod error;
 pub mod frame;
 pub mod mux;

@@ -281,7 +281,7 @@ const TAG_WORKLOAD_PLAN: u8 = 141;
 const TAG_ERROR: u8 = 255;
 
 /// Writes the message header: version, tag, request id.
-pub(crate) fn header(enc: &mut Encoder, tag: u8, request_id: u64) {
+fn header(enc: &mut Encoder, tag: u8, request_id: u64) {
     enc.put_u8(PROTOCOL_VERSION);
     enc.put_u8(tag);
     enc.put_u64(request_id);
@@ -449,15 +449,16 @@ pub fn encode_response(request_id: u64, response: &Response) -> Vec<u8> {
 }
 
 /// Reads and validates the message header — a version in
-/// `floor..=PROTOCOL_VERSION` — returning `(tag, request_id)`.
-pub(crate) fn take_header(dec: &mut Decoder<'_>, floor: u8) -> Result<(u8, u64), ApiError> {
+/// `MIN_SUPPORTED_VERSION..=PROTOCOL_VERSION` — returning
+/// `(tag, request_id)`.
+fn take_header(dec: &mut Decoder<'_>) -> Result<(u8, u64), ApiError> {
     let version = dec.take_u8().map_err(wire::malformed)?;
-    if !(floor..=PROTOCOL_VERSION).contains(&version) {
+    if !(MIN_SUPPORTED_VERSION..=PROTOCOL_VERSION).contains(&version) {
         return Err(ApiError::new(
             codes::UNSUPPORTED_VERSION,
             format!(
                 "protocol version {version} not supported (this build speaks \
-                 {floor}..={PROTOCOL_VERSION})"
+                 {MIN_SUPPORTED_VERSION}..={PROTOCOL_VERSION})"
             ),
         ));
     }
@@ -469,7 +470,7 @@ pub(crate) fn take_header(dec: &mut Decoder<'_>, floor: u8) -> Result<(u8, u64),
 /// Decodes a request payload into `(request_id, request)`.
 pub fn decode_request(payload: &[u8]) -> Result<(u64, Request), ApiError> {
     let mut dec = Decoder::new(payload);
-    let (tag, request_id) = take_header(&mut dec, MIN_SUPPORTED_VERSION)?;
+    let (tag, request_id) = take_header(&mut dec)?;
     let request = match tag {
         TAG_HELLO => Request::Hello {
             max_version: dec.take_u8().map_err(wire::malformed)?,
@@ -522,7 +523,7 @@ pub fn decode_request(payload: &[u8]) -> Result<(u64, Request), ApiError> {
 /// Decodes a response payload into `(request_id, response)`.
 pub fn decode_response(payload: &[u8]) -> Result<(u64, Response), ApiError> {
     let mut dec = Decoder::new(payload);
-    let (tag, request_id) = take_header(&mut dec, MIN_SUPPORTED_VERSION)?;
+    let (tag, request_id) = take_header(&mut dec)?;
     let response = match tag {
         TAG_HELLO_ACK => Response::HelloAck {
             version: dec.take_u8().map_err(wire::malformed)?,

@@ -298,125 +298,3 @@ proptest! {
         let _ = decode_request(&payload);
     }
 }
-
-// ---------------------------------------------------------------------------
-// Cluster control messages get the same hostile treatment.
-// ---------------------------------------------------------------------------
-
-fn sample_cluster_payload() -> Vec<u8> {
-    use dprov_api::cluster::{encode_cluster, ClusterMsg, LogEntry};
-    use dprov_core::analyst::AnalystId;
-    use dprov_core::mechanism::MechanismKind;
-    use dprov_core::recorder::CommitRecord;
-    use dprov_storage::wal::WalRecord;
-    encode_cluster(
-        11,
-        &ClusterMsg::AppendEntries {
-            term: 4,
-            leader: 1,
-            prev_index: 9,
-            prev_term: 3,
-            commit: 8,
-            entries: vec![
-                LogEntry {
-                    term: 4,
-                    record: WalRecord::Commit(CommitRecord {
-                        seq: 10,
-                        analyst: AnalystId(2),
-                        view: "age".into(),
-                        mechanism: MechanismKind::Vanilla,
-                        prev_entry: 0.25,
-                        new_entry: 0.5,
-                        charged: 0.25,
-                    }),
-                },
-                LogEntry {
-                    term: 4,
-                    record: WalRecord::Rollback { seq: 9 },
-                },
-            ],
-        },
-    )
-}
-
-#[test]
-fn every_truncation_of_a_cluster_message_is_a_typed_error() {
-    let payload = sample_cluster_payload();
-    for cut in 0..payload.len() {
-        let err = dprov_api::cluster::decode_cluster(&payload[..cut])
-            .expect_err("a truncated cluster payload must not decode");
-        assert!(
-            err.code == codes::MALFORMED_FRAME || err.code == codes::UNSUPPORTED_VERSION,
-            "cut at {cut}: unexpected code {}",
-            err.code
-        );
-    }
-}
-
-#[test]
-fn cluster_bad_version_and_unknown_tags_are_refused() {
-    let mut payload = sample_cluster_payload();
-    for bad in [0u8, PROTOCOL_VERSION + 1, 0xFF] {
-        payload[0] = bad;
-        let err = dprov_api::cluster::decode_cluster(&payload).unwrap_err();
-        assert_eq!(err.code, codes::UNSUPPORTED_VERSION, "version byte {bad}");
-    }
-    payload[0] = PROTOCOL_VERSION;
-    // Sweep every byte value through the tag slot: only the ten assigned
-    // cluster tags may even *attempt* a body decode; the rest are typed
-    // unknown-tag refusals (analyst tags included — disjoint ranges).
-    for tag in 0u8..=255 {
-        if (64..=73).contains(&tag) {
-            continue;
-        }
-        payload[1] = tag;
-        let err = dprov_api::cluster::decode_cluster(&payload).unwrap_err();
-        assert_eq!(err.code, codes::MALFORMED_FRAME, "tag {tag}");
-    }
-}
-
-#[test]
-fn cluster_trailing_garbage_is_refused() {
-    let mut payload = sample_cluster_payload();
-    payload.push(0xCD);
-    let err = dprov_api::cluster::decode_cluster(&payload).unwrap_err();
-    assert_eq!(err.code, codes::MALFORMED_FRAME);
-}
-
-#[test]
-fn hostile_entry_counts_are_bounded_not_an_allocation() {
-    // An AppendEntries header claiming 2^32-1 entries with an empty body
-    // must be refused by the pre-allocation bound, not attempted.
-    let mut payload = sample_cluster_payload();
-    // Header is version(1) + tag(1) + request_id(8); then five u64 fields,
-    // then the entry count u32.
-    let count_at = 10 + 5 * 8;
-    payload.truncate(count_at);
-    payload.extend_from_slice(&u32::MAX.to_le_bytes());
-    let err = dprov_api::cluster::decode_cluster(&payload).unwrap_err();
-    assert_eq!(err.code, codes::MALFORMED_FRAME);
-    assert!(err.message.contains("count"), "got: {}", err.message);
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(192))]
-
-    /// Arbitrary byte soup never panics the cluster decoder.
-    #[test]
-    fn random_bytes_never_panic_the_cluster_decoder(seed in 0u64..u64::MAX, len in 0usize..256) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let bytes: Vec<u8> = (0..len).map(|_| rng.gen_range(0u32..=255) as u8).collect();
-        let _ = dprov_api::cluster::decode_cluster(&bytes);
-    }
-
-    /// Single-byte corruption of a valid cluster payload either fails
-    /// typed or decodes to *some* message — never panics.
-    #[test]
-    fn flipped_cluster_payload_bytes_never_panic(seed in 0u64..u64::MAX) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut payload = sample_cluster_payload();
-        let at = rng.gen_range(0usize..payload.len());
-        payload[at] ^= 1 << rng.gen_range(0u32..8);
-        let _ = dprov_api::cluster::decode_cluster(&payload);
-    }
-}

@@ -503,191 +503,3 @@ proptest! {
         }
     }
 }
-
-// ---------------------------------------------------------------------------
-// Cluster control messages (the node-to-node wire surface).
-// ---------------------------------------------------------------------------
-
-fn arb_wal_record(rng: &mut StdRng) -> dprov_storage::wal::WalRecord {
-    use dprov_core::mechanism::MechanismKind;
-    use dprov_core::recorder::{AccessRecord, CommitRecord};
-    use dprov_storage::wal::{SessionCheckpoint, WalRecord};
-    match rng.gen_range(0u32..8) {
-        0 => WalRecord::Commit(CommitRecord {
-            seq: rng.gen::<u64>(),
-            analyst: AnalystId(rng.gen_range(0usize..1024)),
-            view: arb_string(rng),
-            mechanism: if rng.gen::<bool>() {
-                MechanismKind::Vanilla
-            } else {
-                MechanismKind::AdditiveGaussian
-            },
-            prev_entry: rng.gen_range(0.0f64..64.0),
-            new_entry: rng.gen_range(0.0f64..64.0),
-            charged: rng.gen_range(0.0f64..64.0),
-        }),
-        1 => WalRecord::Access(AccessRecord {
-            seq: rng.gen::<u64>(),
-            epsilon: rng.gen_range(0.0f64..64.0),
-            sigma: rng.gen_range(0.0f64..1e6),
-            sensitivity: rng.gen_range(0.0f64..1e3),
-        }),
-        2 => WalRecord::Rollback {
-            seq: rng.gen::<u64>(),
-        },
-        3 => WalRecord::Session(SessionCheckpoint {
-            session: rng.gen::<u64>(),
-            analyst: AnalystId(rng.gen_range(0usize..1024)),
-            rng: dprov_dp::rng::RngCheckpoint {
-                draws: rng.gen::<u64>(),
-                spare_normal: if rng.gen::<bool>() {
-                    Some(rng.gen_range(-8.0f64..8.0))
-                } else {
-                    None
-                },
-            },
-        }),
-        4 => WalRecord::SessionClosed {
-            session: rng.gen::<u64>(),
-        },
-        5 => WalRecord::Fingerprint {
-            fingerprint: rng.gen::<u64>(),
-        },
-        6 => WalRecord::Update(dprov_delta::EncodedBatch {
-            seq: rng.gen::<u64>(),
-            table: arb_string(rng),
-            inserts: (0..rng.gen_range(0usize..3))
-                .map(|_| {
-                    (0..rng.gen_range(0usize..4))
-                        .map(|_| rng.gen::<u32>())
-                        .collect()
-                })
-                .collect(),
-            deletes: (0..rng.gen_range(0usize..3))
-                .map(|_| {
-                    (0..rng.gen_range(0usize..4))
-                        .map(|_| rng.gen::<u32>())
-                        .collect()
-                })
-                .collect(),
-        }),
-        _ => WalRecord::EpochSeal {
-            epoch: rng.gen::<u64>(),
-            through_seq: rng.gen::<u64>(),
-        },
-    }
-}
-
-fn arb_log_entry(rng: &mut StdRng) -> dprov_api::cluster::LogEntry {
-    dprov_api::cluster::LogEntry {
-        term: rng.gen::<u64>(),
-        record: arb_wal_record(rng),
-    }
-}
-
-/// Every cluster message variant, chosen by `tag` so proptest cases sweep
-/// them all.
-fn arb_cluster_msg(rng: &mut StdRng, tag: u32) -> dprov_api::cluster::ClusterMsg {
-    use dprov_api::cluster::ClusterMsg;
-    match tag % 10 {
-        0 => ClusterMsg::RequestVote {
-            term: rng.gen::<u64>(),
-            candidate: rng.gen::<u64>(),
-            last_log_index: rng.gen::<u64>(),
-            last_log_term: rng.gen::<u64>(),
-        },
-        1 => ClusterMsg::VoteReply {
-            term: rng.gen::<u64>(),
-            voter: rng.gen::<u64>(),
-            granted: rng.gen::<bool>(),
-        },
-        2 => ClusterMsg::AppendEntries {
-            term: rng.gen::<u64>(),
-            leader: rng.gen::<u64>(),
-            prev_index: rng.gen::<u64>(),
-            prev_term: rng.gen::<u64>(),
-            commit: rng.gen::<u64>(),
-            entries: (0..rng.gen_range(0usize..4))
-                .map(|_| arb_log_entry(rng))
-                .collect(),
-        },
-        3 => ClusterMsg::AppendReply {
-            term: rng.gen::<u64>(),
-            node: rng.gen::<u64>(),
-            success: rng.gen::<bool>(),
-            match_index: rng.gen::<u64>(),
-        },
-        4 => ClusterMsg::Register {
-            node: rng.gen::<u64>(),
-            name: arb_string(rng),
-            scan_threads: rng.gen::<u64>(),
-            deadline_ticks: rng.gen::<u64>(),
-        },
-        5 => ClusterMsg::RegisterAck {
-            node: rng.gen::<u64>(),
-        },
-        6 => ClusterMsg::Heartbeat {
-            node: rng.gen::<u64>(),
-            seq: rng.gen::<u64>(),
-        },
-        7 => ClusterMsg::HeartbeatAck {
-            node: rng.gen::<u64>(),
-            seq: rng.gen::<u64>(),
-        },
-        8 => ClusterMsg::ShardScan {
-            epoch: rng.gen::<u64>(),
-            table: arb_string(rng),
-            shard_lo: rng.gen::<u64>(),
-            shard_hi: rng.gen::<u64>(),
-            queries: (0..rng.gen_range(0usize..3))
-                .map(|_| arb_query(rng))
-                .collect(),
-        },
-        _ => ClusterMsg::ShardPartials {
-            epoch: rng.gen::<u64>(),
-            partials: (0..rng.gen_range(0usize..5))
-                .map(|_| (rng.gen_range(-1e12f64..1e12), rng.gen_range(-1e12f64..1e12)))
-                .collect(),
-        },
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(256))]
-
-    /// Every cluster message — including replicated-log entries carrying
-    /// every WAL record variant — round-trips bit-for-bit through payload
-    /// encoding and the CRC framing.
-    #[test]
-    fn cluster_round_trips(seed in 0u64..u64::MAX, tag in 0u32..10, request_id in 0u64..u64::MAX) {
-        use dprov_api::cluster::{decode_cluster, encode_cluster};
-        let mut rng = StdRng::seed_from_u64(seed);
-        let msg = arb_cluster_msg(&mut rng, tag);
-        let payload = encode_cluster(request_id, &msg);
-        let (rid, decoded) = decode_cluster(&payload).expect("fresh payload must decode");
-        prop_assert_eq!(rid, request_id);
-        prop_assert_eq!(&decoded, &msg);
-
-        let mut stream = std::io::Cursor::new(frame::frame(&payload));
-        let unframed = frame::read_frame(&mut stream).unwrap().expect("one frame");
-        prop_assert_eq!(unframed, payload);
-    }
-
-    /// The cluster tag range (64..=79) is disjoint from analyst request and
-    /// response tags: a stream decoded by the wrong side errors, it never
-    /// aliases into a different message type.
-    #[test]
-    fn cluster_tags_are_disjoint_from_analyst_tags(seed in 0u64..u64::MAX, tag in 0u32..10) {
-        use dprov_api::cluster::{decode_cluster, encode_cluster};
-        let mut rng = StdRng::seed_from_u64(seed);
-        let msg = arb_cluster_msg(&mut rng, tag);
-        let payload = encode_cluster(3, &msg);
-        prop_assert!(decode_request(&payload).is_err());
-        prop_assert!(decode_response(&payload).is_err());
-
-        let request = arb_request(&mut rng, tag);
-        prop_assert!(decode_cluster(&encode_request(3, &request)).is_err());
-        let response = arb_response(&mut rng, tag % 11);
-        prop_assert!(decode_cluster(&encode_response(3, &response)).is_err());
-    }
-}

@@ -87,10 +87,9 @@ impl ExecutorNode {
     }
 }
 
-/// One reachable executor node, local or remote. The gateway talks to
-/// every node through this trait, so in-process nodes (tests, the demo)
-/// and TCP-attached nodes (`crate::transport::TcpShardClient`) mix
-/// freely.
+/// One reachable executor node. The gateway talks to every node through
+/// this trait; [`ExecutorNode`] is the in-process implementation, and a
+/// test can wrap one to inject failures.
 pub trait ShardEndpoint: Send + Sync + fmt::Debug {
     /// The node id this endpoint reaches.
     fn node_id(&self) -> NodeId;

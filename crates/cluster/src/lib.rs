@@ -11,18 +11,18 @@
 //!
 //! Four pieces, bottom-up:
 //!
-//! * [`raft`] + [`replica`] — a deterministic, tick-driven simplified
-//!   Raft core whose log entries are exactly the storage layer's
-//!   [`dprov_storage::wal::WalRecord`] frames, and a CRC-guarded
-//!   on-disk store for a replica's term/vote/log. Recovery from any
+//! * [`raft`] — a deterministic, tick-driven simplified Raft core whose
+//!   log entries are exactly the storage layer's
+//!   [`dprov_storage::wal::WalRecord`] frames. Recovery from any
 //!   surviving majority reproduces every acknowledged charge.
-//! * [`sim`] + [`recorder`] — a deterministic in-process replica group
-//!   with jepsen-style fault injection (crash, restart, partition,
-//!   message loss/delay), and the **replication gate**:
-//!   [`recorder::ReplicatedRecorder`] plugs into the core's provenance
-//!   critical section via `DProvDb::set_recorder`, so an in-memory
-//!   charge commit becomes visible only after a majority ack — and a
-//!   refused ack aborts the submission with no state change.
+//! * [`sim`] + [`recorder`] — the replica group, in-process, with
+//!   jepsen-style fault injection (crash, restart, partition, message
+//!   loss/delay) and each replica's persisted Raft state held in memory,
+//!   and the **replication gate**: [`recorder::ReplicatedRecorder`] plugs
+//!   into the core's provenance critical section via
+//!   `DProvDb::set_recorder`, so an in-memory charge commit becomes
+//!   visible only after a majority ack — and a refused ack aborts the
+//!   submission with no state change.
 //! * [`orchestrator`] + [`executor_node`] — executor-node registration
 //!   with capabilities, heartbeats and deadline eviction, plus the
 //!   deterministic contiguous shard assignment; executor nodes answer
@@ -31,11 +31,8 @@
 //!   shard order, **bit-identical** to the single-node scan (with
 //!   local fallback on any failure, counted in
 //!   `ExecStats::remote_fallbacks`).
-//! * [`gateway`] + [`transport`] — the wiring for one serving process
-//!   (replica group + orchestrator + distributed scan attached to a
-//!   `DProvDb`), and the transports: in-process channels with
-//!   programmable faults, and TCP meshes/shard servers reusing the
-//!   `dprov-api` frame codec and the append-only cluster message tags.
+//! * [`gateway`] — the wiring for one serving process: replica group +
+//!   orchestrator + distributed scan attached to a `DProvDb`.
 //!
 //! The fault harness lives in this crate's `tests/nemesis.rs`: seeded
 //! crash/partition schedules drive real analyst workloads and assert,
@@ -51,15 +48,11 @@ pub mod gateway;
 pub mod orchestrator;
 pub mod raft;
 pub mod recorder;
-pub mod replica;
 pub mod sim;
-pub mod transport;
 
 pub use executor_node::{DistributedScan, ExecutorNode, ShardEndpoint};
 pub use gateway::Gateway;
 pub use orchestrator::{NodeCaps, Orchestrator};
 pub use raft::{is_noop, NodeId, PersistentState, RaftConfig, RaftCore, Role};
 pub use recorder::ReplicatedRecorder;
-pub use replica::ReplicaLog;
 pub use sim::{ClusterError, SimCluster};
-pub use transport::{ChannelTransport, ClusterTransport, ShardServer, TcpMesh, TcpShardClient};

@@ -21,10 +21,13 @@
 //!
 //! Log indices are 1-based (`prev_index == 0` means "before the first
 //! entry"), and the *commit index* is the count of committed entries.
+//!
+//! Messages are plain values: the replica group runs in one process
+//! (`crate::sim::SimCluster` moves them between inboxes), so [`RaftMsg`]
+//! has no wire encoding.
 
 use std::collections::BTreeMap;
 
-use dprov_api::cluster::{ClusterMsg, LogEntry};
 use dprov_storage::wal::WalRecord;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -32,6 +35,68 @@ use rand::{Rng, SeedableRng};
 /// A replica's identifier within its group (small and dense: groups are a
 /// handful of nodes).
 pub type NodeId = u64;
+
+/// One replicated-log entry: the Raft term it was appended under plus the
+/// WAL record it carries.
+#[derive(Debug, Clone, PartialEq)]
+pub struct LogEntry {
+    /// The leader term the entry was appended under.
+    pub term: u64,
+    /// The payload — a write-ahead ledger record, bit-for-bit.
+    pub record: WalRecord,
+}
+
+/// A consensus message between two replicas.
+#[derive(Debug, Clone, PartialEq)]
+pub enum RaftMsg {
+    /// A candidate asks for a vote.
+    RequestVote {
+        /// The candidate's term.
+        term: u64,
+        /// The candidate's node id.
+        candidate: NodeId,
+        /// Entries in the candidate's log (its length).
+        last_log_index: u64,
+        /// Term of the candidate's last entry (0 when the log is empty).
+        last_log_term: u64,
+    },
+    /// A vote-request answer.
+    VoteReply {
+        /// The voter's current term.
+        term: u64,
+        /// The voter's node id.
+        voter: NodeId,
+        /// Whether the vote was granted.
+        granted: bool,
+    },
+    /// Leader-to-follower log replication (empty `entries` is a
+    /// heartbeat).
+    AppendEntries {
+        /// The leader's term.
+        term: u64,
+        /// The leader's node id.
+        leader: NodeId,
+        /// Entries preceding the appended ones (log-matching check).
+        prev_index: u64,
+        /// Term of the entry at `prev_index` (0 when none).
+        prev_term: u64,
+        /// The leader's commit index.
+        commit: u64,
+        /// Entries to append after `prev_index`.
+        entries: Vec<LogEntry>,
+    },
+    /// An append-entries answer.
+    AppendReply {
+        /// The follower's current term.
+        term: u64,
+        /// The follower's node id.
+        node: NodeId,
+        /// Whether the append matched and was stored.
+        success: bool,
+        /// Entries the follower's log now matches the leader's through.
+        match_index: u64,
+    },
+}
 
 /// The sentinel sequence number of a leader's no-op barrier entry (a
 /// rollback of a sequence no real charge can use).
@@ -294,7 +359,7 @@ impl RaftCore {
     /// Advances logical time by one tick: followers/candidates start an
     /// election at their deadline, leaders re-replicate at the heartbeat
     /// cadence.
-    pub fn tick(&mut self) -> Vec<(NodeId, ClusterMsg)> {
+    pub fn tick(&mut self) -> Vec<(NodeId, RaftMsg)> {
         self.ticks_idle += 1;
         match self.role {
             Role::Leader => {
@@ -315,7 +380,7 @@ impl RaftCore {
         }
     }
 
-    fn start_election(&mut self) -> Vec<(NodeId, ClusterMsg)> {
+    fn start_election(&mut self) -> Vec<(NodeId, RaftMsg)> {
         self.role = Role::Candidate;
         self.term += 1;
         self.voted_for = Some(self.config.id);
@@ -326,7 +391,7 @@ impl RaftCore {
             // Single-node group: win immediately.
             return self.become_leader();
         }
-        let msg = ClusterMsg::RequestVote {
+        let msg = RaftMsg::RequestVote {
             term: self.term,
             candidate: self.config.id,
             last_log_index: self.log.len() as u64,
@@ -340,7 +405,7 @@ impl RaftCore {
         self.config.group.iter().copied().filter(move |&p| p != me)
     }
 
-    fn become_leader(&mut self) -> Vec<(NodeId, ClusterMsg)> {
+    fn become_leader(&mut self) -> Vec<(NodeId, RaftMsg)> {
         self.role = Role::Leader;
         self.elections_won += 1;
         self.ticks_idle = 0;
@@ -365,7 +430,7 @@ impl RaftCore {
 
     /// One AppendEntries (possibly empty = heartbeat) per peer, shipping
     /// everything from that peer's next index.
-    fn broadcast_appends(&mut self) -> Vec<(NodeId, ClusterMsg)> {
+    fn broadcast_appends(&mut self) -> Vec<(NodeId, RaftMsg)> {
         let peers: Vec<NodeId> = self.peers().collect();
         peers
             .into_iter()
@@ -376,7 +441,7 @@ impl RaftCore {
             .collect()
     }
 
-    fn append_for(&self, peer: NodeId) -> ClusterMsg {
+    fn append_for(&self, peer: NodeId) -> RaftMsg {
         let next = self.next_index.get(&peer).copied().unwrap_or(1).max(1);
         let prev_index = next - 1;
         let prev_term = if prev_index == 0 {
@@ -384,7 +449,7 @@ impl RaftCore {
         } else {
             self.log[prev_index as usize - 1].term
         };
-        ClusterMsg::AppendEntries {
+        RaftMsg::AppendEntries {
             term: self.term,
             leader: self.config.id,
             prev_index,
@@ -397,7 +462,7 @@ impl RaftCore {
     /// Appends a proposal to the leader's log and starts replicating it.
     /// Returns `None` (and sends nothing) when this node is not the
     /// leader — the caller retries against the current leader.
-    pub fn propose(&mut self, record: WalRecord) -> Option<(u64, Vec<(NodeId, ClusterMsg)>)> {
+    pub fn propose(&mut self, record: WalRecord) -> Option<(u64, Vec<(NodeId, RaftMsg)>)> {
         if self.role != Role::Leader {
             return None;
         }
@@ -416,9 +481,9 @@ impl RaftCore {
     }
 
     /// Processes one incoming message, returning the messages to send.
-    pub fn handle(&mut self, from: NodeId, msg: ClusterMsg) -> Vec<(NodeId, ClusterMsg)> {
+    pub fn handle(&mut self, from: NodeId, msg: RaftMsg) -> Vec<(NodeId, RaftMsg)> {
         match msg {
-            ClusterMsg::RequestVote {
+            RaftMsg::RequestVote {
                 term,
                 candidate,
                 last_log_index,
@@ -439,14 +504,14 @@ impl RaftCore {
                 }
                 vec![(
                     from,
-                    ClusterMsg::VoteReply {
+                    RaftMsg::VoteReply {
                         term: self.term,
                         voter: self.config.id,
                         granted,
                     },
                 )]
             }
-            ClusterMsg::VoteReply {
+            RaftMsg::VoteReply {
                 term,
                 voter,
                 granted,
@@ -465,7 +530,7 @@ impl RaftCore {
                 }
                 Vec::new()
             }
-            ClusterMsg::AppendEntries {
+            RaftMsg::AppendEntries {
                 term,
                 leader,
                 prev_index,
@@ -476,7 +541,7 @@ impl RaftCore {
                 if term < self.term {
                     return vec![(
                         from,
-                        ClusterMsg::AppendReply {
+                        RaftMsg::AppendReply {
                             term: self.term,
                             node: self.config.id,
                             success: false,
@@ -494,7 +559,7 @@ impl RaftCore {
                 if !prev_ok {
                     return vec![(
                         from,
-                        ClusterMsg::AppendReply {
+                        RaftMsg::AppendReply {
                             term: self.term,
                             node: self.config.id,
                             success: false,
@@ -523,7 +588,7 @@ impl RaftCore {
                 self.commit = self.commit.max(commit.min(matched));
                 vec![(
                     from,
-                    ClusterMsg::AppendReply {
+                    RaftMsg::AppendReply {
                         term: self.term,
                         node: self.config.id,
                         success: true,
@@ -531,7 +596,7 @@ impl RaftCore {
                     },
                 )]
             }
-            ClusterMsg::AppendReply {
+            RaftMsg::AppendReply {
                 term,
                 node,
                 success,
@@ -557,9 +622,6 @@ impl RaftCore {
                     vec![(node, self.append_for(node))]
                 }
             }
-            // Orchestrator and shard-fanout messages are not consensus
-            // traffic; a replica ignores them.
-            _ => Vec::new(),
         }
     }
 
@@ -590,7 +652,7 @@ mod tests {
 
     /// Delivers every queued message until the network is quiet,
     /// deterministically in node order.
-    fn settle(nodes: &mut [RaftCore], queues: &mut Vec<(NodeId, NodeId, ClusterMsg)>) {
+    fn settle(nodes: &mut [RaftCore], queues: &mut Vec<(NodeId, NodeId, RaftMsg)>) {
         while let Some((_from, to, msg)) = queues.first().cloned() {
             queues.remove(0);
             let from = _from;
@@ -601,7 +663,7 @@ mod tests {
         }
     }
 
-    fn tick_all(nodes: &mut [RaftCore], queues: &mut Vec<(NodeId, NodeId, ClusterMsg)>) {
+    fn tick_all(nodes: &mut [RaftCore], queues: &mut Vec<(NodeId, NodeId, RaftMsg)>) {
         for node in nodes.iter_mut() {
             for (dest, m) in node.tick() {
                 queues.push((node.id(), dest, m));
@@ -713,7 +775,7 @@ mod tests {
         let term = nodes[leader].term();
         let out = nodes[leader].handle(
             2,
-            ClusterMsg::AppendEntries {
+            RaftMsg::AppendEntries {
                 term: term + 5,
                 leader: 2,
                 prev_index: 0,
@@ -726,7 +788,7 @@ mod tests {
         assert_eq!(nodes[leader].term(), term + 5);
         assert!(matches!(
             out[0].1,
-            ClusterMsg::AppendReply { success: true, .. }
+            RaftMsg::AppendReply { success: true, .. }
         ));
     }
 
@@ -736,7 +798,7 @@ mod tests {
         // Stale entries from an old term 1 leader.
         follower.handle(
             0,
-            ClusterMsg::AppendEntries {
+            RaftMsg::AppendEntries {
                 term: 1,
                 leader: 0,
                 prev_index: 0,
@@ -758,7 +820,7 @@ mod tests {
         // A term-3 leader overwrites index 2 with its own entry.
         follower.handle(
             2,
-            ClusterMsg::AppendEntries {
+            RaftMsg::AppendEntries {
                 term: 3,
                 leader: 2,
                 prev_index: 1,

@@ -5,25 +5,24 @@
 //! **inside the provenance critical section**: `record_commit` runs
 //! after admission control accepts a charge but *before* the charge
 //! becomes visible in memory, and an `Err` aborts the submission with no
-//! in-memory mutation. Chaining replication here yields the headline
+//! in-memory mutation. Replicating here yields the headline
 //! distributed-correctness property with zero changes to the core:
 //!
 //! > **No charge is acknowledged to an analyst unless it is replicated
 //! > to a majority of budget-ledger replicas.**
 //!
-//! The order within `record_commit` is (1) the optional *local* durable
-//! recorder — the node's own WAL, exactly as in single-node operation —
-//! then (2) [`SimCluster::propose_committed`] for the quorum ack. Either
-//! failure aborts the charge. The failure direction is always safe:
-//! an entry that was appended locally (or even replicated) but whose ack
-//! did not arrive is *refused* to the analyst, so recovery can only find
-//! **at least** the acknowledged spend, never less. Over-counting a
-//! refused charge on recovery wastes budget, which is privacy-safe.
+//! `record_commit` proposes the record through
+//! [`SimCluster::propose_committed`] and returns only once a majority
+//! acknowledged it; a refused ack aborts the charge. The failure direction
+//! is always safe: an entry that was replicated but whose ack did not
+//! arrive is *refused* to the analyst, so recovery can only find **at
+//! least** the acknowledged spend, never less. Over-counting a refused
+//! charge on recovery wastes budget, which is privacy-safe.
 //!
 //! Rollbacks and accesses are replicated too (the tight accountant's
-//! state must survive failover), but best-effort like the local WAL
-//! path: a lost rollback tombstone leaves a charge voided in memory yet
-//! spent on the ledger — again the over-counting direction.
+//! state must survive failover), but best-effort like the WAL path: a
+//! lost rollback tombstone leaves a charge voided in memory yet spent on
+//! the ledger — again the over-counting direction.
 //!
 //! [`SimCluster::propose_committed`]: crate::sim::SimCluster::propose_committed
 
@@ -47,9 +46,6 @@ pub const DEFAULT_PUMP_ROUNDS: usize = 400;
 /// is acknowledged (see the module docs).
 pub struct ReplicatedRecorder {
     cluster: Arc<Mutex<SimCluster>>,
-    /// The node-local durable recorder (usually the WAL-backed store);
-    /// `None` for purely replicated (diskless-local) setups.
-    inner: Option<Arc<dyn Recorder>>,
     metrics: MetricsRegistry,
     pump_rounds: usize,
 }
@@ -58,29 +54,19 @@ impl std::fmt::Debug for ReplicatedRecorder {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ReplicatedRecorder")
             .field("pump_rounds", &self.pump_rounds)
-            .field("has_inner", &self.inner.is_some())
             .finish_non_exhaustive()
     }
 }
 
 impl ReplicatedRecorder {
-    /// Gates commits on `cluster`, with no local recorder underneath.
+    /// Gates commits on `cluster`.
     #[must_use]
     pub fn new(cluster: Arc<Mutex<SimCluster>>) -> Self {
         ReplicatedRecorder {
             cluster,
-            inner: None,
             metrics: MetricsRegistry::disabled(),
             pump_rounds: DEFAULT_PUMP_ROUNDS,
         }
-    }
-
-    /// Chains the node-local durable recorder before replication (local
-    /// WAL append, then quorum ack).
-    #[must_use]
-    pub fn with_inner(mut self, inner: Arc<dyn Recorder>) -> Self {
-        self.inner = Some(inner);
-        self
     }
 
     /// Reports quorum-ack latency into `metrics`.
@@ -126,41 +112,25 @@ impl ReplicatedRecorder {
 
 impl Recorder for ReplicatedRecorder {
     fn record_commit(&self, record: &CommitRecord) -> Result<(), StorageError> {
-        // Local durability first (same as single-node), then the quorum
-        // gate. Either failure aborts the charge before it is visible.
-        if let Some(inner) = &self.inner {
-            inner.record_commit(record)?;
-        }
+        // A refused quorum ack aborts the charge before it is visible.
         self.replicate(WalRecord::Commit(record.clone()))
     }
 
     fn record_access(&self, record: &AccessRecord) -> Result<(), StorageError> {
-        if let Some(inner) = &self.inner {
-            inner.record_access(record)?;
-        }
         self.replicate(WalRecord::Access(*record))
     }
 
     fn record_rollback(&self, seq: u64) -> Result<(), StorageError> {
-        if let Some(inner) = &self.inner {
-            inner.record_rollback(seq)?;
-        }
         // Best-effort by contract: a lost tombstone over-counts spend on
         // recovery, which is privacy-safe.
         self.replicate(WalRecord::Rollback { seq })
     }
 
     fn record_update(&self, batch: &EncodedBatch) -> Result<(), StorageError> {
-        if let Some(inner) = &self.inner {
-            inner.record_update(batch)?;
-        }
         self.replicate(WalRecord::Update(batch.clone()))
     }
 
     fn record_epoch_seal(&self, epoch: u64, through_seq: u64) -> Result<(), StorageError> {
-        if let Some(inner) = &self.inner {
-            inner.record_epoch_seal(epoch, through_seq)?;
-        }
         self.replicate(WalRecord::EpochSeal { epoch, through_seq })
     }
 }

@@ -1,4 +1,5 @@
-//! A deterministic in-process cluster simulation with fault injection.
+//! The replica group: a deterministic in-process cluster with fault
+//! injection.
 //!
 //! [`SimCluster`] owns one [`RaftCore`] per replica and plays the
 //! network: every outgoing message lands in the destination's FIFO
@@ -12,26 +13,23 @@
 //! survive:
 //!
 //! * [`SimCluster::crash`] drops a node's in-memory core but keeps its
-//!   *persisted* Raft state (term, vote, log) — exactly what a
-//!   [`crate::replica::ReplicaLog`] would have on disk — and
+//!   *persisted* Raft state (term, vote, log), and
 //!   [`SimCluster::restart`] rebuilds the core from it;
 //! * [`SimCluster::isolate`] / [`SimCluster::heal`] partition the
 //!   network into groups that cannot exchange messages;
 //! * [`SimCluster::set_drop_one_in`] / [`SimCluster::set_delay_one_in`]
 //!   inject seeded random message loss and reordering.
 //!
-//! A node persists before it speaks: after every tick, handled message
-//! and proposal, and before the resulting messages leave, the simulation
-//! syncs that node's durable state with the protocol
-//! [`crate::replica::ReplicaLog`] defines. It copies the term and vote,
-//! appends the log entries past the persisted prefix (as
-//! [`ReplicaLog::append`](crate::replica::ReplicaLog::append) does), and
-//! rebuilds the persisted log from scratch only when
-//! [`RaftCore::truncations`] has moved since that node's last sync (as
-//! [`ReplicaLog::rewrite`](crate::replica::ReplicaLog::rewrite) does after
-//! a follower drops a conflicting suffix). A sync therefore costs the new
-//! entries, not the log length, and a quorum-gated commit costs the same
-//! at any log length.
+//! The persisted state is the replica store, and it lives in memory: one
+//! [`PersistentState`] per node, kept across crashes of that node but not
+//! across the process. A node persists before it speaks: after every
+//! tick, handled message and proposal, and before the resulting messages
+//! leave, the simulation copies the node's term and vote, appends the log
+//! entries past the persisted prefix, and rebuilds the persisted log from
+//! scratch only when [`RaftCore::truncations`] has moved since that
+//! node's last sync (a follower dropped a conflicting suffix). A sync
+//! therefore costs the new entries, not the log length, and a
+//! quorum-gated commit costs the same at any log length.
 //!
 //! [`SimCluster::propose_committed`] is the replication gate the
 //! [`crate::recorder::ReplicatedRecorder`] builds on: it appends a WAL
@@ -42,13 +40,12 @@
 use std::collections::VecDeque;
 use std::fmt;
 
-use dprov_api::cluster::ClusterMsg;
 use dprov_obs::{CounterId, GaugeId, MetricsRegistry};
 use dprov_storage::wal::WalRecord;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::raft::{NodeId, PersistentState, RaftConfig, RaftCore, Role};
+use crate::raft::{NodeId, PersistentState, RaftConfig, RaftCore, RaftMsg, Role};
 
 /// Why a proposal could not be acknowledged.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -77,8 +74,8 @@ struct SimNode {
     config: RaftConfig,
     /// `None` while crashed.
     core: Option<RaftCore>,
-    /// What this node's disk would hold (kept across crashes), equal to
-    /// the core's term, vote and log after every sync. Grown by suffix
+    /// This node's persisted state (kept across crashes), equal to the
+    /// core's term, vote and log after every sync. Grown by suffix
     /// appends; rebuilt only after the core truncated its log.
     persisted: PersistentState,
     /// The core's [`RaftCore::truncations`] at the last sync (0 again at
@@ -106,9 +103,9 @@ struct SyncTally {
 #[derive(Debug)]
 pub struct SimCluster {
     nodes: Vec<SimNode>,
-    inboxes: Vec<VecDeque<(NodeId, ClusterMsg)>>,
+    inboxes: Vec<VecDeque<(NodeId, RaftMsg)>>,
     /// Messages held back one step by the delay fault.
-    delayed: Vec<(NodeId, NodeId, ClusterMsg)>,
+    delayed: Vec<(NodeId, NodeId, RaftMsg)>,
     drop_one_in: u64,
     delay_one_in: u64,
     fault_rng: StdRng,
@@ -256,7 +253,7 @@ impl SimCluster {
         self.delay_one_in = k;
     }
 
-    fn route(&mut self, from: NodeId, to: NodeId, msg: ClusterMsg) {
+    fn route(&mut self, from: NodeId, to: NodeId, msg: RaftMsg) {
         if self.nodes[from as usize].group != self.nodes[to as usize].group {
             return; // partitioned
         }
@@ -273,9 +270,9 @@ impl SimCluster {
         self.inboxes[to as usize].push_back((from, msg));
     }
 
-    /// Persists node `i`'s durable state (what a `ReplicaLog` fsync
-    /// would do). Called before that node's messages leave, so an acked
-    /// entry is always on "disk" first. Copies the term and vote, then
+    /// Persists node `i`'s durable state. Called before that node's
+    /// messages leave, so an acked entry is always persisted first.
+    /// Copies the term and vote, then
     /// appends the log past the persisted prefix; the persisted log is
     /// rebuilt from scratch only when the core truncated its log since
     /// the last sync (see the module docs).

@@ -9,9 +9,10 @@
 //! the harness asserts the three distributed-correctness properties:
 //!
 //! 1. **Recovered spend covers acknowledged spend** — replaying the
-//!    committed replicated log from any surviving majority reproduces
-//!    every acknowledged provenance entry bit-identically (and never
-//!    less than it);
+//!    committed replicated log of a surviving majority into a fresh
+//!    system, through the single-node recovery path
+//!    (`DProvDb::replay_commit` / `replay_access`), reproduces every
+//!    acknowledged provenance entry bit-identically;
 //! 2. **Per-analyst constraints hold** — row, column and table
 //!    constraints are never overspent, faults or not;
 //! 3. **Answers are bit-identical to a fault-free oracle** — a refused
@@ -19,7 +20,7 @@
 //!    healed retry (with the session RNG restored) reproduces exactly
 //!    what a run without faults produces.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashSet};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -230,21 +231,37 @@ fn assert_constraints(system: &DProvDb) {
     }
 }
 
-/// Replays the committed replicated log (as recovery would) into a map
-/// of provenance entries, from the view of one live node.
-fn recovered_entries(sim: &SimCluster, node: u64) -> BTreeMap<(usize, String), u64> {
-    let mut entries = BTreeMap::new();
-    for record in sim.committed_records(node) {
-        if let WalRecord::Commit(c) = record {
-            entries.insert((c.analyst.0, c.view.clone()), c.new_entry.to_bits());
+/// Recovers a fresh system from the committed replicated log of one live
+/// node, through the single-node replay path: every commit not voided by
+/// a rollback tombstone goes through `DProvDb::replay_commit` and every
+/// access through `DProvDb::replay_access`, as `ProvenanceStore::open`
+/// feeds them.
+fn recover_from(sim: &SimCluster, node: NodeId, seed: u64) -> DProvDb {
+    let records = sim.committed_records(node);
+    let voided: HashSet<u64> = records
+        .iter()
+        .filter_map(|r| match r {
+            WalRecord::Rollback { seq } => Some(*seq),
+            _ => None,
+        })
+        .collect();
+    let recovered = build_system(seed);
+    for record in &records {
+        match record {
+            WalRecord::Commit(c) if !voided.contains(&c.seq) => {
+                recovered.replay_commit(c).unwrap();
+            }
+            WalRecord::Access(a) => recovered.replay_access(a),
+            _ => {}
         }
     }
-    entries
+    recovered
 }
 
 /// Asserts that recovery from a surviving majority reproduces every
-/// acknowledged provenance entry bit-identically.
-fn assert_recovery(system: &DProvDb, cluster: &Arc<Mutex<SimCluster>>) {
+/// acknowledged provenance entry bit-identically, and returns the
+/// recovered system.
+fn assert_recovery(system: &DProvDb, cluster: &Arc<Mutex<SimCluster>>, seed: u64) -> DProvDb {
     let mut sim = cluster.lock().unwrap();
     // Recovery scenario: total restart, then only a majority comes back.
     for n in 0..sim.len() as u64 {
@@ -264,38 +281,25 @@ fn assert_recovery(system: &DProvDb, cluster: &Arc<Mutex<SimCluster>>) {
     for _ in 0..30 {
         sim.step();
     }
-    let recovered = recovered_entries(&sim, leader);
+    let recovered = recover_from(&sim, leader, seed);
+    let (live, replayed) = (system.provenance(), recovered.provenance());
     assert!(
-        !recovered.is_empty(),
+        replayed.total_sum() > 0.0,
         "the workload must have replicated commits"
     );
-    let provenance = system.provenance();
-    for (&(analyst, ref view), &bits) in &recovered {
-        let acknowledged = provenance.entry(AnalystId(analyst), view);
-        assert_eq!(
-            bits,
-            acknowledged.to_bits(),
-            "recovered entry for analyst {analyst} view {view} is not \
-             bit-identical to the acknowledged state"
-        );
-    }
-    // Every acknowledged (non-zero) cell is present in the recovered log.
     for a in 0..ANALYSTS {
-        for view in provenance.view_names() {
-            let acknowledged = provenance.entry(AnalystId(a), view);
-            if acknowledged != 0.0 {
-                let got = recovered
-                    .get(&(a, view.to_string()))
-                    .copied()
-                    .unwrap_or(0f64.to_bits());
-                assert!(
-                    f64::from_bits(got) >= acknowledged,
-                    "recovered spend below acknowledged spend for \
-                     analyst {a} view {view}"
-                );
-            }
+        for view in live.view_names() {
+            let acknowledged = live.entry(AnalystId(a), view);
+            let got = replayed.entry(AnalystId(a), view);
+            assert_eq!(
+                got.to_bits(),
+                acknowledged.to_bits(),
+                "recovered entry for analyst {a} view {view} ({got}) is not \
+                 bit-identical to the acknowledged state ({acknowledged})"
+            );
         }
     }
+    recovered
 }
 
 #[test]
@@ -303,7 +307,9 @@ fn fault_free_cluster_matches_the_oracle_and_recovers() {
     let (system, cluster, refused) = run_schedule(11, BTreeMap::new());
     assert_eq!(refused, 0, "no faults, no refusals");
     assert_eq!(system.exec_stats().remote_fallbacks, 0);
-    assert_recovery(&system, &cluster);
+    let recovered = assert_recovery(&system, &cluster, 11);
+    // With every access acknowledged, the tight accountant replays too.
+    assert_eq!(recovered.tight_accounting(), system.tight_accounting());
 }
 
 #[test]
@@ -315,7 +321,7 @@ fn leader_crashes_mid_stream_are_transparent() {
         (7, vec![Nemesis::RestartAll]),
     ]);
     let (system, cluster, _refused) = run_schedule(13, schedule);
-    assert_recovery(&system, &cluster);
+    assert_recovery(&system, &cluster, 13);
 }
 
 #[test]
@@ -326,7 +332,7 @@ fn minority_partition_refuses_acks_then_heals() {
         refused > 0,
         "isolating the leader must refuse at least one ack"
     );
-    assert_recovery(&system, &cluster);
+    assert_recovery(&system, &cluster, 17);
 }
 
 #[test]
@@ -336,7 +342,7 @@ fn message_loss_and_reordering_change_no_answer() {
         (6, vec![Nemesis::Heal]),
     ]);
     let (system, cluster, _refused) = run_schedule(19, schedule);
-    assert_recovery(&system, &cluster);
+    assert_recovery(&system, &cluster, 19);
 }
 
 #[test]
@@ -349,7 +355,7 @@ fn combined_crash_and_partition_schedule_holds_every_property() {
         (6, vec![Nemesis::RestartAll]),
     ]);
     let (system, cluster, _refused) = run_schedule(23, schedule);
-    assert_recovery(&system, &cluster);
+    assert_recovery(&system, &cluster, 23);
 }
 
 /// An executor endpoint the nemesis can cut off: while `down` it refuses

@@ -1,7 +1,7 @@
 //! Binary encoding primitives shared by every durable and wire format:
 //! little-endian scalar put/take helpers, a CRC-32 (IEEE 802.3) checksum,
-//! and the one frame layout used by the write-ahead ledger, the replica
-//! log and the TCP wire.
+//! and the one frame layout used by the write-ahead ledger and the TCP
+//! wire.
 //!
 //! Formats are encoded by hand. Everything is little-endian; floats are
 //! stored as their raw IEEE-754 bits, which makes recovered budget state

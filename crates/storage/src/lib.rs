@@ -24,7 +24,7 @@
 //!
 //! * [`codec`] — little-endian encoding helpers, CRC-32, and the one
 //!   `len | crc | payload` frame layout and damage rule shared by the
-//!   ledger, the replica log and the wire;
+//!   ledger and the wire;
 //! * [`wal`] — the write-ahead ledger format, scan and torn-tail handling;
 //! * [`snapshot`] — versioned, atomically-replaced snapshot files;
 //! * [`store`] — the [`store::ProvenanceStore`] directory lifecycle
