@@ -87,3 +87,19 @@ impl std::error::Error for DpError {}
 
 /// Crate-wide result alias.
 pub type Result<T> = std::result::Result<T, DpError>;
+
+/// Seeded cases per differential battery (translation, calibration):
+/// `DPROV_TRANSLATION_CASES` when set (the nightly job raises it),
+/// otherwise 100 000 for an optimised build and a debug-affordable 3 000
+/// under plain `cargo test`.
+#[cfg(test)]
+pub(crate) fn battery_cases() -> usize {
+    std::env::var("DPROV_TRANSLATION_CASES")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(if cfg!(debug_assertions) {
+            3_000
+        } else {
+            100_000
+        })
+}

@@ -38,9 +38,11 @@ fn erf_series(x: f64) -> f64 {
     TWO_OVER_SQRT_PI * sum
 }
 
-/// Continued fraction for `sqrt(pi) e^{x^2} erfc(x)` on `x > 0`, evaluated
-/// bottom-up with a fixed depth.
-fn erfc_cf(x: f64) -> f64 {
+/// The reciprocal of the scaled complement, `1 / (e^{x^2} erfc(x))`, on
+/// `x > 0`: `sqrt(pi)` times the continued fraction, evaluated bottom-up
+/// with a fixed depth. Accurate for `x > SERIES_CUTOFF`, and finite where
+/// `e^{-x^2}` underflows.
+pub(crate) fn erfcx_reciprocal(x: f64) -> f64 {
     debug_assert!(x > 0.0);
     // Level-k denominator: x for even k, 2x for odd k; numerator at level k
     // is k. Start from the deepest level and fold upwards.
@@ -49,8 +51,12 @@ fn erfc_cf(x: f64) -> f64 {
     for k in (1..=CF_DEPTH).rev() {
         acc = denom(k - 1) + k as f64 / acc;
     }
-    // erfc(x) = e^{-x^2} / (sqrt(pi) * acc)
-    (-x * x).exp() / (SQRT_PI * acc)
+    SQRT_PI * acc
+}
+
+/// `erfc(x)` on `x > SERIES_CUTOFF` through the continued fraction.
+fn erfc_cf(x: f64) -> f64 {
+    (-x * x).exp() / erfcx_reciprocal(x)
 }
 
 /// The error function `erf(x) = 2/sqrt(pi) * Int_0^x e^{-t^2} dt`.

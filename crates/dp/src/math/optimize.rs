@@ -4,7 +4,9 @@
 //!
 //! * the analytic-Gaussian calibration searches for the smallest noise scale
 //!   σ whose privacy profile is below δ (the profile is monotone decreasing
-//!   in σ);
+//!   in σ). It runs a safeguarded Newton iteration of its own and finishes
+//!   with [`bisect_decreasing`] only where rounding makes the computed
+//!   profile too noisy for Newton to close its bracket;
 //! * the accuracy→privacy translation of Definition 9 searches for the
 //!   smallest ε whose calibrated variance is below the accuracy target (the
 //!   variance is monotone decreasing in ε);

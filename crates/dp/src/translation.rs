@@ -21,8 +21,10 @@
 //!
 //! Definition 9 asks, at each probed ε, whether the calibrated noise scale
 //! `σ*(ε)` — the smallest σ whose privacy profile `P(σ; ε)` is at most δ —
-//! satisfies `σ*(ε)² ≤ v`. Computing `σ*(ε)` is itself a bisection of about
-//! 45 profile evaluations. The profile is strictly decreasing in σ, so
+//! satisfies `σ*(ε)² ≤ v`. Computing `σ*(ε)` is itself a Newton search of
+//! 5–7 profile evaluations when the profile is well conditioned, and up to
+//! a few dozen where rounding blurs it. The profile is strictly decreasing
+//! in σ, so
 //!
 //! ```text
 //! σ*(ε) ≤ √v   ⇔   P(√v; ε) ≤ δ
@@ -38,8 +40,9 @@
 //!
 //! **Guard band.** The two sides are equivalent for the exact profile; the
 //! calibration and the probe see a *computed* profile, and can disagree
-//! only where `√v` falls inside the calibration's final bracket. That
-//! bracket is `1e-12` wide relative to its upper end, and the profile's
+//! only where `√v` falls inside the calibration's certified bracket
+//! `[σ_lo, σ*]`: `P(σ*) ≤ δ < P(σ_lo)` with `σ_lo ≥ σ*·(1 − 1e-12)`,
+//! whether Newton or its bisection fallback closed it. The profile's
 //! log-derivative `|∂ln P/∂ln σ| = (Δ/σ)·φ(a−b)/P` stays below a few
 //! thousand over the probed range, so inside it `P(√v; ε)` is within about
 //! `1e-8·δ` of δ. Rounding adds up to a few `1e-11` of the leading term
@@ -132,16 +135,16 @@ pub fn translate_variance_to_epsilon(
 }
 
 /// Definition 9 read literally — every probe calibrates `σ*(ε)` in full
-/// (≈45 profile evaluations) and compares variances: the translation as it
-/// was before [`translate_variance_to_epsilon`] probed the profile, ≈20×
-/// slower and equal to it bit for bit, value or error (the differential
-/// battery in this module's tests).
+/// (5–7 profile evaluations when well conditioned) and compares variances:
+/// the translation as it was before [`translate_variance_to_epsilon`]
+/// probed the profile, ≈5× slower and equal to it bit for bit, value or
+/// error (the differential battery in this module's tests).
 ///
 /// It is the battery's reference and, for now, what `dprov-core` runs for
 /// the cells of a GROUP BY request: with the profile search that path gets
-/// ≈18× faster, more than `dprovbench`'s `grouped` workload (400 operations
-/// a round, ≈30 ms at that speed) can measure steadily. The workload is
-/// resized first (ROADMAP item 1); then the grouped path calls
+/// ≈5× faster again, more than `dprovbench`'s `grouped` workload (400
+/// operations a round) can measure steadily. The workload is resized first
+/// (ROADMAP item 1); then the grouped path calls
 /// [`translate_variance_to_epsilon`] and this function goes back behind
 /// `#[cfg(test)]`.
 pub fn translate_variance_to_epsilon_nested(
@@ -587,20 +590,10 @@ mod tests {
 
     // ----- differential battery: profile search vs nested search -----
 
-    /// Seeded cases per battery arm: `DPROV_TRANSLATION_CASES` when set
-    /// (the nightly job raises it), otherwise 100 000 in total for an
-    /// optimised build and a debug-affordable 3 000 under plain
-    /// `cargo test`.
+    /// Seeded cases per battery arm: the two arms share
+    /// [`crate::battery_cases`].
     fn cases_per_arm() -> usize {
-        let total = std::env::var("DPROV_TRANSLATION_CASES")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(if cfg!(debug_assertions) {
-                3_000
-            } else {
-                100_000
-            });
-        total / 2
+        crate::battery_cases() / 2
     }
 
     const SENSITIVITIES: [f64; 3] = [1.0, std::f64::consts::SQRT_2, 10.0];
