@@ -8,8 +8,9 @@
 //! epsilons) and applies the heterogeneous generalisation
 //! `ε' = √(2 ln(1/δ') Σ ε_i²) + Σ ε_i (e^{ε_i} − 1)`.
 
-use crate::accountant::Accountant;
+use crate::accountant::{Accountant, AccountantState};
 use crate::budget::Budget;
+use crate::Result;
 
 /// An accountant applying advanced composition at a fixed slack `δ'`.
 #[derive(Debug, Clone)]
@@ -63,6 +64,29 @@ impl Accountant for AdvancedAccountant {
 
     fn releases(&self) -> usize {
         self.releases
+    }
+
+    /// Sums: `[Σε², Σε(e^ε − 1), Σδ, Σε]`.
+    fn export_state(&self) -> AccountantState {
+        AccountantState {
+            releases: self.releases as u64,
+            sums: vec![
+                self.sum_eps_sq,
+                self.sum_eps_linear,
+                self.sum_delta,
+                self.sum_eps_plain,
+            ],
+        }
+    }
+
+    fn import_state(&mut self, state: &AccountantState) -> Result<()> {
+        let sums = state.sums(4)?;
+        self.sum_eps_sq = sums[0];
+        self.sum_eps_linear = sums[1];
+        self.sum_delta = sums[2];
+        self.sum_eps_plain = sums[3];
+        self.releases = state.releases as usize;
+        Ok(())
     }
 }
 

@@ -6,8 +6,9 @@
 //! `ε = ε_RDP(α) + ln(1/δ)/(α − 1)` (Theorem A.3), minimised over a grid of
 //! orders.
 
-use crate::accountant::Accountant;
+use crate::accountant::{Accountant, AccountantState};
 use crate::budget::Budget;
+use crate::Result;
 
 /// The grid of Rényi orders used for the conversion.
 fn order_grid() -> Vec<f64> {
@@ -77,6 +78,25 @@ impl Accountant for RdpAccountant {
 
     fn releases(&self) -> usize {
         self.releases
+    }
+
+    /// Sums: the RDP epsilon of every order, in grid order, then the
+    /// fallback releases' Σδ.
+    fn export_state(&self) -> AccountantState {
+        let mut sums = self.rdp_eps.clone();
+        sums.push(self.sum_delta_extra);
+        AccountantState {
+            releases: self.releases as u64,
+            sums,
+        }
+    }
+
+    fn import_state(&mut self, state: &AccountantState) -> Result<()> {
+        let mut sums = state.sums(self.orders.len() + 1)?;
+        self.sum_delta_extra = sums.pop().expect("one sum per order plus Σδ");
+        self.rdp_eps = sums;
+        self.releases = state.releases as usize;
+        Ok(())
     }
 }
 

@@ -1,7 +1,8 @@
 //! Basic sequential composition (Theorem 2.1): epsilons and deltas add.
 
-use crate::accountant::Accountant;
+use crate::accountant::{Accountant, AccountantState};
 use crate::budget::Budget;
+use crate::Result;
 
 /// An accountant applying basic sequential composition.
 #[derive(Debug, Clone)]
@@ -39,6 +40,21 @@ impl Accountant for SequentialAccountant {
 
     fn releases(&self) -> usize {
         self.releases
+    }
+
+    /// Sums: `[ε, δ]`.
+    fn export_state(&self) -> AccountantState {
+        AccountantState {
+            releases: self.releases as u64,
+            sums: vec![self.total.epsilon.value(), self.total.delta.value()],
+        }
+    }
+
+    fn import_state(&mut self, state: &AccountantState) -> Result<()> {
+        let sums = state.sums(2)?;
+        self.total = Budget::new(sums[0], sums[1])?;
+        self.releases = state.releases as usize;
+        Ok(())
     }
 }
 

@@ -4,8 +4,9 @@
 //! `ρ = Δ²/(2σ²)`-zCDP; ρ composes additively, and
 //! `ρ`-zCDP implies `(ρ + 2 √(ρ ln(1/δ)), δ)`-DP for every δ.
 
-use crate::accountant::Accountant;
+use crate::accountant::{Accountant, AccountantState};
 use crate::budget::Budget;
+use crate::Result;
 
 /// A zCDP accountant for Gaussian releases.
 #[derive(Debug, Clone)]
@@ -59,6 +60,22 @@ impl Accountant for ZcdpAccountant {
 
     fn releases(&self) -> usize {
         self.releases
+    }
+
+    /// Sums: `[ρ, Σδ]` (Σδ of the fallback releases).
+    fn export_state(&self) -> AccountantState {
+        AccountantState {
+            releases: self.releases as u64,
+            sums: vec![self.rho, self.sum_delta_extra],
+        }
+    }
+
+    fn import_state(&mut self, state: &AccountantState) -> Result<()> {
+        let sums = state.sums(2)?;
+        self.rho = sums[0];
+        self.sum_delta_extra = sums[1];
+        self.releases = state.releases as usize;
+        Ok(())
     }
 }
 

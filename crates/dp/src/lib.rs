@@ -60,6 +60,9 @@ pub enum DpError {
     NoConvergence(&'static str),
     /// An empty budget set was handed to the additive Gaussian mechanism.
     EmptyBudgetSet,
+    /// An exported accountant state does not fit the accountant importing
+    /// it (wrong number of sums, or a sum no release could produce).
+    InvalidAccountantState(String),
 }
 
 impl std::fmt::Display for DpError {
@@ -79,6 +82,7 @@ impl std::fmt::Display for DpError {
             ),
             DpError::NoConvergence(what) => write!(f, "numerical routine did not converge: {what}"),
             DpError::EmptyBudgetSet => write!(f, "additive Gaussian mechanism requires at least one budget"),
+            DpError::InvalidAccountantState(reason) => write!(f, "invalid accountant state: {reason}"),
         }
     }
 }
