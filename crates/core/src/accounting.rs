@@ -16,9 +16,10 @@
 
 use std::collections::BTreeMap;
 
-use dprov_dp::budget::Budget;
+use dprov_dp::budget::{Budget, Delta, Epsilon};
 
 use crate::analyst::AnalystId;
+use crate::error::{CoreError, Result, StorageError};
 use crate::mechanism::MechanismKind;
 use crate::recorder::LedgerEntryState;
 
@@ -161,26 +162,34 @@ impl MultiAnalystLedger {
     }
 
     /// Rebuilds a ledger from exported buckets (snapshot recovery). The
-    /// inverse of [`Self::export_entries`].
-    #[must_use]
-    pub fn from_entries(entries: &[LedgerEntryState], releases: usize) -> Self {
-        use dprov_dp::budget::{Delta, Epsilon};
+    /// inverse of [`Self::export_entries`]. A bucket whose ε is not a
+    /// finite non-negative number, or whose δ lies outside `[0, 1]`, is
+    /// refused: it could only under-report the spend.
+    pub fn from_entries(entries: &[LedgerEntryState], releases: usize) -> Result<Self> {
+        let bucket = |e: &LedgerEntryState| {
+            // Composition saturates δ at 1, which `Delta::new` refuses.
+            let delta = match e.delta {
+                1.0 => Delta::ONE,
+                d => Delta::new(d).ok()?,
+            };
+            Some(Budget::from_parts(Epsilon::new(e.epsilon).ok()?, delta))
+        };
         let per_entry = entries
             .iter()
-            .map(|e| {
-                (
-                    (e.analyst, e.mechanism),
-                    Budget::from_parts(
-                        Epsilon::unchecked(e.epsilon),
-                        Delta::new(e.delta).unwrap_or(Delta::ZERO),
+            .map(|e| match bucket(e) {
+                Some(budget) => Ok(((e.analyst, e.mechanism), budget)),
+                None => Err(CoreError::Storage(StorageError::IncompatibleState(
+                    format!(
+                        "ledger bucket of analyst {} holds ({}, {})",
+                        e.analyst.0, e.epsilon, e.delta
                     ),
-                )
+                ))),
             })
-            .collect();
-        MultiAnalystLedger {
+            .collect::<Result<_>>()?;
+        Ok(MultiAnalystLedger {
             per_entry,
             releases,
-        }
+        })
     }
 }
 
@@ -274,7 +283,7 @@ mod tests {
         ledger.record(AnalystId(1), b(0.17), MechanismKind::AdditiveGaussian);
         ledger.record(AnalystId(1), b(0.05), MechanismKind::AdditiveGaussian);
         let entries = ledger.export_entries();
-        let restored = MultiAnalystLedger::from_entries(&entries, ledger.releases());
+        let restored = MultiAnalystLedger::from_entries(&entries, ledger.releases()).unwrap();
         assert_eq!(restored.releases(), 3);
         for a in [AnalystId(0), AnalystId(1)] {
             // Bit-exact restoration: the budgets are stored as raw f64s.
@@ -284,5 +293,34 @@ mod tests {
             );
         }
         assert_eq!(restored.export_entries(), entries);
+    }
+
+    #[test]
+    fn import_refuses_a_bucket_that_would_under_report() {
+        let mut ledger = MultiAnalystLedger::new();
+        ledger.record(AnalystId(0), b(0.31), MechanismKind::Vanilla);
+        let entries = ledger.export_entries();
+        for delta in [f64::NAN, f64::INFINITY, -1e-9, 1.5] {
+            let mut bad = entries.clone();
+            bad[0].delta = delta;
+            assert!(
+                matches!(
+                    MultiAnalystLedger::from_entries(&bad, 1),
+                    Err(CoreError::Storage(StorageError::IncompatibleState(_)))
+                ),
+                "delta {delta} imported"
+            );
+        }
+        for epsilon in [f64::NAN, -0.5] {
+            let mut bad = entries.clone();
+            bad[0].epsilon = epsilon;
+            assert!(MultiAnalystLedger::from_entries(&bad, 1).is_err());
+        }
+        // A δ saturated by composition is a state the ledger itself
+        // exports, so it imports.
+        let mut saturated = entries;
+        saturated[0].delta = 1.0;
+        let restored = MultiAnalystLedger::from_entries(&saturated, 1).unwrap();
+        assert_eq!(restored.loss_to(AnalystId(0)).delta.value(), 1.0);
     }
 }

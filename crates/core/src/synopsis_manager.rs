@@ -385,17 +385,44 @@ impl SynopsisManager {
             .collect()
     }
 
-    /// Restores a cache state exported by [`Self::export_cache`] (snapshot
-    /// recovery). Replaces the state of every mentioned view; refuses
-    /// states that reference unregistered views.
-    pub fn import_cache(&self, views: &[ViewCacheState]) -> Result<()> {
+    /// Checks, without touching any state, that a cache state fits this
+    /// manager and a roster of `analysts`: every view is registered, every
+    /// synopsis has the view's bin count, and every local synopsis belongs
+    /// to a registered analyst.
+    pub fn check_cache(&self, views: &[ViewCacheState], analysts: usize) -> Result<()> {
         for view in views {
-            let shard = self.shards.get(&view.view).ok_or_else(|| {
-                CoreError::Storage(StorageError::IncompatibleState(format!(
-                    "snapshot references unregistered view {}",
-                    view.view
+            let refuse = |what: &str| {
+                Err(CoreError::Storage(StorageError::IncompatibleState(
+                    format!("snapshot cache of view {}: {what}", view.view),
                 )))
-            })?;
+            };
+            let Ok(state) = self.read_state(&view.view) else {
+                return refuse("view not registered");
+            };
+            let bins = state.exact.counts.len();
+            if view
+                .global
+                .iter()
+                .map(|g| &g.counts)
+                .chain(view.locals.iter().map(|l| &l.counts))
+                .any(|c| c.len() != bins)
+            {
+                return refuse("synopsis bin count differs from the view's");
+            }
+            if view.locals.iter().any(|l| l.analyst >= analysts) {
+                return refuse("local synopsis of an unregistered analyst");
+            }
+        }
+        Ok(())
+    }
+
+    /// Restores a cache state exported by [`Self::export_cache`] (snapshot
+    /// recovery). Replaces the state of every mentioned view; refuses, with
+    /// nothing installed, a state that [`Self::check_cache`] refuses.
+    pub fn import_cache(&self, views: &[ViewCacheState], analysts: usize) -> Result<()> {
+        self.check_cache(views, analysts)?;
+        for view in views {
+            let shard = &self.shards[&view.view];
             let mut state = shard.state.write().expect("shard poisoned");
             state.global = view.global.as_ref().map(|g| BudgetedSynopsis {
                 synopsis: Synopsis::new(&view.view, g.counts.clone(), g.variance),
@@ -935,7 +962,7 @@ mod tests {
         assert_eq!(exported[0].locals[0].analyst, 0);
 
         let (fresh, _) = setup();
-        fresh.import_cache(&exported).unwrap();
+        fresh.import_cache(&exported, 3).unwrap();
         assert_eq!(
             fresh.global_state("adult.age").unwrap(),
             mgr.global_state("adult.age").unwrap()
@@ -958,7 +985,7 @@ mod tests {
             locals: vec![],
         }];
         assert!(matches!(
-            mgr.import_cache(&bogus),
+            mgr.import_cache(&bogus, 3),
             Err(CoreError::Storage(StorageError::IncompatibleState(_)))
         ));
     }

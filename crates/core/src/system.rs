@@ -40,14 +40,11 @@ use std::time::{Duration, Instant};
 
 use dprov_delta::{build_segments, EncodedBatch, SealedEpoch, UpdateBatch, UpdateLog};
 use dprov_dp::accountant::{make_accountant, Accountant};
-use dprov_dp::budget::{Budget, Delta, Epsilon};
+use dprov_dp::budget::{Budget, Epsilon};
 use dprov_dp::mechanism::analytic_gaussian::AnalyticGaussian;
 use dprov_dp::rng::DpRng;
 use dprov_dp::sensitivity::Sensitivity;
-use dprov_dp::translation::{
-    translate_variance_to_epsilon, translate_variance_to_epsilon_nested, FrictionAwareTranslation,
-    Translation,
-};
+use dprov_dp::translation::{translate_variance_to_epsilon, FrictionAwareTranslation};
 use dprov_engine::catalog::ViewCatalog;
 use dprov_engine::database::Database;
 use dprov_engine::group::GroupByQuery;
@@ -207,13 +204,6 @@ struct ResolvedRequest {
     /// it again.
     requested: Option<AnalyticGaussian>,
 }
-
-/// The vanilla translation a request searches with:
-/// [`translate_variance_to_epsilon`] for a scalar request,
-/// [`translate_variance_to_epsilon_nested`] for the cells of a grouped one.
-/// The two return the same bits; the grouped path follows once
-/// `dprovbench`'s `grouped` workload can measure it (ROADMAP item 1).
-type VanillaSearch = fn(f64, Delta, Sensitivity, Epsilon, f64) -> dprov_dp::Result<Translation>;
 
 impl DProvDb {
     /// Builds the system: computes constraints from the configuration,
@@ -738,10 +728,9 @@ impl DProvDb {
         &self,
         per_bin_target: f64,
         sensitivity: Sensitivity,
-        search: VanillaSearch,
     ) -> std::result::Result<AnalyticGaussian, RejectReason> {
         self.metrics.incr(CounterId::Translations);
-        search(
+        translate_variance_to_epsilon(
             per_bin_target,
             self.config.delta,
             sensitivity,
@@ -834,7 +823,7 @@ impl DProvDb {
             Ok(r) => r,
             Err(reason) => return Ok(QueryOutcome::Rejected { reason }),
         };
-        self.admit_vanilla(analyst, resolved, translate_variance_to_epsilon, rng)
+        self.admit_vanilla(analyst, resolved, rng)
     }
 
     /// The post-resolve tail of Algorithm 2: cache probe, translation,
@@ -846,7 +835,6 @@ impl DProvDb {
         &self,
         analyst: AnalystId,
         resolved: ResolvedRequest,
-        search: VanillaSearch,
         rng: &mut DpRng,
     ) -> Result<QueryOutcome> {
         // Serialise competing submissions for this provenance entry: the
@@ -861,7 +849,7 @@ impl DProvDb {
         let sensitivity = resolved.view.sensitivity();
         let release = match resolved.requested {
             Some(requested) => requested,
-            None => match self.translate_vanilla(resolved.per_bin_target, sensitivity, search) {
+            None => match self.translate_vanilla(resolved.per_bin_target, sensitivity) {
                 Ok(translated) => translated,
                 Err(reason) => return Ok(QueryOutcome::Rejected { reason }),
             },
@@ -961,7 +949,7 @@ impl DProvDb {
             Ok(r) => r,
             Err(reason) => return Ok(QueryOutcome::Rejected { reason }),
         };
-        self.admit_additive(analyst, resolved, translate_variance_to_epsilon, rng)
+        self.admit_additive(analyst, resolved, rng)
     }
 
     /// The post-resolve tail of Algorithm 4 (see [`Self::admit_vanilla`]
@@ -970,7 +958,6 @@ impl DProvDb {
         &self,
         analyst: AnalystId,
         resolved: ResolvedRequest,
-        search: VanillaSearch,
         rng: &mut DpRng,
     ) -> Result<QueryOutcome> {
         let _entry = self.admission.lock_entry(analyst.0, &resolved.view.name);
@@ -1005,11 +992,10 @@ impl DProvDb {
                 (global_target, eps_req, requested)
             }
             None => {
-                let nominal =
-                    match self.translate_vanilla(resolved.per_bin_target, sensitivity, search) {
-                        Ok(translated) => translated,
-                        Err(reason) => return Ok(QueryOutcome::Rejected { reason }),
-                    };
+                let nominal = match self.translate_vanilla(resolved.per_bin_target, sensitivity) {
+                    Ok(translated) => translated,
+                    Err(reason) => return Ok(QueryOutcome::Rejected { reason }),
+                };
                 let local_nominal = nominal.budget().epsilon.value();
                 let global_target = match (current_global_eps, current_global_var) {
                     (None, _) => local_nominal,
@@ -1176,18 +1162,8 @@ impl DProvDb {
             let outcome = match cell {
                 Err(reason) => Ok(QueryOutcome::Rejected { reason }),
                 Ok(resolved) => match self.mechanism {
-                    MechanismKind::Vanilla => self.admit_vanilla(
-                        analyst,
-                        resolved,
-                        translate_variance_to_epsilon_nested,
-                        rng,
-                    ),
-                    MechanismKind::AdditiveGaussian => self.admit_additive(
-                        analyst,
-                        resolved,
-                        translate_variance_to_epsilon_nested,
-                        rng,
-                    ),
+                    MechanismKind::Vanilla => self.admit_vanilla(analyst, resolved, rng),
+                    MechanismKind::AdditiveGaussian => self.admit_additive(analyst, resolved, rng),
                 },
             };
             self.observe_outcome(analyst, &outcome, start.elapsed());
@@ -1506,19 +1482,27 @@ impl DProvDb {
     /// the target table and row arity; cell values were validated before
     /// the frame was written and are protected by its checksum.
     pub fn replay_update(&self, batch: EncodedBatch) -> Result<()> {
+        self.check_batches([&batch])?;
+        self.lock_delta().replay_pending(batch);
+        Ok(())
+    }
+
+    /// Checks that every journalled batch targets a known table with rows
+    /// of its arity.
+    fn check_batches<'a>(&self, batches: impl IntoIterator<Item = &'a EncodedBatch>) -> Result<()> {
         let db = self.db.read().expect("db lock poisoned");
-        let table = db.table(&batch.table).map_err(CoreError::Engine)?;
-        let arity = table.schema().arity();
-        for row in batch.inserts.iter().chain(&batch.deletes) {
-            if row.len() != arity {
-                return Err(CoreError::Engine(EngineError::ArityMismatch {
-                    expected: arity,
-                    found: row.len(),
-                }));
+        for batch in batches {
+            let table = db.table(&batch.table).map_err(CoreError::Engine)?;
+            let arity = table.schema().arity();
+            for row in batch.inserts.iter().chain(&batch.deletes) {
+                if row.len() != arity {
+                    return Err(CoreError::Engine(EngineError::ArityMismatch {
+                        expected: arity,
+                        found: row.len(),
+                    }));
+                }
             }
         }
-        drop(db);
-        self.lock_delta().replay_pending(batch);
         Ok(())
     }
 
@@ -1689,11 +1673,20 @@ impl DProvDb {
     /// Restores a snapshot produced by [`Self::export_durable_state`] into
     /// a freshly constructed system (same database, catalog, registry and
     /// configuration). Call *before* attaching the recorder and before
-    /// replaying the write-ahead suffix.
+    /// replaying the write-ahead suffix. Provenance targets, ledger
+    /// buckets, the synopsis cache and the update batches are all checked
+    /// before anything is applied, so a refused state leaves the system as
+    /// it was.
     pub fn import_durable_state(&self, state: &CoreState) -> Result<()> {
         for entry in &state.provenance {
             self.check_replay_target(entry.analyst, &entry.view)?;
         }
+        let ledger =
+            MultiAnalystLedger::from_entries(&state.ledger, state.ledger_releases as usize)?;
+        self.synopses
+            .check_cache(&state.synopses, self.registry.len())?;
+        let sealed = state.deltas.sealed.iter().flat_map(|s| &s.batches);
+        self.check_batches(sealed.chain(&state.deltas.pending))?;
         // Re-apply the sealed epoch history first (deterministic integer
         // work — segments and patched histograms land bit-identical),
         // then restore the log verbatim (pending batches included) and
@@ -1709,8 +1702,7 @@ impl DProvDb {
                 provenance.set_entry(entry.analyst, &entry.view, entry.epsilon);
             }
         }
-        *self.lock_ledger() =
-            MultiAnalystLedger::from_entries(&state.ledger, state.ledger_releases as usize);
+        *self.lock_ledger() = ledger;
         {
             let mut accountant = self
                 .tight_accountant
@@ -1726,7 +1718,8 @@ impl DProvDb {
                 );
             }
         }
-        self.synopses.import_cache(&state.synopses)?;
+        self.synopses
+            .import_cache(&state.synopses, self.registry.len())?;
         self.commit_seq.fetch_max(state.next_seq, Ordering::SeqCst);
         // Re-seed the budget gauges from the imported provenance state.
         self.publish_budget_matrix();
@@ -2514,6 +2507,53 @@ mod tests {
             fresh.true_answer(&q).unwrap().to_bits(),
             live.true_answer(&q).unwrap().to_bits()
         );
+    }
+
+    /// A live vanilla system's durable state with one cached local
+    /// synopsis (analyst 1, `adult.age`), damaged by `damage`, is refused
+    /// whole by a fresh system, which stays as it was.
+    fn assert_damaged_cache_is_refused(
+        damage: impl FnOnce(&mut crate::recorder::LocalSynopsisState),
+    ) {
+        let live = build(MechanismKind::Vanilla, 6.0);
+        let request = range_request(25, 50, 700.0);
+        assert!(live
+            .submit_shared(AnalystId(1), &request)
+            .unwrap()
+            .is_answered());
+        let mut state = live.export_durable_state();
+        damage(&mut state.synopses[0].locals[0]);
+
+        let fresh = build(MechanismKind::Vanilla, 6.0);
+        let before = fresh.export_durable_state();
+        let refused = fresh.import_durable_state(&state);
+        assert!(
+            matches!(
+                refused,
+                Err(CoreError::Storage(
+                    crate::error::StorageError::IncompatibleState(_)
+                ))
+            ),
+            "{refused:?}"
+        );
+        assert_eq!(fresh.export_durable_state(), before, "nothing applied");
+        // The request that would have hit the damaged synopsis is served.
+        assert!(fresh
+            .submit_shared(AnalystId(1), &request)
+            .unwrap()
+            .is_answered());
+    }
+
+    #[test]
+    fn import_refuses_a_synopsis_with_the_wrong_bin_count() {
+        assert_damaged_cache_is_refused(|local| {
+            local.counts.pop();
+        });
+    }
+
+    #[test]
+    fn import_refuses_a_synopsis_of_an_unregistered_analyst() {
+        assert_damaged_cache_is_refused(|local| local.analyst = 2);
     }
 
     #[test]

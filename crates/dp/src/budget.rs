@@ -108,6 +108,9 @@ impl Delta {
     /// Zero failure probability (pure DP).
     pub const ZERO: Delta = Delta(0.0);
 
+    /// The value composition saturates at (`Add` caps δ at 1).
+    pub const ONE: Delta = Delta(1.0);
+
     /// Creates a delta, rejecting values outside `[0, 1)`.
     pub fn new(value: f64) -> Result<Self> {
         if !value.is_finite() || !(0.0..1.0).contains(&value) {

@@ -32,11 +32,10 @@
 //!
 //! and the search probes the right-hand side: one profile evaluation per
 //! probe, the same ε grid, and one full calibration at the end for the ε it
-//! returns. The nested search survives as
-//! [`translate_variance_to_epsilon_nested`]: the reference the differential
-//! battery compares against, bit for bit, and — for now — the search behind
-//! GROUP BY cells (`dprov-core` switches its two paths one at a time; the
-//! function's docs say why and when the second one follows).
+//! returns. It is the one search in production, for scalar requests and
+//! GROUP BY cells alike. The nested search survives only as the
+//! `#[cfg(test)]` oracle `translate_variance_to_epsilon_nested`, which the
+//! differential battery compares against, bit for bit.
 //!
 //! **Guard band.** The two sides are equivalent for the exact profile; the
 //! calibration and the probe see a *computed* profile, and can disagree
@@ -131,36 +130,6 @@ pub fn translate_variance_to_epsilon(
             profile_probe(root, d, sens, eps)
                 .unwrap_or_else(|| calibration_reaches(target_variance, d, sens, eps))
         },
-    )
-}
-
-/// Definition 9 read literally — every probe calibrates `σ*(ε)` in full
-/// (5–7 profile evaluations when well conditioned) and compares variances:
-/// the translation as it was before [`translate_variance_to_epsilon`]
-/// probed the profile, ≈5× slower and equal to it bit for bit, value or
-/// error (the differential battery in this module's tests).
-///
-/// It is the battery's reference and, for now, what `dprov-core` runs for
-/// the cells of a GROUP BY request: with the profile search that path gets
-/// ≈5× faster again, more than `dprovbench`'s `grouped` workload (400
-/// operations a round) can measure steadily. The workload is resized first
-/// (ROADMAP item 1); then the grouped path calls
-/// [`translate_variance_to_epsilon`] and this function goes back behind
-/// `#[cfg(test)]`.
-pub fn translate_variance_to_epsilon_nested(
-    target_variance: f64,
-    delta: Delta,
-    sensitivity: Sensitivity,
-    max_epsilon: Epsilon,
-    precision: f64,
-) -> Result<Translation> {
-    search(
-        target_variance,
-        delta,
-        sensitivity,
-        max_epsilon,
-        precision,
-        |eps| calibration_reaches(target_variance, delta.value(), sensitivity.value(), eps),
     )
 }
 
@@ -274,19 +243,11 @@ impl FrictionAwareTranslation {
             return Err(DpError::InvalidVariance(target_variance));
         }
 
-        let (fresh_variance, weight) = match current_variance {
-            // First release for the view: no friction, vanilla translation.
+        // No synopsis yet, or one already accurate enough (the system
+        // answers from it without translating): no friction, w = 0 — the
+        // optimisation's solution when v_i ≥ v' per the paper.
+        let (fresh_variance, weight) = match current_variance.filter(|&v| v > target_variance) {
             None => (target_variance, 0.0),
-            Some(v_prime) if v_prime <= target_variance => {
-                // The existing synopsis is already accurate enough; the
-                // caller should answer from it (signalled by weight = 1 and
-                // an infinite fresh variance is meaningless, so we keep the
-                // vanilla path but the system layer short-circuits before
-                // calling translate in that case). Degrade to vanilla:
-                // w = 0, as the optimisation's solution is w = 0 when
-                // v_i > v' per the paper.
-                (target_variance, 0.0)
-            }
             Some(v_prime) => {
                 // Maximise v_t(w) = (v_i − w² v′) / (1 − w)² over w ∈ [0, 1).
                 // The feasible region requires v_i − w² v′ > 0, i.e.
@@ -589,6 +550,28 @@ mod tests {
     }
 
     // ----- differential battery: profile search vs nested search -----
+
+    /// Definition 9 read literally — every probe calibrates `σ*(ε)` in full
+    /// (5–7 profile evaluations when well conditioned) and compares variances:
+    /// the translation as it was before [`translate_variance_to_epsilon`]
+    /// probed the profile, ≈5× slower and equal to it bit for bit, value or
+    /// error. It is the differential battery's oracle and nothing else.
+    fn translate_variance_to_epsilon_nested(
+        target_variance: f64,
+        delta: Delta,
+        sensitivity: Sensitivity,
+        max_epsilon: Epsilon,
+        precision: f64,
+    ) -> Result<Translation> {
+        search(
+            target_variance,
+            delta,
+            sensitivity,
+            max_epsilon,
+            precision,
+            |eps| calibration_reaches(target_variance, delta.value(), sensitivity.value(), eps),
+        )
+    }
 
     /// Seeded cases per battery arm: the two arms share
     /// [`crate::battery_cases`].

@@ -10,7 +10,8 @@
 //!   and that mechanism travels into the release — the additive mechanism
 //!   calibrates again only for the *different* epsilon of a global growth;
 //! * the cells of a privacy-mode grouped request share the resolution's
-//!   calibration; an accuracy-mode cell still translates by itself.
+//!   calibration; an accuracy-mode cell still translates by itself, with
+//!   the same search a scalar request runs.
 //!
 //! Also here: the configured translation precision reaches both searches,
 //! and the two configurations that used to panic the first accuracy-mode
@@ -26,9 +27,12 @@ use dprovdb::dp::rng::DpRng;
 use dprovdb::dp::sensitivity::Sensitivity;
 use dprovdb::dp::translation::{translate_variance_to_epsilon, FrictionAwareTranslation};
 use dprovdb::engine::catalog::ViewCatalog;
+use dprovdb::engine::database::Database;
 use dprovdb::engine::datagen::adult::adult_database;
+use dprovdb::engine::expr::Predicate;
 use dprovdb::engine::group::GroupByQuery;
 use dprovdb::engine::query::Query;
+use dprovdb::engine::view::ViewDef;
 
 /// Analyst 0 may spend a quarter of the table budget, analyst 1 all of it.
 const EXTERNAL: AnalystId = AnalystId(0);
@@ -38,6 +42,15 @@ const BOTH: [MechanismKind; 2] = [MechanismKind::Vanilla, MechanismKind::Additiv
 fn build_with(config: SystemConfig, mechanism: MechanismKind) -> Result<DProvDb, CoreError> {
     let db = adult_database(2_000, 1);
     let catalog = ViewCatalog::one_per_attribute(&db, "adult").unwrap();
+    build_on(db, catalog, config, mechanism)
+}
+
+fn build_on(
+    db: Database,
+    catalog: ViewCatalog,
+    config: SystemConfig,
+    mechanism: MechanismKind,
+) -> Result<DProvDb, CoreError> {
     let mut registry = AnalystRegistry::new();
     registry.register("external", 1).unwrap();
     registry.register("internal", 4).unwrap();
@@ -205,6 +218,84 @@ fn grouped_cells_share_the_calibration() {
             (translations, calibrations),
             (cells, 0),
             "{mechanism}: refused"
+        );
+    }
+}
+
+#[test]
+fn a_friction_aware_miss_refused_by_the_row_constraint_calibrates_nothing() {
+    let system = build(MechanismKind::AdditiveGaussian, 8.0);
+    // A loose global synopsis exists ...
+    submit(&system, INTERNAL, &accuracy(2_000.0));
+    // ... too noisy for this request, whose local share (epsilon ~ 4)
+    // exceeds the external analyst's row constraint of 2.
+    let (outcome, translations, calibrations) = submit(&system, EXTERNAL, &accuracy(150.0));
+    assert!(
+        matches!(
+            outcome,
+            QueryOutcome::Rejected {
+                reason: RejectReason::AnalystConstraint { .. }
+            }
+        ),
+        "{outcome:?}"
+    );
+    assert_eq!(
+        (translations, calibrations),
+        (2, 0),
+        "vanilla + friction-aware search, no release"
+    );
+}
+
+#[test]
+fn grouped_cells_are_priced_by_the_scalar_search() {
+    // Female touches 2 bins of `sex_age`, Male 21: the second cell needs a
+    // tighter synopsis than the first cell released, so both are fresh.
+    let db = adult_database(2_000, 1);
+    let mut catalog = ViewCatalog::one_per_attribute(&db, "adult").unwrap();
+    catalog.add_view(ViewDef::histogram("sex_age", "adult", &["sex", "age"]));
+    let config = SystemConfig::new(8.0).unwrap();
+    let system = build_on(
+        db.clone(),
+        catalog.clone(),
+        config.clone(),
+        MechanismKind::Vanilla,
+    )
+    .unwrap();
+    let query = GroupByQuery::count("adult", &["sex"]).filter(Predicate::Or(vec![
+        Predicate::equals("sex", "Female").and(Predicate::range("age", 30, 31)),
+        Predicate::equals("sex", "Male").and(Predicate::range("age", 30, 50)),
+    ]));
+    const VARIANCE: f64 = 300.0;
+    let request = GroupedRequest::with_accuracy(query.clone(), VARIANCE);
+    let mut rng = DpRng::seed_from_u64(3);
+    let (grouped, translations, calibrations) = counted(&system, || {
+        system
+            .answer_group_by_with_rng(INTERNAL, &request, &mut rng)
+            .unwrap()
+    });
+    let cells = query
+        .scalar_queries(db.table("adult").unwrap().schema())
+        .unwrap();
+    assert_eq!(grouped.outcomes.len(), cells.len());
+    assert_eq!((translations, calibrations), (cells.len() as u64, 0));
+    for (cell, outcome) in cells.iter().zip(&grouped.outcomes) {
+        let QueryOutcome::Answered(answer) = outcome else {
+            panic!("{cell:?}: {outcome:?}");
+        };
+        assert!(!answer.from_cache, "{cell:?} must be a fresh release");
+        let (view, linear) = catalog.select_view(cell, &db).unwrap();
+        let want = translate_variance_to_epsilon(
+            VARIANCE / linear.answer_variance(1.0),
+            config.delta,
+            view.sensitivity(),
+            config.total_epsilon,
+            config.translation_precision,
+        )
+        .unwrap();
+        assert_eq!(
+            answer.epsilon_charged.to_bits(),
+            want.epsilon.value().to_bits(),
+            "{cell:?}"
         );
     }
 }
