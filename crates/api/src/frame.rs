@@ -208,15 +208,18 @@ mod tests {
         use dprov_storage::wal::WalRecord;
 
         let hex = |bytes: &[u8]| bytes.iter().map(|b| format!("{b:02x}")).collect::<String>();
-        let wal = WalRecord::Commit(CommitRecord {
-            seq: 7,
-            analyst: AnalystId(2),
-            view: "adult.age".to_owned(),
-            mechanism: MechanismKind::AdditiveGaussian,
-            prev_entry: 0.25,
-            new_entry: 0.5,
-            charged: 0.25,
-        });
+        let wal = WalRecord::Commit(
+            CommitRecord {
+                seq: 7,
+                analyst: AnalystId(2),
+                view: "adult.age".to_owned(),
+                mechanism: MechanismKind::AdditiveGaussian,
+                prev_entry: 0.25,
+                new_entry: 0.5,
+                charged: 0.25,
+            },
+            None,
+        );
         assert_eq!(
             hex(&wal.encode_frame().unwrap()),
             "37000000886325da0107000000000000000200000000000000090000006164756c742e61676502\

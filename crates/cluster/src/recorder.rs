@@ -2,7 +2,7 @@
 //!
 //! [`ReplicatedRecorder`] implements [`dprov_core::recorder::Recorder`]
 //! and is installed with `DProvDb::set_recorder`, which places it
-//! **inside the provenance critical section**: `record_commit` runs
+//! **inside the provenance critical section**: `record_admission` runs
 //! after admission control accepts a charge but *before* the charge
 //! becomes visible in memory, and an `Err` aborts the submission with no
 //! in-memory mutation. Replicating here yields the headline
@@ -11,18 +11,20 @@
 //! > **No charge is acknowledged to an analyst unless it is replicated
 //! > to a majority of budget-ledger replicas.**
 //!
-//! `record_commit` proposes the record through
-//! [`SimCluster::propose_committed`] and returns only once a majority
-//! acknowledged it; a refused ack aborts the charge. The failure direction
+//! `record_admission` proposes the admission — its charge and the data
+//! access it made, if any — as one log entry through
+//! [`SimCluster::propose_committed`], and returns only once a majority
+//! acknowledged it; a refused ack aborts the charge, and the tight
+//! accountant never counts its access. So the accountant's state survives
+//! failover in the same quorum round as the charge. The failure direction
 //! is always safe: an entry that was replicated but whose ack did not
 //! arrive is *refused* to the analyst, so recovery can only find **at
-//! least** the acknowledged spend, never less. Over-counting a refused
-//! charge on recovery wastes budget, which is privacy-safe.
+//! least** the acknowledged spend and accesses, never less. Over-counting
+//! a refused charge on recovery wastes budget, which is privacy-safe.
 //!
-//! Rollbacks and accesses are replicated too (the tight accountant's
-//! state must survive failover), but best-effort like the WAL path: a
-//! lost rollback tombstone leaves a charge voided in memory yet spent on
-//! the ledger — again the over-counting direction.
+//! Rollback tombstones are replicated best-effort like the WAL path: a
+//! lost one leaves a charge voided in memory yet spent on the ledger —
+//! again the over-counting direction.
 //!
 //! [`SimCluster::propose_committed`]: crate::sim::SimCluster::propose_committed
 
@@ -30,7 +32,7 @@ use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use dprov_core::error::StorageError;
-use dprov_core::recorder::{AccessRecord, CommitRecord, Recorder};
+use dprov_core::recorder::{CommitRecord, DataAccess, Recorder};
 use dprov_delta::EncodedBatch;
 use dprov_obs::{HistId, MetricsRegistry};
 use dprov_storage::wal::WalRecord;
@@ -111,13 +113,13 @@ impl ReplicatedRecorder {
 }
 
 impl Recorder for ReplicatedRecorder {
-    fn record_commit(&self, record: &CommitRecord) -> Result<(), StorageError> {
+    fn record_admission(
+        &self,
+        commit: &CommitRecord,
+        access: Option<&DataAccess>,
+    ) -> Result<(), StorageError> {
         // A refused quorum ack aborts the charge before it is visible.
-        self.replicate(WalRecord::Commit(record.clone()))
-    }
-
-    fn record_access(&self, record: &AccessRecord) -> Result<(), StorageError> {
-        self.replicate(WalRecord::Access(*record))
+        self.replicate(WalRecord::Commit(commit.clone(), access.copied()))
     }
 
     fn record_rollback(&self, seq: u64) -> Result<(), StorageError> {

@@ -11,8 +11,9 @@
 //! 1. **Recovered spend covers acknowledged spend** — replaying the
 //!    committed replicated log of a surviving majority into a fresh
 //!    system, through the single-node recovery path
-//!    (`DProvDb::replay_commit` / `replay_access`), reproduces every
-//!    acknowledged provenance entry bit-identically;
+//!    (`DProvDb::replay_admission`), reproduces every acknowledged
+//!    provenance entry bit-identically, and a tight accounting that
+//!    covers the live one (bit-identical when no ack was refused);
 //! 2. **Per-analyst constraints hold** — row, column and table
 //!    constraints are never overspent, faults or not;
 //! 3. **Answers are bit-identical to a fault-free oracle** — a refused
@@ -29,6 +30,7 @@ use dprov_core::analyst::{AnalystId, AnalystRegistry};
 use dprov_core::config::SystemConfig;
 use dprov_core::mechanism::MechanismKind;
 use dprov_core::processor::{QueryOutcome, QueryRequest};
+use dprov_core::recorder::Admission;
 use dprov_core::system::DProvDb;
 use dprov_dp::rng::DpRng;
 use dprov_engine::catalog::ViewCatalog;
@@ -232,10 +234,9 @@ fn assert_constraints(system: &DProvDb) {
 }
 
 /// Recovers a fresh system from the committed replicated log of one live
-/// node, through the single-node replay path: every commit not voided by
-/// a rollback tombstone goes through `DProvDb::replay_commit` and every
-/// access through `DProvDb::replay_access`, as `ProvenanceStore::open`
-/// feeds them.
+/// node, through the single-node replay path: every admission goes
+/// through `DProvDb::replay_admission`, marked voided when a rollback
+/// tombstone names it, as `ProvenanceStore::open` feeds them.
 fn recover_from(sim: &SimCluster, node: NodeId, seed: u64) -> DProvDb {
     let records = sim.committed_records(node);
     let voided: HashSet<u64> = records
@@ -246,22 +247,34 @@ fn recover_from(sim: &SimCluster, node: NodeId, seed: u64) -> DProvDb {
         })
         .collect();
     let recovered = build_system(seed);
-    for record in &records {
-        match record {
-            WalRecord::Commit(c) if !voided.contains(&c.seq) => {
-                recovered.replay_commit(c).unwrap();
-            }
-            WalRecord::Access(a) => recovered.replay_access(a),
-            _ => {}
+    for record in records {
+        if let WalRecord::Commit(commit, access) = record {
+            let voided = voided.contains(&commit.seq);
+            recovered
+                .replay_admission(&Admission {
+                    commit,
+                    access,
+                    voided,
+                })
+                .unwrap();
         }
     }
     recovered
 }
 
 /// Asserts that recovery from a surviving majority reproduces every
-/// acknowledged provenance entry bit-identically, and returns the
-/// recovered system.
-fn assert_recovery(system: &DProvDb, cluster: &Arc<Mutex<SimCluster>>, seed: u64) -> DProvDb {
+/// acknowledged provenance entry bit-identically and covers the live
+/// tight accounting, and returns the recovered system. Each admission's
+/// access rides in its commit's quorum round, so with no refused ack the
+/// recovered accountant is the live one bit for bit; a refused ack whose
+/// entry was replicated all the same adds its access on recovery only —
+/// the over-counting direction, like its charge.
+fn assert_recovery(
+    system: &DProvDb,
+    cluster: &Arc<Mutex<SimCluster>>,
+    seed: u64,
+    refused: usize,
+) -> DProvDb {
     let mut sim = cluster.lock().unwrap();
     // Recovery scenario: total restart, then only a majority comes back.
     for n in 0..sim.len() as u64 {
@@ -299,6 +312,19 @@ fn assert_recovery(system: &DProvDb, cluster: &Arc<Mutex<SimCluster>>, seed: u64
             );
         }
     }
+    let (live, got) = (system.tight_accounting(), recovered.tight_accounting());
+    assert!(
+        live.epsilon.value() > 0.0,
+        "the workload must access the data"
+    );
+    if refused == 0 {
+        assert_eq!(got, live, "recovered tight accounting is not the live one");
+    } else {
+        assert!(
+            got.epsilon.value() >= live.epsilon.value(),
+            "recovered tight accounting {got:?} undercounts the live {live:?}"
+        );
+    }
     recovered
 }
 
@@ -307,9 +333,51 @@ fn fault_free_cluster_matches_the_oracle_and_recovers() {
     let (system, cluster, refused) = run_schedule(11, BTreeMap::new());
     assert_eq!(refused, 0, "no faults, no refusals");
     assert_eq!(system.exec_stats().remote_fallbacks, 0);
-    let recovered = assert_recovery(&system, &cluster, 11);
-    // With every access acknowledged, the tight accountant replays too.
-    assert_eq!(recovered.tight_accounting(), system.tight_accounting());
+    assert_recovery(&system, &cluster, 11, refused);
+}
+
+/// An additive admission is one replicated log entry and one quorum
+/// round: the global growth it releases rides in its commit, and an
+/// admission the global already covers carries no access.
+#[test]
+fn one_log_entry_per_additive_admission() {
+    let db = adult_database(800, 1);
+    let catalog = ViewCatalog::one_per_attribute(&db, "adult").unwrap();
+    let mut registry = AnalystRegistry::new();
+    registry.register("external", 2).unwrap();
+    registry.register("internal", 4).unwrap();
+    let config = SystemConfig::new(50.0).unwrap().with_seed(3);
+    let mut system = DProvDb::new(
+        db,
+        catalog,
+        registry,
+        config,
+        MechanismKind::AdditiveGaussian,
+    )
+    .unwrap();
+    let cluster = Arc::new(Mutex::new(SimCluster::new(REPLICAS, 3)));
+    system.set_recorder(Arc::new(ReplicatedRecorder::new(Arc::clone(&cluster))));
+    let age =
+        |epsilon| QueryRequest::with_privacy(Query::range_count("adult", "age", 20, 45), epsilon);
+    let committed = || {
+        let sim = cluster.lock().unwrap();
+        // No leader is elected before the first proposal.
+        sim.leader()
+            .map(|leader| sim.committed_records(leader))
+            .unwrap_or_default()
+    };
+    // Creates the global, grows it, then is covered by it.
+    for (analyst, epsilon, grows) in [(0, 0.5, true), (1, 0.8, true), (0, 0.7, false)] {
+        let before = committed().len();
+        let outcome = system.submit(AnalystId(analyst), &age(epsilon)).unwrap();
+        assert!(outcome.is_answered());
+        let records = committed();
+        assert_eq!(records.len(), before + 1, "one entry per admission");
+        match &records[before] {
+            WalRecord::Commit(_, access) => assert_eq!(access.is_some(), grows),
+            other => panic!("expected a commit, got {other:?}"),
+        }
+    }
 }
 
 #[test]
@@ -320,8 +388,8 @@ fn leader_crashes_mid_stream_are_transparent() {
         (5, vec![Nemesis::CrashLeader]),
         (7, vec![Nemesis::RestartAll]),
     ]);
-    let (system, cluster, _refused) = run_schedule(13, schedule);
-    assert_recovery(&system, &cluster, 13);
+    let (system, cluster, refused) = run_schedule(13, schedule);
+    assert_recovery(&system, &cluster, 13, refused);
 }
 
 #[test]
@@ -332,7 +400,7 @@ fn minority_partition_refuses_acks_then_heals() {
         refused > 0,
         "isolating the leader must refuse at least one ack"
     );
-    assert_recovery(&system, &cluster, 17);
+    assert_recovery(&system, &cluster, 17, refused);
 }
 
 #[test]
@@ -341,8 +409,8 @@ fn message_loss_and_reordering_change_no_answer() {
         (1, vec![Nemesis::DropOneIn(7), Nemesis::DelayOneIn(5)]),
         (6, vec![Nemesis::Heal]),
     ]);
-    let (system, cluster, _refused) = run_schedule(19, schedule);
-    assert_recovery(&system, &cluster, 19);
+    let (system, cluster, refused) = run_schedule(19, schedule);
+    assert_recovery(&system, &cluster, 19, refused);
 }
 
 #[test]
@@ -354,8 +422,8 @@ fn combined_crash_and_partition_schedule_holds_every_property() {
         (5, vec![Nemesis::Heal, Nemesis::CrashLeader]),
         (6, vec![Nemesis::RestartAll]),
     ]);
-    let (system, cluster, _refused) = run_schedule(23, schedule);
-    assert_recovery(&system, &cluster, 23);
+    let (system, cluster, refused) = run_schedule(23, schedule);
+    assert_recovery(&system, &cluster, 23, refused);
 }
 
 /// An executor endpoint the nemesis can cut off: while `down` it refuses

@@ -13,10 +13,15 @@
 //! [`CommitRecord`] carrying everything recovery needs to replay the commit
 //! exactly: the provenance entry transition (`prev_entry → new_entry`), the
 //! epsilon charged to the analyst's ledger, and the mechanism that charged
-//! it. The system calls [`Recorder::record_commit`] *inside* the provenance
-//! critical section, before applying the charge, so
+//! it. When the admission touches the protected data — a vanilla release,
+//! or an additive admission that grows the hidden global synopsis — the
+//! commit carries that [`DataAccess`] too, so one admission is one record.
+//! The system calls [`Recorder::record_admission`] *inside* the provenance
+//! critical section, before applying the charge and before the tight
+//! accountant counts the access, so
 //!
-//! * the ledger's record order equals the commit order, and
+//! * the ledger's record order equals the commit order and the tight
+//!   accountant's composition order, and
 //! * a record that fails to persist aborts the submission with
 //!   [`crate::error::CoreError::Storage`] — the in-memory state is never
 //!   ahead of the durable state.
@@ -26,19 +31,17 @@
 //! [`Recorder::record_rollback`]. Tombstone appends are best-effort: losing
 //! one makes recovery **over**-count the spend, which is the safe direction
 //! for a privacy accountant (recovered spend ≥ acknowledged spend, never
-//! less).
-//!
-//! Data accesses feeding the tight accountant are journalled with
-//! [`Recorder::record_access`] under the accountant lock, so the replayed
-//! accountant composes the same releases in the same order.
+//! less). A tombstone voids the charge only: the access stays counted on
+//! both sides, because the live accountant counted it at commit time.
 //!
 //! Recovery drives the inverse path: [`crate::system::DProvDb`] exposes
 //! [`crate::system::DProvDb::import_durable_state`] for the snapshot and
-//! [`crate::system::DProvDb::replay_commit`] /
-//! [`crate::system::DProvDb::replay_access`] for the ledger suffix; all of
-//! them mutate memory *without* echoing back into the recorder.
+//! [`crate::system::DProvDb::replay_admission`] for each admission of the
+//! ledger suffix; both mutate memory *without* echoing back into the
+//! recorder.
 
 use dprov_delta::{EncodedBatch, UpdateLog};
+use dprov_dp::accountant::AccountantState;
 
 use crate::analyst::AnalystId;
 use crate::error::StorageError;
@@ -68,12 +71,10 @@ pub struct CommitRecord {
     pub charged: f64,
 }
 
-/// One data access (a release that touched the protected database),
-/// journalled for the tight accountant.
+/// One data access — a release that touched the protected database —
+/// as the tight accountant composes it.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct AccessRecord {
-    /// The commit this access belongs to.
-    pub seq: u64,
+pub struct DataAccess {
     /// The epsilon of the release.
     pub epsilon: f64,
     /// The calibrated noise scale of the release.
@@ -82,19 +83,37 @@ pub struct AccessRecord {
     pub sensitivity: f64,
 }
 
+/// One journalled admission as recovery reads it back (see
+/// [`crate::system::DProvDb::replay_admission`]).
+#[derive(Debug, Clone, PartialEq)]
+pub struct Admission {
+    /// The committed charge.
+    pub commit: CommitRecord,
+    /// The data access the admission made, if it made one.
+    pub access: Option<DataAccess>,
+    /// A rollback tombstone voided the charge. The access still counts.
+    pub voided: bool,
+}
+
 /// The durable-commit hook. Implementations must be durable when
-/// [`Recorder::record_commit`] returns `Ok` (fsync'd or equivalently
+/// [`Recorder::record_admission`] returns `Ok` (fsync'd or equivalently
 /// persisted) — the system applies the in-memory charge immediately after.
 pub trait Recorder: Send + Sync {
-    /// Persists one admission charge. Called inside the provenance critical
-    /// section, before the charge is applied in memory. An `Err` aborts the
-    /// submission (no in-memory state changes).
-    fn record_commit(&self, record: &CommitRecord) -> Result<(), StorageError>;
+    /// Persists one admission: its charge and, when it touched the data,
+    /// its access — as one record. Called inside the provenance critical
+    /// section, before the charge is applied in memory and before the
+    /// tight accountant counts the access. An `Err` aborts the submission
+    /// (no in-memory state changes).
+    fn record_admission(
+        &self,
+        commit: &CommitRecord,
+        access: Option<&DataAccess>,
+    ) -> Result<(), StorageError>;
 
-    /// Persists one data access for the tight accountant. Called under the
-    /// accountant lock, before the access is applied. Failures are
-    /// tolerated by the caller (tight accounting is reporting-only).
-    fn record_access(&self, record: &AccessRecord) -> Result<(), StorageError>;
+    /// Persists a charge that made no data access.
+    fn record_commit(&self, commit: &CommitRecord) -> Result<(), StorageError> {
+        self.record_admission(commit, None)
+    }
 
     /// Appends a tombstone voiding the commit with sequence `seq` after its
     /// release failed and the in-memory charge was rolled back. Best-effort:
@@ -186,13 +205,30 @@ pub struct ViewCacheState {
     pub locals: Vec<LocalSynopsisState>,
 }
 
+/// The tight accountant's durable state.
+#[derive(Debug, Clone, PartialEq)]
+pub enum TightState {
+    /// The accountant's fixed-size state: its release count and additive
+    /// sums, whatever the number of accesses it composed. Export writes
+    /// this form.
+    Accountant(AccountantState),
+    /// The access list of a version-1 or -2 snapshot, decoded only:
+    /// import folds it through the configured accountant.
+    LegacyAccesses(Vec<DataAccess>),
+}
+
+impl Default for TightState {
+    fn default() -> Self {
+        TightState::Accountant(AccountantState::default())
+    }
+}
+
 /// A consistent, serialisable snapshot of every durably-relevant piece of
 /// [`crate::system::DProvDb`] state: the provenance matrix, the
-/// multi-analyst ledger, the tight accountant's access history, and the
-/// synopsis cache. Produced by
-/// [`crate::system::DProvDb::export_durable_state`] under the commit
-/// freeze, consumed by [`crate::system::DProvDb::import_durable_state`] at
-/// recovery.
+/// multi-analyst ledger, the tight accountant's state, and the synopsis
+/// cache. Produced by [`crate::system::DProvDb::export_durable_state`]
+/// under the commit freeze, consumed by
+/// [`crate::system::DProvDb::import_durable_state`] at recovery.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct CoreState {
     /// The next commit sequence number (all seqs below are reflected here).
@@ -203,14 +239,14 @@ pub struct CoreState {
     pub ledger: Vec<LedgerEntryState>,
     /// Total number of ledger releases recorded.
     pub ledger_releases: u64,
-    /// Every data access recorded by the tight accountant, in record order.
-    pub accesses: Vec<AccessRecord>,
+    /// The tight accountant's state.
+    pub tight: TightState,
     /// The synopsis cache, one entry per view with any cached state.
     pub synopses: Vec<ViewCacheState>,
     /// The dynamic-data state: pending update batches plus the sealed
     /// epoch history (recovery re-applies the seals deterministically to
     /// rebuild segments and patched histograms). Grows with total
-    /// updates, like `accesses` — summarising it is a known follow-up.
+    /// updates — summarising it is a known follow-up.
     pub deltas: UpdateLog,
 }
 
@@ -227,11 +263,12 @@ mod tests {
             commits: AtomicUsize,
         }
         impl Recorder for Counting {
-            fn record_commit(&self, _: &CommitRecord) -> Result<(), StorageError> {
+            fn record_admission(
+                &self,
+                _: &CommitRecord,
+                _: Option<&DataAccess>,
+            ) -> Result<(), StorageError> {
                 self.commits.fetch_add(1, Ordering::SeqCst);
-                Ok(())
-            }
-            fn record_access(&self, _: &AccessRecord) -> Result<(), StorageError> {
                 Ok(())
             }
             fn record_rollback(&self, _: u64) -> Result<(), StorageError> {

@@ -44,6 +44,24 @@ use dprov_obs::{CounterId, MetricsRegistry};
 use crate::error::{CoreError, Result, StorageError};
 use crate::recorder::{GlobalSynopsisState, LocalSynopsisState, ViewCacheState};
 
+#[cfg(test)]
+thread_local! {
+    /// Test-only failpoint: the next data release on this thread fails,
+    /// after its admission committed.
+    pub(crate) static FAIL_NEXT_RELEASE: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+}
+
+/// Fails when a test armed [`FAIL_NEXT_RELEASE`].
+#[cfg(test)]
+fn injected_release_failure() -> Result<()> {
+    if FAIL_NEXT_RELEASE.with(|armed| armed.replace(false)) {
+        return Err(CoreError::InvalidConfig(
+            "injected release failure".to_owned(),
+        ));
+    }
+    Ok(())
+}
+
 /// The outcome of one global-synopsis growth: what it cost and the noise
 /// scale of the data-touching release (for tight accounting).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -454,6 +472,18 @@ impl SynopsisManager {
         self.calibrate_on(self.shard(view)?, epsilon)
     }
 
+    /// The mechanism for a release at `epsilon` on `view`: `known` itself
+    /// when it was calibrated for exactly this release, one (counted)
+    /// calibration otherwise.
+    pub fn mechanism(
+        &self,
+        view: &str,
+        epsilon: f64,
+        known: Option<AnalyticGaussian>,
+    ) -> Result<AnalyticGaussian> {
+        self.mechanism_for(self.shard(view)?, epsilon, known)
+    }
+
     fn calibrate_on(&self, shard: &ViewShard, epsilon: f64) -> Result<AnalyticGaussian> {
         self.metrics.incr(CounterId::Calibrations);
         let budget = Budget::from_parts(Epsilon::new(epsilon)?, self.delta);
@@ -497,6 +527,8 @@ impl SynopsisManager {
         known: Option<AnalyticGaussian>,
         rng: &mut DpRng,
     ) -> Result<Synopsis> {
+        #[cfg(test)]
+        injected_release_failure()?;
         let shard = self.shard(view)?;
         let mechanism = self.mechanism_for(shard, epsilon, known)?;
         let state = shard.state.read().expect("shard poisoned");
@@ -541,6 +573,8 @@ impl SynopsisManager {
         known: Option<AnalyticGaussian>,
         rng: &mut DpRng,
     ) -> Result<Option<GlobalGrowth>> {
+        #[cfg(test)]
+        injected_release_failure()?;
         let shard = self.shard(view)?;
         let release_epoch = self.current_epoch();
         let mut guard = shard.state.write().expect("shard poisoned");

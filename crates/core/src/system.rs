@@ -68,7 +68,9 @@ use crate::processor::{
     SubmissionMode,
 };
 use crate::provenance::{analyst_constraints, view_constraints, ProvenanceTable};
-use crate::recorder::{AccessRecord, CommitRecord, CoreState, ProvenanceEntryState, Recorder};
+use crate::recorder::{
+    Admission, CommitRecord, CoreState, DataAccess, ProvenanceEntryState, Recorder, TightState,
+};
 use crate::synopsis_manager::{BudgetedSynopsis, SynopsisManager};
 
 /// Wall-clock statistics for the runtime tables (Tables 1 and 3).
@@ -124,6 +126,9 @@ pub struct DProvDb {
     /// fresh per-analyst synopses) under the configured composition method
     /// (Appendix A). Used for reporting only — constraint checking uses
     /// basic composition on the provenance table, as the paper recommends.
+    /// An access is counted inside the provenance critical section, right
+    /// after its admission record persists, so the accountant composes in
+    /// ledger order.
     tight_accountant: Mutex<Box<dyn Accountant>>,
     admission: AdmissionControl,
     /// RNG backing the legacy single-threaded [`DProvDb::submit`] API.
@@ -142,15 +147,6 @@ pub struct DProvDb {
     /// takes the write guard so a snapshot never observes a commit that is
     /// in the write-ahead ledger but not yet fully applied in memory.
     commit_gate: RwLock<()>,
-    /// Every data access fed to the tight accountant, kept only in durable
-    /// mode (recorder attached or state replayed) so snapshots can rebuild
-    /// the accountant exactly. Grows with *data accesses* (global releases
-    /// and fresh synopses), not with answered queries — under binding
-    /// constraints that count is budget-bounded, but an effectively
-    /// unbounded-budget deployment should expect snapshot size and
-    /// compaction time to grow with it (summarising accountant state in
-    /// the snapshot instead is a known follow-up).
-    access_history: Mutex<Vec<AccessRecord>>,
     /// The dynamic-data update log: validated pending batches plus the
     /// sealed epoch history (see `dprov-delta`).
     delta_log: Mutex<UpdateLog>,
@@ -283,7 +279,6 @@ impl DProvDb {
             recorder: None,
             commit_seq: AtomicU64::new(0),
             commit_gate: RwLock::new(()),
-            access_history: Mutex::new(Vec::new()),
             delta_log: Mutex::new(UpdateLog::new()),
             epoch_gate: RwLock::new(()),
             metrics,
@@ -366,7 +361,7 @@ impl DProvDb {
 
     /// Attaches the durable-commit recorder. Must be called before the
     /// system is shared (hence `&mut self`), and — when recovering — after
-    /// [`Self::import_durable_state`] / [`Self::replay_commit`], so replay
+    /// [`Self::import_durable_state`] / [`Self::replay_admission`], so replay
     /// never echoes back into the write-ahead ledger.
     pub fn set_recorder(&mut self, recorder: Arc<dyn Recorder>) {
         self.recorder = Some(recorder);
@@ -741,43 +736,14 @@ impl DProvDb {
         .map_err(|_| RejectReason::AccuracyUnreachable)
     }
 
-    /// Records one data access in the tight accountant, journalling it to
-    /// the write-ahead ledger (and the in-memory access history) first when
-    /// a recorder is attached. The append happens under the accountant lock
-    /// so the ledger's access order equals the accountant's record order.
-    /// Append failures are tolerated: tight accounting is reporting-only
-    /// and losing an access record never undercounts the *constraint*
-    /// accounting.
-    fn record_tight(&self, seq: u64, epsilon: f64, sigma: f64, sensitivity: f64) {
-        let mut accountant = self
-            .tight_accountant
-            .lock()
-            .expect("accountant lock poisoned");
-        if let Some(recorder) = &self.recorder {
-            let record = AccessRecord {
-                seq,
-                epsilon,
-                sigma,
-                sensitivity,
-            };
-            let _ = recorder.record_access(&record);
-            self.access_history
-                .lock()
-                .expect("access history poisoned")
-                .push(record);
-        }
-        accountant.record(
-            Budget::from_parts(Epsilon::unchecked(epsilon), self.config.delta),
-            sigma,
-            sensitivity,
-        );
-    }
-
-    /// Persists one commit record and assigns its sequence number. Must be
-    /// called with the provenance lock held, *before* the in-memory charge
-    /// is applied; an `Err` means nothing was persisted and the caller must
-    /// abort the submission without mutating memory.
-    fn record_commit(
+    /// Persists one admission record — the charge plus the data access it
+    /// makes, if any — assigns its sequence number and counts the access in
+    /// the tight accountant. Must be called with the provenance lock held,
+    /// *before* the in-memory charge is applied, so the accountant composes
+    /// in ledger order; an `Err` means nothing was persisted or counted and
+    /// the caller must abort the submission without mutating memory.
+    #[allow(clippy::too_many_arguments)]
+    fn record_admission(
         &self,
         analyst: AnalystId,
         view: &str,
@@ -785,22 +751,44 @@ impl DProvDb {
         prev_entry: f64,
         new_entry: f64,
         charged: f64,
+        access: Option<DataAccess>,
     ) -> Result<u64> {
         let seq = self.commit_seq.fetch_add(1, Ordering::SeqCst);
         if let Some(recorder) = &self.recorder {
+            let commit = CommitRecord {
+                seq,
+                analyst,
+                view: view.to_owned(),
+                mechanism,
+                prev_entry,
+                new_entry,
+                charged,
+            };
             recorder
-                .record_commit(&CommitRecord {
-                    seq,
-                    analyst,
-                    view: view.to_owned(),
-                    mechanism,
-                    prev_entry,
-                    new_entry,
-                    charged,
-                })
+                .record_admission(&commit, access.as_ref())
                 .map_err(CoreError::Storage)?;
         }
+        if let Some(access) = access {
+            self.count_access(&access);
+        }
         Ok(seq)
+    }
+
+    /// Composes one data access into the tight accountant.
+    fn count_access(&self, access: &DataAccess) {
+        let mut accountant = self
+            .tight_accountant
+            .lock()
+            .expect("accountant lock poisoned");
+        self.compose(accountant.as_mut(), access);
+    }
+
+    fn compose(&self, accountant: &mut dyn Accountant, access: &DataAccess) {
+        accountant.record(
+            Budget::from_parts(Epsilon::unchecked(access.epsilon), self.config.delta),
+            access.sigma,
+            access.sensitivity,
+        );
     }
 
     /// Appends a tombstone voiding commit `seq` after its release failed
@@ -871,13 +859,20 @@ impl DProvDb {
                 return Ok(QueryOutcome::Rejected { reason });
             }
             let prev_entry = provenance.entry(analyst, &resolved.view.name);
-            let seq = self.record_commit(
+            // The release below stores `release.variance()` as its per-bin
+            // variance: the access is journalled with that noise scale.
+            let seq = self.record_admission(
                 analyst,
                 &resolved.view.name,
                 MechanismKind::Vanilla,
                 prev_entry,
                 prev_entry + epsilon,
                 epsilon,
+                Some(DataAccess {
+                    epsilon,
+                    sigma: release.variance().sqrt(),
+                    sensitivity: sensitivity.value(),
+                }),
             )?;
             provenance.charge(analyst, &resolved.view.name, epsilon);
             self.observe_budget(&provenance, analyst, &resolved.view.name);
@@ -906,12 +901,6 @@ impl DProvDb {
         };
         let answer = synopsis.answer(&resolved.linear);
         let noise_variance = synopsis.answer_variance(&resolved.linear);
-        self.record_tight(
-            seq,
-            epsilon,
-            synopsis.per_bin_variance.sqrt(),
-            sensitivity.value(),
-        );
         let release_epoch = self.synopses.current_epoch();
         self.synopses.store_local(
             analyst.0,
@@ -1029,39 +1018,72 @@ impl DProvDb {
             }
         };
 
+        // Incremental charge to this analyst (Algorithm 4, line 19):
+        // ε' = min(ε_global, P[A_i, V] + ε_i) − P[A_i, V].
+        let check = |provenance: &ProvenanceTable| {
+            let previous_entry = provenance.entry(analyst, &view_name);
+            let new_entry = global_target.min(previous_entry + local_epsilon);
+            let effective = (new_entry - previous_entry).max(0.0);
+            provenance
+                .check_additive(analyst, &view_name, effective)
+                .map(|()| (previous_entry, new_entry, effective))
+        };
+
+        // The global growth this admission releases (Algorithm 4, lines
+        // 2–10), decided from the global state read under the view lock
+        // exactly as `grow_global` decides it. Only the global release
+        // touches the data, so it is the admission's access (local
+        // synopses are post-processing). Its mechanism is calibrated here,
+        // outside every lock, and only once a pre-check shows the charge
+        // fits, so a refused request calibrates nothing.
+        let growth_epsilon = match current_global_eps {
+            None => Some(global_target),
+            Some(eps_g) if eps_g + 1e-12 >= global_target => None,
+            Some(eps_g) => Some(global_target - eps_g),
+        };
+        let growth = match growth_epsilon {
+            Some(epsilon) => {
+                if let Err(reason) = check(&self.lock_provenance()) {
+                    return Ok(QueryOutcome::Rejected { reason });
+                }
+                Some(self.synopses.mechanism(&view_name, epsilon, Some(known))?)
+            }
+            None => None,
+        };
+        let access = growth.map(|mechanism| DataAccess {
+            epsilon: mechanism.budget().epsilon.value(),
+            sigma: mechanism.sigma(),
+            sensitivity: sensitivity.value(),
+        });
+
         // Hold the commit gate across append → apply → ledger (see
         // `submit_vanilla`).
         let _commit_gate = self.commit_gate.read().expect("commit gate poisoned");
 
-        // Incremental charge to this analyst (Algorithm 4, line 19):
-        // ε' = min(ε_global, P[A_i, V] + ε_i) − P[A_i, V].
         // Write-ahead append and read-check-reserve in ONE provenance
         // critical section.
         let (previous_entry, effective, seq) = {
             let mut provenance = self.lock_provenance();
-            let previous_entry = provenance.entry(analyst, &view_name);
-            let new_entry = global_target.min(previous_entry + local_epsilon);
-            let effective = (new_entry - previous_entry).max(0.0);
-            if let Err(reason) = provenance.check_additive(analyst, &view_name, effective) {
-                return Ok(QueryOutcome::Rejected { reason });
-            }
-            let seq = self.record_commit(
+            let (previous_entry, new_entry, effective) = match check(&provenance) {
+                Ok(charge) => charge,
+                Err(reason) => return Ok(QueryOutcome::Rejected { reason }),
+            };
+            let seq = self.record_admission(
                 analyst,
                 &view_name,
                 MechanismKind::AdditiveGaussian,
                 previous_entry,
                 new_entry,
                 effective,
+                access,
             )?;
             provenance.set_entry(analyst, &view_name, new_entry);
             self.observe_budget(&provenance, analyst, &view_name);
             (previous_entry, effective, seq)
         };
 
-        // Run (Algorithm 4, lines 2–10): grow the global synopsis if
-        // needed, then derive the local synopsis via additive GM. Only the
-        // global release touches the data, so only it is recorded in the
-        // tight accountant (local synopses are post-processing).
+        // Run: grow the global synopsis with the journalled mechanism, then
+        // derive the local synopsis via additive GM.
         let rollback = |e: CoreError| {
             {
                 let mut provenance = self.lock_provenance();
@@ -1071,20 +1093,16 @@ impl DProvDb {
             self.record_rollback(seq);
             Err(e)
         };
-        let growth = match self
+        match self
             .synopses
-            .grow_global(&view_name, global_target, Some(known), rng)
+            .grow_global(&view_name, global_target, growth, rng)
         {
-            Ok(g) => g,
+            Ok(grown) => debug_assert_eq!(
+                grown.map(|g| g.release_sigma.to_bits()),
+                access.map(|a| a.sigma.to_bits()),
+                "the growth released is the growth journalled"
+            ),
             Err(e) => return rollback(e),
-        };
-        if let Some(growth) = growth {
-            self.record_tight(
-                seq,
-                growth.spent_epsilon,
-                growth.release_sigma,
-                sensitivity.value(),
-            );
         }
         let local = match self.synopses.derive_local(
             analyst.0,
@@ -1559,43 +1577,37 @@ impl DProvDb {
         Ok(())
     }
 
-    /// Re-applies one committed charge from the write-ahead ledger during
-    /// recovery: sets the provenance entry to its post-commit value and
-    /// re-records the ledger charge. Does **not** echo into the recorder —
-    /// attach the recorder only after replay.
-    pub fn replay_commit(&self, record: &CommitRecord) -> Result<()> {
+    /// Re-applies one journalled admission during recovery: unless a
+    /// tombstone voided it, sets the provenance entry to its post-commit
+    /// value and re-records the ledger charge; then counts its data access,
+    /// voided or not — the live accountant counted it at commit time, so
+    /// this errs in the safe direction. Does **not** echo into the
+    /// recorder — attach the recorder only after replay.
+    pub fn replay_admission(&self, admission: &Admission) -> Result<()> {
+        let record = &admission.commit;
         self.check_replay_target(record.analyst, &record.view)?;
-        {
-            let mut provenance = self.lock_provenance();
-            provenance.set_entry(record.analyst, &record.view, record.new_entry);
-            self.observe_budget(&provenance, record.analyst, &record.view);
+        let next_seq = record.seq.checked_add(1).ok_or_else(|| {
+            CoreError::Storage(crate::error::StorageError::IncompatibleState(
+                "durable commit has the last sequence number".to_owned(),
+            ))
+        })?;
+        if !admission.voided {
+            {
+                let mut provenance = self.lock_provenance();
+                provenance.set_entry(record.analyst, &record.view, record.new_entry);
+                self.observe_budget(&provenance, record.analyst, &record.view);
+            }
+            self.lock_ledger().record(
+                record.analyst,
+                Budget::from_parts(Epsilon::unchecked(record.charged), self.config.delta),
+                record.mechanism,
+            );
         }
-        self.lock_ledger().record(
-            record.analyst,
-            Budget::from_parts(Epsilon::unchecked(record.charged), self.config.delta),
-            record.mechanism,
-        );
-        self.commit_seq.fetch_max(record.seq + 1, Ordering::SeqCst);
+        if let Some(access) = &admission.access {
+            self.count_access(access);
+        }
+        self.commit_seq.fetch_max(next_seq, Ordering::SeqCst);
         Ok(())
-    }
-
-    /// Re-applies one journalled data access to the tight accountant during
-    /// recovery (and to the in-memory access history, so a later snapshot
-    /// carries it forward).
-    pub fn replay_access(&self, record: &AccessRecord) {
-        let mut accountant = self
-            .tight_accountant
-            .lock()
-            .expect("accountant lock poisoned");
-        self.access_history
-            .lock()
-            .expect("access history poisoned")
-            .push(*record);
-        accountant.record(
-            Budget::from_parts(Epsilon::unchecked(record.epsilon), self.config.delta),
-            record.sigma,
-            record.sensitivity,
-        );
     }
 
     /// Freezes the commit pipeline: blocks until no submission is between
@@ -1660,11 +1672,12 @@ impl DProvDb {
             provenance: entries,
             ledger: ledger.export_entries(),
             ledger_releases: ledger.releases() as u64,
-            accesses: self
-                .access_history
-                .lock()
-                .expect("access history poisoned")
-                .clone(),
+            tight: TightState::Accountant(
+                self.tight_accountant
+                    .lock()
+                    .expect("accountant lock poisoned")
+                    .export_state(),
+            ),
             synopses: self.synopses.export_cache(),
             deltas: self.lock_delta().clone(),
         }
@@ -1674,15 +1687,25 @@ impl DProvDb {
     /// a freshly constructed system (same database, catalog, registry and
     /// configuration). Call *before* attaching the recorder and before
     /// replaying the write-ahead suffix. Provenance targets, ledger
-    /// buckets, the synopsis cache and the update batches are all checked
-    /// before anything is applied, so a refused state leaves the system as
-    /// it was.
+    /// buckets, the tight accountant's state, the synopsis cache and the
+    /// update batches are all checked before anything is applied, so a
+    /// refused state leaves the system as it was. A version-1 or -2
+    /// snapshot's access list is folded through the configured accountant.
     pub fn import_durable_state(&self, state: &CoreState) -> Result<()> {
         for entry in &state.provenance {
             self.check_replay_target(entry.analyst, &entry.view)?;
         }
         let ledger =
             MultiAnalystLedger::from_entries(&state.ledger, state.ledger_releases as usize)?;
+        let mut tight = make_accountant(self.config.composition, self.config.delta.value());
+        match &state.tight {
+            TightState::Accountant(accountant) => tight.import_state(accountant)?,
+            TightState::LegacyAccesses(accesses) => {
+                for access in accesses {
+                    self.compose(tight.as_mut(), access);
+                }
+            }
+        }
         self.synopses
             .check_cache(&state.synopses, self.registry.len())?;
         let sealed = state.deltas.sealed.iter().flat_map(|s| &s.batches);
@@ -1703,21 +1726,10 @@ impl DProvDb {
             }
         }
         *self.lock_ledger() = ledger;
-        {
-            let mut accountant = self
-                .tight_accountant
-                .lock()
-                .expect("accountant lock poisoned");
-            let mut history = self.access_history.lock().expect("access history poisoned");
-            for access in &state.accesses {
-                history.push(*access);
-                accountant.record(
-                    Budget::from_parts(Epsilon::unchecked(access.epsilon), self.config.delta),
-                    access.sigma,
-                    access.sensitivity,
-                );
-            }
-        }
+        *self
+            .tight_accountant
+            .lock()
+            .expect("accountant lock poisoned") = tight;
         self.synopses
             .import_cache(&state.synopses, self.registry.len())?;
         self.commit_seq.fetch_max(state.next_seq, Ordering::SeqCst);
@@ -2096,26 +2108,23 @@ mod tests {
     /// the commit hook without the storage crate.
     #[derive(Default)]
     struct MemoryRecorder {
-        commits: Mutex<Vec<CommitRecord>>,
-        accesses: Mutex<Vec<AccessRecord>>,
+        admissions: Mutex<Vec<Admission>>,
         rollbacks: Mutex<Vec<u64>>,
         updates: Mutex<Vec<EncodedBatch>>,
         seals: Mutex<Vec<(u64, u64)>>,
     }
 
     impl Recorder for MemoryRecorder {
-        fn record_commit(
+        fn record_admission(
             &self,
-            record: &CommitRecord,
+            commit: &CommitRecord,
+            access: Option<&DataAccess>,
         ) -> std::result::Result<(), crate::error::StorageError> {
-            self.commits.lock().unwrap().push(record.clone());
-            Ok(())
-        }
-        fn record_access(
-            &self,
-            record: &AccessRecord,
-        ) -> std::result::Result<(), crate::error::StorageError> {
-            self.accesses.lock().unwrap().push(*record);
+            self.admissions.lock().unwrap().push(Admission {
+                commit: commit.clone(),
+                access: access.copied(),
+                voided: false,
+            });
             Ok(())
         }
         fn record_rollback(&self, seq: u64) -> std::result::Result<(), crate::error::StorageError> {
@@ -2151,23 +2160,20 @@ mod tests {
                     .submit(analyst, &range_request(20 + i as i64, 45, 600.0 + i as f64))
                     .unwrap();
             }
-            let commits = recorder.commits.lock().unwrap().clone();
-            let accesses = recorder.accesses.lock().unwrap().clone();
-            assert!(!commits.is_empty(), "{mechanism}: no commits recorded");
+            let admissions = recorder.admissions.lock().unwrap().clone();
+            assert!(!admissions.is_empty(), "{mechanism}: no commits recorded");
             assert!(recorder.rollbacks.lock().unwrap().is_empty());
             // Sequence numbers are contiguous from zero in commit order.
-            for (i, c) in commits.iter().enumerate() {
-                assert_eq!(c.seq, i as u64);
-                assert_eq!(c.mechanism, mechanism);
+            for (i, a) in admissions.iter().enumerate() {
+                assert_eq!(a.commit.seq, i as u64);
+                assert_eq!(a.commit.mechanism, mechanism);
             }
+            assert!(admissions.iter().any(|a| a.access.is_some()));
 
             // Replay the stream into a fresh system: exact budget state.
             let fresh = build(mechanism, 6.0);
-            for c in &commits {
-                fresh.replay_commit(c).unwrap();
-            }
-            for a in &accesses {
-                fresh.replay_access(a);
+            for a in &admissions {
+                fresh.replay_admission(a).unwrap();
             }
             let live_prov = live.provenance();
             let fresh_prov = fresh.provenance();
@@ -2194,11 +2200,111 @@ mod tests {
                 );
             }
             assert_eq!(
-                live.tight_accounting().epsilon.value(),
-                fresh.tight_accounting().epsilon.value(),
+                fresh.tight_accounting(),
+                live.tight_accounting(),
                 "{mechanism}: replayed tight accounting differs"
             );
             assert_eq!(fresh.next_commit_seq(), live.next_commit_seq());
+        }
+    }
+
+    /// Recovery rebuilds the tight accountant bit for bit under every
+    /// composition method — from the snapshot alone, from the ledger
+    /// alone, and from a mid-run snapshot plus the ledger suffix —
+    /// including a release that failed after its admission committed: its
+    /// charge is voided, and its access stays counted on both sides.
+    #[test]
+    fn tight_accounting_recovers_bit_exactly_for_every_composition_method() {
+        use crate::synopsis_manager::FAIL_NEXT_RELEASE;
+        use dprov_dp::accountant::CompositionMethod;
+        const FAILS: usize = 5;
+        let bits = |b: Budget| (b.epsilon.value().to_bits(), b.delta.value().to_bits());
+        for mechanism in [MechanismKind::Vanilla, MechanismKind::AdditiveGaussian] {
+            for method in [
+                CompositionMethod::Sequential,
+                CompositionMethod::Advanced,
+                CompositionMethod::Rdp,
+                CompositionMethod::Zcdp,
+            ] {
+                let build = || {
+                    let db = adult_database(2_000, 1);
+                    let catalog = ViewCatalog::one_per_attribute(&db, "adult").unwrap();
+                    let mut registry = AnalystRegistry::new();
+                    registry.register("external", 1).unwrap();
+                    registry.register("internal", 4).unwrap();
+                    let config = SystemConfig::new(6.0)
+                        .unwrap()
+                        .with_seed(7)
+                        .with_composition(method);
+                    DProvDb::new(db, catalog, registry, config, mechanism).unwrap()
+                };
+                let mut live = build();
+                let recorder = Arc::new(MemoryRecorder::default());
+                live.set_recorder(Arc::clone(&recorder) as Arc<dyn Recorder>);
+                let mut mid = CoreState::default();
+                for i in 0..8 {
+                    if i == 4 {
+                        mid = live.export_durable_state();
+                    }
+                    // Every request is fresh: its epsilon grows per analyst.
+                    let request = QueryRequest::with_privacy(
+                        Query::range_count("adult", "age", 20, 40),
+                        0.05 * (i + 1) as f64,
+                    );
+                    FAIL_NEXT_RELEASE.with(|armed| armed.set(i == FAILS));
+                    let outcome = live.submit(AnalystId(i % 2), &request);
+                    assert_eq!(outcome.is_err(), i == FAILS, "{mechanism}/{method:?}");
+                }
+                let rollbacks = recorder.rollbacks.lock().unwrap().clone();
+                let admissions: Vec<Admission> = recorder
+                    .admissions
+                    .lock()
+                    .unwrap()
+                    .iter()
+                    .map(|a| Admission {
+                        voided: rollbacks.contains(&a.commit.seq),
+                        ..a.clone()
+                    })
+                    .collect();
+                let failed = &admissions[FAILS];
+                assert!(failed.voided && failed.access.is_some());
+                let accesses = admissions.iter().filter(|a| a.access.is_some()).count();
+                let live_state = live.export_durable_state();
+                match &live_state.tight {
+                    TightState::Accountant(state) => assert_eq!(state.releases, accesses as u64),
+                    TightState::LegacyAccesses(_) => panic!("export writes the accountant state"),
+                }
+
+                let replay = |system: &DProvDb, from_seq: u64| {
+                    for admission in admissions.iter().filter(|a| a.commit.seq >= from_seq) {
+                        system.replay_admission(admission).unwrap();
+                    }
+                };
+                let snapshot_only = build();
+                snapshot_only.import_durable_state(&live_state).unwrap();
+                let ledger_only = build();
+                replay(&ledger_only, 0);
+                let mixed = build();
+                mixed.import_durable_state(&mid).unwrap();
+                replay(&mixed, mid.next_seq);
+                for (label, recovered) in [
+                    ("snapshot", &snapshot_only),
+                    ("ledger", &ledger_only),
+                    ("snapshot + ledger suffix", &mixed),
+                ] {
+                    assert_eq!(
+                        bits(recovered.tight_accounting()),
+                        bits(live.tight_accounting()),
+                        "{mechanism}/{method:?}: {label}"
+                    );
+                    assert_eq!(
+                        recovered.export_durable_state().provenance,
+                        live_state.provenance,
+                        "{mechanism}/{method:?}: {label}"
+                    );
+                    assert_eq!(recovered.next_commit_seq(), live.next_commit_seq());
+                }
+            }
         }
     }
 
@@ -2237,15 +2343,10 @@ mod tests {
     fn failing_recorder_aborts_the_submission_without_spending() {
         struct DeadRecorder;
         impl Recorder for DeadRecorder {
-            fn record_commit(
+            fn record_admission(
                 &self,
                 _: &CommitRecord,
-            ) -> std::result::Result<(), crate::error::StorageError> {
-                Err(crate::error::StorageError::Unavailable("killed".into()))
-            }
-            fn record_access(
-                &self,
-                _: &AccessRecord,
+                _: Option<&DataAccess>,
             ) -> std::result::Result<(), crate::error::StorageError> {
                 Err(crate::error::StorageError::Unavailable("killed".into()))
             }
@@ -2264,9 +2365,11 @@ mod tests {
                 matches!(outcome, Err(CoreError::Storage(_))),
                 "{mechanism}: expected storage error"
             );
-            // Nothing was spent: the in-memory commit never became visible.
+            // Nothing was spent: the in-memory commit never became visible,
+            // and the tight accountant counted no access.
             assert_eq!(system.cumulative_epsilon(), 0.0);
             assert_eq!(system.ledger().releases(), 0);
+            assert_eq!(system.tight_accounting(), Budget::ZERO);
         }
     }
 
@@ -2554,6 +2657,34 @@ mod tests {
     #[test]
     fn import_refuses_a_synopsis_of_an_unregistered_analyst() {
         assert_damaged_cache_is_refused(|local| local.analyst = 2);
+    }
+
+    #[test]
+    fn import_refuses_an_accountant_state_that_does_not_fit() {
+        let live = build(MechanismKind::Vanilla, 6.0);
+        let request = range_request(25, 50, 700.0);
+        assert!(live
+            .submit_shared(AnalystId(1), &request)
+            .unwrap()
+            .is_answered());
+        let mut state = live.export_durable_state();
+        let TightState::Accountant(tight) = &mut state.tight else {
+            panic!("export writes the accountant state");
+        };
+        // The sequential accountant keeps two sums.
+        tight.sums.push(0.5);
+
+        let fresh = build(MechanismKind::Vanilla, 6.0);
+        let before = fresh.export_durable_state();
+        let refused = fresh.import_durable_state(&state);
+        assert!(
+            matches!(
+                refused,
+                Err(CoreError::Dp(dprov_dp::DpError::InvalidAccountantState(_)))
+            ),
+            "{refused:?}"
+        );
+        assert_eq!(fresh.export_durable_state(), before, "nothing applied");
     }
 
     #[test]

@@ -492,10 +492,9 @@ impl DurabilityConfigBuilder {
 pub struct RecoveryReport {
     /// Whether a snapshot was restored.
     pub snapshot_restored: bool,
-    /// Write-ahead commits replayed on top of the snapshot.
+    /// Write-ahead admissions (commits, each with the data access it
+    /// made, if any) replayed on top of the snapshot.
     pub replayed_commits: usize,
-    /// Data accesses replayed into the tight accountant.
-    pub replayed_accesses: usize,
     /// Sessions restored with their noise streams fast-forwarded.
     pub restored_sessions: usize,
     /// Update batches replayed (those after the last seal land pending).
@@ -761,23 +760,22 @@ impl QueryService {
                 }
             }
         }
-        for commit in &recovered.commits {
-            system.replay_commit(commit).map_err(ServerError::Core)?;
+        for admission in &recovered.admissions {
+            system
+                .replay_admission(admission)
+                .map_err(ServerError::Core)?;
         }
-        for access in &recovered.accesses {
-            system.replay_access(access);
-        }
-        report.replayed_commits = recovered.commits.len();
-        report.replayed_accesses = recovered.accesses.len();
+        report.replayed_commits = recovered.admissions.len();
 
         let store = Arc::new(store);
         // The ledger records WAL append/fsync latency into the same
         // registry as everything else, and recovery's replay counts land
         // as counters so a dashboard can tell a cold start from a replay.
         store.set_metrics(system.metrics().clone());
-        system
-            .metrics()
-            .add(CounterId::RecoveredCommits, recovered.commits.len() as u64);
+        system.metrics().add(
+            CounterId::RecoveredCommits,
+            recovered.admissions.len() as u64,
+        );
         system.metrics().add(
             CounterId::RecoveredSessions,
             recovered.sessions.len() as u64,
@@ -2236,8 +2234,8 @@ mod tests {
             Predicate::equals("sex", "Male").and(Predicate::range("age", 30, 50)),
         ]));
 
-        // A durable service whose recorder dies on the third ledger append:
-        // cell 0's commit and access land, cell 1's commit is refused.
+        // A durable service whose recorder dies on the second ledger
+        // append: cell 0's admission lands, cell 1's is refused.
         let dir = dprov_storage::scratch_dir("svc-grouped-partial");
         let (session, live_position) = {
             let mut system = grouped_system();
@@ -2248,7 +2246,7 @@ mod tests {
             let store = Arc::new(store);
             system.set_recorder(Arc::new(FailpointRecorder::new(
                 Arc::clone(&store),
-                2,
+                1,
                 CrashMode::Clean,
             )));
             let sessions = Arc::new(SessionRegistry::new(

@@ -393,6 +393,16 @@ impl<'a> Decoder<'a> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
 
+    /// Reads a counter the reader continues after — a sequence number,
+    /// a session id, an epoch — refusing `u64::MAX`, which has no
+    /// successor.
+    pub fn take_counter(&mut self) -> DecodeResult<u64> {
+        match self.take_u64()? {
+            u64::MAX => Err("a counter at u64::MAX has no successor".to_owned()),
+            value => Ok(value),
+        }
+    }
+
     /// Reads a little-endian `i64` (two's complement).
     pub fn take_i64(&mut self) -> DecodeResult<i64> {
         Ok(i64::from_le_bytes(self.take(8)?.try_into().unwrap()))

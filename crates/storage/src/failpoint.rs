@@ -13,7 +13,7 @@
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
-use dprov_core::recorder::{AccessRecord, CommitRecord, Recorder};
+use dprov_core::recorder::{CommitRecord, DataAccess, Recorder};
 use dprov_core::StorageError;
 
 use crate::store::ProvenanceStore;
@@ -100,12 +100,12 @@ impl FailpointRecorder {
 }
 
 impl Recorder for FailpointRecorder {
-    fn record_commit(&self, record: &CommitRecord) -> Result<(), StorageError> {
-        self.gate(&WalRecord::Commit(record.clone()))
-    }
-
-    fn record_access(&self, record: &AccessRecord) -> Result<(), StorageError> {
-        self.gate(&WalRecord::Access(*record))
+    fn record_admission(
+        &self,
+        commit: &CommitRecord,
+        access: Option<&DataAccess>,
+    ) -> Result<(), StorageError> {
+        self.gate(&WalRecord::Commit(commit.clone(), access.copied()))
     }
 
     fn record_rollback(&self, seq: u64) -> Result<(), StorageError> {
@@ -156,7 +156,7 @@ mod tests {
         assert!(recorder.record_commit(&commit(3)).is_err());
         drop(recorder);
         let (_, recovered) = ProvenanceStore::open(&dir).unwrap();
-        assert_eq!(recovered.commits.len(), 2);
+        assert_eq!(recovered.admissions.len(), 2);
         assert!(recovered.wal_corruption.is_none());
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -170,7 +170,7 @@ mod tests {
         assert!(recorder.record_commit(&commit(1)).is_err());
         drop(recorder);
         let (_, recovered) = ProvenanceStore::open(&dir).unwrap();
-        assert_eq!(recovered.commits.len(), 1);
+        assert_eq!(recovered.admissions.len(), 1);
         assert!(
             matches!(recovered.wal_corruption, Some(StorageError::Corrupt { .. })),
             "torn tail must be surfaced as a typed corruption"
@@ -180,7 +180,7 @@ mod tests {
         store.record_commit(&commit(1)).unwrap();
         drop(store); // release the directory lock before reopening
         let (_, recovered) = ProvenanceStore::open(&dir).unwrap();
-        assert_eq!(recovered.commits.len(), 2);
+        assert_eq!(recovered.admissions.len(), 2);
         assert!(recovered.wal_corruption.is_none());
         std::fs::remove_dir_all(&dir).ok();
     }

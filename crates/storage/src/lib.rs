@@ -3,9 +3,10 @@
 //! DProvDB's guarantee that provenance-tracked budget constraints are never
 //! exceeded is only meaningful if the spent budget survives the process.
 //! This crate persists every committed admission charge in a checksummed,
-//! fsync'd **write-ahead ledger** and periodically compacts the full system
+//! fsync'd **write-ahead ledger** — one frame per admission, the data
+//! access riding in its commit — and periodically compacts the full system
 //! state — provenance matrix, per-mechanism multi-analyst ledger, tight
-//! accountant history, synopsis cache and session noise-stream positions —
+//! accountant state, synopsis cache and session noise-stream positions —
 //! into a **versioned snapshot**, giving crash-safe recovery with two
 //! invariants:
 //!

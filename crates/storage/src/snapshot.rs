@@ -2,9 +2,9 @@
 //!
 //! A snapshot captures everything the write-ahead ledger's frames would
 //! rebuild — provenance entries, per-mechanism ledger buckets, the tight
-//! accountant's access history, the synopsis cache and the session
+//! accountant's fixed-size state, the synopsis cache and the session
 //! noise-stream checkpoints — so the ledger can be truncated after one is
-//! written.
+//! written. Its size does not grow with the number of data accesses.
 //!
 //! # File format
 //!
@@ -28,11 +28,12 @@ use std::path::Path;
 use dprov_core::analyst::AnalystId;
 use dprov_core::mechanism::MechanismKind;
 use dprov_core::recorder::{
-    AccessRecord, CoreState, GlobalSynopsisState, LedgerEntryState, LocalSynopsisState,
-    ProvenanceEntryState, ViewCacheState,
+    CoreState, DataAccess, GlobalSynopsisState, LedgerEntryState, LocalSynopsisState,
+    ProvenanceEntryState, TightState, ViewCacheState,
 };
 use dprov_core::StorageError;
 use dprov_delta::{EncodedBatch, SealedEpoch, UpdateLog};
+use dprov_dp::accountant::AccountantState;
 use dprov_dp::rng::RngCheckpoint;
 
 use crate::codec::{crc32, Decoder, Encoder};
@@ -44,8 +45,11 @@ pub const SNAPSHOT_MAGIC: &[u8; 8] = b"DPSNAP01";
 /// Newest snapshot format version this build reads and writes. Version 2
 /// added the dynamic-data state (synopsis release epochs and the update
 /// log); version-1 snapshots still read, with every epoch defaulting to 0
-/// and an empty update log.
-pub const SNAPSHOT_VERSION: u32 = 2;
+/// and an empty update log. Version 3 stores the tight accountant's state
+/// in place of the list of every data access; an older snapshot's list
+/// reads as [`TightState::LegacyAccesses`], which import folds through the
+/// configured accountant.
+pub const SNAPSHOT_VERSION: u32 = 3;
 
 /// A full durable-state snapshot.
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -54,7 +58,8 @@ pub struct SnapshotState {
     /// (see [`crate::store::config_fingerprint`]); recovery refuses a
     /// snapshot whose fingerprint does not match the live system.
     pub fingerprint: u64,
-    /// The core system state (provenance, ledger, accesses, synopses).
+    /// The core system state (provenance, ledger, tight accountant,
+    /// synopses).
     pub core: CoreState,
     /// Session noise-stream checkpoints, one per live session.
     pub sessions: Vec<SessionCheckpoint>,
@@ -74,7 +79,7 @@ fn corrupt(offset: u64, reason: impl Into<String>) -> StorageError {
     }
 }
 
-fn encode_body(state: &SnapshotState) -> Vec<u8> {
+fn encode_body(state: &SnapshotState, tight: &AccountantState) -> Vec<u8> {
     let mut enc = Encoder::new();
     enc.put_u64(state.fingerprint);
     enc.put_u64(state.core.next_seq);
@@ -95,13 +100,8 @@ fn encode_body(state: &SnapshotState) -> Vec<u8> {
     }
     enc.put_u64(state.core.ledger_releases);
 
-    enc.put_u32(state.core.accesses.len() as u32);
-    for access in &state.core.accesses {
-        enc.put_u64(access.seq);
-        enc.put_f64(access.epsilon);
-        enc.put_f64(access.sigma);
-        enc.put_f64(access.sensitivity);
-    }
+    enc.put_u64(tight.releases);
+    enc.put_f64_slice(&tight.sums);
 
     enc.put_u32(state.core.synopses.len() as u32);
     for view in &state.core.synopses {
@@ -177,7 +177,7 @@ fn take_batches(dec: &mut Decoder<'_>) -> Result<Vec<EncodedBatch>, String> {
 fn decode_body(body: &[u8], version: u32) -> Result<SnapshotState, String> {
     let mut dec = Decoder::new(body);
     let fingerprint = dec.take_u64()?;
-    let next_seq = dec.take_u64()?;
+    let next_seq = dec.take_counter()?;
 
     let n = dec.take_count(8 + 4 + 8)?;
     let mut provenance = Vec::with_capacity(n);
@@ -205,16 +205,24 @@ fn decode_body(body: &[u8], version: u32) -> Result<SnapshotState, String> {
     }
     let ledger_releases = dec.take_u64()?;
 
-    let n = dec.take_count(8 * 4)?;
-    let mut accesses = Vec::with_capacity(n);
-    for _ in 0..n {
-        accesses.push(AccessRecord {
-            seq: dec.take_u64()?,
-            epsilon: dec.take_f64()?,
-            sigma: dec.take_f64()?,
-            sensitivity: dec.take_f64()?,
-        });
-    }
+    let tight = if version >= 3 {
+        TightState::Accountant(AccountantState {
+            releases: dec.take_u64()?,
+            sums: dec.take_f64_slice()?,
+        })
+    } else {
+        let n = dec.take_count(8 * 4)?;
+        let mut accesses = Vec::with_capacity(n);
+        for _ in 0..n {
+            let _seq = dec.take_u64()?;
+            accesses.push(DataAccess {
+                epsilon: dec.take_f64()?,
+                sigma: dec.take_f64()?,
+                sensitivity: dec.take_f64()?,
+            });
+        }
+        TightState::LegacyAccesses(accesses)
+    };
 
     let n = dec.take_count(4 + 1 + 4)?;
     let mut synopses = Vec::with_capacity(n);
@@ -263,8 +271,8 @@ fn decode_body(body: &[u8], version: u32) -> Result<SnapshotState, String> {
     let next_session_id = dec.take_u64()?;
 
     let deltas = if version >= 2 {
-        let next_seq = dec.take_u64()?;
-        let current_epoch = dec.take_u64()?;
+        let next_seq = dec.take_counter()?;
+        let current_epoch = dec.take_counter()?;
         let pending = take_batches(&mut dec)?;
         let n = dec.take_count(8 + 8 + 4)?;
         let mut sealed = Vec::with_capacity(n);
@@ -293,7 +301,7 @@ fn decode_body(body: &[u8], version: u32) -> Result<SnapshotState, String> {
             provenance,
             ledger,
             ledger_releases,
-            accesses,
+            tight,
             synopses,
             deltas,
         },
@@ -303,9 +311,15 @@ fn decode_body(body: &[u8], version: u32) -> Result<SnapshotState, String> {
 }
 
 /// Writes a snapshot atomically: temp file, fsync, rename, directory
-/// fsync.
+/// fsync. A state still holding an older snapshot's access list is
+/// refused: only an import can fold it through its accountant.
 pub fn write_snapshot(path: &Path, state: &SnapshotState, fsync: bool) -> Result<(), StorageError> {
-    let body = encode_body(state);
+    let TightState::Accountant(tight) = &state.core.tight else {
+        return Err(StorageError::IncompatibleState(
+            "an access list is folded on import, never written".to_owned(),
+        ));
+    };
+    let body = encode_body(state, tight);
     let mut bytes = Vec::with_capacity(body.len() + 24);
     bytes.extend_from_slice(SNAPSHOT_MAGIC);
     bytes.extend_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
@@ -405,12 +419,10 @@ mod tests {
                     delta: 1e-9,
                 }],
                 ledger_releases: 3,
-                accesses: vec![AccessRecord {
-                    seq: 0,
-                    epsilon: 0.625,
-                    sigma: 11.0,
-                    sensitivity: std::f64::consts::SQRT_2,
-                }],
+                tight: TightState::Accountant(AccountantState {
+                    releases: 1,
+                    sums: vec![0.625, 1e-9],
+                }),
                 synopses: vec![ViewCacheState {
                     view: "adult.age".to_owned(),
                     global: Some(GlobalSynopsisState {

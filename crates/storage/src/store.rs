@@ -8,16 +8,17 @@
 //!
 //! [`ProvenanceStore::open`] performs recovery: read the snapshot (typed
 //! error on damage — a snapshot cannot be partially trusted), scan the
-//! ledger (torn tails are discarded and surfaced), apply tombstones, merge
-//! session checkpoints and hand back a [`RecoveredState`] the caller
-//! replays into a freshly built system. The store then serves as the
-//! live [`Recorder`] for that system.
+//! ledger (torn tails are discarded and surfaced), mark tombstoned
+//! admissions, merge session checkpoints and hand back a [`RecoveredState`]
+//! the caller replays into a freshly built system. The store then serves
+//! as the live [`Recorder`] for that system, writing one frame per
+//! admission.
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-use dprov_core::recorder::{AccessRecord, CommitRecord, Recorder};
+use dprov_core::recorder::{Admission, CommitRecord, DataAccess, Recorder};
 use dprov_core::StorageError;
 use dprov_delta::EncodedBatch;
 
@@ -68,11 +69,9 @@ pub struct RecoveredState {
     pub fingerprint: Option<u64>,
     /// The snapshot, if one existed.
     pub snapshot: Option<SnapshotState>,
-    /// Ledger commits after the snapshot, tombstoned commits removed, in
-    /// commit order.
-    pub commits: Vec<CommitRecord>,
-    /// Ledger data accesses after the snapshot, in record order.
-    pub accesses: Vec<AccessRecord>,
+    /// Ledger admissions after the snapshot, in commit order, each with
+    /// the data access it carried and whether a tombstone voided it.
+    pub admissions: Vec<Admission>,
     /// Dynamic-data replay steps after the snapshot (update batches and
     /// epoch seals, in write-ahead order, reconciled against the
     /// snapshot's batch-sequence and epoch watermarks).
@@ -221,15 +220,14 @@ impl ProvenanceStore {
         let scanned = scan(&Self::wal_path(dir))?;
         let writer = WalWriter::open(&Self::wal_path(dir), options.fsync, scanned.valid_len)?;
 
-        // Apply tombstones: a rolled-back commit never reaches recovery.
+        // Tombstones void their commit's charge (not its access).
         let mut voided: std::collections::HashSet<u64> = std::collections::HashSet::new();
         for record in &scanned.records {
             if let WalRecord::Rollback { seq } = record {
                 voided.insert(*seq);
             }
         }
-        let mut commits = Vec::new();
-        let mut accesses = Vec::new();
+        let mut admissions = Vec::new();
         let mut sessions: std::collections::BTreeMap<u64, SessionCheckpoint> = snapshot
             .iter()
             .flat_map(|s| s.sessions.iter().copied())
@@ -252,16 +250,14 @@ impl ProvenanceStore {
         let mut deltas = Vec::new();
         for record in scanned.records {
             match record {
-                WalRecord::Commit(c) => {
-                    next_seq = next_seq.max(c.seq + 1);
-                    if c.seq >= snapshot_seq && !voided.contains(&c.seq) {
-                        commits.push(c);
-                    }
-                }
-                WalRecord::Access(a) => {
-                    next_seq = next_seq.max(a.seq + 1);
-                    if a.seq >= snapshot_seq {
-                        accesses.push(a);
+                WalRecord::Commit(commit, access) => {
+                    next_seq = next_seq.max(commit.seq + 1);
+                    if commit.seq >= snapshot_seq {
+                        admissions.push(Admission {
+                            voided: voided.contains(&commit.seq),
+                            commit,
+                            access,
+                        });
                     }
                 }
                 WalRecord::Rollback { seq } => next_seq = next_seq.max(seq + 1),
@@ -304,8 +300,7 @@ impl ProvenanceStore {
         let recovered = RecoveredState {
             fingerprint,
             snapshot,
-            commits,
-            accesses,
+            admissions,
             deltas,
             sessions: sessions.values().copied().collect(),
             next_seq,
@@ -465,12 +460,12 @@ impl ProvenanceStore {
 }
 
 impl Recorder for ProvenanceStore {
-    fn record_commit(&self, record: &CommitRecord) -> Result<(), StorageError> {
-        self.append(&WalRecord::Commit(record.clone()))
-    }
-
-    fn record_access(&self, record: &AccessRecord) -> Result<(), StorageError> {
-        self.append(&WalRecord::Access(*record))
+    fn record_admission(
+        &self,
+        commit: &CommitRecord,
+        access: Option<&DataAccess>,
+    ) -> Result<(), StorageError> {
+        self.append(&WalRecord::Commit(commit.clone(), access.copied()))
     }
 
     fn record_rollback(&self, seq: u64) -> Result<(), StorageError> {
@@ -506,6 +501,14 @@ mod tests {
         }
     }
 
+    fn access(epsilon: f64) -> DataAccess {
+        DataAccess {
+            epsilon,
+            sigma: 9.0,
+            sensitivity: 1.0,
+        }
+    }
+
     fn session(id: u64, draws: u64) -> SessionCheckpoint {
         SessionCheckpoint {
             session: id,
@@ -523,23 +526,17 @@ mod tests {
         {
             let (store, recovered) = ProvenanceStore::open(&dir).unwrap();
             assert!(recovered.snapshot.is_none());
-            assert!(recovered.commits.is_empty());
+            assert!(recovered.admissions.is_empty());
             store.record_commit(&commit(0, 0.25)).unwrap();
-            store.record_commit(&commit(1, 0.5)).unwrap();
             store
-                .record_access(&AccessRecord {
-                    seq: 1,
-                    epsilon: 0.5,
-                    sigma: 9.0,
-                    sensitivity: 1.0,
-                })
+                .record_admission(&commit(1, 0.5), Some(&access(0.5)))
                 .unwrap();
             store.record_session(&session(0, 77)).unwrap();
-            assert_eq!(store.total_appends(), 4);
+            assert_eq!(store.total_appends(), 3, "one frame per admission");
         }
         let (_, recovered) = ProvenanceStore::open(&dir).unwrap();
-        assert_eq!(recovered.commits.len(), 2);
-        assert_eq!(recovered.accesses.len(), 1);
+        let accesses: Vec<_> = recovered.admissions.iter().map(|a| a.access).collect();
+        assert_eq!(accesses, vec![None, Some(access(0.5))]);
         assert_eq!(recovered.sessions, vec![session(0, 77)]);
         assert_eq!(recovered.next_seq, 2);
         assert_eq!(recovered.next_session_id, 1);
@@ -553,13 +550,21 @@ mod tests {
         {
             let (store, _) = ProvenanceStore::open(&dir).unwrap();
             store.record_commit(&commit(0, 0.25)).unwrap();
-            store.record_commit(&commit(1, 0.5)).unwrap();
+            store
+                .record_admission(&commit(1, 0.5), Some(&access(0.5)))
+                .unwrap();
             store.record_rollback(1).unwrap();
             store.record_commit(&commit(2, 0.125)).unwrap();
         }
         let (_, recovered) = ProvenanceStore::open(&dir).unwrap();
-        let seqs: Vec<u64> = recovered.commits.iter().map(|c| c.seq).collect();
-        assert_eq!(seqs, vec![0, 2]);
+        let seqs: Vec<(u64, bool)> = recovered
+            .admissions
+            .iter()
+            .map(|a| (a.commit.seq, a.voided))
+            .collect();
+        assert_eq!(seqs, vec![(0, false), (1, true), (2, false)]);
+        // The voided admission keeps its access: it was counted live.
+        assert_eq!(recovered.admissions[1].access, Some(access(0.5)));
         // The tombstoned seq still advances the counter.
         assert_eq!(recovered.next_seq, 3);
         std::fs::remove_dir_all(&dir).ok();
@@ -620,8 +625,8 @@ mod tests {
         // The snapshot carried the store's live session map forward.
         assert_eq!(snapshot.sessions, vec![session(3, 42)]);
         assert_eq!(snapshot.next_session_id, 4);
-        assert_eq!(recovered.commits.len(), 1);
-        assert_eq!(recovered.commits[0].seq, 1);
+        assert_eq!(recovered.admissions.len(), 1);
+        assert_eq!(recovered.admissions[0].commit.seq, 1);
         assert_eq!(recovered.sessions, vec![session(3, 42)]);
         assert_eq!(recovered.next_seq, 2);
         std::fs::remove_dir_all(&dir).ok();
@@ -765,15 +770,7 @@ mod tests {
             let (store, _) = ProvenanceStore::open(&dir).unwrap();
             for seq in 0..5 {
                 store
-                    .record_commit(&commit(seq, 0.1 * (seq + 1) as f64))
-                    .unwrap();
-                store
-                    .record_access(&AccessRecord {
-                        seq,
-                        epsilon: 0.1,
-                        sigma: 9.0,
-                        sensitivity: 1.0,
-                    })
+                    .record_admission(&commit(seq, 0.1 * (seq + 1) as f64), Some(&access(0.1)))
                     .unwrap();
             }
         }
@@ -792,19 +789,64 @@ mod tests {
             .unwrap();
 
         let (_, recovered) = ProvenanceStore::open(&dir).unwrap();
-        let commit_seqs: Vec<u64> = recovered.commits.iter().map(|c| c.seq).collect();
-        let access_seqs: Vec<u64> = recovered.accesses.iter().map(|a| a.seq).collect();
+        let commit_seqs: Vec<u64> = recovered.admissions.iter().map(|a| a.commit.seq).collect();
         assert_eq!(
             commit_seqs,
             vec![3, 4],
-            "pre-snapshot commits must be skipped"
-        );
-        assert_eq!(
-            access_seqs,
-            vec![3, 4],
-            "pre-snapshot accesses must be skipped"
+            "pre-snapshot admissions must be skipped"
         );
         assert_eq!(recovered.next_seq, 5);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// One CRC-valid commit frame at `seq = u64::MAX` used to overflow
+    /// `seq + 1` while recovering (a panic in debug builds, a `next_seq`
+    /// wrapped to 0 in release); a snapshot whose counters sit at
+    /// `u64::MAX` likewise. Both are refused with a typed error, the files
+    /// untouched.
+    #[test]
+    fn a_sequence_number_at_u64_max_is_refused_not_wrapped() {
+        let dir = scratch_dir("store-seq-overflow");
+        let wal = ProvenanceStore::wal_path(&dir);
+        let mut bytes = crate::wal::WAL_MAGIC.to_vec();
+        bytes.extend(
+            WalRecord::Commit(commit(u64::MAX, 0.1), None)
+                .encode_frame()
+                .unwrap(),
+        );
+        std::fs::write(&wal, &bytes).unwrap();
+        assert!(matches!(
+            ProvenanceStore::open(&dir),
+            Err(StorageError::Corrupt { ref file, ref reason, .. })
+                if file == "wal" && reason.contains("u64::MAX")
+        ));
+        assert_eq!(
+            std::fs::read(&wal).unwrap(),
+            bytes,
+            "the ledger is untouched"
+        );
+        std::fs::remove_file(&wal).unwrap();
+
+        let snapshot = |next_seq, batch_seq| crate::snapshot::SnapshotState {
+            core: dprov_core::recorder::CoreState {
+                next_seq,
+                deltas: dprov_delta::UpdateLog {
+                    next_seq: batch_seq,
+                    ..Default::default()
+                },
+                ..Default::default()
+            },
+            ..Default::default()
+        };
+        for state in [snapshot(u64::MAX, 0), snapshot(0, u64::MAX)] {
+            crate::snapshot::write_snapshot(&ProvenanceStore::snapshot_path(&dir), &state, false)
+                .unwrap();
+            assert!(matches!(
+                ProvenanceStore::open(&dir),
+                Err(StorageError::Corrupt { ref file, ref reason, .. })
+                    if file == "snapshot" && reason.contains("u64::MAX")
+            ));
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 }

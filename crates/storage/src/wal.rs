@@ -8,11 +8,15 @@
 //! ```
 //!
 //! The frames are [`crate::codec`]'s, capped at [`MAX_PAYLOAD`]; each
-//! payload is one [`WalRecord`], tag byte first. An append refuses a
-//! record over the cap before writing anything, then writes the whole
-//! frame in one `write_all` and (in fsync mode) `sync_data` before
-//! returning, which is what lets the admission path treat a returned
-//! append as *durable*.
+//! payload is one [`WalRecord`], tag byte first. One admission is one
+//! frame: a commit carries the data access it made, if any, as three
+//! floats after its charge, and a commit without one ends at its charge.
+//! Older ledgers journalled each access in a frame of its own (tag 2);
+//! [`scan`] still reads those and attaches each to the commit with its
+//! sequence number. An append refuses a record over the cap before
+//! writing anything, then writes the whole frame in one `write_all` and
+//! (in fsync mode) `sync_data` before returning, which is what lets the
+//! admission path treat a returned append as *durable*.
 //!
 //! # Damage
 //!
@@ -21,7 +25,8 @@
 //! it is reported in [`WalScan::corruption`] and the writer truncates it
 //! before appending again, so a record is either wholly in the recovered
 //! history or wholly absent. Damage *before* the last frame (or a frame
-//! that verifies but does not decode) cannot come from a crash: the scan
+//! that verifies but does not decode — including a sequence number of
+//! `u64::MAX`, which no counter can follow) cannot come from a crash: the scan
 //! refuses the ledger with a typed error and leaves the file as it is,
 //! instead of discarding the acknowledged charges after it.
 
@@ -31,7 +36,7 @@ use std::path::{Path, PathBuf};
 
 use dprov_core::analyst::AnalystId;
 use dprov_core::mechanism::MechanismKind;
-use dprov_core::recorder::{AccessRecord, CommitRecord};
+use dprov_core::recorder::{CommitRecord, DataAccess};
 use dprov_core::StorageError;
 use dprov_delta::EncodedBatch;
 use dprov_dp::rng::RngCheckpoint;
@@ -46,7 +51,8 @@ pub const WAL_MAGIC: &[u8; 8] = b"DPWAL001";
 pub const MAX_PAYLOAD: usize = 64 << 20;
 
 const TAG_COMMIT: u8 = 1;
-const TAG_ACCESS: u8 = 2;
+/// A data access journalled apart from its commit (older ledgers only).
+const TAG_LEGACY_ACCESS: u8 = 2;
 const TAG_ROLLBACK: u8 = 3;
 const TAG_SESSION: u8 = 4;
 const TAG_SESSION_CLOSED: u8 = 5;
@@ -71,10 +77,9 @@ pub struct SessionCheckpoint {
 /// One record of the write-ahead ledger.
 #[derive(Debug, Clone, PartialEq)]
 pub enum WalRecord {
-    /// A committed admission charge (appended before the in-memory commit).
-    Commit(CommitRecord),
-    /// A data access journalled for the tight accountant.
-    Access(AccessRecord),
+    /// A committed admission charge and the data access it made, if any
+    /// (appended before the in-memory commit).
+    Commit(CommitRecord, Option<DataAccess>),
     /// A tombstone voiding the commit with this sequence number (its
     /// release failed after the reserve and memory was rolled back).
     Rollback {
@@ -118,7 +123,7 @@ impl WalRecord {
     pub fn encode(&self) -> Vec<u8> {
         let mut enc = Encoder::new();
         match self {
-            WalRecord::Commit(c) => {
+            WalRecord::Commit(c, access) => {
                 enc.put_u8(TAG_COMMIT);
                 enc.put_u64(c.seq);
                 enc.put_u64(c.analyst.0 as u64);
@@ -127,13 +132,9 @@ impl WalRecord {
                 enc.put_f64(c.prev_entry);
                 enc.put_f64(c.new_entry);
                 enc.put_f64(c.charged);
-            }
-            WalRecord::Access(a) => {
-                enc.put_u8(TAG_ACCESS);
-                enc.put_u64(a.seq);
-                enc.put_f64(a.epsilon);
-                enc.put_f64(a.sigma);
-                enc.put_f64(a.sensitivity);
+                if let Some(a) = access {
+                    put_access(&mut enc, a);
+                }
             }
             WalRecord::Rollback { seq } => {
                 enc.put_u8(TAG_ROLLBACK);
@@ -174,30 +175,32 @@ impl WalRecord {
     pub fn decode(payload: &[u8]) -> Result<Self, String> {
         let mut dec = Decoder::new(payload);
         let record = match dec.take_u8()? {
-            TAG_COMMIT => WalRecord::Commit(CommitRecord {
-                seq: dec.take_u64()?,
-                analyst: AnalystId(dec.take_u64()? as usize),
-                view: dec.take_str()?,
-                mechanism: {
-                    let code = dec.take_u8()?;
-                    MechanismKind::from_code(code)
-                        .ok_or_else(|| format!("unknown mechanism code {code}"))?
-                },
-                prev_entry: dec.take_f64()?,
-                new_entry: dec.take_f64()?,
-                charged: dec.take_f64()?,
-            }),
-            TAG_ACCESS => WalRecord::Access(AccessRecord {
-                seq: dec.take_u64()?,
-                epsilon: dec.take_f64()?,
-                sigma: dec.take_f64()?,
-                sensitivity: dec.take_f64()?,
-            }),
+            TAG_COMMIT => {
+                let commit = CommitRecord {
+                    seq: dec.take_counter()?,
+                    analyst: AnalystId(dec.take_u64()? as usize),
+                    view: dec.take_str()?,
+                    mechanism: {
+                        let code = dec.take_u8()?;
+                        MechanismKind::from_code(code)
+                            .ok_or_else(|| format!("unknown mechanism code {code}"))?
+                    },
+                    prev_entry: dec.take_f64()?,
+                    new_entry: dec.take_f64()?,
+                    charged: dec.take_f64()?,
+                };
+                let access = if dec.remaining() > 0 {
+                    Some(take_access(&mut dec)?)
+                } else {
+                    None
+                };
+                WalRecord::Commit(commit, access)
+            }
             TAG_ROLLBACK => WalRecord::Rollback {
-                seq: dec.take_u64()?,
+                seq: dec.take_counter()?,
             },
             TAG_SESSION => WalRecord::Session(SessionCheckpoint {
-                session: dec.take_u64()?,
+                session: dec.take_counter()?,
                 analyst: AnalystId(dec.take_u64()? as usize),
                 rng: RngCheckpoint {
                     draws: dec.take_u64()?,
@@ -205,13 +208,13 @@ impl WalRecord {
                 },
             }),
             TAG_SESSION_CLOSED => WalRecord::SessionClosed {
-                session: dec.take_u64()?,
+                session: dec.take_counter()?,
             },
             TAG_FINGERPRINT => WalRecord::Fingerprint {
                 fingerprint: dec.take_u64()?,
             },
             TAG_UPDATE => WalRecord::Update(EncodedBatch {
-                seq: dec.take_u64()?,
+                seq: dec.take_counter()?,
                 table: dec.take_str()?,
                 inserts: dec.take_u32_rows()?,
                 deletes: dec.take_u32_rows()?,
@@ -231,6 +234,55 @@ impl WalRecord {
     pub fn encode_frame(&self) -> Result<Vec<u8>, StorageError> {
         frame(&self.encode(), MAX_PAYLOAD)
             .map_err(|e| StorageError::IncompatibleState(format!("ledger record refused: {e}")))
+    }
+}
+
+fn put_access(enc: &mut Encoder, access: &DataAccess) {
+    enc.put_f64(access.epsilon);
+    enc.put_f64(access.sigma);
+    enc.put_f64(access.sensitivity);
+}
+
+fn take_access(dec: &mut Decoder<'_>) -> Result<DataAccess, String> {
+    Ok(DataAccess {
+        epsilon: dec.take_f64()?,
+        sigma: dec.take_f64()?,
+        sensitivity: dec.take_f64()?,
+    })
+}
+
+/// Decodes an older ledger's standalone access frame into the sequence
+/// number of its commit and the access.
+fn decode_legacy_access(payload: &[u8]) -> Result<(u64, DataAccess), String> {
+    let mut dec = Decoder::new(payload);
+    dec.take_u8()?;
+    let seq = dec.take_u64()?;
+    let access = take_access(&mut dec)?;
+    dec.finish()?;
+    Ok((seq, access))
+}
+
+/// Attaches an older ledger's standalone access to the commit with its
+/// sequence number, which precedes it in the same ledger (the access was
+/// appended after its commit, under the same commit gate).
+fn attach_legacy_access(
+    records: &mut [WalRecord],
+    seq: u64,
+    access: DataAccess,
+) -> Result<(), String> {
+    let slot = records.iter_mut().rev().find_map(|record| match record {
+        WalRecord::Commit(c, slot) if c.seq == seq => Some(slot),
+        _ => None,
+    });
+    match slot {
+        Some(slot @ None) => {
+            *slot = Some(access);
+            Ok(())
+        }
+        Some(Some(_)) => Err(format!("a second access for commit {seq}")),
+        None => Err(format!(
+            "an access for commit {seq}, which no earlier frame holds"
+        )),
     }
 }
 
@@ -273,14 +325,16 @@ pub fn scan(path: &Path) -> Result<WalScan, StorageError> {
     };
     let scan =
         scan_frames(&bytes, WAL_MAGIC, MAX_PAYLOAD).map_err(|d| corrupt(d.offset, d.reason))?;
-    let records = scan
-        .frames
-        .iter()
-        .map(|&(offset, payload)| {
-            WalRecord::decode(payload)
-                .map_err(|reason| corrupt(offset, format!("undecodable record: {reason}")))
-        })
-        .collect::<Result<_, _>>()?;
+    let mut records = Vec::with_capacity(scan.frames.len());
+    for &(offset, payload) in &scan.frames {
+        let undecodable = |reason| corrupt(offset, format!("undecodable record: {reason}"));
+        if payload.first() == Some(&TAG_LEGACY_ACCESS) {
+            let (seq, access) = decode_legacy_access(payload).map_err(undecodable)?;
+            attach_legacy_access(&mut records, seq, access).map_err(undecodable)?;
+        } else {
+            records.push(WalRecord::decode(payload).map_err(undecodable)?);
+        }
+    }
     Ok(WalScan {
         records,
         valid_len: scan.valid_len,
@@ -419,8 +473,8 @@ mod tests {
     use super::*;
     use crate::scratch_dir;
 
-    fn commit(seq: u64) -> WalRecord {
-        WalRecord::Commit(CommitRecord {
+    fn commit_record(seq: u64) -> CommitRecord {
+        CommitRecord {
             seq,
             analyst: AnalystId(1),
             view: "adult.age".to_owned(),
@@ -428,19 +482,24 @@ mod tests {
             prev_entry: 0.25,
             new_entry: 0.5,
             charged: 0.25,
-        })
+        }
     }
+
+    fn commit(seq: u64) -> WalRecord {
+        WalRecord::Commit(commit_record(seq), None)
+    }
+
+    const ACCESS: DataAccess = DataAccess {
+        epsilon: 0.5,
+        sigma: 12.5,
+        sensitivity: std::f64::consts::SQRT_2,
+    };
 
     #[test]
     fn records_round_trip_through_payload_encoding() {
         let records = vec![
             commit(3),
-            WalRecord::Access(AccessRecord {
-                seq: 3,
-                epsilon: 0.5,
-                sigma: 12.5,
-                sensitivity: std::f64::consts::SQRT_2,
-            }),
+            WalRecord::Commit(commit_record(4), Some(ACCESS)),
             WalRecord::Rollback { seq: 9 },
             WalRecord::Session(SessionCheckpoint {
                 session: 4,
@@ -518,30 +577,31 @@ mod tests {
                 .collect()
         }
 
-        /// One record of the variant `kind % 8`, every field drawn.
+        /// One record of the variant `kind % 7`, every field drawn.
         fn record(&mut self, kind: u64) -> WalRecord {
-            match kind % 8 {
-                0 => WalRecord::Commit(CommitRecord {
-                    seq: self.next(),
-                    analyst: AnalystId(self.below(1024)),
-                    view: self.string(),
-                    mechanism: if self.below(2) == 0 {
-                        MechanismKind::Vanilla
-                    } else {
-                        MechanismKind::AdditiveGaussian
+            match kind % 7 {
+                0 => WalRecord::Commit(
+                    CommitRecord {
+                        seq: self.next(),
+                        analyst: AnalystId(self.below(1024)),
+                        view: self.string(),
+                        mechanism: if self.below(2) == 0 {
+                            MechanismKind::Vanilla
+                        } else {
+                            MechanismKind::AdditiveGaussian
+                        },
+                        prev_entry: self.f64(0.0, 64.0),
+                        new_entry: self.f64(0.0, 64.0),
+                        charged: self.f64(0.0, 64.0),
                     },
-                    prev_entry: self.f64(0.0, 64.0),
-                    new_entry: self.f64(0.0, 64.0),
-                    charged: self.f64(0.0, 64.0),
-                }),
-                1 => WalRecord::Access(AccessRecord {
-                    seq: self.next(),
-                    epsilon: self.f64(0.0, 64.0),
-                    sigma: self.f64(0.0, 1e6),
-                    sensitivity: self.f64(0.0, 1e3),
-                }),
-                2 => WalRecord::Rollback { seq: self.next() },
-                3 => WalRecord::Session(SessionCheckpoint {
+                    (self.below(2) == 0).then(|| DataAccess {
+                        epsilon: self.f64(0.0, 64.0),
+                        sigma: self.f64(0.0, 1e6),
+                        sensitivity: self.f64(0.0, 1e3),
+                    }),
+                ),
+                1 => WalRecord::Rollback { seq: self.next() },
+                2 => WalRecord::Session(SessionCheckpoint {
                     session: self.next(),
                     analyst: AnalystId(self.below(1024)),
                     rng: RngCheckpoint {
@@ -549,13 +609,13 @@ mod tests {
                         spare_normal: (self.below(2) == 0).then(|| self.f64(-8.0, 8.0)),
                     },
                 }),
-                4 => WalRecord::SessionClosed {
+                3 => WalRecord::SessionClosed {
                     session: self.next(),
                 },
-                5 => WalRecord::Fingerprint {
+                4 => WalRecord::Fingerprint {
                     fingerprint: self.next(),
                 },
-                6 => WalRecord::Update(EncodedBatch {
+                5 => WalRecord::Update(EncodedBatch {
                     seq: self.next(),
                     table: self.string(),
                     inserts: self.rows(),
@@ -578,7 +638,7 @@ mod tests {
         let records: Vec<WalRecord> = (0..1024).map(|i| mix.record(i)).collect();
         let kinds: std::collections::HashSet<_> =
             records.iter().map(std::mem::discriminant).collect();
-        assert_eq!(kinds.len(), 8, "the sweep covers every variant");
+        assert_eq!(kinds.len(), 7, "the sweep covers every variant");
 
         let mut file = WAL_MAGIC.to_vec();
         for record in &records {
@@ -707,5 +767,84 @@ mod tests {
         assert_eq!(rescanned.records.len(), 1);
         assert!(rescanned.corruption.is_none());
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// An older ledger's standalone access frame (tag 2).
+    fn legacy_access_frame(seq: u64, access: &DataAccess) -> Vec<u8> {
+        let mut enc = Encoder::new();
+        enc.put_u8(TAG_LEGACY_ACCESS);
+        enc.put_u64(seq);
+        put_access(&mut enc, access);
+        frame(&enc.into_bytes(), MAX_PAYLOAD).unwrap()
+    }
+
+    fn scan_bytes(tag: &str, frames: &[Vec<u8>]) -> Result<WalScan, StorageError> {
+        let dir = scratch_dir(tag);
+        let path = dir.join("wal.log");
+        let mut file = WAL_MAGIC.to_vec();
+        for frame in frames {
+            file.extend_from_slice(frame);
+        }
+        std::fs::write(&path, &file).unwrap();
+        let scanned = scan(&path);
+        std::fs::remove_dir_all(&dir).ok();
+        scanned
+    }
+
+    #[test]
+    fn a_legacy_access_frame_attaches_to_its_commit() {
+        let frames = [
+            commit(0).encode_frame().unwrap(),
+            commit(1).encode_frame().unwrap(),
+            legacy_access_frame(0, &ACCESS),
+            WalRecord::Rollback { seq: 1 }.encode_frame().unwrap(),
+        ];
+        let scanned = scan_bytes("wal-legacy", &frames).unwrap();
+        assert_eq!(
+            scanned.records,
+            vec![
+                WalRecord::Commit(commit_record(0), Some(ACCESS)),
+                commit(1),
+                WalRecord::Rollback { seq: 1 },
+            ]
+        );
+        // No commit to attach to, or a second access for one commit: the
+        // frame verifies but does not decode, so the ledger is refused.
+        for frames in [
+            vec![legacy_access_frame(0, &ACCESS)],
+            vec![
+                commit(0).encode_frame().unwrap(),
+                legacy_access_frame(0, &ACCESS),
+                legacy_access_frame(0, &ACCESS),
+            ],
+        ] {
+            assert!(matches!(
+                scan_bytes("wal-legacy-orphan", &frames),
+                Err(StorageError::Corrupt { ref reason, .. }) if reason.contains("access for commit 0")
+            ));
+        }
+    }
+
+    /// A sequence number (or session id) of `u64::MAX` leaves recovery no
+    /// successor to continue from: such a record does not decode.
+    #[test]
+    fn a_counter_at_u64_max_does_not_decode() {
+        let refused = [
+            commit(u64::MAX),
+            WalRecord::Rollback { seq: u64::MAX },
+            WalRecord::Update(EncodedBatch {
+                seq: u64::MAX,
+                table: "adult".to_owned(),
+                inserts: Vec::new(),
+                deletes: Vec::new(),
+            }),
+            WalRecord::SessionClosed { session: u64::MAX },
+        ];
+        for record in refused {
+            let err = WalRecord::decode(&record.encode()).unwrap_err();
+            assert!(err.contains("u64::MAX"), "{record:?}: {err}");
+        }
+        let last = commit(u64::MAX - 1);
+        assert_eq!(WalRecord::decode(&last.encode()).unwrap(), last);
     }
 }

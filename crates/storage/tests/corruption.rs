@@ -63,8 +63,7 @@ fn truncated_wal_tail_recovers_the_intact_prefix() {
     let wal = ProvenanceStore::wal_path(&dir);
     let full = std::fs::read(&wal).unwrap();
     let (_, intact) = ProvenanceStore::open(&dir).unwrap();
-    let full_commits = intact.commits.len();
-    let full_records = full_commits + intact.accesses.len();
+    let full_admissions = intact.admissions.len();
     drop(intact);
 
     // Chop mid-way into the final frame.
@@ -75,19 +74,16 @@ fn truncated_wal_tail_recovers_the_intact_prefix() {
         "truncation must surface a typed corruption, got {:?}",
         recovered.wal_corruption
     );
-    // Exactly the torn record (a commit or an access) is gone.
-    assert_eq!(
-        recovered.commits.len() + recovered.accesses.len(),
-        full_records - 1
-    );
-    assert!(recovered.commits.len() >= full_commits - 1);
+    // Exactly the torn admission (one frame: its commit and its access)
+    // is gone.
+    assert_eq!(recovered.admissions.len(), full_admissions - 1);
     // Whatever survived is a contiguous prefix and replays cleanly.
-    for (i, c) in recovered.commits.iter().enumerate() {
-        assert_eq!(c.seq, i as u64);
+    for (i, a) in recovered.admissions.iter().enumerate() {
+        assert_eq!(a.commit.seq, i as u64);
     }
     let fresh = build_system(7);
-    for c in &recovered.commits {
-        fresh.replay_commit(c).unwrap();
+    for a in &recovered.admissions {
+        fresh.replay_admission(a).unwrap();
     }
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -109,8 +105,8 @@ fn bit_flipped_wal_tail_is_detected_and_discarded() {
         "bit flip must fail the frame checksum, got {:?}",
         recovered.wal_corruption
     );
-    for (i, c) in recovered.commits.iter().enumerate() {
-        assert_eq!(c.seq, i as u64, "survivors form a contiguous prefix");
+    for (i, a) in recovered.admissions.iter().enumerate() {
+        assert_eq!(a.commit.seq, i as u64, "survivors form a contiguous prefix");
     }
     // The reopened store truncated the damage: appends land cleanly again.
     let (store, recovered) = ProvenanceStore::open(&dir).unwrap();
@@ -135,7 +131,7 @@ fn mid_wal_damage_refuses_to_open_and_leaves_the_ledger_untouched() {
     bytes[at] ^= 0x01;
     std::fs::write(&wal, &bytes).unwrap();
     let err = ProvenanceStore::open(&dir)
-        .map(|(_, recovered)| recovered.commits.len())
+        .map(|(_, recovered)| recovered.admissions.len())
         .expect_err("mid-ledger damage must refuse to open");
     match err {
         StorageError::Corrupt {
@@ -153,7 +149,7 @@ fn mid_wal_damage_refuses_to_open_and_leaves_the_ledger_untouched() {
     bytes[at] ^= 0x01;
     std::fs::write(&wal, &bytes).unwrap();
     let (_, recovered) = ProvenanceStore::open(&dir).unwrap();
-    assert_eq!(recovered.commits.len(), queries);
+    assert_eq!(recovered.admissions.len(), queries);
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -278,16 +274,17 @@ fn intact_snapshot_plus_wal_suffix_round_trips_budget_state() {
 
     let (_, recovered) = ProvenanceStore::open(&dir).unwrap();
     assert_eq!(recovered.snapshot.as_ref().unwrap().fingerprint, 99);
-    assert_eq!(recovered.commits.len(), 2, "only the post-snapshot suffix");
+    assert_eq!(
+        recovered.admissions.len(),
+        2,
+        "only the post-snapshot suffix"
+    );
     let fresh = build_system(7);
     fresh
         .import_durable_state(&recovered.snapshot.unwrap().core)
         .unwrap();
-    for c in &recovered.commits {
-        fresh.replay_commit(c).unwrap();
-    }
-    for a in &recovered.accesses {
-        fresh.replay_access(a);
+    for a in &recovered.admissions {
+        fresh.replay_admission(a).unwrap();
     }
     for analyst in [AnalystId(0), AnalystId(1)] {
         assert_eq!(
@@ -296,9 +293,6 @@ fn intact_snapshot_plus_wal_suffix_round_trips_budget_state() {
             "recovered budget state must be bit-exact"
         );
     }
-    assert_eq!(
-        fresh.tight_accounting().epsilon.value(),
-        live_tight.epsilon.value()
-    );
+    assert_eq!(fresh.tight_accounting(), live_tight);
     std::fs::remove_dir_all(&dir).ok();
 }

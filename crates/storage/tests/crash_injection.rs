@@ -1,8 +1,8 @@
 //! Crash-injection property suite: for **every** possible crash point of a
 //! 64-charge workload — clean and torn — recovery must rebuild a state
 //! that is a prefix of the committed history, never undercounts the spend
-//! the process acknowledged, and still satisfies every provenance
-//! constraint.
+//! the process acknowledged nor the tight accounting it held at the
+//! moment of death, and still satisfies every provenance constraint.
 //!
 //! Run with `cargo test -p dprov-storage -- --test-threads=1`; the
 //! scheduled CI job sets `DPROV_CRASH_INJECTION_CASES=<n>` to sweep `n`
@@ -16,6 +16,7 @@ use dprov_core::mechanism::MechanismKind;
 use dprov_core::processor::{QueryOutcome, QueryRequest};
 use dprov_core::system::DProvDb;
 use dprov_core::CoreError;
+use dprov_dp::budget::Budget;
 use dprov_engine::catalog::ViewCatalog;
 use dprov_engine::datagen::adult::adult_database;
 use dprov_engine::query::Query;
@@ -63,6 +64,9 @@ struct RunOutcome {
     acked: Vec<f64>,
     /// Total ledger appends attempted by the workload.
     appends: u64,
+    /// The live tight accounting at the end of the run (the moment of
+    /// death when the failpoint fired).
+    tight: Budget,
 }
 
 /// Runs the workload against a system wired to `recorder`; submissions
@@ -81,6 +85,7 @@ fn run_workload(system: &mut DProvDb, recorder: &FailpointRecorder) -> RunOutcom
     RunOutcome {
         acked,
         appends: recorder.attempts(),
+        tight: system.tight_accounting(),
     }
 }
 
@@ -90,9 +95,10 @@ fn assert_recovery_invariants(
     dir: &std::path::Path,
     mechanism: MechanismKind,
     seed: u64,
-    acked: &[f64],
+    live: &RunOutcome,
     label: &str,
 ) {
+    let acked = &live.acked;
     let (_, recovered) = ProvenanceStore::open(dir).unwrap_or_else(|e| {
         panic!("{label}: recovery must not fail, got {e}");
     });
@@ -100,19 +106,16 @@ fn assert_recovery_invariants(
 
     // Property 1: the recovered history is a contiguous prefix of the
     // committed history (commit seqs 0..K without gaps).
-    for (i, commit) in recovered.commits.iter().enumerate() {
+    for (i, admission) in recovered.admissions.iter().enumerate() {
         assert_eq!(
-            commit.seq, i as u64,
+            admission.commit.seq, i as u64,
             "{label}: recovered commits are not a contiguous prefix"
         );
     }
 
     let fresh = build_system(mechanism, seed);
-    for commit in &recovered.commits {
-        fresh.replay_commit(commit).unwrap();
-    }
-    for access in &recovered.accesses {
-        fresh.replay_access(access);
+    for admission in &recovered.admissions {
+        fresh.replay_admission(admission).unwrap();
     }
 
     // Property 2: recovered spend never undercounts acknowledged spend.
@@ -136,6 +139,14 @@ fn assert_recovery_invariants(
             "{label}: replayed ledger lost mechanism attribution"
         );
     }
+    // ... nor the tight accounting the process held when it died: every
+    // access it counted rode in a commit that reached the ledger.
+    assert!(
+        fresh.tight_accounting().epsilon.value() >= live.tight.epsilon.value(),
+        "{label}: recovered tight accounting {:?} undercounts the live {:?}",
+        fresh.tight_accounting(),
+        live.tight
+    );
 
     // Property 3: every provenance constraint still holds post-recovery.
     for analyst in (0..ANALYSTS).map(AnalystId) {
@@ -187,10 +198,10 @@ fn sweep(mechanism: MechanismKind, seed: u64) {
         drop(store);
         let (_, recovered) = ProvenanceStore::open(&dir).unwrap();
         assert_eq!(
-            recovered.commits.len(),
+            recovered.admissions.len(),
             CHARGES,
             "workload must produce exactly {CHARGES} charges, got {}",
-            recovered.commits.len()
+            recovered.admissions.len()
         );
         std::fs::remove_dir_all(&dir).ok();
         outcome.appends
@@ -218,7 +229,7 @@ fn sweep(mechanism: MechanismKind, seed: u64) {
             &dir,
             mechanism,
             seed,
-            &outcome.acked,
+            &outcome,
             &format!("{mechanism}/seed={seed}/kill_at={kill_at}/{mode:?}"),
         );
         std::fs::remove_dir_all(&dir).ok();

@@ -15,7 +15,9 @@
 //!
 //! Watch the printed per-analyst budgets: the second life starts exactly
 //! where the first one died — a restart never resets spent budget to zero,
-//! which is the whole point of the durable provenance ledger.
+//! which is the whole point of the durable provenance ledger. The example
+//! asserts it: both analysts' row totals and the tight accounting after
+//! recovery are the pre-crash values bit for bit.
 //!
 //! ```text
 //! cargo run --release --example recover_service
@@ -61,6 +63,21 @@ fn print_budgets(service: &QueryService, when: &str) {
     }
 }
 
+/// Both analysts' row totals and the tight accounting, as raw bits.
+fn accounting(service: &QueryService) -> (Vec<u64>, [u64; 2]) {
+    let system = service.system();
+    let provenance = system.provenance();
+    let rows = (0..2)
+        .map(|a| provenance.row_total(AnalystId(a)).to_bits())
+        .collect();
+    let tight = system.tight_accounting();
+    let tight = [
+        tight.epsilon.value().to_bits(),
+        tight.delta.value().to_bits(),
+    ];
+    (rows, tight)
+}
+
 fn ask(service: &QueryService, session: SessionId, lo: i64, hi: i64, variance: f64) {
     let request = QueryRequest::with_accuracy(Query::range_count("adult", "age", lo, hi), variance);
     match service.submit_wait(session, request) {
@@ -84,7 +101,7 @@ fn main() {
         .unwrap();
 
     println!("== first life (durable store at {}) ==", dir.display());
-    let sessions = {
+    let (sessions, before_crash) = {
         let (service, report) = QueryService::start_durable(
             build_system(),
             ServiceConfig::builder().workers(2).build().unwrap(),
@@ -102,8 +119,9 @@ fn main() {
         // Fold the ledger into a snapshot once, then keep serving.
         service.checkpoint().unwrap();
         ask(&service, s1, 20, 60, 450.0);
+        let before_crash = accounting(&service);
         println!("  ... power cord yanked (service dropped, no shutdown) ...");
-        (s0, s1)
+        ((s0, s1), before_crash)
         // The QueryService (and the whole DProvDb) drop here. Only the
         // store directory survives — exactly a crashed process.
     };
@@ -116,10 +134,9 @@ fn main() {
     )
     .expect("recovery must succeed");
     println!(
-        "  recovered: snapshot={} replayed_commits={} replayed_accesses={} sessions={}{}",
+        "  recovered: snapshot={} replayed_commits={} sessions={}{}",
         report.snapshot_restored,
         report.replayed_commits,
-        report.replayed_accesses,
         report.restored_sessions,
         report
             .wal_corruption
@@ -128,6 +145,15 @@ fn main() {
             .unwrap_or_default()
     );
     print_budgets(&service, "after recovery (identical to pre-crash)");
+    assert_eq!(
+        accounting(&service),
+        before_crash,
+        "recovery must restore the row totals and the tight accounting bit for bit"
+    );
+    println!(
+        "  tight accounting: ε = {:.4} (bit-identical to pre-crash)",
+        service.system().tight_accounting().epsilon.value()
+    );
 
     // The restored sessions answer again under their original ids, their
     // noise streams continuing where the first life stopped.
