@@ -1,15 +1,15 @@
-//! # `dprov-cluster` — replicated budget ledger + sharded execution
+//! # `dprov-cluster` — replicated budget ledger
 //!
 //! DProvDB's provenance ledger is the ground truth for every analyst's
 //! remaining privacy budget; losing an acknowledged charge would let an
 //! analyst re-spend budget the system already granted. This crate makes
-//! the ledger — and the scan path in front of it — survive node crashes
-//! and network partitions, around one headline correctness property:
+//! the ledger survive node crashes and network partitions, around one
+//! headline correctness property:
 //!
 //! > **No charge is acknowledged to an analyst unless it is replicated
 //! > to a majority of budget-ledger replicas.**
 //!
-//! Four pieces, bottom-up:
+//! Three pieces, bottom-up:
 //!
 //! * [`raft`] — a deterministic, tick-driven simplified Raft core whose
 //!   log entries are exactly the storage layer's
@@ -23,16 +23,8 @@
 //!   `DProvDb::set_recorder`, so an in-memory charge commit becomes
 //!   visible only after a majority ack — and a refused ack aborts the
 //!   submission with no state change.
-//! * [`orchestrator`] + [`executor_node`] — executor-node registration
-//!   with capabilities, heartbeats and deadline eviction, plus the
-//!   deterministic contiguous shard assignment; executor nodes answer
-//!   shard-range scans and the gateway-side
-//!   [`executor_node::DistributedScan`] merges per-range partials in
-//!   shard order, **bit-identical** to the single-node scan (with
-//!   local fallback on any failure, counted in
-//!   `ExecStats::remote_fallbacks`).
-//! * [`gateway`] — the wiring for one serving process: replica group +
-//!   orchestrator + distributed scan attached to a `DProvDb`.
+//! * [`gateway`] — the wiring for one serving process: a replica group
+//!   plus its replication gate attached to a `DProvDb`.
 //!
 //! The fault harness lives in this crate's `tests/nemesis.rs`: seeded
 //! crash/partition schedules drive real analyst workloads and assert,
@@ -43,16 +35,12 @@
 #![deny(missing_docs)]
 #![warn(clippy::all)]
 
-pub mod executor_node;
 pub mod gateway;
-pub mod orchestrator;
 pub mod raft;
 pub mod recorder;
 pub mod sim;
 
-pub use executor_node::{DistributedScan, ExecutorNode, ShardEndpoint};
 pub use gateway::Gateway;
-pub use orchestrator::{NodeCaps, Orchestrator};
 pub use raft::{is_noop, NodeId, PersistentState, RaftConfig, RaftCore, Role};
 pub use recorder::ReplicatedRecorder;
 pub use sim::{ClusterError, SimCluster};

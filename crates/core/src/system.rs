@@ -1019,11 +1019,15 @@ impl DProvDb {
         };
 
         // Incremental charge to this analyst (Algorithm 4, line 19):
-        // ε' = min(ε_global, P[A_i, V] + ε_i) − P[A_i, V].
+        // ε' = min(ε_global, P[A_i, V] + ε_i) − P[A_i, V], floored at zero.
+        // A re-noise seal drops the global synopsis, so the new target can
+        // sit below P[A_i, V]; the entry then keeps the spend it holds.
         let check = |provenance: &ProvenanceTable| {
             let previous_entry = provenance.entry(analyst, &view_name);
-            let new_entry = global_target.min(previous_entry + local_epsilon);
-            let effective = (new_entry - previous_entry).max(0.0);
+            let new_entry = global_target
+                .min(previous_entry + local_epsilon)
+                .max(previous_entry);
+            let effective = new_entry - previous_entry;
             provenance
                 .check_additive(analyst, &view_name, effective)
                 .map(|()| (previous_entry, new_entry, effective))
@@ -1577,6 +1581,20 @@ impl DProvDb {
         Ok(())
     }
 
+    /// Refuses a durable provenance value that is non-finite or negative.
+    /// A NaN entry makes every `spend + ε > ψ` comparison false, so every
+    /// constraint check would pass; a negative one under-reports spend.
+    fn check_replay_epsilon(what: &str, value: f64) -> Result<()> {
+        if Epsilon::new(value).is_err() {
+            return Err(CoreError::Storage(
+                crate::error::StorageError::IncompatibleState(format!(
+                    "durable {what} holds {value}"
+                )),
+            ));
+        }
+        Ok(())
+    }
+
     /// Re-applies one journalled admission during recovery: unless a
     /// tombstone voided it, sets the provenance entry to its post-commit
     /// value and re-records the ledger charge; then counts its data access,
@@ -1592,6 +1610,8 @@ impl DProvDb {
             ))
         })?;
         if !admission.voided {
+            Self::check_replay_epsilon("commit entry", record.new_entry)?;
+            Self::check_replay_epsilon("commit charge", record.charged)?;
             {
                 let mut provenance = self.lock_provenance();
                 provenance.set_entry(record.analyst, &record.view, record.new_entry);
@@ -1694,6 +1714,7 @@ impl DProvDb {
     pub fn import_durable_state(&self, state: &CoreState) -> Result<()> {
         for entry in &state.provenance {
             self.check_replay_target(entry.analyst, &entry.view)?;
+            Self::check_replay_epsilon("provenance entry", entry.epsilon)?;
         }
         let ledger =
             MultiAnalystLedger::from_entries(&state.ledger, state.ledger_releases as usize)?;
@@ -2541,6 +2562,31 @@ mod tests {
         }
     }
 
+    /// A re-noise seal drops the additive global synopsis, so the next
+    /// admission's target can sit below the analyst's entry. The entry
+    /// keeps the spend it already holds (a spend never shrinks), and the
+    /// per-analyst ledger still equals the provenance row total.
+    #[test]
+    fn additive_renoise_never_lowers_a_provenance_entry() {
+        let system = build(MechanismKind::AdditiveGaussian, 8.0);
+        let age = |epsilon| {
+            QueryRequest::with_privacy(Query::range_count("adult", "age", 30, 39), epsilon)
+        };
+        assert!(system
+            .submit_shared(AnalystId(1), &age(1.0))
+            .unwrap()
+            .is_answered());
+        system.apply_update(&adult_insert(&[35])).unwrap();
+        assert!(system.seal_epoch().unwrap().synopses_invalidated > 0);
+        let second = system.submit_shared(AnalystId(1), &age(0.4)).unwrap();
+        assert_eq!(second.answered().unwrap().epsilon_charged, 0.0);
+        assert_eq!(system.provenance().entry(AnalystId(1), "adult.age"), 1.0);
+        assert_eq!(
+            system.ledger().loss_to(AnalystId(1)).epsilon.value(),
+            system.provenance().row_total(AnalystId(1))
+        );
+    }
+
     #[test]
     fn patched_histograms_equal_a_rebuild_after_every_seal() {
         let system = build(MechanismKind::AdditiveGaussian, 8.0);
@@ -2685,6 +2731,71 @@ mod tests {
             "{refused:?}"
         );
         assert_eq!(fresh.export_durable_state(), before, "nothing applied");
+    }
+
+    fn is_incompatible_state(result: &Result<()>) -> bool {
+        matches!(
+            result,
+            Err(CoreError::Storage(
+                crate::error::StorageError::IncompatibleState(_)
+            ))
+        )
+    }
+
+    /// A snapshot provenance entry that is NaN, infinite or negative is
+    /// refused before anything is applied: a NaN entry would make every
+    /// later constraint check pass.
+    #[test]
+    fn import_refuses_a_non_finite_or_negative_provenance_entry() {
+        let live = build(MechanismKind::Vanilla, 6.0);
+        assert!(live
+            .submit_shared(AnalystId(1), &range_request(25, 50, 700.0))
+            .unwrap()
+            .is_answered());
+        for bad in [f64::NAN, f64::INFINITY, -0.25] {
+            let mut state = live.export_durable_state();
+            state.provenance[0].epsilon = bad;
+            let fresh = build(MechanismKind::Vanilla, 6.0);
+            let before = fresh.export_durable_state();
+            let refused = fresh.import_durable_state(&state);
+            assert!(is_incompatible_state(&refused), "{bad}: {refused:?}");
+            assert_eq!(
+                fresh.export_durable_state(),
+                before,
+                "{bad}: nothing applied"
+            );
+        }
+    }
+
+    /// A journalled commit whose post-commit entry or charge is NaN,
+    /// infinite or negative is refused before the provenance entry or the
+    /// ledger is touched.
+    #[test]
+    fn replay_refuses_a_non_finite_or_negative_commit() {
+        let mut live = build(MechanismKind::Vanilla, 6.0);
+        let recorder = Arc::new(MemoryRecorder::default());
+        live.set_recorder(Arc::clone(&recorder) as Arc<dyn Recorder>);
+        assert!(live
+            .submit(AnalystId(1), &range_request(25, 50, 700.0))
+            .unwrap()
+            .is_answered());
+        let admission = recorder.admissions.lock().unwrap()[0].clone();
+        let damages: [fn(&mut CommitRecord); 5] = [
+            |c| c.new_entry = f64::NAN,
+            |c| c.new_entry = -1.0,
+            |c| c.charged = f64::NAN,
+            |c| c.charged = f64::INFINITY,
+            |c| c.charged = -0.5,
+        ];
+        for damage in damages {
+            let mut damaged = admission.clone();
+            damage(&mut damaged.commit);
+            let fresh = build(MechanismKind::Vanilla, 6.0);
+            let refused = fresh.replay_admission(&damaged);
+            assert!(is_incompatible_state(&refused), "{damaged:?}: {refused:?}");
+            assert_eq!(fresh.provenance().row_total(AnalystId(1)), 0.0);
+            assert_eq!(fresh.ledger().releases(), 0);
+        }
     }
 
     #[test]

@@ -37,7 +37,7 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, RwLock};
+use std::sync::RwLock;
 use std::time::Instant;
 
 use dprov_engine::database::Database;
@@ -101,11 +101,6 @@ pub struct ExecStats {
     pub shards_pruned: u64,
     /// Delta segments appended (one per (epoch, updated table) pair).
     pub segments_appended: u64,
-    /// Same-table groups offered to the installed [`RemoteScan`] provider
-    /// that it declined (or answered with the wrong arity) and the local
-    /// pass scanned instead. Zero on a healthy cluster and without a
-    /// provider.
-    pub remote_fallbacks: u64,
 }
 
 impl ExecStats {
@@ -131,30 +126,6 @@ pub struct EpochSegment {
     pub columns: Vec<Vec<u32>>,
     /// One signed weight per delta row (`+1` insert, `-1` delete).
     pub weights: Vec<f64>,
-}
-
-/// A remote shard-scan provider: a gateway installs one via
-/// [`ColumnarExecutor::set_remote_scan`] to fan same-table batches out to
-/// shard-owning executor nodes instead of scanning locally.
-///
-/// `scan_batch` receives the logical queries of one same-table group, the
-/// epoch the caller expects to scan, and the caller's shard count; it
-/// returns one merged [`PartialAggregate`] per query (in the given query
-/// order), or `None` to decline — the caller then falls back to the local
-/// pass. The hook is only consulted when **every** query in the group is
-/// inside the reassociation envelope
-/// ([`CompiledQuery::reassociation_exact`]), so a provider that folds each
-/// shard range sequentially and merges range partials in ascending shard
-/// order returns answers bit-identical to the local scan.
-pub trait RemoteScan: Send + Sync + std::fmt::Debug {
-    /// Answers one same-table batch remotely, or declines with `None`.
-    fn scan_batch(
-        &self,
-        table: &str,
-        epoch: u64,
-        shard_count: usize,
-        queries: &[Query],
-    ) -> Option<Vec<PartialAggregate>>;
 }
 
 /// Groups item indices by their table name, in first-appearance order
@@ -283,7 +254,6 @@ struct StatsCells {
     shards_visited: AtomicU64,
     shards_pruned: AtomicU64,
     segments_appended: AtomicU64,
-    remote_fallbacks: AtomicU64,
 }
 
 /// The columnar execution engine over one ingested database.
@@ -299,9 +269,6 @@ pub struct ColumnarExecutor {
     epoch: AtomicU64,
     /// Threads per table pass (≥ 1), runtime-adjustable.
     scan_threads: AtomicUsize,
-    /// Optional remote shard-scan provider (distributed fan-out); `None`
-    /// means every pass scans locally.
-    remote: RwLock<Option<Arc<dyn RemoteScan>>>,
     stats: StatsCells,
 }
 
@@ -329,7 +296,6 @@ impl ColumnarExecutor {
             schemas,
             epoch: AtomicU64::new(db.epoch()),
             scan_threads: AtomicUsize::new(config.scan_threads.max(1)),
-            remote: RwLock::new(None),
             stats: StatsCells::default(),
         }
     }
@@ -368,18 +334,6 @@ impl ColumnarExecutor {
     #[must_use]
     pub fn scan_threads(&self) -> usize {
         self.scan_threads.load(Ordering::SeqCst)
-    }
-
-    /// Installs (or, with `None`, removes) the remote shard-scan provider.
-    /// Takes effect on the next pass.
-    pub fn set_remote_scan(&self, remote: Option<Arc<dyn RemoteScan>>) {
-        *self.remote.write().expect("remote lock poisoned") = remote;
-    }
-
-    /// The installed remote shard-scan provider, if any.
-    #[must_use]
-    pub fn remote_scan(&self) -> Option<Arc<dyn RemoteScan>> {
-        self.remote.read().expect("remote lock poisoned").clone()
     }
 
     /// Heap bytes of all encoded column payloads across every table.
@@ -492,12 +446,6 @@ impl ColumnarExecutor {
         let mut visited = 0u64;
         let mut busy_ns = 0u64;
         for (name, members) in &groups {
-            if let Some(parts) = self.try_remote_scan(name, members, compiled)? {
-                for (&i, part) in members.iter().zip(parts) {
-                    partials[i] = part;
-                }
-                continue;
-            }
             self.with_table(name, |table| {
                 let (v, p, ns) = scan_table(compiled, members, table, threads, &mut partials);
                 visited += v;
@@ -648,106 +596,6 @@ impl ColumnarExecutor {
         Ok(Some((answers, busy_ns)))
     }
 
-    /// Offers one same-table group to the installed [`RemoteScan`]
-    /// provider. Returns `Ok(None)` when no provider is installed, when
-    /// any member is outside the reassociation envelope (remote
-    /// range-merge would not be provably bit-identical), or when the
-    /// provider declines — all of which fall back to the local pass; only
-    /// the last is counted in [`ExecStats::remote_fallbacks`].
-    fn try_remote_scan(
-        &self,
-        table: &str,
-        members: &[usize],
-        compiled: &[CompiledQuery],
-    ) -> Result<Option<Vec<PartialAggregate>>> {
-        let Some(remote) = self.remote_scan() else {
-            return Ok(None);
-        };
-        let (rows, shard_count) = self.with_table(table, |t| (t.num_rows(), t.shards().len()))?;
-        if shard_count == 0
-            || !members
-                .iter()
-                .all(|&i| compiled[i].reassociation_exact(rows))
-        {
-            return Ok(None);
-        }
-        let queries: Vec<Query> = members
-            .iter()
-            .map(|&i| compiled[i].source().clone())
-            .collect();
-        match remote.scan_batch(table, self.sealed_epoch(), shard_count, &queries) {
-            Some(parts) if parts.len() == queries.len() => Ok(Some(parts)),
-            _ => {
-                self.stats.remote_fallbacks.fetch_add(1, Ordering::Relaxed);
-                Ok(None)
-            }
-        }
-    }
-
-    /// Folds the queries over one contiguous shard range `[lo, hi)` of a
-    /// table — the executor-node side of the distributed fan-out. Every
-    /// query must be inside the reassociation envelope and `epoch` must
-    /// match this executor's sealed epoch (stale or future views are
-    /// refused rather than silently answered). Returns one partial per
-    /// query; a gateway that merges range partials in ascending `lo`
-    /// order reproduces the single-node answer bit-identically.
-    pub fn scan_shard_range(
-        &self,
-        table: &str,
-        epoch: u64,
-        lo: usize,
-        hi: usize,
-        queries: &[Query],
-    ) -> Result<Vec<PartialAggregate>> {
-        if epoch != self.sealed_epoch() {
-            return Err(EngineError::InvalidQuery(format!(
-                "shard scan at epoch {epoch} but executor is sealed at {}",
-                self.sealed_epoch()
-            )));
-        }
-        let compiled = queries
-            .iter()
-            .map(|q| {
-                if q.table != table {
-                    return Err(EngineError::InvalidQuery(format!(
-                        "shard scan over table {table:?} got a query on {:?}",
-                        q.table
-                    )));
-                }
-                self.compile(q)
-            })
-            .collect::<Result<Vec<_>>>()?;
-        self.with_table(table, |t| {
-            let shards = t.shards();
-            if lo > hi || hi > shards.len() {
-                return Err(EngineError::InvalidQuery(format!(
-                    "shard range {lo}..{hi} out of bounds for {} shards",
-                    shards.len()
-                )));
-            }
-            let rows = t.num_rows();
-            if let Some(bad) = compiled.iter().find(|c| !c.reassociation_exact(rows)) {
-                return Err(EngineError::InvalidQuery(format!(
-                    "query on {:?} is outside the reassociation envelope",
-                    bad.table()
-                )));
-            }
-            let mut partials = vec![PartialAggregate::default(); compiled.len()];
-            for shard in &shards[lo..hi] {
-                for (k, c) in compiled.iter().enumerate() {
-                    c.eval_shard(shard, &mut partials[k], true);
-                }
-            }
-            Ok(partials)
-        })?
-    }
-
-    /// The current shard count of a table (base shards plus all sealed
-    /// delta shards) — the quantity a gateway partitions into ranges.
-    pub fn shard_count(&self, table: &str) -> Result<usize> {
-        self.with_table(table, |t| t.shards().len())
-    }
-
     /// Materialises one histogram view (see
     /// [`Self::materialize_histograms`] for the shared-scan form).
     pub fn materialize_histogram(&self, view: &ViewDef) -> Result<Histogram> {
@@ -864,7 +712,6 @@ impl ColumnarExecutor {
             shards_visited: self.stats.shards_visited.load(Ordering::Relaxed),
             shards_pruned: self.stats.shards_pruned.load(Ordering::Relaxed),
             segments_appended: self.stats.segments_appended.load(Ordering::Relaxed),
-            remote_fallbacks: self.stats.remote_fallbacks.load(Ordering::Relaxed),
         }
     }
 
@@ -878,7 +725,6 @@ impl ColumnarExecutor {
         self.stats.shards_visited.store(0, Ordering::Relaxed);
         self.stats.shards_pruned.store(0, Ordering::Relaxed);
         self.stats.segments_appended.store(0, Ordering::Relaxed);
-        self.stats.remote_fallbacks.store(0, Ordering::Relaxed);
     }
 }
 

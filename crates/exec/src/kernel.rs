@@ -508,27 +508,12 @@ pub struct PartialAggregate {
 impl PartialAggregate {
     /// Adds another partial (a later shard run) onto this one. Exact —
     /// and therefore order-insensitive within a shard-ordered merge —
-    /// under the [`CompiledQuery::reassociation_exact`] envelope. Public
-    /// so a distributed gateway can merge per-node range partials in
-    /// shard order, exactly like the local per-thread run merge.
+    /// under the [`CompiledQuery::reassociation_exact`] envelope; the
+    /// parallel pass merges its per-thread run partials with it in shard
+    /// order.
     pub fn merge(&mut self, other: PartialAggregate) {
         self.count += other.count;
         self.sum += other.sum;
-    }
-
-    /// The raw `(count, sum)` parts — the wire representation a remote
-    /// executor ships back to the gateway.
-    #[must_use]
-    pub fn parts(&self) -> (f64, f64) {
-        (self.count, self.sum)
-    }
-
-    /// Rebuilds a partial from raw `(count, sum)` parts received over the
-    /// wire. The bits pass through unchanged, so a remote round trip is
-    /// exact.
-    #[must_use]
-    pub fn from_parts(count: f64, sum: f64) -> Self {
-        PartialAggregate { count, sum }
     }
 }
 
@@ -549,10 +534,6 @@ pub struct CompiledQuery {
     predicate: CompiledPredicate,
     aggregate: CompiledAggregate,
     gather: Option<GatherPlan>,
-    /// The query this plan was compiled from, retained so a distributed
-    /// gateway can re-ship the logical query to shard-owning executor
-    /// nodes (which compile it against their own identical schema).
-    source: Query,
 }
 
 impl CompiledQuery {
@@ -623,14 +604,7 @@ impl CompiledQuery {
             predicate,
             aggregate,
             gather,
-            source: query.clone(),
         })
-    }
-
-    /// The logical query this plan was compiled from.
-    #[must_use]
-    pub fn source(&self) -> &Query {
-        &self.source
     }
 
     /// The table the query scans.

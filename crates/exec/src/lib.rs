@@ -63,6 +63,6 @@ pub mod kernel;
 pub mod store;
 
 pub use encode::{ColumnEncoding, EncodedColumn, EncodingKind, PackedVec};
-pub use executor::{ColumnarExecutor, EpochSegment, ExecConfig, ExecStats, RemoteScan};
+pub use executor::{ColumnarExecutor, EpochSegment, ExecConfig, ExecStats};
 pub use kernel::{CompiledQuery, PartialAggregate};
 pub use store::{ColumnShard, ColumnarTable};

@@ -78,8 +78,6 @@ pub enum CounterId {
     /// Leader elections won across the replication group (terms in which
     /// some node collected a majority of votes).
     LeaderElections,
-    /// Executor nodes evicted by the orchestrator for missed heartbeats.
-    NodesEvicted,
     /// Accept-loop failures classified as transient (EMFILE-style resource
     /// exhaustion, aborted handshakes): the loop backs off and continues.
     AcceptTransientErrors,
@@ -106,7 +104,7 @@ pub enum CounterId {
 
 impl CounterId {
     /// Every counter, in catalog order.
-    pub const ALL: [CounterId; 22] = [
+    pub const ALL: [CounterId; 21] = [
         CounterId::FrontendConnections,
         CounterId::FrontendRequests,
         CounterId::QueriesAnswered,
@@ -120,7 +118,6 @@ impl CounterId {
         CounterId::RecoveredSessions,
         CounterId::BatchesExecuted,
         CounterId::LeaderElections,
-        CounterId::NodesEvicted,
         CounterId::AcceptTransientErrors,
         CounterId::AcceptFatalErrors,
         CounterId::IdleConnectionsReaped,
@@ -148,7 +145,6 @@ impl CounterId {
             CounterId::RecoveredSessions => "recovery.replayed_sessions",
             CounterId::BatchesExecuted => "batch.executed",
             CounterId::LeaderElections => "cluster.leader_elections",
-            CounterId::NodesEvicted => "cluster.evictions",
             CounterId::AcceptTransientErrors => "frontend.accept_transient_errors",
             CounterId::AcceptFatalErrors => "frontend.accept_fatal_errors",
             CounterId::IdleConnectionsReaped => "net.idle_reaped",

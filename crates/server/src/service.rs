@@ -1561,7 +1561,7 @@ impl QueryService {
         }
         snap.gauges
             .push(("queue.depth".to_owned(), stats.queued as f64));
-        let pulled: [(&str, u64); 15] = [
+        let pulled: [(&str, u64); 14] = [
             ("service.submitted", stats.submitted as u64),
             ("service.completed", stats.completed as u64),
             ("service.batches", stats.batches as u64),
@@ -1576,7 +1576,6 @@ impl QueryService {
             ("exec.shards_visited", exec.shards_visited),
             ("exec.shards_pruned", exec.shards_pruned),
             ("exec.segments_appended", exec.segments_appended),
-            ("exec.remote_fallbacks", exec.remote_fallbacks),
         ];
         snap.counters
             .extend(pulled.iter().map(|&(name, v)| (name.to_owned(), v)));

@@ -69,6 +69,20 @@ struct RunOutcome {
     tight: Budget,
 }
 
+/// The two spend records agree: per analyst, the privacy-loss ledger's
+/// epsilon equals the provenance row total up to float rounding.
+fn assert_ledger_matches_provenance(system: &DProvDb, label: &str) {
+    let (ledger, provenance) = (system.ledger(), system.provenance());
+    for a in 0..provenance.num_analysts() {
+        let row_total = provenance.row_total(AnalystId(a));
+        let loss = ledger.loss_to(AnalystId(a)).epsilon.value();
+        assert!(
+            (loss - row_total).abs() <= 1e-9 * row_total.max(1.0),
+            "{label}: analyst {a} ledger spend {loss} but provenance row total {row_total}"
+        );
+    }
+}
+
 /// Runs the workload against a system wired to `recorder`; submissions
 /// that die on the storage layer are tolerated (the process would log and
 /// carry on — or crash — either way nothing further is acknowledged).
@@ -82,6 +96,7 @@ fn run_workload(system: &mut DProvDb, recorder: &FailpointRecorder) -> RunOutcom
             Err(e) => panic!("unexpected error: {e}"),
         }
     }
+    assert_ledger_matches_provenance(system, "live");
     RunOutcome {
         acked,
         appends: recorder.attempts(),
@@ -117,6 +132,7 @@ fn assert_recovery_invariants(
     for admission in &recovered.admissions {
         fresh.replay_admission(admission).unwrap();
     }
+    assert_ledger_matches_provenance(&fresh, label);
 
     // Property 2: recovered spend never undercounts acknowledged spend.
     let provenance = fresh.provenance();

@@ -1,17 +1,13 @@
-//! Distributed deployment walk-through: a three-replica budget ledger, two
-//! executor nodes and a gateway in one process — then the ledger leader is
-//! killed mid-stream and nothing an analyst can observe changes.
+//! Replicated-ledger walk-through: a gateway fronting a three-replica
+//! budget ledger in one process — then the ledger leader is killed
+//! mid-stream and nothing an analyst can observe changes.
 //!
 //! The demo wires the `dprov-cluster` pieces around an ordinary `DProvDb`:
 //!
-//! 1. a **gateway** bundling a 3-replica replicated budget ledger (every
+//! 1. a **gateway** attaching a 3-replica replicated budget ledger: every
 //!    admission charge needs a majority ack before the answer is
-//!    released), an orchestrator tracking executor nodes, and the
-//!    distributed shard scan fanning micro-batch scans over the executors;
-//! 2. two **executor nodes** that ingest the same source table and answer
-//!    contiguous shard-range scans, merged in shard order — bit-identical
-//!    to a single-node scan by construction;
-//! 3. a **leader crash** halfway through the workload: the surviving
+//!    released;
+//! 2. a **leader crash** halfway through the workload: the surviving
 //!    majority elects a new leader inside the very next proposal's pump
 //!    loop, charges keep replicating, and every answer (noise bits
 //!    included) still matches a fault-free single-node oracle run.
@@ -25,9 +21,7 @@
 //! cargo run --release --example cluster_demo
 //! ```
 
-use std::sync::Arc;
-
-use dprovdb::cluster::{ExecutorNode, Gateway};
+use dprovdb::cluster::Gateway;
 use dprovdb::core::analyst::{AnalystId, AnalystRegistry};
 use dprovdb::core::config::SystemConfig;
 use dprovdb::core::mechanism::MechanismKind;
@@ -95,23 +89,14 @@ fn main() {
         }
     }
 
-    // ---- the distributed deployment ----
+    // ---- the replicated deployment ----
     let metrics = MetricsRegistry::new();
-    let mut gateway = Gateway::new(3, SEED, metrics.clone());
-
-    // Two executor nodes ingest the same source table and join the scan
-    // fan-out; the orchestrator tracks their capabilities and heartbeats.
-    let db = adult_database(5_000, 1);
-    for (id, name) in [(10, "exec-a"), (11, "exec-b")] {
-        let node = Arc::new(ExecutorNode::new(id, name, &db, 1));
-        gateway.add_executor(&node, node.clone());
-    }
-
+    let gateway = Gateway::new(3, SEED, metrics.clone());
     let mut system = build_system(SEED);
     gateway.attach(&mut system);
     let cluster = gateway.cluster();
     println!(
-        "gateway up: 3 ledger replicas (leader {:?}), 2 executor nodes registered",
+        "gateway up: 3 budget-ledger replicas (leader {:?})",
         cluster.lock().unwrap().leader()
     );
 
@@ -127,11 +112,6 @@ fn main() {
             println!("!! round {round}: ledger leader {leader} crashed (majority survives)");
         }
         for (a, rng) in rngs.iter_mut().enumerate() {
-            // Executors heartbeat between submissions; the orchestrator
-            // tick would evict a node that went silent past its deadline.
-            gateway.heartbeat(10);
-            gateway.heartbeat(11);
-            gateway.tick();
             let outcome = system
                 .submit_with_rng(AnalystId(a), &request(a, round), rng)
                 .unwrap();

@@ -43,11 +43,10 @@
 //!   workload templates with weights, a cost model over scan cost,
 //!   budget price and granularity, and a greedy set-cover view chooser
 //!   producing an explainable [`plan::planner::Plan`].
-//! * [`cluster`] — the distributed deployment: a majority-quorum
-//!   replicated budget ledger (simplified Raft over the storage WAL
-//!   records), the executor-node orchestrator with heartbeat/deadline
-//!   eviction, the gateway's deterministic shard fan-out, and the
-//!   in-process nemesis used by the partition/crash harness.
+//! * [`cluster`] — the replicated budget ledger: majority-quorum
+//!   replication (simplified Raft over the storage WAL records), the
+//!   gateway's replication gate, and the in-process nemesis used by the
+//!   partition/crash harness.
 //!
 //! See `examples/quickstart.rs` for an end-to-end walk-through,
 //! `examples/concurrent_service.rs` for the multi-analyst service,

@@ -116,12 +116,27 @@ impl Driver<'_> {
     }
 }
 
+/// The two spend records agree: per analyst, the privacy-loss ledger's
+/// epsilon equals the provenance row total up to float rounding.
+fn assert_ledger_matches_provenance(system: &DProvDb, label: &str) {
+    let (ledger, provenance) = (system.ledger(), system.provenance());
+    for a in 0..provenance.num_analysts() {
+        let row_total = provenance.row_total(AnalystId(a));
+        let loss = ledger.loss_to(AnalystId(a)).epsilon.value();
+        assert!(
+            (loss - row_total).abs() <= 1e-9 * row_total.max(1.0),
+            "{label}: analyst {a} ledger spend {loss} but provenance row total {row_total}"
+        );
+    }
+}
+
 fn trace_of(
     service: &QueryService,
     answers: Vec<(bool, u64, u64, u64)>,
     seals: Vec<(u64, usize, usize, usize)>,
 ) -> RunTrace {
     let system = service.system();
+    assert_ledger_matches_provenance(system, "end of run");
     let audits: Vec<u64> = [
         Query::count("adult"),
         Query::range_count("adult", "age", 25, 45),
@@ -190,6 +205,7 @@ fn interrupted(mechanism: MechanismKind, crash_at: usize) -> RunTrace {
         // Checkpoint so the synopsis cache (and with it bit-exact noise
         // *continuation*) survives — same contract as recovery_equivalence.
         service.checkpoint().unwrap();
+        assert_ledger_matches_provenance(service.system(), "before the crash");
         let sessions = driver.sessions;
         (answers, seals, sessions)
         // Dropped WITHOUT shutdown: the crash.

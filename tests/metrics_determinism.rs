@@ -359,20 +359,3 @@ fn cluster_metrics_are_inert_and_their_ids_are_pinned() {
         "replication-lag gauge present"
     );
 }
-
-#[test]
-fn eviction_counter_id_is_pinned_through_the_snapshot() {
-    use dprovdb::cluster::{NodeCaps, Orchestrator};
-    let metrics = MetricsRegistry::new();
-    let mut orch = Orchestrator::with_metrics(metrics.clone());
-    orch.register(
-        5,
-        NodeCaps {
-            name: "exec-5".into(),
-            scan_threads: 2,
-            deadline_ticks: 0,
-        },
-    );
-    assert_eq!(orch.tick(), vec![5]);
-    assert_eq!(metrics.snapshot().counter("cluster.evictions"), Some(1));
-}
