@@ -1501,8 +1501,8 @@ impl DProvDb {
 
     /// Re-enqueues one journalled update batch during recovery (no
     /// recorder echo — attach the recorder only after replay). Validates
-    /// the target table and row arity; cell values were validated before
-    /// the frame was written and are protected by its checksum.
+    /// the target table, the row arity and every cell's domain before the
+    /// batch becomes pending.
     pub fn replay_update(&self, batch: EncodedBatch) -> Result<()> {
         self.check_batches([&batch])?;
         self.lock_delta().replay_pending(batch);
@@ -1510,17 +1510,29 @@ impl DProvDb {
     }
 
     /// Checks that every journalled batch targets a known table with rows
-    /// of its arity.
+    /// of its arity whose every cell is an index inside its attribute's
+    /// domain. A cell past the domain would panic the seal that applies
+    /// it, or land in a neighbouring histogram bin.
     fn check_batches<'a>(&self, batches: impl IntoIterator<Item = &'a EncodedBatch>) -> Result<()> {
         let db = self.db.read().expect("db lock poisoned");
         for batch in batches {
             let table = db.table(&batch.table).map_err(CoreError::Engine)?;
-            let arity = table.schema().arity();
+            let attributes = table.schema().attributes();
             for row in batch.inserts.iter().chain(&batch.deletes) {
-                if row.len() != arity {
+                if row.len() != attributes.len() {
                     return Err(CoreError::Engine(EngineError::ArityMismatch {
-                        expected: arity,
+                        expected: attributes.len(),
                         found: row.len(),
+                    }));
+                }
+                if let Some((attr, cell)) = attributes
+                    .iter()
+                    .zip(row)
+                    .find(|(attr, &cell)| cell as usize >= attr.domain_size())
+                {
+                    return Err(CoreError::Engine(EngineError::ValueOutOfDomain {
+                        attribute: attr.name.clone(),
+                        value: format!("domain index {cell}"),
                     }));
                 }
             }
@@ -2795,6 +2807,68 @@ mod tests {
             assert!(is_incompatible_state(&refused), "{damaged:?}: {refused:?}");
             assert_eq!(fresh.provenance().row_total(AnalystId(1)), 0.0);
             assert_eq!(fresh.ledger().releases(), 0);
+        }
+    }
+
+    /// A live system's encoded insert of one adult row whose last cell is
+    /// set to the last attribute's domain size: one index past the domain.
+    fn out_of_domain_insert(live: &DProvDb) -> EncodedBatch {
+        live.apply_update(&adult_insert(&[30])).unwrap();
+        let mut batch = live.export_durable_state().deltas.pending[0].clone();
+        let db = live.db.read().unwrap();
+        let domain = db
+            .table("adult")
+            .unwrap()
+            .schema()
+            .attributes()
+            .last()
+            .unwrap()
+            .domain_size();
+        *batch.inserts[0].last_mut().unwrap() = domain as u32;
+        batch
+    }
+
+    fn is_out_of_domain(result: &Result<()>) -> bool {
+        matches!(
+            result,
+            Err(CoreError::Engine(EngineError::ValueOutOfDomain { .. }))
+        )
+    }
+
+    #[test]
+    fn replay_refuses_an_out_of_domain_update_cell() {
+        let live = build(MechanismKind::Vanilla, 6.0);
+        let damaged = out_of_domain_insert(&live);
+        let fresh = build(MechanismKind::Vanilla, 6.0);
+        let refused = fresh.replay_update(damaged);
+        assert!(is_out_of_domain(&refused), "{refused:?}");
+        assert_eq!(fresh.pending_updates(), 0);
+        // Nothing pending: the next seal is an empty epoch, not a panic.
+        assert_eq!(fresh.seal_epoch().unwrap().rows, 0);
+    }
+
+    #[test]
+    fn import_refuses_an_out_of_domain_update_cell() {
+        for sealed in [false, true] {
+            let live = build(MechanismKind::Vanilla, 6.0);
+            let damaged = out_of_domain_insert(&live);
+            if sealed {
+                live.seal_epoch().unwrap();
+            }
+            let mut state = live.export_durable_state();
+            let batches = if sealed {
+                &mut state.deltas.sealed[0].batches
+            } else {
+                &mut state.deltas.pending
+            };
+            batches[0] = damaged;
+
+            let fresh = build(MechanismKind::Vanilla, 6.0);
+            let before = fresh.export_durable_state();
+            let refused = fresh.import_durable_state(&state);
+            assert!(is_out_of_domain(&refused), "sealed {sealed}: {refused:?}");
+            assert_eq!(fresh.export_durable_state(), before, "nothing applied");
+            assert_eq!(fresh.seal_epoch().unwrap().rows, 0);
         }
     }
 

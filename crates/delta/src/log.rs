@@ -196,10 +196,12 @@ impl UpdateLog {
     /// enqueue — callers journal the returned batch durably first, then
     /// [`UpdateLog::push_pending`] it.
     ///
-    /// Delete validation scans the base table per delete row (`O(rows ×
-    /// arity)`), so delete-heavy ingest over very large tables pays a
-    /// linear check the `O(delta)` seal does not; a per-table multiset
-    /// index maintained at seals is the known follow-up.
+    /// Each delete first nets the copies the pending batches and this
+    /// batch's earlier rows supply, and probes the base table only for the
+    /// copies still missing, newest row first
+    /// ([`Table::has_encoded_rows`]). A delete of a recently inserted row
+    /// therefore costs the distance back to it; a delete of a setup-time
+    /// row, or one that is refused, costs one pass over the table.
     pub fn encode_batch(&self, db: &Database, batch: &UpdateBatch) -> Result<EncodedBatch> {
         if batch.is_empty() {
             return Err(DeltaError::EmptyBatch);
@@ -218,35 +220,19 @@ impl UpdateLog {
 
         // Multiplicity check: each delete must find a row in the logical
         // state formed by the base table, all pending batches, and the
-        // earlier rows of this batch.
-        let available = |row: &[u32]| -> Result<i64> {
-            let base = table.count_encoded_rows(row).map_err(DeltaError::Engine)? as i64;
-            let mut net = base;
-            for pending in self.pending.iter().filter(|b| b.table == batch.table) {
-                net += pending
-                    .inserts
-                    .iter()
-                    .filter(|r| r.as_slice() == row)
-                    .count() as i64;
-                net -= pending
-                    .deletes
-                    .iter()
-                    .filter(|r| r.as_slice() == row)
-                    .count() as i64;
-            }
-            Ok(net)
+        // earlier rows of this batch. The pending and earlier rows are
+        // netted first (inserts supply a copy, deletes consume one); the
+        // base table is probed only for the copies still missing.
+        let same = |rows: &[Vec<u32>], row: &[u32]| {
+            rows.iter().filter(|r| r.as_slice() == row).count() as i64
         };
         for (i, row) in deletes.iter().enumerate() {
-            let mut net = available(row)?;
-            net += inserts
-                .iter()
-                .filter(|r| r.as_slice() == row.as_slice())
-                .count() as i64;
-            net -= deletes[..i]
-                .iter()
-                .filter(|r| r.as_slice() == row.as_slice())
-                .count() as i64;
-            if net <= 0 {
+            let mut net = same(&inserts, row) - same(&deletes[..i], row);
+            for pending in self.pending.iter().filter(|b| b.table == batch.table) {
+                net += same(&pending.inserts, row) - same(&pending.deletes, row);
+            }
+            let need = 1 - net;
+            if need > 0 && !table.has_encoded_rows(row, need as usize)? {
                 return Err(DeltaError::MissingRow {
                     table: batch.table.clone(),
                     row: format!("{:?}", batch.deletes[i]),

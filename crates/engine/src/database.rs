@@ -12,7 +12,8 @@ use crate::{EngineError, Result};
 /// data subsystem (`dprov-delta`) mutates tables through
 /// [`Database::table_mut`] / [`crate::table::Table::apply_encoded_updates`]
 /// and advances the epoch once per sealed batch set, so every consumer can
-/// tag the state it answered against.
+/// tag the state it answered against. Tables are multisets: a delete
+/// removes the newest matching row, and no answer depends on row order.
 #[derive(Debug, Clone, Default)]
 pub struct Database {
     tables: BTreeMap<String, Table>,

@@ -51,12 +51,7 @@ impl Table {
     /// Inserts a row of decoded values; the arity and every value's domain
     /// membership are validated.
     pub fn insert_row(&mut self, values: &[Value]) -> Result<()> {
-        if values.len() != self.schema.arity() {
-            return Err(EngineError::ArityMismatch {
-                expected: self.schema.arity(),
-                found: values.len(),
-            });
-        }
+        self.check_arity(values.len())?;
         // Validate all cells before mutating any column so a failed insert
         // leaves the table untouched.
         let mut encoded = Vec::with_capacity(values.len());
@@ -73,12 +68,7 @@ impl Table {
     /// Intended for the synthetic data generators, which sample indices
     /// directly.
     pub fn insert_encoded_row(&mut self, indices: &[u32]) -> Result<()> {
-        if indices.len() != self.schema.arity() {
-            return Err(EngineError::ArityMismatch {
-                expected: self.schema.arity(),
-                found: indices.len(),
-            });
-        }
+        self.check_arity(indices.len())?;
         for ((col, &idx), attr) in self
             .columns
             .iter_mut()
@@ -91,60 +81,62 @@ impl Table {
         Ok(())
     }
 
-    /// Deletes the first row whose encoded cells equal `indices`, returning
-    /// `true` when a match was found and removed. Multiset semantics: each
-    /// call removes at most one occurrence. Rows after the match shift up
-    /// one position (the table is columnar; order of the *remaining* rows
-    /// is preserved).
+    /// Deletes the newest row whose encoded cells equal `indices`,
+    /// returning `true` when a match was found and removed. Multiset
+    /// semantics: each call removes at most one occurrence, and a table is
+    /// a multiset, so which copy goes changes no aggregate. The probe runs
+    /// from the last row backwards, so removing a recently inserted row
+    /// costs the distance back to it, not a pass over the table. The
+    /// remaining rows keep their relative order.
     pub fn delete_encoded_row(&mut self, indices: &[u32]) -> Result<bool> {
-        if indices.len() != self.schema.arity() {
-            return Err(EngineError::ArityMismatch {
-                expected: self.schema.arity(),
-                found: indices.len(),
-            });
+        self.check_arity(indices.len())?;
+        let Some(row) = self.matches_newest_first(indices).next() else {
+            return Ok(false);
+        };
+        for col in &mut self.columns {
+            col.remove(row);
         }
-        let rows = self.num_rows();
-        'rows: for row in 0..rows {
-            for (col, &want) in self.columns.iter().zip(indices) {
-                if col[row] != want {
-                    continue 'rows;
-                }
-            }
-            for col in &mut self.columns {
-                col.remove(row);
-            }
-            return Ok(true);
-        }
-        Ok(false)
+        Ok(true)
     }
 
-    /// Number of rows whose encoded cells equal `indices` (multiset
-    /// multiplicity — what update validation checks before accepting a
-    /// delete).
-    pub fn count_encoded_rows(&self, indices: &[u32]) -> Result<usize> {
-        if indices.len() != self.schema.arity() {
+    /// True when at least `at_least` rows have encoded cells equal to
+    /// `indices` (multiset multiplicity — what update validation checks
+    /// before accepting a delete). The probe runs from the last row
+    /// backwards and stops at the `at_least`-th match, so a row inserted
+    /// recently is found without scanning the whole table.
+    pub fn has_encoded_rows(&self, indices: &[u32], at_least: usize) -> Result<bool> {
+        self.check_arity(indices.len())?;
+        Ok(at_least == 0
+            || self
+                .matches_newest_first(indices)
+                .nth(at_least - 1)
+                .is_some())
+    }
+
+    fn check_arity(&self, found: usize) -> Result<()> {
+        if found != self.schema.arity() {
             return Err(EngineError::ArityMismatch {
                 expected: self.schema.arity(),
-                found: indices.len(),
+                found,
             });
         }
-        let rows = self.num_rows();
-        let mut hits = 0usize;
-        'rows: for row in 0..rows {
-            for (col, &want) in self.columns.iter().zip(indices) {
-                if col[row] != want {
-                    continue 'rows;
-                }
-            }
-            hits += 1;
-        }
-        Ok(hits)
+        Ok(())
+    }
+
+    /// Positions of the rows equal to `indices`, last row first.
+    fn matches_newest_first<'a>(&'a self, indices: &'a [u32]) -> impl Iterator<Item = usize> + 'a {
+        (0..self.num_rows()).rev().filter(move |&row| {
+            self.columns
+                .iter()
+                .zip(indices)
+                .all(|(col, &want)| col[row] == want)
+        })
     }
 
     /// Applies one update batch — encoded inserts appended in order, then
-    /// encoded deletes each removing one matching row. The mutable table
-    /// handle of the dynamic-data subsystem: `dprov-delta` seals epochs
-    /// through this after validating every row. Errors on an arity
+    /// encoded deletes each removing the newest matching row. The mutable
+    /// table handle of the dynamic-data subsystem: `dprov-delta` seals
+    /// epochs through this after validating every row. Errors on an arity
     /// mismatch; a delete with no matching row is reported in the returned
     /// count (callers that validated beforehand treat it as a bug).
     pub fn apply_encoded_updates(
@@ -272,19 +264,24 @@ mod tests {
             t.insert_row(&[Value::Int(age), Value::text(sex)]).unwrap();
         }
         let target = [13u32, 1]; // age 30, Male
-        assert_eq!(t.count_encoded_rows(&target).unwrap(), 2);
+        assert!(t.has_encoded_rows(&target, 2).unwrap());
+        assert!(!t.has_encoded_rows(&target, 3).unwrap());
         assert!(t.delete_encoded_row(&target).unwrap());
         assert_eq!(t.num_rows(), 3);
-        assert_eq!(t.count_encoded_rows(&target).unwrap(), 1);
-        // Remaining rows keep their relative order.
-        assert_eq!(t.row(0), vec![Value::Int(45), Value::text("Female")]);
-        assert_eq!(t.row(1), vec![Value::Int(30), Value::text("Male")]);
+        assert!(t.has_encoded_rows(&target, 1).unwrap());
+        assert!(!t.has_encoded_rows(&target, 2).unwrap());
+        // The newest copy (row 2) went; the rest keep their relative order.
+        assert_eq!(t.row(0), vec![Value::Int(30), Value::text("Male")]);
+        assert_eq!(t.row(1), vec![Value::Int(45), Value::text("Female")]);
         assert_eq!(t.row(2), vec![Value::Int(50), Value::text("Male")]);
         // Deleting a row that is not present reports false, mutates nothing.
         assert!(!t.delete_encoded_row(&[0, 0]).unwrap());
+        assert!(!t.has_encoded_rows(&[0, 0], 1).unwrap());
+        assert!(t.has_encoded_rows(&[0, 0], 0).unwrap());
         assert_eq!(t.num_rows(), 3);
         assert!(t.delete_encoded_row(&[0]).is_err());
-        assert!(t.count_encoded_rows(&[0]).is_err());
+        assert!(t.has_encoded_rows(&[0], 1).is_err());
+        assert!(t.has_encoded_rows(&[0], 0).is_err());
     }
 
     #[test]
