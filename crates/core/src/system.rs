@@ -34,6 +34,8 @@
 //! The original single-threaded API ([`DProvDb::submit`] on `&mut self`)
 //! is preserved and forwards to the shared path with an internal RNG.
 
+use std::collections::HashMap;
+use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, RwLock};
 use std::time::{Duration, Instant};
@@ -164,7 +166,7 @@ pub struct DProvDb {
     /// proves it).
     metrics: MetricsRegistry,
     /// Dense view index (catalog order) for the budget-gauge matrix.
-    view_index: std::collections::HashMap<String, usize>,
+    view_index: HashMap<String, usize>,
 }
 
 /// A guard holding the commit pipeline frozen (see
@@ -199,6 +201,34 @@ struct ResolvedRequest {
     /// resolution calibrated for it, so the release does not calibrate
     /// it again.
     requested: Option<AnalyticGaussian>,
+}
+
+/// The accuracy→ε searches one grouped request has run, keyed by their
+/// exact input bits. `delta`, the table budget and the translation
+/// precision are fixed per system, so each search is a pure function of
+/// its key: a repeat reuses the first result bit for bit and runs (and
+/// counts) nothing. Scalar requests pass none: they run each search at
+/// most once anyway.
+#[derive(Default)]
+struct TranslationMemo {
+    /// Vanilla search (Def. 9): `(per-bin target, sensitivity)` → the
+    /// mechanism it calibrated, or the refusal.
+    vanilla: HashMap<(u64, u64), std::result::Result<AnalyticGaussian, RejectReason>>,
+    /// Friction-aware search (Eq. 3): `(per-bin target, global variance,
+    /// sensitivity)` → the growth epsilon, or the refusal.
+    friction: HashMap<(u64, u64, u64), std::result::Result<f64, RejectReason>>,
+}
+
+/// Runs `search` unless `memo` already holds its result for `key`.
+fn memoised<K: Hash + Eq, V: Clone>(
+    memo: Option<&mut HashMap<K, V>>,
+    key: K,
+    search: impl FnOnce() -> V,
+) -> V {
+    match memo {
+        Some(memo) => memo.entry(key).or_insert_with(search).clone(),
+        None => search(),
+    }
 }
 
 impl DProvDb {
@@ -718,22 +748,61 @@ impl DProvDb {
 
     /// Translates a per-bin variance target into the minimal epsilon, using
     /// the table constraint as the search range (Definition 9), and returns
-    /// the mechanism the search calibrated there.
+    /// the mechanism the search calibrated there. With a memo, runs once
+    /// per distinct key.
     fn translate_vanilla(
         &self,
         per_bin_target: f64,
         sensitivity: Sensitivity,
+        memo: Option<&mut TranslationMemo>,
     ) -> std::result::Result<AnalyticGaussian, RejectReason> {
-        self.metrics.incr(CounterId::Translations);
-        translate_variance_to_epsilon(
-            per_bin_target,
-            self.config.delta,
-            sensitivity,
-            self.config.total_epsilon,
-            self.config.translation_precision,
-        )
-        .map(|t| t.mechanism)
-        .map_err(|_| RejectReason::AccuracyUnreachable)
+        let key = (per_bin_target.to_bits(), sensitivity.value().to_bits());
+        memoised(memo.map(|m| &mut m.vanilla), key, || {
+            self.metrics.incr(CounterId::Translations);
+            translate_variance_to_epsilon(
+                per_bin_target,
+                self.config.delta,
+                sensitivity,
+                self.config.total_epsilon,
+                self.config.translation_precision,
+            )
+            .map(|t| t.mechanism)
+            .map_err(|_| RejectReason::AccuracyUnreachable)
+        })
+    }
+
+    /// Friction-aware translation (Eq. 3): the epsilon by which a global
+    /// synopsis of per-bin variance `global_variance` must grow to reach
+    /// `per_bin_target`. The delta synopsis may be noisier than the
+    /// request because it will be combined with the existing one. With a
+    /// memo, runs once per distinct key.
+    fn translate_friction(
+        &self,
+        per_bin_target: f64,
+        global_variance: f64,
+        sensitivity: Sensitivity,
+        memo: Option<&mut TranslationMemo>,
+    ) -> std::result::Result<f64, RejectReason> {
+        let key = (
+            per_bin_target.to_bits(),
+            global_variance.to_bits(),
+            sensitivity.value().to_bits(),
+        );
+        memoised(memo.map(|m| &mut m.friction), key, || {
+            self.metrics.incr(CounterId::Translations);
+            FrictionAwareTranslation::new(
+                self.config.delta,
+                sensitivity,
+                self.config.translation_precision,
+            )
+            .translate(
+                per_bin_target,
+                Some(global_variance),
+                self.config.total_epsilon,
+            )
+            .map(|t| t.epsilon.value())
+            .map_err(|_| RejectReason::AccuracyUnreachable)
+        })
     }
 
     /// Persists one admission record — the charge plus the data access it
@@ -811,19 +880,21 @@ impl DProvDb {
             Ok(r) => r,
             Err(reason) => return Ok(QueryOutcome::Rejected { reason }),
         };
-        self.admit_vanilla(analyst, resolved, rng)
+        self.admit_vanilla(analyst, resolved, rng, None)
     }
 
     /// The post-resolve tail of Algorithm 2: cache probe, translation,
     /// check-and-reserve, release. Everything that spends budget or draws
     /// noise lives here; the grouped path calls it once per group cell
-    /// with resolutions from [`Self::resolve_grouped`], so a grouped
-    /// answer is bit-identical to per-group scalar submissions.
+    /// with resolutions from [`Self::resolve_grouped`] and one shared
+    /// `memo`, so a grouped answer is bit-identical to per-group scalar
+    /// submissions (which pass no memo).
     fn admit_vanilla(
         &self,
         analyst: AnalystId,
         resolved: ResolvedRequest,
         rng: &mut DpRng,
+        memo: Option<&mut TranslationMemo>,
     ) -> Result<QueryOutcome> {
         // Serialise competing submissions for this provenance entry: the
         // second of two identical queries waits here and is then answered
@@ -837,7 +908,7 @@ impl DProvDb {
         let sensitivity = resolved.view.sensitivity();
         let release = match resolved.requested {
             Some(requested) => requested,
-            None => match self.translate_vanilla(resolved.per_bin_target, sensitivity) {
+            None => match self.translate_vanilla(resolved.per_bin_target, sensitivity, memo) {
                 Ok(translated) => translated,
                 Err(reason) => return Ok(QueryOutcome::Rejected { reason }),
             },
@@ -938,7 +1009,7 @@ impl DProvDb {
             Ok(r) => r,
             Err(reason) => return Ok(QueryOutcome::Rejected { reason }),
         };
-        self.admit_additive(analyst, resolved, rng)
+        self.admit_additive(analyst, resolved, rng, None)
     }
 
     /// The post-resolve tail of Algorithm 4 (see [`Self::admit_vanilla`]
@@ -948,6 +1019,7 @@ impl DProvDb {
         analyst: AnalystId,
         resolved: ResolvedRequest,
         rng: &mut DpRng,
+        mut memo: Option<&mut TranslationMemo>,
     ) -> Result<QueryOutcome> {
         let _entry = self.admission.lock_entry(analyst.0, &resolved.view.name);
 
@@ -981,7 +1053,11 @@ impl DProvDb {
                 (global_target, eps_req, requested)
             }
             None => {
-                let nominal = match self.translate_vanilla(resolved.per_bin_target, sensitivity) {
+                let nominal = match self.translate_vanilla(
+                    resolved.per_bin_target,
+                    sensitivity,
+                    memo.as_deref_mut(),
+                ) {
                     Ok(translated) => translated,
                     Err(reason) => return Ok(QueryOutcome::Rejected { reason }),
                 };
@@ -989,29 +1065,15 @@ impl DProvDb {
                 let global_target = match (current_global_eps, current_global_var) {
                     (None, _) => local_nominal,
                     (Some(eps_g), Some(v_g)) if v_g <= resolved.per_bin_target => eps_g,
-                    (Some(eps_g), Some(v_g)) => {
-                        // Friction-aware translation (Eq. 3): the delta
-                        // synopsis may be noisier than the request because
-                        // it will be combined with the existing one.
-                        self.metrics.incr(CounterId::Translations);
-                        let translator = FrictionAwareTranslation::new(
-                            self.config.delta,
-                            sensitivity,
-                            self.config.translation_precision,
-                        );
-                        match translator.translate(
-                            resolved.per_bin_target,
-                            Some(v_g),
-                            self.config.total_epsilon,
-                        ) {
-                            Ok(t) => eps_g + t.epsilon.value(),
-                            Err(_) => {
-                                return Ok(QueryOutcome::Rejected {
-                                    reason: RejectReason::AccuracyUnreachable,
-                                })
-                            }
-                        }
-                    }
+                    (Some(eps_g), Some(v_g)) => match self.translate_friction(
+                        resolved.per_bin_target,
+                        v_g,
+                        sensitivity,
+                        memo,
+                    ) {
+                        Ok(growth) => eps_g + growth,
+                        Err(reason) => return Ok(QueryOutcome::Rejected { reason }),
+                    },
                     (Some(eps_g), None) => eps_g.max(local_nominal),
                 };
                 (global_target, local_nominal.min(global_target), nominal)
@@ -1154,14 +1216,18 @@ impl DProvDb {
     /// provenance path.
     ///
     /// **Oracle equivalence.** Answers, noise draws, budget charges and
-    /// runtime counters are bit-identical to submitting the per-group
-    /// scalar queries ([`GroupByQuery::scalar_queries`]) one by one via
+    /// runtime stats are bit-identical to submitting the per-group scalar
+    /// queries ([`GroupByQuery::scalar_queries`]) one by one via
     /// [`Self::submit_with_rng`] with the same RNG: resolution walks the
     /// selected view's histogram once and replays the exact per-group
     /// coefficient lists `transform` would build, and each cell then runs
-    /// the same `admit_*` tail the scalar path runs. The whole grouped
-    /// answer executes under **one** epoch-gate acquisition, so it never
-    /// straddles an update epoch.
+    /// the same `admit_*` tail the scalar path runs. The one difference is
+    /// DP arithmetic: the cells share one translation memo, so a search
+    /// whose exact inputs an earlier cell already searched reuses that
+    /// result instead of running again, and the `dp.translations` counter
+    /// is at most the oracle's. The whole grouped answer executes under
+    /// **one** epoch-gate acquisition, so it never straddles an update
+    /// epoch.
     ///
     /// Structurally invalid grouped queries (unknown table, unknown or
     /// duplicate grouping attribute — cases where the oracle could not
@@ -1177,6 +1243,7 @@ impl DProvDb {
         let _epoch_gate = self.epoch_gate.read().expect("epoch gate poisoned");
         let group_start = Instant::now();
         let (keys, cells) = self.resolve_grouped(request)?;
+        let mut memo = TranslationMemo::default();
         let mut outcomes = Vec::with_capacity(cells.len());
         let mut released = 0u64;
         for cell in cells {
@@ -1184,8 +1251,12 @@ impl DProvDb {
             let outcome = match cell {
                 Err(reason) => Ok(QueryOutcome::Rejected { reason }),
                 Ok(resolved) => match self.mechanism {
-                    MechanismKind::Vanilla => self.admit_vanilla(analyst, resolved, rng),
-                    MechanismKind::AdditiveGaussian => self.admit_additive(analyst, resolved, rng),
+                    MechanismKind::Vanilla => {
+                        self.admit_vanilla(analyst, resolved, rng, Some(&mut memo))
+                    }
+                    MechanismKind::AdditiveGaussian => {
+                        self.admit_additive(analyst, resolved, rng, Some(&mut memo))
+                    }
                 },
             };
             self.observe_outcome(analyst, &outcome, start.elapsed());
@@ -1890,6 +1961,50 @@ mod tests {
             .unwrap();
         assert_eq!(outcome.keys.len(), 2);
         assert!(outcome.outcomes.iter().all(QueryOutcome::is_answered));
+    }
+
+    #[test]
+    fn a_translation_memo_reuses_only_a_search_with_the_same_inputs() {
+        let system = build(MechanismKind::AdditiveGaussian, 8.0);
+        let translations = || {
+            system
+                .metrics()
+                .snapshot()
+                .counter("dp.translations")
+                .unwrap()
+        };
+        let vanilla_bits = |r: std::result::Result<AnalyticGaussian, RejectReason>| {
+            r.map(|m| (m.budget().epsilon.value().to_bits(), m.sigma().to_bits()))
+        };
+        // The last target is out of reach: a refusal is remembered too.
+        let targets = [7.0, 150.0, 1e-9];
+        let mut memo = TranslationMemo::default();
+        // Pass 0 searches every input once; pass 1 must reuse each result,
+        // and every memoised result must equal a fresh search's bits.
+        for pass in 0..2 {
+            for sensitivity in [Sensitivity::histogram_bounded(), Sensitivity::COUNT] {
+                for target in targets {
+                    let before = translations();
+                    let fresh = system.translate_vanilla(target, sensitivity, None);
+                    let memoised = system.translate_vanilla(target, sensitivity, Some(&mut memo));
+                    assert_eq!(vanilla_bits(memoised), vanilla_bits(fresh), "{target}");
+                    assert_eq!(translations() - before, 2 - pass, "vanilla {target}");
+
+                    for global in [1_000.0, 400.0] {
+                        let before = translations();
+                        let fresh = system.translate_friction(target, global, sensitivity, None);
+                        let memoised =
+                            system.translate_friction(target, global, sensitivity, Some(&mut memo));
+                        assert_eq!(
+                            memoised.map(f64::to_bits),
+                            fresh.map(f64::to_bits),
+                            "{target} against {global}"
+                        );
+                        assert_eq!(translations() - before, 2 - pass, "friction {target}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

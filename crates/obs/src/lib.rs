@@ -95,7 +95,8 @@ pub enum CounterId {
     /// Workload plans computed by the planner.
     PlansComputed,
     /// Accuracy→epsilon translations the core ran (vanilla and
-    /// friction-aware searches alike; a cache hit runs none).
+    /// friction-aware searches alike; a cache hit runs none). The cells of
+    /// one grouped request run each distinct search once.
     Translations,
     /// Noise-scale calibrations the core ran outside a translation (a
     /// request calibrates each distinct epsilon once).

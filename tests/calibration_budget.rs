@@ -10,8 +10,10 @@
 //!   and that mechanism travels into the release — the additive mechanism
 //!   calibrates again only for the *different* epsilon of a global growth;
 //! * the cells of a privacy-mode grouped request share the resolution's
-//!   calibration; an accuracy-mode cell still translates by itself, with
-//!   the same search a scalar request runs.
+//!   calibration; the cells of an accuracy-mode grouped request run the
+//!   search a scalar request runs, once per distinct input: cells with
+//!   one shared target translate once (twice with the friction-aware
+//!   search), cells with different targets translate separately.
 //!
 //! Also here: the configured translation precision reaches both searches,
 //! and the two configurations that used to panic the first accuracy-mode
@@ -199,7 +201,8 @@ fn grouped_cells_share_the_calibration() {
         assert_eq!((translations, calibrations), (0, 1), "{mechanism}: privacy");
 
         // Accuracy mode, every cell refused on the analyst's constraint:
-        // one translation per cell and nothing else.
+        // the cells share one target, so one translation for the whole
+        // request and nothing else.
         let system = build(mechanism, 2.0);
         let request = GroupedRequest::with_accuracy(query.clone(), 30.0);
         let (grouped, translations, calibrations) = counted(&system, || {
@@ -207,19 +210,54 @@ fn grouped_cells_share_the_calibration() {
                 .answer_group_by_with_rng(EXTERNAL, &request, &mut rng)
                 .unwrap()
         });
-        assert!(grouped.outcomes.iter().all(|o| matches!(
-            o,
-            QueryOutcome::Rejected {
-                reason: RejectReason::AnalystConstraint { .. }
-            }
-        )));
-        let cells = grouped.outcomes.len() as u64;
-        assert_eq!(
-            (translations, calibrations),
-            (cells, 0),
-            "{mechanism}: refused"
-        );
+        assert!(grouped.outcomes.len() > 1);
+        assert!(grouped
+            .outcomes
+            .iter()
+            .all(is_refused_by_the_row_constraint));
+        assert_eq!((translations, calibrations), (1, 0), "{mechanism}: refused");
     }
+}
+
+#[test]
+fn grouped_cells_refused_after_a_friction_aware_search_share_both_searches() {
+    let system = build(MechanismKind::AdditiveGaussian, 8.0);
+    // A loose global synopsis on the grouped view (per-bin variance
+    // 2 000 / 16 = 125) ...
+    submit(
+        &system,
+        INTERNAL,
+        &QueryRequest::with_accuracy(Query::range_count("adult", "education_num", 1, 16), 2_000.0),
+    );
+    // ... too noisy for every one-bin cell of this request, whose local
+    // share exceeds the external analyst's row constraint of 2.
+    let query = GroupByQuery::count("adult", &["education_num"]);
+    let request = GroupedRequest::with_accuracy(query, 5.0);
+    let mut rng = DpRng::seed_from_u64(3);
+    let (grouped, translations, calibrations) = counted(&system, || {
+        system
+            .answer_group_by_with_rng(EXTERNAL, &request, &mut rng)
+            .unwrap()
+    });
+    assert_eq!(grouped.outcomes.len(), 16);
+    assert!(grouped
+        .outcomes
+        .iter()
+        .all(is_refused_by_the_row_constraint));
+    assert_eq!(
+        (translations, calibrations),
+        (2, 0),
+        "one vanilla + one friction-aware search for the whole request"
+    );
+}
+
+fn is_refused_by_the_row_constraint(outcome: &QueryOutcome) -> bool {
+    matches!(
+        outcome,
+        QueryOutcome::Rejected {
+            reason: RejectReason::AnalystConstraint { .. }
+        }
+    )
 }
 
 #[test]
