@@ -63,9 +63,20 @@ impl AdmissionControl {
     /// only for baselines that bypass the catalog) fall back to the first
     /// stripe of the analyst's row.
     pub fn lock_entry(&self, analyst: usize, view: &str) -> MutexGuard<'_, ()> {
+        self.entry(analyst, view)
+            .lock()
+            .expect("entry lock poisoned")
+    }
+
+    /// [`Self::lock_entry`] without waiting: `None` while another
+    /// submission holds the entry (it may be mid-translation or mid-append).
+    pub fn try_lock_entry(&self, analyst: usize, view: &str) -> Option<MutexGuard<'_, ()>> {
+        self.entry(analyst, view).try_lock().ok()
+    }
+
+    fn entry(&self, analyst: usize, view: &str) -> &Mutex<()> {
         let v = self.view_index.get(view).copied().unwrap_or(0);
-        let idx = analyst * self.num_views + v;
-        self.entry_locks[idx].lock().expect("entry lock poisoned")
+        &self.entry_locks[analyst * self.num_views + v]
     }
 
     /// Acquires the per-view lock serialising global-synopsis growth.
@@ -122,6 +133,16 @@ mod tests {
             h.join().unwrap();
         }
         assert_eq!(*counter.lock().unwrap(), 800);
+    }
+
+    #[test]
+    fn try_lock_entry_refuses_a_held_entry_without_waiting() {
+        let ac = AdmissionControl::new(1, &views(2));
+        let held = ac.lock_entry(0, "v0");
+        assert!(ac.try_lock_entry(0, "v0").is_none());
+        assert!(ac.try_lock_entry(0, "v1").is_some());
+        drop(held);
+        assert!(ac.try_lock_entry(0, "v0").is_some());
     }
 
     #[test]

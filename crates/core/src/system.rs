@@ -607,12 +607,53 @@ impl DProvDb {
             MechanismKind::Vanilla => self.submit_vanilla(analyst, request, rng),
             MechanismKind::AdditiveGaussian => self.submit_additive(analyst, request, rng),
         };
-        let elapsed = start.elapsed();
-        self.observe_outcome(analyst, &outcome, elapsed);
+        self.observe_submission(analyst, &outcome, start.elapsed());
+        outcome
+    }
+
+    /// Answers an accuracy-mode request from the analyst's cached
+    /// (analyst, view) synopsis, if it already meets the target — the
+    /// cache-hit branch of Algorithms 2 and 4 as a probe that never blocks
+    /// and never draws noise. Returns `None` instead of waiting on the
+    /// epoch gate or the entry lock, for privacy mode (its resolve
+    /// calibrates), for a request `resolve` refuses and for a miss; those
+    /// leave no trace in the stats. A hit is recorded exactly as
+    /// [`Self::submit_with_rng`] records one, and its answer is the one
+    /// that call would return.
+    pub fn answer_from_cache(
+        &self,
+        analyst: AnalystId,
+        request: &QueryRequest,
+    ) -> Option<QueryOutcome> {
+        if !matches!(request.mode, SubmissionMode::Accuracy { .. }) {
+            return None;
+        }
+        self.registry.get(analyst).ok()?;
+        // While the gate is held no seal holds the db write lock, so
+        // `resolve`'s db read cannot wait either.
+        let _epoch_gate = self.epoch_gate.try_read().ok()?;
+        let start = Instant::now();
+        let resolved = self.resolve(request).ok()?;
+        let _entry = self
+            .admission
+            .try_lock_entry(analyst.0, &resolved.view.name)?;
+        let outcome = Ok(QueryOutcome::Answered(self.try_cache(analyst, &resolved)?));
+        self.observe_submission(analyst, &outcome, start.elapsed());
+        outcome.ok()
+    }
+
+    /// The per-submission observations of a scalar request: its outcome
+    /// plus its `query.execute_ns` sample.
+    fn observe_submission(
+        &self,
+        analyst: AnalystId,
+        outcome: &Result<QueryOutcome>,
+        elapsed: Duration,
+    ) {
+        self.observe_outcome(analyst, outcome, elapsed);
         if self.metrics.is_enabled() {
             self.metrics.observe_duration(HistId::Execute, elapsed);
         }
-        outcome
     }
 
     /// Folds one per-query outcome into the runtime stats and the
@@ -2040,6 +2081,70 @@ mod tests {
             assert_eq!(second.epsilon_charged, 0.0);
             assert_eq!(system.cumulative_epsilon(), consumed_after_first);
             assert_eq!(system.stats().cache_hits, 1);
+        }
+    }
+
+    #[test]
+    fn answer_from_cache_is_the_submitted_hit_and_never_waits() {
+        for mech in [MechanismKind::Vanilla, MechanismKind::AdditiveGaussian] {
+            let (probed, submitted) = (build(mech, 4.0), build(mech, 4.0));
+            let analyst = AnalystId(1);
+            let request = range_request(30, 39, 400.0);
+            assert!(probed.answer_from_cache(analyst, &request).is_none());
+            for system in [&probed, &submitted] {
+                system.submit_shared(analyst, &request).unwrap();
+            }
+            let hit = probed.answer_from_cache(analyst, &request).unwrap();
+            let oracle = submitted.submit_shared(analyst, &request).unwrap();
+            let (hit, oracle) = (hit.answered().unwrap(), oracle.answered().unwrap());
+            assert!(hit.from_cache && oracle.from_cache, "{mech}");
+            assert_eq!(hit.value.to_bits(), oracle.value.to_bits(), "{mech}");
+            assert_eq!(
+                hit.noise_variance.to_bits(),
+                oracle.noise_variance.to_bits()
+            );
+            assert_eq!((hit.epsilon_charged, hit.epoch), (0.0, oracle.epoch));
+
+            // Everything else returns `None` and records nothing.
+            let mut stricter = range_request(30, 39, 1.0);
+            let unanswerable = QueryRequest::with_accuracy(
+                Query::range_count("adult", "no_such_attribute", 0, 1),
+                400.0,
+            );
+            let privacy = QueryRequest::with_privacy(request.query.clone(), 0.5);
+            let view = hit.view.clone().unwrap();
+            {
+                let _entry = probed.admission.lock_entry(analyst.0, &view);
+                assert!(probed.answer_from_cache(analyst, &request).is_none());
+            }
+            {
+                let _seal = probed.epoch_gate.write().unwrap();
+                assert!(probed.answer_from_cache(analyst, &request).is_none());
+            }
+            for refused in [&stricter, &unanswerable, &privacy] {
+                assert!(probed.answer_from_cache(analyst, refused).is_none());
+            }
+            assert!(probed.answer_from_cache(AnalystId(9), &request).is_none());
+            stricter.mode = SubmissionMode::Accuracy { variance: 400.0 };
+            assert!(probed.answer_from_cache(analyst, &stricter).is_some());
+
+            // The probe's two hits count exactly as the oracle's two.
+            submitted.submit_shared(analyst, &request).unwrap();
+            let (p, s) = (probed.stats(), submitted.stats());
+            assert_eq!((p.answered, p.cache_hits, p.rejected), (3, 2, 0), "{mech}");
+            assert_eq!((s.answered, s.cache_hits, s.rejected), (3, 2, 0), "{mech}");
+            let (p, s) = (probed.metrics().snapshot(), submitted.metrics().snapshot());
+            for counter in [
+                "query.answered",
+                "synopsis.cache_hits",
+                "synopsis.cache_misses",
+            ] {
+                assert_eq!(p.counter(counter), s.counter(counter), "{mech}: {counter}");
+            }
+            let executed = |snap: &dprov_obs::MetricsSnapshot| {
+                snap.histogram("query.execute_ns").unwrap().count
+            };
+            assert_eq!(executed(&p), executed(&s), "{mech}");
         }
     }
 

@@ -7,7 +7,10 @@
 //! and deals accepted sockets out round-robin. Every connection lives on
 //! exactly one loop — its state is plain owned data, never locked — and
 //! worker-pool completions find their way home through the owning loop's
-//! mailbox plus a waker nudge.
+//! mailbox plus a waker nudge. A provable cache hit never leaves the loop:
+//! `process_frames` offers every submission to
+//! [`QueryService::try_answer_inline`] first and writes its reply
+//! directly, and only what that refuses is dispatched to the pool.
 
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, Read, Write};
@@ -579,6 +582,9 @@ impl LoopCore {
                             request_id,
                             scope,
                         } => {
+                            if self.answer_inline(conn, session, &work, request_id, scope) {
+                                continue;
+                            }
                             let on_done = self.make_callback(token, conn.lane, request_id, scope);
                             self.dispatch(
                                 conn,
@@ -661,6 +667,35 @@ impl LoopCore {
         if conn.stalled_output && conn.out_bytes < self.frontend.config.output_hwm / 2 {
             conn.stalled_output = false;
         }
+        true
+    }
+
+    /// Writes the reply to a provable cache hit answered on this thread
+    /// (see [`QueryService::try_answer_inline`]); `false` leaves the
+    /// submission to [`Self::dispatch`].
+    fn answer_inline(
+        &mut self,
+        conn: &mut Conn,
+        session: SessionId,
+        work: &Work,
+        request_id: u64,
+        scope: Option<u64>,
+    ) -> bool {
+        let Some(reply) =
+            self.frontend.service.upgrade().and_then(|service| {
+                service.try_answer_inline(session, work, request_id, conn.lane)
+            })
+        else {
+            return false;
+        };
+        let reply = encode_reply(
+            &self.frontend.metrics,
+            conn.lane,
+            request_id,
+            scope,
+            &reply_to_protocol(Ok(reply)),
+        );
+        self.push_out(conn, reply);
         true
     }
 

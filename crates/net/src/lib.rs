@@ -17,6 +17,16 @@
 //! transport, asserting bit-identical answers, noise streams and budget
 //! charges.
 //!
+//! **Cache hits never leave the loop.** Every submission is first offered
+//! to [`dprov_server::QueryService::try_answer_inline`]: a provable cache
+//! hit (scalar, accuracy mode, idle session with durable draws, a cached
+//! synopsis that already meets the target) is answered and encoded on the
+//! loop thread, skipping the queue, the worker wake-up and the completion
+//! mailbox. The probe only *tries* its locks and never touches the store,
+//! so a loop thread still never blocks; everything it refuses is
+//! dispatched to the worker pool as below. The in-process frontend always
+//! queues, which keeps it a differential oracle for this path too.
+//!
 //! **Backpressure end to end.** The worker pool's bounded queue blocks a
 //! blocking submitter. Here nothing may block, so the loop converts queue
 //! pressure into socket pressure instead:

@@ -8,6 +8,7 @@
 //! Float fields are compared through their IEEE bit patterns
 //! (`f64::to_bits`), so "identical" means identical, not "close".
 
+use std::path::Path;
 use std::sync::Arc;
 
 use dprov_api::{Connection, DProvClient, MuxConnection, RequestId};
@@ -21,12 +22,26 @@ use dprov_engine::datagen::adult::adult_database;
 use dprov_engine::group::GroupByQuery;
 use dprov_engine::query::Query;
 use dprov_net::listen;
-use dprov_server::{Frontend, QueryService, ServiceConfig};
+use dprov_server::{DurabilityConfig, Frontend, QueryService, ServiceConfig};
 
 /// Opens one more connection to the service under test.
 type Dial<'a> = &'a dyn Fn() -> Connection;
 
 fn service(queue_capacity: usize) -> Arc<QueryService> {
+    Arc::new(QueryService::start(
+        Arc::new(system()),
+        config(queue_capacity),
+    ))
+}
+
+/// A durable service over a fresh store in `dir`.
+fn durable_service(dir: &Path) -> Arc<QueryService> {
+    let durability = DurabilityConfig::builder(dir).fsync(false).build().unwrap();
+    let (service, _) = QueryService::start_durable(system(), config(256), durability).unwrap();
+    Arc::new(service)
+}
+
+fn system() -> DProvDb {
     let db = adult_database(600, 1);
     let catalog = ViewCatalog::one_per_attribute(&db, "adult").unwrap();
     let mut registry = AnalystRegistry::new();
@@ -35,24 +50,22 @@ fn service(queue_capacity: usize) -> Arc<QueryService> {
     registry.register("carol", 3).unwrap();
     registry.register("dave", 1).unwrap();
     let config = SystemConfig::new(8.0).unwrap().with_seed(17);
-    let system = Arc::new(
-        DProvDb::new(
-            db,
-            catalog,
-            registry,
-            config,
-            MechanismKind::AdditiveGaussian,
-        )
-        .unwrap(),
-    );
-    Arc::new(QueryService::start(
-        system,
-        ServiceConfig::builder()
-            .workers(2)
-            .queue_capacity(queue_capacity)
-            .build()
-            .unwrap(),
-    ))
+    DProvDb::new(
+        db,
+        catalog,
+        registry,
+        config,
+        MechanismKind::AdditiveGaussian,
+    )
+    .unwrap()
+}
+
+fn config(queue_capacity: usize) -> ServiceConfig {
+    ServiceConfig::builder()
+        .workers(2)
+        .queue_capacity(queue_capacity)
+        .build()
+        .unwrap()
 }
 
 fn age_query(lo: i64, hi: i64, variance: f64) -> QueryRequest {
@@ -209,8 +222,11 @@ fn plain_workload(dial: Dial) -> Vec<String> {
 
 /// The workload's transcript through the event loop over loopback TCP.
 fn event_loop_transcript(queue_capacity: usize, workload: fn(Dial) -> Vec<String>) -> Vec<String> {
-    let service = service(queue_capacity);
-    let listener = listen(&service, "127.0.0.1:0").unwrap();
+    event_loop_run(&service(queue_capacity), workload)
+}
+
+fn event_loop_run(service: &Arc<QueryService>, workload: fn(Dial) -> Vec<String>) -> Vec<String> {
+    let listener = listen(service, "127.0.0.1:0").unwrap();
     let addr = listener.local_addr();
     let log = workload(&|| Connection::connect_tcp(addr).unwrap());
     assert!(
@@ -224,8 +240,11 @@ fn event_loop_transcript(queue_capacity: usize, workload: fn(Dial) -> Vec<String
 /// The reference transcript: the same workload on a fresh service through
 /// the in-process transport (no socket, no event loop).
 fn in_process_transcript(queue_capacity: usize, workload: fn(Dial) -> Vec<String>) -> Vec<String> {
-    let service = service(queue_capacity);
-    let frontend = Frontend::new(&service);
+    in_process_run(&service(queue_capacity), workload)
+}
+
+fn in_process_run(service: &Arc<QueryService>, workload: fn(Dial) -> Vec<String>) -> Vec<String> {
+    let frontend = Frontend::new(service);
     workload(&|| frontend.connect())
 }
 
@@ -319,4 +338,107 @@ fn event_loop_runs_are_reproducible() {
     let first = event_loop_transcript(256, plain_workload);
     let second = event_loop_transcript(256, plain_workload);
     assert_eq!(first, second);
+}
+
+/// Cache hits on one session around the event loop's inline path: the
+/// synchronous ones find the session idle and are answered on the loop
+/// thread; a hit pipelined behind a miss on its own (analyst, view), or
+/// behind a GROUP BY, finds the session's lane busy and queues, so it
+/// comes back after that work and from the synopsis the miss released; a
+/// privacy-mode request that would hit queues too.
+fn inline_workload(dial: Dial) -> Vec<String> {
+    let mut log = Vec::new();
+    let mut alice = DProvClient::connect(dial(), "alice-conn").unwrap();
+    alice.register("alice").unwrap();
+    let hit = age_query(30, 50, 450.0);
+    for i in 0..5 {
+        log.push(render(&format!("sync {i}"), &alice.query(&hit).unwrap()));
+    }
+
+    // The GROUP BY ahead keeps the lane busy while the next two frames
+    // arrive, so a hit that skipped the lane would overtake the miss.
+    let ahead = alice
+        .submit_group_by(&count_by("relationship", LOOSE_VARIANCE))
+        .unwrap();
+    let miss = alice.submit(&age_query(30, 50, 300.0)).unwrap();
+    let behind_miss = alice.submit(&hit).unwrap();
+    log.extend(render_grouped("ahead", &alice.poll_grouped(ahead).unwrap()));
+    log.push(render("pipelined miss", &alice.poll(miss).unwrap()));
+    log.push(render("hit behind it", &alice.poll(behind_miss).unwrap()));
+
+    let grouped = alice
+        .submit_group_by(&count_by("sex", LOOSE_VARIANCE))
+        .unwrap();
+    let behind_grouped = alice.submit(&hit).unwrap();
+    log.extend(render_grouped(
+        "grouped",
+        &alice.poll_grouped(grouped).unwrap(),
+    ));
+    log.push(render(
+        "hit behind it",
+        &alice.poll(behind_grouped).unwrap(),
+    ));
+
+    let privacy = QueryRequest::with_privacy(Query::range_count("adult", "age", 30, 50), 0.05);
+    log.push(render("privacy", &alice.query(&privacy).unwrap()));
+    for i in 0..3 {
+        log.push(render(
+            &format!("sync again {i}"),
+            &alice.query(&hit).unwrap(),
+        ));
+    }
+    log.push(render_budget("alice budget", &mut alice));
+    alice.close().unwrap();
+    log
+}
+
+/// The inline path is result-transparent: the event-loop arm answers some
+/// hits on its loop thread, the in-process arm none, and the transcripts
+/// match bit for bit — on a volatile service and on a durable one, where
+/// both arms also append the same number of ledger records.
+#[test]
+fn inline_cache_hits_match_the_queued_transcript() {
+    for durable in [false, true] {
+        let mut arms = Vec::new();
+        for event_loop in [true, false] {
+            let dir = std::env::temp_dir().join(format!(
+                "dprov-net-inline-{}-{durable}-{event_loop}",
+                std::process::id()
+            ));
+            let service = if durable {
+                durable_service(&dir)
+            } else {
+                service(256)
+            };
+            let log = if event_loop {
+                event_loop_run(&service, inline_workload)
+            } else {
+                in_process_run(&service, inline_workload)
+            };
+            let inline = service
+                .metrics()
+                .snapshot()
+                .counter("frontend.inline_answers")
+                .unwrap();
+            let appends = service.store().map(|store| store.total_appends());
+            drop(service);
+            std::fs::remove_dir_all(&dir).ok();
+            arms.push((log, inline, appends));
+        }
+        let (event_loop, in_process) = (&arms[0], &arms[1]);
+        assert_eq!(
+            event_loop.0, in_process.0,
+            "durable={durable}: transcripts diverged"
+        );
+        assert!(
+            event_loop.1 > 0,
+            "durable={durable}: no hit was answered inline"
+        );
+        assert_eq!(in_process.1, 0, "the in-process frontend always queues");
+        assert_eq!(
+            event_loop.2, in_process.2,
+            "durable={durable}: ledger appends differ"
+        );
+        assert_eq!(event_loop.2.is_some(), durable);
+    }
 }

@@ -101,11 +101,15 @@ pub enum CounterId {
     /// Noise-scale calibrations the core ran outside a translation (a
     /// request calibrates each distinct epsilon once).
     Calibrations,
+    /// Provable cache hits the event-loop frontend answered on its loop
+    /// thread, never queued (they add no `queue.wait_ns` or `batch.size`
+    /// sample).
+    InlineAnswers,
 }
 
 impl CounterId {
     /// Every counter, in catalog order.
-    pub const ALL: [CounterId; 21] = [
+    pub const ALL: [CounterId; 22] = [
         CounterId::FrontendConnections,
         CounterId::FrontendRequests,
         CounterId::QueriesAnswered,
@@ -127,6 +131,7 @@ impl CounterId {
         CounterId::PlansComputed,
         CounterId::Translations,
         CounterId::Calibrations,
+        CounterId::InlineAnswers,
     ];
 
     /// Stable snapshot name of the counter.
@@ -154,6 +159,7 @@ impl CounterId {
             CounterId::PlansComputed => "plan.computed",
             CounterId::Translations => "dp.translations",
             CounterId::Calibrations => "dp.calibrations",
+            CounterId::InlineAnswers => "frontend.inline_answers",
         }
     }
 

@@ -77,9 +77,11 @@ pub enum PayloadOutcome {
     Reply(Vec<u8>),
     /// Write this frame, then close the whole connection.
     ReplyClose(Vec<u8>),
-    /// Hand this work to the worker pool; its eventual response goes
-    /// through [`reply_to_protocol`] and [`encode_reply`] under the same
-    /// `(request_id, scope)`.
+    /// Answer this work: the event-loop frontend first offers it to
+    /// [`QueryService::try_answer_inline`] and hands only what that
+    /// refuses to the worker pool; the in-process frontend always queues
+    /// it. Either way the response goes through [`reply_to_protocol`] and
+    /// [`encode_reply`] under the same `(request_id, scope)`.
     Submit {
         /// The session the work runs on.
         session: SessionId,

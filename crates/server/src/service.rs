@@ -22,7 +22,14 @@
 //!   answered with a [`Reply`] through the job's [`Completion`];
 //!   [`QueryService::try_submit`] never blocks (the event-loop frontend's
 //!   path) and [`QueryService::submit`] returns a [`Pending`] handle
-//!   (same-process embedders and [`crate::frontend::Frontend`]).
+//!   (same-process embedders and [`crate::frontend::Frontend`]);
+//! * a shortcut past the queue for provable cache hits only:
+//!   [`QueryService::try_answer_inline`] answers a scalar accuracy-mode
+//!   request on an idle session from its analyst's cached synopsis on the
+//!   caller's thread, never waiting on a lock, and refuses everything else
+//!   back to [`QueryService::try_submit`]. The event-loop frontend tries it
+//!   first; [`QueryService::submit`] never takes it, so the in-process
+//!   frontend runs every request through the queue.
 
 use std::collections::{HashMap, VecDeque};
 use std::path::PathBuf;
@@ -31,7 +38,9 @@ use std::sync::{mpsc, Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use dprov_core::processor::{GroupedOutcome, GroupedRequest, QueryOutcome, QueryRequest};
+use dprov_core::processor::{
+    GroupedOutcome, GroupedRequest, QueryOutcome, QueryRequest, SubmissionMode,
+};
 use dprov_core::recorder::Recorder;
 use dprov_core::system::{DProvDb, SystemStats};
 use dprov_core::workload::DeclaredWorkload;
@@ -521,6 +530,9 @@ struct DurableCtx {
     /// The most recent compaction failure, kept until a compaction
     /// succeeds — operators poll this instead of losing the error.
     last_compaction_error: Mutex<Option<StorageError>>,
+    /// Failpoint: session checkpoints fail while set.
+    #[cfg(test)]
+    fail_session_checkpoints: std::sync::atomic::AtomicBool,
 }
 
 impl DurableCtx {
@@ -610,12 +622,14 @@ type LaneMap = Mutex<HashMap<u64, SessionLane>>;
 /// Aggregate service counters (point-in-time snapshot).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ServiceStats {
-    /// Jobs accepted into the queue since startup.
+    /// Submissions accepted since startup: queued, waiting in a session
+    /// lane or answered inline.
     pub submitted: usize,
-    /// Jobs fully executed (answered or rejected).
+    /// Submissions fully executed (answered or rejected).
     pub completed: usize,
-    /// Per-view micro-batches drained by the workers (`completed /
-    /// batches` is the realised batch size).
+    /// Per-view micro-batches drained by the workers. Jobs answered
+    /// inline ([`QueryService::try_answer_inline`]) count in `completed`
+    /// but in no batch; the realised batch size is `batch_sizes`.
     pub batches: usize,
     /// Update epochs sealed through this service.
     pub epochs_sealed: usize,
@@ -799,6 +813,8 @@ impl QueryService {
             delta_retention: durability.delta_retention,
             next_compaction_at: std::sync::atomic::AtomicU64::new(durability.snapshot_every.max(1)),
             last_compaction_error: Mutex::new(None),
+            #[cfg(test)]
+            fail_session_checkpoints: std::sync::atomic::AtomicBool::new(false),
         });
         let service = Self::start_inner(Arc::new(system), sessions, config, Some(durable));
         Ok((service, report))
@@ -917,6 +933,12 @@ impl QueryService {
         session: &Session,
     ) -> Result<(), ServerError> {
         durable.map_or(Ok(()), |ctx| {
+            #[cfg(test)]
+            if ctx.fail_session_checkpoints.load(Ordering::SeqCst) {
+                return Err(ServerError::Storage(StorageError::Unavailable(
+                    "session checkpoint failpoint".to_owned(),
+                )));
+            }
             ctx.store
                 .record_session(&SessionCheckpoint {
                     session: session.id().0,
@@ -928,9 +950,9 @@ impl QueryService {
     }
 
     /// Executes one job end to end (submit → durable session checkpoint →
-    /// respond → compaction check) and returns the session's next pending
-    /// job, chained from its lane without a round-trip through the global
-    /// queue.
+    /// lane → respond → compaction check) and returns the session's next
+    /// pending job, chained from its lane without a round-trip through the
+    /// global queue.
     fn execute_job(
         system: &DProvDb,
         lanes: &LaneMap,
@@ -984,20 +1006,44 @@ impl QueryService {
         // A failed job still checkpoints the noise it drew: a grouped job
         // can fail at cell k after cells < k released into the synopsis
         // cache, and recovering the stream at its old position would
-        // re-release that randomness.
+        // re-release that randomness. The outcome is mirrored on the
+        // session, whose idle lane (retired below) then tells
+        // `try_answer_inline` whether every draw is durable.
         let checkpointed = if result.is_ok() || drew {
-            Self::checkpoint_session(durable, &session)
+            let checkpointed = Self::checkpoint_session(durable, &session);
+            session.set_draws_durable(checkpointed.is_ok());
+            checkpointed
         } else {
             Ok(())
         };
-        on_done(match (result, checkpointed) {
+        let reply = match (result, checkpointed) {
             (Ok(reply), Ok(())) => {
                 session.record_outcome(reply.is_answered());
                 Ok(reply)
             }
             (Ok(_), Err(e)) => Err(e),
             (Err(e), _) => Err(ServerError::Core(e)),
-        });
+        };
+
+        // Chain or retire the lane before replying, so a client that sends
+        // its next request on receipt finds the session idle and a cache
+        // hit can be answered inline. Execution order is unchanged: the
+        // session's next job runs only after this one.
+        let next = {
+            let mut lanes = lanes.lock().expect("lane map poisoned");
+            let lane = lanes
+                .get_mut(&session.id().0)
+                .expect("executing session has a lane");
+            let next = lane.pending.pop_front();
+            if next.is_none() {
+                // Idle lanes are removed outright — `submit` recreates
+                // them on demand — so lanes never outlive their work (no
+                // leak when sessions expire mid-flight).
+                lanes.remove(&session.id().0);
+            }
+            next
+        };
+        on_done(reply);
 
         // Periodic compaction: fold the ledger into a snapshot once
         // it has grown past the watermark (raised after failures so
@@ -1011,21 +1057,7 @@ impl QueryService {
                 let _ = ctx.try_compact(system);
             }
         }
-
-        let mut lanes = lanes.lock().expect("lane map poisoned");
-        let lane = lanes
-            .get_mut(&session.id().0)
-            .expect("executing session has a lane");
-        match lane.pending.pop_front() {
-            Some(next) => Some(next),
-            None => {
-                // Idle lanes are removed outright — `submit` recreates
-                // them on demand — so lanes never outlive their work (no
-                // leak when sessions expire mid-flight).
-                lanes.remove(&session.id().0);
-                None
-            }
-        }
+        next
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -1344,6 +1376,63 @@ impl QueryService {
         drop(lanes);
         self.record_accepted(&session, depth);
         Ok(())
+    }
+
+    /// Answers a provable cache hit on the calling thread, or returns
+    /// `None` and leaves the work to [`Self::try_submit`]. The event-loop
+    /// frontend tries it first for every submission, so a hit skips the
+    /// queue, the worker wake-up and the completion mailbox.
+    ///
+    /// A provable hit is a scalar, accuracy-mode request on a live session
+    /// with nothing queued or executing (an idle lane, so per-session FIFO
+    /// holds) and every noise draw durable (so the worker's "checkpoint or
+    /// withhold" rule has nothing to do), whose analyst's cached synopsis
+    /// already meets the target ([`DProvDb::answer_from_cache`]). Nothing
+    /// here waits: the epoch barrier, the core's epoch gate and the entry
+    /// lock are only tried, and the store lock is never taken. The reply
+    /// and the counters are those the queued job would have produced;
+    /// `trace_id` and `lane` key the job's `Execute` trace stage.
+    pub fn try_answer_inline(
+        &self,
+        id: SessionId,
+        work: &Work,
+        trace_id: u64,
+        lane: u64,
+    ) -> Option<Reply> {
+        let Work::Scalar(request) = work else {
+            return None;
+        };
+        if !matches!(request.mode, SubmissionMode::Accuracy { .. }) {
+            return None;
+        }
+        let session = self.sessions.get(id).ok()?;
+        let _epoch = self.epoch_barrier.try_read().ok()?;
+        if self
+            .lanes
+            .lock()
+            .expect("lane map poisoned")
+            .contains_key(&id.0)
+        {
+            return None;
+        }
+        // Read after the lane map: the worker that retired the lane set
+        // the flag before taking the map's lock.
+        if !session.draws_durable() {
+            return None;
+        }
+        let exec_start = self.metrics.start();
+        let outcome = self.system.answer_from_cache(session.analyst(), request)?;
+        // What `execute_job` records for a hit.
+        session.heartbeat();
+        self.record_accepted(&session, None);
+        if let Some(t0) = exec_start {
+            self.metrics
+                .trace(trace_id, Stage::Execute, lane, t0, t0.elapsed());
+        }
+        self.completed.fetch_add(1, Ordering::Relaxed);
+        session.record_outcome(true);
+        self.metrics.incr(CounterId::InlineAnswers);
+        Some(Reply::Scalar(outcome))
     }
 
     /// Builds the job for one submission on a live session.
@@ -2259,6 +2348,7 @@ mod tests {
                 delta_retention: 0,
                 next_compaction_at: AtomicU64::new(1),
                 last_compaction_error: Mutex::new(None),
+                fail_session_checkpoints: std::sync::atomic::AtomicBool::new(false),
             });
             let service =
                 QueryService::start_inner(Arc::new(system), sessions, workers(1), Some(durable));
@@ -2283,6 +2373,333 @@ mod tests {
             "the resumed stream must continue after the draws cell 0 consumed"
         );
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A recorder that, once armed, parks the next admission — telling
+    /// the test through `entered` and waiting on `release` — and then
+    /// fails it. While parked the submission holds its (analyst, view)
+    /// entry lock and its session's lane; it leaves no synopsis behind.
+    struct GateRecorder {
+        armed: std::sync::atomic::AtomicBool,
+        entered: Mutex<mpsc::Sender<()>>,
+        release: Mutex<mpsc::Receiver<()>>,
+    }
+
+    impl Recorder for GateRecorder {
+        fn record_admission(
+            &self,
+            _commit: &dprov_core::recorder::CommitRecord,
+            _access: Option<&dprov_core::recorder::DataAccess>,
+        ) -> Result<(), StorageError> {
+            if !self.armed.swap(false, Ordering::SeqCst) {
+                return Ok(());
+            }
+            self.entered.lock().unwrap().send(()).unwrap();
+            // Bounded, so a failing test cannot leave a worker parked.
+            let _ = self
+                .release
+                .lock()
+                .unwrap()
+                .recv_timeout(Duration::from_secs(30));
+            Err(StorageError::Unavailable("gated admission".to_owned()))
+        }
+
+        fn record_rollback(&self, _seq: u64) -> Result<(), StorageError> {
+            Ok(())
+        }
+    }
+
+    /// The test's side of a [`GateRecorder`].
+    struct Gate {
+        recorder: Arc<GateRecorder>,
+        entered: mpsc::Receiver<()>,
+        release: mpsc::Sender<()>,
+    }
+
+    impl Gate {
+        /// Arms the gate for the next admission.
+        fn arm(&self) {
+            self.recorder.armed.store(true, Ordering::SeqCst);
+        }
+
+        /// Blocks until the armed admission is parked in the recorder.
+        fn await_parked(&self) {
+            self.entered
+                .recv_timeout(Duration::from_secs(30))
+                .expect("the gated miss reached the ledger");
+        }
+    }
+
+    /// A two-worker volatile service whose commits pass through a
+    /// [`GateRecorder`].
+    fn gated_service() -> (Arc<QueryService>, Gate) {
+        let (entered_tx, entered) = mpsc::channel();
+        let (release, release_rx) = mpsc::channel();
+        let recorder = Arc::new(GateRecorder {
+            armed: std::sync::atomic::AtomicBool::new(false),
+            entered: Mutex::new(entered_tx),
+            release: Mutex::new(release_rx),
+        });
+        let mut system = raw_system(MechanismKind::Vanilla, 8.0, 2);
+        system.set_recorder(Arc::clone(&recorder) as Arc<dyn Recorder>);
+        let service = Arc::new(QueryService::start(Arc::new(system), workers(2)));
+        let gate = Gate {
+            recorder,
+            entered,
+            release,
+        };
+        (service, gate)
+    }
+
+    fn hours_request(lo: i64, hi: i64, variance: f64) -> QueryRequest {
+        QueryRequest::with_accuracy(
+            Query::range_count("adult", "hours_per_week", lo, hi),
+            variance,
+        )
+    }
+
+    fn inline(service: &QueryService, session: SessionId, request: &QueryRequest) -> Option<Reply> {
+        service.try_answer_inline(session, &Work::Scalar(request.clone()), 0, 0)
+    }
+
+    /// A reply's analyst-visible content; `Debug` prints every float in
+    /// its shortest round-tripping form, so equal strings are equal bits.
+    fn shown(reply: Result<Reply, ServerError>) -> String {
+        format!("{:?}", reply.expect("answered"))
+    }
+
+    fn queued(service: &QueryService, session: SessionId, request: &QueryRequest) -> Pending {
+        service
+            .submit(session, Work::Scalar(request.clone()), None)
+            .unwrap()
+    }
+
+    /// Warms `hit` through the queue and returns its inline answer.
+    fn warm(service: &QueryService, session: SessionId, hit: &QueryRequest) -> String {
+        service.submit_wait(session, hit.clone()).unwrap();
+        assert!(
+            !service.lanes.lock().unwrap().contains_key(&session.0),
+            "a worker retires an idle lane before it replies"
+        );
+        shown(Ok(inline(service, session, hit).expect("a provable hit")))
+    }
+
+    #[test]
+    fn inline_hits_answer_and_count_exactly_like_queued_ones() {
+        let (inline_service, queued_service) = (
+            QueryService::start(system(MechanismKind::AdditiveGaussian, 8.0, 2), workers(2)),
+            QueryService::start(system(MechanismKind::AdditiveGaussian, 8.0, 2), workers(2)),
+        );
+        let hit = request(30, 39, 400.0);
+        let mut transcripts = Vec::new();
+        for (service, use_inline) in [(&inline_service, true), (&queued_service, false)] {
+            let session = service.open_session(AnalystId(1)).unwrap();
+            let mut log = vec![shown(queued(service, session, &hit).wait())];
+            for _ in 0..3 {
+                log.push(if use_inline {
+                    shown(Ok(inline(service, session, &hit).expect("a provable hit")))
+                } else {
+                    shown(queued(service, session, &hit).wait())
+                });
+            }
+            let info = service.session_info(session).unwrap();
+            let stats = service.stats();
+            log.push(format!(
+                "{} {} {} {} {} {}",
+                info.submitted,
+                info.answered,
+                stats.submitted,
+                stats.completed,
+                stats.system.answered,
+                stats.system.cache_hits
+            ));
+            transcripts.push(log);
+        }
+        assert_eq!(transcripts[0], transcripts[1]);
+        let inline_answers = |service: &QueryService| {
+            service
+                .metrics()
+                .snapshot()
+                .counter("frontend.inline_answers")
+        };
+        assert_eq!(inline_answers(&inline_service), Some(3));
+        assert_eq!(inline_answers(&queued_service), Some(0));
+    }
+
+    #[test]
+    fn inline_probe_falls_through_while_the_entry_lock_is_held() {
+        let (service, gate) = gated_service();
+        let (idle, busy) = (
+            service.open_session(AnalystId(1)).unwrap(),
+            service.open_session(AnalystId(1)).unwrap(),
+        );
+        let hit = request(30, 39, 400.0);
+        let expected = warm(&service, idle, &hit);
+
+        // A stricter miss on the same (analyst, view) from the other
+        // session parks holding the entry lock. The probe runs on its own
+        // thread so that one which waited for the lock reads as no reply.
+        gate.arm();
+        let miss = queued(&service, busy, &request(30, 39, 200.0));
+        gate.await_parked();
+        let (tx, rx) = mpsc::channel();
+        let probe = {
+            let (service, hit) = (Arc::clone(&service), hit.clone());
+            std::thread::spawn(move || tx.send(inline(&service, idle, &hit).is_some()).unwrap())
+        };
+        let probed = rx.recv_timeout(Duration::from_secs(2));
+        let fallen_through = queued(&service, idle, &hit);
+        gate.release.send(()).unwrap();
+        probe.join().unwrap();
+        assert_eq!(probed, Ok(false), "the probe must neither wait nor answer");
+        assert!(matches!(
+            miss.wait(),
+            Err(ServerError::Core(CoreError::Storage(_)))
+        ));
+        assert_eq!(shown(fallen_through.wait()), expected);
+    }
+
+    #[test]
+    fn inline_probe_falls_through_while_the_session_lane_is_busy() {
+        let (service, gate) = gated_service();
+        let session = service.open_session(AnalystId(1)).unwrap();
+        let hit = request(30, 39, 400.0);
+        let expected = warm(&service, session, &hit);
+
+        // A miss on another view parks with the session's lane busy; the
+        // hit's own entry lock and the epoch barrier stay free.
+        gate.arm();
+        let miss = queued(&service, session, &hours_request(20, 40, 400.0));
+        gate.await_parked();
+        assert!(
+            inline(&service, session, &hit).is_none(),
+            "FIFO: the hit must queue"
+        );
+        let fallen_through = queued(&service, session, &hit);
+        gate.release.send(()).unwrap();
+        assert!(matches!(
+            miss.wait(),
+            Err(ServerError::Core(CoreError::Storage(_)))
+        ));
+        assert_eq!(shown(fallen_through.wait()), expected);
+        assert_eq!(
+            shown(Ok(inline(&service, session, &hit).unwrap())),
+            expected
+        );
+    }
+
+    #[test]
+    fn inline_probe_falls_through_while_a_seal_holds_the_epoch_barrier() {
+        let service = QueryService::start(system(MechanismKind::Vanilla, 8.0, 2), workers(1));
+        let session = service.open_session(AnalystId(1)).unwrap();
+        let hit = request(30, 39, 400.0);
+        let expected = warm(&service, session, &hit);
+
+        let seal = service.epoch_barrier.write().unwrap();
+        assert!(inline(&service, session, &hit).is_none());
+        let fallen_through = queued(&service, session, &hit);
+        drop(seal);
+        assert_eq!(shown(fallen_through.wait()), expected);
+    }
+
+    #[test]
+    fn inline_probe_falls_through_until_the_session_draws_are_durable() {
+        let dir = dprov_storage::scratch_dir("svc-inline-durable");
+        let (service, _) = QueryService::start_durable(
+            raw_system(MechanismKind::Vanilla, 8.0, 2),
+            workers(1),
+            durability(&dir, 0),
+        )
+        .unwrap();
+        let session = service.open_session(AnalystId(1)).unwrap();
+        let hit = request(30, 39, 400.0);
+        let store = Arc::clone(service.store().unwrap());
+        let expected = warm(&service, session, &hit);
+        let appends = store.total_appends();
+        assert_eq!(
+            shown(Ok(inline(&service, session, &hit).unwrap())),
+            expected
+        );
+        assert_eq!(
+            store.total_appends(),
+            appends,
+            "a durable hit appends nothing"
+        );
+
+        // A miss whose draws fail to checkpoint is withheld, and from then
+        // on the session's hits queue, where each retries the checkpoint
+        // and is withheld while it keeps failing.
+        let failpoint = &service.durable.as_ref().unwrap().fail_session_checkpoints;
+        failpoint.store(true, Ordering::SeqCst);
+        assert!(matches!(
+            service.submit_wait(session, hours_request(20, 40, 400.0)),
+            Err(ServerError::Storage(_))
+        ));
+        assert!(inline(&service, session, &hit).is_none());
+        assert!(matches!(
+            service.submit_wait(session, hit.clone()),
+            Err(ServerError::Storage(_))
+        ));
+        failpoint.store(false, Ordering::SeqCst);
+        assert!(inline(&service, session, &hit).is_none());
+        assert_eq!(shown(queued(&service, session, &hit).wait()), expected);
+        assert_eq!(
+            shown(Ok(inline(&service, session, &hit).unwrap())),
+            expected
+        );
+        drop(service);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn inline_probe_refuses_privacy_grouped_and_unresolvable_requests() {
+        use dprov_engine::group::GroupByQuery;
+
+        let hit = request(30, 39, 400.0);
+        let refused: [fn() -> Work; 3] = [
+            || {
+                Work::Scalar(QueryRequest::with_privacy(
+                    Query::range_count("adult", "age", 30, 39),
+                    0.5,
+                ))
+            },
+            || {
+                Work::Grouped(GroupedRequest::with_accuracy(
+                    GroupByQuery::count("adult", &["age"]),
+                    1e9,
+                ))
+            },
+            || {
+                Work::Scalar(QueryRequest::with_accuracy(
+                    Query::range_count("adult", "no_such_attribute", 0, 1),
+                    400.0,
+                ))
+            },
+        ];
+        let (probed, reference) = (
+            QueryService::start(system(MechanismKind::Vanilla, 8.0, 2), workers(1)),
+            QueryService::start(system(MechanismKind::Vanilla, 8.0, 2), workers(1)),
+        );
+        let mut transcripts = Vec::new();
+        for service in [&probed, &reference] {
+            let session = service.open_session(AnalystId(1)).unwrap();
+            warm(service, session, &hit);
+            let mut log = Vec::new();
+            for work in refused {
+                if std::ptr::eq(service, &probed) {
+                    let submitted = service.stats().submitted;
+                    assert!(service.try_answer_inline(session, &work(), 0, 0).is_none());
+                    assert_eq!(
+                        service.stats().submitted,
+                        submitted,
+                        "a refusal records nothing"
+                    );
+                }
+                log.push(shown(service.submit(session, work(), None).unwrap().wait()));
+            }
+            transcripts.push(log);
+        }
+        assert_eq!(transcripts[0], transcripts[1]);
     }
 
     #[test]

@@ -27,7 +27,7 @@
 //! the read lock; registration and expiry take the write lock.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, RwLock};
 use std::time::{Duration, Instant};
 
@@ -52,6 +52,10 @@ pub struct Session {
     /// The session's private noise stream. Locked for the duration of one
     /// submission's execution, which also serialises the session's queries.
     pub(crate) rng: Mutex<DpRng>,
+    /// Whether the noise stream's current position is durable: set by
+    /// the worker from each session checkpoint's result (always true on a
+    /// volatile service), so a reader never needs the store lock to know.
+    draws_durable: AtomicBool,
     ttl: Duration,
     last_heartbeat: Mutex<Instant>,
     submitted: AtomicUsize,
@@ -65,6 +69,7 @@ impl Session {
             id,
             analyst,
             rng: Mutex::new(DpRng::for_stream(base_seed, id.0)),
+            draws_durable: AtomicBool::new(true),
             ttl,
             last_heartbeat: Mutex::new(Instant::now()),
             submitted: AtomicUsize::new(0),
@@ -96,6 +101,20 @@ impl Session {
     #[must_use]
     pub fn rng_checkpoint(&self) -> RngCheckpoint {
         self.rng.lock().expect("session rng poisoned").checkpoint()
+    }
+
+    /// Records whether the latest session checkpoint succeeded. The
+    /// worker stores before it retires the session's lane under the lane
+    /// map's mutex, and a reader loads after finding the lane retired
+    /// under that mutex, so the mutex orders the two.
+    pub(crate) fn set_draws_durable(&self, durable: bool) {
+        self.draws_durable.store(durable, Ordering::Release);
+    }
+
+    /// Whether every draw from the session's stream is checkpointed (see
+    /// [`Self::set_draws_durable`]).
+    pub(crate) fn draws_durable(&self) -> bool {
+        self.draws_durable.load(Ordering::Acquire)
     }
 
     /// True when the heartbeat is older than the session's time-to-live.
