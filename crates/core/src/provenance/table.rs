@@ -40,6 +40,8 @@ pub struct ProvenanceTable {
     table_constraint: f64,
     /// matrix[analyst][view] = cumulative epsilon.
     matrix: Vec<Vec<f64>>,
+    /// Admissions committed to each analyst, indexed by `AnalystId.0`.
+    releases: Vec<u64>,
 }
 
 impl ProvenanceTable {
@@ -54,6 +56,7 @@ impl ProvenanceTable {
             col_constraints: Vec::new(),
             table_constraint,
             matrix: Vec::new(),
+            releases: Vec::new(),
         }
     }
 
@@ -67,6 +70,7 @@ impl ProvenanceTable {
         );
         self.row_constraints.push(constraint);
         self.matrix.push(vec![0.0; self.views.len()]);
+        self.releases.push(0);
     }
 
     /// Registers a view column with its constraint ψ_Vj. Views can be added
@@ -123,13 +127,38 @@ impl ProvenanceTable {
     }
 
     /// Adds `epsilon` to entry `P[A_i, V_j]`.
-    pub fn charge(&mut self, analyst: AnalystId, view: &str, epsilon: f64) {
+    #[cfg(test)]
+    pub(crate) fn charge(&mut self, analyst: AnalystId, view: &str, epsilon: f64) {
         let v = self.view_index[view];
         self.matrix[analyst.0][v] += epsilon;
     }
 
-    /// Overwrites entry `P[A_i, V_j]` (used by the additive approach's
-    /// `min(ε, P + ε_i)` update).
+    /// Commits one admission: entry `P[A_i, V_j]` becomes `new_entry` and
+    /// the analyst's release count grows by one.
+    pub fn commit(&mut self, analyst: AnalystId, view: &str, new_entry: f64) {
+        self.set_entry(analyst, view, new_entry);
+        self.releases[analyst.0] += 1;
+    }
+
+    /// Undoes a [`Self::commit`] whose release failed: restores the entry
+    /// it overwrote, bit for bit, and the release count.
+    pub fn revert(&mut self, analyst: AnalystId, view: &str, prev_entry: f64) {
+        self.set_entry(analyst, view, prev_entry);
+        self.releases[analyst.0] -= 1;
+    }
+
+    /// The number of admissions committed to an analyst.
+    #[must_use]
+    pub fn releases(&self, analyst: AnalystId) -> u64 {
+        self.releases[analyst.0]
+    }
+
+    /// Overwrites an analyst's release count (snapshot import).
+    pub fn set_releases(&mut self, analyst: AnalystId, releases: u64) {
+        self.releases[analyst.0] = releases;
+    }
+
+    /// Overwrites entry `P[A_i, V_j]` (snapshot import).
     pub fn set_entry(&mut self, analyst: AnalystId, view: &str, epsilon: f64) {
         let v = self.view_index[view];
         self.matrix[analyst.0][v] = epsilon;
@@ -255,6 +284,18 @@ mod tests {
         assert!((p.entry(AnalystId(0), "v1") - 0.4).abs() < 1e-12);
         p.set_entry(AnalystId(0), "v1", 0.25);
         assert_eq!(p.entry(AnalystId(0), "v1"), 0.25);
+    }
+
+    #[test]
+    fn a_reverted_commit_restores_the_entry_and_the_release_count() {
+        let mut p = table();
+        p.commit(AnalystId(0), "v1", 0.1);
+        // Subtracting the charge again would leave 0.10000000000000003.
+        p.commit(AnalystId(0), "v1", 0.1 + 0.2);
+        p.revert(AnalystId(0), "v1", 0.1);
+        assert_eq!(p.entry(AnalystId(0), "v1").to_bits(), 0.1f64.to_bits());
+        assert_eq!(p.releases(AnalystId(0)), 1);
+        assert_eq!(p.releases(AnalystId(1)), 0);
     }
 
     #[test]

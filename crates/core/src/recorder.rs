@@ -12,8 +12,9 @@
 //! A submission that passes the constraint check produces one
 //! [`CommitRecord`] carrying everything recovery needs to replay the commit
 //! exactly: the provenance entry transition (`prev_entry → new_entry`), the
-//! epsilon charged to the analyst's ledger, and the mechanism that charged
-//! it. When the admission touches the protected data — a vanilla release,
+//! epsilon charged to the analyst, and the mechanism that charged it —
+//! the system's one mechanism, so replay refuses any other. When the
+//! admission touches the protected data — a vanilla release,
 //! or an additive admission that grows the hidden global synopsis — the
 //! commit carries that [`DataAccess`] too, so one admission is one record.
 //! The system calls [`Recorder::record_admission`] *inside* the provenance
@@ -26,8 +27,9 @@
 //!   [`crate::error::CoreError::Storage`] — the in-memory state is never
 //!   ahead of the durable state.
 //!
-//! A release that fails *after* its reserve (noise generation error) rolls
-//! the in-memory charge back and appends a tombstone via
+//! A release that fails *after* its reserve (noise generation error)
+//! restores the journalled `prev_entry` and the analyst's release count, and
+//! appends a tombstone via
 //! [`Recorder::record_rollback`]. Tombstone appends are best-effort: losing
 //! one makes recovery **over**-count the spend, which is the safe direction
 //! for a privacy accountant (recovered spend ≥ acknowledged spend, never
@@ -58,16 +60,16 @@ pub struct CommitRecord {
     pub analyst: AnalystId,
     /// The charged view (provenance column).
     pub view: String,
-    /// The mechanism that performed the charge — kept on every ledger
-    /// entry so per-mechanism spend can be audited from the replayed log.
+    /// The mechanism that performed the charge: always the system's own,
+    /// which replay checks.
     pub mechanism: MechanismKind,
     /// Provenance entry `P[A_i, V_j]` before the commit.
     pub prev_entry: f64,
     /// Provenance entry `P[A_i, V_j]` after the commit.
     pub new_entry: f64,
-    /// Epsilon charged to the analyst's privacy-loss ledger (equals
-    /// `new_entry - prev_entry` up to float rounding; stored explicitly so
-    /// replay is bit-exact).
+    /// Epsilon charged to the analyst (equals `new_entry - prev_entry` up
+    /// to float rounding). Replay sets the entry to `new_entry`, bit for
+    /// bit.
     pub charged: f64,
 }
 
@@ -152,17 +154,29 @@ pub struct ProvenanceEntryState {
     pub epsilon: f64,
 }
 
-/// Serialisable state of one `(analyst, mechanism)` ledger bucket.
+/// How many admissions were committed to each analyst: with the provenance
+/// entries, everything the derived multi-analyst ledger needs.
 #[derive(Debug, Clone, PartialEq)]
-pub struct LedgerEntryState {
-    /// The analyst the loss accrued to.
-    pub analyst: AnalystId,
-    /// The mechanism that charged it.
-    pub mechanism: MechanismKind,
-    /// Cumulative epsilon of the bucket.
-    pub epsilon: f64,
-    /// Cumulative delta of the bucket.
-    pub delta: f64,
+pub enum ReleaseState {
+    /// `(analyst, release count)` for every analyst with a release, sorted
+    /// by analyst. Export writes this form.
+    Counts(Vec<(AnalystId, u64)>),
+    /// The ledger section of a version-1 to -3 snapshot, decoded only:
+    /// import checks its buckets against the provenance rows, recovers the
+    /// counts from their δ and drops it.
+    LegacyLedger {
+        /// The section's per-(analyst, mechanism) buckets, as `(analyst,
+        /// ε, δ)`.
+        buckets: Vec<(AnalystId, f64, f64)>,
+        /// The section's release total.
+        releases: u64,
+    },
+}
+
+impl Default for ReleaseState {
+    fn default() -> Self {
+        ReleaseState::Counts(Vec::new())
+    }
 }
 
 /// Serialisable state of the hidden global synopsis of one view.
@@ -224,9 +238,10 @@ impl Default for TightState {
 }
 
 /// A consistent, serialisable snapshot of every durably-relevant piece of
-/// [`crate::system::DProvDb`] state: the provenance matrix, the
-/// multi-analyst ledger, the tight accountant's state, and the synopsis
-/// cache. Produced by [`crate::system::DProvDb::export_durable_state`]
+/// [`crate::system::DProvDb`] state: the provenance matrix with each
+/// analyst's release count (the multi-analyst ledger is derived from the
+/// two), the tight accountant's state, and the synopsis cache. Produced by
+/// [`crate::system::DProvDb::export_durable_state`]
 /// under the commit freeze, consumed by
 /// [`crate::system::DProvDb::import_durable_state`] at recovery.
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -235,10 +250,8 @@ pub struct CoreState {
     pub next_seq: u64,
     /// Non-zero provenance entries.
     pub provenance: Vec<ProvenanceEntryState>,
-    /// Per-(analyst, mechanism) ledger buckets.
-    pub ledger: Vec<LedgerEntryState>,
-    /// Total number of ledger releases recorded.
-    pub ledger_releases: u64,
+    /// Each analyst's release count.
+    pub releases: ReleaseState,
     /// The tight accountant's state.
     pub tight: TightState,
     /// The synopsis cache, one entry per view with any cached state.

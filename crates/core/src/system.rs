@@ -1,8 +1,9 @@
 //! The DProvDB middleware orchestrator (Algorithm 1), thread-safe.
 //!
 //! [`DProvDb`] ties every component together: the relational engine and its
-//! view catalog, the privacy provenance table, the synopsis manager, the
-//! multi-analyst ledger and the accuracy→privacy translation. It exposes
+//! view catalog, the privacy provenance table (from which the multi-analyst
+//! ledger is derived), the synopsis manager and the accuracy→privacy
+//! translation. It exposes
 //! the dual submission modes of Principle 3 and dispatches each query to
 //! either the vanilla mechanism (Algorithm 2) or the additive Gaussian
 //! mechanism (Algorithm 4) depending on the configured [`MechanismKind`].
@@ -15,7 +16,7 @@
 //!
 //! * the synopsis cache is lock-striped per view inside
 //!   [`SynopsisManager`] (read-mostly fast path for cache hits);
-//! * the provenance table, ledger, tight accountant and runtime stats sit
+//! * the provenance table, tight accountant and runtime stats sit
 //!   behind short-critical-section `Mutex`es;
 //! * admission is gated by [`AdmissionControl`]: a per-(analyst, view)
 //!   entry lock held across one submission's resolve → check-and-reserve →
@@ -58,7 +59,7 @@ use dprov_engine::EngineError;
 use dprov_exec::{ColumnarExecutor, ExecConfig, ExecStats};
 use dprov_obs::{CounterId, HistId, MetricsRegistry};
 
-use crate::accounting::MultiAnalystLedger;
+use crate::accounting::{legacy_release_counts, MultiAnalystLedger};
 use crate::admission::AdmissionControl;
 use crate::analyst::{AnalystId, AnalystRegistry};
 use crate::config::SystemConfig;
@@ -71,7 +72,8 @@ use crate::processor::{
 };
 use crate::provenance::{analyst_constraints, view_constraints, ProvenanceTable};
 use crate::recorder::{
-    Admission, CommitRecord, CoreState, DataAccess, ProvenanceEntryState, Recorder, TightState,
+    Admission, CommitRecord, CoreState, DataAccess, ProvenanceEntryState, Recorder, ReleaseState,
+    TightState,
 };
 use crate::synopsis_manager::{BudgetedSynopsis, SynopsisManager};
 
@@ -123,7 +125,6 @@ pub struct DProvDb {
     registry: AnalystRegistry,
     provenance: Mutex<ProvenanceTable>,
     synopses: SynopsisManager,
-    ledger: Mutex<MultiAnalystLedger>,
     /// Tighter accounting of the data accesses (global synopsis releases /
     /// fresh per-analyst synopses) under the configured composition method
     /// (Appendix A). Used for reporting only — constraint checking uses
@@ -145,7 +146,7 @@ pub struct DProvDb {
     /// section so sequence order equals commit order.
     commit_seq: AtomicU64,
     /// Commit-pipeline gate: submissions hold a read guard across their
-    /// append → apply → ledger window; [`DProvDb::export_durable_state`]
+    /// append → apply → release window; [`DProvDb::export_durable_state`]
     /// takes the write guard so a snapshot never observes a commit that is
     /// in the write-ahead ledger but not yet fully applied in memory.
     commit_gate: RwLock<()>,
@@ -294,7 +295,6 @@ impl DProvDb {
             registry,
             provenance: Mutex::new(provenance),
             synopses,
-            ledger: Mutex::new(MultiAnalystLedger::new()),
             tight_accountant: Mutex::new(tight_accountant),
             admission,
             rng: Mutex::new(rng),
@@ -445,18 +445,16 @@ impl DProvDb {
         self.lock_provenance().clone()
     }
 
-    /// A consistent snapshot of the per-analyst privacy-loss ledger.
+    /// The per-analyst privacy-loss ledger, derived from a consistent
+    /// snapshot of the provenance table: each analyst's row total and
+    /// release count (see [`MultiAnalystLedger::derive`]).
     #[must_use]
     pub fn ledger(&self) -> MultiAnalystLedger {
-        self.ledger.lock().expect("ledger lock poisoned").clone()
+        MultiAnalystLedger::derive(&self.lock_provenance(), self.config.delta)
     }
 
     fn lock_provenance(&self) -> MutexGuard<'_, ProvenanceTable> {
         self.provenance.lock().expect("provenance lock poisoned")
-    }
-
-    fn lock_ledger(&self) -> MutexGuard<'_, MultiAnalystLedger> {
-        self.ledger.lock().expect("ledger lock poisoned")
     }
 
     /// The overall privacy loss of all data accesses under the configured
@@ -542,14 +540,14 @@ impl DProvDb {
     /// Per-analyst outcomes for the fairness metrics.
     #[must_use]
     pub fn fairness_outcomes(&self) -> Vec<AnalystOutcome> {
-        let ledger = self.lock_ledger();
+        let provenance = self.lock_provenance();
         self.registry
             .analysts()
             .iter()
             .map(|a| AnalystOutcome {
                 privilege: a.privilege.level(),
                 answered: self.per_analyst_answered[a.id.0].load(Ordering::Relaxed),
-                consumed_epsilon: ledger.loss_to(a.id).epsilon.value(),
+                consumed_epsilon: provenance.row_total(a.id),
             })
             .collect()
     }
@@ -852,12 +850,10 @@ impl DProvDb {
     /// *before* the in-memory charge is applied, so the accountant composes
     /// in ledger order; an `Err` means nothing was persisted or counted and
     /// the caller must abort the submission without mutating memory.
-    #[allow(clippy::too_many_arguments)]
     fn record_admission(
         &self,
         analyst: AnalystId,
         view: &str,
-        mechanism: MechanismKind,
         prev_entry: f64,
         new_entry: f64,
         charged: f64,
@@ -869,7 +865,7 @@ impl DProvDb {
                 seq,
                 analyst,
                 view: view.to_owned(),
-                mechanism,
+                mechanism: self.mechanism,
                 prev_entry,
                 new_entry,
                 charged,
@@ -956,7 +952,7 @@ impl DProvDb {
         };
         let epsilon = release.budget().epsilon.value();
 
-        // Hold the commit gate across append → apply → ledger so durable
+        // Hold the commit gate across append → apply → release so durable
         // snapshots (which take the write side) never observe a commit that
         // is in the write-ahead ledger but only half-applied in memory.
         let _commit_gate = self.commit_gate.read().expect("commit gate poisoned");
@@ -965,20 +961,20 @@ impl DProvDb {
         // charge happen in the same critical section as the check, so no
         // concurrent submission can sneak its own charge between them and
         // the ledger's record order equals the commit order.
-        let seq = {
+        let (seq, prev_entry) = {
             let mut provenance = self.lock_provenance();
             if let Err(reason) = provenance.check_vanilla(analyst, &resolved.view.name, epsilon) {
                 return Ok(QueryOutcome::Rejected { reason });
             }
             let prev_entry = provenance.entry(analyst, &resolved.view.name);
+            let new_entry = prev_entry + epsilon;
             // The release below stores `release.variance()` as its per-bin
             // variance: the access is journalled with that noise scale.
             let seq = self.record_admission(
                 analyst,
                 &resolved.view.name,
-                MechanismKind::Vanilla,
                 prev_entry,
-                prev_entry + epsilon,
+                new_entry,
                 epsilon,
                 Some(DataAccess {
                     epsilon,
@@ -986,9 +982,9 @@ impl DProvDb {
                     sensitivity: sensitivity.value(),
                 }),
             )?;
-            provenance.charge(analyst, &resolved.view.name, epsilon);
+            provenance.commit(analyst, &resolved.view.name, new_entry);
             self.observe_budget(&provenance, analyst, &resolved.view.name);
-            seq
+            (seq, prev_entry)
         };
 
         // Run: an independent synopsis per (analyst, view) release; noise
@@ -1000,11 +996,11 @@ impl DProvDb {
         {
             Ok(s) => s,
             Err(e) => {
-                // Release failed after the reserve: roll the charge back
-                // and void the write-ahead record with a tombstone.
+                // Release failed after the reserve: restore the journalled
+                // entry and void the write-ahead record with a tombstone.
                 {
                     let mut provenance = self.lock_provenance();
-                    provenance.charge(analyst, view_name, -epsilon);
+                    provenance.revert(analyst, view_name, prev_entry);
                     self.observe_budget(&provenance, analyst, view_name);
                 }
                 self.record_rollback(seq);
@@ -1023,12 +1019,6 @@ impl DProvDb {
                 epoch: release_epoch,
             },
         );
-        self.lock_ledger().record(
-            analyst,
-            Budget::from_parts(Epsilon::unchecked(epsilon), self.config.delta),
-            MechanismKind::Vanilla,
-        );
-
         Ok(QueryOutcome::Answered(AnsweredQuery {
             value: answer,
             view: Some(resolved.view.name),
@@ -1163,8 +1153,8 @@ impl DProvDb {
             sensitivity: sensitivity.value(),
         });
 
-        // Hold the commit gate across append → apply → ledger (see
-        // `submit_vanilla`).
+        // Hold the commit gate across append → apply → release (see
+        // `admit_vanilla`).
         let _commit_gate = self.commit_gate.read().expect("commit gate poisoned");
 
         // Write-ahead append and read-check-reserve in ONE provenance
@@ -1178,13 +1168,12 @@ impl DProvDb {
             let seq = self.record_admission(
                 analyst,
                 &view_name,
-                MechanismKind::AdditiveGaussian,
                 previous_entry,
                 new_entry,
                 effective,
                 access,
             )?;
-            provenance.set_entry(analyst, &view_name, new_entry);
+            provenance.commit(analyst, &view_name, new_entry);
             self.observe_budget(&provenance, analyst, &view_name);
             (previous_entry, effective, seq)
         };
@@ -1194,7 +1183,7 @@ impl DProvDb {
         let rollback = |e: CoreError| {
             {
                 let mut provenance = self.lock_provenance();
-                provenance.set_entry(analyst, &view_name, previous_entry);
+                provenance.revert(analyst, &view_name, previous_entry);
                 self.observe_budget(&provenance, analyst, &view_name);
             }
             self.record_rollback(seq);
@@ -1221,12 +1210,6 @@ impl DProvDb {
             Ok(l) => l,
             Err(e) => return rollback(e),
         };
-
-        self.lock_ledger().record(
-            analyst,
-            Budget::from_parts(Epsilon::unchecked(effective), self.config.delta),
-            MechanismKind::AdditiveGaussian,
-        );
 
         Ok(QueryOutcome::Answered(AnsweredQuery {
             value: local.synopsis.answer(&resolved.linear),
@@ -1720,13 +1703,22 @@ impl DProvDb {
     }
 
     /// Re-applies one journalled admission during recovery: unless a
-    /// tombstone voided it, sets the provenance entry to its post-commit
-    /// value and re-records the ledger charge; then counts its data access,
-    /// voided or not — the live accountant counted it at commit time, so
-    /// this errs in the safe direction. Does **not** echo into the
+    /// tombstone voided it, commits its post-commit entry (counting one
+    /// release to the analyst); then counts its data access, voided or not
+    /// — the live accountant counted it at commit time, so this errs in
+    /// the safe direction. A record of another mechanism than the system's
+    /// is refused before anything is applied. Does **not** echo into the
     /// recorder — attach the recorder only after replay.
     pub fn replay_admission(&self, admission: &Admission) -> Result<()> {
         let record = &admission.commit;
+        if record.mechanism != self.mechanism {
+            return Err(CoreError::Storage(
+                crate::error::StorageError::IncompatibleState(format!(
+                    "durable commit {} was charged by the {} mechanism, this system runs {}",
+                    record.seq, record.mechanism, self.mechanism
+                )),
+            ));
+        }
         self.check_replay_target(record.analyst, &record.view)?;
         let next_seq = record.seq.checked_add(1).ok_or_else(|| {
             CoreError::Storage(crate::error::StorageError::IncompatibleState(
@@ -1736,16 +1728,9 @@ impl DProvDb {
         if !admission.voided {
             Self::check_replay_epsilon("commit entry", record.new_entry)?;
             Self::check_replay_epsilon("commit charge", record.charged)?;
-            {
-                let mut provenance = self.lock_provenance();
-                provenance.set_entry(record.analyst, &record.view, record.new_entry);
-                self.observe_budget(&provenance, record.analyst, &record.view);
-            }
-            self.lock_ledger().record(
-                record.analyst,
-                Budget::from_parts(Epsilon::unchecked(record.charged), self.config.delta),
-                record.mechanism,
-            );
+            let mut provenance = self.lock_provenance();
+            provenance.commit(record.analyst, &record.view, record.new_entry);
+            self.observe_budget(&provenance, record.analyst, &record.view);
         }
         if let Some(access) = &admission.access {
             self.count_access(access);
@@ -1810,12 +1795,17 @@ impl DProvDb {
                 }
             }
         }
-        let ledger = self.lock_ledger();
+        let releases = self
+            .registry
+            .ids()
+            .into_iter()
+            .map(|analyst| (analyst, provenance.releases(analyst)))
+            .filter(|&(_, n)| n > 0)
+            .collect();
         CoreState {
             next_seq: self.commit_seq.load(Ordering::SeqCst),
             provenance: entries,
-            ledger: ledger.export_entries(),
-            ledger_releases: ledger.releases() as u64,
+            releases: ReleaseState::Counts(releases),
             tight: TightState::Accountant(
                 self.tight_accountant
                     .lock()
@@ -1830,18 +1820,28 @@ impl DProvDb {
     /// Restores a snapshot produced by [`Self::export_durable_state`] into
     /// a freshly constructed system (same database, catalog, registry and
     /// configuration). Call *before* attaching the recorder and before
-    /// replaying the write-ahead suffix. Provenance targets, ledger
-    /// buckets, the tight accountant's state, the synopsis cache and the
+    /// replaying the write-ahead suffix. Provenance targets, release
+    /// counts, the tight accountant's state, the synopsis cache and the
     /// update batches are all checked before anything is applied, so a
     /// refused state leaves the system as it was. A version-1 or -2
-    /// snapshot's access list is folded through the configured accountant.
+    /// snapshot's access list is folded through the configured accountant;
+    /// a version-1 to -3 snapshot's ledger section yields the release
+    /// counts (each bucket's δ over the configured δ, its ε within 1e-9
+    /// relative of the analyst's provenance row total) and is dropped.
     pub fn import_durable_state(&self, state: &CoreState) -> Result<()> {
         for entry in &state.provenance {
             self.check_replay_target(entry.analyst, &entry.view)?;
             Self::check_replay_epsilon("provenance entry", entry.epsilon)?;
         }
-        let ledger =
-            MultiAnalystLedger::from_entries(&state.ledger, state.ledger_releases as usize)?;
+        let releases = match &state.releases {
+            ReleaseState::Counts(counts) => counts.clone(),
+            ReleaseState::LegacyLedger { buckets, releases } => {
+                legacy_release_counts(buckets, *releases, &state.provenance, self.config.delta)?
+            }
+        };
+        for (analyst, _) in &releases {
+            self.registry.get(*analyst)?;
+        }
         let mut tight = make_accountant(self.config.composition, self.config.delta.value());
         match &state.tight {
             TightState::Accountant(accountant) => tight.import_state(accountant)?,
@@ -1869,8 +1869,10 @@ impl DProvDb {
             for entry in &state.provenance {
                 provenance.set_entry(entry.analyst, &entry.view, entry.epsilon);
             }
+            for (analyst, count) in releases {
+                provenance.set_releases(analyst, count);
+            }
         }
-        *self.lock_ledger() = ledger;
         *self
             .tight_accountant
             .lock()
@@ -1902,7 +1904,7 @@ impl QueryProcessor for DProvDb {
     }
 
     fn analyst_epsilon(&self, analyst: AnalystId) -> f64 {
-        self.lock_ledger().loss_to(analyst).epsilon.value()
+        self.lock_provenance().row_total(analyst)
     }
 
     fn num_analysts(&self) -> usize {
@@ -2441,15 +2443,12 @@ mod tests {
                     fresh.ledger().loss_to(analyst).epsilon.value(),
                 );
                 assert_eq!(
-                    live.ledger()
-                        .loss_to_via(analyst, mechanism)
-                        .epsilon
-                        .value(),
-                    fresh
-                        .ledger()
-                        .loss_to_via(analyst, mechanism)
-                        .epsilon
-                        .value(),
+                    live.ledger().releases_to(analyst),
+                    fresh.ledger().releases_to(analyst),
+                );
+                assert_eq!(
+                    live.ledger().loss_to(analyst).delta,
+                    fresh.ledger().loss_to(analyst).delta,
                 );
             }
             assert_eq!(
@@ -2559,6 +2558,48 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// A vanilla release that fails after its reserve restores the
+    /// journalled entry itself: subtracting the charge again would leave
+    /// `(0.1 + 0.2) − 0.2 = 0.10000000000000003`, one ulp away from the
+    /// entry a replay of the voided commit rebuilds.
+    #[test]
+    fn a_failed_vanilla_release_restores_the_exact_entry() {
+        use crate::synopsis_manager::FAIL_NEXT_RELEASE;
+        let mut live = build(MechanismKind::Vanilla, 6.0);
+        let recorder = Arc::new(MemoryRecorder::default());
+        live.set_recorder(Arc::clone(&recorder) as Arc<dyn Recorder>);
+        let age = |epsilon| {
+            QueryRequest::with_privacy(Query::range_count("adult", "age", 30, 39), epsilon)
+        };
+        assert!(live.submit(AnalystId(1), &age(0.1)).unwrap().is_answered());
+        FAIL_NEXT_RELEASE.with(|armed| armed.set(true));
+        assert!(live.submit(AnalystId(1), &age(0.2)).is_err());
+
+        let rollbacks = recorder.rollbacks.lock().unwrap().clone();
+        assert_eq!(rollbacks, vec![1]);
+        let replayed = build(MechanismKind::Vanilla, 6.0);
+        for admission in recorder.admissions.lock().unwrap().iter() {
+            let voided = rollbacks.contains(&admission.commit.seq);
+            replayed
+                .replay_admission(&Admission {
+                    voided,
+                    ..admission.clone()
+                })
+                .unwrap();
+        }
+        let live_state = live.export_durable_state();
+        assert_eq!(
+            live_state.provenance,
+            replayed.export_durable_state().provenance
+        );
+        assert_eq!(live_state.provenance[0].epsilon.to_bits(), 0.1f64.to_bits());
+        assert_eq!(
+            live_state.releases,
+            ReleaseState::Counts(vec![(AnalystId(1), 1)])
+        );
+        assert_eq!(replayed.ledger().releases_to(AnalystId(1)), 1);
     }
 
     #[test]
@@ -2797,7 +2838,7 @@ mod tests {
     /// A re-noise seal drops the additive global synopsis, so the next
     /// admission's target can sit below the analyst's entry. The entry
     /// keeps the spend it already holds (a spend never shrinks), and the
-    /// per-analyst ledger still equals the provenance row total.
+    /// admission still counts as the analyst's release.
     #[test]
     fn additive_renoise_never_lowers_a_provenance_entry() {
         let system = build(MechanismKind::AdditiveGaussian, 8.0);
@@ -2813,10 +2854,7 @@ mod tests {
         let second = system.submit_shared(AnalystId(1), &age(0.4)).unwrap();
         assert_eq!(second.answered().unwrap().epsilon_charged, 0.0);
         assert_eq!(system.provenance().entry(AnalystId(1), "adult.age"), 1.0);
-        assert_eq!(
-            system.ledger().loss_to(AnalystId(1)).epsilon.value(),
-            system.provenance().row_total(AnalystId(1))
-        );
+        assert_eq!(system.ledger().releases_to(AnalystId(1)), 2);
     }
 
     #[test]
@@ -3000,8 +3038,8 @@ mod tests {
     }
 
     /// A journalled commit whose post-commit entry or charge is NaN,
-    /// infinite or negative is refused before the provenance entry or the
-    /// ledger is touched.
+    /// infinite or negative is refused before the provenance table is
+    /// touched.
     #[test]
     fn replay_refuses_a_non_finite_or_negative_commit() {
         let mut live = build(MechanismKind::Vanilla, 6.0);
@@ -3027,6 +3065,36 @@ mod tests {
             assert!(is_incompatible_state(&refused), "{damaged:?}: {refused:?}");
             assert_eq!(fresh.provenance().row_total(AnalystId(1)), 0.0);
             assert_eq!(fresh.ledger().releases(), 0);
+        }
+    }
+
+    /// A replayed commit charged by another mechanism than the system's is
+    /// refused before anything is applied: the store fingerprint pins one
+    /// mechanism, so only corruption makes such a record, and the derived
+    /// ledger would silently ignore its byte.
+    #[test]
+    fn replay_refuses_a_foreign_mechanism_byte() {
+        for (mechanism, foreign) in [
+            (MechanismKind::Vanilla, MechanismKind::AdditiveGaussian),
+            (MechanismKind::AdditiveGaussian, MechanismKind::Vanilla),
+        ] {
+            let mut live = build(mechanism, 6.0);
+            let recorder = Arc::new(MemoryRecorder::default());
+            live.set_recorder(Arc::clone(&recorder) as Arc<dyn Recorder>);
+            assert!(live
+                .submit(AnalystId(1), &range_request(25, 50, 700.0))
+                .unwrap()
+                .is_answered());
+            let mut damaged = recorder.admissions.lock().unwrap()[0].clone();
+            assert!(damaged.access.is_some());
+            damaged.commit.mechanism = foreign;
+            let fresh = build(mechanism, 6.0);
+            let before = fresh.export_durable_state();
+            let refused = fresh.replay_admission(&damaged);
+            assert!(is_incompatible_state(&refused), "{mechanism}: {refused:?}");
+            assert_eq!(fresh.export_durable_state(), before, "{mechanism}");
+            assert_eq!(fresh.tight_accounting(), Budget::ZERO);
+            assert_eq!(fresh.next_commit_seq(), 0);
         }
     }
 

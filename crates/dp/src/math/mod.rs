@@ -1,9 +1,9 @@
 //! Numerical building blocks.
 //!
 //! DProvDB's algorithms only need a handful of special functions (the error
-//! function and the standard-normal CDF / quantile) and two kinds of 1-D
-//! numerical searches (monotone root bracketing for the analytic-Gaussian
-//! calibration and Definition 9, and bounded minimisation for Eq. (3)).
+//! function and the standard-normal CDF / quantile) and monotone 1-D root
+//! bracketing (the analytic-Gaussian calibration and Definition 9; Eq. (3)
+//! has a closed form, checked against a test-only golden-section search).
 //! They are implemented here so the workspace has no dependency on a
 //! statistics crate.
 
@@ -13,4 +13,4 @@ pub mod optimize;
 
 pub use erf::{erf, erfc};
 pub use normal::{normal_cdf, normal_pdf, normal_quantile};
-pub use optimize::{bisect_decreasing, golden_section_minimize, monotone_binary_search};
+pub use optimize::{bisect_decreasing, monotone_binary_search};

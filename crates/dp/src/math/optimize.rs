@@ -11,7 +11,8 @@
 //!   smallest ε whose calibrated variance is below the accuracy target (the
 //!   variance is monotone decreasing in ε);
 //! * the friction-aware translation of Eq. (3) maximises a smooth unimodal
-//!   function of the combination weight `w ∈ [0, 1)`.
+//!   function of the combination weight `w ∈ [0, 1)` — in closed form; the
+//!   golden-section search here is only its test oracle.
 
 use crate::{DpError, Result};
 
@@ -82,7 +83,8 @@ where
 /// Golden-section minimisation of a unimodal function on `[lo, hi]`.
 ///
 /// Returns `(x_min, f(x_min))`. Accuracy is `tol` on the argument.
-pub fn golden_section_minimize<F>(mut f: F, lo: f64, hi: f64, tol: f64) -> (f64, f64)
+#[cfg(test)]
+pub(crate) fn golden_section_minimize<F>(mut f: F, lo: f64, hi: f64, tol: f64) -> (f64, f64)
 where
     F: FnMut(f64) -> f64,
 {
@@ -118,7 +120,8 @@ where
 
 /// Maximises a unimodal function on `[lo, hi]` (wrapper around
 /// [`golden_section_minimize`] on the negated function).
-pub fn golden_section_maximize<F>(mut f: F, lo: f64, hi: f64, tol: f64) -> (f64, f64)
+#[cfg(test)]
+pub(crate) fn golden_section_maximize<F>(mut f: F, lo: f64, hi: f64, tol: f64) -> (f64, f64)
 where
     F: FnMut(f64) -> f64,
 {

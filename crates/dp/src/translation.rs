@@ -12,10 +12,11 @@
 //!   (Algorithm 4, lines 12–16): when a global synopsis with error `v'`
 //!   already exists and the analyst asks for error `v_i < v'`, a fresh delta
 //!   synopsis will be *combined* with the old one (Eq. (2)); the translation
-//!   maximises the fresh synopsis's allowed variance
+//!   takes the fresh synopsis's largest allowed variance
 //!   `v_t(w) = (v_i − w²·v′) / (1 − w)²` over the combination weight
-//!   `w ∈ [0, 1)` before translating `v_t` into an epsilon, so the least
-//!   possible additional budget is spent.
+//!   `w ∈ [0, 1)` — in closed form, `v_t = v_i·v′ / (v′ − v_i)` at
+//!   `w* = v_i / v′` — before translating `v_t` into an epsilon, so the
+//!   least possible additional budget is spent.
 //!
 //! # Probing the profile instead of a calibration
 //!
@@ -56,7 +57,7 @@
 //! 2 000 translations.
 
 use crate::budget::{Budget, Delta, Epsilon};
-use crate::math::optimize::{golden_section_maximize, monotone_binary_search};
+use crate::math::optimize::monotone_binary_search;
 use crate::mechanism::analytic_gaussian::{
     analytic_gaussian_sigma, profile_terms, AnalyticGaussian,
 };
@@ -249,24 +250,14 @@ impl FrictionAwareTranslation {
         let (fresh_variance, weight) = match current_variance.filter(|&v| v > target_variance) {
             None => (target_variance, 0.0),
             Some(v_prime) => {
-                // Maximise v_t(w) = (v_i − w² v′) / (1 − w)² over w ∈ [0, 1).
-                // The feasible region requires v_i − w² v′ > 0, i.e.
-                // w < sqrt(v_i / v′) (< 1 since v_i < v′).
-                let w_max = (target_variance / v_prime).sqrt().min(1.0 - 1e-9);
-                let objective = |w: f64| {
-                    let numer = target_variance - w * w * v_prime;
-                    let denom = (1.0 - w) * (1.0 - w);
-                    if numer <= 0.0 || denom <= 0.0 {
-                        f64::NEG_INFINITY
-                    } else {
-                        numer / denom
-                    }
-                };
-                let (w, v_t) = golden_section_maximize(objective, 0.0, w_max, 1e-10);
+                // v_t(w) = (v_i − w² v′) / (1 − w)² on w ∈ [0, 1) has
+                // v_t′(w) ∝ v_i − w v′: its maximum is at w* = v_i / v′
+                // (< 1 since v_i < v′), where v_t = v_i v′ / (v′ − v_i).
+                let v_t = target_variance * v_prime / (v_prime - target_variance);
                 if !v_t.is_finite() || v_t <= 0.0 {
                     (target_variance, 0.0)
                 } else {
-                    (v_t, w)
+                    (v_t, target_variance / v_prime)
                 }
             }
         };
@@ -573,8 +564,8 @@ mod tests {
         )
     }
 
-    /// Seeded cases per battery arm: the two arms share
-    /// [`crate::battery_cases`].
+    /// Seeded cases per arm of the profile-search battery: its two arms
+    /// share [`crate::battery_cases`]. The friction arm runs all of them.
     fn cases_per_arm() -> usize {
         crate::battery_cases() / 2
     }
@@ -688,6 +679,90 @@ mod tests {
         assert!(
             decided_by_calibration * 2 > total,
             "{decided_by_calibration} of {total} crafted targets fell inside the guard band"
+        );
+    }
+
+    // ----- friction arm: closed-form weight vs golden-section search -----
+
+    /// [`FrictionAwareTranslation::translate`] as it was before the fresh
+    /// variance took its closed form: a golden-section search for the
+    /// maximum of `v_t(w)` over the feasible weights, then the same
+    /// translation. The friction arm's oracle and nothing else.
+    fn friction_translate_golden_section(
+        translator: &FrictionAwareTranslation,
+        target_variance: f64,
+        v_prime: f64,
+        max_epsilon: Epsilon,
+    ) -> Result<Translation> {
+        use crate::math::optimize::golden_section_maximize;
+        let w_max = (target_variance / v_prime).sqrt().min(1.0 - 1e-9);
+        let objective = |w: f64| {
+            let numer = target_variance - w * w * v_prime;
+            let denom = (1.0 - w) * (1.0 - w);
+            if numer <= 0.0 || denom <= 0.0 {
+                f64::NEG_INFINITY
+            } else {
+                numer / denom
+            }
+        };
+        let (_, v_t) = golden_section_maximize(objective, 0.0, w_max, 1e-10);
+        let fresh_variance = if !v_t.is_finite() || v_t <= 0.0 {
+            target_variance
+        } else {
+            v_t
+        };
+        translate_variance_to_epsilon(
+            fresh_variance,
+            translator.delta,
+            translator.sensitivity,
+            max_epsilon,
+            translator.precision,
+        )
+    }
+
+    #[test]
+    fn differential_friction_closed_form_matches_the_golden_section_oracle() {
+        // v′ log-uniform over 0.1…1e6, v_i / v′ uniform over 0.01…0.999.
+        const FRICTION_CEILINGS: [f64; 3] = [3.2, 25.6, 1e3];
+        let mut rng = crate::rng::DpRng::seed_from_u64(0x5eed_0003);
+        let (mut answered, cases) = (0usize, crate::battery_cases());
+        for _ in 0..cases {
+            let case = draw_case(&mut rng);
+            let max_epsilon = Epsilon::new(FRICTION_CEILINGS[rng.uniform_usize(0, 3)]).unwrap();
+            let v_prime = 10f64.powf(rng.uniform_range(-1.0, 6.0));
+            let target = v_prime * rng.uniform_range(0.01, 0.999);
+            let translator =
+                FrictionAwareTranslation::new(case.delta, case.sensitivity, case.precision);
+            let got = translator.translate(target, Some(v_prime), max_epsilon);
+            let want = friction_translate_golden_section(&translator, target, v_prime, max_epsilon);
+            let context = format!(
+                "v_i={target:e} v'={v_prime:e} delta={:e} sens={} max={} p={:e}",
+                case.delta.value(),
+                case.sensitivity.value(),
+                max_epsilon.value(),
+                case.precision
+            );
+            match (got, want) {
+                (Ok(got), Ok(want)) => {
+                    answered += 1;
+                    assert_eq!(
+                        got.epsilon.value().to_bits(),
+                        want.epsilon.value().to_bits(),
+                        "epsilon: {context}"
+                    );
+                }
+                (Err(got), Err(want)) => assert_eq!(
+                    std::mem::discriminant(&got),
+                    std::mem::discriminant(&want),
+                    "{context}"
+                ),
+                (got, want) => panic!("{context}: {got:?} vs {want:?}"),
+            }
+        }
+        // Both outcomes must be well represented.
+        assert!(
+            answered * 4 > cases && answered < cases,
+            "{answered} of {cases} friction cases answered"
         );
     }
 }

@@ -5,7 +5,7 @@
 //! This crate persists every committed admission charge in a checksummed,
 //! fsync'd **write-ahead ledger** — one frame per admission, the data
 //! access riding in its commit — and periodically compacts the full system
-//! state — provenance matrix, per-mechanism multi-analyst ledger, tight
+//! state — provenance matrix with each analyst's release count, tight
 //! accountant state, synopsis cache and session noise-stream positions —
 //! into a **versioned snapshot**, giving crash-safe recovery with two
 //! invariants:

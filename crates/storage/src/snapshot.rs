@@ -1,7 +1,7 @@
 //! Versioned snapshots of the full durable state.
 //!
 //! A snapshot captures everything the write-ahead ledger's frames would
-//! rebuild — provenance entries, per-mechanism ledger buckets, the tight
+//! rebuild — provenance entries, each analyst's release count, the tight
 //! accountant's fixed-size state, the synopsis cache and the session
 //! noise-stream checkpoints — so the ledger can be truncated after one is
 //! written. Its size does not grow with the number of data accesses.
@@ -28,8 +28,8 @@ use std::path::Path;
 use dprov_core::analyst::AnalystId;
 use dprov_core::mechanism::MechanismKind;
 use dprov_core::recorder::{
-    CoreState, DataAccess, GlobalSynopsisState, LedgerEntryState, LocalSynopsisState,
-    ProvenanceEntryState, TightState, ViewCacheState,
+    CoreState, DataAccess, GlobalSynopsisState, LocalSynopsisState, ProvenanceEntryState,
+    ReleaseState, TightState, ViewCacheState,
 };
 use dprov_core::StorageError;
 use dprov_delta::{EncodedBatch, SealedEpoch, UpdateLog};
@@ -48,8 +48,11 @@ pub const SNAPSHOT_MAGIC: &[u8; 8] = b"DPSNAP01";
 /// and an empty update log. Version 3 stores the tight accountant's state
 /// in place of the list of every data access; an older snapshot's list
 /// reads as [`TightState::LegacyAccesses`], which import folds through the
-/// configured accountant.
-pub const SNAPSHOT_VERSION: u32 = 3;
+/// configured accountant. Version 4 stores each analyst's release count in
+/// place of the per-(analyst, mechanism) ledger buckets; an older
+/// snapshot's buckets read as [`ReleaseState::LegacyLedger`], which import
+/// checks against the provenance rows and drops.
+pub const SNAPSHOT_VERSION: u32 = 4;
 
 /// A full durable-state snapshot.
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -58,8 +61,8 @@ pub struct SnapshotState {
     /// (see [`crate::store::config_fingerprint`]); recovery refuses a
     /// snapshot whose fingerprint does not match the live system.
     pub fingerprint: u64,
-    /// The core system state (provenance, ledger, tight accountant,
-    /// synopses).
+    /// The core system state (provenance, release counts, tight
+    /// accountant, synopses).
     pub core: CoreState,
     /// Session noise-stream checkpoints, one per live session.
     pub sessions: Vec<SessionCheckpoint>,
@@ -79,7 +82,11 @@ fn corrupt(offset: u64, reason: impl Into<String>) -> StorageError {
     }
 }
 
-fn encode_body(state: &SnapshotState, tight: &AccountantState) -> Vec<u8> {
+fn encode_body(
+    state: &SnapshotState,
+    releases: &[(AnalystId, u64)],
+    tight: &AccountantState,
+) -> Vec<u8> {
     let mut enc = Encoder::new();
     enc.put_u64(state.fingerprint);
     enc.put_u64(state.core.next_seq);
@@ -91,14 +98,11 @@ fn encode_body(state: &SnapshotState, tight: &AccountantState) -> Vec<u8> {
         enc.put_f64(entry.epsilon);
     }
 
-    enc.put_u32(state.core.ledger.len() as u32);
-    for entry in &state.core.ledger {
-        enc.put_u64(entry.analyst.0 as u64);
-        enc.put_u8(entry.mechanism.code());
-        enc.put_f64(entry.epsilon);
-        enc.put_f64(entry.delta);
+    enc.put_u32(releases.len() as u32);
+    for (analyst, count) in releases {
+        enc.put_u64(analyst.0 as u64);
+        enc.put_u64(*count);
     }
-    enc.put_u64(state.core.ledger_releases);
 
     enc.put_u64(tight.releases);
     enc.put_f64_slice(&tight.sums);
@@ -189,21 +193,28 @@ fn decode_body(body: &[u8], version: u32) -> Result<SnapshotState, String> {
         });
     }
 
-    let n = dec.take_count(8 + 1 + 8 + 8)?;
-    let mut ledger = Vec::with_capacity(n);
-    for _ in 0..n {
-        ledger.push(LedgerEntryState {
-            analyst: AnalystId(dec.take_u64()? as usize),
-            mechanism: {
-                let code = dec.take_u8()?;
-                MechanismKind::from_code(code)
-                    .ok_or_else(|| format!("unknown mechanism code {code}"))?
-            },
-            epsilon: dec.take_f64()?,
-            delta: dec.take_f64()?,
-        });
-    }
-    let ledger_releases = dec.take_u64()?;
+    let releases = if version >= 4 {
+        let n = dec.take_count(8 + 8)?;
+        let mut counts = Vec::with_capacity(n);
+        for _ in 0..n {
+            counts.push((AnalystId(dec.take_u64()? as usize), dec.take_u64()?));
+        }
+        ReleaseState::Counts(counts)
+    } else {
+        let n = dec.take_count(8 + 1 + 8 + 8)?;
+        let mut buckets = Vec::with_capacity(n);
+        for _ in 0..n {
+            let analyst = AnalystId(dec.take_u64()? as usize);
+            let code = dec.take_u8()?;
+            MechanismKind::from_code(code)
+                .ok_or_else(|| format!("unknown mechanism code {code}"))?;
+            buckets.push((analyst, dec.take_f64()?, dec.take_f64()?));
+        }
+        ReleaseState::LegacyLedger {
+            buckets,
+            releases: dec.take_u64()?,
+        }
+    };
 
     let tight = if version >= 3 {
         TightState::Accountant(AccountantState {
@@ -299,8 +310,7 @@ fn decode_body(body: &[u8], version: u32) -> Result<SnapshotState, String> {
         core: CoreState {
             next_seq,
             provenance,
-            ledger,
-            ledger_releases,
+            releases,
             tight,
             synopses,
             deltas,
@@ -311,15 +321,20 @@ fn decode_body(body: &[u8], version: u32) -> Result<SnapshotState, String> {
 }
 
 /// Writes a snapshot atomically: temp file, fsync, rename, directory
-/// fsync. A state still holding an older snapshot's access list is
-/// refused: only an import can fold it through its accountant.
+/// fsync. A state still holding an older snapshot's access list or ledger
+/// section is refused: only an import can fold or check it.
 pub fn write_snapshot(path: &Path, state: &SnapshotState, fsync: bool) -> Result<(), StorageError> {
     let TightState::Accountant(tight) = &state.core.tight else {
         return Err(StorageError::IncompatibleState(
             "an access list is folded on import, never written".to_owned(),
         ));
     };
-    let body = encode_body(state, tight);
+    let ReleaseState::Counts(releases) = &state.core.releases else {
+        return Err(StorageError::IncompatibleState(
+            "a ledger section is checked on import, never written".to_owned(),
+        ));
+    };
+    let body = encode_body(state, releases, tight);
     let mut bytes = Vec::with_capacity(body.len() + 24);
     bytes.extend_from_slice(SNAPSHOT_MAGIC);
     bytes.extend_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
@@ -412,13 +427,7 @@ mod tests {
                     view: "adult.age".to_owned(),
                     epsilon: 0.625,
                 }],
-                ledger: vec![LedgerEntryState {
-                    analyst: AnalystId(1),
-                    mechanism: MechanismKind::AdditiveGaussian,
-                    epsilon: 0.625,
-                    delta: 1e-9,
-                }],
-                ledger_releases: 3,
+                releases: ReleaseState::Counts(vec![(AnalystId(1), 3)]),
                 tight: TightState::Accountant(AccountantState {
                     releases: 1,
                     sums: vec![0.625, 1e-9],

@@ -1,8 +1,9 @@
 //! The tight accountant's durable state: one ledger frame per admission,
 //! a snapshot whose size does not grow with the number of data accesses,
 //! bit-exact recovery under every composition method, and stores written
-//! in the previous format (a standalone frame per access, a version-2
-//! snapshot listing every access) still opening with the same accounting.
+//! in a previous format (a standalone frame per access, a version-2
+//! snapshot listing every access and carrying a ledger section) still
+//! opening with the same accounting.
 //!
 //! `fixtures/legacy-{vanilla,additive}` were written by the previous
 //! format's code running [`legacy_workload`] on [`legacy_system`], with a
@@ -16,13 +17,15 @@ use dprov_core::analyst::{AnalystId, AnalystRegistry};
 use dprov_core::config::SystemConfig;
 use dprov_core::mechanism::MechanismKind;
 use dprov_core::processor::QueryRequest;
-use dprov_core::recorder::{CoreState, Recorder, TightState};
+use dprov_core::recorder::{CoreState, Recorder, ReleaseState, TightState};
 use dprov_core::system::DProvDb;
 use dprov_dp::accountant::CompositionMethod;
 use dprov_dp::budget::Budget;
 use dprov_engine::catalog::ViewCatalog;
 use dprov_engine::datagen::adult::adult_database;
 use dprov_engine::query::Query;
+use dprov_storage::codec::{crc32, Encoder};
+use dprov_storage::snapshot::read_snapshot;
 use dprov_storage::{scratch_dir, ProvenanceStore, RecoveredState, StoreOptions};
 
 const METHODS: [CompositionMethod; 4] = [
@@ -90,15 +93,14 @@ fn replay(fresh: &DProvDb, recovered: &RecoveredState) {
     }
 }
 
-/// The budget state a recovery must reproduce: provenance entries, ledger
-/// buckets and release count, and the tight accounting, floats as bits.
+/// The budget state a recovery must reproduce: provenance entries, each
+/// analyst's release count, and the tight accounting, floats as bits.
 fn accounting(system: &DProvDb) -> (CoreState, (u64, u64)) {
     let state = system.export_durable_state();
     let core = CoreState {
         next_seq: state.next_seq,
         provenance: state.provenance,
-        ledger: state.ledger,
-        ledger_releases: state.ledger_releases,
+        releases: state.releases,
         ..CoreState::default()
     };
     (core, bits(system.tight_accounting()))
@@ -194,10 +196,11 @@ fn snapshot_size_is_flat_in_the_number_of_accesses() {
     }
 }
 
-/// A store written in the previous format opens with the provenance,
-/// ledger and tight accounting of a live run of the same workload, bit for
-/// bit — so the new composition order has the previous one's bits — and
-/// keeps doing so once compacted into the current format.
+/// A store written in a previous format opens with the provenance, release
+/// counts (recovered from the ledger section's δ) and tight accounting of
+/// a live run of the same workload, bit for bit — so the new composition
+/// order has the previous one's bits — and keeps doing so once compacted
+/// into the current format.
 #[test]
 fn a_store_in_the_previous_format_opens_with_the_same_accounting() {
     let fixtures = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures");
@@ -218,6 +221,10 @@ fn a_store_in_the_previous_format_opens_with_the_same_accounting() {
         let (store, recovered) = ProvenanceStore::open(&dir).unwrap();
         let snapshot = recovered.snapshot.as_ref().unwrap();
         assert!(matches!(snapshot.core.tight, TightState::LegacyAccesses(_)));
+        assert!(matches!(
+            snapshot.core.releases,
+            ReleaseState::LegacyLedger { .. }
+        ));
         assert_eq!(recovered.admissions.len(), 6, "{name}: the ledger suffix");
         assert!(
             recovered.admissions.iter().all(|a| a.access.is_some()),
@@ -226,6 +233,7 @@ fn a_store_in_the_previous_format_opens_with_the_same_accounting() {
         let fresh = legacy_system(mechanism);
         replay(&fresh, &recovered);
         assert_eq!(accounting(&fresh), want, "{name}");
+        assert_eq!(fresh.ledger().all(), live.ledger().all(), "{name}");
 
         // Compacted, the store holds the current format and recovers the
         // same accounting.
@@ -237,13 +245,95 @@ fn a_store_in_the_previous_format_opens_with_the_same_accounting() {
             .unwrap();
         drop(store);
         let (_, recovered) = ProvenanceStore::open(&dir).unwrap();
-        assert!(matches!(
-            recovered.snapshot.as_ref().unwrap().core.tight,
-            TightState::Accountant(_)
-        ));
+        let core = &recovered.snapshot.as_ref().unwrap().core;
+        assert!(matches!(core.tight, TightState::Accountant(_)));
+        assert!(matches!(core.releases, ReleaseState::Counts(_)));
         let upgraded = legacy_system(mechanism);
         replay(&upgraded, &recovered);
         assert_eq!(accounting(&upgraded), want, "{name}: after compaction");
+        assert_eq!(upgraded.ledger().all(), live.ledger().all(), "{name}");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+}
+
+/// Rewrites a current-format snapshot file as the version-3 encoding of
+/// the same state: the release counts give way to the ledger section the
+/// previous format derived from the same spend, one bucket per analyst.
+fn as_version_3(bytes: &[u8], state: &CoreState, system: &DProvDb) -> Vec<u8> {
+    let body = &bytes[20..bytes.len() - 4];
+    // The body up to the release counts: fingerprint, next seq, provenance.
+    let mut head = Encoder::new();
+    head.put_u64(0);
+    head.put_u64(0);
+    head.put_u32(state.provenance.len() as u32);
+    for entry in &state.provenance {
+        head.put_u64(0);
+        head.put_str(&entry.view);
+        head.put_f64(0.0);
+    }
+    let head = head.into_bytes().len();
+    let ReleaseState::Counts(counts) = &state.releases else {
+        panic!("export writes release counts");
+    };
+    let tail = head + 4 + 16 * counts.len();
+
+    let ledger = system.ledger();
+    let mut section = Encoder::new();
+    section.put_u32(ledger.all().len() as u32);
+    for (analyst, budget) in ledger.all() {
+        section.put_u64(analyst.0 as u64);
+        section.put_u8(system.mechanism().code());
+        section.put_f64(budget.epsilon.value());
+        section.put_f64(budget.delta.value());
+    }
+    section.put_u64(ledger.releases() as u64);
+
+    let mut v3_body = body[..head].to_vec();
+    v3_body.extend(section.into_bytes());
+    v3_body.extend(&body[tail..]);
+    let mut v3 = bytes[..8].to_vec();
+    v3.extend(3u32.to_le_bytes());
+    v3.extend((v3_body.len() as u64).to_le_bytes());
+    v3.extend(&v3_body);
+    v3.extend(crc32(&v3_body).to_le_bytes());
+    v3
+}
+
+/// The version-4 snapshot of a state is no larger than its version-3
+/// encoding, and that encoding still opens: its ledger section is checked
+/// against the provenance rows and yields the same release counts.
+#[test]
+fn a_v4_snapshot_is_no_larger_than_the_v3_encoding_of_the_same_state() {
+    for mechanism in MECHANISMS {
+        let live = legacy_system(mechanism);
+        for (analyst, request) in legacy_workload() {
+            assert!(live.submit_shared(analyst, &request).unwrap().is_answered());
+        }
+        let state = live.export_durable_state();
+        let dir = scratch_dir("accountant-v3-size");
+        let (store, _) = ProvenanceStore::open_with(&dir, StoreOptions { fsync: false }).unwrap();
+        store.compact(1, &state).unwrap();
+        let path = ProvenanceStore::snapshot_path(&dir);
+        let v4 = std::fs::read(&path).unwrap();
+        let v3 = as_version_3(&v4, &state, &live);
+        assert!(
+            v4.len() <= v3.len(),
+            "{mechanism}: v4 snapshot {} bytes, v3 {}",
+            v4.len(),
+            v3.len()
+        );
+
+        std::fs::write(&path, &v3).unwrap();
+        let decoded = read_snapshot(&path).unwrap().unwrap();
+        let ReleaseState::LegacyLedger { buckets, releases } = &decoded.core.releases else {
+            panic!("{mechanism}: a version-3 snapshot carries a ledger section");
+        };
+        assert_eq!(buckets.len(), 2);
+        assert_eq!(*releases, legacy_workload().len() as u64);
+        let fresh = legacy_system(mechanism);
+        fresh.import_durable_state(&decoded.core).unwrap();
+        assert_eq!(accounting(&fresh), accounting(&live), "{mechanism}");
+        drop(store);
         std::fs::remove_dir_all(&dir).ok();
     }
 }

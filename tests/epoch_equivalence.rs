@@ -8,14 +8,21 @@
 //! full rebuild is pinned one layer down: `dprov-delta`'s `incremental`
 //! proptests and `dprov-core`'s per-seal histogram check.)
 
+use std::collections::HashSet;
+use std::path::Path;
+
 use dprov_core::analyst::{AnalystId, AnalystRegistry};
 use dprov_core::config::SystemConfig;
 use dprov_core::mechanism::MechanismKind;
+use dprov_core::recorder::ReleaseState;
 use dprov_core::system::DProvDb;
 use dprov_engine::catalog::ViewCatalog;
 use dprov_engine::datagen::adult::adult_database;
 use dprov_engine::query::Query;
 use dprov_server::{DurabilityConfig, QueryService, ServiceConfig, SessionId};
+use dprov_storage::snapshot::read_snapshot;
+use dprov_storage::wal::scan;
+use dprov_storage::{ProvenanceStore, WalRecord};
 use dprov_workloads::skew::{generate_stream, StreamEvent, StreamingConfig};
 
 const SEED: u64 = 33;
@@ -63,6 +70,8 @@ struct RunTrace {
     /// `(epoch, rows, views_patched, invalidated)` per seal, in order.
     seals: Vec<(u64, usize, usize, usize)>,
     ledger: Vec<(AnalystId, u64)>,
+    /// Each analyst's release count in the derived ledger.
+    releases: Vec<u64>,
     tight_epsilon: u64,
     row_totals: Vec<u64>,
     final_epoch: u64,
@@ -116,18 +125,46 @@ impl Driver<'_> {
     }
 }
 
-/// The two spend records agree: per analyst, the privacy-loss ledger's
-/// epsilon equals the provenance row total up to float rounding.
-fn assert_ledger_matches_provenance(system: &DProvDb, label: &str) {
-    let (ledger, provenance) = (system.ledger(), system.provenance());
-    for a in 0..provenance.num_analysts() {
-        let row_total = provenance.row_total(AnalystId(a));
-        let loss = ledger.loss_to(AnalystId(a)).epsilon.value();
-        assert!(
-            (loss - row_total).abs() <= 1e-9 * row_total.max(1.0),
-            "{label}: analyst {a} ledger spend {loss} but provenance row total {row_total}"
-        );
+/// Each analyst's release count in the ledger derived from `system`.
+fn release_counts(system: &DProvDb) -> Vec<u64> {
+    let ledger = system.ledger();
+    (0..ANALYSTS)
+        .map(|a| ledger.releases_to(AnalystId(a)))
+        .collect()
+}
+
+/// Each analyst's releases as the store in `dir` holds them: the
+/// snapshot's counts plus the non-voided admissions the WAL adds past the
+/// snapshot. Reads the files without opening the store, so a running
+/// service may still hold it.
+fn durable_release_counts(dir: &Path) -> Vec<u64> {
+    let mut counts = vec![0; ANALYSTS];
+    let snapshot = read_snapshot(&ProvenanceStore::snapshot_path(dir)).unwrap();
+    let folded = snapshot.as_ref().map_or(0, |s| s.core.next_seq);
+    if let Some(snapshot) = snapshot {
+        let ReleaseState::Counts(releases) = snapshot.core.releases else {
+            panic!("the service writes release counts");
+        };
+        for (analyst, n) in releases {
+            counts[analyst.0] += n;
+        }
     }
+    let records = scan(&ProvenanceStore::wal_path(dir)).unwrap().records;
+    let voided: HashSet<u64> = records
+        .iter()
+        .filter_map(|r| match r {
+            WalRecord::Rollback { seq } => Some(*seq),
+            _ => None,
+        })
+        .collect();
+    for record in &records {
+        if let WalRecord::Commit(commit, _) = record {
+            if commit.seq >= folded && !voided.contains(&commit.seq) {
+                counts[commit.analyst.0] += 1;
+            }
+        }
+    }
+    counts
 }
 
 fn trace_of(
@@ -136,7 +173,6 @@ fn trace_of(
     seals: Vec<(u64, usize, usize, usize)>,
 ) -> RunTrace {
     let system = service.system();
-    assert_ledger_matches_provenance(system, "end of run");
     let audits: Vec<u64> = [
         Query::count("adult"),
         Query::range_count("adult", "age", 25, 45),
@@ -154,6 +190,7 @@ fn trace_of(
             .into_iter()
             .map(|(a, b)| (a, b.epsilon.value().to_bits()))
             .collect(),
+        releases: release_counts(system),
         tight_epsilon: system.tight_accounting().epsilon.value().to_bits(),
         row_totals: (0..ANALYSTS)
             .map(|a| system.provenance().row_total(AnalystId(a)).to_bits())
@@ -202,10 +239,14 @@ fn interrupted(mechanism: MechanismKind, crash_at: usize) -> RunTrace {
         };
         let (mut answers, mut seals) = (Vec::new(), Vec::new());
         driver.run(&events[..crash_at], &mut answers, &mut seals);
+        assert_eq!(
+            release_counts(service.system()),
+            durable_release_counts(&dir),
+            "{mechanism}: release counts before the crash"
+        );
         // Checkpoint so the synopsis cache (and with it bit-exact noise
         // *continuation*) survives — same contract as recovery_equivalence.
         service.checkpoint().unwrap();
-        assert_ledger_matches_provenance(service.system(), "before the crash");
         let sessions = driver.sessions;
         (answers, seals, sessions)
         // Dropped WITHOUT shutdown: the crash.
@@ -225,6 +266,12 @@ fn interrupted(mechanism: MechanismKind, crash_at: usize) -> RunTrace {
         driver.run(&events[crash_at..], &mut answers, &mut seals);
         trace_of(&service, answers, seals)
     };
+    // The uninterrupted run's counts equal these through the trace.
+    assert_eq!(
+        trace.releases,
+        durable_release_counts(&dir),
+        "{mechanism}: release counts at the end of the run"
+    );
     std::fs::remove_dir_all(&dir).ok();
     trace
 }
