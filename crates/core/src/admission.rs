@@ -8,7 +8,7 @@
 //! provenance table:
 //!
 //! * **entry locks** — one striped `Mutex` per `(analyst, view)` pair,
-//!   held for the whole resolve → translate → check-and-reserve → release
+//!   held for the whole cache probe → translate → check-and-reserve → release
 //!   sequence of one submission. This serialises racing submissions that
 //!   target the *same* provenance entry, so a pair of identical queries
 //!   from one analyst cannot both miss the cache and double-derive (the

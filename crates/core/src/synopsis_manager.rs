@@ -62,16 +62,6 @@ fn injected_release_failure() -> Result<()> {
     Ok(())
 }
 
-/// The outcome of one global-synopsis growth: what it cost and the noise
-/// scale of the data-touching release (for tight accounting).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct GlobalGrowth {
-    /// The epsilon actually added (`Δε`).
-    pub spent_epsilon: f64,
-    /// The calibrated noise scale of the release that touched the data.
-    pub release_sigma: f64,
-}
-
 /// A synopsis together with the nominal budget spent on it and the update
 /// epoch it was released against.
 #[derive(Debug, Clone, PartialEq)]
@@ -549,57 +539,44 @@ impl SynopsisManager {
         }
     }
 
-    /// Grows the global synopsis of `view` to nominal budget at least
-    /// `target_epsilon`, returning `None` when the existing synopsis was
-    /// already sufficient and otherwise the spend and the noise scale of
-    /// the release that touched the data (so callers can feed their tight
-    /// accountant without re-running the sigma calibration).
+    /// Grows the global synopsis of `view` to nominal budget
+    /// `target_epsilon` by releasing `growth`, the mechanism whose epsilon
+    /// the caller decided under the view's admission lock: the whole
+    /// target when no synopsis exists yet, `Δε = target − current`
+    /// otherwise (a target the synopsis already covers needs no growth).
     ///
-    /// * No existing synopsis: a fresh one is generated at `target_epsilon`.
-    /// * Existing synopsis with a smaller budget: a delta synopsis `V^Δε`
-    ///   with `Δε = target − current` is generated and merged with the
-    ///   UMVUE weight (Eq. 2); note the *friction*: the combined variance is
-    ///   larger than a one-shot synopsis at the full budget would have.
+    /// * No existing synopsis: the release becomes the global synopsis.
+    /// * Existing synopsis: the release is a delta synopsis `V^Δε`, merged
+    ///   with the UMVUE weight (Eq. 2); note the *friction*: the combined
+    ///   variance is larger than a one-shot synopsis at the full budget
+    ///   would have.
     ///
-    /// Growth is atomic under the shard's write lock, so concurrent callers
-    /// can never interleave a partial grow (monotone epsilon is preserved).
-    /// `known` is the mechanism the request already calibrated, if any:
-    /// it serves the release whose epsilon it matches (the whole target
-    /// when no synopsis exists yet).
+    /// The release and the merge are atomic under the shard's write lock,
+    /// so a concurrent reader never observes a partial grow.
     pub fn grow_global(
         &self,
         view: &str,
         target_epsilon: f64,
-        known: Option<AnalyticGaussian>,
+        growth: AnalyticGaussian,
         rng: &mut DpRng,
-    ) -> Result<Option<GlobalGrowth>> {
+    ) -> Result<()> {
         #[cfg(test)]
         injected_release_failure()?;
         let shard = self.shard(view)?;
         let release_epoch = self.current_epoch();
         let mut guard = shard.state.write().expect("shard poisoned");
         let state = &mut *guard;
-
+        let counts = growth.release_vector(&state.exact.counts, rng);
+        let fresh = Synopsis::new(view, counts, growth.variance());
         match &mut state.global {
             None => {
-                let mechanism = self.mechanism_for(shard, target_epsilon, known)?;
-                let counts = mechanism.release_vector(&state.exact.counts, rng);
                 state.global = Some(BudgetedSynopsis {
-                    synopsis: Synopsis::new(view, counts, mechanism.variance()),
+                    synopsis: fresh,
                     epsilon: target_epsilon,
                     epoch: release_epoch,
                 });
-                Ok(Some(GlobalGrowth {
-                    spent_epsilon: target_epsilon,
-                    release_sigma: mechanism.sigma(),
-                }))
             }
-            Some(global) if global.epsilon + 1e-12 >= target_epsilon => Ok(None),
             Some(global) => {
-                let delta_eps = target_epsilon - global.epsilon;
-                let mechanism = self.mechanism_for(shard, delta_eps, known)?;
-                let fresh_counts = mechanism.release_vector(&state.exact.counts, rng);
-                let fresh = Synopsis::new(view, fresh_counts, mechanism.variance());
                 // Eq. (2): weight on the fresh synopsis minimising the
                 // combined variance.
                 let w = global
@@ -612,77 +589,11 @@ impl SynopsisManager {
                 // stale-epoch observations, so stamping it newer would let
                 // old data escape the staleness bound forever. (Under
                 // re-noise a stale global cannot reach this point — it was
-                // invalidated at the seal.) Mirrors `refine_local`.
+                // invalidated at the seal.)
                 global.epoch = global.epoch.min(release_epoch);
-                Ok(Some(GlobalGrowth {
-                    spent_epsilon: delta_eps,
-                    release_sigma: mechanism.sigma(),
-                }))
             }
         }
-    }
-
-    /// Refines an analyst's existing local synopsis by combining it with a
-    /// *fresh* local release derived from the current global synopsis
-    /// (the §5.2.6 discussion).
-    ///
-    /// Both the old and the fresh local synopsis are the global counts plus
-    /// independent extra noise, so a convex combination `k·old + (1−k)·fresh`
-    /// stays unbiased for the true counts and its variance is
-    /// `v_global + k²·e_old + (1−k)²·e_fresh` where `e_*` are the extra-noise
-    /// variances. The variance-minimising weight is
-    /// `k* = e_fresh / (e_old + e_fresh)`.
-    ///
-    /// The combined synopsis is still a post-processing of the global
-    /// synopsis, so the worst-case privacy loss stays bounded by the global
-    /// budget; callers remain responsible for charging the analyst
-    /// (`min(ε_global, P + ε_i)` as in Algorithm 4). Returns the refined
-    /// synopsis; if the analyst has no existing local synopsis this is
-    /// identical to [`Self::derive_local`].
-    pub fn refine_local(
-        &self,
-        analyst: usize,
-        view: &str,
-        local_epsilon: f64,
-        rng: &mut DpRng,
-    ) -> Result<BudgetedSynopsis> {
-        let existing = self.local(analyst, view);
-        let global_variance = self
-            .global_variance(view)?
-            .ok_or_else(|| CoreError::InvalidConfig(format!("no global synopsis for {view}")))?;
-        let fresh = self.derive_local(analyst, view, local_epsilon, None, rng)?;
-        let Some(existing) = existing else {
-            return Ok(fresh);
-        };
-
-        // Extra-noise variances on top of the shared global synopsis. An
-        // older local synopsis may have been derived from a *noisier* global
-        // state; its total variance still upper-bounds the part independent
-        // of the current global counts, so using it keeps the weight
-        // conservative (never over-weights the old synopsis).
-        let e_old = (existing.synopsis.per_bin_variance - global_variance).max(0.0);
-        let e_fresh = (fresh.synopsis.per_bin_variance - global_variance).max(0.0);
-        if e_old <= 0.0 {
-            // The old synopsis is already as good as the global itself.
-            self.store_local(analyst, view, existing.clone());
-            return Ok(existing);
-        }
-        let k = e_fresh / (e_old + e_fresh);
-        let counts: Vec<f64> = existing
-            .synopsis
-            .counts
-            .iter()
-            .zip(&fresh.synopsis.counts)
-            .map(|(old, new)| k * old + (1.0 - k) * new)
-            .collect();
-        let variance = global_variance + k * k * e_old + (1.0 - k) * (1.0 - k) * e_fresh;
-        let refined = BudgetedSynopsis {
-            synopsis: Synopsis::new(view, counts, variance),
-            epsilon: existing.epsilon.max(fresh.epsilon),
-            epoch: existing.epoch.min(fresh.epoch),
-        };
-        self.store_local(analyst, view, refined.clone());
-        Ok(refined)
+        Ok(())
     }
 
     /// Derives (and stores) a local synopsis for `analyst` on `view` at
@@ -752,6 +663,19 @@ mod tests {
         (mgr, DpRng::seed_from_u64(11))
     }
 
+    /// Grows `view`'s global synopsis to `target` as an admission decides
+    /// the growth: the whole target first, then only the difference, and
+    /// nothing once the synopsis covers the target.
+    fn grow_to(mgr: &SynopsisManager, view: &str, target: f64, rng: &mut DpRng) {
+        let growth = match mgr.global_epsilon(view).unwrap() {
+            Some(current) if current + 1e-12 >= target => return,
+            Some(current) => target - current,
+            None => target,
+        };
+        let mechanism = mgr.calibrate(view, growth).unwrap();
+        mgr.grow_global(view, target, mechanism, rng).unwrap();
+    }
+
     #[test]
     fn register_views_shares_one_scan_and_matches_register_view() {
         let db = adult_database(2_000, 3);
@@ -804,31 +728,20 @@ mod tests {
     fn grow_global_creates_then_grows() {
         let (mgr, mut rng) = setup();
         let sigma_at = |eps| analytic_gaussian_sigma(eps, 1e-9, std::f64::consts::SQRT_2).unwrap();
-        let created = mgr
-            .grow_global("adult.age", 0.5, None, &mut rng)
-            .unwrap()
-            .unwrap();
-        assert!((created.spent_epsilon - 0.5).abs() < 1e-12);
-        assert_eq!(created.release_sigma, sigma_at(0.5));
+        let first = mgr.calibrate("adult.age", 0.5).unwrap();
+        mgr.grow_global("adult.age", 0.5, first, &mut rng).unwrap();
         assert_eq!(mgr.global_epsilon("adult.age").unwrap(), Some(0.5));
         let v_first = mgr.global_variance("adult.age").unwrap().unwrap();
+        assert_eq!(v_first, first.variance());
+        assert_eq!(first.sigma(), sigma_at(0.5));
 
-        // Asking for less is free.
-        let unchanged = mgr.grow_global("adult.age", 0.3, None, &mut rng).unwrap();
-        assert_eq!(unchanged, None);
-        assert_eq!(mgr.global_epsilon("adult.age").unwrap(), Some(0.5));
-
-        // Growing to 0.7 spends the difference — the delta synopsis is the
-        // release that touches the data — and reduces the variance.
-        let grown = mgr
-            .grow_global("adult.age", 0.7, None, &mut rng)
-            .unwrap()
-            .unwrap();
-        assert!((grown.spent_epsilon - 0.2).abs() < 1e-12);
-        assert_eq!(grown.release_sigma, sigma_at(grown.spent_epsilon));
+        // Growing to 0.7 releases a delta synopsis at the difference and
+        // merges it, reducing the variance.
+        let delta = mgr.calibrate("adult.age", 0.7 - 0.5).unwrap();
+        mgr.grow_global("adult.age", 0.7, delta, &mut rng).unwrap();
         assert_eq!(mgr.global_epsilon("adult.age").unwrap(), Some(0.7));
         let v_combined = mgr.global_variance("adult.age").unwrap().unwrap();
-        assert!(v_combined < v_first);
+        assert!(v_combined < v_first.min(delta.variance()));
 
         // Friction: the combined synopsis is noisier than a one-shot 0.7.
         assert!(v_combined > sigma_at(0.7) * sigma_at(0.7));
@@ -846,7 +759,7 @@ mod tests {
         let release = |known_eps: Option<f64>| {
             let (mgr, mut rng) = setup();
             let known = known_eps.map(|e| mgr.calibrate("adult.age", e).unwrap());
-            mgr.grow_global("adult.age", 0.8, known, &mut rng).unwrap();
+            grow_to(&mgr, "adult.age", 0.8, &mut rng);
             let local = mgr
                 .derive_local(0, "adult.age", 0.8, known, &mut rng)
                 .unwrap();
@@ -863,7 +776,7 @@ mod tests {
     #[test]
     fn derive_local_adds_noise_and_respects_budget_ordering() {
         let (mgr, mut rng) = setup();
-        mgr.grow_global("adult.age", 1.0, None, &mut rng).unwrap();
+        grow_to(&mgr, "adult.age", 1.0, &mut rng);
         let global_var = mgr.global_variance("adult.age").unwrap().unwrap();
 
         let local_small = mgr
@@ -886,70 +799,12 @@ mod tests {
     #[test]
     fn derive_local_matches_the_analytic_calibration() {
         let (mgr, mut rng) = setup();
-        mgr.grow_global("adult.age", 1.0, None, &mut rng).unwrap();
+        grow_to(&mgr, "adult.age", 1.0, &mut rng);
         let local = mgr
             .derive_local(0, "adult.age", 0.4, None, &mut rng)
             .unwrap();
         let sigma = analytic_gaussian_sigma(0.4, 1e-9, std::f64::consts::SQRT_2).unwrap();
         assert!((local.synopsis.per_bin_variance - sigma * sigma).abs() < 1e-9);
-    }
-
-    #[test]
-    fn refine_local_combines_and_reduces_variance() {
-        let (mgr, mut rng) = setup();
-        mgr.grow_global("adult.age", 2.0, None, &mut rng).unwrap();
-        let first = mgr
-            .derive_local(0, "adult.age", 0.3, None, &mut rng)
-            .unwrap();
-        let refined = mgr.refine_local(0, "adult.age", 0.3, &mut rng).unwrap();
-        // Combining two releases at the same budget roughly halves the
-        // extra-noise variance, so the refined synopsis is strictly better
-        // than either individual one.
-        assert!(refined.synopsis.per_bin_variance < first.synopsis.per_bin_variance);
-        // But never better than the hidden global synopsis.
-        let global_var = mgr.global_variance("adult.age").unwrap().unwrap();
-        assert!(refined.synopsis.per_bin_variance >= global_var - 1e-9);
-        // The refinement is cached as the analyst's local synopsis.
-        let cached = mgr.local(0, "adult.age").unwrap();
-        assert_eq!(
-            cached.synopsis.per_bin_variance,
-            refined.synopsis.per_bin_variance
-        );
-    }
-
-    #[test]
-    fn refine_local_without_existing_local_equals_derive_local() {
-        let (mgr, mut rng) = setup();
-        mgr.grow_global("adult.age", 1.0, None, &mut rng).unwrap();
-        let refined = mgr.refine_local(3, "adult.age", 0.4, &mut rng).unwrap();
-        let sigma = analytic_gaussian_sigma(0.4, 1e-9, std::f64::consts::SQRT_2).unwrap();
-        assert!((refined.synopsis.per_bin_variance - sigma * sigma).abs() < 1e-9);
-        assert!(mgr.refine_local(3, "adult.sex", 0.4, &mut rng).is_err());
-    }
-
-    #[test]
-    fn refine_local_stays_unbiased() {
-        // The combined counts remain centred on the truth: compare against
-        // the exact histogram across many bins.
-        let (mgr, mut rng) = setup();
-        mgr.grow_global("adult.age", 4.0, None, &mut rng).unwrap();
-        mgr.derive_local(0, "adult.age", 1.0, None, &mut rng)
-            .unwrap();
-        let refined = mgr.refine_local(0, "adult.age", 1.0, &mut rng).unwrap();
-        let exact = mgr.exact_histogram("adult.age").unwrap().counts.clone();
-        let mean_error: f64 = refined
-            .synopsis
-            .counts
-            .iter()
-            .zip(&exact)
-            .map(|(n, t)| n - t)
-            .sum::<f64>()
-            / exact.len() as f64;
-        let sd = refined.synopsis.per_bin_variance.sqrt();
-        assert!(
-            mean_error.abs() < 4.0 * sd / (exact.len() as f64).sqrt() + 1.0,
-            "mean error {mean_error} too large for sd {sd}"
-        );
     }
 
     #[test]
@@ -966,7 +821,7 @@ mod tests {
         // counts, not of the exact histogram: check the local counts differ
         // from the global ones (extra noise was added) with equal length.
         let (mgr, mut rng) = setup();
-        mgr.grow_global("adult.sex", 2.0, None, &mut rng).unwrap();
+        grow_to(&mgr, "adult.sex", 2.0, &mut rng);
         let global_counts = mgr
             .global_synopsis("adult.sex")
             .unwrap()
@@ -983,7 +838,7 @@ mod tests {
     #[test]
     fn export_import_round_trips_the_cache() {
         let (mgr, mut rng) = setup();
-        mgr.grow_global("adult.age", 1.0, None, &mut rng).unwrap();
+        grow_to(&mgr, "adult.age", 1.0, &mut rng);
         mgr.derive_local(0, "adult.age", 0.5, None, &mut rng)
             .unwrap();
         mgr.derive_local(2, "adult.age", 0.3, None, &mut rng)
@@ -1027,36 +882,41 @@ mod tests {
     #[test]
     fn clone_snapshots_the_cache_state() {
         let (mgr, mut rng) = setup();
-        mgr.grow_global("adult.age", 1.0, None, &mut rng).unwrap();
+        grow_to(&mgr, "adult.age", 1.0, &mut rng);
         mgr.derive_local(0, "adult.age", 0.5, None, &mut rng)
             .unwrap();
         let snapshot = mgr.clone();
         assert_eq!(snapshot.global_epsilon("adult.age").unwrap(), Some(1.0));
         assert_eq!(snapshot.local(0, "adult.age").unwrap().epsilon, 0.5);
         // Mutating the original does not leak into the snapshot.
-        mgr.grow_global("adult.age", 2.0, None, &mut rng).unwrap();
+        grow_to(&mgr, "adult.age", 2.0, &mut rng);
         assert_eq!(snapshot.global_epsilon("adult.age").unwrap(), Some(1.0));
     }
 
     #[test]
     fn concurrent_reads_and_writes_stay_consistent() {
-        // Hammer one view's shard from several threads: epsilon must be
+        // Hammer one view's shard from several threads, each deciding its
+        // growth under a shared view lock as admissions do: epsilon must be
         // monotone non-decreasing and the variance monotone non-increasing
         // at every observation point.
-        use std::sync::Arc;
+        use std::sync::{Arc, Mutex};
         let (mgr, _) = setup();
         let mgr = Arc::new(mgr);
+        let view_lock = Arc::new(Mutex::new(()));
         let mut handles = Vec::new();
         for t in 0..4u64 {
             let mgr = Arc::clone(&mgr);
+            let view_lock = Arc::clone(&view_lock);
             handles.push(std::thread::spawn(move || {
                 let mut rng = DpRng::seed_from_u64(100 + t);
                 let mut last_eps = 0.0f64;
                 let mut last_var = f64::INFINITY;
                 for step in 1..=20u64 {
                     let target = (t * 20 + step) as f64 * 0.01;
-                    mgr.grow_global("adult.age", target, None, &mut rng)
-                        .unwrap();
+                    {
+                        let _view = view_lock.lock().unwrap();
+                        grow_to(&mgr, "adult.age", target, &mut rng);
+                    }
                     let (eps, var) = mgr.global_state("adult.age").unwrap().unwrap();
                     assert!(eps >= last_eps, "epsilon regressed: {eps} < {last_eps}");
                     assert!(var <= last_var + 1e-12, "variance grew: {var} > {last_var}");

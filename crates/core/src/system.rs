@@ -4,9 +4,12 @@
 //! view catalog, the privacy provenance table (from which the multi-analyst
 //! ledger is derived), the synopsis manager and the accuracy→privacy
 //! translation. It exposes
-//! the dual submission modes of Principle 3 and dispatches each query to
-//! either the vanilla mechanism (Algorithm 2) or the additive Gaussian
-//! mechanism (Algorithm 4) depending on the configured [`MechanismKind`].
+//! the dual submission modes of Principle 3 and admits every query — a
+//! scalar request, or each cell of a GROUP BY — through one pipeline,
+//! `DProvDb::admit` (Algorithm 1): the configured [`MechanismKind`] only
+//! decides how a charge is priced and what is released, by the vanilla
+//! mechanism (Algorithm 2) or the additive Gaussian mechanism
+//! (Algorithm 4).
 //!
 //! # Concurrency model
 //!
@@ -19,11 +22,15 @@
 //! * the provenance table, tight accountant and runtime stats sit
 //!   behind short-critical-section `Mutex`es;
 //! * admission is gated by [`AdmissionControl`]: a per-(analyst, view)
-//!   entry lock held across one submission's resolve → check-and-reserve →
-//!   release sequence, plus a per-view lock serialising additive-Gaussian
-//!   global-synopsis growth. Constraint *check and charge* happen in one
-//!   provenance-mutex critical section, so concurrent submissions can never
-//!   jointly overspend a row, column or table constraint;
+//!   entry lock held across one admission's cache probe → plan →
+//!   check-and-reserve → release sequence, plus a per-view lock that only
+//!   the additive mechanism takes, serialising its global-synopsis growth
+//!   (a vanilla admission never waits for it). Lock order is entry → view
+//!   → provenance, with the commit gate taken just before the provenance
+//!   lock. Constraint *check*, write-ahead journal and *charge* happen in
+//!   the one provenance-mutex critical section of `DProvDb::admit`, which
+//!   both mechanisms share, so concurrent submissions can never jointly
+//!   overspend a row, column or table constraint;
 //! * noise generation takes a caller-supplied [`DpRng`] — concurrent
 //!   callers (e.g. the `dprov-server` worker pool) pass per-session
 //!   generators seeded via [`DpRng::for_stream`], so each caller's noise
@@ -202,6 +209,145 @@ struct ResolvedRequest {
     /// resolution calibrated for it, so the release does not calibrate
     /// it again.
     requested: Option<AnalyticGaussian>,
+}
+
+/// The per-cell tail of resolution, shared by scalar and grouped requests:
+/// the per-bin variance the answer's synopsis must reach. An accuracy-mode
+/// target is `variance / Σ coeff²`; a privacy-mode target is the variance
+/// of the mechanism `calibrated(view, ε)` returns; a query touching no cell
+/// has a trivially exact answer of 0, answerable from any synopsis at no
+/// cost. `calibrated` runs only for a non-empty privacy-mode query.
+fn resolve_target(
+    view: ViewDef,
+    linear: LinearQuery,
+    mode: SubmissionMode,
+    calibrated: impl FnOnce(&str, f64) -> Option<AnalyticGaussian>,
+) -> std::result::Result<ResolvedRequest, RejectReason> {
+    let coeff_sq = linear.answer_variance(1.0);
+    let (per_bin_target, requested) = if coeff_sq <= 0.0 {
+        (f64::INFINITY, None)
+    } else {
+        match mode {
+            SubmissionMode::Accuracy { variance } if variance.is_finite() && variance > 0.0 => {
+                (variance / coeff_sq, None)
+            }
+            SubmissionMode::Accuracy { .. } => return Err(RejectReason::AccuracyUnreachable),
+            SubmissionMode::Privacy { epsilon } => {
+                let mechanism =
+                    calibrated(&view.name, epsilon).ok_or(RejectReason::AccuracyUnreachable)?;
+                (mechanism.variance(), Some(mechanism))
+            }
+        }
+    };
+    Ok(ResolvedRequest {
+        view,
+        linear,
+        per_bin_target,
+        requested,
+    })
+}
+
+/// How one admission prices its charge and what it releases: the
+/// mechanism-specific half of Algorithm 1, decided by [`DProvDb::admit`]
+/// before its provenance critical section.
+enum Plan<'a> {
+    /// Algorithm 2: charge `ε` on top of `P[A_i, V]` and release a fresh
+    /// synopsis of the exact histogram with `mechanism`, calibrated at `ε`.
+    Vanilla { mechanism: AnalyticGaussian },
+    /// Algorithm 4: charge `min(ε_g, P[A_i, V] + ε_i) − P[A_i, V]`, grow
+    /// the global synopsis to `global_target` with `growth` (none when it
+    /// already covers the target) and derive a local synopsis at
+    /// `local_epsilon`.
+    Additive {
+        /// The view lock, held from the global-state read to the release.
+        _view: MutexGuard<'a, ()>,
+        global_target: f64,
+        local_epsilon: f64,
+        /// The mechanism the request calibrated, at the requested or the
+        /// nominal epsilon.
+        known: AnalyticGaussian,
+        growth: Option<AnalyticGaussian>,
+    },
+}
+
+impl Plan<'_> {
+    /// The charge rule, evaluated under the provenance lock: the entry
+    /// before and after the charge, and the epsilon charged — or the
+    /// constraint the charge would break.
+    fn charge(
+        &self,
+        provenance: &ProvenanceTable,
+        analyst: AnalystId,
+        view: &str,
+    ) -> std::result::Result<(f64, f64, f64), RejectReason> {
+        match *self {
+            Plan::Vanilla { mechanism } => {
+                let epsilon = mechanism.budget().epsilon.value();
+                provenance.check_vanilla(analyst, view, epsilon)?;
+                let prev_entry = provenance.entry(analyst, view);
+                Ok((prev_entry, prev_entry + epsilon, epsilon))
+            }
+            Plan::Additive {
+                global_target,
+                local_epsilon,
+                ..
+            } => additive_charge(provenance, analyst, view, global_target, local_epsilon),
+        }
+    }
+
+    /// The data access the plan's release makes — the vanilla synopsis, or
+    /// the global growth (local synopses are post-processing) — if any.
+    fn access(&self, sensitivity: Sensitivity) -> Option<DataAccess> {
+        let mechanism = match self {
+            Plan::Vanilla { mechanism } => mechanism,
+            Plan::Additive { growth, .. } => growth.as_ref()?,
+        };
+        Some(DataAccess {
+            epsilon: mechanism.budget().epsilon.value(),
+            sigma: mechanism.sigma(),
+            sensitivity: sensitivity.value(),
+        })
+    }
+}
+
+/// Algorithm 4's incremental charge (line 19):
+/// `ε' = min(ε_global, P[A_i, V] + ε_i) − P[A_i, V]`, floored at zero. A
+/// re-noise seal drops the global synopsis, so the new target can sit below
+/// `P[A_i, V]`; the entry then keeps the spend it holds.
+fn additive_charge(
+    provenance: &ProvenanceTable,
+    analyst: AnalystId,
+    view: &str,
+    global_target: f64,
+    local_epsilon: f64,
+) -> std::result::Result<(f64, f64, f64), RejectReason> {
+    let prev_entry = provenance.entry(analyst, view);
+    let new_entry = global_target
+        .min(prev_entry + local_epsilon)
+        .max(prev_entry);
+    let charged = new_entry - prev_entry;
+    provenance.check_additive(analyst, view, charged)?;
+    Ok((prev_entry, new_entry, charged))
+}
+
+/// The answer `local` gives to a resolved request.
+fn answered(
+    resolved: &ResolvedRequest,
+    local: &BudgetedSynopsis,
+    epsilon_charged: f64,
+    from_cache: bool,
+) -> AnsweredQuery {
+    AnsweredQuery {
+        value: local.synopsis.answer(&resolved.linear),
+        view: Some(resolved.view.name.clone()),
+        epsilon_charged,
+        noise_variance: local.synopsis.answer_variance(&resolved.linear),
+        from_cache,
+        // Under carry-forward a cached synopsis may lag the current epoch
+        // (bounded staleness); stale-beyond-bound entries were invalidated
+        // at the seal, so whatever is cached is servable.
+        epoch: local.epoch,
+    }
 }
 
 /// The accuracy→ε searches one grouped request has run, keyed by their
@@ -601,9 +747,9 @@ impl DProvDb {
         // this answer and this answer never mixes two epochs.
         let _epoch_gate = self.epoch_gate.read().expect("epoch gate poisoned");
         let start = Instant::now();
-        let outcome = match self.mechanism {
-            MechanismKind::Vanilla => self.submit_vanilla(analyst, request, rng),
-            MechanismKind::AdditiveGaussian => self.submit_additive(analyst, request, rng),
+        let outcome = match self.resolve(request) {
+            Ok(resolved) => self.admit(analyst, resolved, rng, None),
+            Err(reason) => Ok(QueryOutcome::Rejected { reason }),
         };
         self.observe_submission(analyst, &outcome, start.elapsed());
         outcome
@@ -717,44 +863,12 @@ impl DProvDb {
         &self,
         request: &QueryRequest,
     ) -> std::result::Result<ResolvedRequest, RejectReason> {
-        let (view, linear) = {
-            let db = self.db.read().expect("db lock poisoned");
-            match self.catalog.select_view(&request.query, &db) {
-                Ok(pair) => pair,
-                Err(EngineError::NotAnswerable(_)) => return Err(RejectReason::NotAnswerable),
-                Err(_) => return Err(RejectReason::NotAnswerable),
-            }
-        };
-        let coeff_sq = linear.answer_variance(1.0);
-        if coeff_sq <= 0.0 {
-            // A query touching no cell has a trivially exact answer of 0; we
-            // treat it as answerable from any synopsis with no extra cost.
-            return Ok(ResolvedRequest {
-                view,
-                linear,
-                per_bin_target: f64::INFINITY,
-                requested: None,
-            });
-        }
-        let (per_bin_target, requested) = match request.mode {
-            SubmissionMode::Accuracy { variance } => {
-                if !(variance.is_finite() && variance > 0.0) {
-                    return Err(RejectReason::AccuracyUnreachable);
-                }
-                (variance / coeff_sq, None)
-            }
-            SubmissionMode::Privacy { epsilon } => {
-                match self.synopses.calibrate(&view.name, epsilon) {
-                    Ok(mechanism) => (mechanism.variance(), Some(mechanism)),
-                    Err(_) => return Err(RejectReason::AccuracyUnreachable),
-                }
-            }
-        };
-        Ok(ResolvedRequest {
-            view,
-            linear,
-            per_bin_target,
-            requested,
+        let (view, linear) = self
+            .catalog
+            .select_view(&request.query, &self.db.read().expect("db lock poisoned"))
+            .map_err(|_| RejectReason::NotAnswerable)?;
+        resolve_target(view, linear, request.mode, |view, epsilon| {
+            self.synopses.calibrate(view, epsilon).ok()
         })
     }
 
@@ -765,22 +879,8 @@ impl DProvDb {
     fn try_cache(&self, analyst: AnalystId, resolved: &ResolvedRequest) -> Option<AnsweredQuery> {
         self.synopses
             .with_local(analyst.0, &resolved.view.name, |local| {
-                if local.synopsis.per_bin_variance <= resolved.per_bin_target {
-                    Some(AnsweredQuery {
-                        value: local.synopsis.answer(&resolved.linear),
-                        view: Some(resolved.view.name.clone()),
-                        epsilon_charged: 0.0,
-                        noise_variance: local.synopsis.answer_variance(&resolved.linear),
-                        from_cache: true,
-                        // Under carry-forward this may lag the current
-                        // epoch (bounded staleness); stale-beyond-bound
-                        // entries were invalidated at the seal, so
-                        // whatever is cached is servable.
-                        epoch: local.epoch,
-                    })
-                } else {
-                    None
-                }
+                (local.synopsis.per_bin_variance <= resolved.per_bin_target)
+                    .then(|| answered(resolved, local, 0.0, true))
             })
             .flatten()
     }
@@ -906,319 +1006,210 @@ impl DProvDb {
         }
     }
 
-    /// Algorithm 2: the vanilla approach.
-    fn submit_vanilla(
-        &self,
-        analyst: AnalystId,
-        request: &QueryRequest,
-        rng: &mut DpRng,
-    ) -> Result<QueryOutcome> {
-        let resolved = match self.resolve(request) {
-            Ok(r) => r,
-            Err(reason) => return Ok(QueryOutcome::Rejected { reason }),
-        };
-        self.admit_vanilla(analyst, resolved, rng, None)
-    }
-
-    /// The post-resolve tail of Algorithm 2: cache probe, translation,
-    /// check-and-reserve, release. Everything that spends budget or draws
-    /// noise lives here; the grouped path calls it once per group cell
-    /// with resolutions from [`Self::resolve_grouped`] and one shared
-    /// `memo`, so a grouped answer is bit-identical to per-group scalar
-    /// submissions (which pass no memo).
-    fn admit_vanilla(
+    /// Algorithm 1's post-resolve tail (lines 7–13), written once for both
+    /// mechanisms and both request shapes: [`Self::submit_with_rng`] calls
+    /// it for a scalar request, [`Self::answer_group_by_with_rng`] once per
+    /// group cell with one shared `memo` (scalar requests pass none), so a
+    /// grouped answer is bit-identical to per-group scalar submissions.
+    ///
+    /// 1. Entry lock, then the cache probe: an (analyst, view) synopsis
+    ///    that meets the target answers for free.
+    /// 2. The [`Plan`] (`privacyTranslate`): Algorithm 2 translates the
+    ///    target to ε; Algorithm 4 takes the view lock, translates against
+    ///    the global synopsis and calibrates the growth it will release.
+    /// 3. Under the commit gate, one provenance critical section checks the
+    ///    plan's charge (`constraintCheck`), journals it with its data
+    ///    access and commits it, so concurrent admissions never jointly
+    ///    overspend and the ledger's record order is the commit order.
+    /// 4. The plan's release (`run`), outside the provenance lock: a fresh
+    ///    synopsis (Algorithm 2), or global growth plus a local synopsis
+    ///    (Algorithm 4). A release that fails restores the journalled
+    ///    entry and voids the record with a tombstone.
+    fn admit(
         &self,
         analyst: AnalystId,
         resolved: ResolvedRequest,
         rng: &mut DpRng,
         memo: Option<&mut TranslationMemo>,
     ) -> Result<QueryOutcome> {
+        let view = resolved.view.name.as_str();
         // Serialise competing submissions for this provenance entry: the
         // second of two identical queries waits here and is then answered
         // from the first one's cached synopsis for free.
-        let _entry = self.admission.lock_entry(analyst.0, &resolved.view.name);
-
+        let _entry = self.admission.lock_entry(analyst.0, view);
         if let Some(answer) = self.try_cache(analyst, &resolved) {
             return Ok(QueryOutcome::Answered(answer));
         }
-
-        let sensitivity = resolved.view.sensitivity();
-        let release = match resolved.requested {
-            Some(requested) => requested,
-            None => match self.translate_vanilla(resolved.per_bin_target, sensitivity, memo) {
-                Ok(translated) => translated,
-                Err(reason) => return Ok(QueryOutcome::Rejected { reason }),
-            },
+        let plan = match self.plan(analyst, &resolved, memo)? {
+            Ok(plan) => plan,
+            Err(reason) => return Ok(QueryOutcome::Rejected { reason }),
         };
-        let epsilon = release.budget().epsilon.value();
+        let access = plan.access(resolved.view.sensitivity());
 
         // Hold the commit gate across append → apply → release so durable
         // snapshots (which take the write side) never observe a commit that
         // is in the write-ahead ledger but only half-applied in memory.
         let _commit_gate = self.commit_gate.read().expect("commit gate poisoned");
-
-        // Check-and-reserve atomically: the write-ahead append and the
-        // charge happen in the same critical section as the check, so no
-        // concurrent submission can sneak its own charge between them and
-        // the ledger's record order equals the commit order.
-        let (seq, prev_entry) = {
+        let (seq, prev_entry, charged) = {
             let mut provenance = self.lock_provenance();
-            if let Err(reason) = provenance.check_vanilla(analyst, &resolved.view.name, epsilon) {
-                return Ok(QueryOutcome::Rejected { reason });
-            }
-            let prev_entry = provenance.entry(analyst, &resolved.view.name);
-            let new_entry = prev_entry + epsilon;
-            // The release below stores `release.variance()` as its per-bin
-            // variance: the access is journalled with that noise scale.
-            let seq = self.record_admission(
-                analyst,
-                &resolved.view.name,
-                prev_entry,
-                new_entry,
-                epsilon,
-                Some(DataAccess {
-                    epsilon,
-                    sigma: release.variance().sqrt(),
-                    sensitivity: sensitivity.value(),
-                }),
-            )?;
-            provenance.commit(analyst, &resolved.view.name, new_entry);
-            self.observe_budget(&provenance, analyst, &resolved.view.name);
-            (seq, prev_entry)
-        };
-
-        // Run: an independent synopsis per (analyst, view) release; noise
-        // generation happens outside the provenance lock.
-        let view_name = &resolved.view.name;
-        let synopsis = match self
-            .synopses
-            .fresh_synopsis(view_name, epsilon, Some(release), rng)
-        {
-            Ok(s) => s,
-            Err(e) => {
-                // Release failed after the reserve: restore the journalled
-                // entry and void the write-ahead record with a tombstone.
-                {
-                    let mut provenance = self.lock_provenance();
-                    provenance.revert(analyst, view_name, prev_entry);
-                    self.observe_budget(&provenance, analyst, view_name);
-                }
-                self.record_rollback(seq);
-                return Err(e);
-            }
-        };
-        let answer = synopsis.answer(&resolved.linear);
-        let noise_variance = synopsis.answer_variance(&resolved.linear);
-        let release_epoch = self.synopses.current_epoch();
-        self.synopses.store_local(
-            analyst.0,
-            &resolved.view.name,
-            BudgetedSynopsis {
-                synopsis,
-                epsilon,
-                epoch: release_epoch,
-            },
-        );
-        Ok(QueryOutcome::Answered(AnsweredQuery {
-            value: answer,
-            view: Some(resolved.view.name),
-            epsilon_charged: epsilon,
-            noise_variance,
-            from_cache: false,
-            epoch: release_epoch,
-        }))
-    }
-
-    /// Algorithm 4: the additive Gaussian approach.
-    fn submit_additive(
-        &self,
-        analyst: AnalystId,
-        request: &QueryRequest,
-        rng: &mut DpRng,
-    ) -> Result<QueryOutcome> {
-        let resolved = match self.resolve(request) {
-            Ok(r) => r,
-            Err(reason) => return Ok(QueryOutcome::Rejected { reason }),
-        };
-        self.admit_additive(analyst, resolved, rng, None)
-    }
-
-    /// The post-resolve tail of Algorithm 4 (see [`Self::admit_vanilla`]
-    /// for why the split exists).
-    fn admit_additive(
-        &self,
-        analyst: AnalystId,
-        resolved: ResolvedRequest,
-        rng: &mut DpRng,
-        mut memo: Option<&mut TranslationMemo>,
-    ) -> Result<QueryOutcome> {
-        let _entry = self.admission.lock_entry(analyst.0, &resolved.view.name);
-
-        if let Some(answer) = self.try_cache(analyst, &resolved) {
-            return Ok(QueryOutcome::Answered(answer));
-        }
-
-        let view_name = resolved.view.name.clone();
-        let sensitivity = resolved.view.sensitivity();
-
-        // The additive path reads the hidden global synopsis, translates
-        // against it and then grows it; the per-view lock makes that
-        // read-translate-grow sequence atomic (entry lock first, view lock
-        // second — fixed order, deadlock-free).
-        let _view = self.admission.lock_view(&view_name);
-
-        let global_state = self.synopses.global_state(&view_name)?;
-        let current_global_eps = global_state.map(|(eps, _)| eps);
-        let current_global_var = global_state.map(|(_, var)| var);
-
-        // Translation (Algorithm 4, privacyTranslate): figure out the
-        // global target budget and the analyst's local budget. `known` is
-        // the mechanism the request has calibrated by then — at the
-        // requested epsilon, or at the nominal epsilon by the translation —
-        // which the releases below reuse wherever they need that epsilon.
-        let (global_target, local_epsilon, known) = match resolved.requested {
-            Some(requested) => {
-                // Privacy-oriented mode follows Algorithm 4 literally.
-                let eps_req = requested.budget().epsilon.value();
-                let global_target = current_global_eps.unwrap_or(0.0).max(eps_req);
-                (global_target, eps_req, requested)
-            }
-            None => {
-                let nominal = match self.translate_vanilla(
-                    resolved.per_bin_target,
-                    sensitivity,
-                    memo.as_deref_mut(),
-                ) {
-                    Ok(translated) => translated,
-                    Err(reason) => return Ok(QueryOutcome::Rejected { reason }),
-                };
-                let local_nominal = nominal.budget().epsilon.value();
-                let global_target = match (current_global_eps, current_global_var) {
-                    (None, _) => local_nominal,
-                    (Some(eps_g), Some(v_g)) if v_g <= resolved.per_bin_target => eps_g,
-                    (Some(eps_g), Some(v_g)) => match self.translate_friction(
-                        resolved.per_bin_target,
-                        v_g,
-                        sensitivity,
-                        memo,
-                    ) {
-                        Ok(growth) => eps_g + growth,
-                        Err(reason) => return Ok(QueryOutcome::Rejected { reason }),
-                    },
-                    (Some(eps_g), None) => eps_g.max(local_nominal),
-                };
-                (global_target, local_nominal.min(global_target), nominal)
-            }
-        };
-
-        // Incremental charge to this analyst (Algorithm 4, line 19):
-        // ε' = min(ε_global, P[A_i, V] + ε_i) − P[A_i, V], floored at zero.
-        // A re-noise seal drops the global synopsis, so the new target can
-        // sit below P[A_i, V]; the entry then keeps the spend it holds.
-        let check = |provenance: &ProvenanceTable| {
-            let previous_entry = provenance.entry(analyst, &view_name);
-            let new_entry = global_target
-                .min(previous_entry + local_epsilon)
-                .max(previous_entry);
-            let effective = new_entry - previous_entry;
-            provenance
-                .check_additive(analyst, &view_name, effective)
-                .map(|()| (previous_entry, new_entry, effective))
-        };
-
-        // The global growth this admission releases (Algorithm 4, lines
-        // 2–10), decided from the global state read under the view lock
-        // exactly as `grow_global` decides it. Only the global release
-        // touches the data, so it is the admission's access (local
-        // synopses are post-processing). Its mechanism is calibrated here,
-        // outside every lock, and only once a pre-check shows the charge
-        // fits, so a refused request calibrates nothing.
-        let growth_epsilon = match current_global_eps {
-            None => Some(global_target),
-            Some(eps_g) if eps_g + 1e-12 >= global_target => None,
-            Some(eps_g) => Some(global_target - eps_g),
-        };
-        let growth = match growth_epsilon {
-            Some(epsilon) => {
-                if let Err(reason) = check(&self.lock_provenance()) {
-                    return Ok(QueryOutcome::Rejected { reason });
-                }
-                Some(self.synopses.mechanism(&view_name, epsilon, Some(known))?)
-            }
-            None => None,
-        };
-        let access = growth.map(|mechanism| DataAccess {
-            epsilon: mechanism.budget().epsilon.value(),
-            sigma: mechanism.sigma(),
-            sensitivity: sensitivity.value(),
-        });
-
-        // Hold the commit gate across append → apply → release (see
-        // `admit_vanilla`).
-        let _commit_gate = self.commit_gate.read().expect("commit gate poisoned");
-
-        // Write-ahead append and read-check-reserve in ONE provenance
-        // critical section.
-        let (previous_entry, effective, seq) = {
-            let mut provenance = self.lock_provenance();
-            let (previous_entry, new_entry, effective) = match check(&provenance) {
+            let (prev_entry, new_entry, charged) = match plan.charge(&provenance, analyst, view) {
                 Ok(charge) => charge,
                 Err(reason) => return Ok(QueryOutcome::Rejected { reason }),
             };
-            let seq = self.record_admission(
-                analyst,
-                &view_name,
-                previous_entry,
-                new_entry,
-                effective,
-                access,
-            )?;
-            provenance.commit(analyst, &view_name, new_entry);
-            self.observe_budget(&provenance, analyst, &view_name);
-            (previous_entry, effective, seq)
+            let seq =
+                self.record_admission(analyst, view, prev_entry, new_entry, charged, access)?;
+            provenance.commit(analyst, view, new_entry);
+            self.observe_budget(&provenance, analyst, view);
+            (seq, prev_entry, charged)
         };
 
-        // Run: grow the global synopsis with the journalled mechanism, then
-        // derive the local synopsis via additive GM.
-        let rollback = |e: CoreError| {
-            {
-                let mut provenance = self.lock_provenance();
-                provenance.revert(analyst, &view_name, previous_entry);
-                self.observe_budget(&provenance, analyst, &view_name);
+        match self.release(analyst, &plan, &resolved, charged, rng) {
+            Ok(answer) => Ok(QueryOutcome::Answered(answer)),
+            Err(e) => {
+                {
+                    let mut provenance = self.lock_provenance();
+                    provenance.revert(analyst, view, prev_entry);
+                    self.observe_budget(&provenance, analyst, view);
+                }
+                self.record_rollback(seq);
+                Err(e)
             }
-            self.record_rollback(seq);
-            Err(e)
-        };
-        match self
-            .synopses
-            .grow_global(&view_name, global_target, growth, rng)
-        {
-            Ok(grown) => debug_assert_eq!(
-                grown.map(|g| g.release_sigma.to_bits()),
-                access.map(|a| a.sigma.to_bits()),
-                "the growth released is the growth journalled"
-            ),
-            Err(e) => return rollback(e),
         }
-        let local = match self.synopses.derive_local(
-            analyst.0,
-            &view_name,
-            local_epsilon.min(global_target),
-            Some(known),
-            rng,
-        ) {
-            Ok(l) => l,
-            Err(e) => return rollback(e),
-        };
+    }
 
-        Ok(QueryOutcome::Answered(AnsweredQuery {
-            value: local.synopsis.answer(&resolved.linear),
-            view: Some(view_name),
-            epsilon_charged: effective,
-            noise_variance: local.synopsis.answer_variance(&resolved.linear),
-            from_cache: false,
-            epoch: local.epoch,
+    /// The mechanism-specific pricing of one admission, decided before the
+    /// provenance critical section. `Ok(Err(reason))` refuses the request
+    /// with nothing charged.
+    fn plan(
+        &self,
+        analyst: AnalystId,
+        resolved: &ResolvedRequest,
+        mut memo: Option<&mut TranslationMemo>,
+    ) -> Result<std::result::Result<Plan<'_>, RejectReason>> {
+        // The mechanism the request has calibrated by then — at the
+        // requested epsilon, or at the nominal epsilon by the translation
+        // (Definition 9) — which the release reuses wherever it needs that
+        // epsilon.
+        let translate = |memo: Option<&mut TranslationMemo>| match resolved.requested {
+            Some(requested) => Ok(requested),
+            None => {
+                self.translate_vanilla(resolved.per_bin_target, resolved.view.sensitivity(), memo)
+            }
+        };
+        let view_lock = match self.mechanism {
+            MechanismKind::Vanilla => {
+                return Ok(translate(memo).map(|mechanism| Plan::Vanilla { mechanism }));
+            }
+            // The additive path reads the hidden global synopsis, translates
+            // against it and then grows it; the per-view lock makes that
+            // read-translate-grow sequence atomic (entry lock first, view
+            // lock second — fixed order, deadlock-free).
+            MechanismKind::AdditiveGaussian => self.admission.lock_view(&resolved.view.name),
+        };
+        let view = resolved.view.name.as_str();
+        let global = self.synopses.global_state(view)?;
+        let known = match translate(memo.as_deref_mut()) {
+            Ok(known) => known,
+            Err(reason) => return Ok(Err(reason)),
+        };
+        let epsilon = known.budget().epsilon.value();
+        // Algorithm 4's translation: the global target budget and the
+        // analyst's local budget.
+        let global_target = match global {
+            None => epsilon,
+            // Privacy-oriented mode follows Algorithm 4 literally.
+            Some((eps_g, _)) if resolved.requested.is_some() => eps_g.max(epsilon),
+            Some((eps_g, v_g)) if v_g <= resolved.per_bin_target => eps_g,
+            Some((eps_g, v_g)) => match self.translate_friction(
+                resolved.per_bin_target,
+                v_g,
+                resolved.view.sensitivity(),
+                memo,
+            ) {
+                Ok(growth) => eps_g + growth,
+                Err(reason) => return Ok(Err(reason)),
+            },
+        };
+        let local_epsilon = epsilon.min(global_target);
+
+        // The global growth this admission releases (Algorithm 4, lines
+        // 2–10). Its mechanism is calibrated here, outside every lock, and
+        // only once a pre-check shows the charge fits, so a refused request
+        // calibrates nothing.
+        let growth_epsilon = match global {
+            None => Some(global_target),
+            Some((eps_g, _)) if eps_g + 1e-12 >= global_target => None,
+            Some((eps_g, _)) => Some(global_target - eps_g),
+        };
+        let growth = match growth_epsilon {
+            Some(growth_epsilon) => {
+                if let Err(reason) = additive_charge(
+                    &self.lock_provenance(),
+                    analyst,
+                    view,
+                    global_target,
+                    local_epsilon,
+                ) {
+                    return Ok(Err(reason));
+                }
+                Some(self.synopses.mechanism(view, growth_epsilon, Some(known))?)
+            }
+            None => None,
+        };
+        Ok(Ok(Plan::Additive {
+            _view: view_lock,
+            global_target,
+            local_epsilon,
+            known,
+            growth,
         }))
+    }
+
+    /// Runs the plan's release, stores the (analyst, view) synopsis it
+    /// makes and answers from it: an independent synopsis drawn from the
+    /// exact histogram (Algorithm 2), or the global synopsis grown with the
+    /// journalled mechanism and a local synopsis derived from it by
+    /// additive GM (Algorithm 4).
+    fn release(
+        &self,
+        analyst: AnalystId,
+        plan: &Plan<'_>,
+        resolved: &ResolvedRequest,
+        charged: f64,
+        rng: &mut DpRng,
+    ) -> Result<AnsweredQuery> {
+        let view = resolved.view.name.as_str();
+        match *plan {
+            Plan::Vanilla { mechanism } => {
+                let epsilon = mechanism.budget().epsilon.value();
+                let local = BudgetedSynopsis {
+                    synopsis: self
+                        .synopses
+                        .fresh_synopsis(view, epsilon, Some(mechanism), rng)?,
+                    epsilon,
+                    epoch: self.synopses.current_epoch(),
+                };
+                let answer = answered(resolved, &local, charged, false);
+                self.synopses.store_local(analyst.0, view, local);
+                Ok(answer)
+            }
+            Plan::Additive {
+                global_target,
+                local_epsilon,
+                known,
+                growth,
+                ..
+            } => {
+                if let Some(growth) = growth {
+                    self.synopses
+                        .grow_global(view, global_target, growth, rng)?;
+                }
+                let local =
+                    self.synopses
+                        .derive_local(analyst.0, view, local_epsilon, Some(known), rng)?;
+                Ok(answered(resolved, &local, charged, false))
+            }
+        }
     }
 
     // ----- grouped (GROUP BY) answering -----
@@ -1245,13 +1236,13 @@ impl DProvDb {
     /// [`Self::submit_with_rng`] with the same RNG: resolution walks the
     /// selected view's histogram once and replays the exact per-group
     /// coefficient lists `transform` would build, and each cell then runs
-    /// the same `admit_*` tail the scalar path runs. The one difference is
-    /// DP arithmetic: the cells share one translation memo, so a search
-    /// whose exact inputs an earlier cell already searched reuses that
-    /// result instead of running again, and the `dp.translations` counter
-    /// is at most the oracle's. The whole grouped answer executes under
-    /// **one** epoch-gate acquisition, so it never straddles an update
-    /// epoch.
+    /// the one admission pipeline (`admit`) the scalar path runs. The one
+    /// difference is DP arithmetic: the cells share one translation memo,
+    /// so a search whose exact inputs an earlier cell already searched
+    /// reuses that result instead of running again, and the
+    /// `dp.translations` counter is at most the oracle's. The whole grouped
+    /// answer executes under **one** epoch-gate acquisition, so it never
+    /// straddles an update epoch.
     ///
     /// Structurally invalid grouped queries (unknown table, unknown or
     /// duplicate grouping attribute — cases where the oracle could not
@@ -1273,15 +1264,8 @@ impl DProvDb {
         for cell in cells {
             let start = Instant::now();
             let outcome = match cell {
+                Ok(resolved) => self.admit(analyst, resolved, rng, Some(&mut memo)),
                 Err(reason) => Ok(QueryOutcome::Rejected { reason }),
-                Ok(resolved) => match self.mechanism {
-                    MechanismKind::Vanilla => {
-                        self.admit_vanilla(analyst, resolved, rng, Some(&mut memo))
-                    }
-                    MechanismKind::AdditiveGaussian => {
-                        self.admit_additive(analyst, resolved, rng, Some(&mut memo))
-                    }
-                },
             };
             self.observe_outcome(analyst, &outcome, start.elapsed());
             let outcome = outcome?;
@@ -1402,58 +1386,26 @@ impl DProvDb {
         }
         drop(db);
 
-        // Per-group tail of `resolve`, with the shared pieces hoisted: the
-        // privacy-mode calibration and the accuracy-mode validity depend
-        // only on the request and the view, so hoisting is bit-identical.
+        // Per-group tail of `resolve`, with the privacy-mode calibration
+        // hoisted: it depends only on the request and the view, so running
+        // it once per request is bit-identical.
         let requested = match request.mode {
             SubmissionMode::Privacy { epsilon } => {
                 self.synopses.calibrate(&view.name, epsilon).ok()
             }
             SubmissionMode::Accuracy { .. } => None,
         };
-        let mut cells = Vec::with_capacity(num_groups);
-        for coeffs in coefficients {
-            let linear = LinearQuery {
-                view: view.name.clone(),
-                coefficients: coeffs,
-                view_cells,
-            };
-            let coeff_sq = linear.answer_variance(1.0);
-            if coeff_sq <= 0.0 {
-                // A group touching no cell has a trivially exact answer of
-                // 0, answerable from any synopsis with no extra cost.
-                cells.push(Ok(ResolvedRequest {
-                    view: view.clone(),
-                    linear,
-                    per_bin_target: f64::INFINITY,
-                    requested: None,
-                }));
-                continue;
-            }
-            cells.push(match request.mode {
-                SubmissionMode::Accuracy { variance } => {
-                    if variance.is_finite() && variance > 0.0 {
-                        Ok(ResolvedRequest {
-                            view: view.clone(),
-                            linear,
-                            per_bin_target: variance / coeff_sq,
-                            requested: None,
-                        })
-                    } else {
-                        Err(RejectReason::AccuracyUnreachable)
-                    }
-                }
-                SubmissionMode::Privacy { .. } => match requested {
-                    Some(mechanism) => Ok(ResolvedRequest {
-                        view: view.clone(),
-                        linear,
-                        per_bin_target: mechanism.variance(),
-                        requested,
-                    }),
-                    None => Err(RejectReason::AccuracyUnreachable),
-                },
-            });
-        }
+        let cells = coefficients
+            .into_iter()
+            .map(|coefficients| {
+                let linear = LinearQuery {
+                    view: view.name.clone(),
+                    coefficients,
+                    view_cells,
+                };
+                resolve_target(view.clone(), linear, request.mode, |_, _| requested)
+            })
+            .collect();
         Ok((keys, cells))
     }
 
@@ -2148,6 +2100,32 @@ mod tests {
             };
             assert_eq!(executed(&p), executed(&s), "{mech}");
         }
+    }
+
+    /// Only the additive path serialises on a view (its global synopsis);
+    /// a vanilla admission takes the entry lock alone. The submission runs
+    /// on its own thread so that one which waited reads as no reply.
+    #[test]
+    fn a_vanilla_admission_never_waits_for_the_view_lock() {
+        let system = &build(MechanismKind::Vanilla, 4.0);
+        let request = &range_request(30, 39, 400.0);
+        let view = system.admission.lock_view("adult.age");
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::scope(|scope| {
+            let submitter = scope.spawn(move || {
+                tx.send(system.submit_shared(AnalystId(1), request))
+                    .unwrap();
+            });
+            let submitted = rx.recv_timeout(Duration::from_secs(2));
+            drop(view);
+            submitter.join().unwrap();
+            let answer = submitted
+                .expect("a vanilla admission waited for the view lock")
+                .unwrap();
+            let answer = answer.answered().unwrap();
+            assert!(!answer.from_cache && answer.epsilon_charged > 0.0);
+            assert_eq!(answer.view.as_deref(), Some("adult.age"));
+        });
     }
 
     #[test]

@@ -9,6 +9,9 @@
 //! * a privacy-mode request calibrates its epsilon once, in resolution,
 //!   and that mechanism travels into the release — the additive mechanism
 //!   calibrates again only for the *different* epsilon of a global growth;
+//! * an additive request whose target the global synopsis already covers
+//!   grows nothing: its commit journals no data access and the global
+//!   synopsis keeps its noise bit for bit;
 //! * the cells of a privacy-mode grouped request share the resolution's
 //!   calibration; the cells of an accuracy-mode grouped request run the
 //!   search a scalar request runs, once per distinct input: cells with
@@ -24,6 +27,7 @@ use dprovdb::core::config::SystemConfig;
 use dprovdb::core::error::{CoreError, RejectReason};
 use dprovdb::core::mechanism::MechanismKind;
 use dprovdb::core::processor::{GroupedRequest, QueryOutcome, QueryRequest};
+use dprovdb::core::recorder::{CommitRecord, DataAccess, Recorder};
 use dprovdb::core::system::DProvDb;
 use dprovdb::dp::rng::DpRng;
 use dprovdb::dp::sensitivity::Sensitivity;
@@ -35,6 +39,7 @@ use dprovdb::engine::expr::Predicate;
 use dprovdb::engine::group::GroupByQuery;
 use dprovdb::engine::query::Query;
 use dprovdb::engine::view::ViewDef;
+use std::sync::{Arc, Mutex};
 
 /// Analyst 0 may spend a quarter of the table budget, analyst 1 all of it.
 const EXTERNAL: AnalystId = AnalystId(0);
@@ -282,6 +287,49 @@ fn a_friction_aware_miss_refused_by_the_row_constraint_calibrates_nothing() {
         (2, 0),
         "vanilla + friction-aware search, no release"
     );
+}
+
+/// Keeps whether each journalled commit carried a data access.
+#[derive(Default)]
+struct Accesses(Mutex<Vec<bool>>);
+
+impl Recorder for Accesses {
+    fn record_admission(
+        &self,
+        _commit: &CommitRecord,
+        access: Option<&DataAccess>,
+    ) -> Result<(), dprovdb::core::error::StorageError> {
+        self.0.lock().unwrap().push(access.is_some());
+        Ok(())
+    }
+
+    fn record_rollback(&self, _seq: u64) -> Result<(), dprovdb::core::error::StorageError> {
+        Ok(())
+    }
+}
+
+#[test]
+fn an_additive_request_the_global_already_covers_releases_no_growth() {
+    // Privacy mode (a smaller epsilon than the global's; its resolution
+    // calibrates) and accuracy mode (a looser target than the global's
+    // variance; the local reuses the translation's mechanism).
+    for (first, covered, local_calibrations) in [
+        (privacy(0.8), privacy(0.3), 1),
+        (accuracy(500.0), accuracy(2_000.0), 0),
+    ] {
+        let mut system = build(MechanismKind::AdditiveGaussian, 8.0);
+        let accesses = Arc::new(Accesses::default());
+        system.set_recorder(Arc::clone(&accesses) as Arc<dyn Recorder>);
+        submit(&system, INTERNAL, &first);
+        let global = || system.export_durable_state().synopses[0].global.clone();
+        let before = global().expect("the first request creates the global");
+
+        let (outcome, _, calibrations) = submit(&system, EXTERNAL, &covered);
+        assert!(charged(&outcome) > 0.0, "{covered:?}");
+        assert_eq!(*accesses.0.lock().unwrap(), [true, false], "{covered:?}");
+        assert_eq!(global(), Some(before), "{covered:?}: no global noise drawn");
+        assert_eq!(calibrations, local_calibrations, "{covered:?}");
+    }
 }
 
 #[test]
