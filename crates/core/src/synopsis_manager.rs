@@ -289,20 +289,6 @@ impl SynopsisManager {
         invalidated
     }
 
-    /// The nominal epsilon of the current global synopsis, if any.
-    pub fn global_epsilon(&self, view: &str) -> Result<Option<f64>> {
-        Ok(self.read_state(view)?.global.as_ref().map(|g| g.epsilon))
-    }
-
-    /// The actual per-bin variance of the current global synopsis, if any.
-    pub fn global_variance(&self, view: &str) -> Result<Option<f64>> {
-        Ok(self
-            .read_state(view)?
-            .global
-            .as_ref()
-            .map(|g| g.synopsis.per_bin_variance))
-    }
-
     /// One consistent snapshot of the global synopsis's `(epsilon,
     /// per-bin variance)` — a single read-lock acquisition, so concurrent
     /// growth cannot be observed half-applied between the two fields.
@@ -314,9 +300,9 @@ impl SynopsisManager {
             .map(|g| (g.epsilon, g.synopsis.per_bin_variance)))
     }
 
-    /// A snapshot of the current global synopsis (tests and diagnostics;
-    /// never exposed to analysts by the serving path).
-    pub fn global_synopsis(&self, view: &str) -> Result<Option<BudgetedSynopsis>> {
+    /// A snapshot of the current global synopsis.
+    #[cfg(test)]
+    pub(crate) fn global_synopsis(&self, view: &str) -> Result<Option<BudgetedSynopsis>> {
         Ok(self.read_state(view)?.global.clone())
     }
 
@@ -667,7 +653,7 @@ mod tests {
     /// the growth: the whole target first, then only the difference, and
     /// nothing once the synopsis covers the target.
     fn grow_to(mgr: &SynopsisManager, view: &str, target: f64, rng: &mut DpRng) {
-        let growth = match mgr.global_epsilon(view).unwrap() {
+        let growth = match mgr.global_state(view).unwrap().map(|(e, _)| e) {
             Some(current) if current + 1e-12 >= target => return,
             Some(current) => target - current,
             None => target,
@@ -704,7 +690,7 @@ mod tests {
         let (mgr, _) = setup();
         assert_eq!(mgr.view_names().len(), 2);
         assert_eq!(mgr.num_views(), 2);
-        assert!(mgr.global_epsilon("adult.age").unwrap().is_none());
+        assert!(mgr.global_state("adult.age").unwrap().is_none());
         assert!(mgr.exact_histogram("adult.age").unwrap().total() > 0.0);
         assert!(mgr.exact_histogram("nope").is_err());
         assert!(
@@ -730,8 +716,8 @@ mod tests {
         let sigma_at = |eps| analytic_gaussian_sigma(eps, 1e-9, std::f64::consts::SQRT_2).unwrap();
         let first = mgr.calibrate("adult.age", 0.5).unwrap();
         mgr.grow_global("adult.age", 0.5, first, &mut rng).unwrap();
-        assert_eq!(mgr.global_epsilon("adult.age").unwrap(), Some(0.5));
-        let v_first = mgr.global_variance("adult.age").unwrap().unwrap();
+        let (eps, v_first) = mgr.global_state("adult.age").unwrap().unwrap();
+        assert_eq!(eps, 0.5);
         assert_eq!(v_first, first.variance());
         assert_eq!(first.sigma(), sigma_at(0.5));
 
@@ -739,17 +725,12 @@ mod tests {
         // merges it, reducing the variance.
         let delta = mgr.calibrate("adult.age", 0.7 - 0.5).unwrap();
         mgr.grow_global("adult.age", 0.7, delta, &mut rng).unwrap();
-        assert_eq!(mgr.global_epsilon("adult.age").unwrap(), Some(0.7));
-        let v_combined = mgr.global_variance("adult.age").unwrap().unwrap();
+        let (eps, v_combined) = mgr.global_state("adult.age").unwrap().unwrap();
+        assert_eq!(eps, 0.7);
         assert!(v_combined < v_first.min(delta.variance()));
 
         // Friction: the combined synopsis is noisier than a one-shot 0.7.
         assert!(v_combined > sigma_at(0.7) * sigma_at(0.7));
-
-        // The consistent snapshot agrees with the two individual getters.
-        let (eps, var) = mgr.global_state("adult.age").unwrap().unwrap();
-        assert_eq!(eps, 0.7);
-        assert_eq!(var, v_combined);
     }
 
     #[test]
@@ -777,7 +758,7 @@ mod tests {
     fn derive_local_adds_noise_and_respects_budget_ordering() {
         let (mgr, mut rng) = setup();
         grow_to(&mgr, "adult.age", 1.0, &mut rng);
-        let global_var = mgr.global_variance("adult.age").unwrap().unwrap();
+        let (_, global_var) = mgr.global_state("adult.age").unwrap().unwrap();
 
         let local_small = mgr
             .derive_local(0, "adult.age", 0.2, None, &mut rng)
@@ -886,11 +867,17 @@ mod tests {
         mgr.derive_local(0, "adult.age", 0.5, None, &mut rng)
             .unwrap();
         let snapshot = mgr.clone();
-        assert_eq!(snapshot.global_epsilon("adult.age").unwrap(), Some(1.0));
+        assert_eq!(
+            snapshot.global_state("adult.age").unwrap().map(|(e, _)| e),
+            Some(1.0)
+        );
         assert_eq!(snapshot.local(0, "adult.age").unwrap().epsilon, 0.5);
         // Mutating the original does not leak into the snapshot.
         grow_to(&mgr, "adult.age", 2.0, &mut rng);
-        assert_eq!(snapshot.global_epsilon("adult.age").unwrap(), Some(1.0));
+        assert_eq!(
+            snapshot.global_state("adult.age").unwrap().map(|(e, _)| e),
+            Some(1.0)
+        );
     }
 
     #[test]

@@ -653,8 +653,7 @@ impl DProvDb {
             .exec
             .execute_batch_timed(queries)
             .map_err(CoreError::Engine)?;
-        // Summed thread-busy time, recorded exactly once per batch
-        // regardless of the scan-thread fan-out.
+        // Scan busy time, recorded exactly once per batch.
         self.metrics.observe(HistId::ScanTime, scan_ns);
         Ok((answers, self.synopses.current_epoch()))
     }
@@ -664,16 +663,6 @@ impl DProvDb {
     #[must_use]
     pub fn exec(&self) -> &ColumnarExecutor {
         &self.exec
-    }
-
-    /// Sets how many threads the columnar executor fans shard scans out
-    /// over (clamped to at least 1). Answers are **bit-identical** at any
-    /// thread count — per-thread partials merge in shard order and only
-    /// reassociation-exact aggregates take the parallel path — so this
-    /// knob trades latency for cores without perturbing noise or budget
-    /// accounting.
-    pub fn set_scan_threads(&self, threads: usize) {
-        self.exec.set_scan_threads(threads);
     }
 
     /// Counters of the columnar execution layer: scans, queries, batches

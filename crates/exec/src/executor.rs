@@ -1,5 +1,5 @@
-//! The columnar executor: shared scans, parallel shard-run evaluation,
-//! multi-query batch evaluation, and epoch-versioned delta segments.
+//! The columnar executor: shared scans, multi-query batch evaluation,
+//! and epoch-versioned delta segments.
 //!
 //! [`ColumnarExecutor::ingest`] converts every table of a
 //! [`Database`] into the sharded columnar format once, encoding each
@@ -16,27 +16,12 @@
 //! pass** over its shards — each shard is visited once and every query's
 //! kernel folds it into its partial aggregate while the shard is hot in
 //! cache — so a batch of `B` same-table queries costs 1 scan instead of
-//! `B`. [`ExecStats::scans_per_query`] reports the amortisation.
-//!
-//! # Parallel shard scans and the determinism contract
-//!
-//! With [`ExecConfig::scan_threads`] > 1 (adjustable at runtime via
-//! [`ColumnarExecutor::set_scan_threads`]) a pass partitions the shard
-//! set into contiguous runs, one scoped thread per run, and **merges the
-//! per-run partials in shard order**. The partition is a pure function of
-//! the shard count and thread count, each run folds its shards
-//! sequentially exactly like the single-threaded pass, and the merge adds
-//! run partials in ascending shard order — and because every aggregate
-//! term inside the reassociation envelope is an exact `f64` integer
-//! ([`CompiledQuery::reassociation_exact`]), the grouped additions give
-//! *bit-identical* results at every thread count. Queries outside the
-//! envelope are folded on the calling thread in strict shard order, so
-//! they too are thread-count-invariant. Embedders get this path without
-//! any server: the threads are `std::thread::scope` children living only
-//! for the pass.
+//! `B`. [`ExecStats::scans_per_query`] reports the amortisation. A pass
+//! runs on the calling thread and folds each query's shards in shard
+//! order.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::RwLock;
 use std::time::Instant;
 
@@ -63,10 +48,6 @@ pub struct ExecConfig {
     /// Per-column compression policy applied at ingest and to every delta
     /// segment (see [`ColumnEncoding`]).
     pub encoding: ColumnEncoding,
-    /// Threads per table pass (clamped to ≥ 1; also runtime-adjustable
-    /// via [`ColumnarExecutor::set_scan_threads`]). Results are
-    /// bit-identical at every value — see the module docs.
-    pub scan_threads: usize,
 }
 
 impl Default for ExecConfig {
@@ -74,7 +55,6 @@ impl Default for ExecConfig {
         ExecConfig {
             shard_rows: 4096,
             encoding: ColumnEncoding::Auto,
-            scan_threads: 1,
         }
     }
 }
@@ -142,106 +122,45 @@ fn group_by_table<'a>(keys: impl Iterator<Item = &'a str>) -> Vec<(&'a str, Vec<
 }
 
 /// One shared pass of `members` (indices into `compiled`) over a table's
-/// shard set, fanned out over up to `threads` scoped threads. Returns
-/// `(shards_visited, (query, shard) pairs pruned, summed thread-busy
-/// nanoseconds)`.
+/// shard set. Returns `(shards_visited, (query, shard) pairs pruned,
+/// busy nanoseconds)`.
 ///
-/// Queries inside the reassociation envelope run relaxed: contiguous
-/// shard runs are folded concurrently (gather fast path enabled) and the
-/// run partials merged **in shard order**. Queries outside it fold
-/// sequentially on the calling thread in strict shard order. Both are
-/// bit-identical at every thread count (see the module docs).
+/// Every query folds its shards in shard order. Queries inside the
+/// reassociation envelope may take the gather fast paths (the table-level
+/// domain map, then per-shard maps), which regroup exact integer
+/// additions; queries outside it fold strictly row by row.
 fn scan_table(
     compiled: &[CompiledQuery],
     members: &[usize],
     table: &ColumnarTable,
-    threads: usize,
     partials: &mut [PartialAggregate],
 ) -> (u64, u64, u64) {
     let shards = table.shards();
     if shards.is_empty() {
         return (0, 0, 0);
     }
+    let t0 = Instant::now();
     let rows = table.num_rows();
-    let (mut relaxed, strict): (Vec<usize>, Vec<usize>) = members
-        .iter()
-        .copied()
-        .partition(|&i| compiled[i].reassociation_exact(rows));
-    let mut pruned = 0u64;
-    let mut busy_ns = 0u64;
     // Table-level gather: queries whose plan folds the precombined
     // domain map answer in O(domain) — independent of the shard count —
     // and drop out of the shard walk entirely. Only reassociation-exact
     // queries may take it (the precombination regroups additions).
-    if !relaxed.is_empty() {
-        let t0 = Instant::now();
-        relaxed.retain(|&i| !compiled[i].eval_gather_table(table, &mut partials[i]));
-        busy_ns += t0.elapsed().as_nanos() as u64;
-    }
-    if !strict.is_empty() {
-        let t0 = Instant::now();
-        for shard in shards {
-            for &i in &strict {
-                if compiled[i].eval_shard(shard, &mut partials[i], false) == ShardOutcome::Pruned {
-                    pruned += 1;
-                }
-            }
-        }
-        busy_ns += t0.elapsed().as_nanos() as u64;
-    }
-    if !relaxed.is_empty() {
-        let threads = threads.clamp(1, shards.len());
-        if threads == 1 {
-            let t0 = Instant::now();
-            for shard in shards {
-                for &i in &relaxed {
-                    if compiled[i].eval_shard(shard, &mut partials[i], true) == ShardOutcome::Pruned
-                    {
-                        pruned += 1;
-                    }
-                }
-            }
-            busy_ns += t0.elapsed().as_nanos() as u64;
-        } else {
-            let chunk = shards.len().div_ceil(threads);
-            let relaxed = &relaxed;
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = shards
-                    .chunks(chunk)
-                    .map(|run| {
-                        scope.spawn(move || {
-                            let t0 = Instant::now();
-                            let mut parts = vec![PartialAggregate::default(); relaxed.len()];
-                            let mut run_pruned = 0u64;
-                            for shard in run {
-                                for (k, &i) in relaxed.iter().enumerate() {
-                                    if compiled[i].eval_shard(shard, &mut parts[k], true)
-                                        == ShardOutcome::Pruned
-                                    {
-                                        run_pruned += 1;
-                                    }
-                                }
-                            }
-                            (parts, run_pruned, t0.elapsed().as_nanos() as u64)
-                        })
-                    })
-                    .collect();
-                // `chunks` yields runs in ascending shard order and the
-                // handles are joined in that same order, so run partials
-                // merge deterministically however the threads were
-                // actually scheduled.
-                for handle in handles {
-                    let (parts, run_pruned, ns) = handle.join().expect("scan thread panicked");
-                    for (k, &i) in relaxed.iter().enumerate() {
-                        partials[i].merge(parts[k]);
-                    }
-                    pruned += run_pruned;
-                    busy_ns += ns;
-                }
-            });
+    let mut walk = Vec::with_capacity(members.len());
+    for &i in members {
+        let relaxed = compiled[i].reassociation_exact(rows);
+        if !(relaxed && compiled[i].eval_gather_table(table, &mut partials[i])) {
+            walk.push((i, relaxed));
         }
     }
-    (shards.len() as u64, pruned, busy_ns)
+    let mut pruned = 0u64;
+    for shard in shards {
+        for &(i, relaxed) in &walk {
+            if compiled[i].eval_shard(shard, &mut partials[i], relaxed) == ShardOutcome::Pruned {
+                pruned += 1;
+            }
+        }
+    }
+    (shards.len() as u64, pruned, t0.elapsed().as_nanos() as u64)
 }
 
 #[derive(Debug, Default)]
@@ -267,8 +186,6 @@ pub struct ColumnarExecutor {
     schemas: HashMap<String, Schema>,
     /// The last sealed epoch visible to scans.
     epoch: AtomicU64,
-    /// Threads per table pass (≥ 1), runtime-adjustable.
-    scan_threads: AtomicUsize,
     stats: StatsCells,
 }
 
@@ -295,7 +212,6 @@ impl ColumnarExecutor {
             tables,
             schemas,
             epoch: AtomicU64::new(db.epoch()),
-            scan_threads: AtomicUsize::new(config.scan_threads.max(1)),
             stats: StatsCells::default(),
         }
     }
@@ -321,19 +237,6 @@ impl ColumnarExecutor {
     #[must_use]
     pub fn sealed_epoch(&self) -> u64 {
         self.epoch.load(Ordering::SeqCst)
-    }
-
-    /// Sets the number of threads a table pass may fan out over (clamped
-    /// to ≥ 1). Takes effect on the next pass; answers are bit-identical
-    /// at every value.
-    pub fn set_scan_threads(&self, threads: usize) {
-        self.scan_threads.store(threads.max(1), Ordering::SeqCst);
-    }
-
-    /// The configured number of threads per table pass.
-    #[must_use]
-    pub fn scan_threads(&self) -> usize {
-        self.scan_threads.load(Ordering::SeqCst)
     }
 
     /// Heap bytes of all encoded column payloads across every table.
@@ -413,10 +316,9 @@ impl ColumnarExecutor {
         Ok(self.execute_batch_timed(queries)?.0)
     }
 
-    /// Like [`Self::execute_batch`], also returning the summed scan-thread
-    /// busy time in nanoseconds — across *all* threads of all passes of
-    /// this batch, so instrumentation records **one** sample per batch no
-    /// matter how many threads the scan fanned out over.
+    /// Like [`Self::execute_batch`], also returning the scan busy time in
+    /// nanoseconds summed over every table pass of the batch, so
+    /// instrumentation records **one** sample per batch.
     pub fn execute_batch_timed(&self, queries: &[Query]) -> Result<(Vec<f64>, u64)> {
         let compiled = queries
             .iter()
@@ -439,7 +341,6 @@ impl ColumnarExecutor {
             return Ok((Vec::new(), 0));
         }
         let groups = group_by_table(compiled.iter().map(CompiledQuery::table));
-        let threads = self.scan_threads();
 
         let mut partials = vec![PartialAggregate::default(); compiled.len()];
         let mut pruned = 0u64;
@@ -447,7 +348,7 @@ impl ColumnarExecutor {
         let mut busy_ns = 0u64;
         for (name, members) in &groups {
             self.with_table(name, |table| {
-                let (v, p, ns) = scan_table(compiled, members, table, threads, &mut partials);
+                let (v, p, ns) = scan_table(compiled, members, table, &mut partials);
                 visited += v;
                 pruned += p;
                 busy_ns += ns;
@@ -852,7 +753,7 @@ mod tests {
     }
 
     #[test]
-    fn every_encoding_and_thread_count_matches_bit_for_bit() {
+    fn every_encoding_matches_bit_for_bit() {
         let db = adult_database(1_500, 23);
         let queries = [
             Query::count("adult"),
@@ -875,15 +776,11 @@ mod tests {
                 &ExecConfig {
                     shard_rows: 97,
                     encoding,
-                    scan_threads: 1,
                 },
             );
-            for threads in [1, 2, 4, 8] {
-                exec.set_scan_threads(threads);
-                let got = exec.execute_batch(&queries).unwrap();
-                for (g, r) in got.iter().zip(&reference) {
-                    assert_eq!(g.to_bits(), *r, "{encoding:?} at {threads} threads");
-                }
+            let got = exec.execute_batch(&queries).unwrap();
+            for (g, r) in got.iter().zip(&reference) {
+                assert_eq!(g.to_bits(), *r, "{encoding:?}");
             }
         }
     }
@@ -891,13 +788,12 @@ mod tests {
     #[test]
     fn timed_batches_report_thread_busy_time_once_per_batch() {
         let (_, exec) = executor(64);
-        exec.set_scan_threads(4);
         let batch: Vec<Query> = (0..8)
             .map(|i| Query::range_count("adult", "age", 20 + i, 50))
             .collect();
         let (results, ns) = exec.execute_batch_timed(&batch).unwrap();
         assert_eq!(results.len(), 8);
-        // One summed figure for the whole batch, regardless of fan-out.
+        // One summed figure for the whole batch.
         assert!(ns > 0);
     }
 

@@ -36,8 +36,7 @@
 //! weights are ±1) and [`CompiledQuery::reassociation_exact`] proves all
 //! partials stay below 2⁵³, where f64 addition of integers is exact and
 //! therefore associative. Queries outside that envelope take the strict
-//! sequential path. The same argument covers merging per-thread shard-run
-//! partials in shard order — see the executor.
+//! sequential path.
 
 use dprov_engine::expr::Predicate;
 use dprov_engine::query::{AggregateKind, Query};
@@ -505,18 +504,6 @@ pub struct PartialAggregate {
     sum: f64,
 }
 
-impl PartialAggregate {
-    /// Adds another partial (a later shard run) onto this one. Exact —
-    /// and therefore order-insensitive within a shard-ordered merge —
-    /// under the [`CompiledQuery::reassociation_exact`] envelope; the
-    /// parallel pass merges its per-thread run partials with it in shard
-    /// order.
-    pub fn merge(&mut self, other: PartialAggregate) {
-        self.count += other.count;
-        self.sum += other.sum;
-    }
-}
-
 /// The outcome of evaluating one query over one shard.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum ShardOutcome {
@@ -614,11 +601,11 @@ impl CompiledQuery {
     }
 
     /// Whether regrouping this query's floating-point additions is exact,
-    /// i.e. whether per-shard-run partials, the domain-map gather and any
-    /// other shard-order merge are provably bit-identical to the strict
-    /// sequential row loop: all aggregate terms must be integers and every
-    /// partial (bounded by `max |weight| × physical rows`) must stay below
-    /// 2⁵³, where integer f64 addition is exact and associative. COUNT
+    /// i.e. whether the domain-map gathers (per shard and table-level) are
+    /// provably bit-identical to the strict sequential row loop: all
+    /// aggregate terms must be integers and every partial (bounded by
+    /// `max |weight| × physical rows`) must stay below 2⁵³, where integer
+    /// f64 addition is exact and associative. COUNT
     /// terms are ±1, so it always qualifies; SUM/AVG qualifies for every
     /// realistic schema (a 10⁹-valued domain would need ~9·10⁶ billion
     /// rows to overflow the envelope).

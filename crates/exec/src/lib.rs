@@ -26,29 +26,26 @@
 //!   [`executor::ColumnarExecutor::execute_batch`] answers every query of
 //!   a batch that targets the same table in a *single pass* over its
 //!   shards (each query's partial aggregate folded shard-by-shard, in
-//!   shard order), fanning the shard set out over
-//!   [`executor::ExecConfig::scan_threads`] scoped threads with a
-//!   shard-order merge, and
+//!   shard order), and
 //!   [`executor::ColumnarExecutor::materialize_histograms`] materialises a
 //!   whole view catalog in one pass per base table.
 //!
 //! # Equivalence guarantee
 //!
 //! Columnar evaluation is **bit-identical** to the engine's row-at-a-time
-//! [`dprov_engine::exec::execute`] — at every encoding and every thread
-//! count: kernels are compiled by running the exact row comparison over
-//! every decoded domain value, encodings decode to exactly the ingested
-//! indices, shards preserve row order, and aggregates accumulate over
-//! mask bits in ascending row order — so the floating-point additions
-//! happen in the same sequence. The two fast paths that *regroup*
-//! additions (the domain-map gather and the per-thread shard-run merge)
-//! are gated by [`kernel::CompiledQuery::reassociation_exact`]: all terms
-//! are exact `f64` integers and all partials stay below 2⁵³, where
-//! integer addition is exact and associative, so the regrouped result is
-//! the same bit pattern. The crate's `equivalence` proptest suite checks
-//! random tables × predicate trees × encodings × thread counts × shard
-//! partitions, and `tests/encode.rs` batters the codec across every
-//! field width.
+//! [`dprov_engine::exec::execute`] at every encoding: kernels are compiled
+//! by running the exact row comparison over every decoded domain value,
+//! encodings decode to exactly the ingested indices, shards preserve row
+//! order, and aggregates accumulate over mask bits in ascending row order
+//! — so the floating-point additions happen in the same sequence. The
+//! fast paths that *regroup* additions (the per-shard and table-level
+//! domain-map gathers) are gated by
+//! [`kernel::CompiledQuery::reassociation_exact`]: all terms are exact
+//! `f64` integers and all partials stay below 2⁵³, where integer addition
+//! is exact and associative, so the regrouped result is the same bit
+//! pattern. The crate's `equivalence` proptest suite checks random tables
+//! × predicate trees × encodings × shard partitions, and `tests/encode.rs`
+//! batters the codec across every field width.
 //!
 //! [`executor::ExecStats::scans_per_query`] quantifies the batching win:
 //! a batch of `B` same-table queries costs `1/B` scans per query instead

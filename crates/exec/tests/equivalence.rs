@@ -1,8 +1,7 @@
 //! Property suite: batched columnar execution is bit-identical to the
 //! engine's row-at-a-time evaluation over random tables, random predicate
 //! trees, random batches, random shard partitions, every column encoding,
-//! 1–8 scan threads, and random weighted delta segments from sealed
-//! epochs.
+//! and random weighted delta segments from sealed epochs.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -27,9 +26,6 @@ const ENCODINGS: [ColumnEncoding; 4] = [
     ColumnEncoding::Dictionary,
     ColumnEncoding::Auto,
 ];
-
-/// The thread axis of the matrix.
-const THREADS: [usize; 4] = [1, 2, 4, 8];
 
 fn schema() -> Schema {
     Schema::new(vec![
@@ -170,7 +166,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// The full matrix: batched == single-query columnar == row-at-a-time,
-    /// bit for bit, for every encoding × thread count, at a random shard
+    /// bit for bit, for every encoding, at a random shard
     /// partition and batch composition, over a table carrying random
     /// weighted delta segments from sealed epochs.
     #[test]
@@ -180,7 +176,6 @@ proptest! {
         shard_rows in 1usize..80,
         batch_size in 1usize..12,
         encoding_idx in 0usize..ENCODINGS.len(),
-        threads_idx in 0usize..THREADS.len(),
         epochs in 0u64..4,
     ) {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -188,7 +183,6 @@ proptest! {
         let exec = ColumnarExecutor::ingest(&db, &ExecConfig {
             shard_rows,
             encoding: ENCODINGS[encoding_idx],
-            scan_threads: THREADS[threads_idx],
         });
         apply_random_epochs(&mut rng, &mut db, &exec, epochs);
         let batch: Vec<Query> = (0..batch_size).map(|_| random_query(&mut rng)).collect();
@@ -199,23 +193,14 @@ proptest! {
             let reference = execute(&db, query).unwrap().scalar().unwrap();
             prop_assert_eq!(
                 from_batch.to_bits(), reference.to_bits(),
-                "batched {} != row-at-a-time {} for {} ({:?}, {} threads)",
-                from_batch, reference, query.describe(),
-                ENCODINGS[encoding_idx], THREADS[threads_idx]
+                "batched {} != row-at-a-time {} for {} ({:?})",
+                from_batch, reference, query.describe(), ENCODINGS[encoding_idx]
             );
             prop_assert_eq!(single.to_bits(), reference.to_bits());
         }
         // One scan per batch for the shared table (plus one per single
         // re-execution above).
         prop_assert_eq!(exec.stats().scans, 1 + batch_size as u64);
-
-        // Thread-count invariance on the very same executor: flipping the
-        // fan-out between extremes must not move a single bit.
-        exec.set_scan_threads(if THREADS[threads_idx] == 1 { 8 } else { 1 });
-        let flipped = exec.execute_batch(&batch).unwrap();
-        for (a, b) in batched.iter().zip(&flipped) {
-            prop_assert_eq!(a.to_bits(), b.to_bits());
-        }
     }
 
     /// Histogram materialisation through the executor equals the engine's
@@ -234,7 +219,6 @@ proptest! {
         let exec = ColumnarExecutor::ingest(&db, &ExecConfig {
             shard_rows,
             encoding: ENCODINGS[encoding_idx],
-            ..ExecConfig::default()
         });
         apply_random_epochs(&mut rng, &mut db, &exec, epochs);
         let lo = rng.gen_range(0..40i64);

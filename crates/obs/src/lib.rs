@@ -221,14 +221,11 @@ pub enum HistId {
     FrontendReply,
     /// Job time spent queued before a worker picked it up.
     QueueWait,
-    /// Worker time spent assembling (lingering for) a micro-batch.
-    BatchAssembly,
     /// Mechanism execution per query (admission + DP answer).
     Execute,
-    /// Columnar executor busy time per batch: the *sum* of every scan
-    /// thread's shard-scan nanoseconds, recorded as exactly **one**
-    /// sample per executed batch (never one per thread), so the sample
-    /// count equals the batch count at any `scan_threads` setting.
+    /// Columnar executor busy time per batch: the shard-scan nanoseconds
+    /// of every table pass of the batch, recorded as exactly **one**
+    /// sample per executed batch.
     ScanTime,
     /// Write-ahead ledger append (buffer write, excluding fsync).
     WalAppend,
@@ -252,11 +249,10 @@ pub enum HistId {
 
 impl HistId {
     /// Every histogram, in catalog order.
-    pub const ALL: [HistId; 14] = [
+    pub const ALL: [HistId; 13] = [
         HistId::FrontendDecode,
         HistId::FrontendReply,
         HistId::QueueWait,
-        HistId::BatchAssembly,
         HistId::Execute,
         HistId::ScanTime,
         HistId::WalAppend,
@@ -276,7 +272,6 @@ impl HistId {
             HistId::FrontendDecode => "frontend.decode_ns",
             HistId::FrontendReply => "frontend.reply_ns",
             HistId::QueueWait => "queue.wait_ns",
-            HistId::BatchAssembly => "batch.assembly_ns",
             HistId::Execute => "query.execute_ns",
             HistId::ScanTime => "exec.scan_ns",
             HistId::WalAppend => "wal.append_ns",

@@ -14,13 +14,11 @@
 //! * [`queue`] — a bounded MPMC **job queue** (`Mutex` + `Condvar`)
 //!   providing backpressure between submitters and workers;
 //! * [`service`] — the **worker pool** ([`service::QueryService`]): `N`
-//!   threads drain the queue in **per-view micro-batches** (bounded batch
-//!   size plus an optional linger window, see
-//!   [`service::ServiceConfig::max_batch`]) and execute each job — one
-//!   [`service::Work`] item, scalar or GROUP BY — through
-//!   `DProvDb::submit_with_rng` / `answer_group_by_with_rng`; batching
-//!   regroups cross-session work so same-view jobs run back-to-back on hot
-//!   admission/synopsis state, and each [`service::Reply`] travels back
+//!   threads drain the queue in **micro-batches** (whatever is already
+//!   queued, up to eight jobs and a fair share of the backlog per worker)
+//!   and execute each job — one [`service::Work`] item, scalar or
+//!   GROUP BY — in queue order through `DProvDb::submit_with_rng` /
+//!   `answer_group_by_with_rng`; each [`service::Reply`] travels back
 //!   through the job's [`service::Completion`];
 //! * [`frontend`] — the **in-process protocol frontend**
 //!   ([`frontend::Frontend`]): serves the versioned `dprov-api` analyst
@@ -40,15 +38,14 @@
 //!
 //! **Determinism**: each session's noise stream depends only on the system
 //! seed, the session registration order and the session's own submission
-//! order — never on thread scheduling, and never on the micro-batch knobs:
-//! the session lanes admit at most one job per session into any batch, so
-//! regrouping a batch by view can only reorder work *across* sessions and
-//! keeps same-view work in arrival order. Answers are therefore identical
-//! across runs, worker counts and batch/linger settings under the vanilla
-//! mechanism, and under the additive mechanism whenever sessions work
-//! disjoint views, provided the budget is uncontended (validated by the
-//! workspace's `determinism.rs` and `batch_equivalence.rs` integration
-//! tests). Two quantities remain
+//! order — never on thread scheduling or on how the queue was cut into
+//! micro-batches: the session lanes admit at most one job per session
+//! into any batch, so batching can only interleave work *across*
+//! sessions. Answers are therefore identical across runs and worker
+//! counts under the vanilla mechanism, and under the additive mechanism
+//! whenever sessions work disjoint views, provided the budget is
+//! uncontended (validated by the workspace's `determinism.rs` and
+//! `batch_equivalence.rs` integration tests). Two quantities remain
 //! scheduling-sensitive: the additive mechanism's hidden global synopsis
 //! on a view *shared* by racing sessions grows in cross-session arrival
 //! order, and near budget exhaustion the provenance checks' cross-analyst

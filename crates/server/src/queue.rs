@@ -9,8 +9,7 @@
 //! drain the remaining items before observing the close.
 
 use std::collections::VecDeque;
-use std::sync::{Arc, Condvar, Mutex};
-use std::time::{Duration, Instant};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
 /// A consumer's fair share of `available` queued items when the backlog
 /// is split across `shares` consumers: `ceil(available / shares)`, at
@@ -157,115 +156,57 @@ impl<T> BoundedQueue<T> {
 
     /// Dequeues up to `max` items as one micro-batch. Blocks like
     /// [`Self::pop`] until at least one item (or the close) is observed,
-    /// greedily takes whatever else is already queued, then waits at most
-    /// `linger` for stragglers to fill the batch. Returns an empty vector
+    /// then takes whatever else is already queued. Returns an empty vector
     /// only once the queue is closed *and* drained.
     ///
     /// `shares` is the number of consumers the backlog should be split
     /// across fairly: the batch is additionally capped at
     /// `ceil(available / shares)` (at least 1), so one consumer of a pool
     /// never drains a burst that its siblings could run in parallel.
-    /// `shares <= 1` disables the cap.
-    ///
-    /// `linger == 0` never delays: the batch is whatever was immediately
-    /// available, so `pop_batch(1, Duration::ZERO, 1)` behaves exactly
-    /// like [`Self::pop`].
-    pub fn pop_batch(&self, max: usize, linger: Duration, shares: usize) -> Vec<T> {
-        let max = max.max(1);
-        let mut out = Vec::new();
-        let mut freed_from_full = false;
+    /// `shares <= 1` disables the cap, and `pop_batch(1, 1)` behaves
+    /// exactly like [`Self::pop`].
+    pub fn pop_batch(&self, max: usize, shares: usize) -> Vec<T> {
         let mut state = self.state.lock().expect("queue poisoned");
         // Block for the first item (or the close).
-        loop {
-            freed_from_full |= state.items.len() == self.capacity;
-            if let Some(item) = state.items.pop_front() {
-                out.push(item);
-                break;
-            }
+        while state.items.is_empty() {
             if state.closed {
-                return out;
+                return Vec::new();
             }
             state = self.not_empty.wait(state).expect("queue poisoned");
         }
-        // Fair share of the backlog as observed at wake-up. A lone
-        // consumer is uncapped (it may linger for stragglers up to `max`);
-        // pool members never take more than their slice of the burst.
-        let target = if shares > 1 {
-            max.min(fair_share(1 + state.items.len(), shares))
-        } else {
-            max
-        };
-        // Greedily take what is already queued.
-        while out.len() < target {
-            match state.items.pop_front() {
-                Some(item) => out.push(item),
-                None => break,
-            }
-        }
-        // Free producers blocked on a full queue before (possibly)
-        // lingering for more work.
-        self.not_full.notify_all();
-        if !linger.is_zero() {
-            let deadline = Instant::now() + linger;
-            while out.len() < target && !state.closed {
-                let Some(remaining) = deadline.checked_duration_since(Instant::now()) else {
-                    break;
-                };
-                if remaining.is_zero() {
-                    break;
-                }
-                let (next, timeout) = self
-                    .not_empty
-                    .wait_timeout(state, remaining)
-                    .expect("queue poisoned");
-                state = next;
-                let before = out.len();
-                freed_from_full |= state.items.len() == self.capacity && target > out.len();
-                while out.len() < target {
-                    match state.items.pop_front() {
-                        Some(item) => out.push(item),
-                        None => break,
-                    }
-                }
-                if out.len() > before {
-                    self.not_full.notify_all();
-                }
-                if timeout.timed_out() {
-                    break;
-                }
-            }
-        }
-        drop(state);
-        if freed_from_full {
-            self.fire_space_listeners();
-        }
-        out
+        self.take_batch(state, max.max(1), shares)
     }
 
     /// Dequeues up to `max` immediately available items without blocking
     /// (used by workers that already hold chained work and only top the
     /// batch up). The same fair-share cap as [`Self::pop_batch`] applies.
     pub fn try_pop_batch(&self, max: usize, shares: usize) -> Vec<T> {
-        let mut state = self.state.lock().expect("queue poisoned");
-        let was_full = state.items.len() == self.capacity;
+        let state = self.state.lock().expect("queue poisoned");
+        self.take_batch(state, max, shares)
+    }
+
+    /// Takes up to `max` queued items, capped at a fair share of the
+    /// backlog when `shares > 1`, and wakes the producers a full queue
+    /// held back.
+    fn take_batch(
+        &self,
+        mut state: MutexGuard<'_, QueueState<T>>,
+        max: usize,
+        shares: usize,
+    ) -> Vec<T> {
+        let available = state.items.len();
         let target = if shares > 1 {
-            max.min(fair_share(state.items.len(), shares))
+            max.min(fair_share(available, shares))
         } else {
             max
         };
-        let mut out = Vec::new();
-        while out.len() < target {
-            match state.items.pop_front() {
-                Some(item) => out.push(item),
-                None => break,
-            }
+        let out: Vec<T> = state.items.drain(..target.min(available)).collect();
+        if out.is_empty() {
+            return out;
         }
-        if !out.is_empty() {
-            self.not_full.notify_all();
-        }
-        let freed_from_full = was_full && !out.is_empty();
+        self.not_full.notify_all();
         drop(state);
-        if freed_from_full {
+        if available == self.capacity {
             self.fire_space_listeners();
         }
         out
@@ -333,8 +274,8 @@ mod tests {
         for i in 0..5 {
             q.push(i).unwrap();
         }
-        assert_eq!(q.pop_batch(3, Duration::ZERO, 1), vec![0, 1, 2]);
-        assert_eq!(q.pop_batch(10, Duration::ZERO, 1), vec![3, 4]);
+        assert_eq!(q.pop_batch(3, 1), vec![0, 1, 2]);
+        assert_eq!(q.pop_batch(10, 1), vec![3, 4]);
         assert_eq!(q.try_pop_batch(10, 1), Vec::<i32>::new());
         q.push(7).unwrap();
         assert_eq!(q.try_pop_batch(10, 1), vec![7]);
@@ -348,31 +289,20 @@ mod tests {
         }
         // Four consumers splitting an 8-deep backlog get 2 each, so one
         // greedy batch cannot serialise work its siblings could run.
-        assert_eq!(q.pop_batch(8, Duration::ZERO, 4), vec![0, 1]);
+        assert_eq!(q.pop_batch(8, 4), vec![0, 1]);
         assert_eq!(q.try_pop_batch(8, 3), vec![2, 3]);
         // A lone consumer takes everything.
-        assert_eq!(q.pop_batch(8, Duration::ZERO, 1), vec![4, 5, 6, 7]);
+        assert_eq!(q.pop_batch(8, 1), vec![4, 5, 6, 7]);
     }
 
     #[test]
-    fn pop_batch_lingers_for_stragglers_and_drains_across_close() {
-        let q = Arc::new(BoundedQueue::new(8));
-        q.push(0u64).unwrap();
-        let producer = {
-            let q = Arc::clone(&q);
-            std::thread::spawn(move || {
-                std::thread::sleep(Duration::from_millis(10));
-                q.push(1).unwrap();
-            })
-        };
-        // The linger window lets the straggler join the batch.
-        assert_eq!(q.pop_batch(2, Duration::from_secs(2), 1), vec![0, 1]);
-        producer.join().unwrap();
-        q.push(2).unwrap();
+    fn pop_batch_drains_across_close() {
+        let q = BoundedQueue::new(8);
+        q.push(2u64).unwrap();
         q.close();
         // Remaining items drain, then the closed queue yields empty batches.
-        assert_eq!(q.pop_batch(4, Duration::from_millis(5), 1), vec![2]);
-        assert!(q.pop_batch(4, Duration::from_millis(5), 1).is_empty());
+        assert_eq!(q.pop_batch(4, 1), vec![2]);
+        assert!(q.pop_batch(4, 1).is_empty());
         assert!(q.try_pop_batch(4, 1).is_empty());
     }
 
@@ -428,7 +358,7 @@ mod tests {
         assert!(matches!(q.try_push(4), Err(TryPushError::Full(4))));
         assert_eq!(q.pop(), Some(2));
         assert_eq!(fired.load(Ordering::SeqCst), 1, "full → non-full fires");
-        assert_eq!(q.pop_batch(2, Duration::ZERO, 1), vec![3]);
+        assert_eq!(q.pop_batch(2, 1), vec![3]);
         assert_eq!(
             fired.load(Ordering::SeqCst),
             1,

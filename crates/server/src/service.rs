@@ -57,6 +57,11 @@ use dprov_storage::{
 use crate::queue::{BoundedQueue, SpaceListener, TryPushError};
 use crate::session::{Session, SessionError, SessionId, SessionInfo, SessionRegistry};
 
+/// The most jobs a worker drains from the queue into one micro-batch.
+/// Realised batches rarely reach it; the fair-share cap usually binds
+/// first in a multi-worker pool.
+const MAX_BATCH: usize = 8;
+
 /// Tuning knobs for the service.
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
@@ -67,32 +72,10 @@ pub struct ServiceConfig {
     /// How long a session may go without a heartbeat or submission before
     /// it is considered expired.
     pub session_ttl: Duration,
-    /// Upper bound on the per-view micro-batch a worker drains from the
-    /// queue in one go (`1` disables batching). Batching regroups
-    /// *cross-session* execution order by view so same-view work runs
-    /// back-to-back on hot synopsis/admission state; per-session FIFO and
-    /// per-session noise streams are unaffected (the session lanes admit
-    /// at most one job per session into any batch). In a multi-worker
-    /// pool a worker additionally never takes more than its fair share
-    /// (`ceil(queued / workers)`) of a burst, so batching cannot
-    /// serialise work other workers could run in parallel.
-    pub max_batch: usize,
-    /// How long a worker may wait for stragglers to fill a micro-batch
-    /// once it holds at least one job. Zero (the default) never delays an
-    /// answer: the batch is whatever is already queued.
-    pub max_linger: Duration,
     /// Names authorised to act as data **updaters** (submit update
     /// batches and seal epochs) — trusted configuration, like the analyst
     /// roster. Empty (the default) refuses every updater registration.
     pub updaters: Vec<String>,
-    /// Threads the columnar executor fans each shard scan out over
-    /// (`1`, the default, scans inline on the worker thread). Answers,
-    /// noise and budget charges are **bit-identical at every setting**:
-    /// per-thread partials merge in shard order and only
-    /// reassociation-exact aggregates take the parallel path, so this
-    /// knob never perturbs determinism — `tests/determinism.rs` pins a
-    /// full service run at 1 vs 8 threads to the same bytes.
-    pub scan_threads: usize,
 }
 
 // `dprovbench/src/surface.rs` calls
@@ -112,10 +95,7 @@ impl Default for ServiceConfig {
             workers: 4,
             queue_capacity: 256,
             session_ttl: Duration::from_secs(60),
-            max_batch: 8,
-            max_linger: Duration::ZERO,
             updaters: Vec::new(),
-            scan_threads: 1,
         }
     }
 }
@@ -123,7 +103,7 @@ impl Default for ServiceConfig {
 impl ServiceConfig {
     /// A validating builder over the default configuration. Invalid knob
     /// combinations (`workers == 0`, `queue_capacity == 0`, a zero
-    /// `session_ttl`, `max_batch == 0`, `scan_threads == 0`) are rejected at
+    /// `session_ttl`) are rejected at
     /// [`ServiceConfigBuilder::build`] time instead of being silently
     /// clamped at service start.
     #[must_use]
@@ -163,34 +143,11 @@ impl ServiceConfigBuilder {
         self
     }
 
-    /// Sets the micro-batch size bound (must be non-zero; `1` disables
-    /// batching).
-    #[must_use]
-    pub fn max_batch(mut self, max_batch: usize) -> Self {
-        self.config.max_batch = max_batch;
-        self
-    }
-
-    /// Sets the micro-batch linger window (zero never delays an answer).
-    #[must_use]
-    pub fn max_linger(mut self, linger: Duration) -> Self {
-        self.config.max_linger = linger;
-        self
-    }
-
     /// Sets the updater roster (names authorised to submit updates and
     /// seal epochs).
     #[must_use]
     pub fn updaters<S: AsRef<str>>(mut self, names: &[S]) -> Self {
         self.config.updaters = names.iter().map(|s| s.as_ref().to_owned()).collect();
-        self
-    }
-
-    /// Sets the scan-thread fan-out of the columnar executor (must be
-    /// non-zero; `1` scans inline). Bit-identical at every setting.
-    #[must_use]
-    pub fn scan_threads(mut self, threads: usize) -> Self {
-        self.config.scan_threads = threads;
         self
     }
 
@@ -218,16 +175,6 @@ impl ServiceConfigBuilder {
             return Err(ServerError::InvalidConfig(
                 "session_ttl must be non-zero (sessions would expire before their first query)"
                     .to_owned(),
-            ));
-        }
-        if self.config.max_batch == 0 {
-            return Err(ServerError::InvalidConfig(
-                "max_batch must be non-zero (use 1 to disable micro-batching)".to_owned(),
-            ));
-        }
-        if self.config.scan_threads == 0 {
-            return Err(ServerError::InvalidConfig(
-                "scan_threads must be non-zero (use 1 for inline scans)".to_owned(),
             ));
         }
         Ok(self.config)
@@ -297,8 +244,8 @@ impl From<StorageError> for ServerError {
 }
 
 /// One unit of work for the pool. Scalar and grouped submissions share the
-/// queue, the session lanes and the per-view micro-batching; only the core
-/// call that executes them differs.
+/// queue, the session lanes and the micro-batches; only the core call that
+/// executes them differs.
 #[derive(Debug)]
 pub enum Work {
     /// One scalar query.
@@ -306,29 +253,6 @@ pub enum Work {
     /// One GROUP BY query: the per-group pipeline applied to each cell of
     /// one view's histogram, executed as a single job.
     Grouped(GroupedRequest),
-}
-
-impl Work {
-    /// The grouping key for per-view micro-batching: table + sorted
-    /// referenced attributes. Queries over the same table and attribute
-    /// set resolve to the same catalog view, so the key clusters
-    /// same-view work without paying a full view-selection pass (which
-    /// iterates every view's domain) before admission. A GROUP BY batches
-    /// with the scalar queries of the view it resolves to.
-    fn view_key(&self) -> String {
-        let (table, mut attrs) = match self {
-            Work::Scalar(request) => (
-                request.query.table.as_str(),
-                request.query.referenced_attributes(),
-            ),
-            Work::Grouped(request) => (
-                request.query.table.as_str(),
-                request.query.referenced_attributes(),
-            ),
-        };
-        attrs.sort();
-        format!("{table}\u{1f}{}", attrs.join(","))
-    }
 }
 
 /// What a finished [`Work`] item produced, variant for variant.
@@ -627,9 +551,9 @@ pub struct ServiceStats {
     pub submitted: usize,
     /// Submissions fully executed (answered or rejected).
     pub completed: usize,
-    /// Per-view micro-batches drained by the workers. Jobs answered
-    /// inline ([`QueryService::try_answer_inline`]) count in `completed`
-    /// but in no batch; the realised batch size is `batch_sizes`.
+    /// Micro-batches drained by the workers. Jobs answered inline
+    /// ([`QueryService::try_answer_inline`]) count in `completed` but in
+    /// no batch; the realised batch size is `batch_sizes`.
     pub batches: usize,
     /// Update epochs sealed through this service.
     pub epochs_sealed: usize,
@@ -664,9 +588,9 @@ pub struct QueryService {
     /// Names authorised as data updaters (from [`ServiceConfig`]).
     updaters: Vec<String>,
     /// Epoch barrier: each worker holds the read side across one whole
-    /// per-view micro-batch; [`QueryService::seal_epoch`] takes the write
-    /// side, so a seal quiesces at micro-batch boundaries and no batch's
-    /// answers straddle two epochs.
+    /// micro-batch; [`QueryService::seal_epoch`] takes the write side, so
+    /// a seal quiesces at micro-batch boundaries and no batch's answers
+    /// straddle two epochs.
     epoch_barrier: Arc<std::sync::RwLock<()>>,
     /// Epochs sealed through this service.
     epochs_sealed: Arc<AtomicUsize>,
@@ -826,7 +750,6 @@ impl QueryService {
         config: ServiceConfig,
         durable: Option<Arc<DurableCtx>>,
     ) -> Self {
-        system.set_scan_threads(config.scan_threads.max(1));
         let queue = Arc::new(BoundedQueue::new(config.queue_capacity));
         let lanes: Arc<LaneMap> = Arc::new(Mutex::new(HashMap::new()));
         let submitted = Arc::new(AtomicUsize::new(0));
@@ -846,7 +769,6 @@ impl QueryService {
                 let epoch_barrier = Arc::clone(&epoch_barrier);
                 let metrics = metrics.clone();
                 let batch_sizes = Arc::clone(&batch_sizes);
-                let (max_batch, max_linger) = (config.max_batch.max(1), config.max_linger);
                 let pool_size = config.workers.max(1);
                 std::thread::Builder::new()
                     .name(format!("dprov-worker-{i}"))
@@ -859,8 +781,6 @@ impl QueryService {
                             &batches,
                             durable.as_deref(),
                             &epoch_barrier,
-                            max_batch,
-                            max_linger,
                             pool_size,
                             i as u64,
                             &metrics,
@@ -901,25 +821,6 @@ impl QueryService {
         let freeze = system.freeze_commits();
         let core = system.export_durable_state_frozen(&freeze);
         store.compact(fingerprint, &core)
-    }
-
-    /// Stable-regroups a micro-batch by view key: same-view jobs stay in
-    /// arrival order (so each view's budget/synopsis state evolves exactly
-    /// as under one-at-a-time draining) and run back-to-back on hot
-    /// admission-lock, provenance-entry and synopsis-shard state.
-    fn group_by_view(jobs: Vec<Job>) -> Vec<Job> {
-        if jobs.len() <= 1 {
-            return jobs;
-        }
-        let mut groups: Vec<(String, Vec<Job>)> = Vec::new();
-        for job in jobs {
-            let key = job.work.view_key();
-            match groups.iter_mut().find(|(k, _)| *k == key) {
-                Some((_, group)) => group.push(job),
-                None => groups.push((key, vec![job])),
-            }
-        }
-        groups.into_iter().flat_map(|(_, group)| group).collect()
     }
 
     /// Durable mode: persists the session's noise-stream position BEFORE
@@ -1069,8 +970,6 @@ impl QueryService {
         batches: &AtomicUsize,
         durable: Option<&DurableCtx>,
         epoch_barrier: &std::sync::RwLock<()>,
-        max_batch: usize,
-        max_linger: Duration,
         pool_size: usize,
         worker: u64,
         metrics: &MetricsRegistry,
@@ -1082,44 +981,32 @@ impl QueryService {
         let mut carry: Vec<Job> = Vec::new();
         loop {
             // Assemble the next micro-batch: chained work first, topped up
-            // from the queue. Only an idle worker blocks (and only an idle
-            // worker lingers) — carried jobs are never delayed — and the
+            // from the queue with whatever is already there. Only an idle
+            // worker blocks — carried jobs are never delayed — and the
             // fair-share cap (`pool_size` consumers) keeps one worker from
             // draining a burst its siblings could run in parallel.
             let mut jobs = std::mem::take(&mut carry);
             if jobs.is_empty() {
-                let assembly_start = metrics.start();
-                jobs = queue.pop_batch(max_batch, max_linger, pool_size);
+                jobs = queue.pop_batch(MAX_BATCH, pool_size);
                 if jobs.is_empty() {
                     return; // closed and drained
                 }
-                if let Some(t0) = assembly_start {
-                    // `pop_batch` blocks idle until the first job arrives;
-                    // only the linger window counts as assembly, so cap
-                    // the observation there instead of charging idle time.
-                    metrics.observe_duration(HistId::BatchAssembly, t0.elapsed().min(max_linger));
-                }
-            } else if jobs.len() < max_batch {
-                let assembly_start = metrics.start();
-                jobs.extend(queue.try_pop_batch(max_batch - jobs.len(), pool_size));
-                if let Some(t0) = assembly_start {
-                    metrics.observe_duration(HistId::BatchAssembly, t0.elapsed());
-                }
+            } else if jobs.len() < MAX_BATCH {
+                jobs.extend(queue.try_pop_batch(MAX_BATCH - jobs.len(), pool_size));
             }
             batches.fetch_add(1, Ordering::Relaxed);
             batch_sizes.record(jobs.len() as u64);
             metrics.observe(HistId::BatchSize, jobs.len() as u64);
             metrics.incr(CounterId::BatchesExecuted);
 
-            // Per-view regrouping: session lanes admit at most one job per
-            // session into any batch, so per-session FIFO (and with it
-            // every session's noise-stream order) is preserved no matter
-            // how the batch is regrouped across sessions. The epoch
+            // The batch runs in queue order. Session lanes admit at most
+            // one job per session into any batch, so per-session FIFO (and
+            // with it every session's noise-stream order) holds. The epoch
             // barrier is held across the whole micro-batch: a seal
             // quiesces at batch boundaries, so one batch's answers never
             // straddle two epochs.
             let _epoch = epoch_barrier.read().expect("epoch barrier poisoned");
-            for job in Self::group_by_view(jobs) {
+            for job in jobs {
                 if let Some(next) =
                     Self::execute_job(system, lanes, completed, durable, worker, metrics, job)
                 {
@@ -1273,11 +1160,11 @@ impl QueryService {
     /// entry point: the in-process [`crate::frontend::Frontend`] feeds it,
     /// and a single embedder thread can queue many submissions
     /// back-to-back and resolve them later with [`Pending::wait`], which
-    /// is what lets the workers' per-view micro-batches fill up when the
-    /// service is driven in-process. Blocks only if the runnable queue is
-    /// full (backpressure; the queue holds at most one job per session, so
-    /// its capacity bounds the number of concurrently active sessions, not
-    /// a session's pipeline depth).
+    /// is what lets the workers' micro-batches fill up when the service is
+    /// driven in-process. Blocks only if the runnable queue is full
+    /// (backpressure; the queue holds at most one job per session, so its
+    /// capacity bounds the number of concurrently active sessions, not a
+    /// session's pipeline depth).
     ///
     /// `trace_id` keys the job's trace-journal events: a frontend passes
     /// the protocol pipelining id, so one request's decode, queue-wait,
@@ -1559,11 +1446,11 @@ impl QueryService {
     }
 
     /// Seals every pending update batch into the next epoch. Takes the
-    /// epoch barrier's write side first, so in-flight per-view
-    /// micro-batches drain before the core seal runs — no batch's answers
-    /// are torn across versions — then quiesces the core's own epoch gate
-    /// and applies the seal (deterministic, no randomness, no budget
-    /// spend; see [`DProvDb::seal_epoch`]).
+    /// epoch barrier's write side first, so in-flight micro-batches drain
+    /// before the core seal runs — no batch's answers are torn across
+    /// versions — then quiesces the core's own epoch gate and applies the
+    /// seal (deterministic, no randomness, no budget spend; see
+    /// [`DProvDb::seal_epoch`]).
     pub fn seal_epoch(&self) -> Result<dprov_core::system::EpochReport, ServerError> {
         let _barrier = self.epoch_barrier.write().expect("epoch barrier poisoned");
         let report = self.system.seal_epoch().map_err(ServerError::Core)?;
@@ -1786,24 +1673,16 @@ mod tests {
             ServiceConfig::builder().session_ttl(Duration::ZERO).build(),
             Err(ServerError::InvalidConfig(_))
         ));
-        assert!(matches!(
-            ServiceConfig::builder().max_batch(0).build(),
-            Err(ServerError::InvalidConfig(_))
-        ));
         let config = ServiceConfig::builder()
             .workers(3)
             .queue_capacity(32)
             .session_ttl(Duration::from_secs(5))
-            .max_batch(16)
-            .max_linger(Duration::from_micros(250))
             .build()
             .unwrap();
         assert_eq!(
             (config.workers, config.queue_capacity, config.session_ttl),
             (3, 32, Duration::from_secs(5))
         );
-        assert_eq!(config.max_batch, 16);
-        assert_eq!(config.max_linger, Duration::from_micros(250));
         assert!(matches!(
             DurabilityConfig::builder("").build(),
             Err(ServerError::InvalidConfig(_))
@@ -1820,43 +1699,50 @@ mod tests {
 
     #[test]
     fn micro_batches_drain_multiple_jobs_per_round() {
-        // One slow-to-start worker + many queued jobs: the realised batch
-        // count must come in under the completed count once batching kicks
-        // in, and every answer still arrives.
-        let config = ServiceConfig::builder()
-            .workers(1)
-            .max_batch(8)
-            .max_linger(Duration::from_millis(100))
-            .build()
-            .unwrap();
-        let service = QueryService::start(system(MechanismKind::AdditiveGaussian, 16.0, 8), config);
-        let sessions: Vec<_> = (0..8)
-            .map(|a| service.open_session(AnalystId(a)).unwrap())
+        // The only worker parks on a gated admission while four other
+        // sessions queue behind it; once released it drains all four as
+        // one micro-batch, in queue order.
+        let (service, gate) = gated_service(1);
+        let sessions: Vec<_> = (0..5)
+            .map(|_| service.open_session(AnalystId(1)).unwrap())
             .collect();
-        let submissions: Vec<_> = sessions
-            .iter()
-            .map(|&s| service.submit(s, work(25, 45, 700.0), None).unwrap())
-            .collect();
-        for pending in submissions {
-            assert!(pending.wait().unwrap().is_answered());
+        gate.arm();
+        let parked = queued(&service, sessions[0], &request(30, 39, 200.0));
+        gate.await_parked();
+        let (done, finished) = mpsc::channel();
+        for (i, &session) in sessions[1..].iter().enumerate() {
+            let done = done.clone();
+            let on_done: Completion =
+                Box::new(move |reply| drop(done.send((i, reply.map(|r| r.is_answered())))));
+            service
+                .try_submit(session, work(25, 45, 700.0), i as u64, on_done)
+                .unwrap();
         }
-        let stats = service.shutdown();
-        assert_eq!(stats.completed, 8);
-        assert!(
-            stats.batches < stats.completed,
-            "8 jobs should drain in fewer than 8 micro-batches (got {})",
-            stats.batches
+        gate.release.send(()).unwrap();
+        assert!(matches!(
+            parked.wait(),
+            Err(ServerError::Core(CoreError::Storage(_)))
+        ));
+        let order: Vec<usize> = (0..4)
+            .map(|_| {
+                let (i, answered) = finished.recv_timeout(Duration::from_secs(30)).unwrap();
+                assert!(answered.unwrap());
+                i
+            })
+            .collect();
+        assert_eq!(order, [0, 1, 2, 3], "a batch runs in queue order");
+        let stats = service.stats();
+        assert_eq!((stats.completed, stats.batches), (5, 2));
+        assert_eq!(
+            stats.batch_sizes.max, 4,
+            "the four queued jobs drained at once"
         );
     }
 
     #[test]
     fn batching_preserves_per_session_fifo() {
-        let config = ServiceConfig::builder()
-            .workers(2)
-            .max_batch(16)
-            .build()
-            .unwrap();
-        let service = QueryService::start(system(MechanismKind::AdditiveGaussian, 8.0, 2), config);
+        let service =
+            QueryService::start(system(MechanismKind::AdditiveGaussian, 8.0, 2), workers(2));
         let session = service.open_session(AnalystId(1)).unwrap();
         let submissions: Vec<_> = (0..10)
             .map(|i| {
@@ -2203,7 +2089,6 @@ mod tests {
         use dprov_delta::UpdateBatch;
         let config = ServiceConfig::builder()
             .workers(2)
-            .max_batch(8)
             .updaters(&["loader"])
             .build()
             .unwrap();
@@ -2430,9 +2315,9 @@ mod tests {
         }
     }
 
-    /// A two-worker volatile service whose commits pass through a
+    /// A volatile service of `pool` workers whose commits pass through a
     /// [`GateRecorder`].
-    fn gated_service() -> (Arc<QueryService>, Gate) {
+    fn gated_service(pool: usize) -> (Arc<QueryService>, Gate) {
         let (entered_tx, entered) = mpsc::channel();
         let (release, release_rx) = mpsc::channel();
         let recorder = Arc::new(GateRecorder {
@@ -2442,7 +2327,7 @@ mod tests {
         });
         let mut system = raw_system(MechanismKind::Vanilla, 8.0, 2);
         system.set_recorder(Arc::clone(&recorder) as Arc<dyn Recorder>);
-        let service = Arc::new(QueryService::start(Arc::new(system), workers(2)));
+        let service = Arc::new(QueryService::start(Arc::new(system), workers(pool)));
         let gate = Gate {
             recorder,
             entered,
@@ -2528,7 +2413,7 @@ mod tests {
 
     #[test]
     fn inline_probe_falls_through_while_the_entry_lock_is_held() {
-        let (service, gate) = gated_service();
+        let (service, gate) = gated_service(2);
         let (idle, busy) = (
             service.open_session(AnalystId(1)).unwrap(),
             service.open_session(AnalystId(1)).unwrap(),
@@ -2561,7 +2446,7 @@ mod tests {
 
     #[test]
     fn inline_probe_falls_through_while_the_session_lane_is_busy() {
-        let (service, gate) = gated_service();
+        let (service, gate) = gated_service(2);
         let session = service.open_session(AnalystId(1)).unwrap();
         let hit = request(30, 39, 400.0);
         let expected = warm(&service, session, &hit);

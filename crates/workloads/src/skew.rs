@@ -1,7 +1,7 @@
 //! Skewed multi-analyst scenarios (Zipfian view popularity).
 //!
-//! The batched execution subsystem (`dprov-exec` + the server's per-view
-//! micro-batches) pays off when concurrent analysts concentrate on a few
+//! The batched execution subsystem (`dprov-exec`'s shared scans + the
+//! server's micro-batches) pays off when concurrent analysts concentrate on a few
 //! shared views and degenerates to one-at-a-time execution when every
 //! query targets a different view. This generator produces both traffic
 //! mixes from one knob: view (attribute) popularity follows a Zipf
@@ -59,8 +59,8 @@ impl SkewConfig {
     }
 
     /// Batch-friendly traffic: heavy skew (`s = 2.5`) concentrates nearly
-    /// every query on the most popular view, so per-view micro-batches
-    /// fill up.
+    /// every query on the most popular view, so a micro-batch's jobs
+    /// mostly share one view.
     #[must_use]
     pub fn batch_friendly(table: &str, analysts: usize, queries_per_analyst: usize) -> Self {
         SkewConfig::new(table, analysts, queries_per_analyst, 2.5)

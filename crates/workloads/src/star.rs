@@ -169,8 +169,8 @@ impl GroupedConfig {
     }
 
     /// Grouped-heavy traffic: strong skew (`s = 2.0`) concentrates the
-    /// batches on the first groupings, so per-view micro-batches and the
-    /// grouped gather path both fill up.
+    /// batches on the first groupings, so a micro-batch's jobs mostly share
+    /// a view and the grouped gather path fills up.
     #[must_use]
     pub fn grouped_heavy(table: &str, analysts: usize, queries_per_analyst: usize) -> Self {
         GroupedConfig::new(table, analysts, queries_per_analyst, 2.0)

@@ -1,13 +1,16 @@
-//! Batched execution is bit-identical to the sequential per-query path.
+//! Batched execution is bit-identical to replaying each session alone on
+//! the core.
 //!
-//! The service's per-view micro-batching (`ServiceConfig::max_batch` /
-//! `max_linger`) changes *when* work is drained from the queue and in what
-//! cross-session order it runs — never *what* any analyst receives. This
-//! suite drives identical multi-analyst workloads through a sequential
-//! service (`max_batch = 1`) and through aggressively batched ones, and
-//! asserts the full per-session outcome streams — answer values, epsilon
-//! charges, noise variances, cache flags — plus the final budget state are
-//! bit-identical, for **both** mechanisms.
+//! The service's workers drain the queue in micro-batches, which changes
+//! *when* work runs and in what cross-session order — never *what* any
+//! analyst receives. The oracle needs no service at all: each session's
+//! script is replayed straight on a fresh [`DProvDb`] with the session's
+//! own noise stream (`DpRng::for_stream(seed, session id)` and
+//! `submit_with_rng`), one session after another. This suite drives the
+//! same multi-analyst workloads through services of 1, 2 and 4 workers
+//! and asserts the full per-session outcome streams — answer values,
+//! epsilon charges, noise variances, cache flags — plus the final budget
+//! state are bit-identical to that replay, for **both** mechanisms.
 //!
 //! Scope mirrors the service's documented determinism guarantee (see the
 //! `dprov-server` crate docs): an uncontended budget, and
@@ -21,9 +24,10 @@
 //!   cross-session arrival order, which no scheduling — batched or not —
 //!   pins down; that caveat predates batching.)
 //!
-//! Sessions pipeline their whole script up front, so the comparison also
-//! covers the lane-chaining path (batch=1 drains a session depth-first,
-//! batched drains breadth-first — outputs must not care).
+//! Sessions pipeline their whole script up front, round-robin across
+//! analysts, so the workers form multi-job batches of cross-session work
+//! and chain each session's lane (the replay runs each session
+//! depth-first — outputs must not care).
 
 use std::sync::Arc;
 
@@ -36,6 +40,7 @@ use dprovdb::core::config::SystemConfig;
 use dprovdb::core::mechanism::MechanismKind;
 use dprovdb::core::processor::{QueryOutcome, QueryProcessor, QueryRequest};
 use dprovdb::core::system::DProvDb;
+use dprovdb::dp::rng::DpRng;
 use dprovdb::engine::catalog::ViewCatalog;
 use dprovdb::engine::datagen::adult::adult_database;
 use dprovdb::engine::expr::Predicate;
@@ -95,32 +100,64 @@ fn observe(outcome: QueryOutcome) -> Observed {
     }
 }
 
-/// Runs a per-analyst script (fully pipelined) through a single-worker
-/// service with the given batch knobs and returns each session's ordered
-/// outcome stream plus the final budget state.
+/// Each session's ordered outcome stream, then the final per-analyst row
+/// totals and the cumulative epsilon (all as bits).
+type Run = (Vec<Vec<Observed>>, Vec<u64>, u64);
+
+fn budget_state(system: &DProvDb) -> (Vec<u64>, u64) {
+    let provenance = system.provenance();
+    let row_totals = (0..ANALYSTS)
+        .map(|a| provenance.row_total(AnalystId(a)).to_bits())
+        .collect();
+    (row_totals, system.cumulative_epsilon().to_bits())
+}
+
+/// The oracle: every session's script replayed on the core alone, one
+/// session after another, each with its own noise stream. Sessions are
+/// opened in analyst order, so analyst `a` holds session id `a`.
+fn replay(mechanism: MechanismKind, seed: u64, script: &[Vec<QueryRequest>]) -> Run {
+    let system = build_system(mechanism, seed);
+    let outcomes = script
+        .iter()
+        .enumerate()
+        .map(|(a, requests)| {
+            let mut rng = DpRng::for_stream(seed, a as u64);
+            requests
+                .iter()
+                .map(|request| {
+                    observe(
+                        system
+                            .submit_with_rng(AnalystId(a), request, &mut rng)
+                            .unwrap(),
+                    )
+                })
+                .collect()
+        })
+        .collect();
+    let (row_totals, cumulative) = budget_state(&system);
+    (outcomes, row_totals, cumulative)
+}
+
+/// Runs a per-analyst script (fully pipelined) through a service of
+/// `workers` workers and returns what [`replay`] returns, plus the number
+/// of micro-batches the workers drained and the jobs they completed.
 fn run(
     mechanism: MechanismKind,
     seed: u64,
     script: &[Vec<QueryRequest>],
-    max_batch: usize,
-    linger_ms: u64,
-) -> (Vec<Vec<Observed>>, Vec<u64>, u64) {
+    workers: usize,
+) -> (Run, usize, usize) {
     let system = build_system(mechanism, seed);
     let service = QueryService::start(
         Arc::clone(&system),
-        ServiceConfig::builder()
-            .workers(1)
-            .max_batch(max_batch)
-            .max_linger(std::time::Duration::from_millis(linger_ms))
-            .build()
-            .unwrap(),
+        ServiceConfig::builder().workers(workers).build().unwrap(),
     );
     let sessions: Vec<_> = (0..ANALYSTS)
         .map(|a| service.open_session(AnalystId(a)).unwrap())
         .collect();
 
     // Pipeline everything up front, interleaving analysts round-robin so
-    // micro-batches have cross-session work to regroup.
+    // micro-batches carry cross-session work.
     let waves = script.iter().map(Vec::len).max().unwrap_or(0);
     let mut pending: Vec<Vec<_>> = (0..ANALYSTS).map(|_| Vec::new()).collect();
     for wave in 0..waves {
@@ -144,13 +181,13 @@ fn run(
         })
         .collect();
 
-    let provenance = system.provenance();
-    let row_totals: Vec<u64> = (0..ANALYSTS)
-        .map(|a| provenance.row_total(AnalystId(a)).to_bits())
-        .collect();
-    let cumulative = system.cumulative_epsilon().to_bits();
-    service.shutdown();
-    (outcomes, row_totals, cumulative)
+    let (row_totals, cumulative) = budget_state(&system);
+    let stats = service.shutdown();
+    (
+        (outcomes, row_totals, cumulative),
+        stats.batches,
+        stats.completed,
+    )
 }
 
 /// Vanilla workload: three analysts share the "age" view, the rest work
@@ -217,11 +254,12 @@ fn script_for(mechanism: MechanismKind) -> Vec<Vec<QueryRequest>> {
 
 #[test]
 fn batched_service_is_bit_identical_to_sequential_for_both_mechanisms() {
+    let mut batched_somewhere = false;
     for mechanism in [MechanismKind::Vanilla, MechanismKind::AdditiveGaussian] {
         let script = script_for(mechanism);
-        let sequential = run(mechanism, 17, &script, 1, 0);
+        let oracle = replay(mechanism, 17, &script);
         assert!(
-            sequential.0.iter().flatten().any(|o| matches!(
+            oracle.0.iter().flatten().any(|o| matches!(
                 o,
                 Observed::Answered {
                     from_cache: false,
@@ -230,22 +268,26 @@ fn batched_service_is_bit_identical_to_sequential_for_both_mechanisms() {
             )),
             "{mechanism}: the script must exercise real releases"
         );
-        for (max_batch, linger_ms) in [(4, 0), (16, 2), (64, 0)] {
-            let batched = run(mechanism, 17, &script, max_batch, linger_ms);
+        for workers in [1, 2, 4] {
+            let (served, batches, completed) = run(mechanism, 17, &script, workers);
             assert_eq!(
-                sequential, batched,
-                "{mechanism}: batched run (batch={max_batch}, linger={linger_ms}ms) diverged \
-                 from the sequential per-query path"
+                oracle, served,
+                "{mechanism}: the service at {workers} workers diverged from the core replay"
             );
+            batched_somewhere |= batches < completed;
         }
     }
+    assert!(
+        batched_somewhere,
+        "no run drained a batch of more than one job; the suite would not cover batching"
+    );
 }
 
 #[test]
 fn repeated_queries_still_hit_the_cache_under_batching() {
     // Every analyst repeats one identical query: the first submission pays,
     // every later one must come from the cached synopsis with zero charge,
-    // exactly as sequentially — whatever the batch shape.
+    // exactly as in the replay — whatever the batch shape.
     let script: Vec<Vec<QueryRequest>> = (0..ANALYSTS)
         .map(|_| {
             (0..4)
@@ -256,7 +298,7 @@ fn repeated_queries_still_hit_the_cache_under_batching() {
         })
         .collect();
     for mechanism in [MechanismKind::Vanilla, MechanismKind::AdditiveGaussian] {
-        let (outcomes, _, _) = run(mechanism, 29, &script, 16, 1);
+        let ((outcomes, _, _), _, _) = run(mechanism, 29, &script, 1);
         for per_session in &outcomes {
             for (i, observed) in per_session.iter().enumerate() {
                 match observed {
@@ -280,15 +322,15 @@ fn repeated_queries_still_hit_the_cache_under_batching() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// Random scripts stay bit-identical between the sequential and
-    /// batched services: random shared-view traffic under vanilla, random
+    /// Random scripts stay bit-identical between the core replay and the
+    /// service: random shared-view traffic under vanilla, random
     /// disjoint-view traffic (a random attribute permutation per case)
     /// under the additive mechanism.
     #[test]
     fn random_batches_are_bit_identical_to_sequential(
         seed in 0u64..u64::MAX / 2,
         queries_per_analyst in 2usize..8,
-        max_batch in 2usize..24,
+        workers in 1usize..=4,
     ) {
         let mut rng = StdRng::seed_from_u64(seed);
 
@@ -340,11 +382,10 @@ proptest! {
             (MechanismKind::Vanilla, &vanilla_script),
             (MechanismKind::AdditiveGaussian, &additive_script),
         ] {
-            let sequential = run(mechanism, seed, script, 1, 0);
-            let batched = run(mechanism, seed, script, max_batch, 1);
+            let (served, _, _) = run(mechanism, seed, script, workers);
             prop_assert_eq!(
-                &sequential, &batched,
-                "{}: random script diverged at batch={}", mechanism, max_batch
+                &replay(mechanism, seed, script), &served,
+                "{}: random script diverged at {} workers", mechanism, workers
             );
         }
     }

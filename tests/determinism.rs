@@ -67,41 +67,10 @@ fn script(analyst: usize) -> Vec<QueryRequest> {
 /// count (submissions racing from one thread per analyst) and returns each
 /// analyst's ordered answer values.
 fn run(mechanism: MechanismKind, seed: u64, workers: usize) -> Vec<Vec<f64>> {
-    run_batched(mechanism, seed, workers, 8, std::time::Duration::ZERO)
-}
-
-/// Like [`run`], with explicit micro-batch knobs.
-fn run_batched(
-    mechanism: MechanismKind,
-    seed: u64,
-    workers: usize,
-    max_batch: usize,
-    max_linger: std::time::Duration,
-) -> Vec<Vec<f64>> {
-    run_full(mechanism, seed, workers, max_batch, max_linger, 1).0
-}
-
-/// Like [`run_batched`], additionally setting the columnar scan-thread
-/// fan-out and returning the final per-analyst budget charges next to
-/// the answers.
-fn run_full(
-    mechanism: MechanismKind,
-    seed: u64,
-    workers: usize,
-    max_batch: usize,
-    max_linger: std::time::Duration,
-    scan_threads: usize,
-) -> (Vec<Vec<f64>>, Vec<(AnalystId, dprovdb::dp::budget::Budget)>) {
     let system = build_system(mechanism, seed);
     let service = Arc::new(QueryService::start(
-        Arc::clone(&system),
-        ServiceConfig::builder()
-            .workers(workers)
-            .max_batch(max_batch)
-            .max_linger(max_linger)
-            .scan_threads(scan_threads)
-            .build()
-            .unwrap(),
+        system,
+        ServiceConfig::builder().workers(workers).build().unwrap(),
     ));
     // Registration order is fixed (analyst 0 first), so session ids — and
     // with them the per-session noise streams — are reproducible.
@@ -128,10 +97,7 @@ fn run_full(
             })
         })
         .collect();
-    let answers = handles.into_iter().map(|h| h.join().unwrap()).collect();
-    let charges = system.ledger().all();
-    drop(service);
-    (answers, charges)
+    handles.into_iter().map(|h| h.join().unwrap()).collect()
 }
 
 #[test]
@@ -153,55 +119,6 @@ fn same_seed_same_answers_across_runs_and_worker_counts() {
                 "{mechanism}: answers changed with {workers} workers"
             );
         }
-    }
-}
-
-#[test]
-fn batch_and_linger_settings_do_not_change_per_session_results() {
-    // Micro-batching regroups cross-session execution by view; under the
-    // documented determinism conditions (ample budget, one attribute per
-    // analyst) the per-session answers are a pure function of (seed,
-    // session id, submission index), so every batch size and linger
-    // setting must reproduce them bit for bit — batching changes *when*
-    // work runs, never *what* any analyst receives.
-    use std::time::Duration;
-    for mechanism in [MechanismKind::Vanilla, MechanismKind::AdditiveGaussian] {
-        let baseline = run_batched(mechanism, 21, 1, 1, Duration::ZERO);
-        for (workers, max_batch, linger) in [
-            (1, 4, Duration::ZERO),
-            (1, 16, Duration::from_millis(2)),
-            (2, 8, Duration::from_millis(1)),
-            (4, 64, Duration::ZERO),
-        ] {
-            assert_eq!(
-                baseline,
-                run_batched(mechanism, 21, workers, max_batch, linger),
-                "{mechanism}: answers changed at batch={max_batch}, linger={linger:?}, \
-                 workers={workers}"
-            );
-        }
-    }
-}
-
-#[test]
-fn scan_thread_count_never_moves_a_bit() {
-    // The columnar executor's parallel shard scan merges per-thread
-    // partials in shard order and only fans out reassociation-exact
-    // aggregates, so the scan-thread knob is a pure latency/core
-    // trade-off: a full service run — micro-batching on, both
-    // mechanisms — must produce bit-identical answers (noise included)
-    // and bit-identical per-analyst budget charges at 1 and 8 threads.
-    for mechanism in [MechanismKind::Vanilla, MechanismKind::AdditiveGaussian] {
-        let (answers_1, charges_1) = run_full(mechanism, 31, 2, 8, std::time::Duration::ZERO, 1);
-        let (answers_8, charges_8) = run_full(mechanism, 31, 2, 8, std::time::Duration::ZERO, 8);
-        assert_eq!(
-            answers_1, answers_8,
-            "{mechanism}: answers changed with the scan-thread count"
-        );
-        assert_eq!(
-            charges_1, charges_8,
-            "{mechanism}: budget charges changed with the scan-thread count"
-        );
     }
 }
 

@@ -13,7 +13,6 @@
 //!   refused on a tight budget, cells priced by the friction-aware search
 //!   and cells with different per-bin targets — while running no more
 //!   accuracy→ε searches (`dp.translations`) than the oracle;
-//! * grouped answers do not depend on the executor's `scan_threads`;
 //! * the wire protocol (`DProvClient::group_by` over the in-process and
 //!   TCP transports) returns exactly what the service computed;
 //! * `DProvClient::declare_workload` returns exactly the library
@@ -134,14 +133,10 @@ fn observe(outcome: &QueryOutcome) -> Observed {
     }
 }
 
-fn service_over(system: &Arc<DProvDb>, scan_threads: usize) -> QueryService {
+fn service_over(system: &Arc<DProvDb>) -> QueryService {
     QueryService::start(
         Arc::clone(system),
-        ServiceConfig::builder()
-            .workers(2)
-            .scan_threads(scan_threads)
-            .build()
-            .unwrap(),
+        ServiceConfig::builder().workers(2).build().unwrap(),
     )
 }
 
@@ -189,7 +184,7 @@ fn assert_grouped_matches_oracle(
 
     // Grouped path.
     let system = make(config.clone());
-    let service = service_over(&system, 1);
+    let service = service_over(&system);
     let session = run_warmup(&service);
     let before = translations(&system);
     let grouped = service
@@ -203,7 +198,7 @@ fn assert_grouped_matches_oracle(
     // enumeration order, on a twin built identically.
     let twin = make(config);
     let schema = schema_of(&twin, &gq.table);
-    let service = service_over(&twin, 1);
+    let service = service_over(&twin);
     let session = run_warmup(&service);
     let scalars = gq.scalar_queries(&schema).unwrap();
     assert_eq!(
@@ -415,41 +410,22 @@ fn grouped_matches_oracle_with_mixed_targets() {
 }
 
 #[test]
-fn grouped_answers_do_not_depend_on_scan_threads() {
-    let gq = GroupByQuery::count("adult", &["sex", "race"]);
-    let runs: Vec<Vec<Observed>> = [1usize, 8]
-        .into_iter()
-        .map(|threads| {
-            let system = adult_system(MechanismKind::AdditiveGaussian, config(19));
-            let service = service_over(&system, threads);
-            let session = service.open_session(AnalystId(0)).unwrap();
-            let grouped = service
-                .group_by_wait(session, GroupedRequest::with_accuracy(gq.clone(), VARIANCE))
-                .unwrap();
-            service.shutdown();
-            grouped.outcomes.iter().map(observe).collect()
-        })
-        .collect();
-    assert_eq!(runs[0], runs[1], "scan_threads changed a grouped answer");
-}
-
-#[test]
 fn grouped_over_the_wire_matches_in_process_service() {
     let gq = GroupByQuery::count("adult", &["sex", "race"]);
     let request = GroupedRequest::with_accuracy(gq, VARIANCE);
 
     // Reference: the raw service path.
     let system = adult_system(MechanismKind::AdditiveGaussian, config(57));
-    let service = service_over(&system, 1);
+    let service = service_over(&system);
     let session = service.open_session(AnalystId(0)).unwrap();
     let reference = service.group_by_wait(session, request.clone()).unwrap();
     service.shutdown();
 
     // In-process transport on a twin.
-    let service = Arc::new(service_over(
-        &adult_system(MechanismKind::AdditiveGaussian, config(57)),
-        1,
-    ));
+    let service = Arc::new(service_over(&adult_system(
+        MechanismKind::AdditiveGaussian,
+        config(57),
+    )));
     let frontend = Frontend::new(&service);
     let mut client = DProvClient::connect(frontend.connect(), "in-proc").unwrap();
     client.register("analyst-0").unwrap();
@@ -457,10 +433,10 @@ fn grouped_over_the_wire_matches_in_process_service() {
     client.close().unwrap();
 
     // Real TCP on another twin.
-    let service = Arc::new(service_over(
-        &adult_system(MechanismKind::AdditiveGaussian, config(57)),
-        1,
-    ));
+    let service = Arc::new(service_over(&adult_system(
+        MechanismKind::AdditiveGaussian,
+        config(57),
+    )));
     let listener = listen(&service, "127.0.0.1:0").unwrap();
     let mut client = DProvClient::connect_tcp(listener.local_addr(), "tcp").unwrap();
     client.register("analyst-0").unwrap();
@@ -478,7 +454,7 @@ fn grouped_over_the_wire_matches_in_process_service() {
 #[test]
 fn declared_workload_plan_matches_library_planner() {
     let system = star_system(MechanismKind::Vanilla, config(3));
-    let service = Arc::new(service_over(&system, 1));
+    let service = Arc::new(service_over(&system));
     let frontend = Frontend::new(&service);
     let mut client = DProvClient::connect(frontend.connect(), "in-proc").unwrap();
     client.register("analyst-0").unwrap();
