@@ -9,7 +9,11 @@
 //!   profile too noisy for Newton to close its bracket;
 //! * the accuracy→privacy translation of Definition 9 searches for the
 //!   smallest ε whose calibrated variance is below the accuracy target (the
-//!   variance is monotone decreasing in ε);
+//!   variance is monotone decreasing in ε). A safeguarded Newton iteration
+//!   on the privacy profile brackets the root first; then
+//!   [`monotone_binary_search`] runs unchanged, over a predicate that the
+//!   bracket answers outside it, so it returns the bisection's grid point
+//!   after a handful of evaluations;
 //! * the friction-aware translation of Eq. (3) maximises a smooth unimodal
 //!   function of the combination weight `w ∈ [0, 1)` — in closed form; the
 //!   golden-section search here is only its test oracle.

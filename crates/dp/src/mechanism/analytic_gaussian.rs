@@ -32,12 +32,14 @@
 //!   cancel), [`bisect_decreasing`] finishes inside the bracket found so far.
 
 use crate::budget::Budget;
-use crate::math::erf::erfcx_reciprocal;
-use crate::math::normal::{normal_cdf, normal_pdf};
+use crate::math::erf::{erfc_pair, erfcx_reciprocal, SERIES_CUTOFF};
+use crate::math::normal::normal_pdf;
 use crate::math::optimize::bisect_decreasing;
 use crate::rng::DpRng;
 use crate::sensitivity::Sensitivity;
 use crate::{DpError, Result};
+
+const SQRT_2: f64 = std::f64::consts::SQRT_2;
 
 /// Relative width of the certified bracket `[σ_lo, σ]`.
 const TOLERANCE: f64 = 1e-12;
@@ -58,24 +60,46 @@ const MAX_EVALUATIONS: usize = 200;
 /// `e^ε · Phi(−a − b)`. The profile is their difference; the first term
 /// also bounds the rounding error of that difference, which is what the
 /// translation's guard band scales with.
+///
+/// Both `Phi` values are `0.5 · erfc(−x/√2)`, exactly as
+/// [`normal_cdf`](crate::math::normal_cdf) computes them, but the two
+/// complements come from one [`erfc_pair`]: where the profile is near any
+/// δ the calibration uses, both arguments are on the continued fraction's
+/// branch, and the pair runs the two recurrences interleaved, in about half
+/// the time, with the same bits.
+///
+/// The tail is taken in log space (see [`log_space_tail`]) where `e^ε`
+/// overflows (ε ≥ 709.79), and also where `Phi(−a − b)` is subnormal or 0
+/// while `e^ε > 1`: there the product would scale a value that has lost
+/// its precision (or all of it) by up to `e^709`, and the computed profile
+/// would cross δ twice.
 pub(crate) fn profile_terms(sigma: f64, sensitivity: f64, epsilon: f64) -> (f64, f64) {
     debug_assert!(sigma > 0.0 && sensitivity > 0.0 && epsilon >= 0.0);
     let a = sensitivity / (2.0 * sigma);
     let b = epsilon * sigma / sensitivity;
     let scale = epsilon.exp();
-    let tail = if scale.is_finite() {
-        scale * normal_cdf(-a - b)
+    // `normal_cdf(x)` is `0.5 · erfc(−x/√2)`; `b − a` and `a + b` are
+    // `−(a − b)` and `−(−a − b)` exactly, since negation is exact and
+    // rounding is symmetric about 0.
+    let tail_argument = (a + b) / SQRT_2;
+    let (head, tail) = erfc_pair((b - a) / SQRT_2, tail_argument);
+    let (head, tail) = (0.5 * head, 0.5 * tail);
+    let lost = tail < f64::MIN_POSITIVE && scale > 1.0 && tail_argument > SERIES_CUTOFF;
+    let tail = if scale.is_finite() && !lost {
+        scale * tail
     } else {
-        overflowed_tail(a, b)
+        log_space_tail(a, b)
     };
-    (normal_cdf(a - b), tail)
+    (head, tail)
 }
 
-/// `e^ε · Phi(−a − b)` where `e^ε` overflows (ε ≥ 709.79). With
-/// `x = (a + b)/√2 > 26`, `Phi(−a − b) = erfc(x)/2` is on the continued
-/// fraction's branch, and `ε − x² = −(a − b)²/2` because `ε = 2ab`.
-fn overflowed_tail(a: f64, b: f64) -> f64 {
-    (-0.5 * (a - b) * (a - b)).exp() / (2.0 * erfcx_reciprocal((a + b) / std::f64::consts::SQRT_2))
+/// `e^ε · Phi(−a − b)` without forming `e^ε` or `Phi(−a − b)`: for
+/// `x = (a + b)/√2` on the continued fraction's branch,
+/// `Phi(−a − b) = erfc(x)/2 = e^{−x²} / (2·erfcx_reciprocal(x))`, and
+/// `ε − x² = −(a − b)²/2` because `ε = 2ab`. Finite and accurate both where
+/// `e^ε` overflows and where `e^{−x²}` is subnormal.
+fn log_space_tail(a: f64, b: f64) -> f64 {
+    (-0.5 * (a - b) * (a - b)).exp() / (2.0 * erfcx_reciprocal((a + b) / SQRT_2))
 }
 
 /// Evaluates the privacy profile: the smallest `delta` for which noise scale
@@ -285,6 +309,7 @@ impl AnalyticGaussian {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::math::normal::normal_cdf;
     use crate::mechanism::gaussian::ClassicGaussian;
 
     #[test]
@@ -409,7 +434,7 @@ mod tests {
             let sigma = analytic_gaussian_sigma(epsilon, 1e-9, 1.0).unwrap();
             let (a, b) = (1.0 / (2.0 * sigma), epsilon * sigma);
             let direct = epsilon.exp() * normal_cdf(-a - b);
-            let overflowed = overflowed_tail(a, b);
+            let overflowed = log_space_tail(a, b);
             assert!(
                 ((overflowed - direct) / direct).abs() < 1e-10,
                 "eps={epsilon}: {overflowed} vs {direct}"
@@ -509,6 +534,64 @@ mod tests {
             "evaluations over {} well-conditioned cases: median {median}, max {max}",
             well_conditioned.len()
         );
+    }
+
+    #[test]
+    fn profile_terms_have_the_bits_of_two_normal_cdf_calls() {
+        // Wherever the tail is not taken in log space, both terms are the
+        // `normal_cdf` values the profile was defined with, bit for bit:
+        // near the calibrated σ (both arguments on the continued fraction)
+        // and over a broad range (every branch of erfc).
+        let mut rng = DpRng::seed_from_u64(0x5eed_0005);
+        for case in 0..4_000 {
+            let epsilon = 10f64.powf(rng.uniform_range(-6.0, 2.7));
+            let delta = 10f64.powf(rng.uniform_range(-13.0, -5.0));
+            let sensitivity = [1.0, std::f64::consts::SQRT_2, 10.0][rng.uniform_usize(0, 3)];
+            let sigma = if case % 2 == 0 {
+                analytic_gaussian_sigma(epsilon, delta, sensitivity).unwrap()
+                    * rng.uniform_range(0.5, 2.0)
+            } else {
+                10f64.powf(rng.uniform_range(-3.0, 6.0))
+            };
+            let (a, b) = (sensitivity / (2.0 * sigma), epsilon * sigma / sensitivity);
+            let lower = normal_cdf(-a - b);
+            if lower < f64::MIN_POSITIVE {
+                continue;
+            }
+            let (head, tail) = profile_terms(sigma, sensitivity, epsilon);
+            let context = format!("sigma={sigma:e} sens={sensitivity} eps={epsilon:e}");
+            assert_eq!(head.to_bits(), normal_cdf(a - b).to_bits(), "{context}");
+            assert_eq!(
+                tail.to_bits(),
+                (epsilon.exp() * lower).to_bits(),
+                "{context}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_subnormal_tail_keeps_the_profile_crossing_delta_once() {
+        // e^ε is still finite here, but Phi(−a − b) is subnormal near the
+        // root. Scaling it by e^ε made the computed profile cross δ twice,
+        // and Newton and the bisection oracle found different crossings
+        // (σ 0.31983975424913214 against 0.3198397542434266).
+        let (epsilon, delta, sensitivity) = (6.996650895641129e2, 6.255418021043496e-12, 10.0);
+        let sigma = analytic_gaussian_sigma(epsilon, delta, sensitivity).unwrap();
+        let old = bisection_sigma(epsilon, delta, sensitivity);
+        assert!(
+            (sigma / old - 1.0).abs() <= 4e-12,
+            "sigma {sigma} vs oracle {old}"
+        );
+        let crossings = (0..=2000)
+            .map(|i| {
+                let s = sigma * (0.999 + 1e-6 * f64::from(i));
+                analytic_gaussian_delta(s, sensitivity, epsilon) <= delta
+            })
+            .collect::<Vec<_>>()
+            .windows(2)
+            .filter(|pair| pair[0] != pair[1])
+            .count();
+        assert_eq!(crossings, 1, "the profile crosses delta {crossings} times");
     }
 
     #[test]

@@ -133,38 +133,17 @@ impl<T> BoundedQueue<T> {
         Ok(depth)
     }
 
-    /// Dequeues the oldest item, blocking while the queue is empty. Returns
-    /// `None` once the queue is closed *and* drained.
-    pub fn pop(&self) -> Option<T> {
-        let mut state = self.state.lock().expect("queue poisoned");
-        loop {
-            let was_full = state.items.len() == self.capacity;
-            if let Some(item) = state.items.pop_front() {
-                self.not_full.notify_one();
-                drop(state);
-                if was_full {
-                    self.fire_space_listeners();
-                }
-                return Some(item);
-            }
-            if state.closed {
-                return None;
-            }
-            state = self.not_empty.wait(state).expect("queue poisoned");
-        }
-    }
-
-    /// Dequeues up to `max` items as one micro-batch. Blocks like
-    /// [`Self::pop`] until at least one item (or the close) is observed,
-    /// then takes whatever else is already queued. Returns an empty vector
-    /// only once the queue is closed *and* drained.
+    /// Dequeues up to `max` items as one micro-batch, oldest first. Blocks
+    /// while the queue is empty until at least one item (or the close) is
+    /// observed, then takes whatever else is already queued. Returns an
+    /// empty vector only once the queue is closed *and* drained.
     ///
     /// `shares` is the number of consumers the backlog should be split
     /// across fairly: the batch is additionally capped at
     /// `ceil(available / shares)` (at least 1), so one consumer of a pool
     /// never drains a burst that its siblings could run in parallel.
-    /// `shares <= 1` disables the cap, and `pop_batch(1, 1)` behaves
-    /// exactly like [`Self::pop`].
+    /// `shares <= 1` disables the cap, and `pop_batch(1, 1)` dequeues one
+    /// item at a time.
     pub fn pop_batch(&self, max: usize, shares: usize) -> Vec<T> {
         let mut state = self.state.lock().expect("queue poisoned");
         // Block for the first item (or the close).
@@ -242,6 +221,14 @@ mod tests {
     use super::*;
     use std::sync::Arc;
 
+    /// One blocking pop: the oldest item, or `None` once the queue is
+    /// closed and drained.
+    fn pop<T>(q: &BoundedQueue<T>) -> Option<T> {
+        let mut batch = q.pop_batch(1, 1);
+        assert!(batch.len() <= 1);
+        batch.pop()
+    }
+
     #[test]
     fn fifo_within_one_producer() {
         let q = BoundedQueue::new(8);
@@ -251,7 +238,7 @@ mod tests {
         }
         assert_eq!(q.len(), 5);
         for i in 0..5 {
-            assert_eq!(q.pop(), Some(i));
+            assert_eq!(pop(&q), Some(i));
         }
         assert!(q.is_empty());
     }
@@ -263,9 +250,9 @@ mod tests {
         q.push(2).unwrap();
         q.close();
         assert!(q.push(3).is_err());
-        assert_eq!(q.pop(), Some(1));
-        assert_eq!(q.pop(), Some(2));
-        assert_eq!(q.pop(), None);
+        assert_eq!(pop(&q), Some(1));
+        assert_eq!(pop(&q), Some(2));
+        assert_eq!(pop(&q), None);
     }
 
     #[test]
@@ -316,9 +303,9 @@ mod tests {
         };
         // Give the producer a moment to block on the full queue.
         std::thread::sleep(std::time::Duration::from_millis(20));
-        assert_eq!(q.pop(), Some(0));
+        assert_eq!(pop(&q), Some(0));
         assert!(producer.join().unwrap());
-        assert_eq!(q.pop(), Some(1));
+        assert_eq!(pop(&q), Some(1));
     }
 
     #[test]
@@ -327,14 +314,14 @@ mod tests {
         assert_eq!(q.try_push(1).unwrap(), 1);
         assert_eq!(q.try_push(2).unwrap(), 2);
         assert!(matches!(q.try_push(3), Err(TryPushError::Full(3))));
-        assert_eq!(q.pop(), Some(1));
+        assert_eq!(pop(&q), Some(1));
         assert_eq!(q.try_push(3).unwrap(), 2);
         q.close();
         assert!(matches!(q.try_push(4), Err(TryPushError::Closed(4))));
         // Close drains before ending.
-        assert_eq!(q.pop(), Some(2));
-        assert_eq!(q.pop(), Some(3));
-        assert_eq!(q.pop(), None);
+        assert_eq!(pop(&q), Some(2));
+        assert_eq!(pop(&q), Some(3));
+        assert_eq!(pop(&q), None);
     }
 
     #[test]
@@ -347,7 +334,7 @@ mod tests {
             observer.fetch_add(1, Ordering::SeqCst);
         }));
         q.push(1).unwrap();
-        assert_eq!(q.pop(), Some(1));
+        assert_eq!(pop(&q), Some(1));
         assert_eq!(
             fired.load(Ordering::SeqCst),
             0,
@@ -356,7 +343,7 @@ mod tests {
         q.push(2).unwrap();
         q.push(3).unwrap();
         assert!(matches!(q.try_push(4), Err(TryPushError::Full(4))));
-        assert_eq!(q.pop(), Some(2));
+        assert_eq!(pop(&q), Some(2));
         assert_eq!(fired.load(Ordering::SeqCst), 1, "full → non-full fires");
         assert_eq!(q.pop_batch(2, 1), vec![3]);
         assert_eq!(
@@ -391,7 +378,7 @@ mod tests {
                 let q = Arc::clone(&q);
                 std::thread::spawn(move || {
                     let mut got = Vec::new();
-                    while let Some(v) = q.pop() {
+                    while let Some(v) = pop(&q) {
                         got.push(v);
                     }
                     got

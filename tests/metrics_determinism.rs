@@ -235,7 +235,7 @@ fn noop_registry_snapshot_still_serves_always_on_stats() {
 }
 
 #[test]
-fn scan_time_records_one_sample_per_batch_at_any_thread_count() {
+fn scan_time_records_one_sample_per_batch() {
     // The `exec.scan_ns` histogram carries a batch's scan busy time,
     // recorded exactly once per executed batch — never once per query or
     // per table pass.
