@@ -23,7 +23,6 @@
 use std::collections::{HashMap, HashSet};
 
 use dprov_core::processor::{GroupedOutcome, GroupedRequest, QueryOutcome, QueryRequest};
-use dprov_core::workload::DeclaredWorkload;
 
 use crate::error::{codes, ApiError};
 use crate::protocol::{
@@ -50,19 +49,6 @@ pub struct EpochSealReport {
     pub views_patched: u64,
     /// Cached noisy synopses invalidated under the epoch policy.
     pub synopses_invalidated: u64,
-}
-
-/// The advisory plan returned by [`DProvClient::declare_workload`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct WorkloadPlanReport {
-    /// Views the plan would materialise.
-    pub views: u64,
-    /// Estimated per-analyst budget the planned catalog costs.
-    pub est_epsilon: f64,
-    /// Estimated up-front materialisation work in cell-visits.
-    pub est_materialise_cells: f64,
-    /// The human-readable plan report (views, routing, reasons).
-    pub report: String,
 }
 
 /// The session a client is attached to.
@@ -243,29 +229,6 @@ impl DProvClient {
     pub fn group_by(&mut self, request: &GroupedRequest) -> Result<GroupedOutcome, ApiError> {
         let id = self.submit_group_by(request)?;
         self.poll_grouped(id)
-    }
-
-    /// Declares the session's expected workload and returns the service's
-    /// advisory view/synopsis plan. Declaring spends no budget and does
-    /// not constrain later submissions.
-    pub fn declare_workload(
-        &mut self,
-        workload: &DeclaredWorkload,
-    ) -> Result<WorkloadPlanReport, ApiError> {
-        match self.call(&Request::DeclareWorkload(workload.clone()))? {
-            Response::WorkloadPlan {
-                views,
-                est_epsilon,
-                est_materialise_cells,
-                report,
-            } => Ok(WorkloadPlanReport {
-                views,
-                est_epsilon,
-                est_materialise_cells,
-                report,
-            }),
-            other => Err(unexpected(&other)),
-        }
     }
 
     /// The session's budget panel: constraint, consumed, remaining, and

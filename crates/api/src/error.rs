@@ -98,11 +98,8 @@ pub mod codes {
     pub const DUPLICATE_DIMENSION_KEY: u16 = 431;
     /// A fact row referenced a dimension key with no matching row.
     pub const FOREIGN_KEY_VIOLATION: u16 = 432;
-    /// A declared workload had no templates to plan for.
-    pub const WORKLOAD_EMPTY: u16 = 433;
-    /// A workload template cannot be answered over any histogram view, so
-    /// no catalog choice can serve it.
-    pub const NOT_PLANNABLE: u16 = 434;
+    // 433 and 434 were the retired workload planner's refusals; they are
+    // never reissued.
 
     /// The service is shutting down and accepts no new work.
     pub const SHUTTING_DOWN: u16 = 500;
@@ -302,23 +299,6 @@ impl From<EngineError> for ApiError {
             EngineError::InvalidStarSchema(_) => codes::INVALID_STAR_SCHEMA,
             EngineError::DuplicateDimensionKey { .. } => codes::DUPLICATE_DIMENSION_KEY,
             EngineError::ForeignKeyViolation { .. } => codes::FOREIGN_KEY_VIOLATION,
-            _ => codes::INVALID_ARGUMENT,
-        };
-        ApiError::new(code, e.to_string())
-    }
-}
-
-impl From<dprov_plan::PlanError> for ApiError {
-    fn from(e: dprov_plan::PlanError) -> Self {
-        let code = match &e {
-            dprov_plan::PlanError::Engine(engine) => {
-                return ApiError {
-                    message: e.to_string(),
-                    ..ApiError::from(engine.clone())
-                }
-            }
-            dprov_plan::PlanError::EmptyWorkload => codes::WORKLOAD_EMPTY,
-            dprov_plan::PlanError::NotPlannable { .. } => codes::NOT_PLANNABLE,
             _ => codes::INVALID_ARGUMENT,
         };
         ApiError::new(code, e.to_string())

@@ -47,7 +47,7 @@ pub mod protocol;
 pub mod transport;
 mod wire;
 
-pub use client::{DProvClient, EpochSealReport, RequestId, SessionDescriptor, WorkloadPlanReport};
+pub use client::{DProvClient, EpochSealReport, RequestId, SessionDescriptor};
 pub use error::{codes, ApiError, ErrorKind};
 pub use mux::MuxConnection;
 pub use protocol::{BudgetReport, Request, Response, PROTOCOL_VERSION};

@@ -19,7 +19,6 @@
 //! aliasing into a different message type.
 
 use dprov_core::processor::{GroupedOutcome, GroupedRequest, QueryOutcome, QueryRequest};
-use dprov_core::workload::DeclaredWorkload;
 use dprov_storage::codec::{Decoder, Encoder};
 
 use crate::error::{codes, ApiError, ErrorKind};
@@ -38,11 +37,9 @@ use crate::wire;
 /// one socket, each channel running the ordinary per-connection state
 /// machine. No existing body changed, so the floor stays at 2.
 ///
-/// Version 4 (grouped queries and planning): [`Request::GroupByQuery`] /
-/// [`Request::DeclareWorkload`] and [`Response::GroupedAnswer`] /
-/// [`Response::WorkloadPlan`] were appended under new tags — a GROUP BY
-/// submission releases one DP answer per group in a single admission, and
-/// a declared workload returns the advisory view/synopsis plan. No
+/// Version 4 (grouped queries): [`Request::GroupByQuery`] /
+/// [`Response::GroupedAnswer`] were appended under new tags — a GROUP BY
+/// submission releases one DP answer per group in a single admission. No
 /// existing body changed, so the floor stays at 2.
 pub const PROTOCOL_VERSION: u8 = 4;
 
@@ -132,11 +129,6 @@ pub enum Request {
     /// grouped release — every group's cell — is admitted as one unit and
     /// answered with one [`Response::GroupedAnswer`].
     GroupByQuery(GroupedRequest),
-    /// Declares the session's expected workload (query templates plus
-    /// relative frequencies). The service answers with the advisory
-    /// view/synopsis plan ([`Response::WorkloadPlan`]); declaring spends no
-    /// budget and does not constrain later submissions.
-    DeclareWorkload(DeclaredWorkload),
 }
 
 /// The analyst-facing view of a session's budget state, returned by
@@ -238,17 +230,6 @@ pub enum Response {
     /// the canonical group-enumeration order, alongside each cell's group
     /// key (per-cell rejection is a valid outcome, not an error).
     GroupedAnswer(GroupedOutcome),
-    /// Answer to [`Request::DeclareWorkload`] — the advisory plan.
-    WorkloadPlan {
-        /// Views the plan would materialise.
-        views: u64,
-        /// Estimated per-analyst budget the planned catalog costs.
-        est_epsilon: f64,
-        /// Estimated up-front materialisation work in cell-visits.
-        est_materialise_cells: f64,
-        /// The human-readable plan report (views, routing, reasons).
-        report: String,
-    },
 }
 
 const TAG_HELLO: u8 = 1;
@@ -263,7 +244,9 @@ const TAG_SEAL_EPOCH: u8 = 9;
 const TAG_METRICS: u8 = 10;
 const TAG_MUX: u8 = 11;
 const TAG_GROUP_BY: u8 = 12;
-const TAG_DECLARE_WORKLOAD: u8 = 13;
+// Tags 13 (request) and 141 (response) carried the retired advisory
+// workload-planning pair. They are never reissued: a peer that still sends
+// one gets the unknown-tag `MALFORMED_FRAME` error.
 
 const TAG_HELLO_ACK: u8 = 129;
 const TAG_REGISTERED: u8 = 130;
@@ -277,7 +260,6 @@ const TAG_EPOCH_SEALED: u8 = 137;
 const TAG_METRICS_REPORT: u8 = 138;
 const TAG_MUX_REPLY: u8 = 139;
 const TAG_GROUPED_ANSWER: u8 = 140;
-const TAG_WORKLOAD_PLAN: u8 = 141;
 const TAG_ERROR: u8 = 255;
 
 /// Writes the message header: version, tag, request id.
@@ -340,10 +322,6 @@ pub fn encode_request(request_id: u64, request: &Request) -> Vec<u8> {
         Request::GroupByQuery(grouped) => {
             header(&mut enc, TAG_GROUP_BY, request_id);
             wire::put_grouped_request(&mut enc, grouped);
-        }
-        Request::DeclareWorkload(workload) => {
-            header(&mut enc, TAG_DECLARE_WORKLOAD, request_id);
-            wire::put_workload(&mut enc, workload);
         }
     }
     enc.into_bytes()
@@ -432,18 +410,6 @@ pub fn encode_response(request_id: u64, response: &Response) -> Vec<u8> {
             header(&mut enc, TAG_GROUPED_ANSWER, request_id);
             wire::put_grouped_outcome(&mut enc, outcome);
         }
-        Response::WorkloadPlan {
-            views,
-            est_epsilon,
-            est_materialise_cells,
-            report,
-        } => {
-            header(&mut enc, TAG_WORKLOAD_PLAN, request_id);
-            enc.put_u64(*views);
-            enc.put_f64(*est_epsilon);
-            enc.put_f64(*est_materialise_cells);
-            enc.put_str(report);
-        }
     }
     enc.into_bytes()
 }
@@ -508,9 +474,6 @@ pub fn decode_request(payload: &[u8]) -> Result<(u64, Request), ApiError> {
         },
         TAG_GROUP_BY => {
             Request::GroupByQuery(wire::take_grouped_request(&mut dec).map_err(wire::malformed)?)
-        }
-        TAG_DECLARE_WORKLOAD => {
-            Request::DeclareWorkload(wire::take_workload(&mut dec).map_err(wire::malformed)?)
         }
         t => {
             return Err(wire::malformed(format!("unknown request tag {t}")));
@@ -587,12 +550,6 @@ pub fn decode_response(payload: &[u8]) -> Result<(u64, Response), ApiError> {
         TAG_GROUPED_ANSWER => {
             Response::GroupedAnswer(wire::take_grouped_outcome(&mut dec).map_err(wire::malformed)?)
         }
-        TAG_WORKLOAD_PLAN => Response::WorkloadPlan {
-            views: dec.take_u64().map_err(wire::malformed)?,
-            est_epsilon: dec.take_f64().map_err(wire::malformed)?,
-            est_materialise_cells: dec.take_f64().map_err(wire::malformed)?,
-            report: dec.take_str().map_err(wire::malformed)?,
-        },
         t => {
             return Err(wire::malformed(format!("unknown response tag {t}")));
         }

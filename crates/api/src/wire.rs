@@ -18,7 +18,6 @@ use dprov_core::error::RejectReason;
 use dprov_core::processor::{
     AnsweredQuery, GroupedOutcome, GroupedRequest, QueryOutcome, QueryRequest, SubmissionMode,
 };
-use dprov_core::workload::{DeclaredWorkload, QueryTemplate};
 use dprov_engine::expr::Predicate;
 use dprov_engine::group::GroupByQuery;
 use dprov_engine::query::{AggregateKind, Query};
@@ -278,27 +277,6 @@ pub(crate) fn take_grouped_outcome(dec: &mut Decoder<'_>) -> DecodeResult<Groupe
         .map(|_| take_outcome(dec))
         .collect::<DecodeResult<Vec<QueryOutcome>>>()?;
     Ok(GroupedOutcome { keys, outcomes })
-}
-
-pub(crate) fn put_workload(enc: &mut Encoder, workload: &DeclaredWorkload) {
-    enc.put_u32(workload.templates.len() as u32);
-    for template in &workload.templates {
-        put_query(enc, &template.query);
-        enc.put_f64(template.weight);
-    }
-}
-
-pub(crate) fn take_workload(dec: &mut Decoder<'_>) -> DecodeResult<DeclaredWorkload> {
-    let n = dec.take_count(6)?;
-    let templates = (0..n)
-        .map(|_| {
-            Ok(QueryTemplate {
-                query: take_query(dec)?,
-                weight: dec.take_f64()?,
-            })
-        })
-        .collect::<DecodeResult<Vec<QueryTemplate>>>()?;
-    Ok(DeclaredWorkload { templates })
 }
 
 pub(crate) fn put_request_body(enc: &mut Encoder, request: &QueryRequest) {

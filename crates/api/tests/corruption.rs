@@ -14,7 +14,7 @@ use rand::{Rng, SeedableRng};
 
 use dprov_api::protocol::{
     decode_request, decode_response, encode_request, encode_response, Request, Response,
-    PROTOCOL_VERSION,
+    MIN_SUPPORTED_VERSION, PROTOCOL_VERSION,
 };
 use dprov_api::{codes, frame};
 use dprov_core::processor::QueryRequest;
@@ -130,14 +130,6 @@ fn sample_grouped_payload() -> Vec<u8> {
     )
 }
 
-fn sample_workload_payload() -> Vec<u8> {
-    use dprov_core::workload::DeclaredWorkload;
-    let workload = DeclaredWorkload::new()
-        .template(Query::count("adult").group_by(&["sex"]), 4.0)
-        .template(Query::range_count("adult", "age", 20, 39), 1.0);
-    encode_request(14, &Request::DeclareWorkload(workload))
-}
-
 #[test]
 fn every_truncation_of_a_grouped_request_is_a_typed_error() {
     let payload = sample_grouped_payload();
@@ -153,16 +145,32 @@ fn every_truncation_of_a_grouped_request_is_a_typed_error() {
 }
 
 #[test]
-fn every_truncation_of_a_workload_declaration_is_a_typed_error() {
-    let payload = sample_workload_payload();
-    for cut in 0..payload.len() {
-        let err = decode_request(&payload[..cut])
-            .expect_err("a truncated workload declaration must not decode");
-        assert!(
-            err.code == codes::MALFORMED_FRAME || err.code == codes::UNSUPPORTED_VERSION,
-            "cut at {cut}: unexpected code {}",
-            err.code
-        );
+fn retired_planning_tags_decode_as_unknown() {
+    // Request tag 13 (`DeclareWorkload`) and response tag 141
+    // (`WorkloadPlan`) carried the retired advisory workload planner. They
+    // are never reissued: at every supported version, with or without a
+    // body, they take the unknown-tag path.
+    for version in MIN_SUPPORTED_VERSION..=PROTOCOL_VERSION {
+        for body in [&[][..], &[0, 0, 0, 0][..]] {
+            let payload = |tag: u8| {
+                let mut payload = vec![version, tag];
+                payload.extend_from_slice(&7u64.to_le_bytes());
+                payload.extend_from_slice(body);
+                payload
+            };
+            for (tag, decoded) in [
+                (13, decode_request(&payload(13)).map(drop)),
+                (141, decode_response(&payload(141)).map(drop)),
+            ] {
+                let err = decoded.expect_err("a retired tag must not decode");
+                assert_eq!(err.code, codes::MALFORMED_FRAME, "v{version} tag {tag}");
+                assert!(
+                    err.message.contains(&format!("tag {tag}")),
+                    "{}",
+                    err.message
+                );
+            }
+        }
     }
 }
 

@@ -20,7 +20,6 @@ use dprov_core::error::RejectReason;
 use dprov_core::processor::{
     AnsweredQuery, GroupedOutcome, GroupedRequest, QueryOutcome, QueryRequest, SubmissionMode,
 };
-use dprov_core::workload::{DeclaredWorkload, QueryTemplate};
 use dprov_engine::expr::Predicate;
 use dprov_engine::group::GroupByQuery;
 use dprov_engine::query::{AggregateKind, Query};
@@ -149,17 +148,6 @@ fn arb_grouped_outcome(rng: &mut StdRng) -> GroupedOutcome {
     }
 }
 
-fn arb_workload(rng: &mut StdRng) -> DeclaredWorkload {
-    DeclaredWorkload {
-        templates: (0..rng.gen_range(0usize..4))
-            .map(|_| QueryTemplate {
-                query: arb_query(rng),
-                weight: rng.gen_range(0.0f64..1e3),
-            })
-            .collect(),
-    }
-}
-
 fn arb_outcome(rng: &mut StdRng) -> QueryOutcome {
     if rng.gen::<bool>() {
         QueryOutcome::Answered(AnsweredQuery {
@@ -238,9 +226,8 @@ fn arb_metrics_snapshot(rng: &mut StdRng) -> dprov_obs::MetricsSnapshot {
 
 /// Every request variant, chosen by `tag` so proptest cases sweep them all.
 fn arb_request(rng: &mut StdRng, tag: u32) -> Request {
-    match tag % 13 {
+    match tag % 12 {
         11 => Request::GroupByQuery(arb_grouped_request(rng)),
-        12 => Request::DeclareWorkload(arb_workload(rng)),
         10 => Request::Mux {
             channel: rng.gen::<u64>(),
             // The outer codec treats the inner payload as opaque bytes;
@@ -307,14 +294,8 @@ fn arb_update_batch(rng: &mut StdRng) -> dprov_delta::UpdateBatch {
 
 /// Every response variant, chosen by `tag`.
 fn arb_response(rng: &mut StdRng, tag: u32) -> Response {
-    match tag % 14 {
+    match tag % 13 {
         12 => Response::GroupedAnswer(arb_grouped_outcome(rng)),
-        13 => Response::WorkloadPlan {
-            views: rng.gen::<u64>(),
-            est_epsilon: rng.gen_range(0.0f64..64.0),
-            est_materialise_cells: rng.gen_range(0.0f64..1e12),
-            report: arb_string(rng),
-        },
         10 => Response::MuxReply {
             channel: rng.gen::<u64>(),
             payload: if rng.gen::<bool>() {
@@ -418,7 +399,7 @@ proptest! {
     /// Requests round-trip bit-for-bit through payload encoding, and
     /// through the CRC frame wrapping a byte-stream transport applies.
     #[test]
-    fn request_round_trips(seed in 0u64..u64::MAX, tag in 0u32..13, request_id in 0u64..u64::MAX) {
+    fn request_round_trips(seed in 0u64..u64::MAX, tag in 0u32..12, request_id in 0u64..u64::MAX) {
         let mut rng = StdRng::seed_from_u64(seed);
         let request = arb_request(&mut rng, tag);
         let payload = encode_request(request_id, &request);
@@ -433,7 +414,7 @@ proptest! {
 
     /// Responses round-trip bit-for-bit the same way.
     #[test]
-    fn response_round_trips(seed in 0u64..u64::MAX, tag in 0u32..14, request_id in 0u64..u64::MAX) {
+    fn response_round_trips(seed in 0u64..u64::MAX, tag in 0u32..13, request_id in 0u64..u64::MAX) {
         let mut rng = StdRng::seed_from_u64(seed);
         let response = arb_response(&mut rng, tag);
         let payload = encode_response(request_id, &response);

@@ -2,9 +2,10 @@
 //!
 //! DProvDB's provenance ledger is the ground truth for every analyst's
 //! remaining privacy budget; losing an acknowledged charge would let an
-//! analyst re-spend budget the system already granted. This crate makes
-//! the ledger survive node crashes and network partitions, around one
-//! headline correctness property:
+//! analyst re-spend budget the system already granted. This crate
+//! replicates the ledger across a majority-quorum replica group that
+//! tolerates replica crashes and network partitions *inside one process*,
+//! around one headline correctness property:
 //!
 //! > **No charge is acknowledged to an analyst unless it is replicated
 //! > to a majority of budget-ledger replicas.**
@@ -25,6 +26,14 @@
 //!   submission with no state change.
 //! * [`gateway`] — the wiring for one serving process: a replica group
 //!   plus its replication gate attached to a `DProvDb`.
+//!
+//! **Durability limit.** Quorum mode keeps nothing on disk:
+//! `Gateway::attach` *replaces* the store's write-ahead recorder with the
+//! replication gate, and every replica's Raft state lives in the serving
+//! process's memory. A crash of that process therefore loses every charge
+//! acknowledged in quorum mode, where the write-ahead ledger alone would
+//! have kept it (a traced `commit-quorum` benchmark run shows
+//! `storage.wal_appends 0`).
 //!
 //! The fault harness lives in this crate's `tests/nemesis.rs`: seeded
 //! crash/partition schedules drive real analyst workloads and assert,

@@ -23,9 +23,7 @@
 //! * [`corruption`] — the (t, n)-compromised threat-model extension of §7.1;
 //! * [`recorder`] — the durable-commit hook: write-ahead records for every
 //!   admission charge and the serialisable state types the `dprov-storage`
-//!   crate snapshots and replays at recovery;
-//! * [`workload`] — declared workloads (query templates + frequencies), the
-//!   input to the `dprov-plan` view/synopsis planner.
+//!   crate snapshots and replays at recovery.
 
 #![deny(missing_docs)]
 #![warn(clippy::all)]
@@ -44,6 +42,5 @@ pub mod provenance;
 pub mod recorder;
 pub mod synopsis_manager;
 pub mod system;
-pub mod workload;
 
 pub use error::{CoreError, Result, StorageError};

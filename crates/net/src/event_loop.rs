@@ -143,6 +143,7 @@ impl EventLoopFrontend {
                 conns: HashMap::new(),
                 listener: if i == 0 { listener_slot.take() } else { None },
                 accept_paused: false,
+                expires_sessions: i == 0,
                 peers: peers.clone(),
                 next_peer: 0,
                 shutdown: Arc::clone(&shutdown),
@@ -307,6 +308,9 @@ struct LoopCore {
     listener: Option<TcpListener>,
     /// Accepting is paused until the next tick (transient accept error).
     accept_paused: bool,
+    /// Loop 0 also expires stale sessions on its tick, so the registry is
+    /// swept once per tick however many loops run.
+    expires_sessions: bool,
     peers: Vec<LoopHandle>,
     next_peer: usize,
     shutdown: Arc<AtomicBool>,
@@ -367,6 +371,11 @@ impl LoopCore {
             if last_reap.elapsed() >= tick {
                 last_reap = Instant::now();
                 self.reap_idle();
+                if self.expires_sessions {
+                    if let Some(service) = self.frontend.service.upgrade() {
+                        service.expire_stale_sessions();
+                    }
+                }
                 if self.accept_paused {
                     if let Some(listener) = &self.listener {
                         let _ = self.poller.modify(

@@ -42,7 +42,11 @@
 //!   memory;
 //! * idle connections are reaped on a periodic tick after
 //!   [`NetConfig::idle_timeout`] (defaulting to the service's session
-//!   TTL, so transport lifetime and session lifetime expire together).
+//!   TTL, so transport lifetime and session lifetime expire together);
+//!   the same tick, on one loop, removes sessions whose heartbeat is
+//!   older than their TTL
+//!   ([`dprov_server::QueryService::expire_stale_sessions`]), so an
+//!   abandoned session does not stay in the registry for good.
 //!
 //! **Multiplexing.** Protocol v3 `Mux` frames are handled by the shared
 //! state machine, so one socket carries many independent sessions

@@ -24,6 +24,10 @@ use dprov_net::{listen, EventLoopFrontend, NetConfig};
 use dprov_server::{QueryService, ServiceConfig};
 
 fn service() -> Arc<QueryService> {
+    service_with(ServiceConfig::builder().workers(2).build().unwrap())
+}
+
+fn service_with(service_config: ServiceConfig) -> Arc<QueryService> {
     let db = adult_database(300, 1);
     let catalog = ViewCatalog::one_per_attribute(&db, "adult").unwrap();
     let mut registry = AnalystRegistry::new();
@@ -39,10 +43,7 @@ fn service() -> Arc<QueryService> {
         )
         .unwrap(),
     );
-    Arc::new(QueryService::start(
-        system,
-        ServiceConfig::builder().workers(2).build().unwrap(),
-    ))
+    Arc::new(QueryService::start(system, service_config))
 }
 
 fn age_query(lo: i64, hi: i64) -> QueryRequest {
@@ -449,4 +450,57 @@ fn client_errors_are_typed_after_server_close() {
         err.code,
         err.message
     );
+}
+
+/// Sessions abandoned without `CloseSession` leave the registry on the
+/// loop's tick once their TTL passes, and resuming one is refused with a
+/// typed error.
+#[test]
+fn abandoned_sessions_are_expired_on_the_tick() {
+    let service = service_with(
+        ServiceConfig::builder()
+            .session_ttl(Duration::from_millis(300))
+            .build()
+            .unwrap(),
+    );
+    let frontend = EventLoopFrontend::new(
+        &service,
+        NetConfig {
+            tick: Duration::from_millis(50),
+            ..NetConfig::default()
+        },
+    );
+    let listener = frontend.listen("127.0.0.1:0").unwrap();
+
+    let mut sessions = Vec::new();
+    for i in 0..4 {
+        let mut client = DProvClient::connect_tcp(listener.local_addr(), "abandon").unwrap();
+        sessions.push(client.register("alice").unwrap().session);
+        if i % 2 == 0 {
+            client.query(&age_query(20, 30 + i)).unwrap();
+        }
+        // Dropped without `close`: the session is abandoned.
+    }
+
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while !service.sessions().is_empty() {
+        assert!(
+            Instant::now() < deadline,
+            "{} abandoned sessions still registered",
+            service.sessions().len()
+        );
+        std::thread::sleep(Duration::from_millis(20));
+    }
+
+    let mut client = DProvClient::connect_tcp(listener.local_addr(), "resume").unwrap();
+    for session in sessions {
+        let err = client.resume("alice", session).unwrap_err();
+        assert_eq!(
+            err.code,
+            codes::UNKNOWN_SESSION,
+            "resuming reaped session {session}: {}",
+            err.message
+        );
+    }
+    listener.shutdown();
 }

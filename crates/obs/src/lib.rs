@@ -92,8 +92,6 @@ pub enum CounterId {
     /// Group cells released across grouped queries (each a priced,
     /// individually-admitted answer).
     GroupCellsReleased,
-    /// Workload plans computed by the planner.
-    PlansComputed,
     /// Accuracy→epsilon translations the core ran (vanilla and
     /// friction-aware searches alike; a cache hit runs none). The cells of
     /// one grouped request run each distinct search once.
@@ -109,7 +107,7 @@ pub enum CounterId {
 
 impl CounterId {
     /// Every counter, in catalog order.
-    pub const ALL: [CounterId; 22] = [
+    pub const ALL: [CounterId; 21] = [
         CounterId::FrontendConnections,
         CounterId::FrontendRequests,
         CounterId::QueriesAnswered,
@@ -128,7 +126,6 @@ impl CounterId {
         CounterId::IdleConnectionsReaped,
         CounterId::GroupQueries,
         CounterId::GroupCellsReleased,
-        CounterId::PlansComputed,
         CounterId::Translations,
         CounterId::Calibrations,
         CounterId::InlineAnswers,
@@ -156,7 +153,6 @@ impl CounterId {
             CounterId::IdleConnectionsReaped => "net.idle_reaped",
             CounterId::GroupQueries => "group.queries",
             CounterId::GroupCellsReleased => "group.cells_released",
-            CounterId::PlansComputed => "plan.computed",
             CounterId::Translations => "dp.translations",
             CounterId::Calibrations => "dp.calibrations",
             CounterId::InlineAnswers => "frontend.inline_answers",

@@ -376,28 +376,6 @@ fn handle_request(
         }
         Request::SubmitQuery(request) => submit_flow(state, service, Work::Scalar(request)),
         Request::GroupByQuery(request) => submit_flow(state, service, Work::Grouped(request)),
-        Request::DeclareWorkload(workload) => {
-            // Planning is a control-plane request: no noise is drawn and
-            // no budget is spent, so it is answered inline (overtaking
-            // queued query work) — but it does reveal schema, domain
-            // sizes and cost observations, so it is gated on a
-            // registered session like `BudgetStatus`.
-            if state.session.is_none() {
-                return ProtoFlow::Reply(Response::Error(no_session()));
-            }
-            let Some(service) = service.upgrade() else {
-                return ProtoFlow::Reply(Response::Error(shutting_down()));
-            };
-            match service.plan_workload(&workload) {
-                Ok(plan) => ProtoFlow::Reply(Response::WorkloadPlan {
-                    views: plan.views.len() as u64,
-                    est_epsilon: plan.est_epsilon,
-                    est_materialise_cells: plan.est_materialise_cells,
-                    report: plan.report(),
-                }),
-                Err(e) => ProtoFlow::Reply(Response::Error(e.into())),
-            }
-        }
         Request::Heartbeat => {
             let Some((session_id, _)) = state.session else {
                 return ProtoFlow::Reply(Response::Error(no_session()));

@@ -43,13 +43,9 @@ use dprov_core::processor::{
 };
 use dprov_core::recorder::Recorder;
 use dprov_core::system::{DProvDb, SystemStats};
-use dprov_core::workload::DeclaredWorkload;
 use dprov_core::{CoreError, StorageError};
 use dprov_dp::accountant::CompositionMethod;
 use dprov_obs::{CounterId, GaugeId, HistId, Histogram, HistogramSnapshot, MetricsRegistry, Stage};
-use dprov_plan::cost::CostModel;
-use dprov_plan::planner::{Plan, Planner};
-use dprov_plan::PlanError;
 use dprov_storage::{
     analysts_digest, config_fingerprint, ProvenanceStore, SessionCheckpoint, StoreOptions,
 };
@@ -1462,21 +1458,6 @@ impl QueryService {
     #[must_use]
     pub fn system(&self) -> &Arc<DProvDb> {
         &self.system
-    }
-
-    /// Runs the workload-aware planner against the live database, priced
-    /// by the system's own configuration: the cost model takes the
-    /// service's (δ, ψ_P) pair and calibrates its scan-amortisation
-    /// factor from the executor's observed counters. **Advisory**: the
-    /// running service keeps its configured catalog — the returned plan
-    /// says what a deployment provisioned for this workload should
-    /// materialise, it does not mutate this instance.
-    pub fn plan_workload(&self, workload: &DeclaredWorkload) -> Result<Plan, PlanError> {
-        let config = self.system.config();
-        let cost = CostModel::new(config.delta.value(), config.total_epsilon.value())
-            .with_exec_stats(&self.system.exec_stats());
-        let planner = Planner::new(cost).with_metrics(self.metrics.clone());
-        self.system.with_database(|db| planner.plan(db, workload))
     }
 
     /// The session registry.

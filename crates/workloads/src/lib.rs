@@ -13,8 +13,7 @@
 //!   (concentrated) and batch-hostile (uniform) traffic mixes for the
 //!   batched execution subsystem;
 //! * [`star`] — a synthetic star-schema dataset (`sales` fact + `store`/
-//!   `item` dimensions) with grouped-workload presets and the
-//!   `planner_probe` declared workload for the view/synopsis planner;
+//!   `item` dimensions) with the grouped-workload presets;
 //! * [`sequence`] — the round-robin and random analyst interleavings;
 //! * [`runner`] — drives any [`dprov_core::processor::QueryProcessor`] over
 //!   a workload and collects the metrics of §6.1.3 ([`metrics`]): number of

@@ -5,26 +5,19 @@
 //! every fact key has exactly one matching dimension row — so
 //! [`StarSchema::fold`] always succeeds, and the folded `sales_wide` table
 //! carries the dimension attributes (`store.region`, `item.category`, …)
-//! that the grouped workloads and the planner benchmarks query.
+//! that the grouped workloads query.
 //!
-//! Two presets drive `dprovbench`'s `grouped` workload, the planner tests
-//! and the equivalence tests:
-//!
-//! * [`GroupedConfig::grouped_heavy`] — per-analyst batches dominated by a
-//!   few popular groupings (batch-friendly: grouped cells of one view fill
-//!   the server's micro-batches);
-//! * [`planner_probe`] — a [`DeclaredWorkload`] whose template frequencies
-//!   are deliberately skewed, so a workload-aware planner has something to
-//!   exploit against the materialise-everything baseline.
+//! [`GroupedConfig::grouped_heavy`] drives `dprovbench`'s `grouped`
+//! workload and the equivalence tests: per-analyst batches dominated by a
+//! few popular groupings (batch-friendly: grouped cells of one view fill
+//! the server's micro-batches).
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use dprov_core::processor::GroupedRequest;
-use dprov_core::workload::DeclaredWorkload;
 use dprov_engine::database::Database;
 use dprov_engine::group::GroupByQuery;
-use dprov_engine::query::Query;
 use dprov_engine::schema::{Attribute, AttributeType, Schema};
 use dprov_engine::star::StarSchema;
 use dprov_engine::table::Table;
@@ -274,43 +267,6 @@ pub fn generate_grouped(db: &Database, config: &GroupedConfig) -> EngineResult<G
     Ok(GroupedWorkload { per_analyst })
 }
 
-/// The planner-probe declared workload over the folded star: a few popular
-/// grouped templates, a rare wide grouping, and scalar drill-downs, with
-/// frequencies skewed enough that buying every possible view is visibly
-/// wasteful. This is the input the planner tests (`planner_probe.rs`)
-/// plan, serve and assert against.
-#[must_use]
-pub fn planner_probe() -> DeclaredWorkload {
-    DeclaredWorkload::new()
-        .template(
-            Query::count(SALES_WIDE_TABLE).group_by(&["store.region"]),
-            40.0,
-        )
-        .template(
-            Query::count(SALES_WIDE_TABLE).group_by(&["item.category"]),
-            30.0,
-        )
-        .template(
-            Query::count(SALES_WIDE_TABLE).group_by(&["store.region", "store.channel"]),
-            15.0,
-        )
-        .template(
-            Query::sum(SALES_WIDE_TABLE, "quantity").group_by(&["item.category"]),
-            10.0,
-        )
-        // Rare tail: a wide grouping and two scalar drill-downs the planner
-        // should not buy dedicated synopses for.
-        .template(
-            Query::count(SALES_WIDE_TABLE).group_by(&["item.category", "item.price_band"]),
-            3.0,
-        )
-        .template(Query::range_count(SALES_WIDE_TABLE, "day", 0, 6), 1.5)
-        .template(
-            Query::range_count(SALES_WIDE_TABLE, "quantity", 10, 20),
-            0.5,
-        )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -401,25 +357,6 @@ mod tests {
         for request in w.per_analyst.iter().flatten().take(20) {
             execute(&db, &request.query.as_grouped_query()).unwrap();
         }
-    }
-
-    #[test]
-    fn planner_probe_templates_are_valid_over_the_folded_star() {
-        let db = folded_star_database(250, 3);
-        let probe = planner_probe();
-        assert!(probe.templates.len() >= 5);
-        let grouped = probe
-            .templates
-            .iter()
-            .filter(|t| t.grouped().is_some())
-            .count();
-        assert!(grouped >= 4 && grouped < probe.templates.len());
-        for template in &probe.templates {
-            execute(&db, &template.query).unwrap();
-        }
-        // The probe is genuinely skewed: the top template dominates the
-        // tail ones.
-        assert!(probe.share(0) > 10.0 * probe.share(5));
     }
 
     #[test]

@@ -1,17 +1,12 @@
-//! Planned workload: declare what you will ask, let the planner choose the
-//! view catalog, then run GROUP BY queries over a join-folded star schema
-//! through the concurrent service.
+//! GROUP BY over a join-folded star schema, served through the concurrent
+//! service.
 //!
 //! The walk-through: (1) generate the star database (sales fact + store and
-//! item dimensions) and fold it into one wide table at ingest; (2) declare
-//! the expected workload (grouped templates with frequencies); (3) plan —
-//! the greedy set-cover picks the fewest views that answer everything and
-//! explains each choice; (4) build the system from the plan and serve it;
-//! (5) declare the same workload over the wire and get the advisory plan
-//! back; (6) run grouped queries and watch the per-(analyst, view) budget
-//! ledger.
+//! item dimensions) and fold it into one wide table at ingest; (2) build
+//! the system over an explicit view catalog and serve it; (3) run grouped
+//! queries over the wire; (4) read the per-(analyst, view) budget ledger.
 //!
-//! Run with `cargo run --release --example planned_workload`.
+//! Run with `cargo run --release --example grouped_star`.
 
 use std::sync::Arc;
 
@@ -20,9 +15,10 @@ use dprovdb::core::analyst::{AnalystId, AnalystRegistry};
 use dprovdb::core::config::SystemConfig;
 use dprovdb::core::mechanism::MechanismKind;
 use dprovdb::core::processor::{GroupedRequest, QueryOutcome};
+use dprovdb::core::system::DProvDb;
+use dprovdb::engine::catalog::ViewCatalog;
 use dprovdb::engine::group::GroupByQuery;
-use dprovdb::plan::cost::CostModel;
-use dprovdb::plan::planner::Planner;
+use dprovdb::engine::view::ViewDef;
 use dprovdb::server::{Frontend, QueryService, ServiceConfig};
 use dprovdb::workloads::star;
 
@@ -36,34 +32,25 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         db.table(star::SALES_TABLE)?.num_rows()
     );
 
-    // 2. The declared workload: grouped templates plus a rare tail, with
-    //    frequencies. Declaring costs nothing and constrains nothing — it
-    //    only informs the planner.
-    let workload = star::planner_probe();
-    println!("declared workload: {} templates", workload.templates.len());
-
-    // 3. Plan. The cost model prices each candidate view's synopsis at the
-    //    workload's granularity; the greedy cover buys the cheapest set
-    //    that answers every template.
-    let planner = Planner::new(CostModel::new(1e-9, 8.0));
-    let plan = planner.plan(&db, &workload)?;
-    println!("\n{}", plan.report());
-    let baseline = planner.materialise_everything(&db, &workload)?;
-    println!(
-        "(materialise-everything would buy {} views and {:.0} cell-visits; \
-         the plan buys {} and {:.0})\n",
-        baseline.views.len(),
-        baseline.est_materialise_cells,
-        plan.views.len(),
-        plan.est_materialise_cells
-    );
-
-    // 4. Build the system from the plan and serve it concurrently.
+    // 2. One histogram view per grouping the session asks for, served
+    //    concurrently.
+    let mut catalog = ViewCatalog::new();
+    catalog.add_view(ViewDef::histogram(
+        "region",
+        star::SALES_WIDE_TABLE,
+        &["store.region"],
+    ));
+    catalog.add_view(ViewDef::histogram(
+        "category_quantity",
+        star::SALES_WIDE_TABLE,
+        &["item.category", "quantity"],
+    ));
     let mut registry = AnalystRegistry::new();
     registry.register("external-researcher", 1)?;
     registry.register("internal-analyst", 4)?;
-    let system = Arc::new(plan.build(
+    let system = Arc::new(DProvDb::new(
         db,
+        catalog,
         registry,
         SystemConfig::new(8.0)?.with_seed(42),
         MechanismKind::Vanilla,
@@ -73,18 +60,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ServiceConfig::builder().workers(2).build()?,
     ));
     let frontend = Frontend::new(&service);
-
-    // 5. An analyst declares the same workload over the wire and receives
-    //    the advisory plan back — same planner, same explanation.
-    let mut client = DProvClient::connect(frontend.connect(), "planned-demo")?;
+    let mut client = DProvClient::connect(frontend.connect(), "grouped-demo")?;
     client.register("internal-analyst")?;
-    let advisory = client.declare_workload(&workload)?;
-    println!(
-        "service advisory: {} views, est eps {:.4}/analyst\n",
-        advisory.views, advisory.est_epsilon
-    );
 
-    // 6. GROUP BY over the wire: one submission, one DP answer per group
+    // 3. GROUP BY over the wire: one submission, one DP answer per group
     //    in the canonical enumeration order, each cell admitted through
     //    the normal provenance path.
     let gq = GroupByQuery::count(star::SALES_WIDE_TABLE, &["store.region"]);
@@ -107,8 +86,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         }
     }
 
-    // 7. The ledger after the grouped session: every cell's charge landed
-    //    on the view the planner bought for its template.
+    // 4. The ledger after the grouped session: every cell's charge landed
+    //    on the view that answers its grouping.
     let provenance = system.provenance();
     println!("\nper-view budget spent by internal-analyst:");
     for view in provenance.view_names() {

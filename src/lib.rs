@@ -39,10 +39,6 @@
 //!   incremental frame decode, queue-coupled backpressure and
 //!   idle-connection reaping — proven bit-identical to the in-process
 //!   `Frontend` transport.
-//! * [`plan`] — the workload-aware view/synopsis planner: declared
-//!   workload templates with weights, a cost model over scan cost,
-//!   budget price and granularity, and a greedy set-cover view chooser
-//!   producing an explainable [`plan::planner::Plan`].
 //! * [`cluster`] — the replicated budget ledger: majority-quorum
 //!   replication (simplified Raft over the storage WAL records), the
 //!   gateway's replication gate, and the in-process nemesis used by the
@@ -63,7 +59,6 @@ pub use dprov_engine as engine;
 pub use dprov_exec as exec;
 pub use dprov_net as net;
 pub use dprov_obs as obs;
-pub use dprov_plan as plan;
 pub use dprov_server as server;
 pub use dprov_storage as storage;
 pub use dprov_workloads as workloads;

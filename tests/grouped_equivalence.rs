@@ -15,8 +15,6 @@
 //!   accuracy→ε searches (`dp.translations`) than the oracle;
 //! * the wire protocol (`DProvClient::group_by` over the in-process and
 //!   TCP transports) returns exactly what the service computed;
-//! * `DProvClient::declare_workload` returns exactly the library
-//!   [`Planner`]'s plan for the same database and cost inputs;
 //! * star-schema join-folding feeds grouped answering correctly: exact
 //!   grouped counts over the folded wide table equal a hand-computed
 //!   fact⋈dimension join, and the DP path over the wide table matches its
@@ -39,12 +37,9 @@ use dprovdb::engine::query::Query;
 use dprovdb::engine::schema::Schema;
 use dprovdb::engine::view::ViewDef;
 use dprovdb::net::listen;
-use dprovdb::plan::cost::CostModel;
-use dprovdb::plan::planner::Planner;
 use dprovdb::server::{Frontend, QueryService, ServiceConfig};
 use dprovdb::workloads::star::{
-    folded_star_database, planner_probe, star_database, ITEM_TABLE, SALES_TABLE, SALES_WIDE_TABLE,
-    STORE_TABLE,
+    folded_star_database, star_database, ITEM_TABLE, SALES_TABLE, SALES_WIDE_TABLE, STORE_TABLE,
 };
 
 /// Analyst 0 (privilege 1) may spend a third of the table budget ψ_P,
@@ -449,37 +444,6 @@ fn grouped_over_the_wire_matches_in_process_service() {
         let got: Vec<Observed> = other.outcomes.iter().map(observe).collect();
         assert_eq!(reference, got, "transport changed a grouped answer");
     }
-}
-
-#[test]
-fn declared_workload_plan_matches_library_planner() {
-    let system = star_system(MechanismKind::Vanilla, config(3));
-    let service = Arc::new(service_over(&system));
-    let frontend = Frontend::new(&service);
-    let mut client = DProvClient::connect(frontend.connect(), "in-proc").unwrap();
-    client.register("analyst-0").unwrap();
-
-    let workload = planner_probe();
-    let report = client.declare_workload(&workload).unwrap();
-    client.close().unwrap();
-
-    // The library planner, handed the same database and cost inputs.
-    let config = system.config();
-    let cost = CostModel::new(config.delta.value(), config.total_epsilon.value())
-        .with_exec_stats(&system.exec_stats());
-    let plan = system
-        .with_database(|db| Planner::new(cost).plan(db, &workload))
-        .unwrap();
-
-    assert_eq!(report.views, plan.views.len() as u64);
-    assert_eq!(report.est_epsilon.to_bits(), plan.est_epsilon.to_bits());
-    assert_eq!(
-        report.est_materialise_cells.to_bits(),
-        plan.est_materialise_cells.to_bits()
-    );
-    assert_eq!(report.report, plan.report());
-    // Declaring is advisory: no budget was spent.
-    assert_eq!(system.provenance().row_total(AnalystId(0)), 0.0);
 }
 
 #[test]
