@@ -437,7 +437,27 @@ fn take_header(dec: &mut Decoder<'_>) -> Result<(u8, u64), ApiError> {
 pub fn decode_request(payload: &[u8]) -> Result<(u64, Request), ApiError> {
     let mut dec = Decoder::new(payload);
     let (tag, request_id) = take_header(&mut dec)?;
-    let request = match tag {
+    let request = take_request(tag, &mut dec)?
+        .ok_or_else(|| wire::malformed(format!("unknown request tag {tag}")))?;
+    dec.finish().map_err(wire::malformed)?;
+    Ok((request_id, request))
+}
+
+/// The request id of a request payload whose header decodes but whose tag
+/// names no request — a newer peer's message or a retired one — so that a
+/// server can refuse that one request and keep the connection. `None` for
+/// any other payload.
+#[must_use]
+pub fn unknown_request_tag(payload: &[u8]) -> Option<u64> {
+    let mut dec = Decoder::new(payload);
+    let (tag, request_id) = take_header(&mut dec).ok()?;
+    matches!(take_request(tag, &mut dec), Ok(None)).then_some(request_id)
+}
+
+/// Decodes the body of a request with tag `tag`; `Ok(None)` when no
+/// request has that tag.
+fn take_request(tag: u8, dec: &mut Decoder<'_>) -> Result<Option<Request>, ApiError> {
+    Ok(Some(match tag {
         TAG_HELLO => Request::Hello {
             max_version: dec.take_u8().map_err(wire::malformed)?,
             client_name: dec.take_str().map_err(wire::malformed)?,
@@ -454,9 +474,7 @@ pub fn decode_request(payload: &[u8]) -> Result<(u64, Request), ApiError> {
                 resume,
             }
         }
-        TAG_SUBMIT => {
-            Request::SubmitQuery(wire::take_request_body(&mut dec).map_err(wire::malformed)?)
-        }
+        TAG_SUBMIT => Request::SubmitQuery(wire::take_request_body(dec).map_err(wire::malformed)?),
         TAG_HEARTBEAT => Request::Heartbeat,
         TAG_BUDGET => Request::BudgetStatus,
         TAG_CLOSE => Request::CloseSession,
@@ -464,7 +482,7 @@ pub fn decode_request(payload: &[u8]) -> Result<(u64, Request), ApiError> {
             updater_name: dec.take_str().map_err(wire::malformed)?,
         },
         TAG_APPLY_UPDATE => {
-            Request::ApplyUpdate(wire::take_update_batch(&mut dec).map_err(wire::malformed)?)
+            Request::ApplyUpdate(wire::take_update_batch(dec).map_err(wire::malformed)?)
         }
         TAG_SEAL_EPOCH => Request::SealEpoch,
         TAG_METRICS => Request::MetricsSnapshot,
@@ -473,14 +491,10 @@ pub fn decode_request(payload: &[u8]) -> Result<(u64, Request), ApiError> {
             payload: dec.take_bytes().map_err(wire::malformed)?,
         },
         TAG_GROUP_BY => {
-            Request::GroupByQuery(wire::take_grouped_request(&mut dec).map_err(wire::malformed)?)
+            Request::GroupByQuery(wire::take_grouped_request(dec).map_err(wire::malformed)?)
         }
-        t => {
-            return Err(wire::malformed(format!("unknown request tag {t}")));
-        }
-    };
-    dec.finish().map_err(wire::malformed)?;
-    Ok((request_id, request))
+        _ => return Ok(None),
+    }))
 }
 
 /// Decodes a response payload into `(request_id, response)`.

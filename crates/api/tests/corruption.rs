@@ -13,8 +13,8 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use dprov_api::protocol::{
-    decode_request, decode_response, encode_request, encode_response, Request, Response,
-    MIN_SUPPORTED_VERSION, PROTOCOL_VERSION,
+    decode_request, decode_response, encode_request, encode_response, unknown_request_tag, Request,
+    Response, MIN_SUPPORTED_VERSION, PROTOCOL_VERSION,
 };
 use dprov_api::{codes, frame};
 use dprov_core::processor::QueryRequest;
@@ -172,6 +172,38 @@ fn retired_planning_tags_decode_as_unknown() {
             }
         }
     }
+}
+
+#[test]
+fn an_unknown_request_tag_keeps_its_request_id() {
+    // Only the tag is unknown: the header and the request id decoded, so a
+    // server can refuse that one request under its id and keep the
+    // connection. Retired tag 13 and never-assigned tags alike.
+    for version in MIN_SUPPORTED_VERSION..=PROTOCOL_VERSION {
+        for tag in [13, 141, 200, u8::MAX] {
+            let mut payload = vec![version, tag];
+            payload.extend_from_slice(&7u64.to_le_bytes());
+            payload.extend_from_slice(&[0, 0, 0, 0]);
+            let err = decode_request(&payload).expect_err("an unknown tag must not decode");
+            assert_eq!(err.code, codes::MALFORMED_FRAME, "v{version} tag {tag}");
+            assert_eq!(
+                unknown_request_tag(&payload),
+                Some(7),
+                "v{version} tag {tag}"
+            );
+        }
+    }
+    // Every other failure has no request id to answer under: a known tag
+    // whose body is damaged, an unsupported version or a cut header.
+    let payload = sample_request_payload();
+    assert_eq!(unknown_request_tag(&payload), None, "a valid request");
+    for cut in 0..payload.len() {
+        assert_eq!(unknown_request_tag(&payload[..cut]), None, "cut at {cut}");
+    }
+    let mut wrong_version = payload.clone();
+    wrong_version[0] = PROTOCOL_VERSION + 1;
+    wrong_version[1] = 13;
+    assert_eq!(unknown_request_tag(&wrong_version), None);
 }
 
 #[test]

@@ -45,7 +45,7 @@
 use std::collections::HashMap;
 use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, RwLock};
+use std::sync::{Arc, Mutex, MutexGuard, RwLock, RwLockReadGuard};
 use std::time::{Duration, Instant};
 
 use dprov_delta::{build_segments, EncodedBatch, SealedEpoch, UpdateBatch, UpdateLog};
@@ -247,10 +247,31 @@ fn resolve_target(
     })
 }
 
+/// Whether a submission waits for a held lock or gives up on it.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Locking {
+    /// Wait for every lock: the queued path and every GROUP BY cell.
+    Wait,
+    /// Only try the epoch gate, the entry lock and the commit gate, and
+    /// give up — having charged, drawn, cached and journalled nothing —
+    /// on the first one that is held.
+    Try,
+}
+
+impl Locking {
+    /// The read side of `gate`, or `None` when a `Try` finds it held.
+    fn read(self, gate: &RwLock<()>) -> Option<RwLockReadGuard<'_, ()>> {
+        match self {
+            Locking::Wait => Some(gate.read().expect("gate poisoned")),
+            Locking::Try => gate.try_read().ok(),
+        }
+    }
+}
+
 /// How one admission prices its charge and what it releases: the
 /// mechanism-specific half of Algorithm 1, decided by [`DProvDb::admit`]
 /// before its provenance critical section.
-enum Plan<'a> {
+enum Plan {
     /// Algorithm 2: charge `ε` on top of `P[A_i, V]` and release a fresh
     /// synopsis of the exact histogram with `mechanism`, calibrated at `ε`.
     Vanilla { mechanism: AnalyticGaussian },
@@ -259,8 +280,6 @@ enum Plan<'a> {
     /// already covers the target) and derive a local synopsis at
     /// `local_epsilon`.
     Additive {
-        /// The view lock, held from the global-state read to the release.
-        _view: MutexGuard<'a, ()>,
         global_target: f64,
         local_epsilon: f64,
         /// The mechanism the request calibrated, at the requested or the
@@ -270,7 +289,7 @@ enum Plan<'a> {
     },
 }
 
-impl Plan<'_> {
+impl Plan {
     /// The charge rule, evaluated under the provenance lock: the entry
     /// before and after the charge, and the epsilon charged — or the
     /// constraint the charge would break.
@@ -731,48 +750,54 @@ impl DProvDb {
         request: &QueryRequest,
         rng: &mut DpRng,
     ) -> Result<QueryOutcome> {
-        self.registry.get(analyst)?;
-        // Hold the epoch gate for the whole execution: a seal waits for
-        // this answer and this answer never mixes two epochs.
-        let _epoch_gate = self.epoch_gate.read().expect("epoch gate poisoned");
-        let start = Instant::now();
-        let outcome = match self.resolve(request) {
-            Ok(resolved) => self.admit(analyst, resolved, rng, None),
-            Err(reason) => Ok(QueryOutcome::Rejected { reason }),
-        };
-        self.observe_submission(analyst, &outcome, start.elapsed());
-        outcome
+        self.submit_scalar(analyst, request, Some(rng), Locking::Wait)
+            .expect("a waiting submission never gives up")
     }
 
-    /// Answers an accuracy-mode request from the analyst's cached
-    /// (analyst, view) synopsis, if it already meets the target — the
-    /// cache-hit branch of Algorithms 2 and 4 as a probe that never blocks
-    /// and never draws noise. Returns `None` instead of waiting on the
-    /// epoch gate or the entry lock, for privacy mode (its resolve
-    /// calibrates), for a request `resolve` refuses and for a miss; those
-    /// leave no trace in the stats. A hit is recorded exactly as
-    /// [`Self::submit_with_rng`] records one, and its answer is the one
-    /// that call would return.
-    pub fn answer_from_cache(
+    /// [`Self::submit_with_rng`] as a probe that does not wait for another
+    /// request: the epoch gate, the entry lock and the commit gate are only
+    /// tried. It returns `None` — having charged, drawn, cached and
+    /// journalled nothing, and recorded no outcome — when one of them is
+    /// held, when `resolve` refuses the request, and, with no `rng`, for
+    /// anything but a cache hit. Otherwise its outcome, its records and the
+    /// generator's position are exactly those `submit_with_rng` would have
+    /// produced on that generator. Two locks are taken as usual, because
+    /// another admission holds each only for part of its own work: an
+    /// additive admission's view lock (the rest of one admission on the
+    /// same view) and the provenance lock (one commit and its journal
+    /// append).
+    pub fn try_submit_with_rng(
         &self,
         analyst: AnalystId,
         request: &QueryRequest,
-    ) -> Option<QueryOutcome> {
-        if !matches!(request.mode, SubmissionMode::Accuracy { .. }) {
-            return None;
+        rng: Option<&mut DpRng>,
+    ) -> Option<Result<QueryOutcome>> {
+        self.submit_scalar(analyst, request, rng, Locking::Try)
+    }
+
+    /// The one scalar submission body: resolve once, then the admission.
+    fn submit_scalar(
+        &self,
+        analyst: AnalystId,
+        request: &QueryRequest,
+        rng: Option<&mut DpRng>,
+        locking: Locking,
+    ) -> Option<Result<QueryOutcome>> {
+        if let Err(e) = self.registry.get(analyst) {
+            return Some(Err(e));
         }
-        self.registry.get(analyst).ok()?;
-        // While the gate is held no seal holds the db write lock, so
-        // `resolve`'s db read cannot wait either.
-        let _epoch_gate = self.epoch_gate.try_read().ok()?;
+        // Hold the epoch gate for the whole execution: a seal waits for
+        // this answer and this answer never mixes two epochs. While it is
+        // held no seal holds the db write lock, so `resolve` cannot wait.
+        let _epoch_gate = locking.read(&self.epoch_gate)?;
         let start = Instant::now();
-        let resolved = self.resolve(request).ok()?;
-        let _entry = self
-            .admission
-            .try_lock_entry(analyst.0, &resolved.view.name)?;
-        let outcome = Ok(QueryOutcome::Answered(self.try_cache(analyst, &resolved)?));
+        let outcome = match self.resolve(request) {
+            Ok(resolved) => self.admit(analyst, resolved, rng, None, locking)?,
+            Err(_) if locking == Locking::Try => return None,
+            Err(reason) => Ok(QueryOutcome::Rejected { reason }),
+        };
         self.observe_submission(analyst, &outcome, start.elapsed());
-        outcome.ok()
+        Some(outcome)
     }
 
     /// The per-submission observations of a scalar request: its outcome
@@ -996,49 +1021,82 @@ impl DProvDb {
     }
 
     /// Algorithm 1's post-resolve tail (lines 7–13), written once for both
-    /// mechanisms and both request shapes: [`Self::submit_with_rng`] calls
-    /// it for a scalar request, [`Self::answer_group_by_with_rng`] once per
-    /// group cell with one shared `memo` (scalar requests pass none), so a
-    /// grouped answer is bit-identical to per-group scalar submissions.
+    /// mechanisms, both request shapes and both [`Locking`] policies:
+    /// [`Self::submit_scalar`] calls it for a scalar request,
+    /// [`Self::answer_group_by_with_rng`] once per group cell with one
+    /// shared `memo` (scalar requests pass none), so a grouped answer is
+    /// bit-identical to per-group scalar submissions.
     ///
     /// 1. Entry lock, then the cache probe: an (analyst, view) synopsis
-    ///    that meets the target answers for free.
-    /// 2. The [`Plan`] (`privacyTranslate`): Algorithm 2 translates the
-    ///    target to ε; Algorithm 4 takes the view lock, translates against
-    ///    the global synopsis and calibrates the growth it will release.
-    /// 3. Under the commit gate, one provenance critical section checks the
-    ///    plan's charge (`constraintCheck`), journals it with its data
-    ///    access and commits it, so concurrent admissions never jointly
-    ///    overspend and the ledger's record order is the commit order.
-    /// 4. The plan's release (`run`), outside the provenance lock: a fresh
+    ///    that meets the target answers for free. Without a generator the
+    ///    admission stops here.
+    /// 2. Algorithm 4 takes the view lock; then the commit gate, so durable
+    ///    snapshots (which take its write side) never observe a commit that
+    ///    is in the write-ahead ledger but only half-applied in memory.
+    /// 3. The [`Plan`] (`privacyTranslate`): Algorithm 2 translates the
+    ///    target to ε; Algorithm 4 reads the global synopsis, translates
+    ///    against it and calibrates the growth it will release.
+    /// 4. One provenance critical section checks the plan's charge
+    ///    (`constraintCheck`), journals it with its data access and commits
+    ///    it, so concurrent admissions never jointly overspend and the
+    ///    ledger's record order is the commit order.
+    /// 5. The plan's release (`run`), outside the provenance lock: a fresh
     ///    synopsis (Algorithm 2), or global growth plus a local synopsis
     ///    (Algorithm 4). A release that fails restores the journalled
     ///    entry and voids the record with a tombstone.
+    ///
+    /// `None` only under [`Locking::Try`] or without a generator, before
+    /// anything is charged, drawn or cached.
     fn admit(
         &self,
         analyst: AnalystId,
         resolved: ResolvedRequest,
-        rng: &mut DpRng,
+        rng: Option<&mut DpRng>,
         memo: Option<&mut TranslationMemo>,
-    ) -> Result<QueryOutcome> {
+        locking: Locking,
+    ) -> Option<Result<QueryOutcome>> {
         let view = resolved.view.name.as_str();
         // Serialise competing submissions for this provenance entry: the
         // second of two identical queries waits here and is then answered
         // from the first one's cached synopsis for free.
-        let _entry = self.admission.lock_entry(analyst.0, view);
+        let _entry = match locking {
+            Locking::Wait => Some(self.admission.lock_entry(analyst.0, view)),
+            Locking::Try => self.admission.try_lock_entry(analyst.0, view),
+        }?;
         if let Some(answer) = self.try_cache(analyst, &resolved) {
-            return Ok(QueryOutcome::Answered(answer));
+            return Some(Ok(QueryOutcome::Answered(answer)));
         }
-        let plan = match self.plan(analyst, &resolved, memo)? {
+        let rng = rng?;
+        // The additive path reads the hidden global synopsis, translates
+        // against it and then grows it; the per-view lock makes that
+        // read-translate-grow sequence atomic (entry lock first, view lock
+        // second — fixed order, deadlock-free). A vanilla admission takes
+        // no view lock. A `Try` admission waits for it too: its holder is
+        // an admission on the same view that already holds its own entry,
+        // so it finishes without waiting on this one, and every admission
+        // on a view takes it — giving up here would send most concurrent
+        // commits on one view to the queue.
+        let _view = (self.mechanism == MechanismKind::AdditiveGaussian)
+            .then(|| self.admission.lock_view(view));
+        let _commit_gate = locking.read(&self.commit_gate)?;
+        Some(self.charge_and_release(analyst, &resolved, rng, memo))
+    }
+
+    /// Steps 3–5 of [`Self::admit`], under its locks: plan, one provenance
+    /// critical section, release, rollback.
+    fn charge_and_release(
+        &self,
+        analyst: AnalystId,
+        resolved: &ResolvedRequest,
+        rng: &mut DpRng,
+        memo: Option<&mut TranslationMemo>,
+    ) -> Result<QueryOutcome> {
+        let view = resolved.view.name.as_str();
+        let plan = match self.plan(analyst, resolved, memo)? {
             Ok(plan) => plan,
             Err(reason) => return Ok(QueryOutcome::Rejected { reason }),
         };
         let access = plan.access(resolved.view.sensitivity());
-
-        // Hold the commit gate across append → apply → release so durable
-        // snapshots (which take the write side) never observe a commit that
-        // is in the write-ahead ledger but only half-applied in memory.
-        let _commit_gate = self.commit_gate.read().expect("commit gate poisoned");
         let (seq, prev_entry, charged) = {
             let mut provenance = self.lock_provenance();
             let (prev_entry, new_entry, charged) = match plan.charge(&provenance, analyst, view) {
@@ -1052,7 +1110,7 @@ impl DProvDb {
             (seq, prev_entry, charged)
         };
 
-        match self.release(analyst, &plan, &resolved, charged, rng) {
+        match self.release(analyst, &plan, resolved, charged, rng) {
             Ok(answer) => Ok(QueryOutcome::Answered(answer)),
             Err(e) => {
                 {
@@ -1074,7 +1132,7 @@ impl DProvDb {
         analyst: AnalystId,
         resolved: &ResolvedRequest,
         mut memo: Option<&mut TranslationMemo>,
-    ) -> Result<std::result::Result<Plan<'_>, RejectReason>> {
+    ) -> Result<std::result::Result<Plan, RejectReason>> {
         // The mechanism the request has calibrated by then — at the
         // requested epsilon, or at the nominal epsilon by the translation
         // (Definition 9) — which the release reuses wherever it needs that
@@ -1085,16 +1143,9 @@ impl DProvDb {
                 self.translate_vanilla(resolved.per_bin_target, resolved.view.sensitivity(), memo)
             }
         };
-        let view_lock = match self.mechanism {
-            MechanismKind::Vanilla => {
-                return Ok(translate(memo).map(|mechanism| Plan::Vanilla { mechanism }));
-            }
-            // The additive path reads the hidden global synopsis, translates
-            // against it and then grows it; the per-view lock makes that
-            // read-translate-grow sequence atomic (entry lock first, view
-            // lock second — fixed order, deadlock-free).
-            MechanismKind::AdditiveGaussian => self.admission.lock_view(&resolved.view.name),
-        };
+        if self.mechanism == MechanismKind::Vanilla {
+            return Ok(translate(memo).map(|mechanism| Plan::Vanilla { mechanism }));
+        }
         let view = resolved.view.name.as_str();
         let global = self.synopses.global_state(view)?;
         let known = match translate(memo.as_deref_mut()) {
@@ -1146,7 +1197,6 @@ impl DProvDb {
             None => None,
         };
         Ok(Ok(Plan::Additive {
-            _view: view_lock,
             global_target,
             local_epsilon,
             known,
@@ -1162,7 +1212,7 @@ impl DProvDb {
     fn release(
         &self,
         analyst: AnalystId,
-        plan: &Plan<'_>,
+        plan: &Plan,
         resolved: &ResolvedRequest,
         charged: f64,
         rng: &mut DpRng,
@@ -1253,7 +1303,9 @@ impl DProvDb {
         for cell in cells {
             let start = Instant::now();
             let outcome = match cell {
-                Ok(resolved) => self.admit(analyst, resolved, rng, Some(&mut memo)),
+                Ok(resolved) => self
+                    .admit(analyst, resolved, Some(rng), Some(&mut memo), Locking::Wait)
+                    .expect("a waiting admission never gives up"),
                 Err(reason) => Ok(QueryOutcome::Rejected { reason }),
             };
             self.observe_outcome(analyst, &outcome, start.elapsed());
@@ -2027,55 +2079,101 @@ mod tests {
         }
     }
 
+    /// What a fall-through must leave untouched: the provenance table, the
+    /// synopsis cache (read back through a hit), the commit sequence, the
+    /// stats and the generator's position.
+    fn untouched(system: &DProvDb, rng: &DpRng) -> String {
+        let provenance = system.provenance();
+        format!(
+            "{:?} {:?} {} {:?} {:?}",
+            (0..2)
+                .map(|a| provenance.row_total(AnalystId(a)).to_bits())
+                .collect::<Vec<_>>(),
+            system.synopses.with_local(1, "adult.age", |local| local
+                .synopsis
+                .per_bin_variance
+                .to_bits()),
+            system.next_commit_seq(),
+            system.stats().answered + system.stats().rejected,
+            rng.checkpoint(),
+        )
+    }
+
     #[test]
-    fn answer_from_cache_is_the_submitted_hit_and_never_waits() {
+    fn try_submit_is_the_submitted_outcome_and_never_waits() {
         for mech in [MechanismKind::Vanilla, MechanismKind::AdditiveGaussian] {
             let (probed, submitted) = (build(mech, 4.0), build(mech, 4.0));
+            let (mut probed_rng, mut submitted_rng) =
+                (DpRng::for_stream(7, 1), DpRng::for_stream(7, 1));
             let analyst = AnalystId(1);
             let request = range_request(30, 39, 400.0);
-            assert!(probed.answer_from_cache(analyst, &request).is_none());
-            for system in [&probed, &submitted] {
-                system.submit_shared(analyst, &request).unwrap();
-            }
-            let hit = probed.answer_from_cache(analyst, &request).unwrap();
-            let oracle = submitted.submit_shared(analyst, &request).unwrap();
-            let (hit, oracle) = (hit.answered().unwrap(), oracle.answered().unwrap());
-            assert!(hit.from_cache && oracle.from_cache, "{mech}");
-            assert_eq!(hit.value.to_bits(), oracle.value.to_bits(), "{mech}");
-            assert_eq!(
-                hit.noise_variance.to_bits(),
-                oracle.noise_variance.to_bits()
-            );
-            assert_eq!((hit.epsilon_charged, hit.epoch), (0.0, oracle.epoch));
-
-            // Everything else returns `None` and records nothing.
-            let mut stricter = range_request(30, 39, 1.0);
+            let stricter = range_request(30, 39, 100.0);
+            let privacy = QueryRequest::with_privacy(request.query.clone(), 0.5);
             let unanswerable = QueryRequest::with_accuracy(
                 Query::range_count("adult", "no_such_attribute", 0, 1),
                 400.0,
             );
-            let privacy = QueryRequest::with_privacy(request.query.clone(), 0.5);
-            let view = hit.view.clone().unwrap();
+
+            // Without a generator only a hit is answered.
+            assert!(probed
+                .try_submit_with_rng(analyst, &request, None)
+                .is_none());
+            // Miss, hit (generator-less too), privacy-mode commit and a
+            // stricter miss: outcome and stream position as submitted.
+            let mut oracle = Vec::new();
+            let mut tried = Vec::new();
+            for (step, next) in [&request, &request, &request, &privacy, &stricter]
+                .into_iter()
+                .enumerate()
             {
-                let _entry = probed.admission.lock_entry(analyst.0, &view);
-                assert!(probed.answer_from_cache(analyst, &request).is_none());
+                oracle.push(format!(
+                    "{:?} {:?}",
+                    submitted.submit_with_rng(analyst, next, &mut submitted_rng),
+                    submitted_rng.checkpoint()
+                ));
+                let rng = (step != 2).then_some(&mut probed_rng);
+                let outcome = probed.try_submit_with_rng(analyst, next, rng).unwrap();
+                tried.push(format!("{outcome:?} {:?}", probed_rng.checkpoint()));
+            }
+            assert_eq!(tried, oracle, "{mech}");
+
+            // Each tried lock and an unresolvable request fall through and
+            // leave no trace. A hit takes only the epoch gate and the entry
+            // lock.
+            let before = untouched(&probed, &probed_rng);
+            let strictest = range_request(30, 39, 10.0);
+            let mut probe = |requests: &[&QueryRequest]| {
+                for next in requests {
+                    let rng = Some(&mut probed_rng);
+                    assert!(probed.try_submit_with_rng(analyst, next, rng).is_none());
+                }
+            };
+            {
+                let _entry = probed.admission.lock_entry(analyst.0, "adult.age");
+                probe(&[&request, &strictest]);
             }
             {
                 let _seal = probed.epoch_gate.write().unwrap();
-                assert!(probed.answer_from_cache(analyst, &request).is_none());
+                probe(&[&request, &strictest]);
             }
-            for refused in [&stricter, &unanswerable, &privacy] {
-                assert!(probed.answer_from_cache(analyst, refused).is_none());
+            {
+                let _freeze = probed.freeze_commits();
+                probe(&[&strictest]);
             }
-            assert!(probed.answer_from_cache(AnalystId(9), &request).is_none());
-            stricter.mode = SubmissionMode::Accuracy { variance: 400.0 };
-            assert!(probed.answer_from_cache(analyst, &stricter).is_some());
+            probe(&[&unanswerable]);
+            assert_eq!(untouched(&probed, &probed_rng), before, "{mech}");
+            assert!(matches!(
+                probed.try_submit_with_rng(AnalystId(9), &request, None),
+                Some(Err(CoreError::UnknownAnalyst(_)))
+            ));
 
-            // The probe's two hits count exactly as the oracle's two.
-            submitted.submit_shared(analyst, &request).unwrap();
+            // Every answer counted exactly as the oracle's.
             let (p, s) = (probed.stats(), submitted.stats());
-            assert_eq!((p.answered, p.cache_hits, p.rejected), (3, 2, 0), "{mech}");
-            assert_eq!((s.answered, s.cache_hits, s.rejected), (3, 2, 0), "{mech}");
+            assert_eq!(
+                (p.answered, p.cache_hits, p.rejected),
+                (s.answered, s.cache_hits, s.rejected),
+                "{mech}"
+            );
             let (p, s) = (probed.metrics().snapshot(), submitted.metrics().snapshot());
             for counter in [
                 "query.answered",
@@ -2089,6 +2187,31 @@ mod tests {
             };
             assert_eq!(executed(&p), executed(&s), "{mech}");
         }
+    }
+
+    /// A `Try` admission gives up on a held entry lock or commit gate but
+    /// waits for the view lock: its holder is finishing one admission on
+    /// the same view. The probe runs on its own thread so that one which
+    /// gave up reads as an early reply.
+    #[test]
+    fn a_try_admission_waits_for_the_view_lock() {
+        let system = &build(MechanismKind::AdditiveGaussian, 4.0);
+        let request = &range_request(30, 39, 400.0);
+        let view = system.admission.lock_view("adult.age");
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::scope(|scope| {
+            let submitter = scope.spawn(move || {
+                let mut rng = DpRng::for_stream(7, 1);
+                let outcome = system.try_submit_with_rng(AnalystId(1), request, Some(&mut rng));
+                tx.send(outcome).unwrap();
+            });
+            let early = rx.recv_timeout(Duration::from_millis(200));
+            drop(view);
+            submitter.join().unwrap();
+            assert!(early.is_err(), "the admission gave up on the view lock");
+            let answer = rx.recv().unwrap().expect("admitted").unwrap();
+            assert!(!answer.answered().unwrap().from_cache);
+        });
     }
 
     /// Only the additive path serialises on a view (its global synopsis);

@@ -7,10 +7,18 @@
 //! and deals accepted sockets out round-robin. Every connection lives on
 //! exactly one loop — its state is plain owned data, never locked — and
 //! worker-pool completions find their way home through the owning loop's
-//! mailbox plus a waker nudge. A provable cache hit never leaves the loop:
-//! `process_frames` offers every submission to
-//! [`QueryService::try_answer_inline`] first and writes its reply
-//! directly, and only what that refuses is dispatched to the pool.
+//! mailbox plus a waker nudge. `process_frames` offers every submission
+//! to [`QueryService::try_answer_inline`] first and writes its reply
+//! directly: while the worker pool is idle a scalar request (a hit, a
+//! miss, a refusal or a privacy-mode commit) never leaves the loop, and
+//! while it is busy a provable cache hit does not. Only what that refuses
+//! — GROUP BY, a contended lock, an unresolvable request, a due
+//! compaction — is dispatched to the pool. An inline request holds its
+//! loop for one scalar admission, its journal append and its session
+//! checkpoint (in fsync mode, the fsyncs of those two appends); inside
+//! the admission it may wait for the provenance lock and, under the
+//! additive mechanism, the view lock, each held by another admission for
+//! part of its own work.
 
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, Read, Write};
@@ -679,9 +687,9 @@ impl LoopCore {
         true
     }
 
-    /// Writes the reply to a provable cache hit answered on this thread
-    /// (see [`QueryService::try_answer_inline`]); `false` leaves the
-    /// submission to [`Self::dispatch`].
+    /// Writes the reply to a request answered on this thread (see
+    /// [`QueryService::try_answer_inline`]); `false` leaves the submission
+    /// to [`Self::dispatch`].
     fn answer_inline(
         &mut self,
         conn: &mut Conn,
@@ -702,7 +710,7 @@ impl LoopCore {
             conn.lane,
             request_id,
             scope,
-            &reply_to_protocol(Ok(reply)),
+            &reply_to_protocol(reply),
         );
         self.push_out(conn, reply);
         true

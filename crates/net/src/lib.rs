@@ -17,15 +17,22 @@
 //! transport, asserting bit-identical answers, noise streams and budget
 //! charges.
 //!
-//! **Cache hits never leave the loop.** Every submission is first offered
-//! to [`dprov_server::QueryService::try_answer_inline`]: a provable cache
-//! hit (scalar, accuracy mode, idle session with durable draws, a cached
-//! synopsis that already meets the target) is answered and encoded on the
-//! loop thread, skipping the queue, the worker wake-up and the completion
-//! mailbox. The probe only *tries* its locks and never touches the store,
-//! so a loop thread still never blocks; everything it refuses is
-//! dispatched to the worker pool as below. The in-process frontend always
-//! queues, which keeps it a differential oracle for this path too.
+//! **Scalar requests stay on the loop while the pool is idle.** Every
+//! submission is first offered to
+//! [`dprov_server::QueryService::try_answer_inline`]. On an idle session
+//! with durable draws, while no job is queued or running and no
+//! compaction is due, a scalar request — accuracy or privacy mode, hit,
+//! miss or refusal — is admitted, journalled, checkpointed and encoded on
+//! the loop thread, skipping the queue, the worker wake-up and the
+//! completion mailbox; while the pool is busy only a provable cache hit
+//! is. The path only *tries* the locks a request could hold for its
+//! whole work, so a loop thread waits on nothing but its own request's
+//! admission, journal append and session checkpoint, and on the
+//! provenance and (additive) view locks, which another admission holds
+//! for part of its own; everything it refuses is dispatched to the worker
+//! pool as below. The
+//! in-process frontend always queues, which keeps it a differential
+//! oracle for this path too.
 //!
 //! **Backpressure end to end.** The worker pool's bounded queue blocks a
 //! blocking submitter. Here nothing may block, so the loop converts queue

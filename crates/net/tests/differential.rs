@@ -340,12 +340,13 @@ fn event_loop_runs_are_reproducible() {
     assert_eq!(first, second);
 }
 
-/// Cache hits on one session around the event loop's inline path: the
-/// synchronous ones find the session idle and are answered on the loop
-/// thread; a hit pipelined behind a miss on its own (analyst, view), or
-/// behind a GROUP BY, finds the session's lane busy and queues, so it
-/// comes back after that work and from the synopsis the miss released; a
-/// privacy-mode request that would hit queues too.
+/// One session around the event loop's inline path. The synchronous
+/// requests find the session and the worker pool idle and are answered on
+/// the loop thread: cache hits, misses that commit, a refusal and
+/// privacy-mode commits. A hit pipelined behind a miss on its own
+/// (analyst, view), or behind a GROUP BY, finds the session's lane busy
+/// and queues, so it comes back after that work and from the synopsis the
+/// miss released.
 fn inline_workload(dial: Dial) -> Vec<String> {
     let mut log = Vec::new();
     let mut alice = DProvClient::connect(dial(), "alice-conn").unwrap();
@@ -353,6 +354,18 @@ fn inline_workload(dial: Dial) -> Vec<String> {
     let hit = age_query(30, 50, 450.0);
     for i in 0..5 {
         log.push(render(&format!("sync {i}"), &alice.query(&hit).unwrap()));
+    }
+    let hours =
+        QueryRequest::with_privacy(Query::range_count("adult", "hours_per_week", 20, 40), 0.2);
+    for (tag, request) in [
+        ("sync miss", age_query(30, 50, 350.0)),
+        ("sync refusal", age_query(30, 50, 1e-9)),
+        ("sync privacy commit", hours.clone()),
+        ("sync privacy repeat", hours),
+        ("sync miss on hours", hours_query(20, 40, 600.0)),
+    ] {
+        let outcome = alice.query(&request).unwrap();
+        log.push(render(tag, &outcome));
     }
 
     // The GROUP BY ahead keeps the lane busy while the next two frames
@@ -392,8 +405,9 @@ fn inline_workload(dial: Dial) -> Vec<String> {
     log
 }
 
-/// The inline path is result-transparent: the event-loop arm answers some
-/// hits on its loop thread, the in-process arm none, and the transcripts
+/// The inline path is result-transparent: the event-loop arm answers
+/// every synchronous request on its loop thread — hits, misses, a refusal
+/// and privacy-mode commits — the in-process arm none, and the transcripts
 /// match bit for bit — on a volatile service and on a durable one, where
 /// both arms also append the same number of ledger records.
 #[test]
@@ -430,9 +444,12 @@ fn inline_cache_hits_match_the_queued_transcript() {
             event_loop.0, in_process.0,
             "durable={durable}: transcripts diverged"
         );
+        // The 14 synchronous requests always find the pool idle; a
+        // pipelined one goes inline too when the work ahead of it finished
+        // before the loop read its frame.
         assert!(
-            event_loop.1 > 0,
-            "durable={durable}: no hit was answered inline"
+            event_loop.1 >= 14,
+            "durable={durable}: every synchronous request is answered inline"
         );
         assert_eq!(in_process.1, 0, "the in-process frontend always queues");
         assert_eq!(

@@ -5,7 +5,8 @@
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use dprov_api::frame::{frame, read_frame, MAX_FRAME_LEN};
@@ -15,7 +16,9 @@ use dprov_core::analyst::AnalystRegistry;
 use dprov_core::config::SystemConfig;
 use dprov_core::mechanism::MechanismKind;
 use dprov_core::processor::{GroupedRequest, QueryRequest};
+use dprov_core::recorder::{CommitRecord, DataAccess, Recorder};
 use dprov_core::system::DProvDb;
+use dprov_core::StorageError;
 use dprov_engine::catalog::ViewCatalog;
 use dprov_engine::datagen::adult::adult_database;
 use dprov_engine::group::GroupByQuery;
@@ -93,11 +96,16 @@ fn hello_frame() -> Vec<u8> {
 /// Reads one response payload with a deadline so a hung server fails the
 /// test instead of hanging it.
 fn recv_response(stream: &mut TcpStream) -> Response {
+    recv_with_id(stream).1
+}
+
+/// [`recv_response`] with the response's request id.
+fn recv_with_id(stream: &mut TcpStream) -> (u64, Response) {
     stream
         .set_read_timeout(Some(Duration::from_secs(10)))
         .unwrap();
     let payload = read_frame(stream).unwrap().expect("peer closed early");
-    decode_response(&payload).unwrap().1
+    decode_response(&payload).unwrap()
 }
 
 #[test]
@@ -502,5 +510,192 @@ fn abandoned_sessions_are_expired_on_the_tick() {
             err.message
         );
     }
+    listener.shutdown();
+}
+
+/// An unknown request tag (retired tag 13 here) costs only that request:
+/// it is refused with a typed error under its own request id, and a valid
+/// request pipelined behind it on the same connection is answered.
+#[test]
+fn a_request_pipelined_behind_an_unknown_tag_is_answered() {
+    let service = service();
+    let listener = listen(&service, "127.0.0.1:0").unwrap();
+    let mut stream = TcpStream::connect(listener.local_addr()).unwrap();
+    stream.write_all(&hello_frame()).unwrap();
+    assert!(matches!(
+        recv_response(&mut stream),
+        Response::HelloAck { .. }
+    ));
+
+    let mut retired = vec![PROTOCOL_VERSION, 13];
+    retired.extend_from_slice(&5u64.to_le_bytes());
+    retired.extend_from_slice(&[0, 0, 0, 0]);
+    let mut burst = frame(&retired);
+    burst.extend_from_slice(&frame(&encode_request(
+        6,
+        &Request::RegisterSession {
+            analyst_name: "alice".to_owned(),
+            resume: None,
+        },
+    )));
+    stream.write_all(&burst).unwrap();
+    match recv_with_id(&mut stream) {
+        (5, Response::Error(e)) => assert_eq!(e.code, codes::MALFORMED_FRAME, "{e:?}"),
+        other => panic!("expected a typed refusal of request 5, got {other:?}"),
+    }
+    match recv_with_id(&mut stream) {
+        (6, Response::SessionRegistered { .. }) => {}
+        other => panic!("expected request 6 answered, got {other:?}"),
+    }
+    assert!(listener.take_fatal_error().is_none());
+    listener.shutdown();
+}
+
+/// Records the thread that journals each admission and, once armed,
+/// parks the next one until released.
+struct ThreadRecorder {
+    threads: Mutex<Vec<String>>,
+    armed: AtomicBool,
+    parked: Mutex<mpsc::Sender<()>>,
+    release: Mutex<mpsc::Receiver<()>>,
+}
+
+impl Recorder for ThreadRecorder {
+    fn record_admission(
+        &self,
+        _commit: &CommitRecord,
+        _access: Option<&DataAccess>,
+    ) -> Result<(), StorageError> {
+        let thread = std::thread::current().name().unwrap_or("").to_owned();
+        self.threads.lock().unwrap().push(thread);
+        if self.armed.swap(false, Ordering::SeqCst) {
+            self.parked.lock().unwrap().send(()).unwrap();
+            // Bounded, so a failing test cannot leave a thread parked.
+            let _ = self
+                .release
+                .lock()
+                .unwrap()
+                .recv_timeout(Duration::from_secs(30));
+        }
+        Ok(())
+    }
+
+    fn record_rollback(&self, _seq: u64) -> Result<(), StorageError> {
+        Ok(())
+    }
+}
+
+/// Runs `call` on its own thread; its result arrives on the receiver.
+fn spawn_call<T: Send + 'static>(call: impl FnOnce() -> T + Send + 'static) -> mpsc::Receiver<T> {
+    let (tx, rx) = mpsc::channel();
+    std::thread::spawn(move || {
+        let _ = tx.send(call());
+    });
+    rx
+}
+
+/// The bound on how long an inline request holds its loop: its own scalar
+/// admission, whose journal append runs on the loop thread, and nothing
+/// that belongs to another request. While a queued GROUP BY is parked in
+/// its journal append on the only worker, the pool is busy: a miss on
+/// the same loop queues instead of running there, and the loop keeps
+/// answering. While an inline commit is parked in its own append, that
+/// loop answers nothing else until the append returns.
+#[test]
+fn an_inline_request_holds_its_loop_for_one_scalar_admission() {
+    let (parked_tx, parked) = mpsc::channel();
+    let (release, release_rx) = mpsc::channel();
+    let recorder = Arc::new(ThreadRecorder {
+        threads: Mutex::new(Vec::new()),
+        armed: AtomicBool::new(false),
+        parked: Mutex::new(parked_tx),
+        release: Mutex::new(release_rx),
+    });
+    let db = adult_database(300, 1);
+    let catalog = ViewCatalog::one_per_attribute(&db, "adult").unwrap();
+    let mut registry = AnalystRegistry::new();
+    registry.register("alice", 2).unwrap();
+    registry.register("bob", 2).unwrap();
+    let config = SystemConfig::new(8.0).unwrap().with_seed(5);
+    let mut system = DProvDb::new(db, catalog, registry, config, MechanismKind::Vanilla).unwrap();
+    system.set_recorder(Arc::clone(&recorder) as Arc<dyn Recorder>);
+    let service = Arc::new(QueryService::start(
+        Arc::new(system),
+        ServiceConfig::builder().workers(1).build().unwrap(),
+    ));
+    let frontend = EventLoopFrontend::new(
+        &service,
+        NetConfig {
+            loop_threads: 1,
+            ..NetConfig::default()
+        },
+    );
+    let listener = frontend.listen("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr();
+    let journalled = || recorder.threads.lock().unwrap().clone();
+    let inline_answers = || {
+        service
+            .metrics()
+            .snapshot()
+            .counter("frontend.inline_answers")
+            .unwrap()
+    };
+
+    // An idle pool: alice's miss is admitted and journalled on the loop.
+    let mut alice = DProvClient::connect_tcp(addr, "alice").unwrap();
+    alice.register("alice").unwrap();
+    assert!(alice.query(&age_query(20, 40)).unwrap().is_answered());
+    assert_eq!(journalled(), ["dprov-net-loop-0"]);
+    assert_eq!(inline_answers(), 1);
+
+    // A GROUP BY always queues; its first cell parks on the worker.
+    recorder.armed.store(true, Ordering::SeqCst);
+    let grouped = GroupedRequest::with_accuracy(GroupByQuery::count("adult", &["sex"]), 500.0);
+    let grouped = alice.submit_group_by(&grouped).unwrap();
+    parked.recv_timeout(Duration::from_secs(10)).unwrap();
+    assert_eq!(journalled()[1], "dprov-worker-0");
+
+    // Bob's miss on the same loop meets a busy pool and queues; the loop
+    // still answers his heartbeat at once.
+    let mut bob = DProvClient::connect_tcp(addr, "bob").unwrap();
+    bob.register("bob").unwrap();
+    let hours =
+        QueryRequest::with_accuracy(Query::range_count("adult", "hours_per_week", 20, 40), 500.0);
+    let queued = bob.submit(&hours).unwrap();
+    let started = Instant::now();
+    bob.heartbeat().unwrap();
+    assert!(started.elapsed() < Duration::from_secs(5));
+    assert_eq!(
+        journalled().len(),
+        2,
+        "the queued miss waits for the worker"
+    );
+    release.send(()).unwrap();
+    alice.poll_grouped(grouped).unwrap();
+    assert!(bob.poll(queued).unwrap().is_answered());
+    assert_eq!(
+        journalled()[2..],
+        ["dprov-worker-0"],
+        "bob's miss ran on the worker"
+    );
+    assert_eq!(inline_answers(), 1);
+
+    // The pool is idle again: an inline commit parked in its own journal
+    // append holds the loop, and the loop is free the moment it returns.
+    recorder.armed.store(true, Ordering::SeqCst);
+    let stricter = QueryRequest::with_accuracy(Query::range_count("adult", "age", 20, 40), 100.0);
+    let alice_done = spawn_call(move || alice.query(&stricter).unwrap());
+    parked.recv_timeout(Duration::from_secs(10)).unwrap();
+    assert_eq!(journalled().last().unwrap(), "dprov-net-loop-0");
+    let bob_done = spawn_call(move || bob.heartbeat().unwrap());
+    assert!(
+        bob_done.recv_timeout(Duration::from_millis(200)).is_err(),
+        "the parked loop answered another request"
+    );
+    release.send(()).unwrap();
+    bob_done.recv_timeout(Duration::from_secs(10)).unwrap();
+    let answer = alice_done.recv_timeout(Duration::from_secs(10)).unwrap();
+    assert!(!answer.answered().unwrap().from_cache, "a fresh commit");
+    assert_eq!(inline_answers(), 2);
     listener.shutdown();
 }

@@ -99,7 +99,7 @@ pub enum CounterId {
     /// Noise-scale calibrations the core ran outside a translation (a
     /// request calibrates each distinct epsilon once).
     Calibrations,
-    /// Provable cache hits the event-loop frontend answered on its loop
+    /// Scalar requests the event-loop frontend answered on its loop
     /// thread, never queued (they add no `queue.wait_ns` or `batch.size`
     /// sample).
     InlineAnswers,

@@ -34,8 +34,8 @@ use std::collections::HashMap;
 use std::sync::Weak;
 
 use dprov_api::protocol::{
-    decode_request, encode_response, BudgetReport, Request, Response, MIN_SUPPORTED_VERSION,
-    PROTOCOL_VERSION,
+    decode_request, encode_response, unknown_request_tag, BudgetReport, Request, Response,
+    MIN_SUPPORTED_VERSION, PROTOCOL_VERSION,
 };
 use dprov_api::{codes, ApiError};
 use dprov_core::analyst::AnalystId;
@@ -134,11 +134,17 @@ impl ConnProto {
         let (request_id, request) = match decode_request(payload) {
             Ok(pair) => pair,
             Err(e) => {
-                // The frame boundary is intact (framing is below us) but
-                // the body is undecodable — the peer speaks a different
-                // dialect. Report once and drop the connection: without a
-                // request id, outstanding requests cannot be answered
-                // reliably anyway.
+                // The frame boundary is intact (framing is below us). A
+                // header that decodes with a tag no request uses (a newer
+                // or retired message) costs only that request: it is
+                // refused under its own id and the connection stays open.
+                if let Some(request_id) = unknown_request_tag(payload) {
+                    return PayloadOutcome::Reply(encode_response(request_id, &Response::Error(e)));
+                }
+                // Anything else is undecodable — the peer speaks a
+                // different dialect. Report once and drop the connection:
+                // without a request id, outstanding requests cannot be
+                // answered reliably anyway.
                 return PayloadOutcome::ReplyClose(encode_response(0, &Response::Error(e)));
             }
         };

@@ -23,13 +23,14 @@
 //!   [`QueryService::try_submit`] never blocks (the event-loop frontend's
 //!   path) and [`QueryService::submit`] returns a [`Pending`] handle
 //!   (same-process embedders and [`crate::frontend::Frontend`]);
-//! * a shortcut past the queue for provable cache hits only:
-//!   [`QueryService::try_answer_inline`] answers a scalar accuracy-mode
-//!   request on an idle session from its analyst's cached synopsis on the
-//!   caller's thread, never waiting on a lock, and refuses everything else
-//!   back to [`QueryService::try_submit`]. The event-loop frontend tries it
-//!   first; [`QueryService::submit`] never takes it, so the in-process
-//!   frontend runs every request through the queue.
+//! * a shortcut past the queue for scalar requests:
+//!   [`QueryService::try_answer_inline`] admits a scalar request on an
+//!   idle session on the caller's thread while the worker pool is idle,
+//!   answers only a provable cache hit while it is busy, never waits for
+//!   another request's whole work, and refuses everything else back to
+//!   [`QueryService::try_submit`]. The event-loop frontend tries it first;
+//!   [`QueryService::submit`] never takes it, so the in-process frontend
+//!   runs every request through the queue.
 
 use std::collections::{HashMap, VecDeque};
 use std::path::PathBuf;
@@ -45,6 +46,7 @@ use dprov_core::recorder::Recorder;
 use dprov_core::system::{DProvDb, SystemStats};
 use dprov_core::{CoreError, StorageError};
 use dprov_dp::accountant::CompositionMethod;
+use dprov_dp::rng::{DpRng, RngCheckpoint};
 use dprov_obs::{CounterId, GaugeId, HistId, Histogram, HistogramSnapshot, MetricsRegistry, Stage};
 use dprov_storage::{
     analysts_digest, config_fingerprint, ProvenanceStore, SessionCheckpoint, StoreOptions,
@@ -456,6 +458,12 @@ struct DurableCtx {
 }
 
 impl DurableCtx {
+    /// True once the ledger has grown past the compaction watermark.
+    fn compaction_due(&self) -> bool {
+        self.snapshot_every > 0
+            && self.store.appends_since_snapshot() >= self.next_compaction_at.load(Ordering::SeqCst)
+    }
+
     /// Runs one compaction, maintaining the backoff watermark and the
     /// surfaced error state.
     fn try_compact(&self, system: &DProvDb) -> Result<(), StorageError> {
@@ -828,6 +836,7 @@ impl QueryService {
     fn checkpoint_session(
         durable: Option<&DurableCtx>,
         session: &Session,
+        rng: RngCheckpoint,
     ) -> Result<(), ServerError> {
         durable.map_or(Ok(()), |ctx| {
             #[cfg(test)]
@@ -840,9 +849,63 @@ impl QueryService {
                 .record_session(&SessionCheckpoint {
                     session: session.id().0,
                     analyst: session.analyst(),
-                    rng: session.rng_checkpoint(),
+                    rng,
                 })
                 .map_err(ServerError::Storage)
+        })
+    }
+
+    /// Runs one unit of work on its session's noise stream and settles it,
+    /// for a worker and for [`Self::try_answer_inline`] alike: the
+    /// `Execute` trace stage (keyed by `trace`, the trace id and lane),
+    /// the completion count, the durable session checkpoint and the
+    /// session's outcome counters. `None` — only from an inline `run`
+    /// that gave up having drawn nothing — settles nothing.
+    ///
+    /// The session is checkpointed when the work drew noise, or when an
+    /// earlier checkpoint failed: an acknowledged answer's draws are
+    /// durable, and a hit or a refusal that drew nothing has nothing new
+    /// to persist. A failed job still checkpoints the noise it drew: a
+    /// grouped job can fail at cell k after cells < k released into the
+    /// synopsis cache, and recovering the stream at its old position would
+    /// re-release that randomness. The outcome is mirrored on the session,
+    /// whose idle lane then tells [`Self::try_answer_inline`] whether
+    /// every draw is durable.
+    fn run_and_checkpoint(
+        durable: Option<&DurableCtx>,
+        completed: &AtomicUsize,
+        metrics: &MetricsRegistry,
+        session: &Session,
+        mut rng: MutexGuard<'_, DpRng>,
+        trace: (u64, u64),
+        run: impl FnOnce(&mut DpRng) -> Option<Result<Reply, CoreError>>,
+    ) -> Option<Result<Reply, ServerError>> {
+        let exec_start = metrics.start();
+        let before = rng.checkpoint();
+        let result = run(&mut rng)?;
+        let position = rng.checkpoint();
+        drop(rng);
+        if let Some(t0) = exec_start {
+            // The Execute latency histogram is recorded inside the core (it
+            // also covers cache hits served without a service); here only
+            // the trace stage is added.
+            metrics.trace(trace.0, Stage::Execute, trace.1, t0, t0.elapsed());
+        }
+        completed.fetch_add(1, Ordering::Relaxed);
+        let checkpointed = if position != before || !session.draws_durable() {
+            let checkpointed = Self::checkpoint_session(durable, session, position);
+            session.set_draws_durable(checkpointed.is_ok());
+            checkpointed
+        } else {
+            Ok(())
+        };
+        Some(match (result, checkpointed) {
+            (Ok(reply), Ok(())) => {
+                session.record_outcome(reply.is_answered());
+                Ok(reply)
+            }
+            (Ok(_), Err(e)) => Err(e),
+            (Err(e), _) => Err(ServerError::Core(e)),
         })
     }
 
@@ -868,8 +931,7 @@ impl QueryService {
         } = job;
         // Executing a query also counts as session activity.
         session.heartbeat();
-        let exec_start = metrics.start();
-        if let (Some(now), Some(enqueued_at)) = (exec_start, enqueued_at) {
+        if let (Some(now), Some(enqueued_at)) = (metrics.start(), enqueued_at) {
             // Queue wait covers time in the global queue *and* in a
             // session lane — submission to execution start either way.
             let waited = now.saturating_duration_since(enqueued_at);
@@ -880,52 +942,32 @@ impl QueryService {
         // stream the scalar path uses, under the same lock — cell order is
         // the core's canonical group enumeration, so answers stay
         // deterministic.
-        let (result, drew) = {
-            let mut rng = session.rng.lock().expect("session rng poisoned");
-            let before = rng.checkpoint();
-            let result = match &work {
-                Work::Scalar(request) => system
-                    .submit_with_rng(session.analyst(), request, &mut rng)
-                    .map(Reply::Scalar),
-                Work::Grouped(request) => system
-                    .answer_group_by_with_rng(session.analyst(), request, &mut rng)
-                    .map(Reply::Grouped),
-            };
-            (result, rng.checkpoint() != before)
-        };
-        if let Some(t0) = exec_start {
-            // The Execute latency histogram is recorded inside the core (it
-            // also covers cache hits served without a service); here only
-            // the trace stage is added.
-            metrics.trace(trace_id, Stage::Execute, worker, t0, t0.elapsed());
-        }
-        completed.fetch_add(1, Ordering::Relaxed);
-        // A failed job still checkpoints the noise it drew: a grouped job
-        // can fail at cell k after cells < k released into the synopsis
-        // cache, and recovering the stream at its old position would
-        // re-release that randomness. The outcome is mirrored on the
-        // session, whose idle lane (retired below) then tells
-        // `try_answer_inline` whether every draw is durable.
-        let checkpointed = if result.is_ok() || drew {
-            let checkpointed = Self::checkpoint_session(durable, &session);
-            session.set_draws_durable(checkpointed.is_ok());
-            checkpointed
-        } else {
-            Ok(())
-        };
-        let reply = match (result, checkpointed) {
-            (Ok(reply), Ok(())) => {
-                session.record_outcome(reply.is_answered());
-                Ok(reply)
-            }
-            (Ok(_), Err(e)) => Err(e),
-            (Err(e), _) => Err(ServerError::Core(e)),
-        };
+        let rng = session.rng.lock().expect("session rng poisoned");
+        let analyst = session.analyst();
+        let reply = Self::run_and_checkpoint(
+            durable,
+            completed,
+            metrics,
+            &session,
+            rng,
+            (trace_id, worker),
+            |rng| {
+                Some(match &work {
+                    Work::Scalar(request) => system
+                        .submit_with_rng(analyst, request, rng)
+                        .map(Reply::Scalar),
+                    Work::Grouped(request) => system
+                        .answer_group_by_with_rng(analyst, request, rng)
+                        .map(Reply::Grouped),
+                })
+            },
+        )
+        .expect("a queued job always runs");
 
         // Chain or retire the lane before replying, so a client that sends
-        // its next request on receipt finds the session idle and a cache
-        // hit can be answered inline. Execution order is unchanged: the
-        // session's next job runs only after this one.
+        // its next request on receipt finds the session idle and can be
+        // answered inline. Execution order is unchanged: the session's next
+        // job runs only after this one.
         let next = {
             let mut lanes = lanes.lock().expect("lane map poisoned");
             let lane = lanes
@@ -945,12 +987,10 @@ impl QueryService {
         // Periodic compaction: fold the ledger into a snapshot once
         // it has grown past the watermark (raised after failures so
         // a broken disk does not stall every job; the error stays
-        // queryable via `last_compaction_error`).
+        // queryable via `last_compaction_error`). Only a worker
+        // compacts: a request that finds a compaction due queues.
         if let Some(ctx) = durable {
-            if ctx.snapshot_every > 0
-                && ctx.store.appends_since_snapshot()
-                    >= ctx.next_compaction_at.load(Ordering::SeqCst)
-            {
+            if ctx.compaction_due() {
                 let _ = ctx.try_compact(system);
             }
         }
@@ -1261,61 +1301,82 @@ impl QueryService {
         Ok(())
     }
 
-    /// Answers a provable cache hit on the calling thread, or returns
-    /// `None` and leaves the work to [`Self::try_submit`]. The event-loop
-    /// frontend tries it first for every submission, so a hit skips the
+    /// Answers a scalar request on the calling thread, or returns `None`
+    /// and leaves the work to [`Self::try_submit`]. The event-loop frontend
+    /// tries it first for every submission, so what it answers skips the
     /// queue, the worker wake-up and the completion mailbox.
     ///
-    /// A provable hit is a scalar, accuracy-mode request on a live session
-    /// with nothing queued or executing (an idle lane, so per-session FIFO
-    /// holds) and every noise draw durable (so the worker's "checkpoint or
-    /// withhold" rule has nothing to do), whose analyst's cached synopsis
-    /// already meets the target ([`DProvDb::answer_from_cache`]). Nothing
-    /// here waits: the epoch barrier, the core's epoch gate and the entry
-    /// lock are only tried, and the store lock is never taken. The reply
-    /// and the counters are those the queued job would have produced;
-    /// `trace_id` and `lane` key the job's `Execute` trace stage.
+    /// It answers on a live session with nothing queued or executing (an
+    /// idle lane, so per-session FIFO holds) and every noise draw durable:
+    ///
+    /// * while the worker pool is idle — the lane map is empty, so no job
+    ///   is queued or running — and no compaction is due (a worker
+    ///   compacts), any scalar request, in accuracy or privacy mode: the
+    ///   whole admission runs here through
+    ///   [`DProvDb::try_submit_with_rng`], journal append and session
+    ///   checkpoint included. In fsync mode an inline commit therefore
+    ///   holds its loop for the fsyncs of those two appends;
+    /// * otherwise only a provable cache hit in accuracy mode, which draws
+    ///   nothing and appends nothing.
+    ///
+    /// Nothing here waits for another request's whole work: the epoch
+    /// barrier, the core's epoch gate, the session's generator, the entry
+    /// lock and the commit gate are only tried, and a request that fails
+    /// to resolve falls through. An additive admission waits for its view
+    /// lock, whose holder is finishing one admission on the same view. GROUP
+    /// BY always queues. The reply and the counters are those the queued
+    /// job would have produced; `trace_id` and `lane` key the `Execute`
+    /// trace stage.
     pub fn try_answer_inline(
         &self,
         id: SessionId,
         work: &Work,
         trace_id: u64,
         lane: u64,
-    ) -> Option<Reply> {
+    ) -> Option<Result<Reply, ServerError>> {
         let Work::Scalar(request) = work else {
             return None;
         };
-        if !matches!(request.mode, SubmissionMode::Accuracy { .. }) {
-            return None;
-        }
         let session = self.sessions.get(id).ok()?;
         let _epoch = self.epoch_barrier.try_read().ok()?;
-        if self
-            .lanes
-            .lock()
-            .expect("lane map poisoned")
-            .contains_key(&id.0)
-        {
-            return None;
-        }
+        let pool_idle = {
+            let lanes = self.lanes.lock().expect("lane map poisoned");
+            if lanes.contains_key(&id.0) {
+                return None;
+            }
+            lanes.is_empty()
+        };
         // Read after the lane map: the worker that retired the lane set
         // the flag before taking the map's lock.
         if !session.draws_durable() {
             return None;
         }
-        let exec_start = self.metrics.start();
-        let outcome = self.system.answer_from_cache(session.analyst(), request)?;
-        // What `execute_job` records for a hit.
+        let admit = pool_idle
+            && !self
+                .durable
+                .as_deref()
+                .is_some_and(DurableCtx::compaction_due);
+        if !admit && !matches!(request.mode, SubmissionMode::Accuracy { .. }) {
+            return None;
+        }
+        let rng = session.rng.try_lock().ok()?;
+        let reply = Self::run_and_checkpoint(
+            self.durable.as_deref(),
+            &self.completed,
+            &self.metrics,
+            &session,
+            rng,
+            (trace_id, lane),
+            |rng| {
+                self.system
+                    .try_submit_with_rng(session.analyst(), request, admit.then_some(rng))
+                    .map(|outcome| outcome.map(Reply::Scalar))
+            },
+        )?;
         session.heartbeat();
         self.record_accepted(&session, None);
-        if let Some(t0) = exec_start {
-            self.metrics
-                .trace(trace_id, Stage::Execute, lane, t0, t0.elapsed());
-        }
-        self.completed.fetch_add(1, Ordering::Relaxed);
-        session.record_outcome(true);
         self.metrics.incr(CounterId::InlineAnswers);
-        Some(Reply::Scalar(outcome))
+        Some(reply)
     }
 
     /// Builds the job for one submission on a live session.
@@ -2299,6 +2360,10 @@ mod tests {
     /// A volatile service of `pool` workers whose commits pass through a
     /// [`GateRecorder`].
     fn gated_service(pool: usize) -> (Arc<QueryService>, Gate) {
+        gated_service_of(pool, MechanismKind::Vanilla)
+    }
+
+    fn gated_service_of(pool: usize, mechanism: MechanismKind) -> (Arc<QueryService>, Gate) {
         let (entered_tx, entered) = mpsc::channel();
         let (release, release_rx) = mpsc::channel();
         let recorder = Arc::new(GateRecorder {
@@ -2306,7 +2371,7 @@ mod tests {
             entered: Mutex::new(entered_tx),
             release: Mutex::new(release_rx),
         });
-        let mut system = raw_system(MechanismKind::Vanilla, 8.0, 2);
+        let mut system = raw_system(mechanism, 8.0, 2);
         system.set_recorder(Arc::clone(&recorder) as Arc<dyn Recorder>);
         let service = Arc::new(QueryService::start(Arc::new(system), workers(pool)));
         let gate = Gate {
@@ -2324,8 +2389,38 @@ mod tests {
         )
     }
 
-    fn inline(service: &QueryService, session: SessionId, request: &QueryRequest) -> Option<Reply> {
+    fn inline(
+        service: &QueryService,
+        session: SessionId,
+        request: &QueryRequest,
+    ) -> Option<Result<Reply, ServerError>> {
         service.try_answer_inline(session, &Work::Scalar(request.clone()), 0, 0)
+    }
+
+    /// What a fall-through must leave as it was: the provenance table, the
+    /// synopsis cache, the session's stream position and the ledger.
+    fn untouched(service: &QueryService, session: SessionId) -> String {
+        let state = service.system().export_durable_state();
+        format!(
+            "{:?} {:?} {:?} {:?} {:?}",
+            state.provenance,
+            state.releases,
+            state.synopses,
+            service.sessions().get(session).unwrap().rng_checkpoint(),
+            service.store().map(|store| store.total_appends()),
+        )
+    }
+
+    /// Asserts `request` falls through and records nothing.
+    fn falls_through(service: &QueryService, session: SessionId, request: &QueryRequest) {
+        let stats = service.stats();
+        assert!(inline(service, session, request).is_none(), "{request:?}");
+        let after = service.stats();
+        assert_eq!(
+            (after.submitted, after.completed, after.system.answered),
+            (stats.submitted, stats.completed, stats.system.answered),
+            "a fall-through records nothing"
+        );
     }
 
     /// A reply's analyst-visible content; `Debug` prints every float in
@@ -2347,7 +2442,7 @@ mod tests {
             !service.lanes.lock().unwrap().contains_key(&session.0),
             "a worker retires an idle lane before it replies"
         );
-        shown(Ok(inline(service, session, hit).expect("a provable hit")))
+        shown(inline(service, session, hit).expect("a provable hit"))
     }
 
     #[test]
@@ -2363,7 +2458,7 @@ mod tests {
             let mut log = vec![shown(queued(service, session, &hit).wait())];
             for _ in 0..3 {
                 log.push(if use_inline {
-                    shown(Ok(inline(service, session, &hit).expect("a provable hit")))
+                    shown(inline(service, session, &hit).expect("a provable hit"))
                 } else {
                     shown(queued(service, session, &hit).wait())
                 });
@@ -2448,10 +2543,7 @@ mod tests {
             Err(ServerError::Core(CoreError::Storage(_)))
         ));
         assert_eq!(shown(fallen_through.wait()), expected);
-        assert_eq!(
-            shown(Ok(inline(&service, session, &hit).unwrap())),
-            expected
-        );
+        assert_eq!(shown(inline(&service, session, &hit).unwrap()), expected);
     }
 
     #[test]
@@ -2461,11 +2553,16 @@ mod tests {
         let hit = request(30, 39, 400.0);
         let expected = warm(&service, session, &hit);
 
+        let before = untouched(&service, session);
         let seal = service.epoch_barrier.write().unwrap();
-        assert!(inline(&service, session, &hit).is_none());
+        let privacy = QueryRequest::with_privacy(Query::range_count("adult", "age", 20, 29), 0.5);
+        for probe in [&hit, &request(30, 39, 100.0), &privacy] {
+            falls_through(&service, session, probe);
+        }
         let fallen_through = queued(&service, session, &hit);
         drop(seal);
         assert_eq!(shown(fallen_through.wait()), expected);
+        assert_eq!(untouched(&service, session), before);
     }
 
     #[test]
@@ -2482,10 +2579,7 @@ mod tests {
         let store = Arc::clone(service.store().unwrap());
         let expected = warm(&service, session, &hit);
         let appends = store.total_appends();
-        assert_eq!(
-            shown(Ok(inline(&service, session, &hit).unwrap())),
-            expected
-        );
+        assert_eq!(shown(inline(&service, session, &hit).unwrap()), expected);
         assert_eq!(
             store.total_appends(),
             appends,
@@ -2501,34 +2595,28 @@ mod tests {
             service.submit_wait(session, hours_request(20, 40, 400.0)),
             Err(ServerError::Storage(_))
         ));
-        assert!(inline(&service, session, &hit).is_none());
+        let before = untouched(&service, session);
+        falls_through(&service, session, &hit);
+        falls_through(&service, session, &hours_request(20, 40, 100.0));
+        assert_eq!(untouched(&service, session), before);
         assert!(matches!(
             service.submit_wait(session, hit.clone()),
             Err(ServerError::Storage(_))
         ));
         failpoint.store(false, Ordering::SeqCst);
-        assert!(inline(&service, session, &hit).is_none());
+        falls_through(&service, session, &hit);
         assert_eq!(shown(queued(&service, session, &hit).wait()), expected);
-        assert_eq!(
-            shown(Ok(inline(&service, session, &hit).unwrap())),
-            expected
-        );
+        assert_eq!(shown(inline(&service, session, &hit).unwrap()), expected);
         drop(service);
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
-    fn inline_probe_refuses_privacy_grouped_and_unresolvable_requests() {
+    fn inline_probe_refuses_grouped_and_unresolvable_requests() {
         use dprov_engine::group::GroupByQuery;
 
         let hit = request(30, 39, 400.0);
-        let refused: [fn() -> Work; 3] = [
-            || {
-                Work::Scalar(QueryRequest::with_privacy(
-                    Query::range_count("adult", "age", 30, 39),
-                    0.5,
-                ))
-            },
+        let refused: [fn() -> Work; 2] = [
             || {
                 Work::Grouped(GroupedRequest::with_accuracy(
                     GroupByQuery::count("adult", &["age"]),
@@ -2553,11 +2641,12 @@ mod tests {
             let mut log = Vec::new();
             for work in refused {
                 if std::ptr::eq(service, &probed) {
-                    let submitted = service.stats().submitted;
+                    let (submitted, before) =
+                        (service.stats().submitted, untouched(service, session));
                     assert!(service.try_answer_inline(session, &work(), 0, 0).is_none());
                     assert_eq!(
-                        service.stats().submitted,
-                        submitted,
+                        (service.stats().submitted, untouched(service, session)),
+                        (submitted, before),
                         "a refusal records nothing"
                     );
                 }
@@ -2566,6 +2655,308 @@ mod tests {
             transcripts.push(log);
         }
         assert_eq!(transcripts[0], transcripts[1]);
+    }
+
+    /// Misses, refusals and privacy-mode commits admitted on the calling
+    /// thread while the pool is idle: the same replies, noise streams,
+    /// charges and counters as the queued path, for both mechanisms.
+    #[test]
+    fn inline_admissions_answer_and_count_exactly_like_queued_ones() {
+        for mechanism in [MechanismKind::Vanilla, MechanismKind::AdditiveGaussian] {
+            let script = [
+                request(30, 39, 400.0),
+                request(30, 39, 400.0),
+                request(30, 39, 100.0),
+                request(30, 39, 1e-9),
+                hours_request(20, 40, 300.0),
+                QueryRequest::with_privacy(Query::range_count("adult", "age", 20, 29), 0.3),
+                QueryRequest::with_privacy(Query::range_count("adult", "age", 20, 29), 0.3),
+                request(20, 29, 50.0),
+            ];
+            let mut transcripts = Vec::new();
+            for use_inline in [true, false] {
+                let service = QueryService::start(system(mechanism, 8.0, 2), workers(2));
+                let session = service.open_session(AnalystId(1)).unwrap();
+                let mut log = Vec::new();
+                for next in &script {
+                    log.push(if use_inline {
+                        shown(inline(&service, session, next).expect("an idle pool admits it"))
+                    } else {
+                        shown(queued(&service, session, next).wait())
+                    });
+                }
+                let info = service.session_info(session).unwrap();
+                let stats = service.stats();
+                log.push(format!(
+                    "{:?} {:?} {} {} {} {} {} {} {} {}",
+                    service.system().export_durable_state(),
+                    service.sessions().get(session).unwrap().rng_checkpoint(),
+                    info.submitted,
+                    info.answered,
+                    info.rejected,
+                    stats.submitted,
+                    stats.completed,
+                    stats.system.answered,
+                    stats.system.rejected,
+                    stats.system.cache_hits,
+                ));
+                let inline_answers = service
+                    .metrics()
+                    .snapshot()
+                    .counter("frontend.inline_answers");
+                assert_eq!(
+                    inline_answers,
+                    Some(if use_inline { script.len() as u64 } else { 0 })
+                );
+                transcripts.push(log);
+            }
+            assert!(
+                transcripts[0].iter().any(|line| line.contains("Rejected")),
+                "{mechanism}: the script has a refusal"
+            );
+            assert_eq!(transcripts[0], transcripts[1], "{mechanism}");
+        }
+    }
+
+    #[test]
+    fn inline_admission_falls_through_while_the_pool_is_busy() {
+        let (service, gate) = gated_service(2);
+        let (idle, busy) = (
+            service.open_session(AnalystId(1)).unwrap(),
+            service.open_session(AnalystId(0)).unwrap(),
+        );
+        let hit = request(30, 39, 400.0);
+        let expected = warm(&service, idle, &hit);
+
+        // Another session's job parks on a worker: the lane map is not
+        // empty, so the idle session's miss queues and only its hit is
+        // answered here.
+        // The parked admission holds the provenance lock, so the state is
+        // read before it parks and after it fails, having changed nothing.
+        let before = untouched(&service, idle);
+        gate.arm();
+        let parked = queued(&service, busy, &hours_request(20, 40, 400.0));
+        gate.await_parked();
+        let privacy = QueryRequest::with_privacy(Query::range_count("adult", "age", 20, 29), 0.5);
+        for probe in [&request(30, 39, 100.0), &request(1, 99, 1e-9), &privacy] {
+            falls_through(&service, idle, probe);
+        }
+        assert_eq!(shown(inline(&service, idle, &hit).unwrap()), expected);
+        gate.release.send(()).unwrap();
+        assert!(matches!(
+            parked.wait(),
+            Err(ServerError::Core(CoreError::Storage(_)))
+        ));
+        assert_eq!(untouched(&service, idle), before);
+        assert!(inline(&service, idle, &request(30, 39, 100.0)).is_some());
+    }
+
+    /// With the pool idle, a held entry lock — another admission of the
+    /// same analyst on the view — sends the request to the queue, under
+    /// either mechanism.
+    #[test]
+    fn inline_admission_falls_through_while_the_entry_lock_is_held() {
+        for mechanism in [MechanismKind::Vanilla, MechanismKind::AdditiveGaussian] {
+            let (service, gate) = gated_service_of(1, mechanism);
+            let session = service.open_session(AnalystId(1)).unwrap();
+            let miss = request(30, 39, 400.0);
+            let before = untouched(&service, session);
+
+            // An admission outside every session lane parks holding the
+            // locks: the pool is idle, so only the locks stop the probe.
+            gate.arm();
+            let direct = park_direct_admission(&service, AnalystId(1));
+            gate.await_parked();
+            assert!(service.lanes.lock().unwrap().is_empty());
+            falls_through(&service, session, &miss);
+            gate.release.send(()).unwrap();
+            assert!(matches!(direct.join().unwrap(), Err(CoreError::Storage(_))));
+            assert_eq!(untouched(&service, session), before, "{mechanism}");
+            let fallen_through = queued(&service, session, &miss);
+            let reference = QueryService::start(system(mechanism, 8.0, 2), workers(1));
+            let oracle = reference.open_session(AnalystId(1)).unwrap();
+            assert_eq!(
+                shown(fallen_through.wait()),
+                shown(queued(&reference, oracle, &miss).wait()),
+                "{mechanism}"
+            );
+        }
+    }
+
+    /// An admission by `holder` outside every session lane, on the age
+    /// view, on its own thread.
+    fn park_direct_admission(
+        service: &Arc<QueryService>,
+        holder: AnalystId,
+    ) -> std::thread::JoinHandle<Result<QueryOutcome, CoreError>> {
+        let service = Arc::clone(service);
+        std::thread::spawn(move || {
+            let mut rng = DpRng::for_stream(1, 1_000);
+            service
+                .system()
+                .submit_with_rng(holder, &request(30, 45, 400.0), &mut rng)
+        })
+    }
+
+    /// Another analyst's admission on the same additive view holds the
+    /// view lock: the inline admission waits for it instead of queueing,
+    /// and then answers as the queued path would have.
+    #[test]
+    fn inline_admission_waits_for_a_held_view_lock() {
+        let (service, gate) = gated_service_of(1, MechanismKind::AdditiveGaussian);
+        let session = service.open_session(AnalystId(1)).unwrap();
+        gate.arm();
+        let direct = park_direct_admission(&service, AnalystId(0));
+        gate.await_parked();
+        let (tx, rx) = mpsc::channel();
+        let probe = {
+            let service = Arc::clone(&service);
+            std::thread::spawn(move || {
+                let reply = inline(&service, session, &request(30, 39, 400.0));
+                tx.send(reply.map(shown)).unwrap();
+            })
+        };
+        let early = rx.recv_timeout(Duration::from_millis(200));
+        gate.release.send(()).unwrap();
+        assert!(matches!(direct.join().unwrap(), Err(CoreError::Storage(_))));
+        probe.join().unwrap();
+        assert!(
+            early.is_err(),
+            "the inline admission gave up on the view lock"
+        );
+        let answered = rx.recv().unwrap().expect("admitted inline");
+        let reference =
+            QueryService::start(system(MechanismKind::AdditiveGaussian, 8.0, 2), workers(1));
+        let oracle = reference.open_session(AnalystId(1)).unwrap();
+        assert_eq!(
+            answered,
+            shown(queued(&reference, oracle, &request(30, 39, 400.0)).wait())
+        );
+    }
+
+    #[test]
+    fn inline_admission_falls_through_while_a_compaction_is_due() {
+        let dir = dprov_storage::scratch_dir("svc-inline-compaction");
+        let (service, _) = QueryService::start_durable(
+            raw_system(MechanismKind::Vanilla, 8.0, 2),
+            workers(1),
+            durability(&dir, 6),
+        )
+        .unwrap();
+        let ctx = service.durable.as_ref().unwrap();
+        let session = service.open_session(AnalystId(1)).unwrap();
+        // Inline commits, each stricter than the last, append without
+        // compacting: a loop never compacts.
+        let mut variance = 4_000.0;
+        while !ctx.compaction_due() {
+            assert!(variance > 100.0, "no compaction came due");
+            let reply = inline(&service, session, &request(30, 30, variance));
+            assert!(reply.unwrap().unwrap().into_scalar().unwrap().is_answered());
+            variance /= 2.0;
+        }
+        let before = untouched(&service, session);
+        let miss = request(30, 30, variance);
+        falls_through(&service, session, &miss);
+        assert_eq!(untouched(&service, session), before);
+        // The worker that runs it compacts after replying.
+        assert!(service.submit_wait(session, miss).unwrap().is_answered());
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while ctx.compaction_due() || service.store().unwrap().appends_since_snapshot() > 2 {
+            assert!(Instant::now() < deadline, "the worker did not compact");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        assert!(inline(&service, session, &request(30, 30, variance / 2.0)).is_some());
+        drop(service);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A queued hit or refusal draws nothing, so it neither appends a
+    /// session checkpoint nor touches the store: even with checkpoints
+    /// failing it is answered.
+    #[test]
+    fn queued_hits_and_refusals_append_no_session_checkpoint() {
+        let dir = dprov_storage::scratch_dir("svc-no-idle-checkpoint");
+        let (service, _) = QueryService::start_durable(
+            raw_system(MechanismKind::Vanilla, 8.0, 2),
+            workers(1),
+            durability(&dir, 0),
+        )
+        .unwrap();
+        let session = service.open_session(AnalystId(1)).unwrap();
+        let hit = request(30, 39, 400.0);
+        let refusal = request(30, 39, 1e-9);
+        let store = Arc::clone(service.store().unwrap());
+        assert!(service
+            .submit_wait(session, hit.clone())
+            .unwrap()
+            .is_answered());
+        let appends = store.total_appends();
+        let failpoint = &service.durable.as_ref().unwrap().fail_session_checkpoints;
+        failpoint.store(true, Ordering::SeqCst);
+        let answer = service.submit_wait(session, hit).unwrap();
+        assert!(answer.answered().unwrap().from_cache);
+        assert!(!service.submit_wait(session, refusal).unwrap().is_answered());
+        failpoint.store(false, Ordering::SeqCst);
+        assert_eq!(
+            store.total_appends(),
+            appends,
+            "no frame for a draw-free reply"
+        );
+        drop(service);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// After a failed checkpoint the session's draws are not durable: the
+    /// next reply, a hit that drew nothing, checkpoints the stream before
+    /// it is sent, and only then may hits be answered inline again.
+    #[test]
+    fn a_hit_after_a_failed_checkpoint_checkpoints_before_it_replies() {
+        let dir = dprov_storage::scratch_dir("svc-checkpoint-retry");
+        let (service, _) = QueryService::start_durable(
+            raw_system(MechanismKind::Vanilla, 8.0, 2),
+            workers(1),
+            durability(&dir, 0),
+        )
+        .unwrap();
+        let session = service.open_session(AnalystId(1)).unwrap();
+        let hit = request(30, 39, 400.0);
+        let store = Arc::clone(service.store().unwrap());
+        assert!(service
+            .submit_wait(session, hit.clone())
+            .unwrap()
+            .is_answered());
+        let failpoint = &service.durable.as_ref().unwrap().fail_session_checkpoints;
+        failpoint.store(true, Ordering::SeqCst);
+        assert!(matches!(
+            service.submit_wait(session, hours_request(20, 40, 400.0)),
+            Err(ServerError::Storage(_))
+        ));
+        failpoint.store(false, Ordering::SeqCst);
+        let appends = store.total_appends();
+        let answer = service.submit_wait(session, hit.clone()).unwrap();
+        assert!(answer.answered().unwrap().from_cache);
+        assert_eq!(
+            store.total_appends(),
+            appends + 1,
+            "the hit appended the session's checkpoint"
+        );
+        let position = service.sessions().get(session).unwrap().rng_checkpoint();
+        drop((service, store));
+
+        // The checkpoint holds the draws the withheld miss made.
+        let (service, _) = QueryService::start_durable(
+            raw_system(MechanismKind::Vanilla, 8.0, 2),
+            workers(1),
+            durability(&dir, 0),
+        )
+        .unwrap();
+        assert_eq!(
+            service.sessions().get(session).unwrap().rng_checkpoint(),
+            position
+        );
+        assert!(position.draws > 0);
+        drop(service);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
