@@ -18,7 +18,7 @@
 //!   `start_durable`).
 //!
 //! The client is deliberately transport-blind: hand it any
-//! [`Connection`] — in-process channel pair or TCP.
+//! [`Connection`] — a TCP socket or a mux channel on one.
 
 use std::collections::{HashMap, HashSet};
 

@@ -14,9 +14,7 @@
 //! over the cap is [`codes::FRAME_TOO_LARGE`], a checksum failure
 //! [`codes::CHECKSUM_MISMATCH`], and end-of-stream inside a frame
 //! [`codes::CONNECTION_CLOSED`]. After a framing error the stream offset
-//! can no longer be trusted, so the reader must drop the connection. The
-//! in-process channel transport skips this layer entirely: payloads move
-//! as owned buffers, so there is nothing to tear.
+//! can no longer be trusted, so the reader must drop the connection.
 
 use std::io::{ErrorKind as IoErrorKind, Read, Write};
 

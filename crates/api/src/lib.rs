@@ -17,9 +17,9 @@
 //! * [`frame`] — **length-prefixed, CRC-32-checked frames** for byte
 //!   streams, reusing the codec discipline of `dprov-storage`'s
 //!   write-ahead ledger;
-//! * [`transport`] — the [`Connection`] abstraction with two
-//!   implementations: an in-process zero-copy channel pair and TCP (one
-//!   socket per analyst session);
+//! * [`transport`] — the [`Connection`] abstraction, with TCP (one socket
+//!   per analyst session) built in and other transports plugged in
+//!   through [`Connection::from_halves`];
 //! * [`mux`] — **connection multiplexing** (protocol v3): a
 //!   [`MuxConnection`] shares one socket between many channels, each a
 //!   virtual [`Connection`] running its own session — so a fleet of

@@ -4,26 +4,22 @@
 //! A [`Connection`] is a pair of halves — a [`FrameSink`] for sending and
 //! a [`FrameSource`] for receiving — working at the *payload* level: the
 //! bytes produced by [`crate::protocol::encode_request`] /
-//! [`crate::protocol::encode_response`]. Two implementations ship:
+//! [`crate::protocol::encode_response`]. One transport is built in:
 //!
-//! * **In-process** ([`Connection::pair`]) — a pair of `mpsc` channels
-//!   moving owned payload buffers directly between threads. Zero copies,
-//!   no framing, no checksum (memory does not tear); this keeps
-//!   same-process tests and embedded deployments as fast as calling the
-//!   service directly while exercising the identical message encodings.
 //! * **TCP** ([`Connection::connect_tcp`] / [`Connection::from_tcp`]) —
 //!   one socket per analyst session, payloads wrapped in the
 //!   length-prefixed CRC-checked frames of [`crate::frame`], `TCP_NODELAY`
 //!   set so small request frames are not nagled behind each other.
 //!
-//! The halves are independently `Send`, so a server can hand the source to
-//! a reader thread and the sink to a writer thread ([`Connection::split`]).
+//! Any other transport plugs in through [`Connection::from_halves`]; the
+//! mux client ([`crate::MuxConnection`]) builds its channels that way.
+//! The halves are independently `Send`, so a client can hand the source
+//! to a reader thread and keep the sink ([`Connection::split`]).
 
 use std::io::{BufReader, BufWriter, Write};
 use std::net::{TcpStream, ToSocketAddrs};
-use std::sync::mpsc;
 
-use crate::error::{codes, ApiError};
+use crate::error::ApiError;
 use crate::frame::{io_error, read_frame, write_frame};
 
 /// The sending half of a connection.
@@ -56,23 +52,6 @@ impl Connection {
     #[must_use]
     pub fn from_halves(sink: Box<dyn FrameSink>, source: Box<dyn FrameSource>) -> Self {
         Connection { sink, source }
-    }
-
-    /// An in-process connection pair `(client, server)`: what one side
-    /// sends, the other receives, as moved buffers (zero-copy).
-    #[must_use]
-    pub fn pair() -> (Connection, Connection) {
-        let (client_tx, server_rx) = mpsc::channel::<Vec<u8>>();
-        let (server_tx, client_rx) = mpsc::channel::<Vec<u8>>();
-        let client = Connection {
-            sink: Box::new(ChannelSink(client_tx)),
-            source: Box::new(ChannelSource(client_rx)),
-        };
-        let server = Connection {
-            sink: Box::new(ChannelSink(server_tx)),
-            source: Box::new(ChannelSource(server_rx)),
-        };
-        (client, server)
     }
 
     /// Connects to a TCP endpoint serving the analyst protocol.
@@ -108,25 +87,6 @@ impl Connection {
     }
 }
 
-struct ChannelSink(mpsc::Sender<Vec<u8>>);
-
-impl FrameSink for ChannelSink {
-    fn send(&mut self, payload: Vec<u8>) -> Result<(), ApiError> {
-        self.0
-            .send(payload)
-            .map_err(|_| ApiError::new(codes::CONNECTION_CLOSED, "in-process peer disconnected"))
-    }
-}
-
-struct ChannelSource(mpsc::Receiver<Vec<u8>>);
-
-impl FrameSource for ChannelSource {
-    fn recv(&mut self) -> Result<Option<Vec<u8>>, ApiError> {
-        // A dropped sender is the channel transport's clean close.
-        Ok(self.0.recv().ok())
-    }
-}
-
 struct TcpSink(BufWriter<TcpStream>);
 
 impl FrameSink for TcpSink {
@@ -147,21 +107,6 @@ impl FrameSource for TcpSource {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn channel_pair_moves_payloads_both_ways() {
-        let (mut client, mut server) = Connection::pair();
-        client.send(b"ping".to_vec()).unwrap();
-        assert_eq!(server.recv().unwrap(), Some(b"ping".to_vec()));
-        server.send(b"pong".to_vec()).unwrap();
-        assert_eq!(client.recv().unwrap(), Some(b"pong".to_vec()));
-        drop(server);
-        assert_eq!(client.recv().unwrap(), None, "peer drop is a clean close");
-        assert_eq!(
-            client.send(b"into the void".to_vec()).unwrap_err().code,
-            codes::CONNECTION_CLOSED
-        );
-    }
 
     #[test]
     fn tcp_round_trips_frames_over_loopback() {

@@ -327,8 +327,8 @@ proptest! {
 
     /// Single-byte corruption of a valid request payload either fails
     /// typed or decodes to *some* request — never panics. (On the wire
-    /// the CRC frame already rejects these; this covers the in-process
-    /// transport, which skips the CRC.)
+    /// the CRC frame already rejects accidental damage; this covers a
+    /// peer that frames a damaged payload with a valid checksum.)
     #[test]
     fn flipped_payload_bytes_never_panic(seed in 0u64..u64::MAX) {
         let mut rng = StdRng::seed_from_u64(seed);

@@ -618,6 +618,20 @@ impl DProvDb {
         MultiAnalystLedger::derive(&self.lock_provenance(), self.config.delta)
     }
 
+    /// One analyst's row constraint ψ_Ai and row total `(constraint,
+    /// consumed)`, read under one provenance lock without cloning the
+    /// table. An admission holds that lock across its journal append, so
+    /// this read waits behind an in-flight append; the wait is what keeps
+    /// the pair consistent with every charge already acknowledged.
+    #[must_use]
+    pub fn row_budget(&self, analyst: AnalystId) -> (f64, f64) {
+        let provenance = self.lock_provenance();
+        (
+            provenance.row_constraint(analyst),
+            provenance.row_total(analyst),
+        )
+    }
+
     fn lock_provenance(&self) -> MutexGuard<'_, ProvenanceTable> {
         self.provenance.lock().expect("provenance lock poisoned")
     }

@@ -44,8 +44,7 @@ const WAKE_TOKEN: u64 = 0;
 const LISTENER_TOKEN: u64 = 1;
 /// First token handed to a connection; tokens below this are reserved.
 const FIRST_CONN_TOKEN: u64 = 16;
-/// Trace lanes: workers occupy lanes `0..N`; connections start here (the
-/// same convention as the in-process [`dprov_server::Frontend`]).
+/// Trace lanes: workers occupy lanes `0..N`; connections start here.
 const LANE_BASE: u64 = 1_000;
 
 /// Classifies an `accept(2)` failure: transient errors (descriptor
@@ -69,9 +68,10 @@ fn accept_error_is_transient(e: &io::Error) -> bool {
 /// The readiness-driven analyst-protocol server over a
 /// [`QueryService`] (see the crate docs for the architecture).
 ///
-/// Like [`dprov_server::Frontend`], the service reference is held weakly:
-/// dropping the last owning `Arc<QueryService>` invalidates the frontend
-/// gracefully — live connections get retryable `SHUTTING_DOWN` errors.
+/// The service reference is held weakly: dropping the last owning
+/// `Arc<QueryService>` invalidates the frontend gracefully — live
+/// connections get retryable `SHUTTING_DOWN` errors. Session expiry is
+/// the service's own reaper's job, not the loop's.
 pub struct EventLoopFrontend {
     service: Weak<QueryService>,
     server_name: String,
@@ -151,7 +151,6 @@ impl EventLoopFrontend {
                 conns: HashMap::new(),
                 listener: if i == 0 { listener_slot.take() } else { None },
                 accept_paused: false,
-                expires_sessions: i == 0,
                 peers: peers.clone(),
                 next_peer: 0,
                 shutdown: Arc::clone(&shutdown),
@@ -316,9 +315,6 @@ struct LoopCore {
     listener: Option<TcpListener>,
     /// Accepting is paused until the next tick (transient accept error).
     accept_paused: bool,
-    /// Loop 0 also expires stale sessions on its tick, so the registry is
-    /// swept once per tick however many loops run.
-    expires_sessions: bool,
     peers: Vec<LoopHandle>,
     next_peer: usize,
     shutdown: Arc<AtomicBool>,
@@ -379,11 +375,6 @@ impl LoopCore {
             if last_reap.elapsed() >= tick {
                 last_reap = Instant::now();
                 self.reap_idle();
-                if self.expires_sessions {
-                    if let Some(service) = self.frontend.service.upgrade() {
-                        service.expire_stale_sessions();
-                    }
-                }
                 if self.accept_paused {
                     if let Some(listener) = &self.listener {
                         let _ = self.poller.modify(
@@ -536,8 +527,8 @@ impl LoopCore {
     }
 
     /// Deregisters and drops a connection. Sessions are NOT closed here —
-    /// a reconnecting client resumes by id; abandonment is the TTL's job
-    /// (the same contract as the in-process frontend).
+    /// a reconnecting client resumes by id; an abandoned session is
+    /// removed by the service's reaper once its TTL passes.
     fn teardown(&mut self, conn: Conn) {
         let _ = self.poller.deregister(conn.stream.as_raw_fd());
         let live = self.registered.fetch_sub(1, Ordering::Relaxed) - 1;

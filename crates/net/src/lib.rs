@@ -9,13 +9,13 @@
 //! is independent of connection count, so tens of thousands of mostly
 //! idle connections cost two threads, not sixty thousand.
 //!
-//! **Equivalence, not reimplementation.** Protocol semantics live in
-//! [`dprov_server::proto`] and are shared byte-for-byte with the
-//! in-process [`dprov_server::Frontend`]; this crate only contributes
-//! transport plumbing. The differential test suite drives identical
-//! workloads over TCP through the event loop and through the in-process
-//! transport, asserting bit-identical answers, noise streams and budget
-//! charges.
+//! **Protocol semantics are not reimplemented here.** They live in
+//! [`dprov_server::proto`]; this crate only contributes transport
+//! plumbing. The differential test suite drives identical per-session
+//! scripts over TCP through the event loop and, on a fresh service,
+//! through [`dprov_server::QueryService::submit`] (the queued path,
+//! which never answers inline), asserting bit-identical answers, noise
+//! streams and budget charges.
 //!
 //! **Scalar requests stay on the loop while the pool is idle.** Every
 //! submission is first offered to
@@ -30,9 +30,8 @@
 //! admission, journal append and session checkpoint, and on the
 //! provenance and (additive) view locks, which another admission holds
 //! for part of its own; everything it refuses is dispatched to the worker
-//! pool as below. The
-//! in-process frontend always queues, which keeps it a differential
-//! oracle for this path too.
+//! pool as below. [`dprov_server::QueryService::submit`] always queues,
+//! which keeps it a differential oracle for this path too.
 //!
 //! **Backpressure end to end.** The worker pool's bounded queue blocks a
 //! blocking submitter. Here nothing may block, so the loop converts queue
@@ -49,11 +48,11 @@
 //!   memory;
 //! * idle connections are reaped on a periodic tick after
 //!   [`NetConfig::idle_timeout`] (defaulting to the service's session
-//!   TTL, so transport lifetime and session lifetime expire together);
-//!   the same tick, on one loop, removes sessions whose heartbeat is
-//!   older than their TTL
-//!   ([`dprov_server::QueryService::expire_stale_sessions`]), so an
-//!   abandoned session does not stay in the registry for good.
+//!   TTL, so transport lifetime and session lifetime expire together).
+//!   Sessions are not the loop's to reap: the service's own reaper
+//!   thread removes a session whose heartbeat is older than its TTL
+//!   ([`dprov_server::QueryService::expire_stale_sessions`]) within
+//!   another half TTL, whatever drives the service.
 //!
 //! **Multiplexing.** Protocol v3 `Mux` frames are handled by the shared
 //! state machine, so one socket carries many independent sessions

@@ -1,16 +1,25 @@
 //! Differential oracle: the event-loop frontend over real TCP sockets vs.
-//! the in-process `Frontend::connect` transport.
+//! the service's queued in-process path.
 //!
-//! Each test runs the *same* deterministic workload (same system seed, same
-//! session registration order, same per-session submission order) through
-//! both transports and asserts the analyst-visible transcripts — answers,
-//! noise values, epsilon charges, budget reports — are **bit-identical**.
-//! Float fields are compared through their IEEE bit patterns
-//! (`f64::to_bits`), so "identical" means identical, not "close".
+//! Each test runs the *same* per-session scripts (same system seed, same
+//! session registration order, same per-session submission order) twice:
+//! over loopback TCP through the event loop, which answers scalar
+//! requests inline while it can, and on a fresh service through
+//! `QueryService::submit` + `Pending::wait`, which never answers inline.
+//! It asserts the analyst-visible transcripts — answers, noise values,
+//! epsilon charges, budget reports (read from `session_info` on the
+//! queued arm) — are **bit-identical**. Float fields are compared through
+//! their IEEE bit patterns (`f64::to_bits`), so "identical" means
+//! identical, not "close". Every analyst owns its views, so the
+//! transcripts do not depend on how the two arms order work across
+//! sessions (the same argument as `tests/batch_equivalence.rs`).
 
+use std::collections::VecDeque;
+use std::net::SocketAddr;
 use std::path::Path;
 use std::sync::Arc;
 
+use dprov_api::protocol::BudgetReport;
 use dprov_api::{Connection, DProvClient, MuxConnection, RequestId};
 use dprov_core::analyst::AnalystRegistry;
 use dprov_core::config::SystemConfig;
@@ -22,10 +31,9 @@ use dprov_engine::datagen::adult::adult_database;
 use dprov_engine::group::GroupByQuery;
 use dprov_engine::query::Query;
 use dprov_net::listen;
-use dprov_server::{DurabilityConfig, Frontend, QueryService, ServiceConfig};
-
-/// Opens one more connection to the service under test.
-type Dial<'a> = &'a dyn Fn() -> Connection;
+use dprov_server::{
+    DurabilityConfig, Pending, QueryService, Reply, ServiceConfig, SessionId, Work,
+};
 
 fn service(queue_capacity: usize) -> Arc<QueryService> {
     Arc::new(QueryService::start(
@@ -109,11 +117,10 @@ fn render_grouped(tag: &str, grouped: &GroupedOutcome) -> Vec<String> {
         .collect()
 }
 
-fn render_budget(tag: &str, client: &mut DProvClient) -> String {
-    let b = client.budget().unwrap();
+fn render_budget(tag: &str, b: &BudgetReport) -> String {
     format!(
         "{tag}: session={} analyst={} priv={} constraint={:016x} consumed={:016x} \
-         remaining={:016x} submitted={} answered={}",
+         remaining={:016x} submitted={} answered={} rejected={}",
         b.session,
         b.analyst,
         b.privilege,
@@ -122,7 +129,190 @@ fn render_budget(tag: &str, client: &mut DProvClient) -> String {
         b.budget_remaining.to_bits(),
         b.submitted,
         b.answered,
+        b.rejected,
     )
+}
+
+/// One analyst session as a workload script drives it, on either arm.
+trait Analyst {
+    fn session(&self) -> u64;
+    /// Submits without waiting for the outcome.
+    fn submit(&mut self, work: Work);
+    /// The reply to the oldest submission not yet collected.
+    fn next_reply(&mut self) -> Reply;
+    fn budget(&mut self) -> BudgetReport;
+    fn close(self: Box<Self>);
+
+    fn query(&mut self, request: &QueryRequest) -> QueryOutcome {
+        self.submit(Work::Scalar(request.clone()));
+        self.next_reply().into_scalar().expect("a scalar reply")
+    }
+
+    fn group_by(&mut self, request: &GroupedRequest) -> GroupedOutcome {
+        self.submit(Work::Grouped(request.clone()));
+        self.next_reply().into_grouped().expect("a grouped reply")
+    }
+}
+
+/// A session behind a protocol client over loopback TCP.
+struct WireAnalyst {
+    client: DProvClient,
+    /// The shared connection the client's channel rides on, if any; it
+    /// closes when its last session is dropped.
+    _mux: Option<Arc<MuxConnection>>,
+    pending: VecDeque<(bool, RequestId)>,
+}
+
+impl Analyst for WireAnalyst {
+    fn session(&self) -> u64 {
+        self.client.session().expect("a registered session").session
+    }
+
+    fn submit(&mut self, work: Work) {
+        let (grouped, id) = match &work {
+            Work::Scalar(request) => (false, self.client.submit(request)),
+            Work::Grouped(request) => (true, self.client.submit_group_by(request)),
+        };
+        self.pending.push_back((grouped, id.unwrap()));
+    }
+
+    fn next_reply(&mut self) -> Reply {
+        let (grouped, id) = self.pending.pop_front().expect("a submission to collect");
+        if grouped {
+            Reply::Grouped(self.client.poll_grouped(id).unwrap())
+        } else {
+            Reply::Scalar(self.client.poll(id).unwrap())
+        }
+    }
+
+    fn budget(&mut self) -> BudgetReport {
+        self.client.budget().unwrap()
+    }
+
+    fn close(self: Box<Self>) {
+        self.client.close().unwrap();
+    }
+}
+
+/// A session driven through `QueryService::submit` + `Pending::wait`.
+struct QueuedAnalyst {
+    service: Arc<QueryService>,
+    session: SessionId,
+    pending: VecDeque<Pending>,
+}
+
+impl Analyst for QueuedAnalyst {
+    fn session(&self) -> u64 {
+        self.session.0
+    }
+
+    fn submit(&mut self, work: Work) {
+        let pending = self.service.submit(self.session, work, None).unwrap();
+        self.pending.push_back(pending);
+    }
+
+    fn next_reply(&mut self) -> Reply {
+        let pending = self.pending.pop_front().expect("a submission to collect");
+        pending.wait().unwrap()
+    }
+
+    fn budget(&mut self) -> BudgetReport {
+        let info = self.service.session_info(self.session).unwrap();
+        BudgetReport {
+            session: info.id.0,
+            analyst: info.analyst.0 as u64,
+            privilege: info.privilege,
+            budget_constraint: info.budget_constraint,
+            budget_consumed: info.budget_consumed,
+            budget_remaining: info.budget_remaining,
+            submitted: info.submitted as u64,
+            answered: info.answered as u64,
+            rejected: info.rejected as u64,
+        }
+    }
+
+    fn close(self: Box<Self>) {
+        self.service.close_session(self.session).unwrap();
+    }
+}
+
+/// Where a workload's sessions live.
+enum Arm {
+    /// The event loop serving this address over loopback TCP.
+    Wire(SocketAddr),
+    /// The queued in-process path of this service.
+    Queued(Arc<QueryService>),
+}
+
+impl Arm {
+    /// Registers a session per name, in order: each over its own
+    /// connection, or with `shared` as channels of one mux connection.
+    fn register(&self, names: &[&str], shared: bool) -> Vec<Box<dyn Analyst>> {
+        self.attach(names.iter().map(|&name| (name, None)), shared)
+    }
+
+    /// Re-attaches each `(name, session)`, on fresh connections.
+    fn resume(&self, sessions: &[(&str, u64)], shared: bool) -> Vec<Box<dyn Analyst>> {
+        self.attach(sessions.iter().map(|&(name, id)| (name, Some(id))), shared)
+    }
+
+    fn attach<'n>(
+        &self,
+        sessions: impl Iterator<Item = (&'n str, Option<u64>)>,
+        shared: bool,
+    ) -> Vec<Box<dyn Analyst>> {
+        match self {
+            Arm::Wire(addr) => {
+                let mux = shared.then(|| {
+                    let conn = Connection::connect_tcp(addr).unwrap();
+                    Arc::new(MuxConnection::establish(conn, "shared-conn").unwrap())
+                });
+                sessions
+                    .enumerate()
+                    .map(|(i, (name, resume))| {
+                        let conn = match &mux {
+                            Some(mux) => mux.channel(1 + i as u64).unwrap(),
+                            None => Connection::connect_tcp(addr).unwrap(),
+                        };
+                        let mut client =
+                            DProvClient::connect(conn, &format!("{name}-conn")).unwrap();
+                        let descriptor = match resume {
+                            None => client.register(name).unwrap(),
+                            Some(id) => client.resume(name, id).unwrap(),
+                        };
+                        assert_eq!(descriptor.resumed, resume.is_some(), "{name}");
+                        Box::new(WireAnalyst {
+                            client,
+                            _mux: mux.clone(),
+                            pending: VecDeque::new(),
+                        }) as Box<dyn Analyst>
+                    })
+                    .collect()
+            }
+            Arm::Queued(service) => sessions
+                .map(|(name, resume)| {
+                    let analyst = service
+                        .system()
+                        .registry()
+                        .find_by_name(name)
+                        .expect("a rostered analyst")
+                        .id;
+                    let session = match resume {
+                        None => service.open_session(analyst).unwrap(),
+                        Some(id) => {
+                            service.resume_session(SessionId(id), analyst).unwrap();
+                            SessionId(id)
+                        }
+                    };
+                    Box::new(QueuedAnalyst {
+                        service: Arc::clone(service),
+                        session,
+                        pending: VecDeque::new(),
+                    }) as Box<dyn Analyst>
+                })
+                .collect(),
+        }
+    }
 }
 
 /// Each analyst's scalar attribute (with the low end of its burst range)
@@ -142,93 +332,77 @@ const LOOSE_VARIANCE: f64 = 40_000.0;
 
 /// Analysts on separate connections, scalar and GROUP BY traffic
 /// interleaved on each session — synchronous first, then pipelined from
-/// every connection at once — closed out with budget reports.
-fn plain_workload(dial: Dial) -> Vec<String> {
-    let mut log = Vec::new();
-    let mut clients: Vec<DProvClient> = ANALYSTS
+/// every session at once — closed out with budget reports.
+fn plain_workload(arm: &Arm) -> Vec<String> {
+    let names: Vec<&str> = ANALYSTS.iter().map(|(name, ..)| *name).collect();
+    let mut analysts = arm.register(&names, false);
+    let mut log: Vec<String> = names
         .iter()
-        .map(|(name, ..)| {
-            let mut client = DProvClient::connect(dial(), &format!("{name}-conn")).unwrap();
-            let info = client.register(name).unwrap();
-            log.push(format!(
-                "{name}: session={} resumed={}",
-                info.session, info.resumed
-            ));
-            client
-        })
+        .zip(&analysts)
+        .map(|(name, analyst)| format!("{name}: session={}", analyst.session()))
         .collect();
 
-    let [alice, bob, ..] = &mut clients[..] else {
-        unreachable!("four analysts connected");
+    let [alice, bob, ..] = &mut analysts[..] else {
+        unreachable!("four analysts registered");
     };
     for i in 0..5 {
-        let out = alice
-            .query(&age_query(20 + i, 60, 400.0 + i as f64))
-            .unwrap();
+        let out = alice.query(&age_query(20 + i, 60, 400.0 + i as f64));
         log.push(render(&format!("alice q{i}"), &out));
-        let out = alice
-            .group_by(&count_by("sex", LOOSE_VARIANCE - i as f64))
-            .unwrap();
+        let out = alice.group_by(&count_by("sex", LOOSE_VARIANCE - i as f64));
         log.extend(render_grouped(&format!("alice g{i}"), &out));
-        let out = bob
-            .query(&hours_query(10, 40 + i, 500.0 + i as f64))
-            .unwrap();
+        let out = bob.query(&hours_query(10, 40 + i, 500.0 + i as f64));
         log.push(render(&format!("bob q{i}"), &out));
     }
 
-    // Two pipelined bursts on every connection at once, alternating scalar
-    // and grouped frames on each session — the first burst opens with a
-    // grouped frame, the second with a scalar one. There are more active
+    // Two pipelined bursts on every session at once, alternating scalar
+    // and grouped work on each — the first burst opens with a grouped
+    // request, the second with a scalar one. There are more active
     // sessions than workers plus queue slots, so with a one-slot queue
     // some session's head job finds the queue full in each burst.
     for burst in 0..2 {
-        let mut tickets: Vec<Vec<(bool, RequestId)>> = vec![Vec::new(); clients.len()];
         for i in 0..4 {
             let step = 4 * burst + i;
-            for (c, client) in clients.iter_mut().enumerate() {
+            for (c, analyst) in analysts.iter_mut().enumerate() {
                 let (_, scalar, lo, grouping) = ANALYSTS[c];
-                let grouped = (burst + i) % 2 == 0;
-                let id = if grouped {
-                    let variance = LOOSE_VARIANCE - 10.0 - step as f64;
-                    client.submit_group_by(&count_by(grouping, variance))
+                analyst.submit(if (burst + i) % 2 == 0 {
+                    Work::Grouped(count_by(grouping, LOOSE_VARIANCE - 10.0 - step as f64))
                 } else {
                     let query = Query::range_count("adult", scalar, lo, lo + 1 + step);
-                    client.submit(&QueryRequest::with_accuracy(query, LOOSE_VARIANCE))
-                };
-                tickets[c].push((grouped, id.unwrap()));
+                    Work::Scalar(QueryRequest::with_accuracy(query, LOOSE_VARIANCE))
+                });
             }
         }
-        for (c, client) in clients.iter_mut().enumerate() {
-            let name = ANALYSTS[c].0;
-            for (i, &(grouped, id)) in tickets[c].iter().enumerate() {
-                let tag = format!("{name} burst{burst}.{i}");
-                if grouped {
-                    log.extend(render_grouped(&tag, &client.poll_grouped(id).unwrap()));
-                } else {
-                    log.push(render(&tag, &client.poll(id).unwrap()));
+        for (c, analyst) in analysts.iter_mut().enumerate() {
+            for i in 0..4 {
+                let tag = format!("{} burst{burst}.{i}", ANALYSTS[c].0);
+                match analyst.next_reply() {
+                    Reply::Scalar(outcome) => log.push(render(&tag, &outcome)),
+                    Reply::Grouped(outcome) => log.extend(render_grouped(&tag, &outcome)),
                 }
             }
         }
     }
 
-    for (c, client) in clients.iter_mut().enumerate() {
-        log.push(render_budget(&format!("{} budget", ANALYSTS[c].0), client));
+    for (c, analyst) in analysts.iter_mut().enumerate() {
+        log.push(render_budget(
+            &format!("{} budget", ANALYSTS[c].0),
+            &analyst.budget(),
+        ));
     }
-    for client in clients {
-        client.close().unwrap();
+    for analyst in analysts {
+        analyst.close();
     }
     log
 }
 
 /// The workload's transcript through the event loop over loopback TCP.
-fn event_loop_transcript(queue_capacity: usize, workload: fn(Dial) -> Vec<String>) -> Vec<String> {
+fn event_loop_transcript(queue_capacity: usize, workload: fn(&Arm) -> Vec<String>) -> Vec<String> {
     event_loop_run(&service(queue_capacity), workload)
 }
 
-fn event_loop_run(service: &Arc<QueryService>, workload: fn(Dial) -> Vec<String>) -> Vec<String> {
+fn event_loop_run(service: &Arc<QueryService>, workload: fn(&Arm) -> Vec<String>) -> Vec<String> {
     let listener = listen(service, "127.0.0.1:0").unwrap();
-    let addr = listener.local_addr();
-    let log = workload(&|| Connection::connect_tcp(addr).unwrap());
+    let log = workload(&Arm::Wire(listener.local_addr()));
     assert!(
         listener.take_fatal_error().is_none(),
         "no fatal listener error during the workload"
@@ -238,96 +412,97 @@ fn event_loop_run(service: &Arc<QueryService>, workload: fn(Dial) -> Vec<String>
 }
 
 /// The reference transcript: the same workload on a fresh service through
-/// the in-process transport (no socket, no event loop).
-fn in_process_transcript(queue_capacity: usize, workload: fn(Dial) -> Vec<String>) -> Vec<String> {
-    in_process_run(&service(queue_capacity), workload)
+/// `QueryService::submit` (no socket, no event loop, no inline answer).
+fn queued_transcript(queue_capacity: usize, workload: fn(&Arm) -> Vec<String>) -> Vec<String> {
+    queued_run(&service(queue_capacity), workload)
 }
 
-fn in_process_run(service: &Arc<QueryService>, workload: fn(Dial) -> Vec<String>) -> Vec<String> {
-    let frontend = Frontend::new(service);
-    workload(&|| frontend.connect())
+fn queued_run(service: &Arc<QueryService>, workload: fn(&Arm) -> Vec<String>) -> Vec<String> {
+    workload(&Arm::Queued(Arc::clone(service)))
 }
 
 #[test]
 fn event_loop_matches_the_in_process_transcript() {
-    let reference = in_process_transcript(256, plain_workload);
+    let reference = queued_transcript(256, plain_workload);
     assert!(!reference.is_empty());
     assert_eq!(
         event_loop_transcript(256, plain_workload),
         reference,
-        "event-loop and in-process transcripts diverged"
+        "event-loop and queued transcripts diverged"
     );
 }
 
 /// The same differential check with a tiny submission queue: the
 /// event-loop arm is forced through its park/retry backpressure path and
-/// the in-process arm through its blocking push, and the analyst-visible
+/// the queued arm through its blocking push, and the analyst-visible
 /// results still match bit for bit.
 #[test]
 fn backpressure_path_is_result_transparent() {
     assert_eq!(
         event_loop_transcript(1, plain_workload),
-        in_process_transcript(1, plain_workload),
+        queued_transcript(1, plain_workload),
         "queue-full handling changed analyst-visible results"
     );
 }
 
-/// One shared connection carrying two independent sessions over mux
-/// channels, then a reconnect onto a *new* shared connection with a
-/// per-session `resume()` — the satellite-2 client pattern — checked differentially.
-fn mux_workload(dial: Dial) -> Vec<String> {
+/// Two independent sessions — on the wire, channels of one shared mux
+/// connection — then, with both still open, a reconnect onto a *new*
+/// shared connection with a per-session `resume()`, checked
+/// differentially.
+fn mux_workload(arm: &Arm) -> Vec<String> {
     let mut log = Vec::new();
-    let mux = MuxConnection::establish(dial(), "shared-conn").unwrap();
-    let mut alice = DProvClient::connect(mux.channel(1).unwrap(), "alice-ch").unwrap();
-    let mut bob = DProvClient::connect(mux.channel(2).unwrap(), "bob-ch").unwrap();
-    let a = alice.register("alice").unwrap();
-    let b = bob.register("bob").unwrap();
-    log.push(format!("sessions: alice={} bob={}", a.session, b.session));
+    let names = ["alice", "bob"];
+    let mut analysts = arm.register(&names, true);
+    let (a, b) = (analysts[0].session(), analysts[1].session());
+    log.push(format!("sessions: alice={a} bob={b}"));
 
     for i in 0..3 {
-        let out = alice.query(&age_query(30, 50 + i, 450.0)).unwrap();
+        let [alice, bob] = &mut analysts[..] else {
+            unreachable!("two analysts registered");
+        };
+        let out = alice.query(&age_query(30, 50 + i, 450.0));
         log.push(render(&format!("alice q{i}"), &out));
-        let out = bob.query(&hours_query(20 + i, 60, 550.0)).unwrap();
+        let out = bob.query(&hours_query(20 + i, 60, 550.0));
         log.push(render(&format!("bob q{i}"), &out));
     }
 
-    // Drop the whole shared connection with both sessions still open.
-    drop(alice);
-    drop(bob);
-    drop(mux);
+    // Drop the whole shared connection with both sessions still open,
+    // then resume both on fresh channels of one new connection.
+    drop(analysts);
+    let mut analysts = arm.resume(&[("alice", a), ("bob", b)], true);
+    log.push(format!(
+        "resumed: alice={} bob={}",
+        analysts[0].session(),
+        analysts[1].session()
+    ));
 
-    // Reconnect: one new connection, both sessions resumed on fresh channels.
-    let mux = MuxConnection::establish(dial(), "shared-conn-2").unwrap();
-    let mut alice = DProvClient::connect(mux.channel(7).unwrap(), "alice-ch2").unwrap();
-    let mut bob = DProvClient::connect(mux.channel(9).unwrap(), "bob-ch2").unwrap();
-    let ra = alice.resume("alice", a.session).unwrap();
-    let rb = bob.resume("bob", b.session).unwrap();
-    assert!(ra.resumed && rb.resumed, "both sessions resumed");
-    log.push(format!("resumed: alice={} bob={}", ra.session, rb.session));
-
-    // Noise streams continue where they left off, on both transports.
+    // Noise streams continue where they left off, on both arms.
+    let [alice, bob] = &mut analysts[..] else {
+        unreachable!("two analysts resumed");
+    };
     for i in 0..3 {
-        let out = alice.query(&age_query(30, 53 + i, 450.0)).unwrap();
+        let out = alice.query(&age_query(30, 53 + i, 450.0));
         log.push(render(&format!("alice r{i}"), &out));
-        let out = bob.query(&hours_query(23 + i, 60, 550.0)).unwrap();
+        let out = bob.query(&hours_query(23 + i, 60, 550.0));
         log.push(render(&format!("bob r{i}"), &out));
     }
 
-    log.push(render_budget("alice budget", &mut alice));
-    log.push(render_budget("bob budget", &mut bob));
-    alice.close().unwrap();
-    bob.close().unwrap();
+    log.push(render_budget("alice budget", &alice.budget()));
+    log.push(render_budget("bob budget", &bob.budget()));
+    for analyst in analysts {
+        analyst.close();
+    }
     log
 }
 
 #[test]
 fn multiplexed_sessions_with_resume_are_bit_identical() {
-    let reference = in_process_transcript(256, mux_workload);
+    let reference = queued_transcript(256, mux_workload);
     assert!(!reference.is_empty());
     assert_eq!(
         event_loop_transcript(256, mux_workload),
         reference,
-        "multiplexed transcripts diverged between transports"
+        "multiplexed transcripts diverged from the queued oracle"
     );
 }
 
@@ -347,13 +522,13 @@ fn event_loop_runs_are_reproducible() {
 /// (analyst, view), or behind a GROUP BY, finds the session's lane busy
 /// and queues, so it comes back after that work and from the synopsis the
 /// miss released.
-fn inline_workload(dial: Dial) -> Vec<String> {
+fn inline_workload(arm: &Arm) -> Vec<String> {
     let mut log = Vec::new();
-    let mut alice = DProvClient::connect(dial(), "alice-conn").unwrap();
-    alice.register("alice").unwrap();
+    let mut analysts = arm.register(&["alice"], false);
+    let alice = &mut analysts[0];
     let hit = age_query(30, 50, 450.0);
     for i in 0..5 {
-        log.push(render(&format!("sync {i}"), &alice.query(&hit).unwrap()));
+        log.push(render(&format!("sync {i}"), &alice.query(&hit)));
     }
     let hours =
         QueryRequest::with_privacy(Query::range_count("adult", "hours_per_week", 20, 40), 0.2);
@@ -364,50 +539,43 @@ fn inline_workload(dial: Dial) -> Vec<String> {
         ("sync privacy repeat", hours),
         ("sync miss on hours", hours_query(20, 40, 600.0)),
     ] {
-        let outcome = alice.query(&request).unwrap();
-        log.push(render(tag, &outcome));
+        log.push(render(tag, &alice.query(&request)));
     }
 
-    // The GROUP BY ahead keeps the lane busy while the next two frames
+    // The GROUP BY ahead keeps the lane busy while the next two requests
     // arrive, so a hit that skipped the lane would overtake the miss.
-    let ahead = alice
-        .submit_group_by(&count_by("relationship", LOOSE_VARIANCE))
-        .unwrap();
-    let miss = alice.submit(&age_query(30, 50, 300.0)).unwrap();
-    let behind_miss = alice.submit(&hit).unwrap();
-    log.extend(render_grouped("ahead", &alice.poll_grouped(ahead).unwrap()));
-    log.push(render("pipelined miss", &alice.poll(miss).unwrap()));
-    log.push(render("hit behind it", &alice.poll(behind_miss).unwrap()));
+    alice.submit(Work::Grouped(count_by("relationship", LOOSE_VARIANCE)));
+    alice.submit(Work::Scalar(age_query(30, 50, 300.0)));
+    alice.submit(Work::Scalar(hit.clone()));
+    let ahead = alice.next_reply().into_grouped().unwrap();
+    log.extend(render_grouped("ahead", &ahead));
+    let miss = alice.next_reply().into_scalar().unwrap();
+    log.push(render("pipelined miss", &miss));
+    let behind_miss = alice.next_reply().into_scalar().unwrap();
+    log.push(render("hit behind it", &behind_miss));
 
-    let grouped = alice
-        .submit_group_by(&count_by("sex", LOOSE_VARIANCE))
-        .unwrap();
-    let behind_grouped = alice.submit(&hit).unwrap();
-    log.extend(render_grouped(
-        "grouped",
-        &alice.poll_grouped(grouped).unwrap(),
-    ));
-    log.push(render(
-        "hit behind it",
-        &alice.poll(behind_grouped).unwrap(),
-    ));
+    alice.submit(Work::Grouped(count_by("sex", LOOSE_VARIANCE)));
+    alice.submit(Work::Scalar(hit.clone()));
+    let grouped = alice.next_reply().into_grouped().unwrap();
+    log.extend(render_grouped("grouped", &grouped));
+    let behind_grouped = alice.next_reply().into_scalar().unwrap();
+    log.push(render("hit behind it", &behind_grouped));
 
     let privacy = QueryRequest::with_privacy(Query::range_count("adult", "age", 30, 50), 0.05);
-    log.push(render("privacy", &alice.query(&privacy).unwrap()));
+    log.push(render("privacy", &alice.query(&privacy)));
     for i in 0..3 {
-        log.push(render(
-            &format!("sync again {i}"),
-            &alice.query(&hit).unwrap(),
-        ));
+        log.push(render(&format!("sync again {i}"), &alice.query(&hit)));
     }
-    log.push(render_budget("alice budget", &mut alice));
-    alice.close().unwrap();
+    log.push(render_budget("alice budget", &alice.budget()));
+    for analyst in analysts {
+        analyst.close();
+    }
     log
 }
 
 /// The inline path is result-transparent: the event-loop arm answers
 /// every synchronous request on its loop thread — hits, misses, a refusal
-/// and privacy-mode commits — the in-process arm none, and the transcripts
+/// and privacy-mode commits — the queued arm none, and the transcripts
 /// match bit for bit — on a volatile service and on a durable one, where
 /// both arms also append the same number of ledger records.
 #[test]
@@ -427,7 +595,7 @@ fn inline_cache_hits_match_the_queued_transcript() {
             let log = if event_loop {
                 event_loop_run(&service, inline_workload)
             } else {
-                in_process_run(&service, inline_workload)
+                queued_run(&service, inline_workload)
             };
             let inline = service
                 .metrics()
@@ -439,9 +607,9 @@ fn inline_cache_hits_match_the_queued_transcript() {
             std::fs::remove_dir_all(&dir).ok();
             arms.push((log, inline, appends));
         }
-        let (event_loop, in_process) = (&arms[0], &arms[1]);
+        let (event_loop, queued) = (&arms[0], &arms[1]);
         assert_eq!(
-            event_loop.0, in_process.0,
+            event_loop.0, queued.0,
             "durable={durable}: transcripts diverged"
         );
         // The 14 synchronous requests always find the pool idle; a
@@ -451,9 +619,9 @@ fn inline_cache_hits_match_the_queued_transcript() {
             event_loop.1 >= 14,
             "durable={durable}: every synchronous request is answered inline"
         );
-        assert_eq!(in_process.1, 0, "the in-process frontend always queues");
+        assert_eq!(queued.1, 0, "QueryService::submit always queues");
         assert_eq!(
-            event_loop.2, in_process.2,
+            event_loop.2, queued.2,
             "durable={durable}: ledger appends differ"
         );
         assert_eq!(event_loop.2.is_some(), durable);

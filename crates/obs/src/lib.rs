@@ -51,7 +51,7 @@ pub const DEFAULT_JOURNAL_CAPACITY: usize = 4096;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum CounterId {
-    /// Connections accepted by the frontend (in-process or TCP).
+    /// Connections accepted by the frontend.
     FrontendConnections,
     /// Requests decoded by the frontend.
     FrontendRequests,

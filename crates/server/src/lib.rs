@@ -20,13 +20,11 @@
 //!   GROUP BY — in queue order through `DProvDb::submit_with_rng` /
 //!   `answer_group_by_with_rng`; each [`service::Reply`] travels back
 //!   through the job's [`service::Completion`];
-//! * [`frontend`] — the **in-process protocol frontend**
-//!   ([`frontend::Frontend`]): serves the versioned `dprov-api` analyst
-//!   protocol over the worker pool — session registration authenticated
-//!   against the analyst roster, per-connection reader/forwarder/writer
-//!   threads — through a channel-pair transport (TCP is `dprov-net`'s
-//!   event loop, which shares [`proto`]). Same-process embedders can also
-//!   call [`service::QueryService::submit`] directly.
+//! * [`proto`] — the versioned `dprov-api` **protocol state machine**:
+//!   session registration authenticated against the analyst roster,
+//!   control requests, mux channels. `dprov-net`'s event loop serves it
+//!   over TCP; same-process embedders call
+//!   [`service::QueryService::submit`] directly.
 //!
 //! **Budget safety under concurrency** is enforced one layer down, in
 //! `dprov-core`'s admission control: constraint checks and charges commit
@@ -67,13 +65,11 @@
 #![deny(missing_docs)]
 #![warn(clippy::all)]
 
-pub mod frontend;
 pub mod proto;
 pub mod queue;
 pub mod service;
 pub mod session;
 
-pub use frontend::Frontend;
 pub use queue::{SpaceListener, TryPushError};
 pub use service::{
     Completion, DurabilityConfig, DurabilityConfigBuilder, FrontendMode, Pending, QueryService,

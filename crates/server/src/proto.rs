@@ -1,24 +1,20 @@
-//! The transport-independent protocol state machine shared by every
-//! frontend.
+//! The transport-independent protocol state machine.
 //!
-//! Both the in-process [`crate::frontend::Frontend`] and the event-loop
-//! TCP frontend (the `dprov-net` crate) feed raw request payloads
-//! through [`ConnProto::handle_payload`] and obey the returned
+//! The event-loop TCP frontend (the `dprov-net` crate) feeds raw request
+//! payloads through [`ConnProto::handle_payload`] and obeys the returned
 //! [`PayloadOutcome`]; eventual query answers are framed by
 //! [`encode_reply`] under the same `(request id, mux scope)` the
-//! submission carried. Centralising the state machine here is what makes
-//! the two frontends *provably* equivalent: every response byte is
-//! produced by the same code path, so the differential test suite can
-//! assert bit-identical analyst-visible behaviour and any divergence must
-//! come from transport plumbing, not protocol semantics.
+//! submission carried. Keeping the state machine here, next to the
+//! service it drives, keeps protocol semantics apart from transport
+//! plumbing: every response byte is produced by this one code path.
 //!
 //! **Connection multiplexing** (protocol v3) also lives here. A
 //! [`Request::Mux`] frame carries a fully-encoded inner request for a
 //! numbered *channel*; each channel runs its own `ProtoState` — its own
 //! inner `Hello`, its own session registration — so one TCP connection
 //! hosts many independent analyst sessions and a
-//! `dprov_api::MuxConnection` client works against either frontend
-//! unchanged. Channel rules:
+//! `dprov_api::MuxConnection` client shares one socket between them.
+//! Channel rules:
 //!
 //! * the **outer** `Hello` must complete before any `Mux` frame (same
 //!   "first message" rule as every other request);
@@ -42,10 +38,34 @@ use dprov_core::analyst::AnalystId;
 use dprov_obs::{CounterId, HistId, MetricsRegistry, Stage};
 
 use crate::service::{QueryService, Reply, ServerError, Work};
-use crate::session::SessionId;
+use crate::session::{SessionError, SessionId};
 
-/// Channel cap used by frontends that do not expose their own knob.
-pub const DEFAULT_MAX_CHANNELS: usize = 1024;
+impl From<SessionError> for ApiError {
+    fn from(e: SessionError) -> Self {
+        // In-crate matches stay exhaustive despite #[non_exhaustive]:
+        // adding a variant forces a conscious code assignment here.
+        let code = match &e {
+            SessionError::Unknown(_) => codes::UNKNOWN_SESSION,
+            SessionError::Expired(_) => codes::SESSION_EXPIRED,
+        };
+        ApiError::new(code, e.to_string())
+    }
+}
+
+impl From<ServerError> for ApiError {
+    fn from(e: ServerError) -> Self {
+        match e {
+            ServerError::Session(session) => session.into(),
+            ServerError::ShuttingDown => shutting_down(),
+            ServerError::Core(core) => core.into(),
+            ServerError::Storage(storage) => storage.into(),
+            ServerError::InvalidConfig(msg) => ApiError::new(codes::INVALID_ARGUMENT, msg),
+            ServerError::SessionOwnership { .. } => {
+                ApiError::new(codes::SESSION_OWNERSHIP, e.to_string())
+            }
+        }
+    }
+}
 
 /// Per-channel (or bare-connection) protocol state.
 #[derive(Default)]
@@ -65,9 +85,8 @@ enum ProtoFlow {
     /// the connection).
     ReplyClose(Response),
     /// A well-formed query submission (scalar or GROUP BY): the frontend
-    /// dispatches it to the worker pool on its own path (blocking
-    /// [`QueryService::submit`] or non-blocking
-    /// [`QueryService::try_submit`]).
+    /// answers it inline or dispatches it with
+    /// [`QueryService::try_submit`].
     Submit { session: SessionId, work: Work },
 }
 
@@ -77,11 +96,11 @@ pub enum PayloadOutcome {
     Reply(Vec<u8>),
     /// Write this frame, then close the whole connection.
     ReplyClose(Vec<u8>),
-    /// Answer this work: the event-loop frontend first offers it to
+    /// Answer this work: the frontend first offers it to
     /// [`QueryService::try_answer_inline`] and hands only what that
-    /// refuses to the worker pool; the in-process frontend always queues
-    /// it. Either way the response goes through [`reply_to_protocol`] and
-    /// [`encode_reply`] under the same `(request_id, scope)`.
+    /// refuses to the worker pool. Either way the response goes through
+    /// [`reply_to_protocol`] and [`encode_reply`] under the same
+    /// `(request_id, scope)`.
     Submit {
         /// The session the work runs on.
         session: SessionId,
@@ -250,9 +269,9 @@ impl ConnProto {
 }
 
 /// Encodes `response` for the wire, wrapped into a [`Response::MuxReply`]
-/// when `scope` names a channel, and records reply-stage metrics. Both
-/// frontends (and their forwarders) funnel every response through here so
-/// framing cannot diverge between them.
+/// when `scope` names a channel, and records reply-stage metrics. Inline
+/// and queued answers both funnel through here, so their framing cannot
+/// diverge.
 #[must_use]
 pub fn encode_reply(
     metrics: &MetricsRegistry,
@@ -285,8 +304,8 @@ pub fn encode_reply(
     frame
 }
 
-/// Maps a worker-pool response onto the wire protocol — the single
-/// conversion both frontends use.
+/// Maps a service response onto the wire protocol — the single
+/// conversion for inline and queued answers alike.
 #[must_use]
 pub fn reply_to_protocol(response: Result<Reply, ServerError>) -> Response {
     match response {
@@ -504,7 +523,7 @@ fn submit_flow(state: &ProtoState, service: &Weak<QueryService>, work: Work) -> 
     ProtoFlow::Submit { session, work }
 }
 
-pub(crate) fn shutting_down() -> ApiError {
+fn shutting_down() -> ApiError {
     ApiError::new(codes::SHUTTING_DOWN, "service is shutting down")
 }
 

@@ -280,11 +280,11 @@ impl SessionRegistry {
         Ok(std::sync::Arc::clone(session))
     }
 
-    /// Refreshes a session's heartbeat.
+    /// Refreshes a live session's heartbeat. An expired session is
+    /// refused like [`Self::get`] refuses it, reaped or not, so expiry
+    /// depends on the clock alone and never on when the reaper runs.
     pub fn heartbeat(&self, id: SessionId) -> Result<(), SessionError> {
-        let sessions = self.sessions.read().expect("session registry poisoned");
-        let session = sessions.get(&id.0).ok_or(SessionError::Unknown(id))?;
-        session.heartbeat();
+        self.get(id)?.heartbeat();
         Ok(())
     }
 
@@ -370,13 +370,23 @@ mod tests {
         assert!(reg.get(id).is_ok());
         std::thread::sleep(Duration::from_millis(50));
         assert_eq!(reg.get(id).unwrap_err(), SessionError::Expired(id));
-        // A heartbeat revives it (the registry has not reaped it yet).
-        reg.heartbeat(id).unwrap();
-        assert!(reg.get(id).is_ok());
-        std::thread::sleep(Duration::from_millis(50));
+        // A heartbeat after expiry is refused, although the registry has
+        // not reaped the session yet: expiry follows the clock alone.
+        assert_eq!(reg.heartbeat(id).unwrap_err(), SessionError::Expired(id));
+        assert_eq!(reg.get(id).unwrap_err(), SessionError::Expired(id));
         assert_eq!(reg.expire_stale(), vec![id]);
         assert!(reg.is_empty());
-        assert!(reg.heartbeat(id).is_err());
+        assert_eq!(reg.heartbeat(id).unwrap_err(), SessionError::Unknown(id));
+
+        // A session heartbeaten within its TTL outlives it.
+        let reg = SessionRegistry::new(7, Duration::from_millis(200));
+        let kept = reg.register(AnalystId(0));
+        for _ in 0..6 {
+            std::thread::sleep(Duration::from_millis(50));
+            reg.heartbeat(kept).unwrap();
+        }
+        assert!(reg.get(kept).is_ok());
+        assert!(reg.expire_stale().is_empty());
     }
 
     #[test]

@@ -3,8 +3,8 @@
 //!
 //! The walk-through: (1) generate the star database (sales fact + store and
 //! item dimensions) and fold it into one wide table at ingest; (2) build
-//! the system over an explicit view catalog and serve it; (3) run grouped
-//! queries over the wire; (4) read the per-(analyst, view) budget ledger.
+//! the system over an explicit view catalog and serve it over loopback
+//! TCP; (3) run grouped queries over the wire; (4) read the per-(analyst, view) budget ledger.
 //!
 //! Run with `cargo run --release --example grouped_star`.
 
@@ -19,7 +19,8 @@ use dprovdb::core::system::DProvDb;
 use dprovdb::engine::catalog::ViewCatalog;
 use dprovdb::engine::group::GroupByQuery;
 use dprovdb::engine::view::ViewDef;
-use dprovdb::server::{Frontend, QueryService, ServiceConfig};
+use dprovdb::net::listen;
+use dprovdb::server::{QueryService, ServiceConfig};
 use dprovdb::workloads::star;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -59,8 +60,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         Arc::clone(&system),
         ServiceConfig::builder().workers(2).build()?,
     ));
-    let frontend = Frontend::new(&service);
-    let mut client = DProvClient::connect(frontend.connect(), "grouped-demo")?;
+    let listener = listen(&service, "127.0.0.1:0")?;
+    let mut client = DProvClient::connect_tcp(listener.local_addr(), "grouped-demo")?;
     client.register("internal-analyst")?;
 
     // 3. GROUP BY over the wire: one submission, one DP answer per group
@@ -99,5 +100,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("row total: eps {:.4}", provenance.row_total(AnalystId(1)));
 
     client.close()?;
+    listener.shutdown();
     Ok(())
 }

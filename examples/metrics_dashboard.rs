@@ -31,7 +31,8 @@ use dprovdb::core::system::DProvDb;
 use dprovdb::delta::EpochPolicy;
 use dprovdb::engine::catalog::ViewCatalog;
 use dprovdb::engine::datagen::adult::adult_database;
-use dprovdb::server::{Frontend, QueryService, ServiceConfig};
+use dprovdb::net::listen;
+use dprovdb::server::{QueryService, ServiceConfig};
 use dprovdb::workloads::skew::{generate_stream, StreamEvent, StreamingConfig};
 
 const ANALYSTS: usize = 4;
@@ -73,15 +74,15 @@ fn build_service() -> Arc<QueryService> {
 
 fn main() {
     let service = build_service();
-    let frontend = Frontend::new(&service);
-    let mut monitor = DProvClient::connect(frontend.connect(), "dashboard").unwrap();
+    let listener = listen(&service, "127.0.0.1:0").unwrap();
+    let mut monitor = DProvClient::connect_tcp(listener.local_addr(), "dashboard").unwrap();
 
     let db = adult_database(20_000, 1);
     let config = StreamingConfig::update_heavy("adult", ANALYSTS, 30).with_seed(7);
     let events = generate_stream(&db, &config).unwrap();
     println!(
         "metrics_dashboard: {} stream events against a 2-worker service; monitor polls \
-         MetricsSnapshot over the in-process protocol transport\n",
+         MetricsSnapshot over loopback TCP\n",
         events.len()
     );
 
@@ -170,4 +171,5 @@ fn main() {
         println!("  {}", line.trim_end_matches(','));
     }
     println!("  ...");
+    listener.shutdown();
 }

@@ -4,8 +4,9 @@
 //! Three acts:
 //!
 //! 1. **Transport invisibility** — three concurrent analysts run fixed
-//!    query scripts twice, once over the in-process channel transport and
-//!    once over TCP against a fresh, identically-seeded service. The
+//!    query scripts twice, once in-process through
+//!    `QueryService::submit` and once over TCP against a fresh,
+//!    identically-seeded service. The
 //!    answers must match **bit for bit**: same seed, same
 //!    session-registration order, same per-session submission order is
 //!    all that determines the noise.
@@ -24,7 +25,7 @@
 use std::sync::Arc;
 
 use dprovdb::api::DProvClient;
-use dprovdb::core::analyst::AnalystRegistry;
+use dprovdb::core::analyst::{AnalystId, AnalystRegistry};
 use dprovdb::core::config::SystemConfig;
 use dprovdb::core::mechanism::MechanismKind;
 use dprovdb::core::processor::{QueryOutcome, QueryRequest};
@@ -33,7 +34,7 @@ use dprovdb::engine::catalog::ViewCatalog;
 use dprovdb::engine::datagen::adult::adult_database;
 use dprovdb::engine::query::Query;
 use dprovdb::net::listen;
-use dprovdb::server::{DurabilityConfig, Frontend, QueryService, ServiceConfig};
+use dprovdb::server::{DurabilityConfig, QueryService, ServiceConfig, Work};
 
 const ANALYSTS: usize = 3;
 const SEED: u64 = 33;
@@ -82,7 +83,7 @@ fn value_of(outcome: QueryOutcome) -> f64 {
 
 /// Runs every analyst's script concurrently through pre-connected clients
 /// (pipelined submit/poll) and returns the ordered answers per analyst.
-fn drive(clients: Vec<DProvClient>) -> Vec<Vec<f64>> {
+fn drive_over_tcp(clients: Vec<DProvClient>) -> Vec<Vec<f64>> {
     let handles: Vec<_> = clients
         .into_iter()
         .enumerate()
@@ -109,15 +110,31 @@ fn main() {
         Arc::new(build_system()),
         ServiceConfig::builder().workers(4).build().unwrap(),
     ));
-    let frontend = Frontend::new(&service);
-    let in_process_clients: Vec<DProvClient> = (0..ANALYSTS)
-        .map(|a| {
-            let mut client = DProvClient::connect(frontend.connect(), "local").unwrap();
-            client.register(&format!("analyst-{a}")).unwrap();
-            client
+    let sessions: Vec<_> = (0..ANALYSTS)
+        .map(|a| service.open_session(AnalystId(a)).unwrap())
+        .collect();
+    let handles: Vec<_> = sessions
+        .into_iter()
+        .enumerate()
+        .map(|(a, session)| {
+            let service = Arc::clone(&service);
+            std::thread::spawn(move || {
+                let pending: Vec<_> = script(a)
+                    .into_iter()
+                    .map(|request| {
+                        service
+                            .submit(session, Work::Scalar(request), None)
+                            .unwrap()
+                    })
+                    .collect();
+                pending
+                    .into_iter()
+                    .map(|p| value_of(p.wait().unwrap().into_scalar().unwrap()))
+                    .collect::<Vec<f64>>()
+            })
         })
         .collect();
-    let in_process = drive(in_process_clients);
+    let in_process: Vec<Vec<f64>> = handles.into_iter().map(|h| h.join().unwrap()).collect();
 
     let service_tcp = Arc::new(QueryService::start(
         Arc::new(build_system()),
@@ -133,7 +150,7 @@ fn main() {
             client
         })
         .collect();
-    let over_tcp = drive(tcp_clients);
+    let over_tcp = drive_over_tcp(tcp_clients);
 
     assert_eq!(in_process, over_tcp, "transports must be invisible");
     for (a, answers) in over_tcp.iter().enumerate() {

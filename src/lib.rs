@@ -21,12 +21,13 @@
 //! * [`workloads`] — the RRQ and BFS workload generators and the
 //!   experiment runner used to regenerate the paper's figures.
 //! * [`api`] — the versioned analyst wire protocol: typed
-//!   requests/responses, CRC-checked frames, the in-process and TCP
-//!   transports, the stable `ApiError` taxonomy and the blocking
+//!   requests/responses, CRC-checked frames, the TCP transport, the
+//!   stable `ApiError` taxonomy and the blocking
 //!   `DProvClient`.
 //! * [`server`] — the concurrent multi-analyst query service: analyst
 //!   sessions, a bounded job queue, a worker pool over the shared,
-//!   thread-safe `DProvDb`, and the in-process `Frontend` serving `api`.
+//!   thread-safe `DProvDb`, a session reaper, and the protocol state
+//!   machine that `net` serves.
 //! * [`storage`] — the durable provenance ledger: checksummed write-ahead
 //!   log, versioned snapshots, crash-safe recovery and the crash-injection
 //!   test harness.
@@ -37,8 +38,8 @@
 //!   readiness-driven loop threads (over the hand-rolled epoll shim)
 //!   serving thousands of multiplexed, non-blocking connections with
 //!   incremental frame decode, queue-coupled backpressure and
-//!   idle-connection reaping — proven bit-identical to the in-process
-//!   `Frontend` transport.
+//!   idle-connection reaping — proven bit-identical to the service's
+//!   queued in-process path.
 //! * [`cluster`] — the replicated budget ledger: majority-quorum
 //!   replication (simplified Raft over the storage WAL records), the
 //!   gateway's replication gate, and the in-process nemesis used by the
@@ -80,6 +81,6 @@ pub mod prelude {
     pub use dprov_exec::{ColumnarExecutor, ExecConfig};
     pub use dprov_net::{NetConfig, ServiceListener};
     pub use dprov_obs::{MetricsRegistry, MetricsSnapshot};
-    pub use dprov_server::{Frontend, QueryService, ServiceConfig, SessionId};
+    pub use dprov_server::{QueryService, ServiceConfig, SessionId};
     pub use dprov_workloads::runner::ExperimentRunner;
 }

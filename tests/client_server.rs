@@ -1,14 +1,14 @@
 //! Loopback client/server integration: the versioned analyst protocol
-//! served over real TCP must be **observationally identical** to the
-//! in-process transport — same seed, same session-registration order,
-//! same per-session submission order ⇒ bit-identical answers — and a
-//! client must be able to reconnect across a durable service restart and
-//! find its session and budgets intact.
+//! served over real TCP must be **observationally identical** to driving
+//! the service in-process through `QueryService::submit` — same seed,
+//! same session-registration order, same per-session submission order ⇒
+//! bit-identical answers — and a client must be able to reconnect across
+//! a durable service restart and find its session and budgets intact.
 
 use std::sync::Arc;
 
 use dprovdb::api::{codes, DProvClient};
-use dprovdb::core::analyst::AnalystRegistry;
+use dprovdb::core::analyst::{AnalystId, AnalystRegistry};
 use dprovdb::core::config::SystemConfig;
 use dprovdb::core::mechanism::MechanismKind;
 use dprovdb::core::processor::{QueryOutcome, QueryRequest};
@@ -17,7 +17,7 @@ use dprovdb::engine::catalog::ViewCatalog;
 use dprovdb::engine::datagen::adult::adult_database;
 use dprovdb::engine::query::Query;
 use dprovdb::net::listen;
-use dprovdb::server::{DurabilityConfig, Frontend, QueryService, ServiceConfig};
+use dprovdb::server::{DurabilityConfig, QueryService, ServiceConfig, Work};
 
 const ANALYSTS: usize = 3;
 
@@ -56,6 +56,13 @@ fn script(analyst: usize) -> Vec<QueryRequest> {
         .collect()
 }
 
+fn value_of(outcome: QueryOutcome) -> f64 {
+    match outcome {
+        QueryOutcome::Answered(answer) => answer.value,
+        QueryOutcome::Rejected { reason } => panic!("unexpected rejection: {reason}"),
+    }
+}
+
 fn answers_of(mut clients: Vec<DProvClient>) -> Vec<Vec<f64>> {
     let handles: Vec<_> = clients
         .drain(..)
@@ -69,12 +76,7 @@ fn answers_of(mut clients: Vec<DProvClient>) -> Vec<Vec<f64>> {
                     .collect();
                 let values = ids
                     .into_iter()
-                    .map(|id| match client.poll(id).unwrap() {
-                        QueryOutcome::Answered(answer) => answer.value,
-                        QueryOutcome::Rejected { reason } => {
-                            panic!("unexpected rejection: {reason}")
-                        }
-                    })
+                    .map(|id| value_of(client.poll(id).unwrap()))
                     .collect::<Vec<f64>>();
                 client.close().unwrap();
                 values
@@ -86,20 +88,41 @@ fn answers_of(mut clients: Vec<DProvClient>) -> Vec<Vec<f64>> {
 
 #[test]
 fn tcp_loopback_answers_are_bit_identical_to_in_process() {
-    // Pass 1: in-process transport.
+    // Pass 1: in-process, through the service's queued path.
     let service = Arc::new(QueryService::start(
         Arc::new(build_system(23)),
         ServiceConfig::builder().workers(4).build().unwrap(),
     ));
-    let frontend = Frontend::new(&service);
-    let mut clients = Vec::new();
-    for a in 0..ANALYSTS {
-        let mut client = DProvClient::connect(frontend.connect(), "in-proc").unwrap();
-        let descriptor = client.register(&format!("analyst-{a}")).unwrap();
-        assert_eq!(descriptor.session, a as u64, "registration order is fixed");
-        clients.push(client);
-    }
-    let in_process = answers_of(clients);
+    let sessions: Vec<_> = (0..ANALYSTS)
+        .map(|a| {
+            let session = service.open_session(AnalystId(a)).unwrap();
+            assert_eq!(session.0, a as u64, "registration order is fixed");
+            session
+        })
+        .collect();
+    let handles: Vec<_> = sessions
+        .into_iter()
+        .enumerate()
+        .map(|(a, session)| {
+            let service = Arc::clone(&service);
+            std::thread::spawn(move || {
+                // Pipeline the whole script, then wait for outcomes in order.
+                let pending: Vec<_> = script(a)
+                    .into_iter()
+                    .map(|request| {
+                        service
+                            .submit(session, Work::Scalar(request), None)
+                            .unwrap()
+                    })
+                    .collect();
+                pending
+                    .into_iter()
+                    .map(|p| value_of(p.wait().unwrap().into_scalar().unwrap()))
+                    .collect::<Vec<f64>>()
+            })
+        })
+        .collect();
+    let in_process: Vec<Vec<f64>> = handles.into_iter().map(|h| h.join().unwrap()).collect();
 
     // Pass 2: a fresh, identically-seeded system served over real TCP.
     let service = Arc::new(QueryService::start(
@@ -222,11 +245,9 @@ fn client_reconnects_across_a_durable_restart_with_budgets_intact() {
         Arc::new(build_system(51)),
         ServiceConfig::builder().workers(2).build().unwrap(),
     ));
-    let twin_frontend = Frontend::new(&twin);
-    // Burn session id 0 so "analyst-1" gets session 1, as in phase 1...
-    // it does not: phase 1 registered only one session (id 0). Recreate
-    // exactly that order.
-    let mut twin_client = DProvClient::connect(twin_frontend.connect(), "twin").unwrap();
+    let twin_listener = listen(&twin, "127.0.0.1:0").unwrap();
+    // Phase 1 registered one session (id 0); recreate exactly that order.
+    let mut twin_client = DProvClient::connect_tcp(twin_listener.local_addr(), "twin").unwrap();
     twin_client.register("analyst-1").unwrap();
     let mut twin_answers: Vec<f64> = (0..4)
         .map(|i| {
@@ -260,6 +281,7 @@ fn client_reconnects_across_a_durable_restart_with_budgets_intact() {
         continuation, twin_continuation,
         "the recovered session must continue its noise stream bit-for-bit"
     );
+    twin_listener.shutdown();
 
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -13,8 +13,8 @@
 //!   refused on a tight budget, cells priced by the friction-aware search
 //!   and cells with different per-bin targets — while running no more
 //!   accuracy→ε searches (`dp.translations`) than the oracle;
-//! * the wire protocol (`DProvClient::group_by` over the in-process and
-//!   TCP transports) returns exactly what the service computed;
+//! * the wire protocol (`DProvClient::group_by` over loopback TCP)
+//!   returns exactly what the service computed in-process;
 //! * star-schema join-folding feeds grouped answering correctly: exact
 //!   grouped counts over the folded wide table equal a hand-computed
 //!   fact⋈dimension join, and the DP path over the wide table matches its
@@ -37,7 +37,7 @@ use dprovdb::engine::query::Query;
 use dprovdb::engine::schema::Schema;
 use dprovdb::engine::view::ViewDef;
 use dprovdb::net::listen;
-use dprovdb::server::{Frontend, QueryService, ServiceConfig};
+use dprovdb::server::{QueryService, ServiceConfig};
 use dprovdb::workloads::star::{
     folded_star_database, star_database, ITEM_TABLE, SALES_TABLE, SALES_WIDE_TABLE, STORE_TABLE,
 };
@@ -416,17 +416,6 @@ fn grouped_over_the_wire_matches_in_process_service() {
     let reference = service.group_by_wait(session, request.clone()).unwrap();
     service.shutdown();
 
-    // In-process transport on a twin.
-    let service = Arc::new(service_over(&adult_system(
-        MechanismKind::AdditiveGaussian,
-        config(57),
-    )));
-    let frontend = Frontend::new(&service);
-    let mut client = DProvClient::connect(frontend.connect(), "in-proc").unwrap();
-    client.register("analyst-0").unwrap();
-    let in_proc = client.group_by(&request).unwrap();
-    client.close().unwrap();
-
     // Real TCP on another twin.
     let service = Arc::new(service_over(&adult_system(
         MechanismKind::AdditiveGaussian,
@@ -437,13 +426,12 @@ fn grouped_over_the_wire_matches_in_process_service() {
     client.register("analyst-0").unwrap();
     let tcp = client.group_by(&request).unwrap();
     client.close().unwrap();
+    listener.shutdown();
 
-    for other in [&in_proc, &tcp] {
-        assert_eq!(reference.keys, other.keys);
-        let reference: Vec<Observed> = reference.outcomes.iter().map(observe).collect();
-        let got: Vec<Observed> = other.outcomes.iter().map(observe).collect();
-        assert_eq!(reference, got, "transport changed a grouped answer");
-    }
+    assert_eq!(reference.keys, tcp.keys);
+    let reference: Vec<Observed> = reference.outcomes.iter().map(observe).collect();
+    let got: Vec<Observed> = tcp.outcomes.iter().map(observe).collect();
+    assert_eq!(reference, got, "transport changed a grouped answer");
 }
 
 #[test]

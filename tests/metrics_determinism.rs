@@ -22,8 +22,9 @@ use dprovdb::core::system::DProvDb;
 use dprovdb::engine::catalog::ViewCatalog;
 use dprovdb::engine::datagen::adult::adult_database;
 use dprovdb::engine::query::Query;
+use dprovdb::net::listen;
 use dprovdb::obs::MetricsRegistry;
-use dprovdb::server::{Frontend, QueryService, ServiceConfig};
+use dprovdb::server::{QueryService, ServiceConfig};
 
 const ANALYSTS: usize = 4;
 
@@ -140,8 +141,8 @@ fn snapshot_agrees_with_service_stats_end_to_end() {
         Arc::clone(&system),
         ServiceConfig::builder().workers(2).build().unwrap(),
     ));
-    let frontend = Frontend::new(&service);
-    let mut client = DProvClient::connect(frontend.connect(), "obs-test").unwrap();
+    let listener = listen(&service, "127.0.0.1:0").unwrap();
+    let mut client = DProvClient::connect_tcp(listener.local_addr(), "obs-test").unwrap();
     client.register("analyst-0").unwrap();
     for request in script(0) {
         client.query(&request).unwrap();
@@ -194,6 +195,7 @@ fn snapshot_agrees_with_service_stats_end_to_end() {
         assert_eq!(idle.entry_epsilon, 0.0);
     }
     drop(client);
+    listener.shutdown();
 }
 
 #[test]
