@@ -48,7 +48,7 @@ pub struct EpochSealReport {
     /// Views whose exact histograms were patched.
     pub views_patched: u64,
     /// Cached noisy synopses invalidated under the epoch policy.
-    pub synopses_invalidated: u64,
+    pub(crate) synopses_invalidated: u64,
 }
 
 /// The session a client is attached to.

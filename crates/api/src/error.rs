@@ -152,7 +152,7 @@ pub enum ErrorKind {
 impl ErrorKind {
     /// The kind implied by a stable error code's hundreds band.
     #[must_use]
-    pub fn for_code(code: u16) -> Self {
+    pub(crate) fn for_code(code: u16) -> Self {
         match code / 100 {
             1 => ErrorKind::Protocol,
             2 => ErrorKind::Auth,
@@ -217,7 +217,7 @@ impl std::fmt::Display for ErrorKind {
 /// True when a client may reasonably retry the failed request (possibly
 /// over a fresh connection) without changing it.
 #[must_use]
-pub fn code_is_retryable(code: u16) -> bool {
+pub(crate) fn code_is_retryable(code: u16) -> bool {
     matches!(
         code,
         codes::SHUTTING_DOWN

@@ -28,7 +28,7 @@ use crate::error::{codes, ApiError};
 pub const MAX_FRAME_LEN: usize = 1 << 24;
 
 /// Wraps a payload into a complete frame (header + body). Only the `u32`
-/// length field bounds it; [`write_frame`] and every reader enforce
+/// length field bounds it; `write_frame` and every reader enforce
 /// [`MAX_FRAME_LEN`].
 #[must_use]
 pub fn frame(payload: &[u8]) -> Vec<u8> {
@@ -36,7 +36,7 @@ pub fn frame(payload: &[u8]) -> Vec<u8> {
 }
 
 /// Writes one frame to `w` (no flush; the caller owns buffering policy).
-pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> Result<(), ApiError> {
+pub(crate) fn write_frame(w: &mut impl Write, payload: &[u8]) -> Result<(), ApiError> {
     let framed = codec::frame(payload, MAX_FRAME_LEN).map_err(frame_error)?;
     w.write_all(&framed).map_err(io_error)
 }
@@ -140,8 +140,9 @@ impl FrameDecoder {
 
     /// True when the buffer ends mid-frame — an EOF here is a truncation,
     /// not a clean close.
+    #[cfg(test)]
     #[must_use]
-    pub fn has_partial(&self) -> bool {
+    pub(crate) fn has_partial(&self) -> bool {
         self.buffered_len() > 0
     }
 }

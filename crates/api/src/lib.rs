@@ -19,7 +19,7 @@
 //!   write-ahead ledger;
 //! * [`transport`] — the [`Connection`] abstraction, with TCP (one socket
 //!   per analyst session) built in and other transports plugged in
-//!   through [`Connection::from_halves`];
+//!   through `Connection::from_halves`;
 //! * [`mux`] — **connection multiplexing** (protocol v3): a
 //!   [`MuxConnection`] shares one socket between many channels, each a
 //!   virtual [`Connection`] running its own session — so a fleet of

@@ -6,15 +6,15 @@
 //! bytes produced by [`crate::protocol::encode_request`] /
 //! [`crate::protocol::encode_response`]. One transport is built in:
 //!
-//! * **TCP** ([`Connection::connect_tcp`] / [`Connection::from_tcp`]) —
+//! * **TCP** ([`Connection::connect_tcp`] / `Connection::from_tcp`) —
 //!   one socket per analyst session, payloads wrapped in the
 //!   length-prefixed CRC-checked frames of [`crate::frame`], `TCP_NODELAY`
 //!   set so small request frames are not nagled behind each other.
 //!
-//! Any other transport plugs in through [`Connection::from_halves`]; the
+//! Any other transport plugs in through `Connection::from_halves`; the
 //! mux client ([`crate::MuxConnection`]) builds its channels that way.
 //! The halves are independently `Send`, so a client can hand the source
-//! to a reader thread and keep the sink ([`Connection::split`]).
+//! to a reader thread and keep the sink (`Connection::split`).
 
 use std::io::{BufReader, BufWriter, Write};
 use std::net::{TcpStream, ToSocketAddrs};
@@ -50,7 +50,7 @@ impl std::fmt::Debug for Connection {
 impl Connection {
     /// A connection over caller-supplied halves (custom transports).
     #[must_use]
-    pub fn from_halves(sink: Box<dyn FrameSink>, source: Box<dyn FrameSource>) -> Self {
+    pub(crate) fn from_halves(sink: Box<dyn FrameSink>, source: Box<dyn FrameSource>) -> Self {
         Connection { sink, source }
     }
 
@@ -61,7 +61,7 @@ impl Connection {
     }
 
     /// Wraps an accepted / established TCP stream.
-    pub fn from_tcp(stream: TcpStream) -> Result<Connection, ApiError> {
+    pub(crate) fn from_tcp(stream: TcpStream) -> Result<Connection, ApiError> {
         stream.set_nodelay(true).map_err(io_error)?;
         let read_half = stream.try_clone().map_err(io_error)?;
         Ok(Connection {
@@ -82,7 +82,7 @@ impl Connection {
 
     /// Splits into independently owned halves (reader/writer threads).
     #[must_use]
-    pub fn split(self) -> (Box<dyn FrameSink>, Box<dyn FrameSource>) {
+    pub(crate) fn split(self) -> (Box<dyn FrameSink>, Box<dyn FrameSource>) {
         (self.sink, self.source)
     }
 }

@@ -35,7 +35,7 @@ impl MultiAnalystLedger {
     /// composition, Theorem 3.1): each analyst's ε is their row total,
     /// their δ is `delta` composed over their release count.
     #[must_use]
-    pub fn derive(provenance: &ProvenanceTable, delta: Delta) -> Self {
+    pub(crate) fn derive(provenance: &ProvenanceTable, delta: Delta) -> Self {
         let per_analyst = (0..provenance.num_analysts())
             .map(AnalystId)
             .filter(|&a| provenance.releases(a) > 0)
@@ -83,8 +83,9 @@ impl MultiAnalystLedger {
 
     /// The (t, n)-compromised upper bound of Section 7.1: the sum of the `t`
     /// largest per-analyst epsilons (and deltas).
+    #[cfg(test)]
     #[must_use]
-    pub fn compromised_upper_bound(&self, t: usize) -> Budget {
+    pub(crate) fn compromised_upper_bound(&self, t: usize) -> Budget {
         let budgets = || self.per_analyst.values().map(|(b, _)| b);
         let mut epsilons: Vec<f64> = budgets().map(|b| b.epsilon.value()).collect();
         let mut deltas: Vec<f64> = budgets().map(|b| b.delta.value()).collect();

@@ -3,7 +3,7 @@
 //! The provenance-table constraint check and the subsequent charge must be
 //! observed atomically by every concurrent submission, or two in-flight
 //! queries could both pass the check and jointly overspend a row, column or
-//! table constraint. [`AdmissionControl`] provides the two lock families the
+//! table constraint. `AdmissionControl` provides the two lock families the
 //! thread-safe [`crate::system::DProvDb`] uses around its `Mutex`-guarded
 //! provenance table:
 //!
@@ -30,7 +30,7 @@ use std::sync::{Mutex, MutexGuard};
 
 /// Striped locks gating admission of concurrent submissions.
 #[derive(Debug)]
-pub struct AdmissionControl {
+pub(crate) struct AdmissionControl {
     view_index: HashMap<String, usize>,
     /// `analyst * num_views + view`, one stripe per provenance entry.
     entry_locks: Vec<Mutex<()>>,
@@ -42,7 +42,7 @@ pub struct AdmissionControl {
 impl AdmissionControl {
     /// Builds the lock table for `num_analysts` rows over `views` columns.
     #[must_use]
-    pub fn new(num_analysts: usize, views: &[String]) -> Self {
+    pub(crate) fn new(num_analysts: usize, views: &[String]) -> Self {
         let view_index: HashMap<String, usize> = views
             .iter()
             .enumerate()
@@ -62,7 +62,7 @@ impl AdmissionControl {
     /// Acquires the `(analyst, view)` entry lock. Unknown views (possible
     /// only for baselines that bypass the catalog) fall back to the first
     /// stripe of the analyst's row.
-    pub fn lock_entry(&self, analyst: usize, view: &str) -> MutexGuard<'_, ()> {
+    pub(crate) fn lock_entry(&self, analyst: usize, view: &str) -> MutexGuard<'_, ()> {
         self.entry(analyst, view)
             .lock()
             .expect("entry lock poisoned")
@@ -70,7 +70,7 @@ impl AdmissionControl {
 
     /// [`Self::lock_entry`] without waiting: `None` while another
     /// submission holds the entry (it may be mid-translation or mid-append).
-    pub fn try_lock_entry(&self, analyst: usize, view: &str) -> Option<MutexGuard<'_, ()>> {
+    pub(crate) fn try_lock_entry(&self, analyst: usize, view: &str) -> Option<MutexGuard<'_, ()>> {
         self.entry(analyst, view).try_lock().ok()
     }
 
@@ -81,14 +81,14 @@ impl AdmissionControl {
 
     /// Acquires the per-view lock serialising global-synopsis growth.
     /// Must be taken *after* [`Self::lock_entry`] (fixed lock order).
-    pub fn lock_view(&self, view: &str) -> MutexGuard<'_, ()> {
+    pub(crate) fn lock_view(&self, view: &str) -> MutexGuard<'_, ()> {
         let v = self.view_index.get(view).copied().unwrap_or(0);
         self.view_locks[v].lock().expect("view lock poisoned")
     }
 
     /// Number of view stripes.
-    #[must_use]
-    pub fn num_views(&self) -> usize {
+    #[cfg(test)]
+    fn num_views(&self) -> usize {
         self.num_views
     }
 }

@@ -19,10 +19,10 @@ pub struct Privilege(u8);
 
 impl Privilege {
     /// The highest privilege level expressible in the system.
-    pub const MAX_LEVEL: u8 = 10;
+    pub(crate) const MAX_LEVEL: u8 = 10;
 
     /// Creates a privilege level, rejecting values outside `1..=10`.
-    pub fn new(level: u8) -> Result<Self> {
+    pub(crate) fn new(level: u8) -> Result<Self> {
         if (1..=Self::MAX_LEVEL).contains(&level) {
             Ok(Privilege(level))
         } else {
@@ -38,7 +38,7 @@ impl Privilege {
 
     /// The level as a float (used in constraint normalisation and DCFG).
     #[must_use]
-    pub fn as_f64(self) -> f64 {
+    pub(crate) fn as_f64(self) -> f64 {
         f64::from(self.0)
     }
 }
@@ -95,7 +95,8 @@ impl AnalystRegistry {
     }
 
     /// The privilege of an analyst.
-    pub fn privilege(&self, id: AnalystId) -> Result<Privilege> {
+    #[cfg(test)]
+    pub(crate) fn privilege(&self, id: AnalystId) -> Result<Privilege> {
         Ok(self.get(id)?.privilege)
     }
 
@@ -107,32 +108,32 @@ impl AnalystRegistry {
 
     /// Identifiers of all registered analysts.
     #[must_use]
-    pub fn ids(&self) -> Vec<AnalystId> {
+    pub(crate) fn ids(&self) -> Vec<AnalystId> {
         self.analysts.iter().map(|a| a.id).collect()
     }
 
     /// Number of registered analysts.
     #[must_use]
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.analysts.len()
     }
 
     /// True if no analysts are registered.
     #[must_use]
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.analysts.is_empty()
     }
 
     /// The sum of all privilege levels (the Def. 10 normaliser).
     #[must_use]
-    pub fn privilege_sum(&self) -> f64 {
+    pub(crate) fn privilege_sum(&self) -> f64 {
         self.analysts.iter().map(|a| a.privilege.as_f64()).sum()
     }
 
     /// The maximum privilege level among registered analysts (the Def. 11
     /// normaliser when no system-wide maximum is configured).
     #[must_use]
-    pub fn privilege_max(&self) -> f64 {
+    pub(crate) fn privilege_max(&self) -> f64 {
         self.analysts
             .iter()
             .map(|a| a.privilege.as_f64())

@@ -18,7 +18,6 @@ use dprov_exec::{ColumnarExecutor, ExecConfig};
 use crate::analyst::{AnalystId, AnalystRegistry};
 use crate::config::SystemConfig;
 use crate::error::{CoreError, RejectReason, Result};
-use crate::fairness::AnalystOutcome;
 use crate::processor::{AnsweredQuery, QueryOutcome, QueryProcessor, QueryRequest, SubmissionMode};
 use crate::system::SystemStats;
 
@@ -67,26 +66,6 @@ impl ChorusBaseline {
                 cache_hits: 0,
             },
         }
-    }
-
-    /// Runtime statistics (Tables 1 and 3).
-    #[must_use]
-    pub fn stats(&self) -> SystemStats {
-        self.stats
-    }
-
-    /// Per-analyst outcomes for the fairness metrics.
-    #[must_use]
-    pub fn fairness_outcomes(&self) -> Vec<AnalystOutcome> {
-        self.registry
-            .analysts()
-            .iter()
-            .map(|a| AnalystOutcome {
-                privilege: a.privilege.level(),
-                answered: self.per_analyst_answered[a.id.0],
-                consumed_epsilon: self.per_analyst_consumed[a.id.0],
-            })
-            .collect()
     }
 
     /// Translates the request into an epsilon for direct query answering.

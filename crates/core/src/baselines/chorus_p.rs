@@ -18,7 +18,6 @@ use dprov_engine::exec::execute;
 use crate::analyst::{AnalystId, AnalystRegistry};
 use crate::config::{AnalystConstraintSpec, SystemConfig};
 use crate::error::{CoreError, RejectReason, Result};
-use crate::fairness::AnalystOutcome;
 use crate::processor::{AnsweredQuery, QueryOutcome, QueryProcessor, QueryRequest, SubmissionMode};
 use crate::provenance::analyst_constraints;
 use crate::system::SystemStats;
@@ -68,29 +67,10 @@ impl ChorusPBaseline {
         })
     }
 
-    /// Runtime statistics (Tables 1 and 3).
-    #[must_use]
-    pub fn stats(&self) -> SystemStats {
-        self.stats
-    }
-
-    /// Per-analyst outcomes for the fairness metrics.
-    #[must_use]
-    pub fn fairness_outcomes(&self) -> Vec<AnalystOutcome> {
-        self.registry
-            .analysts()
-            .iter()
-            .map(|a| AnalystOutcome {
-                privilege: a.privilege.level(),
-                answered: self.per_analyst_answered[a.id.0],
-                consumed_epsilon: self.per_analyst_consumed[a.id.0],
-            })
-            .collect()
-    }
-
     /// The row constraint ψ_Ai of an analyst.
+    #[cfg(test)]
     #[must_use]
-    pub fn row_constraint(&self, analyst: AnalystId) -> f64 {
+    pub(crate) fn row_constraint(&self, analyst: AnalystId) -> f64 {
         self.row_constraints[analyst.0]
     }
 

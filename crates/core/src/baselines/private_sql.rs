@@ -20,7 +20,6 @@ use dprov_engine::EngineError;
 use crate::analyst::{AnalystId, AnalystRegistry};
 use crate::config::SystemConfig;
 use crate::error::{RejectReason, Result};
-use crate::fairness::AnalystOutcome;
 use crate::processor::{AnsweredQuery, QueryOutcome, QueryProcessor, QueryRequest, SubmissionMode};
 use crate::synopsis_manager::SynopsisManager;
 use crate::system::SystemStats;
@@ -33,6 +32,7 @@ pub struct SPrivateSqlBaseline {
     config: SystemConfig,
     /// The static synopses, one per view, generated at setup.
     synopses: HashMap<String, Synopsis>,
+    #[cfg(test)]
     per_view_epsilon: f64,
     per_analyst_answered: Vec<usize>,
     stats: SystemStats,
@@ -77,6 +77,7 @@ impl SPrivateSqlBaseline {
             registry,
             config,
             synopses,
+            #[cfg(test)]
             per_view_epsilon,
             per_analyst_answered,
             stats,
@@ -84,32 +85,17 @@ impl SPrivateSqlBaseline {
     }
 
     /// Runtime statistics (Tables 1 and 3).
+    #[cfg(test)]
     #[must_use]
-    pub fn stats(&self) -> SystemStats {
+    pub(crate) fn stats(&self) -> SystemStats {
         self.stats
     }
 
     /// The static budget share assigned to every view.
+    #[cfg(test)]
     #[must_use]
-    pub fn per_view_epsilon(&self) -> f64 {
+    pub(crate) fn per_view_epsilon(&self) -> f64 {
         self.per_view_epsilon
-    }
-
-    /// Per-analyst outcomes for the fairness metrics. sPrivateSQL spends the
-    /// same (whole) budget regardless of analysts, so consumption is
-    /// attributed uniformly.
-    #[must_use]
-    pub fn fairness_outcomes(&self) -> Vec<AnalystOutcome> {
-        let n = self.registry.len().max(1) as f64;
-        self.registry
-            .analysts()
-            .iter()
-            .map(|a| AnalystOutcome {
-                privilege: a.privilege.level(),
-                answered: self.per_analyst_answered[a.id.0],
-                consumed_epsilon: self.config.total_epsilon.value() / n,
-            })
-            .collect()
     }
 }
 

@@ -31,13 +31,14 @@ pub enum AnalystConstraintSpec {
 
 /// How per-view (column) constraints ψ_Vj are derived.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub enum ViewConstraintSpec {
+pub(crate) enum ViewConstraintSpec {
     /// Definition 12 (water-filling): every view constraint equals the table
     /// constraint; budget flows to the views analysts actually query.
     WaterFilling,
     /// The PrivateSQL-style static split: the table budget is divided across
     /// views proportionally to the inverse of their sensitivities (equal
-    /// split when all views are counting histograms).
+    /// split when all views are counting histograms). Test-only.
+    #[cfg(test)]
     StaticSensitivitySplit,
 }
 
@@ -50,13 +51,13 @@ pub struct SystemConfig {
     /// queries, e.g. 1e-9, capped by 1/|D|).
     pub delta: Delta,
     /// How analyst constraints are derived.
-    pub analyst_constraints: AnalystConstraintSpec,
+    pub(crate) analyst_constraints: AnalystConstraintSpec,
     /// How view constraints are derived.
-    pub view_constraints: ViewConstraintSpec,
+    pub(crate) view_constraints: ViewConstraintSpec,
     /// The constraint-expansion factor τ ≥ 1 (§6.2.2, Fig. 7): analyst
     /// constraints are multiplied by τ (and capped at ψ_P), trading fairness
     /// for utility.
-    pub expansion_tau: f64,
+    pub(crate) expansion_tau: f64,
     /// The composition method used for overall accounting.
     pub composition: CompositionMethod,
     /// The precision `p` of the accuracy→privacy binary search.
@@ -65,7 +66,7 @@ pub struct SystemConfig {
     pub seed: u64,
     /// What happens to noisy synopses of a view whose data changed at an
     /// epoch seal (the dynamic-data budget policy; see `dprov-delta`).
-    pub epoch_policy: EpochPolicy,
+    pub(crate) epoch_policy: EpochPolicy,
 }
 
 impl SystemConfig {
@@ -109,8 +110,8 @@ impl SystemConfig {
     }
 
     /// Sets the view-constraint specification.
-    #[must_use]
-    pub fn with_view_constraints(mut self, spec: ViewConstraintSpec) -> Self {
+    #[cfg(test)]
+    pub(crate) fn with_view_constraints(mut self, spec: ViewConstraintSpec) -> Self {
         self.view_constraints = spec;
         self
     }
@@ -143,7 +144,7 @@ impl SystemConfig {
     /// Validates the configuration against a dataset size: the paper caps δ
     /// at the inverse of the dataset size. Also rejects a translation
     /// precision the ε search cannot run at (the field is public).
-    pub fn validate_for_dataset(&self, rows: usize) -> Result<()> {
+    pub(crate) fn validate_for_dataset(&self, rows: usize) -> Result<()> {
         if !(self.translation_precision.is_finite() && self.translation_precision > 0.0) {
             return Err(CoreError::InvalidConfig(format!(
                 "translation precision must be positive and finite, got {}",

@@ -15,7 +15,7 @@ use crate::error::{CoreError, Result};
 
 /// An undirected corruption graph over `n` analysts.
 #[derive(Debug, Clone)]
-pub struct CorruptionGraph {
+pub(crate) struct CorruptionGraph {
     n: usize,
     edges: BTreeSet<(usize, usize)>,
 }
@@ -24,7 +24,7 @@ impl CorruptionGraph {
     /// Creates a graph over `n` analysts with no edges (no collusion
     /// assumed between any pair).
     #[must_use]
-    pub fn new(n: usize) -> Self {
+    pub(crate) fn new(n: usize) -> Self {
         CorruptionGraph {
             n,
             edges: BTreeSet::new(),
@@ -32,7 +32,7 @@ impl CorruptionGraph {
     }
 
     /// Adds an undirected edge: analysts `a` and `b` may collude.
-    pub fn add_edge(&mut self, a: AnalystId, b: AnalystId) -> Result<()> {
+    pub(crate) fn add_edge(&mut self, a: AnalystId, b: AnalystId) -> Result<()> {
         if a.0 >= self.n || b.0 >= self.n {
             return Err(CoreError::InvalidCorruptionGraph(format!(
                 "edge ({a}, {b}) references an analyst outside 0..{}",
@@ -48,13 +48,13 @@ impl CorruptionGraph {
 
     /// Number of analysts (nodes).
     #[must_use]
-    pub fn num_analysts(&self) -> usize {
+    pub(crate) fn num_analysts(&self) -> usize {
         self.n
     }
 
     /// The connected components, each a sorted list of analyst ids.
     #[must_use]
-    pub fn components(&self) -> Vec<Vec<AnalystId>> {
+    pub(crate) fn components(&self) -> Vec<Vec<AnalystId>> {
         let mut parent: Vec<usize> = (0..self.n).collect();
         fn find(parent: &mut Vec<usize>, x: usize) -> usize {
             if parent[x] != x {
@@ -80,7 +80,7 @@ impl CorruptionGraph {
 
     /// Checks that the graph is a valid `(t, n)`-analysts corruption graph
     /// (Definition 14): every connected component has fewer than `t` nodes.
-    pub fn validate(&self, t: usize) -> Result<()> {
+    pub(crate) fn validate(&self, t: usize) -> Result<()> {
         for component in self.components() {
             if component.len() >= t {
                 return Err(CoreError::InvalidCorruptionGraph(format!(
@@ -97,7 +97,7 @@ impl CorruptionGraph {
     /// splitting it inside the component proportionally to the supplied
     /// privilege weights (Theorem 7.2's construction). Returns per-analyst
     /// budgets indexed by `AnalystId.0`.
-    pub fn component_budgets(&self, psi_p: f64, privileges: &[f64]) -> Result<Vec<f64>> {
+    pub(crate) fn component_budgets(&self, psi_p: f64, privileges: &[f64]) -> Result<Vec<f64>> {
         if privileges.len() != self.n {
             return Err(CoreError::InvalidCorruptionGraph(format!(
                 "expected {} privilege weights, got {}",
@@ -123,7 +123,7 @@ impl CorruptionGraph {
     /// The total budget the relaxed model can hand out: `k · ψ_P` where `k`
     /// is the number of connected components.
     #[must_use]
-    pub fn total_assignable(&self, psi_p: f64) -> f64 {
+    pub(crate) fn total_assignable(&self, psi_p: f64) -> f64 {
         self.components().len() as f64 * psi_p
     }
 }

@@ -1,13 +1,11 @@
 //! Fairness metrics.
 //!
-//! * [`dcfg`] / [`ndcfg`] — the (normalised) discounted cumulative fairness
+//! * `dcfg` / [`ndcfg`] — the (normalised) discounted cumulative fairness
 //!   gain of Definitions 17–18 / §6.1.3: answered query counts discounted by
 //!   `log2(1/l_i + 1)` so that answering the *higher*-privilege analysts'
 //!   queries earns more credit.
 //! * [`ProportionalFairnessAudit`] — checks the proportional-fairness
 //!   condition of Definition 7 on observed per-analyst budget consumption.
-
-use crate::analyst::Privilege;
 
 /// Per-analyst outcome used by the fairness metrics.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -23,13 +21,13 @@ pub struct AnalystOutcome {
 /// The discount applied to one analyst's answered-query count:
 /// `log2(1 / l_i + 1)`.
 #[must_use]
-pub fn dcfg_discount(privilege: u8) -> f64 {
+pub(crate) fn dcfg_discount(privilege: u8) -> f64 {
     (1.0 / f64::from(privilege) + 1.0).log2()
 }
 
 /// Discounted cumulative fairness gain (Definition 17).
 #[must_use]
-pub fn dcfg(outcomes: &[AnalystOutcome]) -> f64 {
+pub(crate) fn dcfg(outcomes: &[AnalystOutcome]) -> f64 {
     outcomes
         .iter()
         .map(|o| o.answered as f64 / dcfg_discount(o.privilege))
@@ -87,12 +85,6 @@ pub fn audit_proportional_fairness(
         is_fair: worst <= tolerance,
         worst_violation: worst,
     }
-}
-
-/// Helper kept for call sites that have `Privilege` values.
-#[must_use]
-pub fn dcfg_discount_for(privilege: Privilege) -> f64 {
-    dcfg_discount(privilege.level())
 }
 
 #[cfg(test)]

@@ -20,7 +20,8 @@
 //!   of Theorem 3.2;
 //! * [`fairness`] — the DCFG / nDCFG fairness metrics (Definitions 17–18)
 //!   and a proportional-fairness audit (Definition 7);
-//! * [`corruption`] — the (t, n)-compromised threat-model extension of §7.1;
+//! * `corruption` — the (t, n)-compromised threat-model extension of §7.1,
+//!   kept as a test-only reference: no configuration selects it;
 //! * [`recorder`] — the durable-commit hook: write-ahead records for every
 //!   admission charge and the serialisable state types the `dprov-storage`
 //!   crate snapshots and replays at recovery.
@@ -29,11 +30,12 @@
 #![warn(clippy::all)]
 
 pub mod accounting;
-pub mod admission;
+pub(crate) mod admission;
 pub mod analyst;
 pub mod baselines;
 pub mod config;
-pub mod corruption;
+#[cfg(test)]
+mod corruption;
 pub mod error;
 pub mod fairness;
 pub mod mechanism;

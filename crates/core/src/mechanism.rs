@@ -23,7 +23,7 @@ impl MechanismKind {
     /// The display name used in experiment outputs (matching the paper's
     /// figure legends).
     #[must_use]
-    pub fn label(self) -> &'static str {
+    pub(crate) fn label(self) -> &'static str {
         match self {
             MechanismKind::Vanilla => "Vanilla",
             MechanismKind::AdditiveGaussian => "DProvDB",

@@ -134,23 +134,6 @@ pub struct GroupedOutcome {
     pub outcomes: Vec<QueryOutcome>,
 }
 
-impl GroupedOutcome {
-    /// Number of answered cells.
-    #[must_use]
-    pub fn answered_cells(&self) -> usize {
-        self.outcomes.iter().filter(|o| o.is_answered()).count()
-    }
-
-    /// Total epsilon charged across the released cells.
-    #[must_use]
-    pub fn epsilon_charged(&self) -> f64 {
-        self.outcomes
-            .iter()
-            .filter_map(|o| o.answered().map(|a| a.epsilon_charged))
-            .sum()
-    }
-}
-
 /// The outcome of a submission.
 #[derive(Debug, Clone, PartialEq)]
 pub enum QueryOutcome {

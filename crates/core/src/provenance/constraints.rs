@@ -13,17 +13,22 @@
 //! * Definition 12 (water-filling): every view constraint equals ψ_P, so
 //!   budget flows to the views analysts actually need.
 //! * Static sensitivity split (sPrivateSQL): the table budget is divided
-//!   across views up front, proportionally to 1/sensitivity.
+//!   across views up front, proportionally to 1/sensitivity. Test-only: no
+//!   configuration selects it.
 
 use crate::analyst::AnalystRegistry;
 use crate::config::{AnalystConstraintSpec, SystemConfig, ViewConstraintSpec};
+#[cfg(test)]
 use crate::corruption::CorruptionGraph;
 use crate::error::{CoreError, Result};
 
 /// Computes the per-analyst (row) constraints ψ_Ai for every registered
 /// analyst, in registration order, applying the τ expansion and capping at
 /// ψ_P.
-pub fn analyst_constraints(config: &SystemConfig, registry: &AnalystRegistry) -> Result<Vec<f64>> {
+pub(crate) fn analyst_constraints(
+    config: &SystemConfig,
+    registry: &AnalystRegistry,
+) -> Result<Vec<f64>> {
     if registry.is_empty() {
         return Ok(Vec::new());
     }
@@ -63,7 +68,8 @@ pub fn analyst_constraints(config: &SystemConfig, registry: &AnalystRegistry) ->
 /// component proportionally to the analysts' privilege levels (Theorem 7.2).
 /// Analysts believed not to collude can therefore jointly receive more than
 /// ψ_P, while any colluding set stays within it.
-pub fn analyst_constraints_from_corruption_graph(
+#[cfg(test)]
+pub(crate) fn analyst_constraints_from_corruption_graph(
     config: &SystemConfig,
     registry: &AnalystRegistry,
     graph: &CorruptionGraph,
@@ -90,13 +96,14 @@ pub fn analyst_constraints_from_corruption_graph(
 
 /// Computes the per-view (column) constraints ψ_Vj for the given view names
 /// and sensitivities (same order).
-pub fn view_constraints(
+pub(crate) fn view_constraints(
     config: &SystemConfig,
     view_sensitivities: &[(String, f64)],
 ) -> Result<Vec<f64>> {
     let psi_p = config.total_epsilon.value();
     match config.view_constraints {
         ViewConstraintSpec::WaterFilling => Ok(view_sensitivities.iter().map(|_| psi_p).collect()),
+        #[cfg(test)]
         ViewConstraintSpec::StaticSensitivitySplit => {
             if view_sensitivities.is_empty() {
                 return Ok(Vec::new());

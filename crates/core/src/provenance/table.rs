@@ -48,7 +48,7 @@ impl ProvenanceTable {
     /// Creates a table with the given overall constraint and no analysts or
     /// views yet.
     #[must_use]
-    pub fn new(table_constraint: f64) -> Self {
+    pub(crate) fn new(table_constraint: f64) -> Self {
         ProvenanceTable {
             views: Vec::new(),
             view_index: HashMap::new(),
@@ -62,7 +62,7 @@ impl ProvenanceTable {
 
     /// Registers an analyst row with its constraint ψ_Ai. Analysts must be
     /// added in id order (dense ids from the registry).
-    pub fn add_analyst(&mut self, id: AnalystId, constraint: f64) {
+    pub(crate) fn add_analyst(&mut self, id: AnalystId, constraint: f64) {
         assert_eq!(
             id.0,
             self.row_constraints.len(),
@@ -75,7 +75,7 @@ impl ProvenanceTable {
 
     /// Registers a view column with its constraint ψ_Vj. Views can be added
     /// at any time (water-filling allows adding views over time, §5.3.2).
-    pub fn add_view(&mut self, name: &str, constraint: f64) {
+    pub(crate) fn add_view(&mut self, name: &str, constraint: f64) {
         if self.view_index.contains_key(name) {
             return;
         }
@@ -89,7 +89,7 @@ impl ProvenanceTable {
 
     /// Number of analyst rows.
     #[must_use]
-    pub fn num_analysts(&self) -> usize {
+    pub(crate) fn num_analysts(&self) -> usize {
         self.row_constraints.len()
     }
 
@@ -135,31 +135,31 @@ impl ProvenanceTable {
 
     /// Commits one admission: entry `P[A_i, V_j]` becomes `new_entry` and
     /// the analyst's release count grows by one.
-    pub fn commit(&mut self, analyst: AnalystId, view: &str, new_entry: f64) {
+    pub(crate) fn commit(&mut self, analyst: AnalystId, view: &str, new_entry: f64) {
         self.set_entry(analyst, view, new_entry);
         self.releases[analyst.0] += 1;
     }
 
     /// Undoes a [`Self::commit`] whose release failed: restores the entry
     /// it overwrote, bit for bit, and the release count.
-    pub fn revert(&mut self, analyst: AnalystId, view: &str, prev_entry: f64) {
+    pub(crate) fn revert(&mut self, analyst: AnalystId, view: &str, prev_entry: f64) {
         self.set_entry(analyst, view, prev_entry);
         self.releases[analyst.0] -= 1;
     }
 
     /// The number of admissions committed to an analyst.
     #[must_use]
-    pub fn releases(&self, analyst: AnalystId) -> u64 {
+    pub(crate) fn releases(&self, analyst: AnalystId) -> u64 {
         self.releases[analyst.0]
     }
 
     /// Overwrites an analyst's release count (snapshot import).
-    pub fn set_releases(&mut self, analyst: AnalystId, releases: u64) {
+    pub(crate) fn set_releases(&mut self, analyst: AnalystId, releases: u64) {
         self.releases[analyst.0] = releases;
     }
 
     /// Overwrites entry `P[A_i, V_j]` (snapshot import).
-    pub fn set_entry(&mut self, analyst: AnalystId, view: &str, epsilon: f64) {
+    pub(crate) fn set_entry(&mut self, analyst: AnalystId, view: &str, epsilon: f64) {
         let v = self.view_index[view];
         self.matrix[analyst.0][v] = epsilon;
     }
@@ -206,7 +206,7 @@ impl ProvenanceTable {
     /// Constraint check for the vanilla mechanism (Algorithm 2,
     /// `constraintCheck`): charging `epsilon` to `(analyst, view)` must keep
     /// the table, row and column compositions within their constraints.
-    pub fn check_vanilla(
+    pub(crate) fn check_vanilla(
         &self,
         analyst: AnalystId,
         view: &str,
@@ -229,7 +229,7 @@ impl ProvenanceTable {
     /// Constraint check for the additive Gaussian mechanism (Algorithm 4,
     /// `constraintCheck`): `effective_epsilon` is the *incremental* charge
     /// `ε' = min(ε_global, P[A_i,V] + ε_i) − P[A_i,V]`.
-    pub fn check_additive(
+    pub(crate) fn check_additive(
         &self,
         analyst: AnalystId,
         view: &str,
@@ -251,7 +251,7 @@ impl ProvenanceTable {
 
     /// Remaining room under the analyst's row constraint.
     #[must_use]
-    pub fn row_remaining(&self, analyst: AnalystId) -> f64 {
+    pub(crate) fn row_remaining(&self, analyst: AnalystId) -> f64 {
         (self.row_constraints[analyst.0] - self.row_total(analyst)).max(0.0)
     }
 

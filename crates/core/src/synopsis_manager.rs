@@ -21,10 +21,11 @@
 //! The cache is **lock-striped per view**: each registered view owns one
 //! shard holding its mutable state (the global synopsis and the per-analyst
 //! locals) behind its own [`RwLock`]. The view map itself is immutable after
-//! setup, so lookups never contend. Cache probes ([`SynopsisManager::local`],
-//! the `global_*` getters) take a shard *read* lock — the read-mostly fast
-//! path for repeated queries — while releases take the shard *write* lock.
-//! Queries over different views therefore proceed fully in parallel.
+//! setup, so lookups never contend. Cache probes
+//! (`SynopsisManager::with_local`, `SynopsisManager::global_state`) take a
+//! shard *read* lock — the read-mostly fast path for repeated queries —
+//! while releases take the shard *write* lock. Queries over different views
+//! therefore proceed fully in parallel.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -65,13 +66,13 @@ fn injected_release_failure() -> Result<()> {
 /// A synopsis together with the nominal budget spent on it and the update
 /// epoch it was released against.
 #[derive(Debug, Clone, PartialEq)]
-pub struct BudgetedSynopsis {
+pub(crate) struct BudgetedSynopsis {
     /// The noisy counts and their actual per-bin variance.
-    pub synopsis: Synopsis,
+    pub(crate) synopsis: Synopsis,
     /// The nominal epsilon this synopsis is worth.
-    pub epsilon: f64,
+    pub(crate) epsilon: f64,
     /// The update epoch whose exact histogram the release observed.
-    pub epoch: u64,
+    pub(crate) epoch: u64,
 }
 
 /// The mutable, per-view slice of cache state guarded by one shard lock.
@@ -149,13 +150,13 @@ impl SynopsisManager {
     }
 
     /// Installs the registry the manager's calibrations are counted in.
-    pub fn set_metrics(&mut self, metrics: MetricsRegistry) {
+    pub(crate) fn set_metrics(&mut self, metrics: MetricsRegistry) {
         self.metrics = metrics;
     }
 
     /// The last sealed update epoch new releases are stamped with.
     #[must_use]
-    pub fn current_epoch(&self) -> u64 {
+    pub(crate) fn current_epoch(&self) -> u64 {
         self.epoch.load(Ordering::SeqCst)
     }
 
@@ -173,7 +174,7 @@ impl SynopsisManager {
     /// single pass over its shards (`dprov-exec`), so a catalog of `k`
     /// views costs one scan instead of `k`. The histograms are
     /// bit-identical to [`Histogram::materialize`].
-    pub fn register_views(
+    pub(crate) fn register_views(
         &mut self,
         exec: &dprov_exec::ColumnarExecutor,
         defs: &[ViewDef],
@@ -203,14 +204,16 @@ impl SynopsisManager {
     }
 
     /// Names of the registered views.
+    #[cfg(test)]
     #[must_use]
-    pub fn view_names(&self) -> Vec<String> {
+    pub(crate) fn view_names(&self) -> Vec<String> {
         self.shards.keys().cloned().collect()
     }
 
     /// Number of registered views (= number of lock stripes).
+    #[cfg(test)]
     #[must_use]
-    pub fn num_views(&self) -> usize {
+    pub(crate) fn num_views(&self) -> usize {
         self.shards.len()
     }
 
@@ -221,19 +224,14 @@ impl SynopsisManager {
 
     /// The exact histogram of a registered view at its current data epoch
     /// (cloned out of the shard — the histogram mutates at epoch seals).
-    pub fn exact_histogram(&self, view: &str) -> Result<Histogram> {
+    #[cfg(test)]
+    pub(crate) fn exact_histogram(&self, view: &str) -> Result<Histogram> {
         Ok(self.read_state(view)?.exact.clone())
-    }
-
-    /// The epoch of the last seal that changed a view's data (0 = never
-    /// touched by an update).
-    pub fn data_epoch(&self, view: &str) -> Result<u64> {
-        Ok(self.read_state(view)?.data_epoch)
     }
 
     /// The registered view definitions whose base table is `table`.
     #[must_use]
-    pub fn views_over_table(&self, table: &str) -> Vec<ViewDef> {
+    pub(crate) fn views_over_table(&self, table: &str) -> Vec<ViewDef> {
         let mut defs: Vec<ViewDef> = self
             .shards
             .values()
@@ -248,7 +246,7 @@ impl SynopsisManager {
     /// epoch's batches (incremental maintenance; bit-identical to a full
     /// rebuild — see `dprov-delta`). Does not advance any epoch counter;
     /// callers follow up with [`Self::apply_epoch`].
-    pub fn patch_exact(
+    pub(crate) fn patch_exact(
         &self,
         view: &str,
         schema: &dprov_engine::schema::Schema,
@@ -265,7 +263,12 @@ impl SynopsisManager {
     /// synopsis the policy no longer retains (touched views immediately
     /// under re-noise; any view whose stale synopses exceed the
     /// carry-forward bound). Returns the number of synopses invalidated.
-    pub fn apply_epoch(&self, new_epoch: u64, touched: &[String], policy: EpochPolicy) -> usize {
+    pub(crate) fn apply_epoch(
+        &self,
+        new_epoch: u64,
+        touched: &[String],
+        policy: EpochPolicy,
+    ) -> usize {
         self.epoch.store(new_epoch, Ordering::SeqCst);
         let mut invalidated = 0usize;
         for (name, shard) in &self.shards {
@@ -308,8 +311,9 @@ impl SynopsisManager {
 
     /// The local (or vanilla-cached) synopsis of an analyst on a view,
     /// cloned out of the shard. Prefer [`Self::with_local`] on hot paths.
+    #[cfg(test)]
     #[must_use]
-    pub fn local(&self, analyst: usize, view: &str) -> Option<BudgetedSynopsis> {
+    pub(crate) fn local(&self, analyst: usize, view: &str) -> Option<BudgetedSynopsis> {
         self.with_local(analyst, view, Clone::clone)
     }
 
@@ -317,7 +321,7 @@ impl SynopsisManager {
     /// read guard — the cache-probe fast path: concurrent hits on one view
     /// do not block each other and nothing is cloned. Returns `None` when
     /// the view or the local synopsis does not exist.
-    pub fn with_local<R>(
+    pub(crate) fn with_local<R>(
         &self,
         analyst: usize,
         view: &str,
@@ -343,7 +347,7 @@ impl SynopsisManager {
     /// order and locals in analyst order, so two exports of the same state
     /// are byte-identical after serialisation.
     #[must_use]
-    pub fn export_cache(&self) -> Vec<ViewCacheState> {
+    pub(crate) fn export_cache(&self) -> Vec<ViewCacheState> {
         let mut names: Vec<&String> = self.shards.keys().collect();
         names.sort();
         names
@@ -383,7 +387,7 @@ impl SynopsisManager {
     /// manager and a roster of `analysts`: every view is registered, every
     /// synopsis has the view's bin count, and every local synopsis belongs
     /// to a registered analyst.
-    pub fn check_cache(&self, views: &[ViewCacheState], analysts: usize) -> Result<()> {
+    pub(crate) fn check_cache(&self, views: &[ViewCacheState], analysts: usize) -> Result<()> {
         for view in views {
             let refuse = |what: &str| {
                 Err(CoreError::Storage(StorageError::IncompatibleState(
@@ -413,7 +417,7 @@ impl SynopsisManager {
     /// Restores a cache state exported by [`Self::export_cache`] (snapshot
     /// recovery). Replaces the state of every mentioned view; refuses, with
     /// nothing installed, a state that [`Self::check_cache`] refuses.
-    pub fn import_cache(&self, views: &[ViewCacheState], analysts: usize) -> Result<()> {
+    pub(crate) fn import_cache(&self, views: &[ViewCacheState], analysts: usize) -> Result<()> {
         self.check_cache(views, analysts)?;
         for view in views {
             let shard = &self.shards[&view.view];
@@ -451,7 +455,7 @@ impl SynopsisManager {
     /// The mechanism for a release at `epsilon` on `view`: `known` itself
     /// when it was calibrated for exactly this release, one (counted)
     /// calibration otherwise.
-    pub fn mechanism(
+    pub(crate) fn mechanism(
         &self,
         view: &str,
         epsilon: f64,
@@ -496,7 +500,7 @@ impl SynopsisManager {
     /// read guard, so it observes a whole number of sealed epochs.
     /// `known` is the mechanism the request already calibrated, if any; it
     /// is used only when it was calibrated for exactly this release.
-    pub fn fresh_synopsis(
+    pub(crate) fn fresh_synopsis(
         &self,
         view: &str,
         epsilon: f64,
@@ -514,7 +518,7 @@ impl SynopsisManager {
 
     /// Stores a per-(analyst, view) synopsis (vanilla cache or additive
     /// local) under the shard's write lock.
-    pub fn store_local(&self, analyst: usize, view: &str, synopsis: BudgetedSynopsis) {
+    pub(crate) fn store_local(&self, analyst: usize, view: &str, synopsis: BudgetedSynopsis) {
         if let Some(shard) = self.shards.get(view) {
             shard
                 .state
@@ -590,7 +594,7 @@ impl SynopsisManager {
     /// The global synopsis must already exist with a nominal budget at least
     /// `local_epsilon` (callers go through [`Self::grow_global`] first).
     /// `known` is the mechanism the request already calibrated, if any.
-    pub fn derive_local(
+    pub(crate) fn derive_local(
         &self,
         analyst: usize,
         view: &str,

@@ -21,7 +21,7 @@
 //!   [`SynopsisManager`] (read-mostly fast path for cache hits);
 //! * the provenance table, tight accountant and runtime stats sit
 //!   behind short-critical-section `Mutex`es;
-//! * admission is gated by [`AdmissionControl`]: a per-(analyst, view)
+//! * admission is gated by `AdmissionControl`: a per-(analyst, view)
 //!   entry lock held across one admission's cache probe → plan →
 //!   check-and-reserve → release sequence, plus a per-view lock that only
 //!   the additive mechanism takes, serialising its global-synopsis growth
@@ -90,7 +90,7 @@ pub struct SystemStats {
     /// Time spent materialising views at setup.
     pub setup_time: Duration,
     /// Cumulative time spent processing queries.
-    pub query_time: Duration,
+    pub(crate) query_time: Duration,
     /// Number of answered queries.
     pub answered: usize,
     /// Number of rejected queries.
@@ -98,20 +98,6 @@ pub struct SystemStats {
     /// Of the answered queries, how many were served from an existing
     /// synopsis without spending new budget.
     pub cache_hits: usize,
-}
-
-impl SystemStats {
-    /// Average per-query processing time in milliseconds (answered and
-    /// rejected queries both count as processed).
-    #[must_use]
-    pub fn per_query_ms(&self) -> f64 {
-        let total = self.answered + self.rejected;
-        if total == 0 {
-            0.0
-        } else {
-            self.query_time.as_secs_f64() * 1e3 / total as f64
-        }
-    }
 }
 
 /// The DProvDB system. Sharable across threads (`&self` submission path);
@@ -562,15 +548,10 @@ impl DProvDb {
         self.recorder = Some(recorder);
     }
 
-    /// True when a durable recorder is attached.
-    #[must_use]
-    pub fn is_durable(&self) -> bool {
-        self.recorder.is_some()
-    }
-
     /// The next commit sequence number to be assigned.
+    #[cfg(test)]
     #[must_use]
-    pub fn next_commit_seq(&self) -> u64 {
+    pub(crate) fn next_commit_seq(&self) -> u64 {
         self.commit_seq.load(Ordering::SeqCst)
     }
 
@@ -612,7 +593,7 @@ impl DProvDb {
 
     /// The per-analyst privacy-loss ledger, derived from a consistent
     /// snapshot of the provenance table: each analyst's row total and
-    /// release count (see [`MultiAnalystLedger::derive`]).
+    /// release count (see `MultiAnalystLedger::derive`).
     #[must_use]
     pub fn ledger(&self) -> MultiAnalystLedger {
         MultiAnalystLedger::derive(&self.lock_provenance(), self.config.delta)
@@ -680,7 +661,7 @@ impl DProvDb {
     /// Like [`Self::true_answers`], but also reports the update epoch the
     /// audit ran against — the whole batch is evaluated under one epoch
     /// gate acquisition, so every answer reflects exactly that epoch.
-    pub fn true_answers_epoch(&self, queries: &[Query]) -> Result<(Vec<f64>, u64)> {
+    pub(crate) fn true_answers_epoch(&self, queries: &[Query]) -> Result<(Vec<f64>, u64)> {
         let _epoch_gate = self.epoch_gate.read().expect("epoch gate poisoned");
         let (answers, scan_ns) = self
             .exec
@@ -727,8 +708,9 @@ impl DProvDb {
     }
 
     /// Number of queries answered to each analyst, indexed by analyst id.
+    #[cfg(test)]
     #[must_use]
-    pub fn answered_per_analyst(&self) -> Vec<usize> {
+    pub(crate) fn answered_per_analyst(&self) -> Vec<usize> {
         self.per_analyst_answered
             .iter()
             .map(|c| c.load(Ordering::Relaxed))

@@ -61,7 +61,7 @@ impl From<EngineError> for DeltaError {
 }
 
 /// Result alias for the delta layer.
-pub type Result<T> = std::result::Result<T, DeltaError>;
+pub(crate) type Result<T> = std::result::Result<T, DeltaError>;
 
 /// One analyst-facing update batch: decoded rows to insert and decoded
 /// rows to delete (multiset semantics — each delete removes one matching
@@ -99,7 +99,7 @@ impl UpdateBatch {
 
     /// Total number of rows the batch touches.
     #[must_use]
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.inserts.len() + self.deletes.len()
     }
 
@@ -331,8 +331,9 @@ impl UpdateLog {
     }
 
     /// Total updates (rows) across pending and sealed state.
+    #[cfg(test)]
     #[must_use]
-    pub fn total_rows(&self) -> usize {
+    pub(crate) fn total_rows(&self) -> usize {
         self.pending.iter().map(EncodedBatch::len).sum::<usize>()
             + self
                 .sealed

@@ -14,7 +14,7 @@ use crate::Result;
 
 /// An accountant applying advanced composition at a fixed slack `δ'`.
 #[derive(Debug, Clone)]
-pub struct AdvancedAccountant {
+pub(crate) struct AdvancedAccountant {
     /// The slack delta' used by the composition bound.
     slack_delta: f64,
     sum_eps_sq: f64,
@@ -27,7 +27,7 @@ pub struct AdvancedAccountant {
 impl AdvancedAccountant {
     /// Creates an accountant with the given slack `δ'`.
     #[must_use]
-    pub fn new(slack_delta: f64) -> Self {
+    pub(crate) fn new(slack_delta: f64) -> Self {
         AdvancedAccountant {
             slack_delta: slack_delta.max(1e-300),
             sum_eps_sq: 0.0,

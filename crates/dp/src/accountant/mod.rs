@@ -13,15 +13,15 @@
 //! [`AccountantState`] whose size does not depend on how many releases
 //! it composed.
 
-pub mod advanced;
-pub mod rdp;
-pub mod sequential;
-pub mod zcdp;
+pub(crate) mod advanced;
+pub(crate) mod rdp;
+pub(crate) mod sequential;
+pub(crate) mod zcdp;
 
-pub use advanced::AdvancedAccountant;
-pub use rdp::RdpAccountant;
-pub use sequential::SequentialAccountant;
-pub use zcdp::ZcdpAccountant;
+pub(crate) use advanced::AdvancedAccountant;
+pub(crate) use rdp::RdpAccountant;
+pub(crate) use sequential::SequentialAccountant;
+pub(crate) use zcdp::ZcdpAccountant;
 
 use crate::budget::Budget;
 use crate::{DpError, Result};

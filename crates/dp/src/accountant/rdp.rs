@@ -19,7 +19,7 @@ fn order_grid() -> Vec<f64> {
 
 /// An RDP accountant for Gaussian releases.
 #[derive(Debug, Clone)]
-pub struct RdpAccountant {
+pub(crate) struct RdpAccountant {
     target_delta: f64,
     /// Accumulated RDP epsilon per order (same indexing as `orders`).
     rdp_eps: Vec<f64>,
@@ -31,7 +31,7 @@ pub struct RdpAccountant {
 impl RdpAccountant {
     /// Creates an accountant converting to `(epsilon, target_delta)`-DP.
     #[must_use]
-    pub fn new(target_delta: f64) -> Self {
+    pub(crate) fn new(target_delta: f64) -> Self {
         let orders = order_grid();
         RdpAccountant {
             target_delta: target_delta.clamp(1e-300, 1.0 - f64::EPSILON),

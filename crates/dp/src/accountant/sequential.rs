@@ -6,7 +6,7 @@ use crate::Result;
 
 /// An accountant applying basic sequential composition.
 #[derive(Debug, Clone)]
-pub struct SequentialAccountant {
+pub(crate) struct SequentialAccountant {
     total: Budget,
     releases: usize,
 }
@@ -20,7 +20,7 @@ impl Default for SequentialAccountant {
 impl SequentialAccountant {
     /// Creates an empty accountant.
     #[must_use]
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         SequentialAccountant {
             total: Budget::ZERO,
             releases: 0,

@@ -10,7 +10,7 @@ use crate::Result;
 
 /// A zCDP accountant for Gaussian releases.
 #[derive(Debug, Clone)]
-pub struct ZcdpAccountant {
+pub(crate) struct ZcdpAccountant {
     target_delta: f64,
     rho: f64,
     sum_delta_extra: f64,
@@ -20,7 +20,7 @@ pub struct ZcdpAccountant {
 impl ZcdpAccountant {
     /// Creates an accountant converting to `(epsilon, target_delta)`-DP.
     #[must_use]
-    pub fn new(target_delta: f64) -> Self {
+    pub(crate) fn new(target_delta: f64) -> Self {
         ZcdpAccountant {
             target_delta: target_delta.clamp(1e-300, 1.0 - f64::EPSILON),
             rho: 0.0,
@@ -30,8 +30,9 @@ impl ZcdpAccountant {
     }
 
     /// The accumulated zCDP parameter ρ.
+    #[cfg(test)]
     #[must_use]
-    pub fn rho(&self) -> f64 {
+    pub(crate) fn rho(&self) -> f64 {
         self.rho
     }
 }

@@ -17,7 +17,7 @@ pub struct Epsilon(f64);
 
 impl Epsilon {
     /// The additive identity (no privacy loss).
-    pub const ZERO: Epsilon = Epsilon(0.0);
+    pub(crate) const ZERO: Epsilon = Epsilon(0.0);
 
     /// Creates an epsilon, rejecting non-finite or negative values.
     pub fn new(value: f64) -> Result<Self> {
@@ -42,14 +42,15 @@ impl Epsilon {
     }
 
     /// Saturating subtraction: `self - other`, floored at zero.
+    #[cfg(test)]
     #[must_use]
-    pub fn saturating_sub(self, other: Epsilon) -> Epsilon {
+    pub(crate) fn saturating_sub(self, other: Epsilon) -> Epsilon {
         Epsilon((self.0 - other.0).max(0.0))
     }
 
     /// Returns the larger of two epsilons.
     #[must_use]
-    pub fn max(self, other: Epsilon) -> Epsilon {
+    pub(crate) fn max(self, other: Epsilon) -> Epsilon {
         if self.0 >= other.0 {
             self
         } else {
@@ -58,19 +59,14 @@ impl Epsilon {
     }
 
     /// Returns the smaller of two epsilons.
+    #[cfg(test)]
     #[must_use]
-    pub fn min(self, other: Epsilon) -> Epsilon {
+    pub(crate) fn min(self, other: Epsilon) -> Epsilon {
         if self.0 <= other.0 {
             self
         } else {
             other
         }
-    }
-
-    /// True if this epsilon is (numerically) zero.
-    #[must_use]
-    pub fn is_zero(self) -> bool {
-        self.0 == 0.0
     }
 }
 
@@ -108,25 +104,12 @@ impl Delta {
     /// Zero failure probability (pure DP).
     pub const ZERO: Delta = Delta(0.0);
 
-    /// The value composition saturates at (`Add` caps δ at 1).
-    pub const ONE: Delta = Delta(1.0);
-
     /// Creates a delta, rejecting values outside `[0, 1)`.
     pub fn new(value: f64) -> Result<Self> {
         if !value.is_finite() || !(0.0..1.0).contains(&value) {
             return Err(DpError::InvalidDelta(value));
         }
         Ok(Delta(value))
-    }
-
-    /// Creates a delta without validation (for compile-time-known constants).
-    #[must_use]
-    pub fn unchecked(value: f64) -> Self {
-        debug_assert!(
-            value.is_finite() && (0.0..1.0).contains(&value),
-            "invalid delta {value}"
-        );
-        Delta(value)
     }
 
     /// The raw value.
@@ -137,7 +120,7 @@ impl Delta {
 
     /// Returns the larger of two deltas.
     #[must_use]
-    pub fn max(self, other: Delta) -> Delta {
+    pub(crate) fn max(self, other: Delta) -> Delta {
         if self.0 >= other.0 {
             self
         } else {

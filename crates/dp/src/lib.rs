@@ -3,15 +3,16 @@
 //! This crate is the DP substrate of the DProvDB reproduction. It contains
 //! everything that is independent of relational data:
 //!
-//! * numeric building blocks ([`math`]): `erf`, the normal CDF and its
-//!   inverse, bisection and bounded 1-D minimisation;
-//! * noise sampling ([`rng`]): a seedable RNG with Gaussian and Laplace
-//!   samplers implemented from uniform draws;
+//! * crate-private numeric building blocks (`math`): `erfc`, the normal
+//!   density, bisection and bounded 1-D minimisation;
+//! * noise sampling ([`rng`]): a seedable RNG with a Gaussian sampler
+//!   implemented from uniform draws;
 //! * budget bookkeeping ([`budget`]): `Epsilon`, `Delta` and `Budget`
 //!   newtypes with checked arithmetic;
-//! * the DP mechanisms used by the paper ([`mechanism`]): the classic and
-//!   *analytic* Gaussian mechanisms (Balle & Wang 2018), the Laplace
-//!   mechanism, and the *additive* Gaussian mechanism of Algorithm 3;
+//! * the DP mechanisms used by the paper ([`mechanism`]): the *analytic*
+//!   Gaussian mechanism (Balle & Wang 2018) and the *additive* Gaussian
+//!   mechanism of Algorithm 3 (the classic Gaussian and Laplace mechanisms
+//!   are test-only reference points);
 //! * privacy accountants ([`accountant`]): basic sequential composition,
 //!   advanced composition, Rényi-DP and zCDP;
 //! * the accuracy→privacy translation module ([`translation`]) implementing
@@ -25,7 +26,7 @@
 
 pub mod accountant;
 pub mod budget;
-pub mod math;
+pub(crate) mod math;
 pub mod mechanism;
 pub mod rng;
 pub mod sensitivity;
@@ -90,7 +91,7 @@ impl std::fmt::Display for DpError {
 impl std::error::Error for DpError {}
 
 /// Crate-wide result alias.
-pub type Result<T> = std::result::Result<T, DpError>;
+pub(crate) type Result<T> = std::result::Result<T, DpError>;
 
 /// Seeded cases per differential battery (translation, calibration):
 /// `DPROV_TRANSLATION_CASES` when set (the nightly job raises it),

@@ -93,8 +93,9 @@ pub(crate) fn erfc_pair(x: f64, y: f64) -> (f64, f64) {
 }
 
 /// The error function `erf(x) = 2/sqrt(pi) * Int_0^x e^{-t^2} dt`.
+#[cfg(test)]
 #[must_use]
-pub fn erf(x: f64) -> f64 {
+pub(crate) fn erf(x: f64) -> f64 {
     if x.is_nan() {
         return f64::NAN;
     }
@@ -118,7 +119,7 @@ pub fn erf(x: f64) -> f64 {
 /// precision in the upper tail (`x` large), which the analytic-Gaussian
 /// privacy profile relies on when `delta` is as small as `1e-13`.
 #[must_use]
-pub fn erfc(x: f64) -> f64 {
+pub(crate) fn erfc(x: f64) -> f64 {
     if x.is_nan() {
         return f64::NAN;
     }

@@ -7,10 +7,6 @@
 //! They are implemented here so the workspace has no dependency on a
 //! statistics crate.
 
-pub mod erf;
-pub mod normal;
-pub mod optimize;
-
-pub use erf::{erf, erfc};
-pub use normal::{normal_cdf, normal_pdf, normal_quantile};
-pub use optimize::{bisect_decreasing, monotone_binary_search};
+pub(crate) mod erf;
+pub(crate) mod normal;
+pub(crate) mod optimize;

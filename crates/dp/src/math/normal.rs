@@ -1,13 +1,15 @@
 //! Standard-normal density, CDF and quantile function.
 
+#[cfg(test)]
 use super::erf::erfc;
 
+#[cfg(test)]
 const SQRT_2: f64 = std::f64::consts::SQRT_2;
 const INV_SQRT_2PI: f64 = 0.398_942_280_401_432_7;
 
 /// The standard normal probability density function φ(x).
 #[must_use]
-pub fn normal_pdf(x: f64) -> f64 {
+pub(crate) fn normal_pdf(x: f64) -> f64 {
     INV_SQRT_2PI * (-0.5 * x * x).exp()
 }
 
@@ -15,8 +17,9 @@ pub fn normal_pdf(x: f64) -> f64 {
 ///
 /// Computed through `erfc` for numerical stability in the lower tail:
 /// Φ(x) = erfc(-x / √2) / 2.
+#[cfg(test)]
 #[must_use]
-pub fn normal_cdf(x: f64) -> f64 {
+pub(crate) fn normal_cdf(x: f64) -> f64 {
     0.5 * erfc(-x / SQRT_2)
 }
 
@@ -24,8 +27,9 @@ pub fn normal_cdf(x: f64) -> f64 {
 ///
 /// Peter Acklam's rational approximation refined with one Halley step,
 /// giving full double precision over the whole open interval.
+#[cfg(test)]
 #[must_use]
-pub fn normal_quantile(p: f64) -> f64 {
+pub(crate) fn normal_quantile(p: f64) -> f64 {
     assert!(
         p > 0.0 && p < 1.0,
         "normal_quantile requires p in (0,1), got {p}"

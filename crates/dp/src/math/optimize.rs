@@ -5,13 +5,13 @@
 //! * the analytic-Gaussian calibration searches for the smallest noise scale
 //!   σ whose privacy profile is below δ (the profile is monotone decreasing
 //!   in σ). It runs a safeguarded Newton iteration of its own and finishes
-//!   with [`bisect_decreasing`] only where rounding makes the computed
+//!   with `bisect_decreasing` only where rounding makes the computed
 //!   profile too noisy for Newton to close its bracket;
 //! * the accuracy→privacy translation of Definition 9 searches for the
 //!   smallest ε whose calibrated variance is below the accuracy target (the
 //!   variance is monotone decreasing in ε). A safeguarded Newton iteration
 //!   on the privacy profile brackets the root first; then
-//!   [`monotone_binary_search`] runs unchanged, over a predicate that the
+//!   `monotone_binary_search` runs unchanged, over a predicate that the
 //!   bracket answers outside it, so it returns the bisection's grid point
 //!   after a handful of evaluations;
 //! * the friction-aware translation of Eq. (3) maximises a smooth unimodal
@@ -23,7 +23,7 @@ use crate::{DpError, Result};
 /// Finds the smallest `x` in `[lo, hi]` such that `f(x) <= 0`, assuming `f`
 /// is monotone *decreasing*. Returns an error if `f(hi) > 0` (no solution in
 /// range). The result is within `tol` of the true threshold.
-pub fn bisect_decreasing<F>(mut f: F, lo: f64, hi: f64, tol: f64) -> Result<f64>
+pub(crate) fn bisect_decreasing<F>(mut f: F, lo: f64, hi: f64, tol: f64) -> Result<f64>
 where
     F: FnMut(f64) -> f64,
 {
@@ -57,7 +57,7 @@ where
 /// line 10): finds the smallest `x` in `[lo, hi]` for which `pred(x)` is
 /// true, assuming `pred` is monotone (false … false true … true). Returns
 /// `None` when `pred(hi)` is false.
-pub fn monotone_binary_search<P>(mut pred: P, lo: f64, hi: f64, tol: f64) -> Option<f64>
+pub(crate) fn monotone_binary_search<P>(mut pred: P, lo: f64, hi: f64, tol: f64) -> Option<f64>
 where
     P: FnMut(f64) -> bool,
 {

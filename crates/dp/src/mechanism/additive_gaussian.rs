@@ -27,7 +27,7 @@ pub struct AdditiveRelease {
     /// Index of the recipient in the caller's budget list.
     pub recipient: usize,
     /// The budget charged to that recipient.
-    pub budget: Budget,
+    pub(crate) budget: Budget,
     /// The calibrated total noise scale experienced by that recipient.
     pub sigma: f64,
     /// The noisy answer vector released to that recipient.

@@ -29,7 +29,7 @@
 //!   well-conditioned calibration takes 5–7 profile evaluations.
 //! * Where rounding makes the computed profile too noisy at that scale for
 //!   Newton to close the certificate (tiny ε, where the profile's two terms
-//!   cancel), [`bisect_decreasing`] finishes inside the bracket found so far.
+//!   cancel), `bisect_decreasing` finishes inside the bracket found so far.
 
 use crate::budget::Budget;
 use crate::math::erf::{erfc_pair, erfcx_reciprocal, SERIES_CUTOFF};
@@ -61,8 +61,8 @@ const MAX_EVALUATIONS: usize = 200;
 /// also bounds the rounding error of that difference, which is what the
 /// translation's guard band scales with.
 ///
-/// Both `Phi` values are `0.5 · erfc(−x/√2)`, exactly as
-/// [`normal_cdf`](crate::math::normal_cdf) computes them, but the two
+/// Both `Phi` values are `0.5 · erfc(−x/√2)`, exactly as the test-only
+/// `normal_cdf` computes them, but the two
 /// complements come from one [`erfc_pair`]: where the profile is near any
 /// δ the calibration uses, both arguments are on the continued fraction's
 /// branch, and the pair runs the two recurrences interleaved, in about half
@@ -293,7 +293,8 @@ impl AnalyticGaussian {
     }
 
     /// Releases a noisy scalar.
-    pub fn release_scalar(&self, true_value: f64, rng: &mut DpRng) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn release_scalar(&self, true_value: f64, rng: &mut DpRng) -> f64 {
         true_value + rng.gaussian(self.sigma)
     }
 

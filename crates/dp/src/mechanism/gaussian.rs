@@ -3,11 +3,10 @@
 //! For `epsilon < 1`, adding `N(0, sigma^2)` noise with
 //! `sigma = Delta * sqrt(2 ln(1.25 / delta)) / epsilon` satisfies
 //! `(epsilon, delta)`-DP (Dwork & Roth, Theorem A.1). DProvDB's vanilla
-//! baseline can run on either this or the analytic calibration; the analytic
-//! one is strictly tighter and is the default everywhere in this workspace,
-//! but the classic mechanism is kept as a reference implementation and for
-//! the `Chorus` baseline which mirrors the original system's plain Gaussian
-//! mechanism.
+//! baseline could run on either this or the analytic calibration; the
+//! analytic one is strictly tighter and is the one every mechanism in this
+//! workspace uses. The classic mechanism is a test-only reference point that
+//! the analytic calibration is checked against.
 
 use crate::budget::Budget;
 use crate::rng::DpRng;
@@ -16,7 +15,7 @@ use crate::{DpError, Result};
 
 /// The classic Gaussian mechanism.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ClassicGaussian {
+pub(crate) struct ClassicGaussian {
     sigma: f64,
 }
 
@@ -29,7 +28,7 @@ impl ClassicGaussian {
     /// is still computed (it is what the original Chorus implementation
     /// does) but callers that need tightness should use
     /// [`super::analytic_gaussian::AnalyticGaussian`].
-    pub fn calibrate(budget: Budget, sensitivity: Sensitivity) -> Result<Self> {
+    pub(crate) fn calibrate(budget: Budget, sensitivity: Sensitivity) -> Result<Self> {
         let eps = budget.epsilon.value();
         let delta = budget.delta.value();
         if eps <= 0.0 {
@@ -44,23 +43,12 @@ impl ClassicGaussian {
 
     /// The calibrated noise scale.
     #[must_use]
-    pub fn sigma(&self) -> f64 {
+    pub(crate) fn sigma(&self) -> f64 {
         self.sigma
     }
 
-    /// The per-coordinate noise variance.
-    #[must_use]
-    pub fn variance(&self) -> f64 {
-        self.sigma * self.sigma
-    }
-
-    /// Releases a noisy scalar.
-    pub fn release_scalar(&self, true_value: f64, rng: &mut DpRng) -> f64 {
-        true_value + rng.gaussian(self.sigma)
-    }
-
     /// Releases a noisy vector (i.i.d. noise per coordinate).
-    pub fn release_vector(&self, true_values: &[f64], rng: &mut DpRng) -> Vec<f64> {
+    pub(crate) fn release_vector(&self, true_values: &[f64], rng: &mut DpRng) -> Vec<f64> {
         true_values
             .iter()
             .map(|&v| v + rng.gaussian(self.sigma))

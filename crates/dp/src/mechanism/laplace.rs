@@ -12,13 +12,13 @@ use crate::{DpError, Result};
 
 /// The Laplace mechanism with scale `b = Δ1 / ε`.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LaplaceMechanism {
+pub(crate) struct LaplaceMechanism {
     scale: f64,
 }
 
 impl LaplaceMechanism {
     /// Calibrates the Laplace scale for an epsilon and an ℓ1 sensitivity.
-    pub fn calibrate(epsilon: Epsilon, l1_sensitivity: Sensitivity) -> Result<Self> {
+    pub(crate) fn calibrate(epsilon: Epsilon, l1_sensitivity: Sensitivity) -> Result<Self> {
         let eps = epsilon.value();
         if eps <= 0.0 {
             return Err(DpError::InvalidEpsilon(eps));
@@ -30,23 +30,18 @@ impl LaplaceMechanism {
 
     /// The calibrated scale parameter.
     #[must_use]
-    pub fn scale(&self) -> f64 {
+    pub(crate) fn scale(&self) -> f64 {
         self.scale
     }
 
     /// The per-coordinate noise variance (`2 b^2`).
     #[must_use]
-    pub fn variance(&self) -> f64 {
+    pub(crate) fn variance(&self) -> f64 {
         2.0 * self.scale * self.scale
     }
 
-    /// Releases a noisy scalar.
-    pub fn release_scalar(&self, true_value: f64, rng: &mut DpRng) -> f64 {
-        true_value + rng.laplace(self.scale)
-    }
-
     /// Releases a noisy vector.
-    pub fn release_vector(&self, true_values: &[f64], rng: &mut DpRng) -> Vec<f64> {
+    pub(crate) fn release_vector(&self, true_values: &[f64], rng: &mut DpRng) -> Vec<f64> {
         true_values
             .iter()
             .map(|&v| v + rng.laplace(self.scale))

@@ -1,20 +1,21 @@
 //! Differentially private noise mechanisms.
 //!
-//! * [`gaussian`] — the classic Gaussian mechanism (Dwork & Roth).
 //! * [`analytic_gaussian`] — the analytic Gaussian mechanism of Balle & Wang
 //!   (ICML 2018), Definition 3 in the paper; this is the mechanism DProvDB
 //!   actually uses for calibration.
-//! * [`laplace`] — the Laplace mechanism (used in tests and as a reference
-//!   point; the paper's mechanisms are Gaussian-only).
 //! * [`additive_gaussian`] — the additive Gaussian noise calibration of
 //!   Algorithm 3, the primitive behind DProvDB's local-synopsis releases.
+//!
+//! The classic Gaussian mechanism (Dwork & Roth) and the Laplace mechanism
+//! are test-only reference points: the paper's mechanisms are Gaussian-only
+//! and always use the analytic calibration.
 
 pub mod additive_gaussian;
 pub mod analytic_gaussian;
-pub mod gaussian;
-pub mod laplace;
+#[cfg(test)]
+mod gaussian;
+#[cfg(test)]
+mod laplace;
 
 pub use additive_gaussian::{additive_gaussian_release, AdditiveRelease};
 pub use analytic_gaussian::{analytic_gaussian_delta, analytic_gaussian_sigma, AnalyticGaussian};
-pub use gaussian::ClassicGaussian;
-pub use laplace::LaplaceMechanism;

@@ -1,9 +1,10 @@
 //! Seedable noise sampling.
 //!
-//! The DP mechanisms only need Gaussian and Laplace samplers. They are
-//! implemented on top of uniform draws from `rand`'s `StdRng` so the whole
-//! workspace stays deterministic under a fixed seed (the experiment harness
-//! repeats each run with several seeds, matching the paper's methodology).
+//! The DP mechanisms only need a Gaussian sampler (the Laplace sampler
+//! serves the test-only Laplace mechanism). Both are implemented on top of
+//! uniform draws from `rand`'s `StdRng` so the whole workspace stays
+//! deterministic under a fixed seed (the experiment harness repeats each
+//! run with several seeds, matching the paper's methodology).
 
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
@@ -77,18 +78,6 @@ impl DpRng {
         Self::seed_from_u64(z ^ (z >> 31))
     }
 
-    /// Creates a generator seeded from the operating system.
-    #[must_use]
-    pub fn from_entropy() -> Self {
-        DpRng {
-            inner: CountingRng {
-                inner: StdRng::from_entropy(),
-                draws: 0,
-            },
-            spare_normal: None,
-        }
-    }
-
     /// The generator's current stream position (see [`RngCheckpoint`]).
     #[must_use]
     pub fn checkpoint(&self) -> RngCheckpoint {
@@ -99,8 +88,9 @@ impl DpRng {
     }
 
     /// Number of 64-bit words consumed so far.
+    #[cfg(test)]
     #[must_use]
-    pub fn draws(&self) -> u64 {
+    pub(crate) fn draws(&self) -> u64 {
         self.inner.draws
     }
 
@@ -133,17 +123,19 @@ impl DpRng {
     }
 
     /// A uniform draw in `[lo, hi)`.
-    pub fn uniform_range(&mut self, lo: f64, hi: f64) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn uniform_range(&mut self, lo: f64, hi: f64) -> f64 {
         self.inner.gen_range(lo..hi)
     }
 
     /// A uniform integer draw in `[lo, hi)`.
-    pub fn uniform_usize(&mut self, lo: usize, hi: usize) -> usize {
+    #[cfg(test)]
+    pub(crate) fn uniform_usize(&mut self, lo: usize, hi: usize) -> usize {
         self.inner.gen_range(lo..hi)
     }
 
     /// A standard-normal draw using the Marsaglia polar method.
-    pub fn standard_normal(&mut self) -> f64 {
+    pub(crate) fn standard_normal(&mut self) -> f64 {
         if let Some(v) = self.spare_normal.take() {
             return v;
         }
@@ -172,7 +164,8 @@ impl DpRng {
     }
 
     /// A draw from the zero-mean Laplace distribution with scale `b`.
-    pub fn laplace(&mut self, b: f64) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn laplace(&mut self, b: f64) -> f64 {
         assert!(
             b.is_finite() && b >= 0.0,
             "laplace scale must be non-negative and finite, got {b}"

@@ -42,14 +42,16 @@ impl Sensitivity {
 
     /// ℓ2 sensitivity of a full-domain counting histogram under unbounded DP
     /// (add/remove one tuple): exactly one bin changes by one.
+    #[cfg(test)]
     #[must_use]
-    pub fn histogram_unbounded() -> Self {
+    pub(crate) fn histogram_unbounded() -> Self {
         Sensitivity(1.0)
     }
 
     /// Sensitivity of a clipped sum over `[lb, ub]`, optionally discretised
     /// into bins of width `bin_width` (Appendix D, footnote 3).
-    pub fn clipped_sum(lb: f64, ub: f64, bin_width: Option<f64>) -> Result<Self> {
+    #[cfg(test)]
+    pub(crate) fn clipped_sum(lb: f64, ub: f64, bin_width: Option<f64>) -> Result<Self> {
         if !(lb.is_finite() && ub.is_finite()) || ub <= lb {
             return Err(DpError::InvalidSensitivity(ub - lb));
         }
@@ -68,7 +70,8 @@ impl Sensitivity {
     }
 
     /// Scales the sensitivity by a positive factor (e.g. a workload weight).
-    pub fn scale(self, factor: f64) -> Result<Self> {
+    #[cfg(test)]
+    pub(crate) fn scale(self, factor: f64) -> Result<Self> {
         Sensitivity::new(self.0 * factor)
     }
 }

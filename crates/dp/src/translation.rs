@@ -144,13 +144,13 @@ pub struct Translation {
     /// The translated minimal epsilon.
     pub epsilon: Epsilon,
     /// The delta the translation was performed at.
-    pub delta: Delta,
+    pub(crate) delta: Delta,
     /// The per-bin noise variance the calibrated mechanism will actually
     /// achieve (always `<=` the requested bound).
     pub achieved_variance: f64,
     /// The per-bin variance bound the search used (after friction
     /// adjustment, if any).
-    pub target_variance: f64,
+    pub(crate) target_variance: f64,
     /// The combination weight chosen by the friction-aware translation
     /// (`0.0` for the vanilla translation).
     pub combination_weight: f64,
@@ -379,8 +379,9 @@ fn search(
 /// coefficients has error variance `bins_touched * v_bin`, so the per-bin
 /// bound is the query bound divided by the number of touched bins
 /// (Algorithm 2, line 9 — `calculateVariance`).
+#[cfg(test)]
 #[must_use]
-pub fn per_bin_variance(query_variance_bound: f64, bins_touched: usize) -> f64 {
+pub(crate) fn per_bin_variance(query_variance_bound: f64, bins_touched: usize) -> f64 {
     debug_assert!(query_variance_bound > 0.0);
     query_variance_bound / bins_touched.max(1) as f64
 }
@@ -389,11 +390,11 @@ pub fn per_bin_variance(query_variance_bound: f64, bins_touched: usize) -> f64 {
 #[derive(Debug, Clone, Copy)]
 pub struct FrictionAwareTranslation {
     /// Delta used for every calibration in the system.
-    pub delta: Delta,
+    pub(crate) delta: Delta,
     /// Sensitivity of the view being updated.
-    pub sensitivity: Sensitivity,
+    pub(crate) sensitivity: Sensitivity,
     /// Search precision on epsilon.
-    pub precision: f64,
+    pub(crate) precision: f64,
 }
 
 impl FrictionAwareTranslation {

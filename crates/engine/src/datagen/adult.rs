@@ -16,10 +16,6 @@ use super::{clamped_normal, weighted_index};
 /// The table name used by the Adult workloads.
 pub const ADULT_TABLE: &str = "adult";
 
-/// Default number of rows (the size of the cleaned UCI Adult dataset used by
-/// the paper).
-pub const ADULT_DEFAULT_ROWS: usize = 45_222;
-
 const WORKCLASS: &[&str] = &[
     "Private",
     "Self-emp-not-inc",
@@ -93,7 +89,7 @@ const INCOME: &[&str] = &["<=50K", ">50K"];
 
 /// The Adult relation schema.
 #[must_use]
-pub fn adult_schema() -> Schema {
+pub(crate) fn adult_schema() -> Schema {
     Schema::new(vec![
         Attribute::new("age", AttributeType::integer(17, 90)),
         Attribute::new("workclass", AttributeType::categorical(WORKCLASS)),
@@ -116,7 +112,7 @@ pub fn adult_schema() -> Schema {
 
 /// Generates a synthetic Adult table with `rows` rows under the given seed.
 #[must_use]
-pub fn adult_table(rows: usize, seed: u64) -> Table {
+pub(crate) fn adult_table(rows: usize, seed: u64) -> Table {
     let schema = adult_schema();
     let mut table = Table::new(ADULT_TABLE, schema.clone());
     let mut rng = StdRng::seed_from_u64(seed);

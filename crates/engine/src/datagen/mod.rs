@@ -12,8 +12,8 @@
 pub mod adult;
 pub mod tpch;
 
-pub use adult::{adult_database, adult_schema, ADULT_DEFAULT_ROWS, ADULT_TABLE};
-pub use tpch::{tpch_database, tpch_lineitem_schema, TPCH_DEFAULT_ROWS, TPCH_TABLE};
+pub use adult::{adult_database, ADULT_TABLE};
+pub use tpch::{tpch_database, TPCH_TABLE};
 
 use rand::rngs::StdRng;
 use rand::Rng;

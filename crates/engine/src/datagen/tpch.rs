@@ -19,11 +19,6 @@ use super::{clamped_normal, weighted_index};
 /// The table name used by the TPC-H workloads.
 pub const TPCH_TABLE: &str = "lineitem";
 
-/// Default number of rows generated for benchmark runs. (SF-1 has ~6M
-/// lineitem rows; the default is scaled down so the end-to-end experiments
-/// finish in CI time. The schema and domains are unchanged.)
-pub const TPCH_DEFAULT_ROWS: usize = 100_000;
-
 const RETURN_FLAG: &[&str] = &["A", "N", "R"];
 const LINE_STATUS: &[&str] = &["F", "O"];
 const SHIP_MODE: &[&str] = &["AIR", "FOB", "MAIL", "RAIL", "REG AIR", "SHIP", "TRUCK"];
@@ -45,7 +40,7 @@ const SEGMENT: &[&str] = &[
 
 /// The denormalised lineitem schema.
 #[must_use]
-pub fn tpch_lineitem_schema() -> Schema {
+pub(crate) fn tpch_lineitem_schema() -> Schema {
     Schema::new(vec![
         Attribute::new("quantity", AttributeType::integer(1, 50)),
         Attribute::new("discount", AttributeType::integer(0, 10)),
@@ -68,7 +63,7 @@ pub fn tpch_lineitem_schema() -> Schema {
 /// Generates a synthetic lineitem table with `rows` rows under the given
 /// seed.
 #[must_use]
-pub fn tpch_lineitem_table(rows: usize, seed: u64) -> Table {
+pub(crate) fn tpch_lineitem_table(rows: usize, seed: u64) -> Table {
     let schema = tpch_lineitem_schema();
     let mut table = Table::new(TPCH_TABLE, schema);
     let mut rng = StdRng::seed_from_u64(seed);

@@ -15,7 +15,7 @@ use crate::{EngineError, Result};
 pub struct QueryResult {
     /// One entry per output row: the group key (empty for scalar queries)
     /// and the aggregate value.
-    pub rows: Vec<(Vec<Value>, f64)>,
+    pub(crate) rows: Vec<(Vec<Value>, f64)>,
 }
 
 impl QueryResult {

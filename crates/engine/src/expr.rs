@@ -96,7 +96,7 @@ impl Predicate {
 
     /// The set of attribute names referenced by the predicate.
     #[must_use]
-    pub fn attributes(&self) -> BTreeSet<String> {
+    pub(crate) fn attributes(&self) -> BTreeSet<String> {
         let mut out = BTreeSet::new();
         self.collect_attributes(&mut out);
         out
@@ -120,7 +120,7 @@ impl Predicate {
     }
 
     /// Evaluates the predicate against one row of a table.
-    pub fn evaluate_row(&self, table: &Table, row: usize) -> Result<bool> {
+    pub(crate) fn evaluate_row(&self, table: &Table, row: usize) -> Result<bool> {
         match self {
             Predicate::True => Ok(true),
             Predicate::Range {

@@ -103,7 +103,7 @@ impl GroupByQuery {
     }
 
     /// Domain sizes of the grouping attributes, in `group_cols` order.
-    pub fn group_sizes(&self, schema: &Schema) -> Result<Vec<usize>> {
+    pub(crate) fn group_sizes(&self, schema: &Schema) -> Result<Vec<usize>> {
         Ok(self
             .group_positions(schema)?
             .into_iter()

@@ -55,15 +55,10 @@ impl Histogram {
     }
 
     /// Number of cells.
+    #[cfg(test)]
     #[must_use]
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.counts.len()
-    }
-
-    /// True if the histogram has no cells.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.counts.is_empty()
     }
 
     /// Sum of all cell counts (the number of contributing rows).
@@ -73,8 +68,9 @@ impl Histogram {
     }
 
     /// The count of a cell addressed by its multi-dimensional index.
+    #[cfg(test)]
     #[must_use]
-    pub fn count_at(&self, indices: &[usize]) -> f64 {
+    pub(crate) fn count_at(&self, indices: &[usize]) -> f64 {
         self.counts[flat_index(&self.dims, indices)]
     }
 }

@@ -22,7 +22,7 @@ pub enum AggregateKind {
 impl AggregateKind {
     /// The attribute the aggregate reads, if any.
     #[must_use]
-    pub fn target_attribute(&self) -> Option<&str> {
+    pub(crate) fn target_attribute(&self) -> Option<&str> {
         match self {
             AggregateKind::Count => None,
             AggregateKind::Sum(a) | AggregateKind::Avg(a) => Some(a),

@@ -62,7 +62,7 @@ impl AttributeType {
 
     /// Number of distinct domain indices (histogram bins) of this attribute.
     #[must_use]
-    pub fn domain_size(&self) -> usize {
+    pub(crate) fn domain_size(&self) -> usize {
         match self {
             AttributeType::Integer {
                 min,

@@ -28,24 +28,24 @@ use crate::{EngineError, Result};
 
 /// A foreign-key edge from the fact table to one dimension table.
 #[derive(Debug, Clone, PartialEq)]
-pub struct ForeignKey {
+pub(crate) struct ForeignKey {
     /// The fact-table attribute holding the key.
-    pub fact_attribute: String,
+    pub(crate) fact_attribute: String,
     /// The dimension table joined through this key.
-    pub dimension: String,
+    pub(crate) dimension: String,
     /// The key attribute on the dimension table. Must be unique per row.
-    pub dimension_key: String,
+    pub(crate) dimension_key: String,
 }
 
 /// A star-schema declaration: one fact table plus its dimension joins.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StarSchema {
     /// Name of the widened output table produced by [`StarSchema::fold`].
-    pub name: String,
+    pub(crate) name: String,
     /// The fact table.
-    pub fact: String,
+    pub(crate) fact: String,
     /// Dimension joins, applied in declaration order.
-    pub foreign_keys: Vec<ForeignKey>,
+    pub(crate) foreign_keys: Vec<ForeignKey>,
 }
 
 impl StarSchema {
@@ -74,7 +74,7 @@ impl StarSchema {
     /// The name the widened attribute for `(dimension, attribute)` gets on
     /// the folded table.
     #[must_use]
-    pub fn widened_name(dimension: &str, attribute: &str) -> String {
+    pub(crate) fn widened_name(dimension: &str, attribute: &str) -> String {
         format!("{dimension}.{attribute}")
     }
 

@@ -12,7 +12,7 @@ use crate::transform::LinearQuery;
 #[derive(Debug, Clone, PartialEq)]
 pub struct Synopsis {
     /// Name of the view this synopsis answers.
-    pub view: String,
+    pub(crate) view: String,
     /// Noisy cell counts (flat, row-major, same layout as the histogram).
     pub counts: Vec<f64>,
     /// The per-bin noise variance of these counts.
@@ -31,15 +31,10 @@ impl Synopsis {
     }
 
     /// Number of cells.
+    #[cfg(test)]
     #[must_use]
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.counts.len()
-    }
-
-    /// True if the synopsis has no cells.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.counts.is_empty()
     }
 
     /// Answers a linear query from the noisy counts.

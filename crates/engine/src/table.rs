@@ -32,7 +32,7 @@ impl Table {
 
     /// The table name.
     #[must_use]
-    pub fn name(&self) -> &str {
+    pub(crate) fn name(&self) -> &str {
         &self.name
     }
 
@@ -157,7 +157,8 @@ impl Table {
     }
 
     /// The encoded column for an attribute.
-    pub fn column(&self, attribute: &str) -> Result<&[u32]> {
+    #[cfg(test)]
+    pub(crate) fn column(&self, attribute: &str) -> Result<&[u32]> {
         let pos = self.schema.position(attribute)?;
         Ok(&self.columns[pos])
     }

@@ -35,14 +35,15 @@ impl LinearQuery {
     /// Number of cells with non-zero coefficient — the `bins touched` factor
     /// used when translating a query-level accuracy bound into a per-bin
     /// bound (Algorithm 2, line 9).
+    #[cfg(test)]
     #[must_use]
-    pub fn bins_touched(&self) -> usize {
+    pub(crate) fn bins_touched(&self) -> usize {
         self.coefficients.len()
     }
 
     /// Evaluates the linear query against a dense cell-count vector.
     #[must_use]
-    pub fn evaluate(&self, counts: &[f64]) -> f64 {
+    pub(crate) fn evaluate(&self, counts: &[f64]) -> f64 {
         self.coefficients
             .iter()
             .map(|&(idx, coeff)| coeff * counts[idx])
@@ -63,7 +64,11 @@ impl LinearQuery {
 /// Returns `Ok(None)` when the query is well formed but not answerable over
 /// this particular view (wrong table, uncovered attribute, or an aggregate
 /// shape that needs decomposition).
-pub fn transform(query: &Query, view: &ViewDef, schema: &Schema) -> Result<Option<LinearQuery>> {
+pub(crate) fn transform(
+    query: &Query,
+    view: &ViewDef,
+    schema: &Schema,
+) -> Result<Option<LinearQuery>> {
     if query.table != view.table {
         return Ok(None);
     }
@@ -120,7 +125,11 @@ pub fn transform(query: &Query, view: &ViewDef, schema: &Schema) -> Result<Optio
 }
 
 /// Convenience wrapper resolving the schema through the database.
-pub fn transform_in(query: &Query, view: &ViewDef, db: &Database) -> Result<Option<LinearQuery>> {
+pub(crate) fn transform_in(
+    query: &Query,
+    view: &ViewDef,
+    db: &Database,
+) -> Result<Option<LinearQuery>> {
     let table = db.table(&view.table)?;
     transform(query, view, table.schema())
 }

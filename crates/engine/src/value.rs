@@ -31,8 +31,9 @@ impl Value {
     }
 
     /// Returns the text content, if this is a text value.
+    #[cfg(test)]
     #[must_use]
-    pub fn as_text(&self) -> Option<&str> {
+    pub(crate) fn as_text(&self) -> Option<&str> {
         match self {
             Value::Int(_) => None,
             Value::Text(s) => Some(s),
@@ -41,8 +42,9 @@ impl Value {
 
     /// A numeric rendering used by SUM/AVG aggregates: integers map to
     /// themselves, text has no numeric value.
+    #[cfg(test)]
     #[must_use]
-    pub fn as_f64(&self) -> Option<f64> {
+    pub(crate) fn as_f64(&self) -> Option<f64> {
         self.as_int().map(|v| v as f64)
     }
 }

@@ -8,7 +8,6 @@
 
 use dprov_dp::sensitivity::Sensitivity;
 
-use crate::database::Database;
 use crate::schema::Schema;
 use crate::Result;
 
@@ -92,14 +91,9 @@ impl ViewDef {
         Sensitivity::histogram_bounded()
     }
 
-    /// Looks up the view's dimensions against a database.
-    pub fn dimensions_in(&self, db: &Database) -> Result<Vec<usize>> {
-        self.dimensions(db.table(&self.table)?.schema())
-    }
-
     /// True if the view covers all of the given attributes.
     #[must_use]
-    pub fn covers<S: AsRef<str>>(&self, attributes: &[S]) -> bool {
+    pub(crate) fn covers<S: AsRef<str>>(&self, attributes: &[S]) -> bool {
         attributes
             .iter()
             .all(|a| self.attributes.iter().any(|v| v == a.as_ref()))

@@ -21,7 +21,7 @@
 
 /// Number of bits needed to represent `max` (0 for `max == 0`).
 #[inline]
-pub fn bits_for(max: u64) -> u32 {
+pub(crate) fn bits_for(max: u64) -> u32 {
     64 - max.leading_zeros()
 }
 
@@ -88,7 +88,7 @@ impl PackedVec {
     }
 
     /// Heap bytes held by the packed payload.
-    pub fn heap_bytes(&self) -> usize {
+    pub(crate) fn heap_bytes(&self) -> usize {
         self.words.capacity() * 8
     }
 
@@ -112,7 +112,7 @@ impl PackedVec {
     /// Calls `f(index, field)` for every field in ascending order,
     /// decoding word by word.
     #[inline]
-    pub fn for_each(&self, mut f: impl FnMut(usize, u64)) {
+    pub(crate) fn for_each(&self, mut f: impl FnMut(usize, u64)) {
         if self.width == 0 {
             for i in 0..self.len {
                 f(i, 0);
@@ -301,7 +301,7 @@ impl EncodedColumn {
     }
 
     /// Appends every decoded value to `out` in row order.
-    pub fn decode_into(&self, out: &mut Vec<u32>) {
+    pub(crate) fn decode_into(&self, out: &mut Vec<u32>) {
         out.reserve(self.len());
         self.for_each(|_, v| out.push(v));
     }

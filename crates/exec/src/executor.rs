@@ -240,8 +240,9 @@ impl ColumnarExecutor {
     }
 
     /// Heap bytes of all encoded column payloads across every table.
+    #[cfg(test)]
     #[must_use]
-    pub fn encoded_bytes(&self) -> usize {
+    pub(crate) fn encoded_bytes(&self) -> usize {
         self.tables
             .values()
             .map(|t| t.read().expect("table lock poisoned").encoded_bytes())
@@ -249,8 +250,9 @@ impl ColumnarExecutor {
     }
 
     /// Bytes the same payloads would occupy un-encoded (4 bytes/cell).
+    #[cfg(test)]
     #[must_use]
-    pub fn plain_bytes(&self) -> usize {
+    pub(crate) fn plain_bytes(&self) -> usize {
         self.tables
             .values()
             .map(|t| t.read().expect("table lock poisoned").plain_bytes())
@@ -259,8 +261,9 @@ impl ColumnarExecutor {
 
     /// Un-encoded bytes over encoded bytes (> 1 means the encodings are
     /// saving memory; ∞ if every column collapsed to width 0).
+    #[cfg(test)]
     #[must_use]
-    pub fn compression_ratio(&self) -> f64 {
+    pub(crate) fn compression_ratio(&self) -> f64 {
         let plain = self.plain_bytes();
         if plain == 0 {
             1.0
@@ -299,7 +302,7 @@ impl ColumnarExecutor {
     }
 
     /// Compiles a query against its table's schema.
-    pub fn compile(&self, query: &Query) -> Result<CompiledQuery> {
+    pub(crate) fn compile(&self, query: &Query) -> Result<CompiledQuery> {
         CompiledQuery::compile(query, self.schema(&query.table)?)
     }
 
@@ -327,16 +330,13 @@ impl ColumnarExecutor {
         self.execute_compiled_timed(&compiled)
     }
 
-    /// Executes pre-compiled queries (the recompilation-free path for
-    /// benchmarks and repeated workloads). Shares scans like
-    /// [`Self::execute_batch`].
-    pub fn execute_compiled(&self, compiled: &[CompiledQuery]) -> Result<Vec<f64>> {
-        Ok(self.execute_compiled_timed(compiled)?.0)
-    }
-
-    /// Timed form of [`Self::execute_compiled`]; see
-    /// [`Self::execute_batch_timed`] for the nanosecond semantics.
-    pub fn execute_compiled_timed(&self, compiled: &[CompiledQuery]) -> Result<(Vec<f64>, u64)> {
+    /// Executes pre-compiled queries, sharing scans like
+    /// [`Self::execute_batch`]; see [`Self::execute_batch_timed`] for the
+    /// nanosecond semantics.
+    pub(crate) fn execute_compiled_timed(
+        &self,
+        compiled: &[CompiledQuery],
+    ) -> Result<(Vec<f64>, u64)> {
         if compiled.is_empty() {
             return Ok((Vec::new(), 0));
         }
@@ -379,6 +379,12 @@ impl ColumnarExecutor {
         ))
     }
 
+    /// [`Self::execute_group_by_timed`] without the time.
+    #[cfg(test)]
+    pub(crate) fn execute_group_by(&self, query: &GroupByQuery) -> Result<Vec<f64>> {
+        Ok(self.execute_group_by_timed(query)?.0)
+    }
+
     /// Answers a GROUP BY* query exactly: one aggregate per cell of the
     /// grouping attributes' domain cross-product, in canonical enumeration
     /// order (empty groups included). Bit-identical to executing the
@@ -387,13 +393,8 @@ impl ColumnarExecutor {
     /// route runs the decomposition as **one** batch (a single table pass
     /// for all groups), and an unfiltered single-attribute grouping
     /// compatible with the aggregate reads every group's answer off the
-    /// table's precombined domain map in one `O(domain)` gather.
-    pub fn execute_group_by(&self, query: &GroupByQuery) -> Result<Vec<f64>> {
-        Ok(self.execute_group_by_timed(query)?.0)
-    }
-
-    /// Timed form of [`Self::execute_group_by`]; the nanosecond component
-    /// follows [`Self::execute_batch_timed`] semantics.
+    /// table's precombined domain map in one `O(domain)` gather. The
+    /// nanosecond component follows [`Self::execute_batch_timed`] semantics.
     pub fn execute_group_by_timed(&self, query: &GroupByQuery) -> Result<(Vec<f64>, u64)> {
         let scalars = query.scalar_queries(self.schema(&query.table)?)?;
         if let Some(timed) = self.try_grouped_gather(query, &scalars)? {

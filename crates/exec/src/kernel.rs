@@ -1,6 +1,6 @@
 //! Compiled, vectorised query kernels.
 //!
-//! [`CompiledQuery::compile`] lowers an aggregate [`Query`] into a form the
+//! `CompiledQuery::compile` lowers an aggregate [`Query`] into a form the
 //! shard scanner can evaluate without touching the AST again:
 //!
 //! * every predicate **leaf** (range / equality / set membership) becomes an
@@ -28,12 +28,12 @@
 //!
 //! When a query's predicate folds to a single column and its aggregate
 //! weights are that same column's values (or it is a COUNT), the shard's
-//! [domain map](crate::store::ColumnShard::domain_map) answers it in
+//! domain map (`ColumnShard::domain_map`) answers it in
 //! `O(domain)`: `count = Σ map[v]` and `sum = Σ weights[v]·map[v]` over the
 //! accepted values `v` — no row is touched. This *regroups* the
 //! floating-point additions of the row loop, which is safe because every
 //! term is an exact integer in `f64` (domain values are integers, row
-//! weights are ±1) and [`CompiledQuery::reassociation_exact`] proves all
+//! weights are ±1) and `CompiledQuery::reassociation_exact` proves all
 //! partials stay below 2⁵³, where f64 addition of integers is exact and
 //! therefore associative. Queries outside that envelope take the strict
 //! sequential path.
@@ -528,7 +528,7 @@ impl CompiledQuery {
     /// validator: unknown attributes and aggregates over non-numeric
     /// attributes are rejected; GROUP BY queries are not scalar and stay on
     /// the engine's row-at-a-time path.
-    pub fn compile(query: &Query, schema: &Schema) -> Result<CompiledQuery> {
+    pub(crate) fn compile(query: &Query, schema: &Schema) -> Result<CompiledQuery> {
         if !query.group_by.is_empty() {
             return Err(EngineError::InvalidQuery(
                 "GROUP BY queries are not supported by the columnar executor".to_owned(),
@@ -596,7 +596,7 @@ impl CompiledQuery {
 
     /// The table the query scans.
     #[must_use]
-    pub fn table(&self) -> &str {
+    pub(crate) fn table(&self) -> &str {
         &self.table
     }
 
@@ -610,7 +610,7 @@ impl CompiledQuery {
     /// realistic schema (a 10⁹-valued domain would need ~9·10⁶ billion
     /// rows to overflow the envelope).
     #[must_use]
-    pub fn reassociation_exact(&self, physical_rows: usize) -> bool {
+    pub(crate) fn reassociation_exact(&self, physical_rows: usize) -> bool {
         match &self.aggregate {
             CompiledAggregate::Count => true,
             CompiledAggregate::Weighted { weights, .. } => {
@@ -793,7 +793,7 @@ impl CompiledQuery {
     /// Finishes a partial aggregate into the query's scalar answer, with
     /// the engine's conventions (AVG of an empty selection is 0).
     #[must_use]
-    pub fn finish(&self, partial: &PartialAggregate) -> f64 {
+    pub(crate) fn finish(&self, partial: &PartialAggregate) -> f64 {
         match &self.aggregate {
             CompiledAggregate::Count => partial.count,
             CompiledAggregate::Weighted { average: false, .. } => partial.sum,

@@ -10,14 +10,14 @@
 //!   64-bit words, all-equal columns collapse to width 0), chosen per
 //!   column at ingest by the [`encode::ColumnEncoding`] policy;
 //! * [`store`] — an **immutable, sharded column-store**:
-//!   [`store::ColumnarTable::ingest`] re-partitions an engine table's
+//!   `store::ColumnarTable::ingest_with` re-partitions an engine table's
 //!   domain-index-encoded columns into fixed-size row shards of encoded
 //!   columns with per-column zone maps (min/max encoded index) and
 //!   small-domain **domain maps** (weighted per-value row counts), the
 //!   units of pruning, cache-resident evaluation and `O(domain)` gather
 //!   aggregation;
 //! * [`kernel`] — **compiled query kernels**:
-//!   [`kernel::CompiledQuery::compile`] lowers a scalar aggregate query
+//!   `kernel::CompiledQuery::compile` lowers a scalar aggregate query
 //!   into per-attribute accept bitsets, bitwise mask combinators built
 //!   64 rows per word directly over the packed columns, per-domain-index
 //!   weight tables, and — for single-column predicate trees — a gather
@@ -40,7 +40,7 @@
 //! — so the floating-point additions happen in the same sequence. The
 //! fast paths that *regroup* additions (the per-shard and table-level
 //! domain-map gathers) are gated by
-//! [`kernel::CompiledQuery::reassociation_exact`]: all terms are exact
+//! `kernel::CompiledQuery::reassociation_exact`: all terms are exact
 //! `f64` integers and all partials stay below 2⁵³, where integer addition
 //! is exact and associative, so the regrouped result is the same bit
 //! pattern. The crate's `equivalence` proptest suite checks random tables

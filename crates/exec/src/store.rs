@@ -1,7 +1,7 @@
 //! The sharded column-store: immutable base shards plus append-only,
 //! epoch-tagged delta segments, with per-column compressed encodings.
 //!
-//! [`ColumnarTable::ingest`] converts a [`dprov_engine::table::Table`] —
+//! `ColumnarTable::ingest_with` converts a [`dprov_engine::table::Table`] —
 //! whose cells are already domain-index encoded `u32`s — into fixed-size
 //! row shards. Each shard owns one [`EncodedColumn`] per attribute
 //! (bit-packed / dictionary / plain, chosen per column at ingest by the
@@ -13,7 +13,7 @@
 //! aggregates fold a shard in `O(domain)` instead of `O(rows)`.
 //!
 //! Base shards are immutable after ingest. Dynamic data arrives as
-//! **delta segments** ([`ColumnarTable::append_delta_segment`]): per-epoch
+//! **delta segments** (`ColumnarTable::append_delta_segment`): per-epoch
 //! immutable shard runs appended after the existing shard set — old shards
 //! are **never rewritten**. A delta shard carries a per-row signed weight
 //! (`+1` insert, `-1` delete-by-value) and its columns are encoded exactly
@@ -119,7 +119,7 @@ impl ColumnShard {
     /// Number of rows in the shard (always ≥ 1: empty shards are never
     /// created).
     #[must_use]
-    pub fn rows(&self) -> usize {
+    pub(crate) fn rows(&self) -> usize {
         self.rows
     }
 
@@ -132,7 +132,7 @@ impl ColumnShard {
 
     /// The `(min, max)` encoded-index zone of the attribute at `position`.
     #[must_use]
-    pub fn zone(&self, position: usize) -> (u32, u32) {
+    pub(crate) fn zone(&self, position: usize) -> (u32, u32) {
         self.zones[position]
     }
 
@@ -140,14 +140,14 @@ impl ColumnShard {
     /// (`map[v]` = summed weight of rows holding domain index `v`), if
     /// the attribute's domain is small enough to carry one.
     #[must_use]
-    pub fn domain_map(&self, position: usize) -> Option<&[f64]> {
+    pub(crate) fn domain_map(&self, position: usize) -> Option<&[f64]> {
         self.domain_maps[position].as_deref()
     }
 
     /// Summed weight of every row in the shard (`rows as f64` for base
     /// shards; inserts minus deletes for delta shards).
     #[must_use]
-    pub fn weight_total(&self) -> f64 {
+    pub(crate) fn weight_total(&self) -> f64 {
         self.weight_total
     }
 
@@ -199,7 +199,6 @@ fn zone_maps(columns: &[&[u32]]) -> Vec<(u32, u32)> {
 /// append-only epoch-tagged delta segments.
 #[derive(Debug, Clone)]
 pub struct ColumnarTable {
-    name: String,
     schema: Schema,
     shards: Vec<ColumnShard>,
     /// Physical rows across all shards (delta rows count once each,
@@ -246,20 +245,22 @@ fn accumulate_combined(
 }
 
 impl ColumnarTable {
-    /// Converts an engine table into the sharded columnar format with the
-    /// default [`ColumnEncoding::Auto`] policy. Rows keep their original
-    /// order (shard `i` holds rows `[i·shard_rows, (i+1)·shard_rows)`),
-    /// which is what makes columnar aggregation bit-identical to the
-    /// engine's row-at-a-time evaluation: both accumulate floating-point
-    /// partials in the same row order.
+    /// [`Self::ingest_with`] under the default [`ColumnEncoding::Auto`]
+    /// policy.
+    #[cfg(test)]
     #[must_use]
-    pub fn ingest(table: &Table, shard_rows: usize) -> Self {
+    pub(crate) fn ingest(table: &Table, shard_rows: usize) -> Self {
         Self::ingest_with(table, shard_rows, ColumnEncoding::Auto)
     }
 
-    /// Like [`Self::ingest`] with an explicit per-column encoding policy.
+    /// Converts an engine table into the sharded columnar format under the
+    /// per-column `encoding` policy. Rows keep their original order (shard
+    /// `i` holds rows `[i·shard_rows, (i+1)·shard_rows)`), which is what
+    /// makes columnar aggregation bit-identical to the engine's
+    /// row-at-a-time evaluation: both accumulate floating-point partials in
+    /// the same row order.
     #[must_use]
-    pub fn ingest_with(table: &Table, shard_rows: usize, encoding: ColumnEncoding) -> Self {
+    pub(crate) fn ingest_with(table: &Table, shard_rows: usize, encoding: ColumnEncoding) -> Self {
         let shard_rows = shard_rows.max(1);
         let rows = table.num_rows();
         let schema = table.schema().clone();
@@ -285,7 +286,6 @@ impl ColumnarTable {
             start = end;
         }
         ColumnarTable {
-            name: table.name().to_owned(),
             schema,
             shards,
             rows,
@@ -311,7 +311,12 @@ impl ColumnarTable {
     /// Panics when the column count does not match the schema arity, when
     /// column lengths and the weight count disagree, or when the epoch is
     /// out of sequence — these are internal sequencing bugs, not inputs.
-    pub fn append_delta_segment(&mut self, columns: &[Vec<u32>], weights: &[f64], epoch: u64) {
+    pub(crate) fn append_delta_segment(
+        &mut self,
+        columns: &[Vec<u32>],
+        weights: &[f64],
+        epoch: u64,
+    ) {
         assert_eq!(
             columns.len(),
             self.schema.arity(),
@@ -345,15 +350,9 @@ impl ColumnarTable {
         self.sealed_epoch = epoch;
     }
 
-    /// The table name.
-    #[must_use]
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
     /// The table schema.
     #[must_use]
-    pub fn schema(&self) -> &Schema {
+    pub(crate) fn schema(&self) -> &Schema {
         &self.schema
     }
 
@@ -361,7 +360,7 @@ impl ColumnarTable {
     /// markers count as rows; the *logical* row count is the weighted sum
     /// a COUNT(*) scan returns).
     #[must_use]
-    pub fn num_rows(&self) -> usize {
+    pub(crate) fn num_rows(&self) -> usize {
         self.rows
     }
 
@@ -372,27 +371,23 @@ impl ColumnarTable {
         &self.shards
     }
 
-    /// The encoding policy applied to this table's shards.
-    #[must_use]
-    pub fn encoding(&self) -> ColumnEncoding {
-        self.encoding
-    }
-
     /// Heap bytes of all encoded column payloads across the shard set.
+    #[cfg(test)]
     #[must_use]
-    pub fn encoded_bytes(&self) -> usize {
+    pub(crate) fn encoded_bytes(&self) -> usize {
         self.shards.iter().map(ColumnShard::encoded_bytes).sum()
     }
 
     /// Bytes the same payloads occupy un-encoded (4 bytes per cell).
+    #[cfg(test)]
     #[must_use]
-    pub fn plain_bytes(&self) -> usize {
+    pub(crate) fn plain_bytes(&self) -> usize {
         self.shards.iter().map(ColumnShard::plain_bytes).sum()
     }
 
     /// The last update epoch whose segment was appended (0 = base only).
     #[must_use]
-    pub fn sealed_epoch(&self) -> u64 {
+    pub(crate) fn sealed_epoch(&self) -> u64 {
         self.sealed_epoch
     }
 
@@ -400,14 +395,14 @@ impl ColumnarTable {
     /// exact sum of every shard's domain map — or `None` when the domain
     /// exceeds the map cap.
     #[must_use]
-    pub fn combined_map(&self, position: usize) -> Option<&[f64]> {
+    pub(crate) fn combined_map(&self, position: usize) -> Option<&[f64]> {
         self.combined_maps[position].as_deref()
     }
 
     /// Summed weight of every row across all shards: the logical
     /// `COUNT(*)` of the table (deletes cancel their inserts).
     #[must_use]
-    pub fn weight_total(&self) -> f64 {
+    pub(crate) fn weight_total(&self) -> f64 {
         self.weight_total
     }
 }

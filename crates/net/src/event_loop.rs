@@ -46,6 +46,17 @@ const LISTENER_TOKEN: u64 = 1;
 const FIRST_CONN_TOKEN: u64 = 16;
 /// Trace lanes: workers occupy lanes `0..N`; connections start here.
 const LANE_BASE: u64 = 1_000;
+/// Bytes read per `read(2)` call. Level-triggered readiness re-reports a
+/// socket with more pending bytes, so a bounded chunk bounds how long one
+/// chatty connection can hold its loop.
+pub(crate) const READ_CHUNK: usize = 64 * 1024;
+/// Per-connection cap on live mux channels (guards the per-channel state
+/// map against a hostile client opening channels forever).
+const MAX_CHANNELS_PER_CONN: usize = 1024;
+/// Longest housekeeping cadence: poll-wait timeout, idle-reap scan
+/// interval and the retry delay after transient accept failures. A short
+/// session TTL shortens it to a quarter of the TTL.
+const MAX_TICK: Duration = Duration::from_millis(250);
 
 /// Classifies an `accept(2)` failure: transient errors (descriptor
 /// exhaustion, an aborted in-flight handshake, interrupted syscalls,
@@ -77,9 +88,13 @@ pub struct EventLoopFrontend {
     server_name: String,
     metrics: MetricsRegistry,
     config: NetConfig,
-    /// Resolved idle horizon ([`NetConfig::idle_timeout`] or the
-    /// service's session TTL).
-    idle_timeout: Duration,
+    /// Close connections with no inbound traffic for this long: the
+    /// service's session TTL, so a connection whose session would have
+    /// expired anyway is collected with it.
+    idle_horizon: Duration,
+    /// Housekeeping cadence: `min(MAX_TICK, idle_horizon / 4)`, at least
+    /// 1 ms so a tiny TTL cannot turn the poll wait into a spin.
+    tick: Duration,
     /// Connection-token sequence, globally unique across loops.
     next_token: AtomicU64,
 }
@@ -88,13 +103,15 @@ impl EventLoopFrontend {
     /// A frontend over `service` with the given tuning.
     #[must_use]
     pub fn new(service: &Arc<QueryService>, config: NetConfig) -> Arc<Self> {
-        let idle_timeout = config.idle_timeout.unwrap_or_else(|| service.session_ttl());
+        let idle_horizon = service.session_ttl();
+        let tick = MAX_TICK.min(idle_horizon / 4).max(Duration::from_millis(1));
         Arc::new(EventLoopFrontend {
             service: Arc::downgrade(service),
             server_name: format!("dprov-server/{}", env!("CARGO_PKG_VERSION")),
             metrics: service.metrics().clone(),
             config,
-            idle_timeout,
+            idle_horizon,
+            tick,
             next_token: AtomicU64::new(FIRST_CONN_TOKEN),
         })
     }
@@ -156,7 +173,7 @@ impl EventLoopFrontend {
                 shutdown: Arc::clone(&shutdown),
                 fatal: Arc::clone(&fatal),
                 registered: Arc::clone(&registered),
-                scratch: vec![0; self.config.read_chunk.max(1)],
+                scratch: vec![0; READ_CHUNK],
             };
             handles.push(
                 std::thread::Builder::new()
@@ -326,7 +343,7 @@ struct LoopCore {
 
 impl LoopCore {
     fn run(mut self) {
-        let tick = self.frontend.config.tick;
+        let tick = self.frontend.tick;
         let mut events: Vec<Event> = Vec::new();
         let mut last_reap = Instant::now();
         loop {
@@ -470,7 +487,7 @@ impl LoopCore {
                 stream,
                 lane: LANE_BASE + token,
                 decoder: FrameDecoder::new(),
-                proto: ConnProto::new(self.frontend.config.max_channels_per_conn),
+                proto: ConnProto::new(MAX_CHANNELS_PER_CONN),
                 out: VecDeque::new(),
                 out_head: 0,
                 out_bytes: 0,
@@ -818,7 +835,7 @@ impl LoopCore {
     /// In-flight or parked work exempts a connection (its silence is the
     /// server's doing, not the client's).
     fn reap_idle(&mut self) {
-        let horizon = self.frontend.idle_timeout;
+        let horizon = self.frontend.idle_horizon;
         let dead: Vec<u64> = self
             .conns
             .iter()

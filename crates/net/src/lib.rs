@@ -46,13 +46,18 @@
 //!   ([`NetConfig::output_hwm`]) stops being read until the buffer drains
 //!   below half the mark — a slow-loris reader cannot balloon server
 //!   memory;
-//! * idle connections are reaped on a periodic tick after
-//!   [`NetConfig::idle_timeout`] (defaulting to the service's session
-//!   TTL, so transport lifetime and session lifetime expire together).
-//!   Sessions are not the loop's to reap: the service's own reaper
-//!   thread removes a session whose heartbeat is older than its TTL
-//!   ([`dprov_server::QueryService::expire_stale_sessions`]) within
-//!   another half TTL, whatever drives the service.
+//! * a connection with no inbound traffic for the service's session TTL
+//!   ([`dprov_server::QueryService::session_ttl`]) is closed, so
+//!   transport lifetime and session lifetime expire together. The loop
+//!   checks every `min(250 ms, TTL / 4)`. Sessions are not the loop's to
+//!   reap: the service's own reaper thread removes a session whose
+//!   heartbeat is older than its TTL within another half TTL, whatever
+//!   drives the service.
+//!
+//! Two limits are fixed rather than tuned: a read takes at most 64 KiB
+//! from a socket, and one connection carries at most 1 024 mux channels
+//! (the next is refused with `CHANNEL_LIMIT`, and the connection stays
+//! open).
 //!
 //! **Multiplexing.** Protocol v3 `Mux` frames are handled by the shared
 //! state machine, so one socket carries many independent sessions
@@ -72,43 +77,24 @@ mod event_loop;
 pub use event_loop::{EventLoopFrontend, EventLoopListener};
 
 /// Tuning knobs for the event-loop frontend. `Default` is sized for a
-/// small host (two loop threads); every field is public and documented so
-/// deployments tune in place.
+/// small host (two loop threads).
 #[derive(Debug, Clone)]
 pub struct NetConfig {
     /// Loop threads serving all connections. Loop 0 additionally owns the
     /// accept path; connections are handed out round-robin. Thread count
     /// never grows with connection count.
     pub loop_threads: usize,
-    /// Per-connection cap on live mux channels (guards the per-channel
-    /// state map against a hostile client opening channels forever).
-    pub max_channels_per_conn: usize,
     /// Per-connection output-buffer high-water mark in bytes. At or above
     /// the mark the connection stops being read; reading resumes once the
     /// buffer drains below half the mark.
     pub output_hwm: usize,
-    /// Bytes read per `read(2)` call. Level-triggered readiness re-reports
-    /// a socket with more pending bytes, so a small chunk bounds how long
-    /// one chatty connection can hold its loop.
-    pub read_chunk: usize,
-    /// Close connections with no inbound traffic for this long; `None`
-    /// (the default) reuses the service's session TTL so a connection
-    /// whose session would have expired anyway is collected with it.
-    pub idle_timeout: Option<std::time::Duration>,
-    /// Housekeeping cadence: poll-wait timeout, idle-reap scan interval
-    /// and the retry delay after transient accept failures.
-    pub tick: std::time::Duration,
 }
 
 impl Default for NetConfig {
     fn default() -> Self {
         NetConfig {
             loop_threads: 2,
-            max_channels_per_conn: 1024,
             output_hwm: 1 << 20,
-            read_chunk: 64 * 1024,
-            idle_timeout: None,
-            tick: std::time::Duration::from_millis(250),
         }
     }
 }
@@ -157,8 +143,10 @@ mod tests {
     fn default_config_is_fixed_thread() {
         let cfg = NetConfig::default();
         assert_eq!(cfg.loop_threads, 2);
-        assert!(cfg.output_hwm >= 2 * cfg.read_chunk, "HWM admits one read");
-        assert!(cfg.idle_timeout.is_none(), "defaults to the session TTL");
+        assert!(
+            cfg.output_hwm >= 2 * event_loop::READ_CHUNK,
+            "HWM admits one read"
+        );
     }
 
     #[test]

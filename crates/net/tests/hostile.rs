@@ -400,20 +400,18 @@ fn stalled_reader_hits_the_hwm_and_loses_nothing() {
     listener.shutdown();
 }
 
-/// Event-loop specific: connections idle past the (here: tiny) idle
-/// timeout are reaped and counted.
+/// Event-loop specific: connections idle past the (here: tiny) session
+/// TTL are reaped and counted. The connection opens no session.
 #[test]
 fn idle_connections_are_reaped() {
-    let service = service();
-    let frontend = EventLoopFrontend::new(
-        &service,
-        NetConfig {
-            idle_timeout: Some(Duration::from_millis(200)),
-            tick: Duration::from_millis(50),
-            ..NetConfig::default()
-        },
+    let service = service_with(
+        ServiceConfig::builder()
+            .workers(2)
+            .session_ttl(Duration::from_millis(200))
+            .build()
+            .unwrap(),
     );
-    let listener = frontend.listen("127.0.0.1:0").unwrap();
+    let listener = listen(&service, "127.0.0.1:0").unwrap();
     let mut stream = TcpStream::connect(listener.local_addr()).unwrap();
     stream.write_all(&hello_frame()).unwrap();
     assert!(matches!(
@@ -460,25 +458,18 @@ fn client_errors_are_typed_after_server_close() {
     );
 }
 
-/// Sessions abandoned without `CloseSession` leave the registry on the
-/// loop's tick once their TTL passes, and resuming one is refused with a
-/// typed error.
+/// Sessions abandoned over TCP without `CloseSession` are removed by the
+/// service's own reaper once their TTL passes, and resuming one is
+/// refused with a typed error.
 #[test]
-fn abandoned_sessions_are_expired_on_the_tick() {
+fn abandoned_sessions_are_expired_by_the_service_reaper() {
     let service = service_with(
         ServiceConfig::builder()
             .session_ttl(Duration::from_millis(300))
             .build()
             .unwrap(),
     );
-    let frontend = EventLoopFrontend::new(
-        &service,
-        NetConfig {
-            tick: Duration::from_millis(50),
-            ..NetConfig::default()
-        },
-    );
-    let listener = frontend.listen("127.0.0.1:0").unwrap();
+    let listener = listen(&service, "127.0.0.1:0").unwrap();
 
     let mut sessions = Vec::new();
     for i in 0..4 {
@@ -546,6 +537,99 @@ fn a_request_pipelined_behind_an_unknown_tag_is_answered() {
     match recv_with_id(&mut stream) {
         (6, Response::SessionRegistered { .. }) => {}
         other => panic!("expected request 6 answered, got {other:?}"),
+    }
+    assert!(listener.take_fatal_error().is_none());
+    listener.shutdown();
+}
+
+/// Frames `inner` as a mux request on `channel`.
+fn mux_frame(channel: u64, request_id: u64, inner: &Request) -> Vec<u8> {
+    frame(&encode_request(
+        0,
+        &Request::Mux {
+            channel,
+            payload: encode_request(request_id, inner),
+        },
+    ))
+}
+
+/// Reads one mux reply and unwraps it to `(channel, inner id, response)`.
+fn recv_mux(stream: &mut TcpStream) -> (u64, u64, Response) {
+    match recv_response(stream) {
+        Response::MuxReply { channel, payload } => {
+            let (id, response) = decode_response(&payload).unwrap();
+            (channel, id, response)
+        }
+        other => panic!("expected a mux reply, got {other:?}"),
+    }
+}
+
+/// One connection carries at most 1 024 mux channels: the 1 025th is
+/// refused with `CHANNEL_LIMIT` under its own request id, and the
+/// connection and its open channels keep working.
+#[test]
+fn the_channel_past_the_cap_is_refused_and_the_connection_survives() {
+    const CAP: u64 = 1024;
+    let service = service();
+    let listener = listen(&service, "127.0.0.1:0").unwrap();
+    let mut stream = TcpStream::connect(listener.local_addr()).unwrap();
+    stream.write_all(&hello_frame()).unwrap();
+    assert!(matches!(
+        recv_response(&mut stream),
+        Response::HelloAck { .. }
+    ));
+
+    let hello = Request::Hello {
+        max_version: PROTOCOL_VERSION,
+        client_name: "channel".to_owned(),
+    };
+    let mut burst = Vec::new();
+    for channel in 0..CAP {
+        burst.extend_from_slice(&mux_frame(channel, 1, &hello));
+    }
+    stream.write_all(&burst).unwrap();
+    let mut opened = vec![false; CAP as usize];
+    for _ in 0..CAP {
+        match recv_mux(&mut stream) {
+            (channel, 1, Response::HelloAck { .. }) => opened[channel as usize] = true,
+            other => panic!("expected a channel's HelloAck, got {other:?}"),
+        }
+    }
+    assert!(
+        opened.iter().all(|&o| o),
+        "every channel under the cap opens"
+    );
+
+    stream.write_all(&mux_frame(CAP, 77, &hello)).unwrap();
+    match recv_mux(&mut stream) {
+        (channel, 77, Response::Error(e)) => {
+            assert_eq!(channel, CAP);
+            assert_eq!(e.code, codes::CHANNEL_LIMIT, "{e:?}");
+        }
+        other => panic!("expected CHANNEL_LIMIT for request 77, got {other:?}"),
+    }
+
+    // An open channel still answers, and so does the outer connection.
+    stream
+        .write_all(&mux_frame(
+            3,
+            78,
+            &Request::RegisterSession {
+                analyst_name: "alice".to_owned(),
+                resume: None,
+            },
+        ))
+        .unwrap();
+    match recv_mux(&mut stream) {
+        (3, 78, Response::SessionRegistered { .. }) => {}
+        other => panic!("expected channel 3's session, got {other:?}"),
+    }
+    stream
+        .write_all(&frame(&encode_request(79, &Request::MetricsSnapshot)))
+        .unwrap();
+    match recv_with_id(&mut stream) {
+        (79, Response::MetricsReport(_)) => {}
+        other => panic!("expected the outer connection answered, got {other:?}"),
     }
     assert!(listener.take_fatal_error().is_none());
     listener.shutdown();

@@ -28,7 +28,7 @@ pub enum Stage {
 impl Stage {
     /// Stable wire/trace name of the stage.
     #[must_use]
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             Stage::Decode => "decode",
             Stage::QueueWait => "queue_wait",
@@ -62,16 +62,16 @@ impl Stage {
 pub struct TraceEvent {
     /// The request id the stage belongs to (protocol request id on the
     /// frontend path, an internal submission id for embedded callers).
-    pub request_id: u64,
+    pub(crate) request_id: u64,
     /// Which stage completed.
-    pub stage: Stage,
+    pub(crate) stage: Stage,
     /// The lane (session id, or 0 when no session applies) the stage ran
     /// under — becomes the `tid` of the chrome-trace row.
-    pub lane: u64,
+    pub(crate) lane: u64,
     /// Stage start, in nanoseconds since the registry was created.
-    pub start_ns: u64,
+    pub(crate) start_ns: u64,
     /// Stage duration in nanoseconds.
-    pub dur_ns: u64,
+    pub(crate) dur_ns: u64,
 }
 
 #[derive(Debug)]
@@ -98,7 +98,7 @@ pub struct TraceJournal {
 impl TraceJournal {
     /// A journal retaining the most recent `capacity` events (minimum 1).
     #[must_use]
-    pub fn new(capacity: usize) -> Self {
+    pub(crate) fn new(capacity: usize) -> Self {
         let capacity = capacity.max(1);
         TraceJournal {
             slots: (0..capacity)
@@ -114,22 +114,23 @@ impl TraceJournal {
         }
     }
 
-    /// Maximum number of retained events.
-    #[must_use]
-    pub fn capacity(&self) -> usize {
-        self.slots.len()
-    }
-
     /// Total number of events ever recorded (recorded − retained =
     /// overwritten).
     #[must_use]
-    pub fn recorded(&self) -> u64 {
+    pub(crate) fn recorded(&self) -> u64 {
         self.cursor.load(Ordering::Relaxed)
     }
 
     /// Records one completed stage. One `fetch_add` plus five relaxed
     /// stores; never blocks, never allocates.
-    pub fn record(&self, request_id: u64, stage: Stage, lane: u64, start_ns: u64, dur: Duration) {
+    pub(crate) fn record(
+        &self,
+        request_id: u64,
+        stage: Stage,
+        lane: u64,
+        start_ns: u64,
+        dur: Duration,
+    ) {
         let ticket = self.cursor.fetch_add(1, Ordering::Relaxed);
         let slot = &self.slots[(ticket % self.slots.len() as u64) as usize];
         // Claim: distinct tickets write distinct odd values, so a reader

@@ -43,11 +43,11 @@ use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 /// Default number of trace events retained by a registry's journal.
-pub const DEFAULT_JOURNAL_CAPACITY: usize = 4096;
+pub(crate) const DEFAULT_JOURNAL_CAPACITY: usize = 4096;
 
 /// Monotone event counters. The enum is the metric catalog: adding a
 /// counter means adding a variant, a name, and an entry in
-/// [`CounterId::ALL`] — snapshots pick it up automatically.
+/// `CounterId::ALL` — snapshots pick it up automatically.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum CounterId {
@@ -107,7 +107,7 @@ pub enum CounterId {
 
 impl CounterId {
     /// Every counter, in catalog order.
-    pub const ALL: [CounterId; 21] = [
+    pub(crate) const ALL: [CounterId; 21] = [
         CounterId::FrontendConnections,
         CounterId::FrontendRequests,
         CounterId::QueriesAnswered,
@@ -133,7 +133,7 @@ impl CounterId {
 
     /// Stable snapshot name of the counter.
     #[must_use]
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             CounterId::FrontendConnections => "frontend.connections",
             CounterId::FrontendRequests => "frontend.requests",
@@ -183,7 +183,7 @@ pub enum GaugeId {
 
 impl GaugeId {
     /// Every gauge, in catalog order.
-    pub const ALL: [GaugeId; 4] = [
+    pub(crate) const ALL: [GaugeId; 4] = [
         GaugeId::QueueDepthHwm,
         GaugeId::ReplicationLag,
         GaugeId::RegisteredConnections,
@@ -245,7 +245,7 @@ pub enum HistId {
 
 impl HistId {
     /// Every histogram, in catalog order.
-    pub const ALL: [HistId; 13] = [
+    pub(crate) const ALL: [HistId; 13] = [
         HistId::FrontendDecode,
         HistId::FrontendReply,
         HistId::QueueWait,
@@ -365,8 +365,9 @@ impl MetricsRegistry {
     }
 
     /// Whether two handles share the same underlying registry.
+    #[cfg(test)]
     #[must_use]
-    pub fn same_registry(&self, other: &MetricsRegistry) -> bool {
+    pub(crate) fn same_registry(&self, other: &MetricsRegistry) -> bool {
         match (&self.inner, &other.inner) {
             (Some(a), Some(b)) => Arc::ptr_eq(a, b),
             (None, None) => true,

@@ -133,12 +133,6 @@ impl ConnProto {
         }
     }
 
-    /// Live mux channels on this connection.
-    #[must_use]
-    pub fn channel_count(&self) -> usize {
-        self.channels.len()
-    }
-
     /// Decodes and handles one request payload (outer or mux-wrapped),
     /// recording decode/reply metrics under trace lane `lane`.
     pub fn handle_payload(

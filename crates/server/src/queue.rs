@@ -21,9 +21,9 @@ fn fair_share(available: usize, shares: usize) -> usize {
 /// Error returned by [`BoundedQueue::push`] after [`BoundedQueue::close`];
 /// carries the rejected item back to the caller.
 #[derive(Debug)]
-pub struct QueueClosed<T>(pub T);
+pub(crate) struct QueueClosed<T>(pub T);
 
-/// Error returned by [`BoundedQueue::try_push`]; carries the rejected item
+/// Error returned by `BoundedQueue::try_push`; carries the rejected item
 /// back so a non-blocking producer can park it instead of losing it.
 #[derive(Debug)]
 pub enum TryPushError<T> {
@@ -33,7 +33,7 @@ pub enum TryPushError<T> {
     Closed(T),
 }
 
-/// Callback registered with [`BoundedQueue::add_space_listener`].
+/// Callback registered with `BoundedQueue::add_space_listener`.
 pub type SpaceListener = Arc<dyn Fn() + Send + Sync>;
 
 #[derive(Debug)]
@@ -43,7 +43,7 @@ struct QueueState<T> {
 }
 
 /// A blocking, bounded MPMC queue.
-pub struct BoundedQueue<T> {
+pub(crate) struct BoundedQueue<T> {
     state: Mutex<QueueState<T>>,
     capacity: usize,
     not_empty: Condvar,
@@ -66,7 +66,7 @@ impl<T> std::fmt::Debug for BoundedQueue<T> {
 impl<T> BoundedQueue<T> {
     /// Creates a queue holding at most `capacity` items (minimum 1).
     #[must_use]
-    pub fn new(capacity: usize) -> Self {
+    pub(crate) fn new(capacity: usize) -> Self {
         BoundedQueue {
             state: Mutex::new(QueueState {
                 items: VecDeque::new(),
@@ -82,7 +82,7 @@ impl<T> BoundedQueue<T> {
     /// Registers a callback fired after a pop moves the queue away from
     /// capacity. Fired outside the queue lock; the callback may call
     /// [`Self::try_push`] but must not block.
-    pub fn add_space_listener(&self, listener: SpaceListener) {
+    pub(crate) fn add_space_listener(&self, listener: SpaceListener) {
         self.space_listeners
             .lock()
             .expect("queue poisoned")
@@ -100,7 +100,7 @@ impl<T> BoundedQueue<T> {
     /// queue depth *including* the new item (the producer observed it under
     /// the lock, so it is exact — the service's depth high-watermark feeds
     /// on this), or the item back if the queue has been closed.
-    pub fn push(&self, item: T) -> Result<usize, QueueClosed<T>> {
+    pub(crate) fn push(&self, item: T) -> Result<usize, QueueClosed<T>> {
         let mut state = self.state.lock().expect("queue poisoned");
         loop {
             if state.closed {
@@ -119,7 +119,7 @@ impl<T> BoundedQueue<T> {
     /// Enqueues an item without blocking. A full queue hands the item back
     /// as [`TryPushError::Full`] — the caller parks it and retries when a
     /// space listener fires, instead of tying up a thread.
-    pub fn try_push(&self, item: T) -> Result<usize, TryPushError<T>> {
+    pub(crate) fn try_push(&self, item: T) -> Result<usize, TryPushError<T>> {
         let mut state = self.state.lock().expect("queue poisoned");
         if state.closed {
             return Err(TryPushError::Closed(item));
@@ -144,7 +144,7 @@ impl<T> BoundedQueue<T> {
     /// never drains a burst that its siblings could run in parallel.
     /// `shares <= 1` disables the cap, and `pop_batch(1, 1)` dequeues one
     /// item at a time.
-    pub fn pop_batch(&self, max: usize, shares: usize) -> Vec<T> {
+    pub(crate) fn pop_batch(&self, max: usize, shares: usize) -> Vec<T> {
         let mut state = self.state.lock().expect("queue poisoned");
         // Block for the first item (or the close).
         while state.items.is_empty() {
@@ -159,7 +159,7 @@ impl<T> BoundedQueue<T> {
     /// Dequeues up to `max` immediately available items without blocking
     /// (used by workers that already hold chained work and only top the
     /// batch up). The same fair-share cap as [`Self::pop_batch`] applies.
-    pub fn try_pop_batch(&self, max: usize, shares: usize) -> Vec<T> {
+    pub(crate) fn try_pop_batch(&self, max: usize, shares: usize) -> Vec<T> {
         let state = self.state.lock().expect("queue poisoned");
         self.take_batch(state, max, shares)
     }
@@ -193,7 +193,7 @@ impl<T> BoundedQueue<T> {
 
     /// Closes the queue: pending pushes fail, consumers drain what is left
     /// and then observe the end of the stream.
-    pub fn close(&self) {
+    pub(crate) fn close(&self) {
         let mut state = self.state.lock().expect("queue poisoned");
         state.closed = true;
         drop(state);
@@ -205,13 +205,14 @@ impl<T> BoundedQueue<T> {
 
     /// Number of queued (not yet popped) items.
     #[must_use]
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.state.lock().expect("queue poisoned").items.len()
     }
 
     /// True when no items are queued.
+    #[cfg(test)]
     #[must_use]
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.len() == 0
     }
 }

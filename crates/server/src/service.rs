@@ -3,7 +3,7 @@
 //! [`QueryService`] fronts a shared, thread-safe
 //! [`DProvDb`] with:
 //!
-//! * a bounded MPMC job queue ([`crate::queue::BoundedQueue`]) providing
+//! * a bounded MPMC job queue (`crate::queue::BoundedQueue`) providing
 //!   backpressure between submitters and the worker pool;
 //! * `N` worker threads, each pulling jobs and executing them through
 //!   [`DProvDb::submit_with_rng`] (or, for a GROUP BY,
@@ -32,11 +32,10 @@
 //!   [`QueryService::submit`] never takes it, so a same-process embedder
 //!   runs every request through the queue;
 //! * one session reaper thread, started with the pool: every half
-//!   session TTL it removes expired sessions
-//!   ([`QueryService::expire_stale_sessions`]), so no session outlives
-//!   its TTL by more than `ttl / 2` whether the service is driven over
-//!   the wire or only through [`QueryService::submit`]. It stops with the
-//!   queue, on [`QueryService::shutdown`] or drop.
+//!   session TTL it removes expired sessions from the registry, so no
+//!   session outlives its TTL by more than `ttl / 2` whether the service
+//!   is driven over the wire or only through [`QueryService::submit`].
+//!   It stops with the queue, on [`QueryService::shutdown`] or drop.
 
 use std::collections::{HashMap, VecDeque};
 use std::path::PathBuf;
@@ -70,17 +69,17 @@ const MAX_BATCH: usize = 8;
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
     /// Number of worker threads executing queries.
-    pub workers: usize,
+    pub(crate) workers: usize,
     /// Capacity of the submission queue (backpressure threshold).
-    pub queue_capacity: usize,
+    pub(crate) queue_capacity: usize,
     /// How long a session may go without a heartbeat or submission before
     /// it is considered expired. The service's reaper removes an expired
     /// session within another `session_ttl / 2`.
-    pub session_ttl: Duration,
+    pub(crate) session_ttl: Duration,
     /// Names authorised to act as data **updaters** (submit update
     /// batches and seal epochs) — trusted configuration, like the analyst
     /// roster. Empty (the default) refuses every updater registration.
-    pub updaters: Vec<String>,
+    pub(crate) updaters: Vec<String>,
 }
 
 // `dprovbench/src/surface.rs` calls
@@ -342,28 +341,28 @@ impl std::fmt::Debug for TrySubmitError {
 #[derive(Debug, Clone)]
 pub struct DurabilityConfig {
     /// Directory holding the write-ahead ledger and snapshots.
-    pub dir: PathBuf,
+    pub(crate) dir: PathBuf,
     /// `fsync` every ledger append (true for real deployments; tests and
     /// benches may trade durability for speed).
-    pub fsync: bool,
+    pub(crate) fsync: bool,
     /// Auto-compact (snapshot + ledger truncation) once this many ledger
     /// appends have accumulated since the last snapshot; `0` disables
     /// auto-compaction (use [`QueryService::checkpoint`] manually).
-    pub snapshot_every: u64,
+    pub(crate) snapshot_every: u64,
     /// Sealed-epoch retention for snapshots: keep only the most recent
     /// `delta_retention` epochs individually and merge everything older
     /// into one baseline epoch before each snapshot (`0`, the default,
     /// keeps the full history). Replaying the merged baseline is
     /// bit-identical to replaying the epochs it replaced, so recovered
     /// answers and budgets are unaffected — only snapshot size is.
-    pub delta_retention: u64,
+    pub(crate) delta_retention: u64,
 }
 
 impl DurabilityConfig {
     /// Durability in `dir` with fsync on and compaction every 4096
     /// appends.
     #[must_use]
-    pub fn new(dir: impl Into<PathBuf>) -> Self {
+    pub(crate) fn new(dir: impl Into<PathBuf>) -> Self {
         DurabilityConfig {
             dir: dir.into(),
             fsync: true,
@@ -436,9 +435,9 @@ pub struct RecoveryReport {
     /// Sessions restored with their noise streams fast-forwarded.
     pub restored_sessions: usize,
     /// Update batches replayed (those after the last seal land pending).
-    pub replayed_updates: usize,
+    pub(crate) replayed_updates: usize,
     /// Epoch seals re-applied (segments + histogram patches, bit-exact).
-    pub replayed_epochs: usize,
+    pub(crate) replayed_epochs: usize,
     /// Damage found (and discarded) at the ledger tail, if any.
     pub wal_corruption: Option<StorageError>,
 }
@@ -567,11 +566,11 @@ pub struct ServiceStats {
     /// no batch; the realised batch size is `batch_sizes`.
     pub batches: usize,
     /// Update epochs sealed through this service.
-    pub epochs_sealed: usize,
+    pub(crate) epochs_sealed: usize,
     /// Jobs currently waiting in the queue.
-    pub queued: usize,
+    pub(crate) queued: usize,
     /// Live sessions.
-    pub sessions: usize,
+    pub(crate) sessions: usize,
     /// Deepest the submission queue has ever been (monotone
     /// high-watermark, exact: producers observe the depth under the queue
     /// lock). Maintained independently of the metrics registry, so it is
@@ -580,7 +579,7 @@ pub struct ServiceStats {
     pub queue_depth_hwm: usize,
     /// Distribution of realised micro-batch sizes (jobs per drained
     /// batch), as a log-bucketed percentile summary. Also registry-free.
-    pub batch_sizes: HistogramSnapshot,
+    pub(crate) batch_sizes: HistogramSnapshot,
     /// The underlying system's runtime statistics.
     pub system: SystemStats,
 }
@@ -1147,7 +1146,7 @@ impl QueryService {
     }
 
     /// Refreshes a session's heartbeat.
-    pub fn heartbeat(&self, id: SessionId) -> Result<(), ServerError> {
+    pub(crate) fn heartbeat(&self, id: SessionId) -> Result<(), ServerError> {
         self.sessions.heartbeat(id).map_err(ServerError::from)
     }
 
@@ -1192,7 +1191,8 @@ impl QueryService {
     /// mode the closures are journalled best-effort: a lost close record
     /// only makes recovery restore a dead session, never lose budget
     /// state.
-    pub fn expire_stale_sessions(&self) -> Vec<SessionId> {
+    #[cfg(test)]
+    pub(crate) fn expire_stale_sessions(&self) -> Vec<SessionId> {
         reap_sessions(&self.sessions, self.durable.as_deref())
     }
 
@@ -1500,7 +1500,7 @@ impl QueryService {
     }
 
     /// Registers a callback fired whenever the runnable queue transitions
-    /// from full to non-full (see [`crate::queue::BoundedQueue`]); the
+    /// from full to non-full (see `crate::queue::BoundedQueue`); the
     /// event-loop frontend uses it to re-arm read interest on connections
     /// stalled by backpressure. Listeners run outside the queue lock but
     /// on whichever thread freed the space, so they must be quick and
@@ -1509,7 +1509,7 @@ impl QueryService {
         self.queue.add_space_listener(listener);
     }
 
-    /// The configured session time-to-live ([`ServiceConfig::session_ttl`]).
+    /// The configured session time-to-live (`ServiceConfig::session_ttl`).
     #[must_use]
     pub fn session_ttl(&self) -> Duration {
         self.session_ttl
@@ -1699,7 +1699,7 @@ impl QueryService {
 }
 
 /// Result alias for [`QueryService::open_session`].
-pub type QuerySessionResult = Result<SessionId, ServerError>;
+pub(crate) type QuerySessionResult = Result<SessionId, ServerError>;
 
 /// A pending submission returned by [`QueryService::submit`]; the worker
 /// pool resolves it asynchronously.
@@ -2156,6 +2156,49 @@ mod tests {
             store.appends_since_snapshot() < store.total_appends(),
             "at least one auto-compaction must have folded the ledger"
         );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// An automatic compaction whose snapshot cannot be written leaves the
+    /// service answering and is surfaced by `last_compaction_error` until
+    /// a later compaction succeeds.
+    #[test]
+    fn a_failed_auto_compaction_is_surfaced_until_one_succeeds() {
+        let dir = dprov_storage::scratch_dir("svc-compaction-error");
+        let (service, _) = QueryService::start_durable(
+            raw_system(MechanismKind::Vanilla, 16.0, 2),
+            workers(1),
+            durability(&dir, 2),
+        )
+        .unwrap();
+        assert!(service.last_compaction_error().is_none());
+        let session = service.open_session(AnalystId(1)).unwrap();
+        // Each request is stricter than the last, so each one commits.
+        let mut variance = 4_000.0;
+        let mut commit_until = |failed: bool| {
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while service.last_compaction_error().is_some() != failed {
+                assert!(Instant::now() < deadline, "compaction failed: {failed}");
+                service
+                    .submit_wait(session, request(30, 40, variance))
+                    .unwrap();
+                variance *= 0.8;
+                // The worker compacts after it replies.
+                std::thread::sleep(Duration::from_millis(5));
+            }
+        };
+        // A directory where the snapshot's temporary file goes fails
+        // every snapshot write.
+        let blocker = ProvenanceStore::snapshot_path(&dir).with_extension("tmp");
+        std::fs::create_dir(&blocker).unwrap();
+        commit_until(true);
+        assert!(matches!(
+            service.last_compaction_error(),
+            Some(StorageError::Io(_))
+        ));
+        std::fs::remove_dir(&blocker).unwrap();
+        commit_until(false);
+        drop(service);
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -46,7 +46,7 @@ impl std::fmt::Display for SessionId {
 
 /// One analyst session.
 #[derive(Debug)]
-pub struct Session {
+pub(crate) struct Session {
     id: SessionId,
     analyst: AnalystId,
     /// The session's private noise stream. Locked for the duration of one
@@ -80,26 +80,27 @@ impl Session {
 
     /// The session id.
     #[must_use]
-    pub fn id(&self) -> SessionId {
+    pub(crate) fn id(&self) -> SessionId {
         self.id
     }
 
     /// The analyst this session belongs to.
     #[must_use]
-    pub fn analyst(&self) -> AnalystId {
+    pub(crate) fn analyst(&self) -> AnalystId {
         self.analyst
     }
 
     /// Refreshes the heartbeat timestamp.
-    pub fn heartbeat(&self) {
+    pub(crate) fn heartbeat(&self) {
         *self.last_heartbeat.lock().expect("heartbeat poisoned") = Instant::now();
     }
 
     /// The current position of the session's noise stream (for durable
     /// session checkpoints). Blocks while a worker is executing one of the
     /// session's queries, so the returned position is never mid-draw.
+    #[cfg(test)]
     #[must_use]
-    pub fn rng_checkpoint(&self) -> RngCheckpoint {
+    pub(crate) fn rng_checkpoint(&self) -> RngCheckpoint {
         self.rng.lock().expect("session rng poisoned").checkpoint()
     }
 
@@ -119,7 +120,7 @@ impl Session {
 
     /// True when the heartbeat is older than the session's time-to-live.
     #[must_use]
-    pub fn is_expired(&self) -> bool {
+    pub(crate) fn is_expired(&self) -> bool {
         self.last_heartbeat
             .lock()
             .expect("heartbeat poisoned")
@@ -145,19 +146,19 @@ impl Session {
 
     /// Number of submissions accepted into the queue.
     #[must_use]
-    pub fn submitted(&self) -> usize {
+    pub(crate) fn submitted(&self) -> usize {
         self.submitted.load(Ordering::Relaxed)
     }
 
     /// Number of answered queries.
     #[must_use]
-    pub fn answered(&self) -> usize {
+    pub(crate) fn answered(&self) -> usize {
         self.answered.load(Ordering::Relaxed)
     }
 
     /// Number of rejected queries.
     #[must_use]
-    pub fn rejected(&self) -> usize {
+    pub(crate) fn rejected(&self) -> usize {
         self.rejected.load(Ordering::Relaxed)
     }
 }
@@ -224,7 +225,7 @@ impl SessionRegistry {
     /// Creates a registry whose sessions derive their noise streams from
     /// `base_seed` and expire after `default_ttl` without a heartbeat.
     #[must_use]
-    pub fn new(base_seed: u64, default_ttl: Duration) -> Self {
+    pub(crate) fn new(base_seed: u64, default_ttl: Duration) -> Self {
         SessionRegistry {
             sessions: RwLock::new(HashMap::new()),
             next_id: AtomicU64::new(0),
@@ -237,7 +238,7 @@ impl SessionRegistry {
     /// are dense and assigned in registration order, so a fixed
     /// registration sequence reproduces the same noise streams run after
     /// run.
-    pub fn register(&self, analyst: AnalystId) -> SessionId {
+    pub(crate) fn register(&self, analyst: AnalystId) -> SessionId {
         let id = SessionId(self.next_id.fetch_add(1, Ordering::SeqCst));
         let session =
             std::sync::Arc::new(Session::new(id, analyst, self.base_seed, self.default_ttl));
@@ -253,7 +254,7 @@ impl SessionRegistry {
     /// continues its deterministic stream bit-for-bit instead of replaying
     /// randomness the pre-crash process already consumed. The id counter is
     /// advanced past the restored id so new registrations never collide.
-    pub fn restore(&self, id: SessionId, analyst: AnalystId, checkpoint: RngCheckpoint) {
+    pub(crate) fn restore(&self, id: SessionId, analyst: AnalystId, checkpoint: RngCheckpoint) {
         let mut session = Session::new(id, analyst, self.base_seed, self.default_ttl);
         session.rng = Mutex::new(DpRng::restore_stream(self.base_seed, id.0, checkpoint));
         self.sessions
@@ -266,12 +267,12 @@ impl SessionRegistry {
     /// Advances the id counter to at least `next` (recovery uses this so
     /// ids of sessions that died *without* a restorable checkpoint are
     /// never reissued — reissuing one would replay its noise stream).
-    pub fn reserve_ids(&self, next: u64) {
+    pub(crate) fn reserve_ids(&self, next: u64) {
         self.next_id.fetch_max(next, Ordering::SeqCst);
     }
 
     /// Looks up a live session, refusing expired ones.
-    pub fn get(&self, id: SessionId) -> Result<std::sync::Arc<Session>, SessionError> {
+    pub(crate) fn get(&self, id: SessionId) -> Result<std::sync::Arc<Session>, SessionError> {
         let sessions = self.sessions.read().expect("session registry poisoned");
         let session = sessions.get(&id.0).ok_or(SessionError::Unknown(id))?;
         if session.is_expired() {
@@ -283,14 +284,14 @@ impl SessionRegistry {
     /// Refreshes a live session's heartbeat. An expired session is
     /// refused like [`Self::get`] refuses it, reaped or not, so expiry
     /// depends on the clock alone and never on when the reaper runs.
-    pub fn heartbeat(&self, id: SessionId) -> Result<(), SessionError> {
+    pub(crate) fn heartbeat(&self, id: SessionId) -> Result<(), SessionError> {
         self.get(id)?.heartbeat();
         Ok(())
     }
 
     /// Removes one session outright (used when durable registration of a
     /// fresh session fails — the id stays burned, never reissued).
-    pub fn remove(&self, id: SessionId) {
+    pub(crate) fn remove(&self, id: SessionId) {
         self.sessions
             .write()
             .expect("session registry poisoned")
@@ -298,7 +299,7 @@ impl SessionRegistry {
     }
 
     /// Removes every expired session and returns their ids.
-    pub fn expire_stale(&self) -> Vec<SessionId> {
+    pub(crate) fn expire_stale(&self) -> Vec<SessionId> {
         let mut sessions = self.sessions.write().expect("session registry poisoned");
         let stale: Vec<u64> = sessions
             .iter()
@@ -329,8 +330,9 @@ impl SessionRegistry {
     }
 
     /// Ids of all registered sessions, in registration order.
+    #[cfg(test)]
     #[must_use]
-    pub fn session_ids(&self) -> Vec<SessionId> {
+    pub(crate) fn session_ids(&self) -> Vec<SessionId> {
         let mut ids: Vec<SessionId> = self
             .sessions
             .read()

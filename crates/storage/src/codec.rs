@@ -13,10 +13,10 @@
 //! frame = len: u32 | crc32(payload): u32 | payload (len bytes)
 //! ```
 //!
-//! [`frame`] / [`put_frame`] refuse a payload over the caller's cap;
+//! [`frame`] / `put_frame` refuse a payload over the caller's cap;
 //! [`split_frame`] cuts one verified frame off the front of a buffer,
 //! checking the cap as soon as the 8-byte header is visible, so a hostile
-//! length never drives an allocation. [`scan_frames`] applies the one
+//! length never drives an allocation. `scan_frames` applies the one
 //! damage rule for files of frames behind a magic:
 //!
 //! * a strict prefix of the magic (an empty file included) is a fresh
@@ -106,7 +106,7 @@ pub enum Split<'a> {
 /// Appends one frame carrying `payload` to `out`, refusing (and writing
 /// nothing) when the payload is longer than `cap` or than the `u32`
 /// length field can say.
-pub fn put_frame(out: &mut Vec<u8>, payload: &[u8], cap: usize) -> Result<(), FrameError> {
+pub(crate) fn put_frame(out: &mut Vec<u8>, payload: &[u8], cap: usize) -> Result<(), FrameError> {
     let len = payload.len();
     if len > cap.min(u32::MAX as usize) {
         return Err(FrameError::TooLong { len, cap });
@@ -119,7 +119,7 @@ pub fn put_frame(out: &mut Vec<u8>, payload: &[u8], cap: usize) -> Result<(), Fr
 }
 
 /// One frame carrying `payload`, in a single allocation; see
-/// [`put_frame`].
+/// `put_frame`.
 pub fn frame(payload: &[u8], cap: usize) -> Result<Vec<u8>, FrameError> {
     let mut out = Vec::new();
     put_frame(&mut out, payload, cap).map(|()| out)
@@ -157,29 +157,29 @@ pub fn split_frame(buf: &[u8], cap: usize) -> Result<Split<'_>, FrameError> {
 
 /// Where a file of frames failed verification, and why.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FrameDamage {
+pub(crate) struct FrameDamage {
     /// Byte offset of the damaged frame (0 for the magic).
-    pub offset: u64,
+    pub(crate) offset: u64,
     /// What failed.
-    pub reason: String,
+    pub(crate) reason: String,
 }
 
 /// A file of frames, read under the damage rule of [`scan_frames`].
 #[derive(Debug, PartialEq, Eq)]
-pub struct FrameScan<'a> {
+pub(crate) struct FrameScan<'a> {
     /// Every intact frame in file order: its offset and its payload.
-    pub frames: Vec<(u64, &'a [u8])>,
+    pub(crate) frames: Vec<(u64, &'a [u8])>,
     /// Bytes of the intact prefix (magic plus intact frames); 0 for a
     /// fresh file, which the caller re-initialises.
-    pub valid_len: u64,
+    pub(crate) valid_len: u64,
     /// The torn tail after the intact prefix, which the caller discards.
-    pub torn: Option<FrameDamage>,
+    pub(crate) torn: Option<FrameDamage>,
 }
 
 /// Reads a file of frames behind `magic` under the one damage rule (see
 /// the module docs): a fresh file and a torn tail are `Ok`; mid-file
 /// damage, a bad magic and a declared length over `cap` are the `Err`.
-pub fn scan_frames<'a>(
+pub(crate) fn scan_frames<'a>(
     file: &'a [u8],
     magic: &[u8],
     cap: usize,
@@ -284,7 +284,7 @@ impl Encoder {
     }
 
     /// Appends a length-prefixed `f64` slice.
-    pub fn put_f64_slice(&mut self, v: &[f64]) {
+    pub(crate) fn put_f64_slice(&mut self, v: &[f64]) {
         self.put_u32(v.len() as u32);
         for &x in v {
             self.put_f64(x);
@@ -292,7 +292,7 @@ impl Encoder {
     }
 
     /// Appends an `Option<f64>` as a presence byte plus the raw bits.
-    pub fn put_opt_f64(&mut self, v: Option<f64>) {
+    pub(crate) fn put_opt_f64(&mut self, v: Option<f64>) {
         match v {
             Some(x) => {
                 self.put_u8(1);
@@ -305,7 +305,7 @@ impl Encoder {
     /// Appends a list of domain-index-encoded rows (count, then per row a
     /// cell count and the `u32` cells) — the update-batch row layout
     /// shared by the WAL's update frames and the snapshot's update log.
-    pub fn put_u32_rows(&mut self, rows: &[Vec<u32>]) {
+    pub(crate) fn put_u32_rows(&mut self, rows: &[Vec<u32>]) {
         self.put_u32(rows.len() as u32);
         for row in rows {
             self.put_u32(row.len() as u32);
@@ -339,7 +339,7 @@ impl<'a> Decoder<'a> {
 
     /// Number of bytes not yet consumed.
     #[must_use]
-    pub fn remaining(&self) -> usize {
+    pub(crate) fn remaining(&self) -> usize {
         self.buf.len() - self.pos
     }
 
@@ -396,7 +396,7 @@ impl<'a> Decoder<'a> {
     /// Reads a counter the reader continues after — a sequence number,
     /// a session id, an epoch — refusing `u64::MAX`, which has no
     /// successor.
-    pub fn take_counter(&mut self) -> DecodeResult<u64> {
+    pub(crate) fn take_counter(&mut self) -> DecodeResult<u64> {
         match self.take_u64()? {
             u64::MAX => Err("a counter at u64::MAX has no successor".to_owned()),
             value => Ok(value),
@@ -439,13 +439,13 @@ impl<'a> Decoder<'a> {
     }
 
     /// Reads a length-prefixed `f64` slice.
-    pub fn take_f64_slice(&mut self) -> DecodeResult<Vec<f64>> {
+    pub(crate) fn take_f64_slice(&mut self) -> DecodeResult<Vec<f64>> {
         let len = self.take_count(8)?;
         (0..len).map(|_| self.take_f64()).collect()
     }
 
     /// Reads an `Option<f64>` written by [`Encoder::put_opt_f64`].
-    pub fn take_opt_f64(&mut self) -> DecodeResult<Option<f64>> {
+    pub(crate) fn take_opt_f64(&mut self) -> DecodeResult<Option<f64>> {
         match self.take_u8()? {
             0 => Ok(None),
             1 => Ok(Some(self.take_f64()?)),
@@ -456,7 +456,7 @@ impl<'a> Decoder<'a> {
     /// Reads encoded rows written by [`Encoder::put_u32_rows`], bounding
     /// every length prefix by the remaining payload so corrupt counts
     /// cannot drive unbounded allocation.
-    pub fn take_u32_rows(&mut self) -> DecodeResult<Vec<Vec<u32>>> {
+    pub(crate) fn take_u32_rows(&mut self) -> DecodeResult<Vec<Vec<u32>>> {
         let n = self.take_count(4)?;
         let mut rows = Vec::with_capacity(n);
         for _ in 0..n {

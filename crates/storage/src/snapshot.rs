@@ -40,7 +40,7 @@ use crate::codec::{crc32, Decoder, Encoder};
 use crate::wal::SessionCheckpoint;
 
 /// Magic bytes opening every snapshot file.
-pub const SNAPSHOT_MAGIC: &[u8; 8] = b"DPSNAP01";
+pub(crate) const SNAPSHOT_MAGIC: &[u8; 8] = b"DPSNAP01";
 
 /// Newest snapshot format version this build reads and writes. Version 2
 /// added the dynamic-data state (synopsis release epochs and the update
@@ -65,9 +65,9 @@ pub struct SnapshotState {
     /// accountant, synopses).
     pub core: CoreState,
     /// Session noise-stream checkpoints, one per live session.
-    pub sessions: Vec<SessionCheckpoint>,
+    pub(crate) sessions: Vec<SessionCheckpoint>,
     /// The next session id the registry would assign.
-    pub next_session_id: u64,
+    pub(crate) next_session_id: u64,
 }
 
 fn io_err(e: &std::io::Error) -> StorageError {
@@ -323,7 +323,11 @@ fn decode_body(body: &[u8], version: u32) -> Result<SnapshotState, String> {
 /// Writes a snapshot atomically: temp file, fsync, rename, directory
 /// fsync. A state still holding an older snapshot's access list or ledger
 /// section is refused: only an import can fold or check it.
-pub fn write_snapshot(path: &Path, state: &SnapshotState, fsync: bool) -> Result<(), StorageError> {
+pub(crate) fn write_snapshot(
+    path: &Path,
+    state: &SnapshotState,
+    fsync: bool,
+) -> Result<(), StorageError> {
     let TightState::Accountant(tight) = &state.core.tight else {
         return Err(StorageError::IncompatibleState(
             "an access list is folded on import, never written".to_owned(),

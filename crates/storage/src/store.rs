@@ -79,8 +79,6 @@ pub struct RecoveredState {
     /// Live session checkpoints: snapshot sessions overlaid with the
     /// ledger's newer checkpoints, closed sessions removed; sorted by id.
     pub sessions: Vec<SessionCheckpoint>,
-    /// The next commit sequence number.
-    pub next_seq: u64,
     /// The next session id.
     pub next_session_id: u64,
     /// Damage found at the ledger tail, already discarded from the file —
@@ -244,14 +242,12 @@ impl ProvenanceStore {
         // reasoning as `snapshot_seq` for commits).
         let snapshot_batch_seq = snapshot.as_ref().map_or(0, |s| s.core.deltas.next_seq);
         let snapshot_epoch = snapshot.as_ref().map_or(0, |s| s.core.deltas.current_epoch);
-        let mut next_seq = snapshot_seq;
         let mut next_session_id = snapshot.as_ref().map_or(0, |s| s.next_session_id);
         let mut wal_fingerprint: Option<u64> = None;
         let mut deltas = Vec::new();
         for record in scanned.records {
             match record {
                 WalRecord::Commit(commit, access) => {
-                    next_seq = next_seq.max(commit.seq + 1);
                     if commit.seq >= snapshot_seq {
                         admissions.push(Admission {
                             voided: voided.contains(&commit.seq),
@@ -260,7 +256,8 @@ impl ProvenanceStore {
                         });
                     }
                 }
-                WalRecord::Rollback { seq } => next_seq = next_seq.max(seq + 1),
+                // Tombstones were gathered into `voided` above.
+                WalRecord::Rollback { .. } => {}
                 WalRecord::Session(s) => {
                     next_session_id = next_session_id.max(s.session + 1);
                     sessions.insert(s.session, s);
@@ -303,7 +300,6 @@ impl ProvenanceStore {
             admissions,
             deltas,
             sessions: sessions.values().copied().collect(),
-            next_seq,
             next_session_id,
             wal_corruption: scanned.corruption,
         };
@@ -343,18 +339,6 @@ impl ProvenanceStore {
             .set_metrics(metrics);
     }
 
-    /// The store directory.
-    #[must_use]
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
-    /// Whether appends fsync before returning.
-    #[must_use]
-    pub fn fsync(&self) -> bool {
-        self.fsync
-    }
-
     /// Ledger appends since the last compaction.
     #[must_use]
     pub fn appends_since_snapshot(&self) -> u64 {
@@ -391,7 +375,7 @@ impl ProvenanceStore {
 
     /// Appends one ledger record (durable on return in fsync mode),
     /// keeping the live session map in step with the ledger content.
-    pub fn append(&self, record: &WalRecord) -> Result<(), StorageError> {
+    pub(crate) fn append(&self, record: &WalRecord) -> Result<(), StorageError> {
         let mut inner = self.inner.lock().expect("store poisoned");
         self.append_locked(&mut inner, record)
     }
@@ -444,7 +428,7 @@ impl ProvenanceStore {
 
     /// Writes only a prefix of a record's frame without sync, simulating a
     /// crash mid-append. Crash-testing support for the failpoint harness.
-    pub fn append_torn(&self, record: &WalRecord, keep: usize) -> Result<(), StorageError> {
+    pub(crate) fn append_torn(&self, record: &WalRecord, keep: usize) -> Result<(), StorageError> {
         self.inner
             .lock()
             .expect("store poisoned")
@@ -538,7 +522,6 @@ mod tests {
         let accesses: Vec<_> = recovered.admissions.iter().map(|a| a.access).collect();
         assert_eq!(accesses, vec![None, Some(access(0.5))]);
         assert_eq!(recovered.sessions, vec![session(0, 77)]);
-        assert_eq!(recovered.next_seq, 2);
         assert_eq!(recovered.next_session_id, 1);
         assert!(recovered.wal_corruption.is_none());
         std::fs::remove_dir_all(&dir).ok();
@@ -565,8 +548,6 @@ mod tests {
         assert_eq!(seqs, vec![(0, false), (1, true), (2, false)]);
         // The voided admission keeps its access: it was counted live.
         assert_eq!(recovered.admissions[1].access, Some(access(0.5)));
-        // The tombstoned seq still advances the counter.
-        assert_eq!(recovered.next_seq, 3);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -628,7 +609,6 @@ mod tests {
         assert_eq!(recovered.admissions.len(), 1);
         assert_eq!(recovered.admissions[0].commit.seq, 1);
         assert_eq!(recovered.sessions, vec![session(3, 42)]);
-        assert_eq!(recovered.next_seq, 2);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -795,7 +775,6 @@ mod tests {
             vec![3, 4],
             "pre-snapshot admissions must be skipped"
         );
-        assert_eq!(recovered.next_seq, 5);
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -7,7 +7,7 @@
 //! frame*            frame = len: u32 | crc32(payload): u32 | payload
 //! ```
 //!
-//! The frames are [`crate::codec`]'s, capped at [`MAX_PAYLOAD`]; each
+//! The frames are [`crate::codec`]'s, capped at `MAX_PAYLOAD`; each
 //! payload is one [`WalRecord`], tag byte first. One admission is one
 //! frame: a commit carries the data access it made, if any, as three
 //! floats after its charge, and a commit without one ends at its charge.
@@ -22,7 +22,7 @@
 //!
 //! [`scan`] applies the codec's damage rule. A crash mid-append leaves a
 //! **torn tail** — a bad last frame whose declared end reaches end-of-file;
-//! it is reported in [`WalScan::corruption`] and the writer truncates it
+//! it is reported in `WalScan::corruption` and the writer truncates it
 //! before appending again, so a record is either wholly in the recovered
 //! history or wholly absent. Damage *before* the last frame (or a frame
 //! that verifies but does not decode — including a sequence number of
@@ -32,7 +32,7 @@
 
 use std::fs::{File, OpenOptions};
 use std::io::{Seek, SeekFrom, Write};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 use dprov_core::analyst::AnalystId;
 use dprov_core::mechanism::MechanismKind;
@@ -44,11 +44,11 @@ use dprov_dp::rng::RngCheckpoint;
 use crate::codec::{frame, scan_frames, Decoder, Encoder};
 
 /// Magic bytes opening every write-ahead ledger file.
-pub const WAL_MAGIC: &[u8; 8] = b"DPWAL001";
+pub(crate) const WAL_MAGIC: &[u8; 8] = b"DPWAL001";
 
 /// Upper bound on one frame's payload: appends refuse a longer record and
 /// a scan treats a longer declared length as corruption.
-pub const MAX_PAYLOAD: usize = 64 << 20;
+pub(crate) const MAX_PAYLOAD: usize = 64 << 20;
 
 const TAG_COMMIT: u8 = 1;
 /// A data access journalled apart from its commit (older ledgers only).
@@ -120,7 +120,7 @@ pub enum WalRecord {
 impl WalRecord {
     /// Encodes the record payload (tag byte first).
     #[must_use]
-    pub fn encode(&self) -> Vec<u8> {
+    pub(crate) fn encode(&self) -> Vec<u8> {
         let mut enc = Encoder::new();
         match self {
             WalRecord::Commit(c, access) => {
@@ -172,7 +172,7 @@ impl WalRecord {
     }
 
     /// Decodes a payload produced by [`Self::encode`].
-    pub fn decode(payload: &[u8]) -> Result<Self, String> {
+    pub(crate) fn decode(payload: &[u8]) -> Result<Self, String> {
         let mut dec = Decoder::new(payload);
         let record = match dec.take_u8()? {
             TAG_COMMIT => {
@@ -230,7 +230,7 @@ impl WalRecord {
     }
 
     /// Encodes the record as a complete frame, refusing a payload over
-    /// [`MAX_PAYLOAD`] — a frame the ledger's own scan would reject.
+    /// `MAX_PAYLOAD` — a frame the ledger's own scan would reject.
     pub fn encode_frame(&self) -> Result<Vec<u8>, StorageError> {
         frame(&self.encode(), MAX_PAYLOAD)
             .map_err(|e| StorageError::IncompatibleState(format!("ledger record refused: {e}")))
@@ -295,9 +295,9 @@ pub struct WalScan {
     pub records: Vec<WalRecord>,
     /// Byte offset of the end of the last intact frame (0 for a fresh
     /// ledger).
-    pub valid_len: u64,
+    pub(crate) valid_len: u64,
     /// The torn tail that ended the scan, if any.
-    pub corruption: Option<StorageError>,
+    pub(crate) corruption: Option<StorageError>,
 }
 
 fn io_err(e: &std::io::Error) -> StorageError {
@@ -314,7 +314,7 @@ fn corrupt(offset: u64, reason: impl Into<String>) -> StorageError {
 
 /// Scans a ledger file under the codec's damage rule. A missing file, an
 /// empty one or a torn magic (a first-open crash) is a fresh ledger; a
-/// torn tail ends the scan and is reported in [`WalScan::corruption`] for
+/// torn tail ends the scan and is reported in `WalScan::corruption` for
 /// the writer to truncate; a bad magic, mid-file damage or an undecodable
 /// record is a typed [`StorageError::Corrupt`], with the file untouched.
 pub fn scan(path: &Path) -> Result<WalScan, StorageError> {
@@ -344,9 +344,8 @@ pub fn scan(path: &Path) -> Result<WalScan, StorageError> {
 
 /// An append handle over a ledger file.
 #[derive(Debug)]
-pub struct WalWriter {
+pub(crate) struct WalWriter {
     file: File,
-    path: PathBuf,
     fsync: bool,
     len: u64,
     /// Observability handle (disabled unless attached): append/fsync
@@ -358,7 +357,7 @@ pub struct WalWriter {
 impl WalWriter {
     /// Opens (creating if absent) a ledger for appending at the end of the
     /// intact prefix a [`scan`] found (`valid_len`, 0 for a fresh ledger).
-    pub fn open(path: &Path, fsync: bool, valid_len: u64) -> Result<Self, StorageError> {
+    pub(crate) fn open(path: &Path, fsync: bool, valid_len: u64) -> Result<Self, StorageError> {
         let mut file = OpenOptions::new()
             .create(true)
             .read(true)
@@ -383,7 +382,6 @@ impl WalWriter {
         file.seek(SeekFrom::Start(len)).map_err(|e| io_err(&e))?;
         Ok(WalWriter {
             file,
-            path: path.to_owned(),
             fsync,
             len,
             metrics: dprov_obs::MetricsRegistry::disabled(),
@@ -392,13 +390,13 @@ impl WalWriter {
 
     /// Attaches an observability registry; subsequent appends record
     /// their write and fsync latency into it.
-    pub fn set_metrics(&mut self, metrics: dprov_obs::MetricsRegistry) {
+    pub(crate) fn set_metrics(&mut self, metrics: dprov_obs::MetricsRegistry) {
         self.metrics = metrics;
     }
 
     /// Appends one record; durable on return when fsync mode is on. A
     /// record over [`MAX_PAYLOAD`] is refused before anything is written.
-    pub fn append(&mut self, record: &WalRecord) -> Result<(), StorageError> {
+    pub(crate) fn append(&mut self, record: &WalRecord) -> Result<(), StorageError> {
         use dprov_obs::{CounterId, HistId};
         let frame = record.encode_frame()?;
         let append_start = self.metrics.start();
@@ -423,19 +421,13 @@ impl WalWriter {
 
     /// Current byte length of the intact ledger.
     #[must_use]
-    pub fn len(&self) -> u64 {
+    pub(crate) fn len(&self) -> u64 {
         self.len
-    }
-
-    /// True when the ledger holds no frames.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len <= WAL_MAGIC.len() as u64
     }
 
     /// Truncates the ledger back to just its magic header (after a
     /// snapshot has captured everything the frames said).
-    pub fn truncate_to_header(&mut self) -> Result<(), StorageError> {
+    pub(crate) fn truncate_to_header(&mut self) -> Result<(), StorageError> {
         let header = WAL_MAGIC.len() as u64;
         self.file.set_len(header).map_err(|e| io_err(&e))?;
         self.file
@@ -451,7 +443,11 @@ impl WalWriter {
     /// Writes only the first `keep` bytes of a record's frame *without*
     /// sync — simulating a crash in the middle of an append. Crash-testing
     /// support for the failpoint harness; a real writer never calls this.
-    pub fn append_torn(&mut self, record: &WalRecord, keep: usize) -> Result<(), StorageError> {
+    pub(crate) fn append_torn(
+        &mut self,
+        record: &WalRecord,
+        keep: usize,
+    ) -> Result<(), StorageError> {
         let frame = record.encode_frame()?;
         let keep = keep.min(frame.len().saturating_sub(1)).max(1);
         self.file
@@ -459,12 +455,6 @@ impl WalWriter {
             .map_err(|e| io_err(&e))?;
         self.len += keep as u64;
         Ok(())
-    }
-
-    /// The ledger file path.
-    #[must_use]
-    pub fn path(&self) -> &Path {
-        &self.path
     }
 }
 

@@ -20,18 +20,18 @@ use dprov_engine::Result as EngineResult;
 #[derive(Debug, Clone, PartialEq)]
 pub struct BfsConfig {
     /// The table explored.
-    pub table: String,
+    pub(crate) table: String,
     /// The integer attribute whose domain is decomposed.
-    pub attribute: String,
+    pub(crate) attribute: String,
     /// Descend into a region only when its noisy count is strictly greater
     /// than this threshold (regions at or below it are "found").
-    pub threshold: f64,
+    pub(crate) threshold: f64,
     /// Accuracy requirement attached to every count query.
-    pub accuracy_variance: f64,
+    pub(crate) accuracy_variance: f64,
     /// Do not split regions narrower than this many domain values.
-    pub min_width: i64,
+    pub(crate) min_width: i64,
     /// Hard cap on the number of queries the task may issue.
-    pub max_queries: usize,
+    pub(crate) max_queries: usize,
 }
 
 impl BfsConfig {
@@ -52,7 +52,7 @@ impl BfsConfig {
 
 /// The state of one analyst's BFS exploration.
 #[derive(Debug, Clone)]
-pub struct BfsTask {
+pub(crate) struct BfsTask {
     config: BfsConfig,
     /// Regions (inclusive bounds) still to be examined.
     frontier: VecDeque<(i64, i64)>,
@@ -66,7 +66,7 @@ pub struct BfsTask {
 impl BfsTask {
     /// Creates the task, seeding the frontier with the attribute's full
     /// domain.
-    pub fn new(db: &Database, config: BfsConfig) -> EngineResult<Self> {
+    pub(crate) fn new(db: &Database, config: BfsConfig) -> EngineResult<Self> {
         let table = db.table(&config.table)?;
         let attr = table.schema().attribute(&config.attribute)?;
         let (min, max) = match attr.attr_type {
@@ -93,7 +93,7 @@ impl BfsTask {
     /// Callers must report the outcome of the previous query through
     /// [`Self::report_answer`] / [`Self::report_rejection`] before asking
     /// for the next one.
-    pub fn next_request(&mut self) -> Option<QueryRequest> {
+    pub(crate) fn next_request(&mut self) -> Option<QueryRequest> {
         assert!(
             self.pending.is_none(),
             "report the previous answer before requesting the next query"
@@ -117,7 +117,7 @@ impl BfsTask {
 
     /// Reports the noisy answer of the pending query, expanding the
     /// frontier when the region is still over-represented.
-    pub fn report_answer(&mut self, noisy_count: f64) {
+    pub(crate) fn report_answer(&mut self, noisy_count: f64) {
         let (lo, hi) = self
             .pending
             .take()
@@ -137,27 +137,28 @@ impl BfsTask {
 
     /// Reports that the pending query was rejected: the branch is abandoned
     /// (the analyst cannot learn anything more about it).
-    pub fn report_rejection(&mut self) {
+    pub(crate) fn report_rejection(&mut self) {
         self.pending = None;
     }
 
     /// True when the exploration has finished (frontier exhausted or query
     /// cap reached).
     #[must_use]
-    pub fn is_done(&self) -> bool {
+    pub(crate) fn is_done(&self) -> bool {
         self.pending.is_none()
             && (self.frontier.is_empty() || self.issued >= self.config.max_queries)
     }
 
     /// Number of queries issued so far.
-    #[must_use]
-    pub fn issued(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn issued(&self) -> usize {
         self.issued
     }
 
     /// The under-represented regions found so far.
+    #[cfg(test)]
     #[must_use]
-    pub fn found_regions(&self) -> &[(i64, i64)] {
+    pub(crate) fn found_regions(&self) -> &[(i64, i64)] {
         &self.found
     }
 }

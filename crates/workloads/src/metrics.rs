@@ -8,7 +8,7 @@ pub struct RunMetrics {
     /// The system under test (e.g. "DProvDB", "Vanilla", "Chorus").
     pub system: String,
     /// The interleaving label ("round-robin" / "randomized").
-    pub interleaving: String,
+    pub(crate) interleaving: String,
     /// Queries answered per analyst (indexed by analyst id).
     pub answered_per_analyst: Vec<usize>,
     /// Total number of rejected queries.
@@ -21,7 +21,7 @@ pub struct RunMetrics {
     pub budget_trace: Vec<f64>,
     /// Relative error of every answered query (when ground truth was
     /// available to the harness).
-    pub relative_errors: Vec<f64>,
+    pub(crate) relative_errors: Vec<f64>,
     /// `v_q − v_i` for every answered accuracy-mode query: the delivered
     /// noise variance minus the requested bound (Fig. 9a; never positive
     /// when the translation is correct).
@@ -45,8 +45,9 @@ impl RunMetrics {
 
     /// Mean translation gap (negative or zero when the accuracy translation
     /// is correct).
+    #[cfg(test)]
     #[must_use]
-    pub fn mean_translation_gap(&self) -> f64 {
+    pub(crate) fn mean_translation_gap(&self) -> f64 {
         mean(&self.translation_gaps)
     }
 
@@ -84,17 +85,17 @@ fn mean(values: &[f64]) -> f64 {
 #[derive(Debug, Clone, PartialEq)]
 pub struct AggregatedMetrics {
     /// The system under test.
-    pub system: String,
+    pub(crate) system: String,
     /// Number of runs aggregated.
-    pub runs: usize,
+    pub(crate) runs: usize,
     /// Mean number of answered queries.
     pub mean_answered: f64,
     /// Mean nDCFG.
     pub mean_ndcfg: f64,
     /// Mean cumulative epsilon.
-    pub mean_cumulative_epsilon: f64,
+    pub(crate) mean_cumulative_epsilon: f64,
     /// Mean of the per-run mean relative error.
-    pub mean_relative_error: f64,
+    pub(crate) mean_relative_error: f64,
 }
 
 /// Aggregates a slice of runs of the same system.

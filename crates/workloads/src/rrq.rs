@@ -20,18 +20,18 @@ use dprov_engine::Result as EngineResult;
 #[derive(Debug, Clone, PartialEq)]
 pub struct RrqConfig {
     /// The table queried.
-    pub table: String,
+    pub(crate) table: String,
     /// Number of queries generated per analyst (the paper uses 4,000).
-    pub queries_per_analyst: usize,
+    pub(crate) queries_per_analyst: usize,
     /// Accuracy requirements are drawn uniformly from this inclusive range
     /// of expected squared errors.
-    pub accuracy_range: (f64, f64),
+    pub(crate) accuracy_range: (f64, f64),
     /// Bias parameter for attribute selection: attribute `k` (in schema
     /// order, integer attributes only) is chosen with weight `bias^k`.
     /// Values below 1 concentrate the workload on the first attributes.
-    pub attribute_bias: f64,
+    pub(crate) attribute_bias: f64,
     /// RNG seed.
-    pub seed: u64,
+    pub(crate) seed: u64,
 }
 
 impl RrqConfig {

@@ -23,7 +23,7 @@ pub enum Interleaving {
 impl Interleaving {
     /// A short label used in experiment output.
     #[must_use]
-    pub fn label(&self) -> &'static str {
+    pub(crate) fn label(&self) -> &'static str {
         match self {
             Interleaving::RoundRobin => "round-robin",
             Interleaving::Random { .. } => "randomized",
@@ -34,7 +34,7 @@ impl Interleaving {
     /// analyst: a sequence of `(analyst index, query index)` pairs that
     /// exhausts every analyst's batch exactly once.
     #[must_use]
-    pub fn order(&self, per_analyst_counts: &[usize]) -> Vec<(usize, usize)> {
+    pub(crate) fn order(&self, per_analyst_counts: &[usize]) -> Vec<(usize, usize)> {
         let total: usize = per_analyst_counts.iter().sum();
         let mut next_index = vec![0usize; per_analyst_counts.len()];
         let mut order = Vec::with_capacity(total);

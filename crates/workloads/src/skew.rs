@@ -28,20 +28,20 @@ use crate::rrq::RrqWorkload;
 #[derive(Debug, Clone, PartialEq)]
 pub struct SkewConfig {
     /// The table queried.
-    pub table: String,
+    pub(crate) table: String,
     /// Number of analysts in the scenario.
-    pub analysts: usize,
+    pub(crate) analysts: usize,
     /// Number of queries generated per analyst.
-    pub queries_per_analyst: usize,
+    pub(crate) queries_per_analyst: usize,
     /// Zipf exponent of the view-popularity distribution: `0.0` is
     /// uniform over the integer attributes, larger values concentrate the
     /// workload on the first attributes.
-    pub zipf_s: f64,
+    pub(crate) zipf_s: f64,
     /// Accuracy requirements are drawn uniformly from this inclusive range
     /// of expected squared errors.
     pub accuracy_range: (f64, f64),
     /// RNG seed.
-    pub seed: u64,
+    pub(crate) seed: u64,
 }
 
 impl SkewConfig {
@@ -69,8 +69,9 @@ impl SkewConfig {
     /// Batch-hostile traffic: no skew (`s = 0`) spreads queries uniformly
     /// over every integer attribute, so a micro-batch rarely shares a
     /// view.
+    #[cfg(test)]
     #[must_use]
-    pub fn batch_hostile(table: &str, analysts: usize, queries_per_analyst: usize) -> Self {
+    pub(crate) fn batch_hostile(table: &str, analysts: usize, queries_per_analyst: usize) -> Self {
         SkewConfig::new(table, analysts, queries_per_analyst, 0.0)
     }
 
@@ -167,13 +168,13 @@ pub struct StreamingConfig {
     pub base: SkewConfig,
     /// The fraction of events that are updates (0.0 = static workload,
     /// 0.5 = one update per query on average).
-    pub update_rate: f64,
+    pub(crate) update_rate: f64,
     /// Rows per update batch (split between inserts and deletes of
     /// previously inserted rows).
-    pub rows_per_update: usize,
+    pub(crate) rows_per_update: usize,
     /// A [`StreamEvent::Seal`] is emitted after this many update batches
     /// (the epoch cadence).
-    pub seal_every: usize,
+    pub(crate) seal_every: usize,
 }
 
 impl StreamingConfig {
@@ -192,8 +193,9 @@ impl StreamingConfig {
 
     /// A query-heavy preset: ~5% of events are update batches, sealing
     /// every 2 batches — long-lived deployments with occasional ingest.
+    #[cfg(test)]
     #[must_use]
-    pub fn query_heavy(table: &str, analysts: usize, queries_per_analyst: usize) -> Self {
+    pub(crate) fn query_heavy(table: &str, analysts: usize, queries_per_analyst: usize) -> Self {
         StreamingConfig {
             base: SkewConfig::batch_friendly(table, analysts, queries_per_analyst),
             update_rate: 0.05,

@@ -40,7 +40,7 @@ const CATEGORIES: &[&str] = &["grocery", "electronics", "apparel", "home", "toys
 
 /// The star-schema declaration joining `sales` to both dimensions.
 #[must_use]
-pub fn sales_star() -> StarSchema {
+pub(crate) fn sales_star() -> StarSchema {
     StarSchema::new(SALES_WIDE_TABLE, SALES_TABLE)
         .join("store_id", STORE_TABLE, "store_id")
         .join("item_id", ITEM_TABLE, "item_id")
@@ -133,24 +133,29 @@ pub fn folded_star_database(fact_rows: usize, seed: u64) -> Database {
 #[derive(Debug, Clone, PartialEq)]
 pub struct GroupedConfig {
     /// The (folded) table queried.
-    pub table: String,
+    pub(crate) table: String,
     /// Number of analysts.
-    pub analysts: usize,
+    pub(crate) analysts: usize,
     /// Grouped queries per analyst.
-    pub queries_per_analyst: usize,
+    pub(crate) queries_per_analyst: usize,
     /// Zipf exponent over the grouping candidates: 0 is uniform, larger
     /// values concentrate traffic on the first groupings.
-    pub zipf_s: f64,
+    pub(crate) zipf_s: f64,
     /// Per-cell accuracy targets drawn uniformly from this range.
-    pub accuracy_range: (f64, f64),
+    pub(crate) accuracy_range: (f64, f64),
     /// RNG seed.
-    pub seed: u64,
+    pub(crate) seed: u64,
 }
 
 impl GroupedConfig {
     /// A grouped scenario over `table`.
     #[must_use]
-    pub fn new(table: &str, analysts: usize, queries_per_analyst: usize, zipf_s: f64) -> Self {
+    pub(crate) fn new(
+        table: &str,
+        analysts: usize,
+        queries_per_analyst: usize,
+        zipf_s: f64,
+    ) -> Self {
         GroupedConfig {
             table: table.to_owned(),
             analysts,
@@ -187,8 +192,9 @@ pub struct GroupedWorkload {
 
 impl GroupedWorkload {
     /// Total grouped submissions across analysts.
+    #[cfg(test)]
     #[must_use]
-    pub fn total_queries(&self) -> usize {
+    pub(crate) fn total_queries(&self) -> usize {
         self.per_analyst.iter().map(Vec::len).sum()
     }
 }
