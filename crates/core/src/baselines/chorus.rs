@@ -6,8 +6,6 @@
 //! "stateless" extreme DProvDB argues against: similar queries and similar
 //! analysts pay full price every time.
 
-use std::time::Instant;
-
 use dprov_dp::mechanism::analytic_gaussian::analytic_gaussian_sigma;
 use dprov_dp::rng::DpRng;
 use dprov_dp::sensitivity::Sensitivity;
@@ -19,7 +17,6 @@ use crate::analyst::{AnalystId, AnalystRegistry};
 use crate::config::SystemConfig;
 use crate::error::{CoreError, RejectReason, Result};
 use crate::processor::{AnsweredQuery, QueryOutcome, QueryProcessor, QueryRequest, SubmissionMode};
-use crate::system::SystemStats;
 
 use super::direct_query_sensitivity;
 
@@ -34,8 +31,6 @@ pub struct ChorusBaseline {
     rng: DpRng,
     consumed_total: f64,
     per_analyst_consumed: Vec<f64>,
-    per_analyst_answered: Vec<usize>,
-    stats: SystemStats,
 }
 
 impl ChorusBaseline {
@@ -46,9 +41,7 @@ impl ChorusBaseline {
     pub fn new(db: Database, registry: AnalystRegistry, config: SystemConfig) -> Self {
         let n = registry.len();
         let rng = DpRng::seed_from_u64(config.seed);
-        let setup_start = Instant::now();
         let exec = ColumnarExecutor::ingest(&db, &ExecConfig::default());
-        let setup_time = setup_start.elapsed();
         ChorusBaseline {
             db,
             exec,
@@ -57,14 +50,6 @@ impl ChorusBaseline {
             rng,
             consumed_total: 0.0,
             per_analyst_consumed: vec![0.0; n],
-            per_analyst_answered: vec![0; n],
-            stats: SystemStats {
-                setup_time,
-                query_time: std::time::Duration::ZERO,
-                answered: 0,
-                rejected: 0,
-                cache_hits: 0,
-            },
         }
     }
 
@@ -117,8 +102,6 @@ impl ChorusBaseline {
 
         self.consumed_total += epsilon;
         self.per_analyst_consumed[analyst.0] += epsilon;
-        self.per_analyst_answered[analyst.0] += 1;
-        self.stats.answered += 1;
 
         Ok(QueryOutcome::Answered(AnsweredQuery {
             value,
@@ -138,25 +121,16 @@ impl QueryProcessor for ChorusBaseline {
 
     fn submit(&mut self, analyst: AnalystId, request: &QueryRequest) -> Result<QueryOutcome> {
         self.registry.get(analyst)?;
-        let start = Instant::now();
-        let outcome = (|| {
-            let epsilon = match self.required_epsilon(request) {
-                Ok(e) => e,
-                Err(reason) => {
-                    self.stats.rejected += 1;
-                    return Ok(QueryOutcome::Rejected { reason });
-                }
-            };
-            if self.consumed_total + epsilon > self.config.total_epsilon.value() + 1e-9 {
-                self.stats.rejected += 1;
-                return Ok(QueryOutcome::Rejected {
-                    reason: RejectReason::TableConstraint,
-                });
-            }
-            self.answer_directly(analyst, request, epsilon)
-        })();
-        self.stats.query_time += start.elapsed();
-        outcome
+        let epsilon = match self.required_epsilon(request) {
+            Ok(e) => e,
+            Err(reason) => return Ok(QueryOutcome::Rejected { reason }),
+        };
+        if self.consumed_total + epsilon > self.config.total_epsilon.value() + 1e-9 {
+            return Ok(QueryOutcome::Rejected {
+                reason: RejectReason::TableConstraint,
+            });
+        }
+        self.answer_directly(analyst, request, epsilon)
     }
 
     fn cumulative_epsilon(&self) -> f64 {

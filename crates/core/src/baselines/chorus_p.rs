@@ -6,8 +6,6 @@
 //! still answers every query directly with fresh noise, so similar queries
 //! keep paying full price.
 
-use std::time::Instant;
-
 use dprov_dp::mechanism::analytic_gaussian::analytic_gaussian_sigma;
 use dprov_dp::rng::DpRng;
 use dprov_dp::sensitivity::Sensitivity;
@@ -20,7 +18,6 @@ use crate::config::{AnalystConstraintSpec, SystemConfig};
 use crate::error::{CoreError, RejectReason, Result};
 use crate::processor::{AnsweredQuery, QueryOutcome, QueryProcessor, QueryRequest, SubmissionMode};
 use crate::provenance::analyst_constraints;
-use crate::system::SystemStats;
 
 use super::direct_query_sensitivity;
 
@@ -33,8 +30,6 @@ pub struct ChorusPBaseline {
     row_constraints: Vec<f64>,
     consumed_total: f64,
     per_analyst_consumed: Vec<f64>,
-    per_analyst_answered: Vec<usize>,
-    stats: SystemStats,
 }
 
 impl ChorusPBaseline {
@@ -56,14 +51,6 @@ impl ChorusPBaseline {
             row_constraints,
             consumed_total: 0.0,
             per_analyst_consumed: vec![0.0; n],
-            per_analyst_answered: vec![0; n],
-            stats: SystemStats {
-                setup_time: std::time::Duration::ZERO,
-                query_time: std::time::Duration::ZERO,
-                answered: 0,
-                rejected: 0,
-                cache_hits: 0,
-            },
         })
     }
 
@@ -104,61 +91,43 @@ impl QueryProcessor for ChorusPBaseline {
 
     fn submit(&mut self, analyst: AnalystId, request: &QueryRequest) -> Result<QueryOutcome> {
         self.registry.get(analyst)?;
-        let start = Instant::now();
-        let outcome = (|| {
-            let epsilon = match self.required_epsilon(request) {
-                Ok(e) => e,
-                Err(reason) => {
-                    self.stats.rejected += 1;
-                    return Ok(QueryOutcome::Rejected { reason });
-                }
-            };
-            if self.consumed_total + epsilon > self.config.total_epsilon.value() + 1e-9 {
-                self.stats.rejected += 1;
-                return Ok(QueryOutcome::Rejected {
-                    reason: RejectReason::TableConstraint,
-                });
-            }
-            if self.per_analyst_consumed[analyst.0] + epsilon
-                > self.row_constraints[analyst.0] + 1e-9
-            {
-                self.stats.rejected += 1;
-                return Ok(QueryOutcome::Rejected {
-                    reason: RejectReason::AnalystConstraint { analyst },
-                });
-            }
+        let epsilon = match self.required_epsilon(request) {
+            Ok(e) => e,
+            Err(reason) => return Ok(QueryOutcome::Rejected { reason }),
+        };
+        if self.consumed_total + epsilon > self.config.total_epsilon.value() + 1e-9 {
+            return Ok(QueryOutcome::Rejected {
+                reason: RejectReason::TableConstraint,
+            });
+        }
+        if self.per_analyst_consumed[analyst.0] + epsilon > self.row_constraints[analyst.0] + 1e-9 {
+            return Ok(QueryOutcome::Rejected {
+                reason: RejectReason::AnalystConstraint { analyst },
+            });
+        }
 
-            let sensitivity =
-                direct_query_sensitivity(&self.db, &request.query).map_err(CoreError::Engine)?;
-            let sigma = analytic_gaussian_sigma(epsilon, self.config.delta.value(), sensitivity)
-                .map_err(CoreError::Dp)?;
-            let result = execute(&self.db, &request.query).map_err(CoreError::Engine)?;
-            let truth = match result.scalar() {
-                Some(v) => v,
-                None => {
-                    self.stats.rejected += 1;
-                    return Ok(QueryOutcome::Rejected {
-                        reason: RejectReason::NotAnswerable,
-                    });
-                }
-            };
-            let value = truth + self.rng.gaussian(sigma);
+        let sensitivity =
+            direct_query_sensitivity(&self.db, &request.query).map_err(CoreError::Engine)?;
+        let sigma = analytic_gaussian_sigma(epsilon, self.config.delta.value(), sensitivity)
+            .map_err(CoreError::Dp)?;
+        let result = execute(&self.db, &request.query).map_err(CoreError::Engine)?;
+        let Some(truth) = result.scalar() else {
+            return Ok(QueryOutcome::Rejected {
+                reason: RejectReason::NotAnswerable,
+            });
+        };
+        let value = truth + self.rng.gaussian(sigma);
 
-            self.consumed_total += epsilon;
-            self.per_analyst_consumed[analyst.0] += epsilon;
-            self.per_analyst_answered[analyst.0] += 1;
-            self.stats.answered += 1;
-            Ok(QueryOutcome::Answered(AnsweredQuery {
-                value,
-                view: None,
-                epsilon_charged: epsilon,
-                noise_variance: sigma * sigma,
-                from_cache: false,
-                epoch: 0,
-            }))
-        })();
-        self.stats.query_time += start.elapsed();
-        outcome
+        self.consumed_total += epsilon;
+        self.per_analyst_consumed[analyst.0] += epsilon;
+        Ok(QueryOutcome::Answered(AnsweredQuery {
+            value,
+            view: None,
+            epsilon_charged: epsilon,
+            noise_variance: sigma * sigma,
+            from_cache: false,
+            epoch: 0,
+        }))
     }
 
     fn cumulative_epsilon(&self) -> f64 {

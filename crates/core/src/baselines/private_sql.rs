@@ -8,7 +8,6 @@
 //! budget is ever spent and all analysts see the same synopses.
 
 use std::collections::HashMap;
-use std::time::Instant;
 
 use dprov_dp::mechanism::analytic_gaussian::analytic_gaussian_sigma;
 use dprov_dp::rng::DpRng;
@@ -22,7 +21,6 @@ use crate::config::SystemConfig;
 use crate::error::{RejectReason, Result};
 use crate::processor::{AnsweredQuery, QueryOutcome, QueryProcessor, QueryRequest, SubmissionMode};
 use crate::synopsis_manager::SynopsisManager;
-use crate::system::SystemStats;
 
 /// The simulated PrivateSQL baseline.
 pub struct SPrivateSqlBaseline {
@@ -34,8 +32,6 @@ pub struct SPrivateSqlBaseline {
     synopses: HashMap<String, Synopsis>,
     #[cfg(test)]
     per_view_epsilon: f64,
-    per_analyst_answered: Vec<usize>,
-    stats: SystemStats,
 }
 
 impl SPrivateSqlBaseline {
@@ -47,7 +43,6 @@ impl SPrivateSqlBaseline {
         registry: AnalystRegistry,
         config: SystemConfig,
     ) -> Result<Self> {
-        let setup_start = Instant::now();
         let mut rng = DpRng::seed_from_u64(config.seed);
 
         let num_views = catalog.len().max(1);
@@ -63,14 +58,6 @@ impl SPrivateSqlBaseline {
             synopses.insert(view.name.clone(), synopsis);
         }
 
-        let stats = SystemStats {
-            setup_time: setup_start.elapsed(),
-            query_time: std::time::Duration::ZERO,
-            answered: 0,
-            rejected: 0,
-            cache_hits: 0,
-        };
-        let per_analyst_answered = vec![0; registry.len()];
         Ok(SPrivateSqlBaseline {
             db,
             catalog,
@@ -79,16 +66,7 @@ impl SPrivateSqlBaseline {
             synopses,
             #[cfg(test)]
             per_view_epsilon,
-            per_analyst_answered,
-            stats,
         })
-    }
-
-    /// Runtime statistics (Tables 1 and 3).
-    #[cfg(test)]
-    #[must_use]
-    pub(crate) fn stats(&self) -> SystemStats {
-        self.stats
     }
 
     /// The static budget share assigned to every view.
@@ -106,62 +84,52 @@ impl QueryProcessor for SPrivateSqlBaseline {
 
     fn submit(&mut self, analyst: AnalystId, request: &QueryRequest) -> Result<QueryOutcome> {
         self.registry.get(analyst)?;
-        let start = Instant::now();
-        let outcome = (|| {
-            let (view, linear) = match self.catalog.select_view(&request.query, &self.db) {
-                Ok(pair) => pair,
-                Err(EngineError::NotAnswerable(_)) | Err(_) => {
-                    self.stats.rejected += 1;
-                    return Ok(QueryOutcome::Rejected {
-                        reason: RejectReason::NotAnswerable,
-                    });
-                }
-            };
-            let synopsis = &self.synopses[&view.name];
-            let delivered_variance = synopsis.answer_variance(&linear);
-
-            let target_variance = match request.mode {
-                SubmissionMode::Accuracy { variance } => variance,
-                SubmissionMode::Privacy { epsilon } => {
-                    // A privacy-oriented request is honoured when the static
-                    // synopsis is at least as accurate as a fresh release at
-                    // the requested epsilon would be.
-                    match analytic_gaussian_sigma(
-                        epsilon,
-                        self.config.delta.value(),
-                        view.sensitivity().value(),
-                    ) {
-                        Ok(sigma) => linear.answer_variance(sigma * sigma),
-                        Err(_) => {
-                            self.stats.rejected += 1;
-                            return Ok(QueryOutcome::Rejected {
-                                reason: RejectReason::AccuracyUnreachable,
-                            });
-                        }
-                    }
-                }
-            };
-
-            if delivered_variance > target_variance {
-                self.stats.rejected += 1;
+        let (view, linear) = match self.catalog.select_view(&request.query, &self.db) {
+            Ok(pair) => pair,
+            Err(EngineError::NotAnswerable(_)) | Err(_) => {
                 return Ok(QueryOutcome::Rejected {
-                    reason: RejectReason::InsufficientSynopsis,
+                    reason: RejectReason::NotAnswerable,
                 });
             }
+        };
+        let synopsis = &self.synopses[&view.name];
+        let delivered_variance = synopsis.answer_variance(&linear);
 
-            self.per_analyst_answered[analyst.0] += 1;
-            self.stats.answered += 1;
-            Ok(QueryOutcome::Answered(AnsweredQuery {
-                value: synopsis.answer(&linear),
-                view: Some(view.name),
-                epsilon_charged: 0.0,
-                noise_variance: delivered_variance,
-                from_cache: true,
-                epoch: 0,
-            }))
-        })();
-        self.stats.query_time += start.elapsed();
-        outcome
+        let target_variance = match request.mode {
+            SubmissionMode::Accuracy { variance } => variance,
+            SubmissionMode::Privacy { epsilon } => {
+                // A privacy-oriented request is honoured when the static
+                // synopsis is at least as accurate as a fresh release at
+                // the requested epsilon would be.
+                match analytic_gaussian_sigma(
+                    epsilon,
+                    self.config.delta.value(),
+                    view.sensitivity().value(),
+                ) {
+                    Ok(sigma) => linear.answer_variance(sigma * sigma),
+                    Err(_) => {
+                        return Ok(QueryOutcome::Rejected {
+                            reason: RejectReason::AccuracyUnreachable,
+                        });
+                    }
+                }
+            }
+        };
+
+        if delivered_variance > target_variance {
+            return Ok(QueryOutcome::Rejected {
+                reason: RejectReason::InsufficientSynopsis,
+            });
+        }
+
+        Ok(QueryOutcome::Answered(AnsweredQuery {
+            value: synopsis.answer(&linear),
+            view: Some(view.name),
+            epsilon_charged: 0.0,
+            noise_variance: delivered_variance,
+            from_cache: true,
+            epoch: 0,
+        }))
     }
 
     fn cumulative_epsilon(&self) -> f64 {
@@ -239,9 +207,8 @@ mod tests {
     fn answering_never_spends_additional_budget() {
         let mut s = build(6.4);
         for _ in 0..50 {
-            let _ = s.submit(AnalystId(1), &request(1e5)).unwrap();
+            assert!(s.submit(AnalystId(1), &request(1e5)).unwrap().is_answered());
         }
         assert_eq!(s.cumulative_epsilon(), 6.4);
-        assert_eq!(s.stats().answered, 50);
     }
 }

@@ -3,8 +3,8 @@
 //! Unlike the single-knob configuration of prior DP systems, DProvDB asks
 //! the administrator to configure the table constraint ψ_P, the per-analyst
 //! constraint specification (Definition 10 or 11, optionally expanded by τ),
-//! the per-view constraint specification (Definition 12 or a static split),
-//! the system-wide δ, and the composition method.
+//! the system-wide δ, and the composition method. Every view constraint is
+//! ψ_P (Definition 12, water-filling).
 
 use dprov_delta::EpochPolicy;
 use dprov_dp::accountant::CompositionMethod;
@@ -29,19 +29,6 @@ pub enum AnalystConstraintSpec {
     },
 }
 
-/// How per-view (column) constraints ψ_Vj are derived.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) enum ViewConstraintSpec {
-    /// Definition 12 (water-filling): every view constraint equals the table
-    /// constraint; budget flows to the views analysts actually query.
-    WaterFilling,
-    /// The PrivateSQL-style static split: the table budget is divided across
-    /// views proportionally to the inverse of their sensitivities (equal
-    /// split when all views are counting histograms). Test-only.
-    #[cfg(test)]
-    StaticSensitivitySplit,
-}
-
 /// Full system configuration.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SystemConfig {
@@ -52,8 +39,6 @@ pub struct SystemConfig {
     pub delta: Delta,
     /// How analyst constraints are derived.
     pub(crate) analyst_constraints: AnalystConstraintSpec,
-    /// How view constraints are derived.
-    pub(crate) view_constraints: ViewConstraintSpec,
     /// The constraint-expansion factor τ ≥ 1 (§6.2.2, Fig. 7): analyst
     /// constraints are multiplied by τ (and capped at ψ_P), trading fairness
     /// for utility.
@@ -80,7 +65,6 @@ impl SystemConfig {
             analyst_constraints: AnalystConstraintSpec::MaxNormalized {
                 system_max_level: None,
             },
-            view_constraints: ViewConstraintSpec::WaterFilling,
             expansion_tau: 1.0,
             composition: CompositionMethod::Sequential,
             translation_precision: DEFAULT_EPSILON_PRECISION,
@@ -106,13 +90,6 @@ impl SystemConfig {
     #[must_use]
     pub fn with_analyst_constraints(mut self, spec: AnalystConstraintSpec) -> Self {
         self.analyst_constraints = spec;
-        self
-    }
-
-    /// Sets the view-constraint specification.
-    #[cfg(test)]
-    pub(crate) fn with_view_constraints(mut self, spec: ViewConstraintSpec) -> Self {
-        self.view_constraints = spec;
         self
     }
 
@@ -172,7 +149,6 @@ mod tests {
         assert_eq!(c.total_epsilon.value(), 3.2);
         assert_eq!(c.delta.value(), 1e-9);
         assert_eq!(c.expansion_tau, 1.0);
-        assert_eq!(c.view_constraints, ViewConstraintSpec::WaterFilling);
         assert!(matches!(
             c.analyst_constraints,
             AnalystConstraintSpec::MaxNormalized { .. }

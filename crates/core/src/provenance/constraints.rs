@@ -11,13 +11,11 @@
 //!   (capped at ψ_P), trading fairness for utility while overall privacy is
 //!   still protected by the table constraint.
 //! * Definition 12 (water-filling): every view constraint equals ψ_P, so
-//!   budget flows to the views analysts actually need.
-//! * Static sensitivity split (sPrivateSQL): the table budget is divided
-//!   across views up front, proportionally to 1/sensitivity. Test-only: no
-//!   configuration selects it.
+//!   budget flows to the views analysts actually need. There is nothing to
+//!   specify: `DProvDb::new` gives each view ψ_P.
 
 use crate::analyst::AnalystRegistry;
-use crate::config::{AnalystConstraintSpec, SystemConfig, ViewConstraintSpec};
+use crate::config::{AnalystConstraintSpec, SystemConfig};
 #[cfg(test)]
 use crate::corruption::CorruptionGraph;
 use crate::error::{CoreError, Result};
@@ -92,38 +90,6 @@ pub(crate) fn analyst_constraints_from_corruption_graph(
         .into_iter()
         .map(|b| (b * config.expansion_tau).min(psi_p))
         .collect())
-}
-
-/// Computes the per-view (column) constraints ψ_Vj for the given view names
-/// and sensitivities (same order).
-pub(crate) fn view_constraints(
-    config: &SystemConfig,
-    view_sensitivities: &[(String, f64)],
-) -> Result<Vec<f64>> {
-    let psi_p = config.total_epsilon.value();
-    match config.view_constraints {
-        ViewConstraintSpec::WaterFilling => Ok(view_sensitivities.iter().map(|_| psi_p).collect()),
-        #[cfg(test)]
-        ViewConstraintSpec::StaticSensitivitySplit => {
-            if view_sensitivities.is_empty() {
-                return Ok(Vec::new());
-            }
-            let inv: Vec<f64> = view_sensitivities
-                .iter()
-                .map(|(name, s)| {
-                    if *s <= 0.0 {
-                        Err(CoreError::InvalidConfig(format!(
-                            "view {name} has non-positive sensitivity {s}"
-                        )))
-                    } else {
-                        Ok(1.0 / s)
-                    }
-                })
-                .collect::<Result<_>>()?;
-            let total: f64 = inv.iter().sum();
-            Ok(inv.iter().map(|w| w / total * psi_p).collect())
-        }
-    }
 }
 
 #[cfg(test)]
@@ -230,37 +196,21 @@ mod tests {
 
     #[test]
     fn water_filling_gives_every_view_the_table_budget() {
+        let db = dprov_engine::datagen::adult::adult_database(200, 1);
+        let catalog = dprov_engine::catalog::ViewCatalog::one_per_attribute(&db, "adult").unwrap();
         let config = SystemConfig::new(3.2).unwrap();
-        let views = vec![("v1".to_owned(), 1.4), ("v2".to_owned(), 1.4)];
-        let c = view_constraints(&config, &views).unwrap();
-        assert_eq!(c, vec![3.2, 3.2]);
-    }
-
-    #[test]
-    fn static_split_divides_the_budget() {
-        let config = SystemConfig::new(3.0)
-            .unwrap()
-            .with_view_constraints(ViewConstraintSpec::StaticSensitivitySplit);
-        let views = vec![
-            ("v1".to_owned(), 1.0),
-            ("v2".to_owned(), 1.0),
-            ("v3".to_owned(), 1.0),
-        ];
-        let c = view_constraints(&config, &views).unwrap();
-        assert_eq!(c.len(), 3);
-        for x in &c {
-            assert!((x - 1.0).abs() < 1e-12);
+        let system = crate::system::DProvDb::new(
+            db,
+            catalog,
+            registry(),
+            config,
+            crate::mechanism::MechanismKind::Vanilla,
+        )
+        .unwrap();
+        let provenance = system.provenance();
+        assert!(!provenance.view_names().is_empty());
+        for view in provenance.view_names() {
+            assert_eq!(provenance.col_constraint(view), 3.2);
         }
-        let sum: f64 = c.iter().sum();
-        assert!((sum - 3.0).abs() < 1e-12);
-
-        // Higher sensitivity gets a smaller share.
-        let views = vec![("a".to_owned(), 1.0), ("b".to_owned(), 3.0)];
-        let c = view_constraints(&config, &views).unwrap();
-        assert!(c[0] > c[1]);
-        assert!((c.iter().sum::<f64>() - 3.0).abs() < 1e-12);
-
-        let bad = vec![("a".to_owned(), 0.0)];
-        assert!(view_constraints(&config, &bad).is_err());
     }
 }

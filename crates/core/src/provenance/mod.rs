@@ -5,11 +5,11 @@
 //!   (Algorithm 2) and additive-Gaussian (Algorithm 4) mechanisms.
 //! * `constraints` — the administrator-facing constraint specifications:
 //!   Definition 10 (proportional / "l_sum"), Definition 11 (max-normalised /
-//!   "l_max") with the τ expansion factor, and Definition 12 (water-filling)
-//!   vs the static PrivateSQL-style view split.
+//!   "l_max") with the τ expansion factor. Every view constraint is ψ_P
+//!   (Definition 12, water-filling).
 
 pub(crate) mod constraints;
 pub mod table;
 
-pub(crate) use constraints::{analyst_constraints, view_constraints};
+pub(crate) use constraints::analyst_constraints;
 pub use table::ProvenanceTable;

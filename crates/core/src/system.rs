@@ -19,8 +19,9 @@
 //!
 //! * the synopsis cache is lock-striped per view inside
 //!   [`SynopsisManager`] (read-mostly fast path for cache hits);
-//! * the provenance table, tight accountant and runtime stats sit
-//!   behind short-critical-section `Mutex`es;
+//! * the provenance table and tight accountant sit behind
+//!   short-critical-section `Mutex`es; the answered, rejected and cache-hit
+//!   counts are the metrics registry's relaxed-atomic counters (no lock);
 //! * admission is gated by `AdmissionControl`: a per-(analyst, view)
 //!   entry lock held across one admission's cache probe → plan →
 //!   check-and-reserve → release sequence, plus a per-view lock that only
@@ -77,20 +78,20 @@ use crate::processor::{
     AnsweredQuery, GroupedOutcome, GroupedRequest, QueryOutcome, QueryProcessor, QueryRequest,
     SubmissionMode,
 };
-use crate::provenance::{analyst_constraints, view_constraints, ProvenanceTable};
+use crate::provenance::{analyst_constraints, ProvenanceTable};
 use crate::recorder::{
     Admission, CommitRecord, CoreState, DataAccess, ProvenanceEntryState, Recorder, ReleaseState,
     TightState,
 };
 use crate::synopsis_manager::{BudgetedSynopsis, SynopsisManager};
 
-/// Wall-clock statistics for the runtime tables (Tables 1 and 3).
+/// Statistics for the runtime tables (Tables 1 and 3). The counts
+/// are read from the metrics registry's counters (`query.answered`,
+/// `query.rejected`, `synopsis.cache_hits`).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SystemStats {
     /// Time spent materialising views at setup.
     pub setup_time: Duration,
-    /// Cumulative time spent processing queries.
-    pub(crate) query_time: Duration,
     /// Number of answered queries.
     pub answered: usize,
     /// Number of rejected queries.
@@ -129,7 +130,8 @@ pub struct DProvDb {
     admission: AdmissionControl,
     /// RNG backing the legacy single-threaded [`DProvDb::submit`] API.
     rng: Mutex<DpRng>,
-    stats: Mutex<SystemStats>,
+    /// Time spent materialising views at setup ([`SystemStats::setup_time`]).
+    setup_time: Duration,
     per_analyst_answered: Vec<AtomicUsize>,
     /// Optional durable-commit hook: every accepted charge is appended to
     /// the recorder's write-ahead ledger *before* the in-memory commit
@@ -151,9 +153,10 @@ pub struct DProvDb {
     /// the write side, so an answer is never torn across two epochs and a
     /// seal waits for in-flight answers to finish.
     epoch_gate: RwLock<()>,
-    /// The observability registry (`dprov-obs`): admission outcomes,
-    /// cache hit/miss, epoch staleness, execute latency and the
-    /// per-(analyst, view) remaining-budget gauges. Recording is
+    /// The observability registry (`dprov-obs`): admission outcomes
+    /// (the one tally [`Self::stats`] reads), cache hit/miss, epoch
+    /// staleness, execute latency and the per-(analyst, view)
+    /// remaining-budget gauges. Recording is
     /// lock-free and only reads values the hot path already computed, so
     /// answers/noise/charges are bit-identical with the registry enabled
     /// or [`MetricsRegistry::disabled`] (the `metrics_determinism` suite
@@ -399,19 +402,14 @@ impl DProvDb {
         let setup_start = Instant::now();
 
         let row_constraints = analyst_constraints(&config, &registry)?;
-        let view_sens: Vec<(String, f64)> = catalog
-            .views()
-            .iter()
-            .map(|v| (v.name.clone(), v.sensitivity().value()))
-            .collect();
-        let col_constraints = view_constraints(&config, &view_sens)?;
-
-        let mut provenance = ProvenanceTable::new(config.total_epsilon.value());
+        let psi_p = config.total_epsilon.value();
+        let mut provenance = ProvenanceTable::new(psi_p);
         for (analyst, constraint) in registry.ids().into_iter().zip(row_constraints) {
             provenance.add_analyst(analyst, constraint);
         }
-        for (view, constraint) in catalog.views().iter().zip(col_constraints) {
-            provenance.add_view(&view.name, constraint);
+        // Definition 12 (water-filling): every view constraint is ψ_P.
+        for view in catalog.views() {
+            provenance.add_view(&view.name, psi_p);
         }
 
         // Ingest the database into the columnar execution layer, then
@@ -449,13 +447,7 @@ impl DProvDb {
             tight_accountant: Mutex::new(tight_accountant),
             admission,
             rng: Mutex::new(rng),
-            stats: Mutex::new(SystemStats {
-                setup_time,
-                query_time: Duration::ZERO,
-                answered: 0,
-                rejected: 0,
-                cache_hits: 0,
-            }),
+            setup_time,
             per_analyst_answered,
             recorder: None,
             commit_seq: AtomicU64::new(0),
@@ -470,10 +462,12 @@ impl DProvDb {
     }
 
     /// Replaces the observability registry (enabled by default; pass
-    /// [`MetricsRegistry::disabled`] for a strict no-op). Must be called
-    /// before the system is shared (hence `&mut self`), like
-    /// [`Self::set_recorder`]. The budget-gauge matrix is re-registered
-    /// and re-published from the current provenance state.
+    /// [`MetricsRegistry::disabled`] to count without timing or tracing).
+    /// Must be called before the system is shared (hence `&mut self`),
+    /// like [`Self::set_recorder`]: [`Self::stats`] reads its counts from
+    /// the installed registry, so outcomes counted before the swap are not
+    /// carried over. The budget-gauge matrix is re-registered and
+    /// re-published from the current provenance state.
     pub fn set_metrics(&mut self, metrics: MetricsRegistry) {
         self.synopses.set_metrics(metrics.clone());
         self.metrics = metrics;
@@ -490,9 +484,6 @@ impl DProvDb {
     /// Registers the per-(analyst, view) budget-gauge matrix and seeds
     /// every cell from the current provenance state.
     fn publish_budget_matrix(&self) {
-        if !self.metrics.is_enabled() {
-            return;
-        }
         self.metrics.register_budget_matrix(
             self.registry
                 .analysts()
@@ -517,9 +508,6 @@ impl DProvDb {
     /// state the caller already holds locked. Pure reads plus relaxed
     /// atomic stores — never mutates admission state.
     fn observe_budget(&self, provenance: &ProvenanceTable, analyst: AnalystId, view: &str) {
-        if !self.metrics.is_enabled() {
-            return;
-        }
         let Some(&view_idx) = self.view_index.get(view) else {
             return;
         };
@@ -630,10 +618,17 @@ impl DProvDb {
             .total()
     }
 
-    /// Runtime statistics.
+    /// Runtime statistics: the setup time plus the registry's outcome
+    /// counters.
     #[must_use]
     pub fn stats(&self) -> SystemStats {
-        *self.stats.lock().expect("stats lock poisoned")
+        let count = |id| self.metrics.counter(id) as usize;
+        SystemStats {
+            setup_time: self.setup_time,
+            answered: count(CounterId::QueriesAnswered),
+            rejected: count(CounterId::QueriesRejected),
+            cache_hits: count(CounterId::CacheHits),
+        }
     }
 
     /// The exact (non-private) answer to a scalar query — only used by the
@@ -786,81 +781,48 @@ impl DProvDb {
         // this answer and this answer never mixes two epochs. While it is
         // held no seal holds the db write lock, so `resolve` cannot wait.
         let _epoch_gate = locking.read(&self.epoch_gate)?;
-        let start = Instant::now();
+        let start = self.metrics.start();
         let outcome = match self.resolve(request) {
             Ok(resolved) => self.admit(analyst, resolved, rng, None, locking)?,
             Err(_) if locking == Locking::Try => return None,
             Err(reason) => Ok(QueryOutcome::Rejected { reason }),
         };
-        self.observe_submission(analyst, &outcome, start.elapsed());
+        self.observe_outcome(analyst, &outcome);
+        if let Some(start) = start {
+            self.metrics
+                .observe_duration(HistId::Execute, start.elapsed());
+        }
         Some(outcome)
     }
 
-    /// The per-submission observations of a scalar request: its outcome
-    /// plus its `query.execute_ns` sample.
-    fn observe_submission(
-        &self,
-        analyst: AnalystId,
-        outcome: &Result<QueryOutcome>,
-        elapsed: Duration,
-    ) {
-        self.observe_outcome(analyst, outcome, elapsed);
-        if self.metrics.is_enabled() {
-            self.metrics.observe_duration(HistId::Execute, elapsed);
-        }
-    }
-
-    /// Folds one per-query outcome into the runtime stats and the
-    /// observability counters. Shared between the scalar submission path
-    /// and the grouped path, which calls it once per group cell so grouped
-    /// stats equal the per-group oracle's.
-    fn observe_outcome(
-        &self,
-        analyst: AnalystId,
-        outcome: &Result<QueryOutcome>,
-        elapsed: Duration,
-    ) {
-        {
-            let mut stats = self.stats.lock().expect("stats lock poisoned");
-            stats.query_time += elapsed;
-            if let Ok(outcome) = outcome {
-                match outcome {
-                    QueryOutcome::Answered(a) => {
-                        stats.answered += 1;
-                        if a.from_cache {
-                            stats.cache_hits += 1;
+    /// Counts one per-query outcome: the registry's outcome counters (the
+    /// runtime stats read them) and the analyst's answered count. Shared
+    /// between the scalar submission path and the grouped path, which calls
+    /// it once per group cell so grouped stats equal the per-group
+    /// oracle's. Reads + relaxed atomics only; no lock, no RNG.
+    fn observe_outcome(&self, analyst: AnalystId, outcome: &Result<QueryOutcome>) {
+        if let Ok(outcome) = outcome {
+            match outcome {
+                QueryOutcome::Answered(a) => {
+                    self.per_analyst_answered[analyst.0].fetch_add(1, Ordering::Relaxed);
+                    self.metrics.incr(CounterId::QueriesAnswered);
+                    if a.from_cache {
+                        self.metrics.incr(CounterId::CacheHits);
+                        // Bounded staleness under `CarryForward`: a cache
+                        // hit whose synopsis predates the current epoch is a
+                        // stale serve.
+                        let current = self.synopses.current_epoch();
+                        if a.epoch < current {
+                            self.metrics.incr(CounterId::StaleServes);
+                            self.metrics
+                                .observe(HistId::EpochStaleness, current - a.epoch);
                         }
-                        self.per_analyst_answered[analyst.0].fetch_add(1, Ordering::Relaxed);
+                    } else {
+                        self.metrics.incr(CounterId::CacheMisses);
                     }
-                    QueryOutcome::Rejected { .. } => stats.rejected += 1,
                 }
-            }
-        }
-        // Observability: classify the outcome the hot path already
-        // computed. Reads + relaxed atomics only; no lock, no RNG.
-        if self.metrics.is_enabled() {
-            if let Ok(outcome) = outcome {
-                match outcome {
-                    QueryOutcome::Answered(a) => {
-                        self.metrics.incr(CounterId::QueriesAnswered);
-                        if a.from_cache {
-                            self.metrics.incr(CounterId::CacheHits);
-                            // Bounded staleness under `CarryForward`: a
-                            // cache hit whose synopsis predates the
-                            // current epoch is a stale serve.
-                            let current = self.synopses.current_epoch();
-                            if a.epoch < current {
-                                self.metrics.incr(CounterId::StaleServes);
-                                self.metrics
-                                    .observe(HistId::EpochStaleness, current - a.epoch);
-                            }
-                        } else {
-                            self.metrics.incr(CounterId::CacheMisses);
-                        }
-                    }
-                    QueryOutcome::Rejected { .. } => {
-                        self.metrics.incr(CounterId::QueriesRejected);
-                    }
+                QueryOutcome::Rejected { .. } => {
+                    self.metrics.incr(CounterId::QueriesRejected);
                 }
             }
         }
@@ -1291,33 +1253,32 @@ impl DProvDb {
     ) -> Result<GroupedOutcome> {
         self.registry.get(analyst)?;
         let _epoch_gate = self.epoch_gate.read().expect("epoch gate poisoned");
-        let group_start = Instant::now();
+        let group_start = self.metrics.start();
         let (keys, cells) = self.resolve_grouped(request)?;
         let mut memo = TranslationMemo::default();
         let mut outcomes = Vec::with_capacity(cells.len());
         let mut released = 0u64;
         for cell in cells {
-            let start = Instant::now();
             let outcome = match cell {
                 Ok(resolved) => self
                     .admit(analyst, resolved, Some(rng), Some(&mut memo), Locking::Wait)
                     .expect("a waiting admission never gives up"),
                 Err(reason) => Ok(QueryOutcome::Rejected { reason }),
             };
-            self.observe_outcome(analyst, &outcome, start.elapsed());
+            self.observe_outcome(analyst, &outcome);
             let outcome = outcome?;
             if outcome.is_answered() {
                 released += 1;
             }
             outcomes.push(outcome);
         }
-        if self.metrics.is_enabled() {
-            self.metrics.incr(CounterId::GroupQueries);
-            self.metrics.add(CounterId::GroupCellsReleased, released);
+        self.metrics.incr(CounterId::GroupQueries);
+        self.metrics.add(CounterId::GroupCellsReleased, released);
+        self.metrics
+            .observe(HistId::GroupSize, outcomes.len() as u64);
+        if let Some(start) = group_start {
             self.metrics
-                .observe(HistId::GroupSize, outcomes.len() as u64);
-            self.metrics
-                .observe_duration(HistId::GroupExecute, group_start.elapsed());
+                .observe_duration(HistId::GroupExecute, start.elapsed());
         }
         Ok(GroupedOutcome { keys, outcomes })
     }

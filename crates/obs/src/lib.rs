@@ -19,12 +19,18 @@
 //!   seqlock ring of per-request stage events, exportable as
 //!   chrome://tracing JSON.
 //!
+//! **The registry is the one tally.** The service's and the system's
+//! outcome counts (answered, rejected, cache hits, batches, the
+//! queue-depth high-watermark) live here and nowhere else, so every
+//! registry — disabled or not — counts them.
+//!
 //! **Inertness is the design invariant.** Recording takes no locks,
 //! allocates nothing, and never touches RNG or admission state: every
 //! record is a handful of relaxed atomic operations on values the hot
 //! path had already computed. A registry built with
-//! [`MetricsRegistry::disabled`] turns every recording into a branch on
-//! a `None`; the workspace's `metrics_determinism` suite proves answers,
+//! [`MetricsRegistry::disabled`] still counts, but reads no clock for a
+//! metric ([`MetricsRegistry::start`] returns `None`) and journals no
+//! trace; the workspace's `metrics_determinism` suite proves answers,
 //! noise and budget charges are bit-identical either way.
 
 #![deny(missing_docs)]
@@ -305,6 +311,9 @@ struct BudgetMatrix {
 
 #[derive(Debug)]
 struct Inner {
+    /// Whether metric timings and the trace journal are on (off only for
+    /// [`MetricsRegistry::disabled`]).
+    timed: bool,
     epoch: Instant,
     counters: [AtomicU64; CounterId::ALL.len()],
     gauges: [AtomicU64; GaugeId::ALL.len()],
@@ -313,15 +322,16 @@ struct Inner {
     journal: TraceJournal,
 }
 
-/// The cloneable metrics handle threaded through every layer.
+/// The cloneable metrics handle threaded through every layer; all clones
+/// share one inner set of atomics.
 ///
-/// A handle is either **enabled** (all clones share one inner set of
-/// atomics) or **disabled** ([`MetricsRegistry::disabled`]); every
-/// recording method on a disabled handle is a branch on `None` and
-/// nothing else, which is what the determinism suite compares against.
+/// Counters, gauges, histograms and the budget matrix always record. A
+/// **disabled** handle ([`MetricsRegistry::disabled`]) only skips the
+/// clock reads that exist for metrics and the trace journal, which is
+/// what the determinism suite compares against.
 #[derive(Debug, Clone)]
 pub struct MetricsRegistry {
-    inner: Option<Arc<Inner>>,
+    inner: Arc<Inner>,
 }
 
 impl Default for MetricsRegistry {
@@ -340,38 +350,29 @@ impl MetricsRegistry {
     /// An enabled registry retaining at most `capacity` trace events.
     #[must_use]
     pub fn with_journal_capacity(capacity: usize) -> Self {
+        Self::build(true, capacity)
+    }
+
+    /// A registry that counts but never times: [`Self::start`] returns
+    /// `None` and [`Self::trace`] does nothing. Counters, gauges,
+    /// histogram samples that need no clock and the budget matrix still
+    /// record.
+    #[must_use]
+    pub fn disabled() -> Self {
+        Self::build(false, 1)
+    }
+
+    fn build(timed: bool, capacity: usize) -> Self {
         MetricsRegistry {
-            inner: Some(Arc::new(Inner {
+            inner: Arc::new(Inner {
+                timed,
                 epoch: Instant::now(),
                 counters: std::array::from_fn(|_| AtomicU64::new(0)),
                 gauges: std::array::from_fn(|_| AtomicU64::new(0f64.to_bits())),
                 histograms: std::array::from_fn(|_| Histogram::new()),
                 budgets: OnceLock::new(),
                 journal: TraceJournal::new(capacity),
-            })),
-        }
-    }
-
-    /// A no-op registry: every recording method returns immediately.
-    #[must_use]
-    pub fn disabled() -> Self {
-        MetricsRegistry { inner: None }
-    }
-
-    /// Whether this handle records anything.
-    #[must_use]
-    pub fn is_enabled(&self) -> bool {
-        self.inner.is_some()
-    }
-
-    /// Whether two handles share the same underlying registry.
-    #[cfg(test)]
-    #[must_use]
-    pub(crate) fn same_registry(&self, other: &MetricsRegistry) -> bool {
-        match (&self.inner, &other.inner) {
-            (Some(a), Some(b)) => Arc::ptr_eq(a, b),
-            (None, None) => true,
-            _ => false,
+            }),
         }
     }
 
@@ -384,34 +385,26 @@ impl MetricsRegistry {
     /// Increments a counter by `n`.
     #[inline]
     pub fn add(&self, id: CounterId, n: u64) {
-        if let Some(inner) = &self.inner {
-            inner.counters[id.index()].fetch_add(n, Ordering::Relaxed);
-        }
+        self.inner.counters[id.index()].fetch_add(n, Ordering::Relaxed);
     }
 
     /// Sets a gauge (non-negative values only).
     #[inline]
     pub fn gauge_set(&self, id: GaugeId, value: f64) {
-        if let Some(inner) = &self.inner {
-            inner.gauges[id.index()].store(value.to_bits(), Ordering::Relaxed);
-        }
+        self.inner.gauges[id.index()].store(value.to_bits(), Ordering::Relaxed);
     }
 
     /// Raises a gauge to `value` if it is the new maximum (non-negative
     /// values only — the monotone max relies on IEEE-754 bit ordering).
     #[inline]
     pub fn gauge_max(&self, id: GaugeId, value: f64) {
-        if let Some(inner) = &self.inner {
-            inner.gauges[id.index()].fetch_max(value.to_bits(), Ordering::Relaxed);
-        }
+        self.inner.gauges[id.index()].fetch_max(value.to_bits(), Ordering::Relaxed);
     }
 
     /// Records one histogram sample.
     #[inline]
     pub fn observe(&self, id: HistId, value: u64) {
-        if let Some(inner) = &self.inner {
-            inner.histograms[id.index()].record(value);
-        }
+        self.inner.histograms[id.index()].record(value);
     }
 
     /// Records a duration sample (saturating at `u64::MAX` nanoseconds).
@@ -420,12 +413,30 @@ impl MetricsRegistry {
         self.observe(id, dur.as_nanos().min(u128::from(u64::MAX)) as u64);
     }
 
+    /// The current value of one counter.
+    #[must_use]
+    pub fn counter(&self, id: CounterId) -> u64 {
+        self.inner.counters[id.index()].load(Ordering::Relaxed)
+    }
+
+    /// The current value of one gauge.
+    #[must_use]
+    pub fn gauge(&self, id: GaugeId) -> f64 {
+        f64::from_bits(self.inner.gauges[id.index()].load(Ordering::Relaxed))
+    }
+
+    /// A summary of one histogram.
+    #[must_use]
+    pub fn histogram(&self, id: HistId) -> HistogramSnapshot {
+        self.inner.histograms[id.index()].snapshot()
+    }
+
     /// Starts a timing: `Some(now)` when enabled, `None` when disabled,
     /// so a disabled registry never pays for a clock read.
     #[inline]
     #[must_use]
     pub fn start(&self) -> Option<Instant> {
-        self.inner.as_ref().map(|_| Instant::now())
+        self.inner.timed.then(Instant::now)
     }
 
     /// Records a completed request stage into the trace journal (and
@@ -433,7 +444,8 @@ impl MetricsRegistry {
     /// stage also has a histogram).
     #[inline]
     pub fn trace(&self, request_id: u64, stage: Stage, lane: u64, start: Instant, dur: Duration) {
-        if let Some(inner) = &self.inner {
+        let inner = &self.inner;
+        if inner.timed {
             let start_ns = start
                 .checked_duration_since(inner.epoch)
                 .unwrap_or_default()
@@ -447,19 +459,13 @@ impl MetricsRegistry {
     /// disabled.
     #[must_use]
     pub fn trace_events(&self) -> Vec<TraceEvent> {
-        self.inner
-            .as_ref()
-            .map(|inner| inner.journal.snapshot())
-            .unwrap_or_default()
+        self.inner.journal.snapshot()
     }
 
     /// Total trace events ever recorded (including overwritten ones).
     #[must_use]
     pub fn trace_recorded(&self) -> u64 {
-        self.inner
-            .as_ref()
-            .map(|inner| inner.journal.recorded())
-            .unwrap_or(0)
+        self.inner.journal.recorded()
     }
 
     /// The retained trace as chrome://tracing JSON.
@@ -472,19 +478,17 @@ impl MetricsRegistry {
     /// registration wins; later calls are ignored (the matrix shape is
     /// fixed at system build).
     pub fn register_budget_matrix(&self, analysts: Vec<String>, views: Vec<String>) {
-        if let Some(inner) = &self.inner {
-            let cells = (0..analysts.len() * views.len())
-                .map(|_| BudgetCell {
-                    entry: AtomicU64::new(f64::NAN.to_bits()),
-                    remaining: AtomicU64::new(f64::NAN.to_bits()),
-                })
-                .collect();
-            let _ = inner.budgets.set(BudgetMatrix {
-                analysts,
-                views,
-                cells,
-            });
-        }
+        let cells = (0..analysts.len() * views.len())
+            .map(|_| BudgetCell {
+                entry: AtomicU64::new(f64::NAN.to_bits()),
+                remaining: AtomicU64::new(f64::NAN.to_bits()),
+            })
+            .collect();
+        let _ = self.inner.budgets.set(BudgetMatrix {
+            analysts,
+            views,
+            cells,
+        });
     }
 
     /// Updates one budget cell (by analyst and view index into the
@@ -492,53 +496,33 @@ impl MetricsRegistry {
     /// matrices are ignored — recording never fails.
     #[inline]
     pub fn set_budget(&self, analyst: usize, view: usize, entry_epsilon: f64, remaining: f64) {
-        if let Some(inner) = &self.inner {
-            if let Some(matrix) = inner.budgets.get() {
-                if analyst < matrix.analysts.len() && view < matrix.views.len() {
-                    let cell = &matrix.cells[analyst * matrix.views.len() + view];
-                    cell.entry.store(entry_epsilon.to_bits(), Ordering::Relaxed);
-                    cell.remaining.store(remaining.to_bits(), Ordering::Relaxed);
-                }
+        if let Some(matrix) = self.inner.budgets.get() {
+            if analyst < matrix.analysts.len() && view < matrix.views.len() {
+                let cell = &matrix.cells[analyst * matrix.views.len() + view];
+                cell.entry.store(entry_epsilon.to_bits(), Ordering::Relaxed);
+                cell.remaining.store(remaining.to_bits(), Ordering::Relaxed);
             }
         }
     }
 
-    /// A point-in-time summary of every metric. Empty when disabled.
-    /// Budget cells never touched since registration are omitted.
+    /// A point-in-time summary of every metric. Budget cells never
+    /// touched since registration are omitted.
     #[must_use]
     pub fn snapshot(&self) -> MetricsSnapshot {
-        let Some(inner) = &self.inner else {
-            return MetricsSnapshot::default();
-        };
         let counters = CounterId::ALL
             .iter()
-            .map(|&id| {
-                (
-                    id.name().to_owned(),
-                    inner.counters[id.index()].load(Ordering::Relaxed),
-                )
-            })
+            .map(|&id| (id.name().to_owned(), self.counter(id)))
             .collect();
         let gauges = GaugeId::ALL
             .iter()
-            .map(|&id| {
-                (
-                    id.name().to_owned(),
-                    f64::from_bits(inner.gauges[id.index()].load(Ordering::Relaxed)),
-                )
-            })
+            .map(|&id| (id.name().to_owned(), self.gauge(id)))
             .collect();
         let histograms = HistId::ALL
             .iter()
-            .map(|&id| {
-                (
-                    id.name().to_owned(),
-                    inner.histograms[id.index()].snapshot(),
-                )
-            })
+            .map(|&id| (id.name().to_owned(), self.histogram(id)))
             .collect();
         let mut budgets = Vec::new();
-        if let Some(matrix) = inner.budgets.get() {
+        if let Some(matrix) = self.inner.budgets.get() {
             for (a, analyst) in matrix.analysts.iter().enumerate() {
                 for (v, view) in matrix.views.iter().enumerate() {
                     let cell = &matrix.cells[a * matrix.views.len() + v];
@@ -570,12 +554,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn disabled_registry_is_inert_and_empty() {
+    fn disabled_registry_counts_but_never_times() {
         let m = MetricsRegistry::disabled();
-        assert!(!m.is_enabled());
         assert!(m.start().is_none());
         m.incr(CounterId::QueriesAnswered);
-        m.observe(HistId::Execute, 100);
+        m.observe(HistId::BatchSize, 3);
         m.gauge_max(GaugeId::QueueDepthHwm, 5.0);
         m.register_budget_matrix(vec!["a".into()], vec!["v".into()]);
         m.set_budget(0, 0, 1.0, 0.5);
@@ -586,8 +569,13 @@ mod tests {
             Instant::now(),
             Duration::from_nanos(1),
         );
+        // Every tally records...
         let snap = m.snapshot();
-        assert_eq!(snap, MetricsSnapshot::default());
+        assert_eq!(snap.counter("query.answered"), Some(1));
+        assert_eq!(snap.histogram("batch.size").unwrap().count, 1);
+        assert_eq!(snap.gauge("queue.depth_hwm"), Some(5.0));
+        assert_eq!(snap.budget("a", "v").unwrap().remaining_epsilon, 0.5);
+        // ...but nothing is journaled.
         assert!(m.trace_events().is_empty());
         assert_eq!(m.trace_recorded(), 0);
     }
@@ -596,8 +584,8 @@ mod tests {
     fn clones_share_one_registry() {
         let m = MetricsRegistry::new();
         let clone = m.clone();
-        assert!(m.same_registry(&clone));
-        assert!(!m.same_registry(&MetricsRegistry::new()));
+        assert!(Arc::ptr_eq(&m.inner, &clone.inner));
+        assert!(!Arc::ptr_eq(&m.inner, &MetricsRegistry::new().inner));
         clone.incr(CounterId::CacheHits);
         clone.incr(CounterId::CacheHits);
         assert_eq!(m.snapshot().counter("synopsis.cache_hits"), Some(2));

@@ -52,7 +52,7 @@ use dprov_core::system::{DProvDb, SystemStats};
 use dprov_core::{CoreError, StorageError};
 use dprov_dp::accountant::CompositionMethod;
 use dprov_dp::rng::{DpRng, RngCheckpoint};
-use dprov_obs::{CounterId, GaugeId, HistId, Histogram, HistogramSnapshot, MetricsRegistry, Stage};
+use dprov_obs::{CounterId, GaugeId, HistId, HistogramSnapshot, MetricsRegistry, Stage};
 use dprov_storage::{
     analysts_digest, config_fingerprint, ProvenanceStore, SessionCheckpoint, StoreOptions,
 };
@@ -561,7 +561,8 @@ pub struct ServiceStats {
     pub submitted: usize,
     /// Submissions fully executed (answered or rejected).
     pub completed: usize,
-    /// Micro-batches drained by the workers. Jobs answered inline
+    /// Micro-batches drained by the workers (the registry's
+    /// `batch.executed`). Jobs answered inline
     /// ([`QueryService::try_answer_inline`]) count in `completed` but in
     /// no batch; the realised batch size is `batch_sizes`.
     pub batches: usize,
@@ -571,14 +572,13 @@ pub struct ServiceStats {
     pub(crate) queued: usize,
     /// Live sessions.
     pub(crate) sessions: usize,
-    /// Deepest the submission queue has ever been (monotone
-    /// high-watermark, exact: producers observe the depth under the queue
-    /// lock). Maintained independently of the metrics registry, so it is
-    /// meaningful even on a service running with
-    /// [`dprov_obs::MetricsRegistry::disabled`].
+    /// Deepest the submission queue has ever been (the registry's
+    /// `queue.depth_hwm`; a monotone high-watermark, exact: producers
+    /// observe the depth under the queue lock).
     pub queue_depth_hwm: usize,
     /// Distribution of realised micro-batch sizes (jobs per drained
-    /// batch), as a log-bucketed percentile summary. Also registry-free.
+    /// batch; the registry's `batch.size`), as a log-bucketed percentile
+    /// summary.
     pub(crate) batch_sizes: HistogramSnapshot,
     /// The underlying system's runtime statistics.
     pub system: SystemStats,
@@ -593,7 +593,6 @@ pub struct QueryService {
     workers: Vec<JoinHandle<()>>,
     submitted: Arc<AtomicUsize>,
     completed: Arc<AtomicUsize>,
-    batches: Arc<AtomicUsize>,
     durable: Option<Arc<DurableCtx>>,
     /// Names authorised as data updaters (from [`ServiceConfig`]).
     updaters: Vec<String>,
@@ -607,12 +606,6 @@ pub struct QueryService {
     /// The system's metrics handle, cloned at start so the service and
     /// its workers record into the same registry.
     metrics: MetricsRegistry,
-    /// Always-on queue-depth high-watermark (see
-    /// [`ServiceStats::queue_depth_hwm`]).
-    queue_depth_hwm: AtomicUsize,
-    /// Always-on micro-batch size distribution (see
-    /// [`ServiceStats::batch_sizes`]); shared with the workers.
-    batch_sizes: Arc<Histogram>,
     /// Trace-id sequence for in-process submissions (protocol submissions
     /// carry their own pipelining id).
     trace_seq: AtomicU64,
@@ -819,21 +812,17 @@ impl QueryService {
         let lanes: Arc<LaneMap> = Arc::new(Mutex::new(HashMap::new()));
         let submitted = Arc::new(AtomicUsize::new(0));
         let completed = Arc::new(AtomicUsize::new(0));
-        let batches = Arc::new(AtomicUsize::new(0));
         let epoch_barrier = Arc::new(std::sync::RwLock::new(()));
         let metrics = system.metrics().clone();
-        let batch_sizes = Arc::new(Histogram::new());
         let workers = (0..config.workers.max(1))
             .map(|i| {
                 let system = Arc::clone(&system);
                 let queue = Arc::clone(&queue);
                 let lanes = Arc::clone(&lanes);
                 let completed = Arc::clone(&completed);
-                let batches = Arc::clone(&batches);
                 let durable = durable.clone();
                 let epoch_barrier = Arc::clone(&epoch_barrier);
                 let metrics = metrics.clone();
-                let batch_sizes = Arc::clone(&batch_sizes);
                 let pool_size = config.workers.max(1);
                 std::thread::Builder::new()
                     .name(format!("dprov-worker-{i}"))
@@ -843,13 +832,11 @@ impl QueryService {
                             &queue,
                             &lanes,
                             &completed,
-                            &batches,
                             durable.as_deref(),
                             &epoch_barrier,
                             pool_size,
                             i as u64,
                             &metrics,
-                            &batch_sizes,
                         );
                     })
                     .expect("failed to spawn worker thread")
@@ -867,14 +854,11 @@ impl QueryService {
             workers,
             submitted,
             completed,
-            batches,
             durable,
             updaters: config.updaters.clone(),
             epoch_barrier,
             epochs_sealed: Arc::new(AtomicUsize::new(0)),
             metrics,
-            queue_depth_hwm: AtomicUsize::new(0),
-            batch_sizes,
             trace_seq: AtomicU64::new(1),
             session_ttl: config.session_ttl,
             reaper: Some(reaper),
@@ -1069,13 +1053,11 @@ impl QueryService {
         queue: &BoundedQueue<Job>,
         lanes: &LaneMap,
         completed: &AtomicUsize,
-        batches: &AtomicUsize,
         durable: Option<&DurableCtx>,
         epoch_barrier: &std::sync::RwLock<()>,
         pool_size: usize,
         worker: u64,
         metrics: &MetricsRegistry,
-        batch_sizes: &Histogram,
     ) {
         // Jobs chained from session lanes after the previous round; they
         // bypass the global queue, so chains keep draining even after the
@@ -1096,8 +1078,6 @@ impl QueryService {
             } else if jobs.len() < MAX_BATCH {
                 jobs.extend(queue.try_pop_batch(MAX_BATCH - jobs.len(), pool_size));
             }
-            batches.fetch_add(1, Ordering::Relaxed);
-            batch_sizes.record(jobs.len() as u64);
             metrics.observe(HistId::BatchSize, jobs.len() as u64);
             metrics.incr(CounterId::BatchesExecuted);
 
@@ -1490,9 +1470,6 @@ impl QueryService {
     /// producer saw under the queue lock (`None` for a lane-pending job).
     fn record_accepted(&self, session: &Session, depth: Option<usize>) {
         if let Some(depth) = depth {
-            // Exact high-watermark. The plain atomic copy keeps
-            // [`ServiceStats`] meaningful with a disabled registry.
-            self.queue_depth_hwm.fetch_max(depth, Ordering::Relaxed);
             self.metrics.gauge_max(GaugeId::QueueDepthHwm, depth as f64);
         }
         session.mark_submitted();
@@ -1596,12 +1573,12 @@ impl QueryService {
         ServiceStats {
             submitted: self.submitted.load(Ordering::Relaxed),
             completed: self.completed.load(Ordering::Relaxed),
-            batches: self.batches.load(Ordering::Relaxed),
+            batches: self.metrics.counter(CounterId::BatchesExecuted) as usize,
             epochs_sealed: self.epochs_sealed.load(Ordering::Relaxed),
             queued: self.queue.len(),
             sessions: self.sessions.len(),
-            queue_depth_hwm: self.queue_depth_hwm.load(Ordering::Relaxed),
-            batch_sizes: self.batch_sizes.snapshot(),
+            queue_depth_hwm: self.metrics.gauge(GaugeId::QueueDepthHwm) as usize,
+            batch_sizes: self.metrics.histogram(HistId::BatchSize),
             system: self.system.stats(),
         }
     }
@@ -1616,39 +1593,19 @@ impl QueryService {
     /// `dprov_api::DProvClient::metrics`: the registry's catalog
     /// (counters, gauges, latency histograms, per-(analyst, view) budget
     /// gauges) plus pulled service- and executor-level counters that need
-    /// no per-event recording. With a disabled registry the pulled values
-    /// (and the always-on queue-depth high-watermark and batch-size
-    /// summary) are still reported.
+    /// no per-event recording.
     #[must_use]
     pub fn metrics_snapshot(&self) -> dprov_obs::MetricsSnapshot {
         let mut snap = self.metrics.snapshot();
         let stats = self.stats();
         let exec = self.system.exec_stats();
-        if !self.metrics.is_enabled() {
-            // The always-on service copies stand in for the registry's.
-            snap.gauges
-                .push((GaugeId::QueueDepthHwm.name().to_owned(), 0.0));
-            snap.histograms
-                .push((HistId::BatchSize.name().to_owned(), stats.batch_sizes));
-        }
-        // The high-watermark from the always-on atomic is authoritative
-        // either way (it is exact; the gauge is merely its mirror).
-        if let Some(slot) = snap
-            .gauges
-            .iter_mut()
-            .find(|(name, _)| name == GaugeId::QueueDepthHwm.name())
-        {
-            slot.1 = stats.queue_depth_hwm as f64;
-        }
         snap.gauges
             .push(("queue.depth".to_owned(), stats.queued as f64));
-        let pulled: [(&str, u64); 14] = [
+        let pulled: [(&str, u64); 12] = [
             ("service.submitted", stats.submitted as u64),
             ("service.completed", stats.completed as u64),
-            ("service.batches", stats.batches as u64),
             ("service.epochs_sealed", stats.epochs_sealed as u64),
             ("service.sessions", stats.sessions as u64),
-            ("service.cache_hits", stats.system.cache_hits as u64),
             ("exec.scans", exec.scans),
             ("exec.queries", exec.queries),
             ("exec.batches", exec.batches),

@@ -1,15 +1,19 @@
 //! Observability is provably inert: running the full query stack with the
-//! metrics registry enabled (the default) versus replaced by the no-op
-//! registry produces **bit-identical** analyst-visible results — answer
-//! values, noise variances, epsilon charges, cache provenance — for both
-//! mechanisms. Instrumentation reads clocks and bumps relaxed atomics; it
-//! never touches the RNG streams, the admission decisions or the synopsis
-//! state, and these tests pin that contract.
+//! metrics registry enabled (the default) versus disabled (it still counts,
+//! but reads no clock for a metric and journals no trace) produces
+//! **bit-identical** analyst-visible results — answer values, noise
+//! variances, epsilon charges, cache provenance — for both mechanisms.
+//! Instrumentation reads clocks and bumps relaxed atomics; it never
+//! touches the RNG streams, the admission decisions or the synopsis state,
+//! and these tests pin that contract.
 //!
-//! The suite also covers the trace journal's bounded capacity and the
-//! consistency of `QueryService::metrics_snapshot` against the service's
-//! own counters, end to end through the protocol `MetricsSnapshot`
-//! request.
+//! The registry is the one tally: `DProvDb::stats` and
+//! `QueryService::stats` read their outcome, batch and queue-depth counts
+//! from it, so a disabled registry's snapshot agrees with them and reports
+//! each metric once. The suite also covers the trace journal's bounded
+//! capacity and the consistency of `QueryService::metrics_snapshot`
+//! against the service's own counters, end to end through the protocol
+//! `MetricsSnapshot` request.
 
 use std::sync::Arc;
 
@@ -171,8 +175,8 @@ fn snapshot_agrees_with_service_stats_end_to_end() {
         let translations = snap.counter("dp.translations").unwrap();
         assert!((misses..=2 * misses).contains(&translations));
         assert!(snap.counter("dp.calibrations").unwrap() <= misses);
-        // The queue-depth high-watermark gauge mirrors the always-on
-        // ServiceStats field, and every executed batch is size-accounted.
+        // ServiceStats reads the queue-depth high-watermark from the
+        // registry, and every executed batch is size-accounted.
         assert_eq!(
             snap.gauge("queue.depth_hwm").unwrap(),
             stats.queue_depth_hwm as f64
@@ -198,9 +202,10 @@ fn snapshot_agrees_with_service_stats_end_to_end() {
     listener.shutdown();
 }
 
-#[test]
-fn noop_registry_snapshot_still_serves_always_on_stats() {
-    let system = build_system(MechanismKind::Vanilla, 33, MetricsRegistry::disabled());
+/// Runs `script(0)` through a one-worker service over a system carrying
+/// `metrics`, every request queued (`submit_wait`, never inline).
+fn queued_script_run(metrics: MetricsRegistry) -> Arc<QueryService> {
+    let system = build_system(MechanismKind::Vanilla, 33, metrics);
     let service = Arc::new(QueryService::start(
         Arc::clone(&system),
         ServiceConfig::builder().workers(1).build().unwrap(),
@@ -209,18 +214,26 @@ fn noop_registry_snapshot_still_serves_always_on_stats() {
     for request in script(0) {
         service.submit_wait(session, request).unwrap();
     }
+    service
+}
+
+#[test]
+fn noop_registry_snapshot_still_serves_always_on_stats() {
+    let service = queued_script_run(MetricsRegistry::disabled());
     let snap = service.metrics_snapshot();
     let stats = service.stats();
-    // Registry-backed series are absent or empty...
-    assert_eq!(
-        snap.histogram("query.execute_ns").unwrap_or_default().count,
-        0
-    );
-    assert!(snap.counter("query.answered").is_none());
-    assert!(snap.counter("dp.translations").is_none());
-    assert!(snap.counter("dp.calibrations").is_none());
-    assert!(snap.budgets.is_empty());
-    // ...but the registry-free ServiceStats surface is still live.
+    // A disabled registry reads no clock, so the timed series stay
+    // empty...
+    assert_eq!(snap.histogram("query.execute_ns").unwrap().count, 0);
+    assert_eq!(snap.histogram("queue.wait_ns").unwrap().count, 0);
+    // ...but it still counts: outcomes, DP arithmetic and budget gauges.
+    assert_eq!(snap.counter("query.answered").unwrap(), 11);
+    assert!(snap.counter("dp.translations").unwrap() >= 1);
+    let gauge = snap
+        .budget("analyst-0", "adult.age")
+        .expect("budget gauge for the worked (analyst, view) cell");
+    assert!(gauge.entry_epsilon > 0.0);
+    // The ServiceStats surface is live.
     assert!(stats.queue_depth_hwm >= 1);
     assert_eq!(
         snap.gauge("queue.depth_hwm").unwrap(),
@@ -234,6 +247,46 @@ fn noop_registry_snapshot_still_serves_always_on_stats() {
         snap.counter("service.completed").unwrap(),
         stats.completed as u64
     );
+}
+
+#[test]
+fn a_disabled_registry_is_the_one_tally() {
+    let service = queued_script_run(MetricsRegistry::disabled());
+    let snap = service.metrics_snapshot();
+    let stats = service.stats();
+    // The stats are read from the registry, so the two agree on every
+    // outcome count, and the run did real work.
+    assert_eq!(stats.system.answered, 11);
+    assert!(stats.system.cache_hits >= 1);
+    assert!(stats.batches >= 1);
+    let counts = [
+        ("query.answered", stats.system.answered),
+        ("query.rejected", stats.system.rejected),
+        ("synopsis.cache_hits", stats.system.cache_hits),
+        ("batch.executed", stats.batches),
+    ];
+    for (name, count) in counts {
+        assert_eq!(snap.counter(name), Some(count as u64), "{name}");
+    }
+    assert_eq!(
+        snap.gauge("queue.depth_hwm"),
+        Some(stats.queue_depth_hwm as f64)
+    );
+    // Every metric is reported once: no pulled twin of a registry series.
+    let mut names: Vec<&str> = snap
+        .counters
+        .iter()
+        .map(|(name, _)| name.as_str())
+        .chain(snap.gauges.iter().map(|(name, _)| name.as_str()))
+        .chain(snap.histograms.iter().map(|(name, _)| name.as_str()))
+        .collect();
+    let total = names.len();
+    names.sort_unstable();
+    names.dedup();
+    assert_eq!(names.len(), total, "a metric name is reported twice");
+    // Nothing was journaled.
+    assert!(service.metrics().trace_events().is_empty());
+    assert_eq!(service.metrics().trace_recorded(), 0);
 }
 
 #[test]
