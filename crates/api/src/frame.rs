@@ -22,6 +22,8 @@ use dprov_storage::codec::{self, split_frame, FrameError, Split, FRAME_HEADER};
 
 use crate::error::{codes, ApiError};
 
+pub use dprov_storage::codec::frame_span;
+
 /// Upper bound on a frame's payload length. Far above any legitimate
 /// message (queries are small); exists so a corrupt or hostile length
 /// prefix cannot drive an unbounded allocation.
@@ -33,6 +35,13 @@ pub const MAX_FRAME_LEN: usize = 1 << 24;
 #[must_use]
 pub fn frame(payload: &[u8]) -> Vec<u8> {
     codec::frame(payload, u32::MAX as usize).expect("a wire payload under 4 GiB")
+}
+
+/// Appends the frame of `payload` (header + body) to `out`, so a writer
+/// that batches replies frames each one in place instead of allocating
+/// it; bounded like [`frame`].
+pub fn frame_into(out: &mut Vec<u8>, payload: &[u8]) {
+    codec::put_frame(out, payload, u32::MAX as usize).expect("a wire payload under 4 GiB");
 }
 
 /// Writes one frame to `w` (no flush; the caller owns buffering policy).

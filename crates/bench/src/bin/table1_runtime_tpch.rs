@@ -2,75 +2,23 @@
 //!
 //! Reports, per system: setup time (view materialisation + static synopsis
 //! generation), running time for the workload, the number of queries
-//! answered, and the per-query processing time. Absolute numbers differ from
-//! the paper (in-memory engine vs PostgreSQL); the reproduction target is
-//! the *ordering*: view-based systems pay a setup cost but answer queries
+//! answered, and the per-query processing time. Each time is the median
+//! (min–max) of five fresh runs with the same seeds; every run must
+//! answer the same number of queries. Absolute numbers differ from the
+//! paper (in-memory engine vs PostgreSQL); the reproduction target is the
+//! *ordering*: view-based systems pay a setup cost but answer queries
 //! orders of magnitude faster than the per-query Chorus baselines.
 //!
 //! Scale knobs: `DPROV_ROWS` (default 20000), `DPROV_QUERIES` (default 200).
 
-use std::time::Instant;
-
-use dprov_bench::report::{banner, fmt_f64, Table};
-use dprov_bench::setup::{build_system, default_privileges, env_usize, Dataset, SystemKind};
-use dprov_core::config::SystemConfig;
-use dprov_workloads::rrq::{generate, RrqConfig};
-use dprov_workloads::runner::ExperimentRunner;
-use dprov_workloads::sequence::Interleaving;
+use dprov_bench::harness::print_runtime_table;
+use dprov_bench::setup::{env_usize, Dataset};
 
 fn main() {
-    run_runtime_table(
+    print_runtime_table(
         Dataset::Tpch,
         env_usize("DPROV_ROWS", 20_000),
         env_usize("DPROV_QUERIES", 200),
         "Table 1",
     );
-}
-
-/// Shared implementation also used by the Table 3 binary through copy of the
-/// same shape (kept here so each table has its own binary entry point).
-pub fn run_runtime_table(dataset: Dataset, rows: usize, queries: usize, title: &str) {
-    banner(&format!(
-        "{title}: runtime performance on {} ({rows} rows, {queries} queries/analyst, ε = 6.4)",
-        dataset.label()
-    ));
-    let db = dataset.build(rows, 42);
-    let workload = generate(&db, &RrqConfig::new(dataset.table(), queries, 7), 2)
-        .expect("workload generation");
-    let config = SystemConfig::new(6.4).expect("epsilon").with_seed(3);
-    let runner = ExperimentRunner::new(&default_privileges());
-
-    let mut table = Table::new(&[
-        "System",
-        "Setup Time (ms)",
-        "Running Time (ms)",
-        "No. of Queries",
-        "Per Query (ms)",
-    ]);
-
-    for kind in SystemKind::ALL {
-        let setup_start = Instant::now();
-        let mut system =
-            build_system(kind, &db, &default_privileges(), &config).expect("system setup");
-        let setup_ms = setup_start.elapsed().as_secs_f64() * 1e3;
-
-        let metrics = runner
-            .run_rrq(system.as_mut(), &workload, Interleaving::RoundRobin)
-            .expect("run");
-        let running_ms = metrics.elapsed.as_secs_f64() * 1e3;
-        let answered = metrics.total_answered();
-
-        let setup_cell = match kind {
-            SystemKind::Chorus | SystemKind::ChorusP => "N/A".to_owned(),
-            _ => fmt_f64(setup_ms, 2),
-        };
-        table.add_row(&[
-            kind.label().to_owned(),
-            setup_cell,
-            fmt_f64(running_ms, 2),
-            format!("{answered}"),
-            fmt_f64(metrics.per_query_ms(), 3),
-        ]);
-    }
-    table.print();
 }

@@ -19,8 +19,15 @@
 //! the admission it may wait for the provenance lock and, under the
 //! additive mechanism, the view lock, each held by another admission for
 //! part of its own work.
+//!
+//! Replies leave in as few `write(2)` calls as the socket allows: each
+//! connection frames its replies in place into one contiguous output
+//! buffer ([`OutBuf`]), and the pump flushes it only after the frames of
+//! a read are all processed, so the replies to everything one read
+//! brought leave in one write. The written prefix is compacted past
+//! 64 KiB and a drained buffer gives back capacity above 64 KiB.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::os::fd::AsRawFd;
@@ -29,7 +36,7 @@ use std::sync::{Arc, Mutex, Weak};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use dprov_api::frame::{frame, FrameDecoder};
+use dprov_api::frame::{frame_into, frame_span, FrameDecoder};
 use dprov_api::protocol::Response;
 use dprov_obs::{CounterId, GaugeId, HistId, MetricsRegistry};
 use dprov_server::proto::{encode_reply, reply_to_protocol, ConnProto, PayloadOutcome};
@@ -50,6 +57,9 @@ const LANE_BASE: u64 = 1_000;
 /// socket with more pending bytes, so a bounded chunk bounds how long one
 /// chatty connection can hold its loop.
 pub(crate) const READ_CHUNK: usize = 64 * 1024;
+/// An output buffer compacts its written prefix once it passes this many
+/// bytes, and a drained one shrinks its capacity back to it.
+const OUT_COMPACT: usize = 64 * 1024;
 /// Per-connection cap on live mux channels (guards the per-channel state
 /// map against a hostile client opening channels forever).
 const MAX_CHANNELS_PER_CONN: usize = 1024;
@@ -256,7 +266,7 @@ struct LoopHandle {
     waker: Arc<Waker>,
 }
 
-/// Cross-thread mailbox, drained once per wakeup.
+/// Cross-thread mailbox, drained on every wakeup that reports the waker.
 #[derive(Default)]
 struct Inbox {
     /// Sockets dealt to this loop by the accept path.
@@ -277,18 +287,117 @@ struct Parked {
     scope: Option<u64>,
 }
 
+/// One connection's reply bytes: whole frames appended in place at the
+/// tail and written from `head`, every pending byte in one `write(2)`.
+struct OutBuf {
+    buf: Vec<u8>,
+    /// Bytes of `buf` already written; `buf.len() - head` are pending
+    /// (the high-water-mark accounting).
+    head: usize,
+    /// End offset in `buf` of the first frame not yet completely written
+    /// (0 while nothing is pending).
+    frame_end: usize,
+    /// The high-water mark: pending bytes at or over it stall reading.
+    hwm: usize,
+    /// Pending bytes reached `hwm`; cleared once they fall below half.
+    stalled: bool,
+}
+
+impl OutBuf {
+    fn new(hwm: usize) -> Self {
+        OutBuf {
+            buf: Vec::new(),
+            head: 0,
+            frame_end: 0,
+            hwm,
+            stalled: false,
+        }
+    }
+
+    /// Bytes framed but not yet written.
+    fn pending(&self) -> usize {
+        self.buf.len() - self.head
+    }
+
+    /// Frames `payload` in place behind the pending bytes and applies the
+    /// high-water mark. A written prefix past [`OUT_COMPACT`] is compacted
+    /// away first, as [`FrameDecoder`] does with its consumed prefix.
+    fn push(&mut self, payload: &[u8]) {
+        if self.head >= OUT_COMPACT {
+            self.buf.drain(..self.head);
+            self.frame_end -= self.head;
+            self.head = 0;
+        }
+        let was_empty = self.pending() == 0;
+        frame_into(&mut self.buf, payload);
+        if was_empty {
+            self.frame_end = self.buf.len();
+        }
+        if self.pending() >= self.hwm {
+            self.stalled = true;
+        }
+    }
+
+    /// Writes until nothing is pending or `w` would block: one `write`
+    /// over every pending byte, repeated only after a short write. Each
+    /// write observes how many frames it completed; the stall clears once
+    /// the pending bytes fall below half the mark. An error other than
+    /// `WouldBlock` (a zero-byte write included) means the peer is gone.
+    ///
+    /// Every push is followed by a flush and pushes only add bytes, so the
+    /// buffer's peak is recorded here, once per flush, not once per push.
+    fn flush(&mut self, w: &mut impl Write, metrics: &MetricsRegistry) -> io::Result<()> {
+        if self.pending() > 0 {
+            metrics.gauge_max(GaugeId::OutputBufferHwm, self.pending() as f64);
+        }
+        while self.pending() > 0 {
+            match w.write(&self.buf[self.head..]) {
+                Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+                Ok(n) => {
+                    self.head += n;
+                    metrics.observe(HistId::FramesPerWrite, self.complete_frames());
+                }
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(e) => return Err(e),
+            }
+        }
+        if self.pending() == 0 {
+            self.buf.clear();
+            self.buf.shrink_to(OUT_COMPACT);
+            self.head = 0;
+            self.frame_end = 0;
+        }
+        if self.stalled && self.pending() < self.hwm / 2 {
+            self.stalled = false;
+        }
+        Ok(())
+    }
+
+    /// Moves `frame_end` past every frame the written head has passed and
+    /// counts them.
+    fn complete_frames(&mut self) -> u64 {
+        let mut frames = 0;
+        while self.frame_end <= self.head {
+            frames += 1;
+            match frame_span(&self.buf[self.frame_end..]) {
+                Some(span) => self.frame_end += span,
+                None => break,
+            }
+        }
+        frames
+    }
+}
+
 /// One connection's entire state, owned by exactly one loop thread.
 struct Conn {
     stream: TcpStream,
     lane: u64,
     decoder: FrameDecoder,
     proto: ConnProto,
-    /// Encoded wire frames awaiting write; the front one may be partially
-    /// written (`out_head` bytes already gone).
-    out: VecDeque<Vec<u8>>,
-    out_head: usize,
-    /// Total unwritten bytes across `out` (the HWM accounting).
-    out_bytes: usize,
+    /// Framed replies awaiting write, in one contiguous buffer; its stall
+    /// flag (output high-water mark) stalls reading.
+    out: OutBuf,
     /// The interest currently registered with the poller.
     interest: Interest,
     last_activity: Instant,
@@ -301,14 +410,12 @@ struct Conn {
     inflight: usize,
     /// A submission the full queue bounced (stalls reading).
     parked: Option<Parked>,
-    /// Output buffer passed the high-water mark (stalls reading).
-    stalled_output: bool,
 }
 
 impl Conn {
     /// Whether the loop should read (and process) more of this socket.
     fn wants_read(&self) -> bool {
-        !self.closing && !self.read_closed && !self.stalled_output && self.parked.is_none()
+        !self.closing && !self.read_closed && !self.out.stalled && self.parked.is_none()
     }
 
     /// Whether the connection has fully drained and can be dropped.
@@ -316,7 +423,7 @@ impl Conn {
         (self.closing || self.read_closed)
             && self.inflight == 0
             && self.parked.is_none()
-            && self.out.is_empty()
+            && self.out.pending() == 0
     }
 }
 
@@ -362,17 +469,23 @@ impl LoopCore {
             if self.shutdown.load(Ordering::SeqCst) {
                 break;
             }
-            // Drain the mailbox before touching events so a completion
-            // enqueued just ahead of this wakeup is not missed.
-            self.waker.drain();
-            let (new_conns, completions, queue_space) = {
-                let mut inbox = self.inbox.lock().expect("loop inbox poisoned");
-                (
-                    std::mem::take(&mut inbox.new_conns),
-                    std::mem::take(&mut inbox.completions),
-                    std::mem::take(&mut inbox.queue_space),
-                )
-            };
+            // Only a waker nudge puts anything in the mailbox, so the
+            // mailbox is read only when the waker fired. Drain the waker
+            // before taking the mailbox: readiness is level-triggered, so
+            // a `wake()` that lands after the take leaves the waker
+            // readable and the next wait reports its token again.
+            let (new_conns, completions, queue_space) =
+                if events.iter().any(|ev| ev.token == WAKE_TOKEN) {
+                    self.waker.drain();
+                    let mut inbox = self.inbox.lock().expect("loop inbox poisoned");
+                    (
+                        std::mem::take(&mut inbox.new_conns),
+                        std::mem::take(&mut inbox.completions),
+                        std::mem::take(&mut inbox.queue_space),
+                    )
+                } else {
+                    Default::default()
+                };
             for stream in new_conns {
                 self.add_conn(stream);
             }
@@ -488,16 +601,13 @@ impl LoopCore {
                 lane: LANE_BASE + token,
                 decoder: FrameDecoder::new(),
                 proto: ConnProto::new(MAX_CHANNELS_PER_CONN),
-                out: VecDeque::new(),
-                out_head: 0,
-                out_bytes: 0,
+                out: OutBuf::new(self.frontend.config.output_hwm),
                 interest: Interest::READ,
                 last_activity: Instant::now(),
                 closing: false,
                 read_closed: false,
                 inflight: 0,
                 parked: None,
-                stalled_output: false,
             },
         );
     }
@@ -531,7 +641,7 @@ impl LoopCore {
         }
         let want = Interest::NONE
             .with_read(conn.wants_read())
-            .with_write(!conn.out.is_empty());
+            .with_write(conn.out.pending() > 0);
         if want != conn.interest
             && self
                 .poller
@@ -585,7 +695,7 @@ impl LoopCore {
     /// protocol state machine, stopping at any stall (parked submission,
     /// output high-water mark, protocol close).
     fn process_frames(&mut self, conn: &mut Conn, token: u64) -> bool {
-        while !conn.closing && conn.parked.is_none() && !conn.stalled_output {
+        while !conn.closing && conn.parked.is_none() && !conn.out.stalled {
             match conn.decoder.next_frame() {
                 Ok(Some(payload)) => {
                     let outcome = conn.proto.handle_payload(
@@ -596,9 +706,9 @@ impl LoopCore {
                         &payload,
                     );
                     match outcome {
-                        PayloadOutcome::Reply(reply) => self.push_out(conn, reply),
+                        PayloadOutcome::Reply(reply) => conn.out.push(&reply),
                         PayloadOutcome::ReplyClose(reply) => {
-                            self.push_out(conn, reply);
+                            conn.out.push(&reply);
                             conn.closing = true;
                         }
                         PayloadOutcome::Submit {
@@ -643,7 +753,11 @@ impl LoopCore {
     /// buffered frames unprocessed with no future event to revisit them.
     fn pump(&mut self, conn: &mut Conn, token: u64) -> bool {
         loop {
-            if !self.flush_out(conn) {
+            if conn
+                .out
+                .flush(&mut conn.stream, &self.frontend.metrics)
+                .is_err()
+            {
                 return false;
             }
             let before = conn.decoder.buffered_len();
@@ -654,45 +768,6 @@ impl LoopCore {
                 return true;
             }
         }
-    }
-
-    /// Queues an encoded response payload for writing (framing it for the
-    /// wire) and applies the output high-water mark.
-    fn push_out(&mut self, conn: &mut Conn, payload: Vec<u8>) {
-        let wire = frame(&payload);
-        conn.out_bytes += wire.len();
-        conn.out.push_back(wire);
-        self.frontend
-            .metrics
-            .gauge_max(GaugeId::OutputBufferHwm, conn.out_bytes as f64);
-        if conn.out_bytes >= self.frontend.config.output_hwm {
-            conn.stalled_output = true;
-        }
-    }
-
-    /// Writes as much buffered output as the socket accepts; resumes
-    /// reading once the buffer drains below half the high-water mark.
-    fn flush_out(&mut self, conn: &mut Conn) -> bool {
-        while let Some(front) = conn.out.front() {
-            match conn.stream.write(&front[conn.out_head..]) {
-                Ok(0) => return false,
-                Ok(n) => {
-                    conn.out_head += n;
-                    conn.out_bytes -= n;
-                    if conn.out_head == front.len() {
-                        conn.out.pop_front();
-                        conn.out_head = 0;
-                    }
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(_) => return false,
-            }
-        }
-        if conn.stalled_output && conn.out_bytes < self.frontend.config.output_hwm / 2 {
-            conn.stalled_output = false;
-        }
-        true
     }
 
     /// Writes the reply to a request answered on this thread (see
@@ -720,7 +795,7 @@ impl LoopCore {
             scope,
             &reply_to_protocol(reply),
         );
-        self.push_out(conn, reply);
+        conn.out.push(&reply);
         true
     }
 
@@ -762,7 +837,7 @@ impl LoopCore {
             scope,
             &Response::Error(rejected.into()),
         );
-        self.push_out(conn, reply);
+        conn.out.push(&reply);
     }
 
     /// The completion handler run on the worker thread: encode the reply
@@ -803,7 +878,7 @@ impl LoopCore {
             return;
         };
         conn.inflight = conn.inflight.saturating_sub(1);
-        self.push_out(&mut conn, payload);
+        conn.out.push(&payload);
         let alive = self.pump(&mut conn, token);
         self.finish(token, conn, alive);
     }
@@ -850,5 +925,199 @@ impl LoopCore {
                 self.teardown(conn);
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use dprov_api::frame::frame;
+
+    use super::*;
+
+    /// A socket stand-in that takes at most `max_chunk` bytes per call and
+    /// answers `WouldBlock` on about one call in three (xorshift, fixed
+    /// seed), so every flush ends at an arbitrary byte.
+    struct Dribble {
+        got: Vec<u8>,
+        max_chunk: usize,
+        state: u64,
+    }
+
+    impl Dribble {
+        fn new(max_chunk: usize) -> Self {
+            Dribble {
+                got: Vec::new(),
+                max_chunk,
+                state: 0x9E37_79B9_7F4A_7C15,
+            }
+        }
+
+        fn next(&mut self) -> u64 {
+            self.state ^= self.state << 13;
+            self.state ^= self.state >> 7;
+            self.state ^= self.state << 17;
+            self.state
+        }
+    }
+
+    impl Write for Dribble {
+        fn write(&mut self, bytes: &[u8]) -> io::Result<usize> {
+            let roll = self.next();
+            if roll.is_multiple_of(3) {
+                return Err(io::ErrorKind::WouldBlock.into());
+            }
+            let n = bytes.len().min(1 + (roll >> 8) as usize % self.max_chunk);
+            self.got.extend_from_slice(&bytes[..n]);
+            Ok(n)
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// A socket stand-in that takes up to `room` more bytes, then blocks.
+    struct Window {
+        room: usize,
+    }
+
+    impl Write for Window {
+        fn write(&mut self, bytes: &[u8]) -> io::Result<usize> {
+            if self.room == 0 {
+                return Err(io::ErrorKind::WouldBlock.into());
+            }
+            let n = bytes.len().min(self.room);
+            self.room -= n;
+            Ok(n)
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    fn payload(i: usize, len: usize) -> Vec<u8> {
+        (0..len).map(|j| (i * 31 + j) as u8).collect()
+    }
+
+    /// Flushes until nothing is pending (the writer blocks at random).
+    fn drain(out: &mut OutBuf, w: &mut impl Write, metrics: &MetricsRegistry) {
+        for _ in 0..1_000_000 {
+            if out.pending() == 0 {
+                return;
+            }
+            out.flush(w, metrics).unwrap();
+        }
+        panic!("output never drained");
+    }
+
+    #[test]
+    fn output_bytes_arrive_exactly_and_in_order_across_partial_writes() {
+        let metrics = MetricsRegistry::new();
+        let mut out = OutBuf::new(usize::MAX);
+        let mut w = Dribble::new(7);
+        let mut expected = Vec::new();
+        for i in 0..300 {
+            let p = payload(i, i % 41);
+            expected.extend_from_slice(&frame(&p));
+            out.push(&p);
+            if i % 5 == 4 {
+                out.flush(&mut w, &metrics).unwrap();
+            }
+        }
+        drain(&mut out, &mut w, &metrics);
+        assert_eq!(w.got, expected);
+        let per_write = metrics.histogram(HistId::FramesPerWrite);
+        assert_eq!(per_write.sum, 300, "every frame end is counted once");
+        assert!(
+            per_write.count > 300 / 2,
+            "the writer took a few bytes a call"
+        );
+    }
+
+    #[test]
+    fn one_write_carries_every_pending_frame() {
+        let metrics = MetricsRegistry::new();
+        let mut out = OutBuf::new(usize::MAX);
+        for i in 0..4 {
+            out.push(&payload(i, 20));
+        }
+        out.flush(&mut Window { room: usize::MAX }, &metrics)
+            .unwrap();
+        let per_write = metrics.histogram(HistId::FramesPerWrite);
+        assert_eq!((per_write.count, per_write.max), (1, 4));
+        assert_eq!(out.pending(), 0);
+    }
+
+    #[test]
+    fn the_output_stall_trips_at_the_mark_and_clears_below_half() {
+        let metrics = MetricsRegistry::new();
+        let hwm = 1000;
+        let mut out = OutBuf::new(hwm);
+        let p = payload(0, 92); // 100 bytes framed
+        for _ in 0..9 {
+            out.push(&p);
+            assert!(!out.stalled, "under the mark at {} bytes", out.pending());
+        }
+        out.push(&p);
+        assert_eq!(out.pending(), hwm);
+        assert!(out.stalled, "the mark itself stalls");
+
+        // Draining to exactly half the mark keeps the stall.
+        out.flush(&mut Window { room: hwm / 2 }, &metrics).unwrap();
+        assert_eq!(out.pending(), hwm / 2);
+        assert!(out.stalled, "half the mark is not below half");
+        out.flush(&mut Window { room: 1 }, &metrics).unwrap();
+        assert_eq!(out.pending(), hwm / 2 - 1);
+        assert!(!out.stalled, "below half resumes reading");
+        assert_eq!(metrics.gauge(GaugeId::OutputBufferHwm), hwm as f64);
+    }
+
+    #[test]
+    fn the_written_prefix_is_compacted() {
+        let metrics = MetricsRegistry::new();
+        let mut out = OutBuf::new(usize::MAX);
+        let p = payload(1, 1016); // 1 KiB framed
+        let mut expected = Vec::new();
+        for _ in 0..100 {
+            out.push(&p);
+            expected.extend_from_slice(&frame(&p));
+        }
+        // Write 70 KiB and a half frame: past the compaction threshold,
+        // mid-frame.
+        let written = 70 * 1024 + 512;
+        out.flush(&mut Window { room: written }, &metrics).unwrap();
+        assert_eq!(out.head, written);
+        out.push(&p);
+        expected.extend_from_slice(&frame(&p));
+        assert_eq!(out.head, 0, "the written prefix is gone");
+        assert_eq!(out.buf.len(), out.pending());
+        assert_eq!(out.buf[..], expected[written..]);
+
+        // The half-written frame still counts once it completes.
+        let before = metrics.histogram(HistId::FramesPerWrite).sum;
+        assert_eq!(before, 70);
+        out.flush(&mut Window { room: usize::MAX }, &metrics)
+            .unwrap();
+        assert_eq!(metrics.histogram(HistId::FramesPerWrite).sum, 101);
+    }
+
+    #[test]
+    fn a_drained_burst_gives_its_capacity_back() {
+        let metrics = MetricsRegistry::new();
+        let mut out = OutBuf::new(usize::MAX);
+        let mut w = Dribble::new(64 * 1024);
+        let p = payload(2, 4088); // 4 KiB framed
+        for _ in 0..512 {
+            out.push(&p);
+        }
+        assert!(out.buf.capacity() >= 2 << 20, "a 2 MiB burst");
+        drain(&mut out, &mut w, &metrics);
+        assert_eq!(w.got.len(), 2 << 20);
+        assert!(
+            out.buf.capacity() <= OUT_COMPACT,
+            "capacity {} kept after draining",
+            out.buf.capacity()
+        );
     }
 }

@@ -7,8 +7,12 @@
 //! `tests/client_server.rs::client_reconnects_across_a_durable_restart_with_budgets_intact`
 //! at the workspace root.
 
+use std::io::Write;
+use std::net::TcpStream;
 use std::sync::Arc;
+use std::time::Duration;
 
+use dprov_api::frame::{frame, read_frame};
 use dprov_api::protocol::{decode_response, encode_request, Request, Response, PROTOCOL_VERSION};
 use dprov_api::{codes, Connection, DProvClient};
 use dprov_core::analyst::AnalystRegistry;
@@ -252,5 +256,93 @@ fn updater_role_is_enforced_and_drives_epochs_over_the_protocol() {
     // Analyst answers now carry the new epoch.
     let outcome = analyst.query(&request(25, 45, 700.0)).unwrap();
     assert_eq!(outcome.answered().unwrap().epoch, 1);
+    listener.shutdown();
+}
+
+/// Frames `inner` as a mux request on `channel`.
+fn mux_frame(channel: u64, request_id: u64, inner: &Request) -> Vec<u8> {
+    frame(&encode_request(
+        0,
+        &Request::Mux {
+            channel,
+            payload: encode_request(request_id, inner),
+        },
+    ))
+}
+
+/// Reads one mux reply off a raw socket: `(channel, inner id, response)`.
+fn recv_mux(stream: &mut TcpStream) -> (u64, u64, Response) {
+    let payload = read_frame(stream).unwrap().expect("peer closed early");
+    match decode_response(&payload).unwrap().1 {
+        Response::MuxReply { channel, payload } => {
+            let (id, response) = decode_response(&payload).unwrap();
+            (channel, id, response)
+        }
+        other => panic!("expected a mux reply, got {other:?}"),
+    }
+}
+
+/// The replies to every frame one socket read brought leave in one
+/// `write(2)`: four mux heartbeats sent in one write come back as one
+/// `net.frames_per_write` sample of 4.
+#[test]
+fn the_replies_to_one_read_leave_in_one_write() {
+    let service = service_with(&[]);
+    let listener = serve(&service);
+    let mut stream = TcpStream::connect(listener.local_addr()).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let hello = Request::Hello {
+        max_version: PROTOCOL_VERSION,
+        client_name: "batch".to_owned(),
+    };
+    stream
+        .write_all(&frame(&encode_request(0, &hello)))
+        .unwrap();
+    let payload = read_frame(&mut stream).unwrap().expect("a HelloAck");
+    assert!(matches!(
+        decode_response(&payload).unwrap().1,
+        Response::HelloAck { .. }
+    ));
+    stream.write_all(&mux_frame(1, 1, &hello)).unwrap();
+    assert!(matches!(
+        recv_mux(&mut stream),
+        (1, 1, Response::HelloAck { .. })
+    ));
+    let register = Request::RegisterSession {
+        analyst_name: "alice".to_owned(),
+        resume: None,
+    };
+    stream.write_all(&mux_frame(1, 2, &register)).unwrap();
+    assert!(matches!(
+        recv_mux(&mut stream),
+        (1, 2, Response::SessionRegistered { .. })
+    ));
+
+    let mut burst = Vec::new();
+    for id in 10..14 {
+        burst.extend_from_slice(&mux_frame(1, id, &Request::Heartbeat));
+    }
+    stream.write_all(&burst).unwrap();
+    for id in 10..14 {
+        match recv_mux(&mut stream) {
+            (1, got, Response::HeartbeatAck) if got == id => {}
+            other => panic!("expected heartbeat {id} acknowledged, got {other:?}"),
+        }
+    }
+    // Asked on the same connection, the snapshot is taken after the loop
+    // recorded the write that carried the heartbeats' replies.
+    stream
+        .write_all(&frame(&encode_request(20, &Request::MetricsSnapshot)))
+        .unwrap();
+    let payload = read_frame(&mut stream).unwrap().expect("a metrics report");
+    let Response::MetricsReport(snapshot) = decode_response(&payload).unwrap().1 else {
+        panic!("expected a metrics report");
+    };
+    let per_write = snapshot
+        .histogram("net.frames_per_write")
+        .expect("the frames-per-write histogram");
+    assert_eq!(per_write.max, 4, "four replies in one write: {per_write:?}");
     listener.shutdown();
 }

@@ -242,6 +242,9 @@ pub enum HistId {
     /// Ready events delivered per event-loop wakeup (count, not ns) — how
     /// much work each `epoll_wait` return amortises.
     ReadyEventsPerWake,
+    /// Reply frames one event-loop `write(2)` call completed (count, not
+    /// ns) — how many replies each write to a socket carries.
+    FramesPerWrite,
     /// End-to-end grouped-query execution (resolve + every cell's
     /// admission and release).
     GroupExecute,
@@ -251,7 +254,7 @@ pub enum HistId {
 
 impl HistId {
     /// Every histogram, in catalog order.
-    pub(crate) const ALL: [HistId; 13] = [
+    pub(crate) const ALL: [HistId; 14] = [
         HistId::FrontendDecode,
         HistId::FrontendReply,
         HistId::QueueWait,
@@ -263,6 +266,7 @@ impl HistId {
         HistId::EpochStaleness,
         HistId::QuorumAck,
         HistId::ReadyEventsPerWake,
+        HistId::FramesPerWrite,
         HistId::GroupExecute,
         HistId::GroupSize,
     ];
@@ -282,6 +286,7 @@ impl HistId {
             HistId::EpochStaleness => "epoch.staleness",
             HistId::QuorumAck => "cluster.quorum_ack_ns",
             HistId::ReadyEventsPerWake => "net.ready_events_per_wake",
+            HistId::FramesPerWrite => "net.frames_per_write",
             HistId::GroupExecute => "group.execute_ns",
             HistId::GroupSize => "group.size",
         }

@@ -13,7 +13,7 @@
 //! frame = len: u32 | crc32(payload): u32 | payload (len bytes)
 //! ```
 //!
-//! [`frame`] / `put_frame` refuse a payload over the caller's cap;
+//! [`frame`] / [`put_frame`] refuse a payload over the caller's cap;
 //! [`split_frame`] cuts one verified frame off the front of a buffer,
 //! checking the cap as soon as the 8-byte header is visible, so a hostile
 //! length never drives an allocation. `scan_frames` applies the one
@@ -106,7 +106,7 @@ pub enum Split<'a> {
 /// Appends one frame carrying `payload` to `out`, refusing (and writing
 /// nothing) when the payload is longer than `cap` or than the `u32`
 /// length field can say.
-pub(crate) fn put_frame(out: &mut Vec<u8>, payload: &[u8], cap: usize) -> Result<(), FrameError> {
+pub fn put_frame(out: &mut Vec<u8>, payload: &[u8], cap: usize) -> Result<(), FrameError> {
     let len = payload.len();
     if len > cap.min(u32::MAX as usize) {
         return Err(FrameError::TooLong { len, cap });
@@ -119,7 +119,7 @@ pub(crate) fn put_frame(out: &mut Vec<u8>, payload: &[u8], cap: usize) -> Result
 }
 
 /// One frame carrying `payload`, in a single allocation; see
-/// `put_frame`.
+/// [`put_frame`].
 pub fn frame(payload: &[u8], cap: usize) -> Result<Vec<u8>, FrameError> {
     let mut out = Vec::new();
     put_frame(&mut out, payload, cap).map(|()| out)
@@ -131,6 +131,14 @@ fn frame_header(buf: &[u8]) -> Option<(usize, u32)> {
     let len = u32::from_le_bytes(header[..4].try_into().expect("4-byte slice"));
     let crc = u32::from_le_bytes(header[4..].try_into().expect("4-byte slice"));
     Some((len as usize, crc))
+}
+
+/// Bytes the frame at the front of `buf` spans (header + declared
+/// payload), once its header is visible. The declared length is not
+/// checked against any cap: this walks frames the caller wrote itself.
+#[must_use]
+pub fn frame_span(buf: &[u8]) -> Option<usize> {
+    frame_header(buf).map(|(len, _)| FRAME_HEADER + len)
 }
 
 /// Cuts the first frame off `buf`: [`Split::Need`] while it is incomplete,
