@@ -14,9 +14,14 @@
 //! # Concurrency model
 //!
 //! The system is split into *shared immutable state* (configuration,
-//! database, catalog, registry — plain reads, no locks) and
+//! catalog, registry, the executor's schemas — plain reads, no locks) and
 //! *interior-mutability components*:
 //!
+//! * resolution — view selection and the query's rewrite over the view —
+//!   reads only the immutable state and borrows the view from the catalog,
+//!   so it takes no lock; the relational instance itself sits behind an
+//!   epoch-versioned `RwLock` that a seal writes and update validation
+//!   reads;
 //! * the synopsis cache is lock-striped per view inside
 //!   [`SynopsisManager`] (read-mostly fast path for cache hits);
 //! * the provenance table and tight accountant sit behind
@@ -59,10 +64,10 @@ use dprov_dp::translation::{translate_variance_to_epsilon, FrictionAwareTranslat
 use dprov_engine::catalog::ViewCatalog;
 use dprov_engine::database::Database;
 use dprov_engine::group::GroupByQuery;
-use dprov_engine::query::{AggregateKind, Query};
-use dprov_engine::transform::LinearQuery;
+use dprov_engine::query::Query;
+use dprov_engine::transform::{for_each_coefficient, LinearQuery};
 use dprov_engine::value::Value;
-use dprov_engine::view::{flat_index, MultiIndexIter, ViewDef};
+use dprov_engine::view::ViewDef;
 use dprov_engine::EngineError;
 use dprov_exec::{ColumnarExecutor, ExecConfig, ExecStats};
 use dprov_obs::{CounterId, HistId, MetricsRegistry};
@@ -107,8 +112,9 @@ pub struct DProvDb {
     config: SystemConfig,
     mechanism: MechanismKind,
     /// The relational instance, epoch-versioned: sealed update epochs are
-    /// applied to the tables under the write side; query resolution takes
-    /// the read side (schema/domain lookups).
+    /// applied to the tables under the write side; update validation and
+    /// [`DProvDb::with_database`] take the read side. Query resolution
+    /// takes neither: it reads schemas from `exec`, which never change.
     db: RwLock<Database>,
     /// The batched columnar execution layer (`dprov-exec`): the database
     /// re-ingested as an immutable sharded column-store. Setup-time view
@@ -187,9 +193,11 @@ pub struct EpochReport {
     pub synopses_invalidated: usize,
 }
 
-/// What a request resolves to before any budget is spent.
-struct ResolvedRequest {
-    view: ViewDef,
+/// What a request resolves to before any budget is spent. The view is
+/// borrowed from the catalog, so a scalar request or a group cell clones
+/// none.
+struct ResolvedRequest<'a> {
+    view: &'a ViewDef,
     linear: LinearQuery,
     /// The per-bin variance the answer's synopsis must reach.
     per_bin_target: f64,
@@ -207,11 +215,11 @@ struct ResolvedRequest {
 /// has a trivially exact answer of 0, answerable from any synopsis at no
 /// cost. `calibrated` runs only for a non-empty privacy-mode query.
 fn resolve_target(
-    view: ViewDef,
+    view: &ViewDef,
     linear: LinearQuery,
     mode: SubmissionMode,
     calibrated: impl FnOnce(&str, f64) -> Option<AnalyticGaussian>,
-) -> std::result::Result<ResolvedRequest, RejectReason> {
+) -> std::result::Result<ResolvedRequest<'_>, RejectReason> {
     let coeff_sq = linear.answer_variance(1.0);
     let (per_bin_target, requested) = if coeff_sq <= 0.0 {
         (f64::INFINITY, None)
@@ -340,7 +348,7 @@ fn additive_charge(
 
 /// The answer `local` gives to a resolved request.
 fn answered(
-    resolved: &ResolvedRequest,
+    resolved: &ResolvedRequest<'_>,
     local: &BudgetedSynopsis,
     epsilon_charged: f64,
     from_cache: bool,
@@ -561,10 +569,12 @@ impl DProvDb {
         &self.registry
     }
 
-    /// Runs `f` against the current relational instance (the read side of
-    /// the epoch-versioned database). The closure shape keeps the lock
-    /// scoped to the call — planning layers use this for schema and
-    /// domain-size lookups without cloning tables or holding the guard.
+    /// Runs `f` against the current relational instance — the tables as of
+    /// the last sealed epoch — under the read side of the epoch-versioned
+    /// database, so a seal waits for it. The closure shape keeps the lock
+    /// scoped to the call. It is for reading rows (tests and tools); a
+    /// schema alone is read without a lock from [`Self::exec`]
+    /// (`ColumnarExecutor::schema`), which is how queries are resolved.
     pub fn with_database<R>(&self, f: impl FnOnce(&Database) -> R) -> R {
         let db = self.db.read().expect("db lock poisoned");
         f(&db)
@@ -778,8 +788,8 @@ impl DProvDb {
             return Some(Err(e));
         }
         // Hold the epoch gate for the whole execution: a seal waits for
-        // this answer and this answer never mixes two epochs. While it is
-        // held no seal holds the db write lock, so `resolve` cannot wait.
+        // this answer and this answer never mixes two epochs. `resolve`
+        // reads the schema from the executor and takes no lock.
         let _epoch_gate = locking.read(&self.epoch_gate)?;
         let start = self.metrics.start();
         let outcome = match self.resolve(request) {
@@ -830,14 +840,16 @@ impl DProvDb {
 
     /// Resolves a request: selects the view, transforms the query, and
     /// derives the per-bin accuracy target. Returns `Err(reason)` for
-    /// rejections that should not abort the run.
+    /// rejections that should not abort the run. The schema comes from the
+    /// columnar executor (fixed across epochs), so this takes no lock.
     fn resolve(
         &self,
         request: &QueryRequest,
-    ) -> std::result::Result<ResolvedRequest, RejectReason> {
+    ) -> std::result::Result<ResolvedRequest<'_>, RejectReason> {
         let (view, linear) = self
-            .catalog
-            .select_view(&request.query, &self.db.read().expect("db lock poisoned"))
+            .exec
+            .schema(&request.query.table)
+            .and_then(|schema| self.catalog.select(&request.query, schema))
             .map_err(|_| RejectReason::NotAnswerable)?;
         resolve_target(view, linear, request.mode, |view, epsilon| {
             self.synopses.calibrate(view, epsilon).ok()
@@ -848,7 +860,11 @@ impl DProvDb {
     /// enough. The variance check and the answer evaluation both happen
     /// under the shard read guard (`with_local`), so the hot path never
     /// clones the synopsis counts.
-    fn try_cache(&self, analyst: AnalystId, resolved: &ResolvedRequest) -> Option<AnsweredQuery> {
+    fn try_cache(
+        &self,
+        analyst: AnalystId,
+        resolved: &ResolvedRequest<'_>,
+    ) -> Option<AnsweredQuery> {
         self.synopses
             .with_local(analyst.0, &resolved.view.name, |local| {
                 (local.synopsis.per_bin_variance <= resolved.per_bin_target)
@@ -1008,7 +1024,7 @@ impl DProvDb {
     fn admit(
         &self,
         analyst: AnalystId,
-        resolved: ResolvedRequest,
+        resolved: ResolvedRequest<'_>,
         rng: Option<&mut DpRng>,
         memo: Option<&mut TranslationMemo>,
         locking: Locking,
@@ -1045,7 +1061,7 @@ impl DProvDb {
     fn charge_and_release(
         &self,
         analyst: AnalystId,
-        resolved: &ResolvedRequest,
+        resolved: &ResolvedRequest<'_>,
         rng: &mut DpRng,
         memo: Option<&mut TranslationMemo>,
     ) -> Result<QueryOutcome> {
@@ -1088,7 +1104,7 @@ impl DProvDb {
     fn plan(
         &self,
         analyst: AnalystId,
-        resolved: &ResolvedRequest,
+        resolved: &ResolvedRequest<'_>,
         mut memo: Option<&mut TranslationMemo>,
     ) -> Result<std::result::Result<Plan, RejectReason>> {
         // The mechanism the request has calibrated by then — at the
@@ -1171,7 +1187,7 @@ impl DProvDb {
         &self,
         analyst: AnalystId,
         plan: &Plan,
-        resolved: &ResolvedRequest,
+        resolved: &ResolvedRequest<'_>,
         charged: f64,
         rng: &mut DpRng,
     ) -> Result<AnsweredQuery> {
@@ -1285,104 +1301,79 @@ impl DProvDb {
 
     /// Resolves a grouped request into one per-cell resolution in
     /// canonical enumeration order, walking the selected view's cells
-    /// **once** instead of once per group.
+    /// **once**, in place, instead of once per group. Like [`Self::resolve`]
+    /// it reads the schema from the columnar executor and takes no lock.
     ///
     /// Per-group results are bit-identical to calling [`Self::resolve`] on
     /// the per-group oracle queries: view selection is value-independent
     /// (answerability depends on attribute coverage and aggregate shape,
-    /// never on the group key, so every group picks the same view), each
-    /// view cell satisfies exactly one group's equality selection, and
-    /// cells are visited in ascending flat order — the same order
-    /// `transform` enumerates them per group.
+    /// never on the group key, so every group picks the view
+    /// [`ViewCatalog::select_grouped`] ranks first, and it is chosen without
+    /// transforming any cell's query), each view cell satisfies exactly one
+    /// group's equality selection, and cells are visited in ascending flat
+    /// order — the same order `transform` enumerates them per group. A SUM
+    /// over a categorical attribute that selects any cell has no linear
+    /// form, and every group is refused as not answerable.
     #[allow(clippy::type_complexity)]
     fn resolve_grouped(
         &self,
         request: &GroupedRequest,
     ) -> Result<(
         Vec<Vec<Value>>,
-        Vec<std::result::Result<ResolvedRequest, RejectReason>>,
+        Vec<std::result::Result<ResolvedRequest<'_>, RejectReason>>,
     )> {
-        let db = self.db.read().expect("db lock poisoned");
         let query = &request.query;
-        let table = db.table(&query.table).map_err(CoreError::Engine)?;
-        let schema = table.schema();
-        let group_positions = query.group_positions(schema).map_err(CoreError::Engine)?;
-        let group_sizes: Vec<usize> = group_positions
-            .iter()
-            .map(|&p| schema.attributes()[p].domain_size())
-            .collect();
+        let schema = self.exec.schema(&query.table).map_err(CoreError::Engine)?;
         // Refuses an over-wide grouping before enumerating a key.
         let keys = query.group_keys(schema).map_err(CoreError::Engine)?;
-        let num_groups = keys.len();
-
-        // Select the view once, against the representative (all-zero) group
-        // cell's scalar query; answerability never depends on the key.
-        let representative = query
-            .group_query(schema, &vec![0; group_positions.len()])
-            .map_err(CoreError::Engine)?;
-        let view = match self.catalog.select_view(&representative, &db) {
-            Ok((view, _)) => view,
+        if keys.is_empty() {
+            // An empty grouping domain has no representative cell; its
+            // scalar query reports the domain error.
+            query
+                .group_query(schema, &vec![0; query.group_cols.len()])
+                .map_err(CoreError::Engine)?;
+        }
+        let not_answerable = || (0..keys.len()).map(|_| Err(RejectReason::NotAnswerable));
+        let Ok(view) = self.catalog.select_grouped(query, schema) else {
             // Not answerable over any view: every group is rejected,
             // exactly as the oracle would reject each scalar query.
-            Err(_) => {
-                let cells = (0..num_groups)
-                    .map(|_| Err(RejectReason::NotAnswerable))
-                    .collect();
-                return Ok((keys, cells));
-            }
+            let cells = not_answerable().collect();
+            return Ok((keys, cells));
         };
 
-        // One pass over the view's cells, replaying `transform`'s
-        // coefficient construction with the cells routed to their group.
-        let attrs: Vec<&dprov_engine::schema::Attribute> = view
-            .attributes
-            .iter()
-            .map(|a| schema.attribute(a))
-            .collect::<dprov_engine::Result<_>>()
-            .map_err(CoreError::Engine)?;
-        let dims = view.dimensions(schema).map_err(CoreError::Engine)?;
-        let view_cells: usize = dims.iter().product();
-        let view_group_positions: Vec<usize> = query
+        // Each grouping attribute's position in the view and its domain
+        // size: a cell's group is the row-major index of those coordinates.
+        let group_dims: Vec<(usize, usize)> = query
             .group_cols
             .iter()
             .map(|g| {
-                view.attributes
+                let position = view
+                    .attributes
                     .iter()
                     .position(|a| a == g)
-                    .expect("selected view covers the grouping attributes")
+                    .expect("selected view covers the grouping attributes");
+                Ok((position, schema.attribute(g)?.domain_size()))
             })
-            .collect();
-        let sum_position = match &query.aggregate {
-            AggregateKind::Count => None,
-            AggregateKind::Sum(a) => Some(
-                view.attributes
+            .collect::<dprov_engine::Result<_>>()
+            .map_err(CoreError::Engine)?;
+        let mut coefficients: Vec<Vec<(usize, f64)>> = vec![Vec::new(); keys.len()];
+        let view_cells = for_each_coefficient(
+            &query.predicate,
+            &query.aggregate,
+            view,
+            schema,
+            |flat, cell, coeff| {
+                let group = group_dims
                     .iter()
-                    .position(|v| v == a)
-                    .expect("selected view covers the aggregate target"),
-            ),
-            AggregateKind::Avg(_) => unreachable!("Avg never transforms to a linear query"),
+                    .fold(0, |group, &(position, size)| group * size + cell[position]);
+                coefficients[group].push((flat, coeff));
+            },
+        )
+        .map_err(CoreError::Engine)?;
+        let Some(view_cells) = view_cells else {
+            let cells = not_answerable().collect();
+            return Ok((keys, cells));
         };
-
-        let mut coefficients: Vec<Vec<(usize, f64)>> =
-            (0..num_groups).map(|_| Vec::new()).collect();
-        for cell in MultiIndexIter::new(&dims) {
-            if !query.predicate.matches_cell(&attrs, &cell) {
-                continue;
-            }
-            let coeff = match sum_position {
-                None => 1.0,
-                Some(pos) => attrs[pos]
-                    .numeric_at(cell[pos])
-                    .expect("view selection only admits numeric SUM targets"),
-            };
-            if coeff != 0.0 {
-                let group_cell: Vec<usize> =
-                    view_group_positions.iter().map(|&p| cell[p]).collect();
-                let group = flat_index(&group_sizes, &group_cell);
-                coefficients[group].push((flat_index(&dims, &cell), coeff));
-            }
-        }
-        drop(db);
 
         // Per-group tail of `resolve`, with the privacy-mode calibration
         // hoisted: it depends only on the request and the view, so running
@@ -1397,11 +1388,10 @@ impl DProvDb {
             .into_iter()
             .map(|coefficients| {
                 let linear = LinearQuery {
-                    view: view.name.clone(),
                     coefficients,
                     view_cells,
                 };
-                resolve_target(view.clone(), linear, request.mode, |_, _| requested)
+                resolve_target(view, linear, request.mode, |_, _| requested)
             })
             .collect();
         Ok((keys, cells))
@@ -1954,6 +1944,41 @@ mod tests {
             .unwrap();
         assert_eq!(outcome.keys.len(), 2);
         assert!(outcome.outcomes.iter().all(QueryOutcome::is_answered));
+    }
+
+    #[test]
+    fn a_grouped_sum_over_a_categorical_attribute_is_refused_in_every_group() {
+        let db = adult_database(2_000, 1);
+        let mut catalog = ViewCatalog::one_per_attribute(&db, "adult").unwrap();
+        catalog.add_view(ViewDef::histogram("race+sex", "adult", &["race", "sex"]));
+        let mut registry = AnalystRegistry::new();
+        registry.register("analyst", 4).unwrap();
+        let config = SystemConfig::new(8.0).unwrap().with_seed(7);
+        let system = DProvDb::new(
+            db,
+            catalog,
+            registry,
+            config,
+            MechanismKind::AdditiveGaussian,
+        )
+        .unwrap();
+        // Only the second group selects a cell: the first (the old
+        // representative) selects none, the walk meets SUM's categorical
+        // target in the second.
+        let query = GroupByQuery::sum("adult", "sex", &["race"]).filter(
+            dprov_engine::expr::Predicate::equals("race", "Asian-Pac-Islander"),
+        );
+        let outcome = system
+            .answer_group_by(AnalystId(0), &GroupedRequest::with_accuracy(query, 500.0))
+            .unwrap();
+        assert_eq!(outcome.keys.len(), 5);
+        assert!(outcome.outcomes.iter().all(|o| matches!(
+            o,
+            QueryOutcome::Rejected {
+                reason: RejectReason::NotAnswerable
+            }
+        )));
+        assert_eq!(system.cumulative_epsilon(), 0.0);
     }
 
     #[test]

@@ -97,25 +97,25 @@ impl Predicate {
     /// The set of attribute names referenced by the predicate.
     #[must_use]
     pub(crate) fn attributes(&self) -> BTreeSet<String> {
-        let mut out = BTreeSet::new();
-        self.collect_attributes(&mut out);
-        out
+        let mut names = Vec::new();
+        self.attribute_names(&mut names);
+        names.into_iter().map(str::to_owned).collect()
     }
 
-    fn collect_attributes(&self, out: &mut BTreeSet<String>) {
+    /// Pushes the name of every attribute the predicate references onto
+    /// `out`, borrowed and in predicate order (repeats included).
+    pub(crate) fn attribute_names<'a>(&'a self, out: &mut Vec<&'a str>) {
         match self {
             Predicate::True => {}
             Predicate::Range { attribute, .. }
             | Predicate::Equals { attribute, .. }
-            | Predicate::InSet { attribute, .. } => {
-                out.insert(attribute.clone());
-            }
+            | Predicate::InSet { attribute, .. } => out.push(attribute),
             Predicate::And(children) | Predicate::Or(children) => {
                 for c in children {
-                    c.collect_attributes(out);
+                    c.attribute_names(out);
                 }
             }
-            Predicate::Not(inner) => inner.collect_attributes(out),
+            Predicate::Not(inner) => inner.attribute_names(out),
         }
     }
 
@@ -181,11 +181,11 @@ impl Predicate {
                 None => false,
             },
             Predicate::Equals { attribute, value } => match lookup(attrs, indices, attribute) {
-                Some((attr, idx)) => &attr.value_at(idx) == value,
+                Some((attr, idx)) => attr.value_at_is(idx, value),
                 None => false,
             },
             Predicate::InSet { attribute, values } => match lookup(attrs, indices, attribute) {
-                Some((attr, idx)) => values.contains(&attr.value_at(idx)),
+                Some((attr, idx)) => values.iter().any(|v| attr.value_at_is(idx, v)),
                 None => false,
             },
             Predicate::And(children) => children.iter().all(|c| c.matches_cell(attrs, indices)),
@@ -262,6 +262,14 @@ mod tests {
         let attrs = p.attributes();
         assert!(attrs.contains("age") && attrs.contains("sex"));
         assert_eq!(attrs.len(), 2);
+
+        let p = Predicate::Or(vec![
+            p,
+            Predicate::Not(Box::new(Predicate::range("age", 0, 1))),
+        ]);
+        let mut names = Vec::new();
+        p.attribute_names(&mut names);
+        assert_eq!(names, ["age", "sex", "age"]);
     }
 
     #[test]

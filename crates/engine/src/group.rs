@@ -18,9 +18,9 @@
 
 use crate::expr::Predicate;
 use crate::query::{AggregateKind, Query};
-use crate::schema::Schema;
+use crate::schema::{Attribute, Schema};
 use crate::value::Value;
-use crate::view::MultiIndexIter;
+use crate::view::{for_each_cell, MultiIndexIter};
 use crate::{EngineError, Result};
 
 /// The most group cells one GROUP BY may ask for: the largest count whose
@@ -129,21 +129,24 @@ impl GroupByQuery {
     /// Group keys in canonical enumeration order (row-major over the
     /// grouping domains, last attribute fastest).
     pub fn group_keys(&self, schema: &Schema) -> Result<Vec<Vec<Value>>> {
-        self.num_groups(schema)?;
-        let positions = self.group_positions(schema)?;
-        let sizes: Vec<usize> = positions
-            .iter()
-            .map(|&p| schema.attributes()[p].domain_size())
+        let num_groups = self.num_groups(schema)?;
+        let attrs: Vec<&Attribute> = self
+            .group_positions(schema)?
+            .into_iter()
+            .map(|p| &schema.attributes()[p])
             .collect();
-        Ok(MultiIndexIter::new(&sizes)
-            .map(|cell| {
-                positions
+        let sizes: Vec<usize> = attrs.iter().map(|a| a.domain_size()).collect();
+        let mut keys = Vec::with_capacity(num_groups);
+        for_each_cell(&sizes, |_, cell| {
+            keys.push(
+                attrs
                     .iter()
-                    .zip(&cell)
-                    .map(|(&p, &i)| schema.attributes()[p].value_at(i))
-                    .collect()
-            })
-            .collect())
+                    .zip(cell)
+                    .map(|(a, &i)| a.value_at(i))
+                    .collect(),
+            );
+        });
+        Ok(keys)
     }
 
     /// The scalar query that defines one group cell: the base predicate

@@ -147,6 +147,18 @@ impl Attribute {
         }
     }
 
+    /// `self.value_at(index) == *value`, without building the value.
+    #[must_use]
+    pub(crate) fn value_at_is(&self, index: usize, value: &Value) -> bool {
+        match (&self.attr_type, value) {
+            (AttributeType::Integer { min, bin_width, .. }, Value::Int(v)) => {
+                min + index as i64 * bin_width == *v
+            }
+            (AttributeType::Categorical { categories }, Value::Text(s)) => categories[index] == *s,
+            _ => false,
+        }
+    }
+
     /// The numeric value associated with a domain index, used as the SUM
     /// coefficient (bin lower edge for binned integers). `None` for
     /// categorical attributes.
@@ -280,6 +292,28 @@ mod tests {
         assert_eq!(s.value_at(0), Value::text("Female"));
         assert_eq!(s.numeric_at(0), None);
         assert!(!s.attr_type.is_numeric());
+    }
+
+    #[test]
+    fn value_at_is_compares_like_value_at() {
+        let hours = Attribute::new("hours", AttributeType::binned_integer(0, 99, 10));
+        let probes = [
+            Value::Int(17),
+            Value::Int(30),
+            Value::Int(31),
+            Value::text("Male"),
+            Value::text("male"),
+        ];
+        for attr in [age(), sex(), hours] {
+            for index in 0..attr.domain_size() {
+                for value in &probes {
+                    assert_eq!(
+                        attr.value_at_is(index, value),
+                        attr.value_at(index) == *value
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -10,21 +10,22 @@
 //! * `SUM(a) WHERE P` additionally multiplies each selected cell by the
 //!   numeric value of `a` in that cell;
 //! * `AVG` and `GROUP BY` are not answerable as a *single* linear query and
-//!   are decomposed by the system layer (AVG = SUM / COUNT), so `transform`
-//!   returns `None` for them.
+//!   are decomposed by the system layer (AVG = SUM / COUNT), so no view is a
+//!   candidate for them.
+//!
+//! The catalog ([`crate::catalog`]) decides which views are candidates and
+//! in what order; this module walks one view's cells in place.
 
-use crate::database::Database;
+use crate::expr::Predicate;
 use crate::query::{AggregateKind, Query};
-use crate::schema::Schema;
-use crate::view::{flat_index, MultiIndexIter, ViewDef};
+use crate::schema::{Attribute, Schema};
+use crate::view::{for_each_cell, ViewDef};
 use crate::Result;
 
 /// A linear query over a view's histogram cells: a sparse coefficient
 /// vector.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LinearQuery {
-    /// The view the coefficients are defined over.
-    pub view: String,
     /// `(flat cell index, coefficient)` pairs, sorted by cell index.
     pub coefficients: Vec<(usize, f64)>,
     /// Total number of cells of the view (the dense dimension).
@@ -59,90 +60,99 @@ impl LinearQuery {
     }
 }
 
-/// Attempts to rewrite `query` into a linear query over `view`.
+/// Walks `view`'s cells once, in place and in ascending flat order, and
+/// hands each cell `predicate` selects to `visit` as `(flat index, cell,
+/// coefficient)`: 1 under COUNT, the cell's value of the target attribute
+/// under SUM; a zero coefficient is skipped. This is the one coefficient
+/// rule: scalar selection ([`crate::catalog::ViewCatalog::select`])
+/// collects the visits into a [`LinearQuery`], and the grouped resolution
+/// in `dprov-core` routes each to its group.
 ///
-/// Returns `Ok(None)` when the query is well formed but not answerable over
-/// this particular view (wrong table, uncovered attribute, or an aggregate
-/// shape that needs decomposition).
-pub(crate) fn transform(
-    query: &Query,
+/// Returns the view's cell count, or `Ok(None)` when the aggregate has no
+/// linear form over the view: AVG (decomposed by the system layer), or SUM
+/// over a categorical attribute with at least one selected cell — then
+/// nothing was visited, since such a SUM fails on its first selected cell.
+/// The view must cover every attribute `predicate` and `aggregate` read.
+pub fn for_each_coefficient(
+    predicate: &Predicate,
+    aggregate: &AggregateKind,
     view: &ViewDef,
     schema: &Schema,
-) -> Result<Option<LinearQuery>> {
-    if query.table != view.table {
-        return Ok(None);
-    }
-    if !query.group_by.is_empty() {
-        return Ok(None);
-    }
-    if matches!(query.aggregate, AggregateKind::Avg(_)) {
-        return Ok(None);
-    }
-    if !view.covers(&query.referenced_attributes()) {
-        return Ok(None);
-    }
-
-    let attrs: Vec<_> = view
+    mut visit: impl FnMut(usize, &[usize], f64),
+) -> Result<Option<usize>> {
+    let attrs: Vec<&Attribute> = view
         .attributes
         .iter()
         .map(|a| schema.attribute(a))
-        .collect::<Result<Vec<_>>>()?;
-    let dims = view.dimensions(schema)?;
-    let sum_position = match &query.aggregate {
+        .collect::<Result<_>>()?;
+    let dims: Vec<usize> = attrs.iter().map(|a| a.domain_size()).collect();
+    let sum_position = match aggregate {
         AggregateKind::Count => None,
         AggregateKind::Sum(a) => Some(
             view.attributes
                 .iter()
                 .position(|v| v == a)
-                .expect("covered attribute"),
+                .expect("the view covers the aggregate target"),
         ),
-        AggregateKind::Avg(_) => unreachable!("handled above"),
+        AggregateKind::Avg(_) => return Ok(None),
     };
-
-    let mut coefficients = Vec::new();
-    for cell in MultiIndexIter::new(&dims) {
-        if !query.predicate.matches_cell(&attrs, &cell) {
-            continue;
+    let mut linear = true;
+    for_each_cell(&dims, |flat, cell| {
+        if !linear || !predicate.matches_cell(&attrs, cell) {
+            return;
         }
         let coeff = match sum_position {
             None => 1.0,
             Some(pos) => match attrs[pos].numeric_at(cell[pos]) {
                 Some(v) => v,
-                // SUM over a categorical attribute is not answerable.
-                None => return Ok(None),
+                None => {
+                    linear = false;
+                    return;
+                }
             },
         };
         if coeff != 0.0 {
-            coefficients.push((flat_index(&dims, &cell), coeff));
+            visit(flat, cell, coeff);
         }
-    }
-
-    Ok(Some(LinearQuery {
-        view: view.name.clone(),
-        coefficients,
-        view_cells: dims.iter().product(),
-    }))
+    });
+    Ok(linear.then(|| dims.iter().product()))
 }
 
-/// Convenience wrapper resolving the schema through the database.
-pub(crate) fn transform_in(
+/// Rewrites `query` into a linear query over `view`, a view on the query's
+/// table that covers every attribute the query reads; `Ok(None)` when the
+/// query has no linear form there (see [`for_each_coefficient`]). The
+/// catalog decides which views are candidates (same table, coverage, no
+/// GROUP BY) before it calls this.
+pub(crate) fn transform(
     query: &Query,
     view: &ViewDef,
-    db: &Database,
+    schema: &Schema,
 ) -> Result<Option<LinearQuery>> {
-    let table = db.table(&view.table)?;
-    transform(query, view, table.schema())
+    let mut coefficients = Vec::new();
+    let view_cells = for_each_coefficient(
+        &query.predicate,
+        &query.aggregate,
+        view,
+        schema,
+        |flat, _, coeff| coefficients.push((flat, coeff)),
+    )?;
+    Ok(view_cells.map(|view_cells| LinearQuery {
+        coefficients,
+        view_cells,
+    }))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::catalog::ViewCatalog;
+    use crate::database::Database;
     use crate::exec::execute;
-    use crate::expr::Predicate;
     use crate::histogram::Histogram;
-    use crate::schema::{Attribute, AttributeType, Schema};
+    use crate::schema::AttributeType;
     use crate::table::Table;
     use crate::value::Value;
+    use crate::EngineError;
 
     fn db() -> Database {
         let schema = Schema::new(vec![
@@ -168,8 +178,20 @@ mod tests {
         db
     }
 
+    /// Selection over a catalog holding only `view`: `None` when the query
+    /// is not answerable over it.
+    fn transform_in(q: &Query, view: &ViewDef, db: &Database) -> Option<LinearQuery> {
+        let mut catalog = ViewCatalog::new();
+        catalog.add_view(view.clone());
+        match catalog.select_view(q, db) {
+            Ok((_, lq)) => Some(lq),
+            Err(EngineError::NotAnswerable(_)) => None,
+            Err(e) => panic!("{e}"),
+        }
+    }
+
     fn answer_via_view(q: &Query, view: &ViewDef, db: &Database) -> Option<f64> {
-        let lq = transform_in(q, view, db).unwrap()?;
+        let lq = transform_in(q, view, db)?;
         let h = Histogram::materialize(db, view).unwrap();
         Some(lq.evaluate(&h.counts))
     }
@@ -214,7 +236,7 @@ mod tests {
         let db = db();
         let view = ViewDef::histogram("v_age", "adult", &["age"]);
         let q = Query::count("adult").filter(Predicate::equals("sex", "F"));
-        assert!(transform_in(&q, &view, &db).unwrap().is_none());
+        assert!(transform_in(&q, &view, &db).is_none());
     }
 
     #[test]
@@ -222,14 +244,13 @@ mod tests {
         let db = db();
         let view = ViewDef::histogram("v_age", "adult", &["age"]);
         let other_table = Query::count("tpch");
-        assert!(transform_in(&other_table, &view, &db).is_ok());
-        assert!(transform_in(&other_table, &view, &db).unwrap().is_none());
+        assert!(transform_in(&other_table, &view, &db).is_none());
 
         let grouped = Query::count("adult").group_by(&["age"]);
-        assert!(transform_in(&grouped, &view, &db).unwrap().is_none());
+        assert!(transform_in(&grouped, &view, &db).is_none());
 
         let avg = Query::avg("adult", "age");
-        assert!(transform_in(&avg, &view, &db).unwrap().is_none());
+        assert!(transform_in(&avg, &view, &db).is_none());
     }
 
     #[test]
@@ -237,7 +258,7 @@ mod tests {
         let db = db();
         let view = ViewDef::histogram("v_age", "adult", &["age"]);
         let q = Query::range_count("adult", "age", 22, 26);
-        let lq = transform_in(&q, &view, &db).unwrap().unwrap();
+        let lq = transform_in(&q, &view, &db).unwrap();
         assert_eq!(lq.bins_touched(), 5);
         // Unit coefficients: query variance = bins * per-bin variance.
         assert_eq!(lq.answer_variance(2.0), 10.0);
@@ -248,9 +269,7 @@ mod tests {
     fn full_count_touches_every_bin() {
         let db = db();
         let view = ViewDef::histogram("v_age", "adult", &["age"]);
-        let lq = transform_in(&Query::count("adult"), &view, &db)
-            .unwrap()
-            .unwrap();
+        let lq = transform_in(&Query::count("adult"), &view, &db).unwrap();
         assert_eq!(lq.bins_touched(), 10);
         let h = Histogram::materialize(&db, &view).unwrap();
         assert_eq!(lq.evaluate(&h.counts), 6.0);

@@ -71,9 +71,11 @@ impl ViewDef {
             .collect()
     }
 
-    /// Total number of histogram cells.
+    /// Total number of histogram cells (allocates nothing).
     pub fn domain_size(&self, schema: &Schema) -> Result<usize> {
-        Ok(self.dimensions(schema)?.iter().product())
+        self.attributes
+            .iter()
+            .try_fold(1, |cells, a| Ok(cells * schema.attribute(a)?.domain_size()))
     }
 
     /// Schema positions of the view's attributes, in view order — shared by
@@ -100,8 +102,34 @@ impl ViewDef {
     }
 }
 
+/// Visits every cell of a histogram with the given per-dimension sizes in
+/// row-major order (last dimension fastest, the order of [`MultiIndexIter`]),
+/// as `(flat offset, cell index)`. The flat offset is the visit count, so it
+/// equals [`flat_index`] of the cell. One odometer moves in place: the walk
+/// allocates once however many cells it visits.
+pub(crate) fn for_each_cell(sizes: &[usize], mut visit: impl FnMut(usize, &[usize])) {
+    if sizes.contains(&0) {
+        return;
+    }
+    let mut cell = vec![0; sizes.len()];
+    let mut flat = 0;
+    'cells: loop {
+        visit(flat, &cell);
+        flat += 1;
+        for dim in (0..sizes.len()).rev() {
+            cell[dim] += 1;
+            if cell[dim] < sizes[dim] {
+                continue 'cells;
+            }
+            cell[dim] = 0;
+        }
+        return;
+    }
+}
+
 /// Iterates the multi-dimensional cell indices of a histogram with the given
-/// per-dimension sizes, in row-major order.
+/// per-dimension sizes, in row-major order. Allocates one `Vec` per cell;
+/// hot paths walk with the in-place `for_each_cell` instead.
 #[derive(Debug, Clone)]
 pub struct MultiIndexIter {
     sizes: Vec<usize>,
@@ -233,6 +261,28 @@ mod tests {
     fn multi_index_handles_empty_and_zero_dims() {
         assert_eq!(MultiIndexIter::new(&[]).count(), 1);
         assert_eq!(MultiIndexIter::new(&[0, 3]).count(), 0);
+    }
+
+    #[test]
+    fn for_each_cell_visits_what_multi_index_iter_yields() {
+        for sizes in [
+            &[][..],
+            &[0],
+            &[1],
+            &[5],
+            &[0, 3],
+            &[3, 0],
+            &[2, 3],
+            &[3, 1, 4],
+            &[2, 2, 2, 3],
+        ] {
+            let mut visited = Vec::new();
+            for_each_cell(sizes, |flat, cell| visited.push((flat, cell.to_vec())));
+            let expected: Vec<(usize, Vec<usize>)> = MultiIndexIter::new(sizes)
+                .map(|cell| (flat_index(sizes, &cell), cell))
+                .collect();
+            assert_eq!(visited, expected, "sizes {sizes:?}");
+        }
     }
 
     #[test]
